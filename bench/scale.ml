@@ -39,6 +39,7 @@ type run_result = {
   r_resyncs : int;
   r_gc_token_acquires : int;
   r_minor_words_per_op : float;
+  r_wave_minor_words_per_op : float;
   r_components : (Net.Component.t * int) list;
 }
 
@@ -76,9 +77,11 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
   let ts = Cluster.enable_timeseries c in
   let chunk = max 1 (ops / waves) in
   (* OCaml-runtime allocation attributable to the mutator loop itself
-     (collector waves excluded): the flat-heap hot path is supposed to
-     allocate O(1) words per op, and the smoke gate holds it there. *)
-  let mutator_words = ref 0.0 in
+     and, separately, to the collector waves between its batches: the
+     flat-heap hot path is supposed to allocate O(1) words per op, the
+     waves should allocate for what churned rather than for the mirrored
+     tables, and the smoke gate holds both. *)
+  let mutator_words = ref 0.0 and wave_words = ref 0.0 in
   let t0 = now_ns () in
   for _ = 1 to waves do
     let w0 = Gc.minor_words () in
@@ -89,8 +92,10 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
        mutator was what made words/op grow with the heap across the
        sweep (641 → 3738 from the 4×64 to the 16×4096 leg). *)
     Driver.run_ops d ~resync_first:false ~ops:chunk ();
-    mutator_words := !mutator_words +. (Gc.minor_words () -. w0);
-    gc_wave c
+    let w1 = Gc.minor_words () in
+    mutator_words := !mutator_words +. (w1 -. w0);
+    gc_wave c;
+    wave_words := !wave_words +. (Gc.minor_words () -. w1)
   done;
   ignore (Cluster.collect_until_quiescent c ());
   let t1 = now_ns () in
@@ -111,6 +116,10 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
       (Trace_event.timed_events (Cluster.evlog c))
   in
   let net = Cluster.net c in
+  let per_op words =
+    let total = float_of_int (chunk * waves) in
+    if total <= 0.0 then 0.0 else words /. total
+  in
   {
     r_nodes = nodes;
     r_objects_per_bunch = objects_per_bunch;
@@ -133,9 +142,8 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
     r_gc_token_acquires =
       Stats.get stats "dsm.gc.acquire_read"
       + Stats.get stats "dsm.gc.acquire_write";
-    r_minor_words_per_op =
-      (let total = float_of_int (chunk * waves) in
-       if total <= 0.0 then 0.0 else !mutator_words /. total);
+    r_minor_words_per_op = per_op !mutator_words;
+    r_wave_minor_words_per_op = per_op !wave_words;
     r_components =
       List.map
         (fun comp -> (comp, Net.component_bytes net comp))
@@ -211,6 +219,7 @@ let result_json r =
       ("resyncs", Json.Int r.r_resyncs);
       ("gc_token_acquires", Json.Int r.r_gc_token_acquires);
       ("minor_words_per_op", Json.Float r.r_minor_words_per_op);
+      ("wave_minor_words_per_op", Json.Float r.r_wave_minor_words_per_op);
       ( "components",
         Json.Obj
           (List.map
@@ -306,6 +315,7 @@ let run_sweep ?(extra_configs = []) ~configs ~json_path () =
           "steady full B";
           "gc tokens";
           "alloc w/op";
+          "wave w/op";
         ]
   in
   let results =
@@ -327,6 +337,7 @@ let run_sweep ?(extra_configs = []) ~configs ~json_path () =
             string_of_int r.r_steady_full_bytes;
             string_of_int r.r_gc_token_acquires;
             Printf.sprintf "%.0f" r.r_minor_words_per_op;
+            Printf.sprintf "%.0f" r.r_wave_minor_words_per_op;
           ];
         r)
       configs
@@ -380,17 +391,16 @@ let e20_diag_at ~nodes ~objects_per_bunch =
       d.P.s_gc_ns_trace + d.P.s_gc_ns_flip + d.P.s_gc_ns_copy
       + d.P.s_gc_ns_scan + d.P.s_gc_ns_reconcile
     in
+    let ms ns = float_of_int ns /. 1e6 in
     if pn > 0 then
       Printf.printf
         "%-22s %12s gc-phase-ms: trace=%.1f flip=%.1f copy=%.1f scan=%.1f \
-         reconcile=%.1f\n\
+         reconcile=%.1f (recv delta=%.1f full=%.1f self=%.1f)\n\
          %!"
-        "" ""
-        (float_of_int d.P.s_gc_ns_trace /. 1e6)
-        (float_of_int d.P.s_gc_ns_flip /. 1e6)
-        (float_of_int d.P.s_gc_ns_copy /. 1e6)
-        (float_of_int d.P.s_gc_ns_scan /. 1e6)
-        (float_of_int d.P.s_gc_ns_reconcile /. 1e6);
+        "" "" (ms d.P.s_gc_ns_trace) (ms d.P.s_gc_ns_flip)
+        (ms d.P.s_gc_ns_copy) (ms d.P.s_gc_ns_scan) (ms d.P.s_gc_ns_reconcile)
+        (ms d.P.s_gc_ns_recv_delta) (ms d.P.s_gc_ns_recv_full)
+        (ms d.P.s_gc_ns_recv_self);
     r
   in
   Printf.printf "--- e20-diag: %d nodes x %d objs/bunch ---

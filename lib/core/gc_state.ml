@@ -128,19 +128,24 @@ let t_add tb item =
     true
   end
 
-let t_remove_pred tb pred =
-  let drop = List.filter pred tb.view in
-  match drop with
-  | [] -> 0
-  | _ ->
-      tb.view <- List.filter (fun x -> not (pred x)) tb.view;
-      List.iter
-        (fun x ->
-          Hashtbl.remove tb.members x;
-          t_index_remove tb x;
-          t_key_decr tb (tb.key_of x))
-        drop;
-      List.length drop
+(* Remove the entries whose peer is [node] and that satisfy [pred].  Only
+   that node's index bucket is visited; the insertion-ordered view is
+   refiltered only when something actually goes. *)
+let t_remove_from tb node pred =
+  match Ids.Node_tbl.find_opt tb.by_node node with
+  | None -> 0
+  | Some b -> (
+      match Hashtbl.fold (fun x () acc -> if pred x then x :: acc else acc) b [] with
+      | [] -> 0
+      | drop ->
+          List.iter
+            (fun x ->
+              Hashtbl.remove tb.members x;
+              t_index_remove tb x;
+              t_key_decr tb (tb.key_of x))
+            drop;
+          tb.view <- List.filter (fun x -> Hashtbl.mem tb.members x) tb.view;
+          List.length drop)
 
 let t_replace tb items =
   (* Wholesale replacement (BGC table reconstruction): journal exactly
@@ -191,11 +196,6 @@ let t_by_uid2 tb uid =
   | None -> []
   | Some b -> Hashtbl.fold (fun x () acc -> x :: acc) b []
 
-let t_has_node tb node =
-  match Ids.Node_tbl.find_opt tb.by_node node with
-  | None -> false
-  | Some b -> Hashtbl.length b > 0
-
 (* ------------------------------------------------------------------ *)
 (* Reachability-table mirrors (§6.1, delta protocol).
 
@@ -212,6 +212,13 @@ type mirror = {
   mi_intra : (Ssp.intra_key, unit) Hashtbl.t;
   mi_exiting : (Ids.Uid.t * Ids.Node.t, unit) Hashtbl.t;
 }
+
+(* Per sender, how many mirrored inter-bunch stub keys (over all of the
+   sender's bunches) target each uid — the index behind
+   [mirror_claims_target].  Maintained by [mirror_reset] and
+   [mirror_apply] at every key whose mirror presence flips; a zero count
+   is removed, so membership means "claimed". *)
+type claims = int Ids.Uid_tbl.t Ids.Node_tbl.t
 
 (* ------------------------------------------------------------------ *)
 
@@ -237,6 +244,7 @@ type node_state = {
   dest_basis : (Ids.Bunch.t * Ids.Node.t, int * int) Hashtbl.t;
   since_rebase : int ref Ids.Bunch_tbl.t;
   mirrors : (Ids.Node.t * Ids.Bunch.t, mirror) Hashtbl.t;
+  claims : claims;
   (* Exiting-ownerPtr journal, same shape as the stub-table journals:
      present set plus the entries that flipped since the last rebase. *)
   exiting_cur : (Ids.Uid.t * Ids.Node.t, unit) Hashtbl.t Ids.Bunch_tbl.t;
@@ -299,6 +307,7 @@ let node_state t node =
           dest_basis = Hashtbl.create 16;
           since_rebase = Ids.Bunch_tbl.create 8;
           mirrors = Hashtbl.create 16;
+          claims = Ids.Node_tbl.create 8;
           exiting_cur = Ids.Bunch_tbl.create 8;
           exiting_touched = Ids.Bunch_tbl.create 8;
         }
@@ -310,8 +319,8 @@ let crash_node t ~node =
   (* GC tables are volatile per-node state (they are reconstructed by
      every local collection, §4.3): a crash loses roots, stub and scion
      tables, the cleaner's per-sender freshness clocks, the broadcast
-     bookkeeping and the delta-table mirrors and journals alike.  The
-     entry regenerates lazily, empty. *)
+     bookkeeping, the delta-table mirrors with their claim counts, and
+     the journals alike.  The entry regenerates lazily, empty. *)
   Ids.Node_tbl.remove t.per_node node
 
 let add_root t ~node a =
@@ -396,22 +405,23 @@ let add_intra_scion t ~node (s : Ssp.intra_scion) =
     t_add (find_table make_intra_scion_table ns.intra_scions s.Ssp.xn_bunch) s
   then ns.gc_version <- ns.gc_version + 1
 
-let remove_in_table tbl bunch pred =
-  match Ids.Bunch_tbl.find_opt tbl bunch with
+let remove_inter_scions_from t ~node ~src pred =
+  let ns = node_state t node in
+  Ids.Bunch_tbl.fold
+    (fun _ tb total ->
+      let n = t_remove_from tb src pred in
+      if n > 0 then ns.gc_version <- ns.gc_version + 1;
+      total + n)
+    ns.inter_scions 0
+
+let remove_intra_scions_from t ~node ~bunch ~src pred =
+  let ns = node_state t node in
+  match Ids.Bunch_tbl.find_opt ns.intra_scions bunch with
   | None -> 0
-  | Some tb -> t_remove_pred tb pred
-
-let remove_inter_scions t ~node ~bunch pred =
-  let ns = node_state t node in
-  let n = remove_in_table ns.inter_scions bunch pred in
-  if n > 0 then ns.gc_version <- ns.gc_version + 1;
-  n
-
-let remove_intra_scions t ~node ~bunch pred =
-  let ns = node_state t node in
-  let n = remove_in_table ns.intra_scions bunch pred in
-  if n > 0 then ns.gc_version <- ns.gc_version + 1;
-  n
+  | Some tb ->
+      let n = t_remove_from tb src pred in
+      if n > 0 then ns.gc_version <- ns.gc_version + 1;
+      n
 
 (* ------------------------------------------------------------------ *)
 (* BGC dirtiness epoch (economical collection).
@@ -440,16 +450,6 @@ let note_bgc_epoch t ~node ~bunch =
   let ns = node_state t node in
   Ids.Bunch_tbl.replace ns.last_bgc bunch (dirty_epoch t ~node)
 
-let has_inter_scions_from t ~node ~bunch ~src =
-  match Ids.Bunch_tbl.find_opt (node_state t node).inter_scions bunch with
-  | None -> false
-  | Some tb -> t_has_node tb src
-
-let has_intra_scions_from t ~node ~bunch ~src =
-  match Ids.Bunch_tbl.find_opt (node_state t node).intra_scions bunch with
-  | None -> false
-  | Some tb -> t_has_node tb src
-
 let inter_stubs_with_src t ~node ~bunch ~uid =
   match Ids.Bunch_tbl.find_opt (node_state t node).inter_stubs bunch with
   | None -> []
@@ -460,10 +460,10 @@ let intra_stubs_for_uid t ~node ~bunch ~uid =
   | None -> []
   | Some tb -> t_by_uid tb uid
 
-let inter_scions_for_uid t ~node ~bunch ~uid =
-  match Ids.Bunch_tbl.find_opt (node_state t node).inter_scions bunch with
-  | None -> []
-  | Some tb -> t_by_uid tb uid
+let has_inter_scion t ~node ~bunch key =
+  match Ids.Bunch_tbl.find (node_state t node).inter_scions bunch with
+  | tb -> Hashtbl.mem tb.key_count key
+  | exception Not_found -> false
 
 (* ------------------------------------------------------------------ *)
 (* Delta-table journal (sender side).                                  *)
@@ -580,6 +580,28 @@ let record_dest_basis t ~node ~bunch ~dest ~round ~basis =
 (* ------------------------------------------------------------------ *)
 (* Delta-table mirrors (receiver side).                                *)
 
+let claim_incr ns sender (_, _, _, target) =
+  let tbl =
+    match Ids.Node_tbl.find ns.claims sender with
+    | tbl -> tbl
+    | exception Not_found ->
+        let tbl = Ids.Uid_tbl.create 64 in
+        Ids.Node_tbl.add ns.claims sender tbl;
+        tbl
+  in
+  match Ids.Uid_tbl.find tbl target with
+  | c -> Ids.Uid_tbl.replace tbl target (c + 1)
+  | exception Not_found -> Ids.Uid_tbl.add tbl target 1
+
+let claim_decr ns sender (_, _, _, target) =
+  match Ids.Node_tbl.find ns.claims sender with
+  | exception Not_found -> ()
+  | tbl -> (
+      match Ids.Uid_tbl.find tbl target with
+      | 1 -> Ids.Uid_tbl.remove tbl target
+      | c -> Ids.Uid_tbl.replace tbl target (c - 1)
+      | exception Not_found -> ())
+
 let mirror_reset t ~node ~sender ~bunch ~basis ~inter ~intra ~exiting =
   let ns = node_state t node in
   let m =
@@ -593,23 +615,43 @@ let mirror_reset t ~node ~sender ~bunch ~basis ~inter ~intra ~exiting =
   List.iter (fun s -> Hashtbl.replace m.mi_inter (Ssp.inter_stub_key s) ()) inter;
   List.iter (fun s -> Hashtbl.replace m.mi_intra (Ssp.intra_stub_key s) ()) intra;
   List.iter (fun e -> Hashtbl.replace m.mi_exiting e ()) exiting;
+  (* Claims move only for the keys whose presence the install flips. *)
+  (match Hashtbl.find_opt ns.mirrors (sender, bunch) with
+  | Some old ->
+      Hashtbl.iter
+        (fun k () -> if not (Hashtbl.mem m.mi_inter k) then claim_decr ns sender k)
+        old.mi_inter;
+      Hashtbl.iter
+        (fun k () -> if not (Hashtbl.mem old.mi_inter k) then claim_incr ns sender k)
+        m.mi_inter
+  | None -> Hashtbl.iter (fun k () -> claim_incr ns sender k) m.mi_inter);
   Hashtbl.replace ns.mirrors (sender, bunch) m
 
-let mirror_find t ~node ~sender ~bunch =
+let mirror t ~node ~sender ~bunch =
   Hashtbl.find_opt (node_state t node).mirrors (sender, bunch)
-
-let mirror_basis t ~node ~sender ~bunch =
-  Option.map (fun m -> m.mi_basis) (mirror_find t ~node ~sender ~bunch)
 
 let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
     ~add_intra ~del_intra ~add_exiting ~del_exiting =
-  match mirror_find t ~node ~sender ~bunch with
+  let ns = node_state t node in
+  match Hashtbl.find_opt ns.mirrors (sender, bunch) with
   | Some m when m.mi_basis = basis ->
       (* The delta covers every key touched since its basis, so deletions
          are applied before additions: a key removed and later re-added
          appears only on the add side and must end up present. *)
-      List.iter (Hashtbl.remove m.mi_inter) del_inter;
-      List.iter (fun k -> Hashtbl.replace m.mi_inter k ()) add_inter;
+      List.iter
+        (fun k ->
+          if Hashtbl.mem m.mi_inter k then begin
+            Hashtbl.remove m.mi_inter k;
+            claim_decr ns sender k
+          end)
+        del_inter;
+      List.iter
+        (fun k ->
+          if not (Hashtbl.mem m.mi_inter k) then begin
+            Hashtbl.add m.mi_inter k ();
+            claim_incr ns sender k
+          end)
+        add_inter;
       List.iter (Hashtbl.remove m.mi_intra) del_intra;
       List.iter (fun k -> Hashtbl.replace m.mi_intra k ()) add_intra;
       List.iter (Hashtbl.remove m.mi_exiting) del_exiting;
@@ -620,36 +662,16 @@ let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
       true
   | Some _ | None -> false
 
-let mirror_covers_inter t ~node ~sender ~bunch (scion : Ssp.inter_scion) =
-  match mirror_find t ~node ~sender ~bunch with
-  | None -> false
-  | Some m -> Hashtbl.mem m.mi_inter (Ssp.inter_scion_key scion)
-
-let mirror_covers_intra t ~node ~sender ~bunch ~holder (scion : Ssp.intra_scion) =
-  match mirror_find t ~node ~sender ~bunch with
-  | None -> false
-  | Some m -> Hashtbl.mem m.mi_intra (Ssp.intra_scion_key ~holder scion)
-
-let mirror_exiting t ~node ~sender ~bunch =
-  match mirror_find t ~node ~sender ~bunch with
-  | None -> []
-  | Some m -> Hashtbl.fold (fun e () acc -> e :: acc) m.mi_exiting []
+let mirror_has_inter m key = Hashtbl.mem m.mi_inter key
+let mirror_has_intra m key = Hashtbl.mem m.mi_intra key
+let mirror_has_exiting m uid node = Hashtbl.mem m.mi_exiting (uid, node)
+let mirror_iter_inter m f = Hashtbl.iter (fun k () -> f k) m.mi_inter
+let mirror_iter_exiting m f = Hashtbl.iter (fun e () -> f e) m.mi_exiting
 
 let mirror_claims_target t ~node ~sender uid =
-  let ns = node_state t node in
-  Hashtbl.fold
-    (fun (s, _) m hit ->
-      hit
-      || Ids.Node.equal s sender
-         && Hashtbl.fold
-              (fun (_, _, _, target) () hit -> hit || Ids.Uid.equal target uid)
-              m.mi_inter false)
-    ns.mirrors false
-
-let mirror_inter_keys t ~node ~sender ~bunch =
-  match mirror_find t ~node ~sender ~bunch with
-  | None -> []
-  | Some m -> Hashtbl.fold (fun k () acc -> k :: acc) m.mi_inter []
+  match Ids.Node_tbl.find (node_state t node).claims sender with
+  | tbl -> Ids.Uid_tbl.mem tbl uid
+  | exception Not_found -> false
 
 (* ------------------------------------------------------------------ *)
 

@@ -101,30 +101,25 @@ val add_inter_scion : t -> node:Bmx_util.Ids.Node.t -> Ssp.inter_scion -> unit
 
 val add_intra_scion : t -> node:Bmx_util.Ids.Node.t -> Ssp.intra_scion -> unit
 
-val remove_inter_scions :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+val remove_inter_scions_from :
+  t -> node:Bmx_util.Ids.Node.t -> src:Bmx_util.Ids.Node.t
   -> (Ssp.inter_scion -> bool) -> int
-(** Remove scions satisfying the predicate; returns how many. *)
+(** Remove, across every target bunch at [node], the inter-bunch scions
+    whose stub lives at [src] and that satisfy the predicate; returns how
+    many.  Visits only [src]'s scions (by-node index), never whole
+    tables. *)
 
-val remove_intra_scions :
+val remove_intra_scions_from :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> (Ssp.intra_scion -> bool) -> int
+  -> src:Bmx_util.Ids.Node.t -> (Ssp.intra_scion -> bool) -> int
+(** Same for the intra-bunch scions of [bunch] whose owner side is
+    [src]. *)
 
 (** {1 Indexed queries}
 
     O(1)-ish views over the secondary indexes; all return the same
     records the list accessors above would surface, without walking the
     full table. *)
-
-val has_inter_scions_from :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> src:Bmx_util.Ids.Node.t -> bool
-(** Does [node] hold any inter-bunch scion for [bunch] whose stub lives
-    at [src]?  (The cleaner's per-sender pruning guard.) *)
-
-val has_intra_scions_from :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> src:Bmx_util.Ids.Node.t -> bool
 
 val inter_stubs_with_src :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
@@ -136,9 +131,11 @@ val intra_stubs_for_uid :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
   -> uid:Bmx_util.Ids.Uid.t -> Ssp.intra_stub list
 
-val inter_scions_for_uid :
+val has_inter_scion :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> uid:Bmx_util.Ids.Uid.t -> Ssp.inter_scion list
+  -> Ssp.inter_key -> bool
+(** Does [node] hold a scion for [bunch] with this match key?  One hash
+    lookup; allocates nothing. *)
 
 (** {1 Exiting-ownerPtr lists}
 
@@ -243,10 +240,6 @@ val mirror_reset :
   unit
 (** Install a full table received from [sender] as the new mirror. *)
 
-val mirror_basis :
-  t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> bunch:Bmx_util.Ids.Bunch.t -> int option
-
 val mirror_apply :
   t ->
   node:Bmx_util.Ids.Node.t ->
@@ -266,23 +259,28 @@ val mirror_apply :
     [false] (and no change) if there is no mirror or its basis differs
     from [basis] — the caller must resync. *)
 
-val mirror_covers_inter :
-  t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.inter_scion -> bool
-(** Does the mirrored table contain a stub matching this scion (the
-    cleaner's §6.1 deletion test, O(1))? *)
+type mirror
+(** [node]'s reassembly of one (sender, bunch) stream: the key sets of
+    the sender's stub tables and its complete exiting list. *)
 
-val mirror_covers_intra :
+val mirror :
   t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> bunch:Bmx_util.Ids.Bunch.t -> holder:Bmx_util.Ids.Node.t
-  -> Ssp.intra_scion -> bool
+  -> bunch:Bmx_util.Ids.Bunch.t -> mirror option
 
-val mirror_exiting :
-  t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> bunch:Bmx_util.Ids.Bunch.t
-  -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list
-(** The complete exiting list reassembled from fulls and deltas — what
-    the entering reconciliation consumes. *)
+val mirror_has_inter : mirror -> Ssp.inter_key -> bool
+(** Does the mirrored table hold a stub with this key (the cleaner's
+    §6.1 deletion test for an inter-bunch scion, O(1))? *)
+
+val mirror_has_intra : mirror -> Ssp.intra_key -> bool
+
+val mirror_has_exiting :
+  mirror -> Bmx_util.Ids.Uid.t -> Bmx_util.Ids.Node.t -> bool
+(** Does the sender's exiting list name this (object, owner) pair? *)
+
+val mirror_iter_inter : mirror -> (Ssp.inter_key -> unit) -> unit
+val mirror_iter_exiting :
+  mirror -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t -> unit) -> unit
+(** In no particular order; [f] must not change the mirror. *)
 
 val mirror_claims_target :
   t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
@@ -292,14 +290,9 @@ val mirror_claims_target :
     reconciliation uses this as a keep-alive: after the scion side of an
     SSP dies with a crash, the recovered owner's only protection is a
     checkpoint-restored entering entry, and that entry must not be
-    retired while the claimant's stub survives. *)
-
-val mirror_inter_keys :
-  t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.inter_key list
-(** Every inter-bunch stub key mirrored from [sender]'s copy of
-    [bunch] — the cleaner walks these to re-assert protection for
-    stub targets whose scion did not survive a crash. *)
+    retired while the claimant's stub survives.  One lookup in a
+    per-(sender, target) claim count that {!mirror_reset} and
+    {!mirror_apply} maintain; a crash wipes it with the mirrors. *)
 
 (** {1 Scion-cleaner FIFO state (§6.1)} *)
 

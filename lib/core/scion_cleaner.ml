@@ -3,7 +3,6 @@ module Net = Bmx_netsim.Net
 module Protocol = Bmx_dsm.Protocol
 module Store = Bmx_memory.Store
 module Registry = Bmx_memory.Registry
-module Heap_obj = Bmx_memory.Heap_obj
 module Directory = Bmx_dsm.Directory
 
 type table_body =
@@ -71,14 +70,22 @@ let bump ?by t name = Stats.incr ?by (Gc_state.stats t) name
    RPC (it costs a round trip, accounted on the wire) that only happens
    after losses, restarts or first contact on a delta stream.
 
-   The result classifies how much reconciliation the caller owes:
-   [Mirror_unchanged] — a delta with no adds or deletes in any section
-   applied cleanly to a mirror already sitting on its basis, so nothing
-   downstream can differ from last time; [Mirror_delta] — a non-empty
-   delta applied cleanly, so only the keys it names can have changed;
-   [Mirror_rewritten] — a full install or a resync replaced the mirror
-   wholesale, so every local scion and entering entry must be re-checked. *)
-type sync_result = Mirror_unchanged | Mirror_delta | Mirror_rewritten
+   The result is what the caller must reconcile: [None] — an empty delta
+   applied to a mirror already on its basis, so nothing downstream can
+   differ from last time; [Some (Named _)] — a non-empty delta applied
+   cleanly, so only the keys it names can have changed; [Some
+   Everything] — a full install or a resync replaced the mirror
+   wholesale, so every local scion and entering entry from the sender
+   must be re-checked. *)
+type candidates =
+  | Named of {
+      del_inter : Ssp.inter_key list;
+      del_intra : Ssp.intra_key list;
+      del_exiting : (Ids.Uid.t * Ids.Node.t) list;
+      add_inter : Ssp.inter_key list;
+      add_exiting : (Ids.Uid.t * Ids.Node.t) list;
+    }
+  | Everything
 
 let sync_mirror t ~at ~seq msg =
   let proto = Gc_state.proto t in
@@ -87,7 +94,7 @@ let sync_mirror t ~at ~seq msg =
   | Full { fb_inter; fb_intra; fb_exiting } ->
       Gc_state.mirror_reset t ~node:at ~sender ~bunch ~basis:seq ~inter:fb_inter
         ~intra:fb_intra ~exiting:fb_exiting;
-      Mirror_rewritten
+      Some Everything
   | Delta
       {
         db_basis;
@@ -108,8 +115,17 @@ let sync_mirror t ~at ~seq msg =
         if
           db_add_inter = [] && db_del_inter = [] && db_add_intra = []
           && db_del_intra = [] && db_add_exiting = [] && db_del_exiting = []
-        then Mirror_unchanged
-        else Mirror_delta
+        then None
+        else
+          Some
+            (Named
+               {
+                 del_inter = db_del_inter;
+                 del_intra = db_del_intra;
+                 del_exiting = db_del_exiting;
+                 add_inter = db_add_inter;
+                 add_exiting = db_add_exiting;
+               })
       else begin
         (* Basis mismatch (or no mirror at all): the delta is unusable.
            Pull the sender's current tables.  The new basis is the seq of
@@ -134,34 +150,144 @@ let sync_mirror t ~at ~seq msg =
         Gc_state.mirror_reset t ~node:at ~sender ~bunch ~basis ~inter ~intra
           ~exiting;
         bump t "gc.cleaner.resyncs";
-        Mirror_rewritten
+        Some Everything
       end
 
-let receive_untimed t ~at ~seq msg =
+let visit () =
+  Perfcount.(counters.gc_table_entries <- counters.gc_table_entries + 1)
+
+(* The one reconciliation path (§6.1), driven by the candidate set the
+   sync produced: the keys a clean delta names, or every entry from the
+   sender after a full install or resync.  Deletions are the only way
+   coverage shrinks, so a delta retires entering entries only for the
+   keys it deleted, and re-adds and re-asserts only for the keys it
+   added; everything else was reconciled when it first arrived.  The
+   one check the restricted path defers is the ageing of protection on
+   an entry registered after an earlier send, when the delta does not
+   name it: the periodic full table (every [full_period] rounds) retires
+   it — a bounded conservative delay, never an unsafe deletion. *)
+let reconcile t ~at ~seq ~sender ~bunch candidates =
+  let proto = Gc_state.proto t in
+  let m = Option.get (Gc_state.mirror t ~node:at ~sender ~bunch) in
+  (* Scions held here whose stub lived in the sender's copy of the
+     bunch: drop those the mirrored table no longer covers.  Coverage
+     only shrinks through deletions, so a delta sweeps only a section it
+     deleted from. *)
+  let sweep_inter, sweep_intra =
+    match candidates with
+    | Named d -> (d.del_inter <> [], d.del_intra <> [])
+    | Everything -> (true, true)
+  in
+  (if sweep_inter then
+     let removed =
+       Gc_state.remove_inter_scions_from t ~node:at ~src:sender (fun scion ->
+           Ids.Bunch.equal scion.Ssp.xs_src_bunch bunch
+           && not (Gc_state.mirror_has_inter m (Ssp.inter_scion_key scion)))
+     in
+     if removed > 0 then bump t ~by:removed "gc.cleaner.inter_scions_removed");
+  (if sweep_intra then
+     let removed =
+       Gc_state.remove_intra_scions_from t ~node:at ~bunch ~src:sender
+         (fun scion ->
+           not
+             (Gc_state.mirror_has_intra m (Ssp.intra_scion_key ~holder:at scion)))
+     in
+     if removed > 0 then bump t ~by:removed "gc.cleaner.intra_scions_removed");
+  (* Entering ownerPtrs.  A node keeps none from itself, so its own
+     tables have nothing to reconcile here. *)
+  if not (Ids.Node.equal sender at) then begin
+    let dir = Protocol.directory proto at in
+    let store = Protocol.store proto at in
+    (* An entry from the sender for an object of this bunch loses its
+       protection once the exiting list stops naming it — unless it was
+       registered after the table was sent, or (keep-alive across owner
+       crashes: a checkpoint-restored entry stands in for a scion that
+       died with this node) a mirrored stub of the sender still targets
+       the object. *)
+    let retirable uid =
+      visit ();
+      let b = Store.bunch_of_uid store uid in
+      Directory.is_entering_from dir ~uid ~from:sender
+      && Ids.Bunch.equal b bunch
+      && (not (Gc_state.mirror_has_exiting m uid at))
+      && Directory.entering_registration_seq dir ~uid ~from:sender < seq
+      && not (Gc_state.mirror_claims_target t ~node:at ~sender uid)
+    in
+    let retire uid =
+      Directory.remove_entering dir ~uid ~from:sender;
+      bump t "gc.cleaner.entering_removed"
+    in
+    let enter (uid, owner) =
+      visit ();
+      if Ids.Node.equal owner at then
+        Directory.add_entering dir ~seq ~uid ~from:sender
+    in
+    (* The dual of the §6.1 deletion test, needed only after a crash: a
+       mirrored stub whose matching scion no longer exists here (it was
+       volatile state of a previous incarnation) leaves its target owned
+       here with no root.  Re-assert protection as a conservative
+       entering entry; the reconciliation above retires it once the
+       claimant drops the stub.  Doing this for every arriving stub
+       makes the repair independent of the order the sender's per-bunch
+       tables land in. *)
+    let reassert ((_, _, _, target) as key) =
+      visit ();
+      match Directory.find dir target with
+      | Some r
+        when r.Directory.is_owner
+             && not (Directory.is_entering_from dir ~uid:target ~from:sender)
+             && not
+                  (Gc_state.has_inter_scion t ~node:at
+                     ~bunch:(Store.bunch_of_uid store target) key) ->
+          Directory.add_entering dir ~seq ~uid:target ~from:sender;
+          bump t "gc.cleaner.entering_reasserted"
+      | Some _ | None -> ()
+    in
+    match candidates with
+    | Named d ->
+        (* Deleted exiting claims addressed here, and the targets of
+           deleted stubs (a stub claim was the keep-alive). *)
+        List.iter
+          (fun (uid, owner) ->
+            if Ids.Node.equal owner at && retirable uid then retire uid)
+          d.del_exiting;
+        List.iter
+          (fun (_, _, _, target) -> if retirable target then retire target)
+          d.del_inter;
+        List.iter enter d.add_exiting;
+        List.iter reassert d.add_inter
+    | Everything ->
+        List.iter retire
+          (Directory.fold_entering_from dir ~from:sender
+             (fun uid acc -> if retirable uid then uid :: acc else acc)
+             []);
+        Gc_state.mirror_iter_exiting m enter;
+        Gc_state.mirror_iter_inter m reassert
+  end;
+  Gc_state.sample_ssp_gauges t ~node:at
+
+(* Process one table message; returns whether it took the full-table
+   path (a full install or a resync), which is what its time is charged
+   to. *)
+let process t ~at ~seq msg =
   let net = Protocol.net (Gc_state.proto t) in
-  let sender_dead =
-    (not (Ids.Node.equal msg.tm_sender at))
-    && Bmx_netsim.Net.is_down net msg.tm_sender
-  in
-  let sender_unreachable =
-    (not (Ids.Node.equal msg.tm_sender at))
-    && (not sender_dead)
-    && not (Net.reachable net msg.tm_sender at)
-  in
+  let sender = msg.tm_sender and bunch = msg.tm_bunch in
+  let remote = not (Ids.Node.equal sender at) in
+  let is_full = match msg.tm_body with Full _ -> true | Delta _ -> false in
   let fresh =
-    match
-      Gc_state.last_table_seq t ~node:at ~sender:msg.tm_sender ~bunch:msg.tm_bunch
-    with
+    match Gc_state.last_table_seq t ~node:at ~sender ~bunch with
     | Some last -> seq > last
     | None -> true
   in
-  if sender_dead then
+  if remote && Net.is_down net sender then begin
     (* Quarantine, don't clean: a table attributed to a crashed node
        reflects state that died with it.  Acting on it could drop scions
        (and thus objects) that the recovered node still needs; the next
        table the node sends after restart supersedes everything. *)
-    bump t "gc.cleaner.quarantined_dead_sender"
-  else if sender_unreachable then
+    bump t "gc.cleaner.quarantined_dead_sender";
+    is_full
+  end
+  else if remote && not (Net.reachable net sender at) then begin
     (* Partition quarantine: the sender is alive but cut off (e.g. an
        asymmetric cut let the table through while the return path is
        dark).  Processing it could require a resynchronising pull RPC we
@@ -170,342 +296,51 @@ let receive_untimed t ~at ~seq msg =
        wait.  Quarantine is free: the sender keeps rebroadcasting (its
        recorded destination list never forgets an unreached peer), and
        the post-heal table supersedes this one. *)
-    bump t "gc.cleaner.quarantined_unreachable"
-  else if not fresh then bump t "gc.cleaner.stale_ignored"
+    bump t "gc.cleaner.quarantined_unreachable";
+    is_full
+  end
+  else if not fresh then begin
+    bump t "gc.cleaner.stale_ignored";
+    is_full
+  end
   else begin
-    Gc_state.record_table_seq t ~node:at ~sender:msg.tm_sender ~bunch:msg.tm_bunch
-      ~seq;
+    Gc_state.record_table_seq t ~node:at ~sender ~bunch ~seq;
     bump t "gc.cleaner.processed";
-    (let evlog = Protocol.evlog (Gc_state.proto t) in
+    (let proto = Gc_state.proto t in
+     let evlog = Protocol.evlog proto in
      if Trace_event.enabled evlog then
        Trace_event.record evlog
-         (Trace_event.Tables_processed
-            { at; sender = msg.tm_sender; bunch = msg.tm_bunch; seq }));
-    Bmx_util.Tracelog.recordf
-      (Protocol.tracer (Gc_state.proto t))
-      ~category:"cleaner" "N%d processed tables from N%d for B%d (seq %d)" at
-      msg.tm_sender msg.tm_bunch seq;
-    let proto = Gc_state.proto t in
-    let sender = msg.tm_sender in
-    let sync = sync_mirror t ~at ~seq msg in
-    match sync with
-    | Mirror_unchanged ->
-      (* Quiet-stream fast path: an empty delta on a matching basis left
-         the mirror bit-identical, so every check below would reproduce
-         its previous answer — coverage can only shrink when the
-         sender's tables shrink, the exiting list is unchanged so the
-         entering reconciliation is a fixpoint, and the conservative
-         re-assert sweep saw this exact mirror last time.  (Local state
-         that could invalidate that reasoning — a crash wiping scions or
-         mirrors — also wipes the delta basis, which forces the resync
-         path, never this one.)  Skipping it makes a quiescent round's
-         table traffic O(messages), not O(messages x entering set):
-         at 16 nodes x 4096 objects the reconciliation sweep below was
-         over 80% of a whole-cluster collection's wall-clock. *)
-      bump t "gc.cleaner.noop_tables"
-    | Mirror_delta ->
-      (* Churn-proportional path: the delta applied cleanly, so only the
-         keys it names can have changed anything local.  Deletions are
-         the only way coverage shrinks, so they drive scion removal and
-         entering retirement; additions drive entering re-adds and the
-         conservative re-assert.  Everything else was reconciled when it
-         first arrived and is untouched by this message.  The one check
-         this path defers is the ageing of [registered_after_send]
-         protection (an entry kept only because it was registered after
-         an earlier send): the periodic full table (every [full_period]
-         rounds) still runs the exhaustive sweep and retires it — a
-         bounded conservative delay, never an unsafe deletion.  This is
-         what makes a collection wave's table traffic O(round churn)
-         instead of O(stub table x destinations). *)
-      (match msg.tm_body with
-      | Full _ -> assert false (* fulls classify as [Mirror_rewritten] *)
-      | Delta
-          {
-            db_add_inter;
-            db_del_inter;
-            db_add_exiting;
-            db_del_exiting;
-            db_del_intra;
-            _;
-          } ->
-          let dir = Protocol.directory proto at in
-          let store = Protocol.store proto at in
-          (* Scions uncovered by this round's deletions.  The sweep
-             predicate is identical to the rewritten path's; it just
-             only runs when a deletion could have uncovered something. *)
-          if db_del_inter <> [] then
-            List.iter
-              (fun target_bunch ->
-                if
-                  Gc_state.has_inter_scions_from t ~node:at ~bunch:target_bunch
-                    ~src:sender
-                then
-                  let removed =
-                    Gc_state.remove_inter_scions t ~node:at ~bunch:target_bunch
-                      (fun scion ->
-                        Ids.Node.equal scion.Ssp.xs_src_node sender
-                        && Ids.Bunch.equal scion.Ssp.xs_src_bunch msg.tm_bunch
-                        && not
-                             (Gc_state.mirror_covers_inter t ~node:at ~sender
-                                ~bunch:msg.tm_bunch scion))
-                  in
-                  if removed > 0 then
-                    bump t ~by:removed "gc.cleaner.inter_scions_removed")
-              (Gc_state.bunches_with_tables t ~node:at);
-          if
-            db_del_intra <> []
-            && Gc_state.has_intra_scions_from t ~node:at ~bunch:msg.tm_bunch
-                 ~src:sender
-          then begin
-            let removed_intra =
-              Gc_state.remove_intra_scions t ~node:at ~bunch:msg.tm_bunch
-                (fun scion ->
-                  Ids.Node.equal scion.Ssp.xn_owner_side sender
-                  && not
-                       (Gc_state.mirror_covers_intra t ~node:at ~sender
-                          ~bunch:msg.tm_bunch ~holder:at scion))
-            in
-            if removed_intra > 0 then
-              bump t ~by:removed_intra "gc.cleaner.intra_scions_removed"
-          end;
-          (* Entering entries that this round's deletions stop
-             protecting: the exiting flips addressed to this node, plus
-             the targets of deleted inter stubs (a stub claim was the
-             keep-alive for checkpoint-restored entries). *)
-          let candidates =
-            List.filter_map
-              (fun (uid, target) ->
-                if Ids.Node.equal target at then Some uid else None)
-              db_del_exiting
-            @ List.map (fun (_, _, _, target_uid) -> target_uid) db_del_inter
-          in
-          Perfcount.(
-            counters.gc_table_entries <-
-              counters.gc_table_entries + List.length candidates);
-          if candidates <> [] then begin
-            let claimed =
-              List.fold_left
-                (fun acc (uid, target) ->
-                  if Ids.Node.equal target at then Ids.Uid_set.add uid acc
-                  else acc)
-                Ids.Uid_set.empty
-                (Gc_state.mirror_exiting t ~node:at ~sender ~bunch:msg.tm_bunch)
-            in
-            List.iter
-              (fun uid ->
-                let belongs_to_bunch =
-                  match Store.addr_of_uid store uid with
-                  | Some a -> (
-                      match Store.resolve store a with
-                      | Some (_, obj) ->
-                          Ids.Bunch.equal obj.Heap_obj.bunch msg.tm_bunch
-                      | None -> false)
-                  | None -> false
-                in
-                let registered_after_send =
-                  Directory.entering_registration_seq dir ~uid ~from:sender
-                  >= seq
-                in
-                let stub_claimed =
-                  Gc_state.mirror_claims_target t ~node:at ~sender uid
-                in
-                if
-                  Directory.is_entering_from dir ~uid ~from:sender
-                  && belongs_to_bunch
-                  && (not (Ids.Uid_set.mem uid claimed))
-                  && (not registered_after_send)
-                  && not stub_claimed
-                then begin
-                  Directory.remove_entering dir ~uid ~from:sender;
-                  bump t "gc.cleaner.entering_removed"
-                end)
-              (List.sort_uniq Ids.Uid.compare candidates)
-          end;
-          (* New exiting claims addressed here become entering entries;
-             new stubs re-assert protection if no matching scion exists
-             (same §6.1-dual repair as the rewritten path, restricted to
-             the keys that just arrived). *)
-          List.iter
-            (fun (uid, target) ->
-              if Ids.Node.equal target at then
-                Directory.add_entering dir ~seq ~uid ~from:sender)
-            db_add_exiting;
-          Perfcount.(
-            counters.gc_table_entries <-
-              counters.gc_table_entries + List.length db_add_inter);
-          List.iter
-            (fun ((_, _, _, target_uid) as key) ->
-              match Directory.find dir target_uid with
-              | Some r
-                when r.Directory.is_owner
-                     && not
-                          (Directory.is_entering_from dir ~uid:target_uid
-                             ~from:sender) ->
-                  let scion_here =
-                    match Store.addr_of_uid store target_uid with
-                    | None -> false
-                    | Some a -> (
-                        match Store.resolve store a with
-                        | None -> false
-                        | Some (_, tobj) ->
-                            List.exists
-                              (fun s -> Ssp.inter_scion_key s = key)
-                              (Gc_state.inter_scions_for_uid t ~node:at
-                                 ~bunch:tobj.Heap_obj.bunch ~uid:target_uid))
-                  in
-                  if not scion_here then begin
-                    Directory.add_entering dir ~seq ~uid:target_uid
-                      ~from:sender;
-                    bump t "gc.cleaner.entering_reasserted"
-                  end
-              | Some _ | None -> ())
-            db_add_inter;
-          Gc_state.sample_ssp_gauges t ~node:at)
-    | Mirror_rewritten ->
-      begin
-    (* Inter-bunch scions held here whose stub lived in the sender's copy
-       of the bunch: drop those the (mirrored) stub table no longer
-       covers.  Coverage is an O(1) key lookup per scion. *)
-    List.iter
-      (fun target_bunch ->
-        if Gc_state.has_inter_scions_from t ~node:at ~bunch:target_bunch ~src:sender
-        then
-          let removed =
-            Gc_state.remove_inter_scions t ~node:at ~bunch:target_bunch
-              (fun scion ->
-                Ids.Node.equal scion.Ssp.xs_src_node sender
-                && Ids.Bunch.equal scion.Ssp.xs_src_bunch msg.tm_bunch
-                && not
-                     (Gc_state.mirror_covers_inter t ~node:at ~sender
-                        ~bunch:msg.tm_bunch scion))
-          in
-          if removed > 0 then
-            bump t ~by:removed "gc.cleaner.inter_scions_removed")
-      (Gc_state.bunches_with_tables t ~node:at);
-    (* Intra-bunch scions for this bunch whose owner side is the sender:
-       keep only those the sender's intra stubs still name. *)
-    if Gc_state.has_intra_scions_from t ~node:at ~bunch:msg.tm_bunch ~src:sender
-    then begin
-      let removed_intra =
-        Gc_state.remove_intra_scions t ~node:at ~bunch:msg.tm_bunch (fun scion ->
-            Ids.Node.equal scion.Ssp.xn_owner_side sender
-            && not
-                 (Gc_state.mirror_covers_intra t ~node:at ~sender
-                    ~bunch:msg.tm_bunch ~holder:at scion))
-      in
-      if removed_intra > 0 then
-        bump t ~by:removed_intra "gc.cleaner.intra_scions_removed"
-    end;
-    (* Entering ownerPtrs: reconcile the entries originating at the sender
-       for objects of this bunch against the sender's exiting list. *)
-    let dir = Protocol.directory proto at in
-    let store = Protocol.store proto at in
-    let claimed =
-      (* The complete exiting list, reassembled from fulls and deltas by
-         the mirror — delta messages only carry the flips. *)
-      List.fold_left
-        (fun acc (uid, target) ->
-          if Ids.Node.equal target at then Ids.Uid_set.add uid acc else acc)
-        Ids.Uid_set.empty
-        (Gc_state.mirror_exiting t ~node:at ~sender:msg.tm_sender
-           ~bunch:msg.tm_bunch)
-    in
-    let sender_entries = Directory.entering_uids_from dir ~from:msg.tm_sender in
-    Perfcount.(
-      counters.gc_table_entries <-
-        counters.gc_table_entries + List.length sender_entries);
-    List.iter
-      (fun uid ->
-        let belongs_to_bunch =
-          match Store.addr_of_uid store uid with
-          | Some a -> (
-              match Store.resolve store a with
-              | Some (_, obj) -> Ids.Bunch.equal obj.Heap_obj.bunch msg.tm_bunch
-              | None -> false)
-          | None -> false
-        in
-        let registered_after_send =
-          Directory.entering_registration_seq dir ~uid ~from:msg.tm_sender
-          >= seq
-        in
-        (* Keep-alive across owner crashes: a checkpoint-restored
-           entering entry stands in for a scion that died with this
-           node.  The sender's exiting list never named such an
-           object — its claim rides in the inter-bunch stub tables —
-           so consult the stub mirrors before retiring the entry. *)
-        let stub_claimed =
-          Gc_state.mirror_claims_target t ~node:at ~sender:msg.tm_sender uid
-        in
-        if belongs_to_bunch
-           && (not (Ids.Uid_set.mem uid claimed))
-           && (not registered_after_send)
-           && not stub_claimed
-        then begin
-          Directory.remove_entering dir ~uid ~from:msg.tm_sender;
-          bump t "gc.cleaner.entering_removed"
-        end)
-      sender_entries;
-    Ids.Uid_set.iter
-      (fun uid -> Directory.add_entering dir ~seq ~uid ~from:msg.tm_sender)
-      claimed;
-    (* The dual of the §6.1 deletion test, needed only after a crash: a
-       mirrored stub whose matching scion no longer exists here (it was
-       volatile state of a previous incarnation) leaves its target owned
-       here with no root.  Re-assert protection as a conservative
-       entering entry; it is retired through the normal reconciliation
-       above once the claimant drops the stub.  Doing this on every
-       stub-table arrival makes the repair independent of the order the
-       sender's per-bunch tables land in. *)
-    let mirror_keys =
-      Gc_state.mirror_inter_keys t ~node:at ~sender:msg.tm_sender
-        ~bunch:msg.tm_bunch
-    in
-    Perfcount.(
-      counters.gc_table_entries <-
-        counters.gc_table_entries + List.length mirror_keys);
-    List.iter
-      (fun ((_, _, _, target_uid) as key) ->
-        match Directory.find dir target_uid with
-        | Some r
-          when r.Directory.is_owner
-               && not
-                    (Directory.is_entering_from dir ~uid:target_uid
-                       ~from:msg.tm_sender) ->
-            (* Scion presence is a by-target-uid index lookup, never a
-               scan of the bunch's whole scion table. *)
-            let scion_here =
-              match Store.addr_of_uid store target_uid with
-              | None -> false
-              | Some a -> (
-                  match Store.resolve store a with
-                  | None -> false
-                  | Some (_, tobj) ->
-                      List.exists
-                        (fun s -> Ssp.inter_scion_key s = key)
-                        (Gc_state.inter_scions_for_uid t ~node:at
-                           ~bunch:tobj.Heap_obj.bunch ~uid:target_uid))
-            in
-            if not scion_here then begin
-              Directory.add_entering dir ~seq ~uid:target_uid
-                ~from:msg.tm_sender;
-              bump t "gc.cleaner.entering_reasserted"
-            end
-        | Some _ | None -> ())
-      mirror_keys;
-    Gc_state.sample_ssp_gauges t ~node:at
-    end
+         (Trace_event.Tables_processed { at; sender; bunch; seq });
+     Bmx_util.Tracelog.recordf (Protocol.tracer proto) ~category:"cleaner"
+       "N%d processed tables from N%d for B%d (seq %d)" at sender bunch seq);
+    match sync_mirror t ~at ~seq msg with
+    | None ->
+        (* Quiet-stream fast path: an empty delta on a matching basis
+           left the mirror bit-identical, so every check would reproduce
+           its previous answer.  (Local state that could invalidate that
+           reasoning — a crash wiping scions or mirrors — also wipes the
+           delta basis, which forces the resync path, never this one.) *)
+        bump t "gc.cleaner.noop_tables";
+        false
+    | Some candidates ->
+        reconcile t ~at ~seq ~sender ~bunch candidates;
+        candidates = Everything
   end
 
-(* Cleaner merges run both inline (a node processing its own tables) and
-   at message delivery, possibly long after the emitting collection; the
-   timer here attributes that work to the reconcile phase wherever it
-   lands. *)
+let elapsed_ns t0 = int_of_float ((Sys.time () -. t0) *. 1e9)
+
+(* Delivery-time receives run outside any collection, so they charge the
+   reconcile phase counter themselves; a node's hand-off of its own
+   tables runs inside its collection's cleaner-reconcile phase and is
+   only broken out (see [broadcast]). *)
 let receive t ~at ~seq msg =
   let t0 = Sys.time () in
-  receive_untimed t ~at ~seq msg;
-  let ns = int_of_float ((Sys.time () -. t0) *. 1e9) in
-  Perfcount.counters.Perfcount.gc_ns_reconcile <-
-    Perfcount.counters.Perfcount.gc_ns_reconcile + ns
+  let full = process t ~at ~seq msg in
+  let ns = elapsed_ns t0 in
+  Perfcount.(
+    counters.gc_ns_reconcile <- counters.gc_ns_reconcile + ns;
+    if full then counters.gc_ns_recv_full <- counters.gc_ns_recv_full + ns
+    else counters.gc_ns_recv_delta <- counters.gc_ns_recv_delta + ns)
 
 let destinations t ~node ~bunch ~old_inter ~new_inter ~old_intra ~new_intra
     ~exiting =
@@ -585,25 +420,29 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
     msg_bytes { tm_sender = node; tm_bunch = bunch; tm_body = delta_body_for 0 }
   in
   (* The journal rebases after every round, so a delta covers exactly
-     one round of churn.  Still send fulls periodically (bounding mirror
-     drift) and whenever the round's churn costs as much as the table
-     itself — common for small tables, where a full is the cheaper and
-     sturdier encoding anyway. *)
+     one round of churn: a peer gets one only if its mirror sits on last
+     round's basis.  Still send fulls periodically (bounding mirror drift
+     and deferred retention) and whenever the round's churn costs as
+     much as the table itself — common for small tables, where a full is
+     the cheaper and sturdier encoding anyway. *)
   let round = Gc_state.broadcast_round t ~node ~bunch in
   let full_round =
     (round + 1) mod full_period = 0 || 2 * delta_sz >= full_sz
   in
+  let body_on = function
+    | Some basis when not full_round -> delta_body_for basis
+    | Some _ | None -> full_body
+  in
   let send_to dst =
     let body =
-      if full_round then full_body
-      else
-        match Gc_state.dest_basis t ~node ~bunch ~dest:dst with
-        | Some (r, basis) when r = round - 1 -> delta_body_for basis
+      body_on
+        (match Gc_state.dest_basis t ~node ~bunch ~dest:dst with
+        | Some (r, basis) when r = round - 1 -> Some basis
         | Some _ | None ->
             (* First contact, or the peer missed a round (down, or
                dropped out of the destination set): the journal no
                longer covers the gap, so restart the stream. *)
-            full_body
+            None)
     in
     let msg = { tm_sender = node; tm_bunch = bunch; tm_body = body } in
     let wire = msg_bytes msg in
@@ -624,12 +463,23 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
   Gc_state.rebase_stub_journal t ~node ~bunch;
   (* The scion cleaner is a per-node service operating on all local
      bunches (§6.1): the node's own scions matching its own regenerated
-     stub tables are processed by direct hand-off, no message needed. *)
-  let self_seq =
-    match Gc_state.last_table_seq t ~node ~sender:node ~bunch with
-    | Some s -> s + 1
-    | None -> 1
-  in
-  receive t ~at:node ~seq:self_seq
-    { tm_sender = node; tm_bunch = bunch; tm_body = full_body };
+     stub tables are processed by direct hand-off, no message needed.
+     The hand-off never misses a round, so its own mirror always sits on
+     the previous hand-off's seq: it gets a delta on exactly the terms a
+     remote peer on last round's basis would — a full on first contact
+     (or after a crash wiped the mirror), on the periodic round, and when
+     the delta outgrows the table. *)
+  let last_self = Gc_state.last_table_seq t ~node ~sender:node ~bunch in
+  let self_body = body_on last_self in
+  bump t
+    (match self_body with
+    | Full _ -> "gc.cleaner.self_full"
+    | Delta _ -> "gc.cleaner.self_delta");
+  let t0 = Sys.time () in
+  ignore
+    (process t ~at:node
+       ~seq:(match last_self with Some s -> s + 1 | None -> 1)
+       { tm_sender = node; tm_bunch = bunch; tm_body = self_body });
+  Perfcount.(
+    counters.gc_ns_recv_self <- counters.gc_ns_recv_self + elapsed_ns t0);
   List.length live_dests

@@ -162,12 +162,10 @@ let is_entering_from t ~uid ~from =
   | Some tbl -> Hashtbl.mem tbl from
   | None -> false
 
-let entering_uids_from t ~from =
+let fold_entering_from t ~from f acc =
   match Hashtbl.find_opt t.entering_by_origin from with
-  | None -> []
-  | Some uids ->
-      Ids.Uid_tbl.fold (fun uid () acc -> uid :: acc) uids []
-      |> List.sort Ids.Uid.compare
+  | None -> acc
+  | Some uids -> Ids.Uid_tbl.fold (fun uid () acc -> f uid acc) uids acc
 
 let entering_uids t =
   match t.entering_uids_cache with

@@ -85,10 +85,11 @@ val is_entering_from :
   t -> uid:Bmx_util.Ids.Uid.t -> from:Bmx_util.Ids.Node.t -> bool
 (** O(1): does [from] hold an entering entry for [uid]? *)
 
-val entering_uids_from :
-  t -> from:Bmx_util.Ids.Node.t -> Bmx_util.Ids.Uid.t list
-(** Objects with an entering entry originating at [from], sorted.  The
-    scion cleaner reconciles exactly one sender per table message; this
+val fold_entering_from :
+  t -> from:Bmx_util.Ids.Node.t -> (Bmx_util.Ids.Uid.t -> 'a -> 'a) -> 'a -> 'a
+(** Fold over the objects with an entering entry originating at [from],
+    in no particular order; [f] must not add or remove entering entries.
+    The scion cleaner reconciles exactly one sender per full table; this
     keeps that walk proportional to the sender's entries, not the
     node's whole entering set. *)
 

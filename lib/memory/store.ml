@@ -236,27 +236,35 @@ let remove t a =
   | Some seg -> Segment.clear_object seg a
   | None -> ()
 
+(* Re-point every forwarder from [a] up to [endpoint] at [endpoint]. *)
+let rec compress_to t a endpoint =
+  if not (Addr.equal a endpoint) then
+    match Hashtbl.find t.cells a with
+    | Forwarder next ->
+        if not (Addr.equal next endpoint) then
+          Hashtbl.replace t.cells a (Forwarder endpoint);
+        compress_to t next endpoint
+    | Object _ | (exception Not_found) -> ()
+
+(* Follow the forwarder chain from [start] and return the address it
+   stops at: the object's, after path-compressing the chain so it stays
+   short no matter how many times the object has moved; or, when it
+   leads nowhere within 4096 cells, the missing cell or the last
+   forwarder, chain untouched.  Allocates nothing unless compression
+   rewrites a hop. *)
+let rec chain_end t start a fuel =
+  match Hashtbl.find t.cells a with
+  | Object _ ->
+      compress_to t start a;
+      a
+  | Forwarder next when fuel > 1 -> chain_end t start next (fuel - 1)
+  | Forwarder _ | (exception Not_found) -> a
+
 let resolve t a =
-  (* Follow the forwarder chain, then path-compress it: every visited
-     forwarder is retargeted at the endpoint, so chains stay short no
-     matter how many times the object has moved. *)
-  let rec go a visited fuel =
-    if fuel = 0 then None
-    else
-      match Hashtbl.find_opt t.cells a with
-      | Some (Object obj) -> Some (a, obj, visited)
-      | Some (Forwarder target) -> go target (a :: visited) (fuel - 1)
-      | None -> None
-  in
-  match go a [] 4096 with
-  | None -> None
-  | Some (endpoint, obj, visited) ->
-      List.iter
-        (fun hop ->
-          if not (Addr.equal hop endpoint) then
-            Hashtbl.replace t.cells hop (Forwarder endpoint))
-        visited;
-      Some (endpoint, obj)
+  let endpoint = chain_end t a a 4096 in
+  match Hashtbl.find_opt t.cells endpoint with
+  | Some (Object obj) -> Some (endpoint, obj)
+  | Some (Forwarder _) | None -> None
 
 let current_addr t a = match resolve t a with Some (a', _) -> a' | None -> a
 
@@ -336,6 +344,17 @@ let has_objects_of_bunch t bunch =
   | Some h -> Hashtbl.length h > 0
 
 let addr_of_uid t uid = Ids.Uid_tbl.find_opt t.uid_index uid
+
+(* [resolve] from [addr_of_uid] for callers that only need the bunch,
+   without the option and tuple: the scion cleaner asks this once per
+   candidate entering entry and per re-asserted stub. *)
+let bunch_of_uid t uid =
+  match Ids.Uid_tbl.find t.uid_index uid with
+  | exception Not_found -> -1
+  | a -> (
+      match Hashtbl.find t.cells (chain_end t a a 4096) with
+      | Object obj -> obj.Heap_obj.bunch
+      | Forwarder _ | (exception Not_found) -> -1)
 
 let address_history t uid =
   match Ids.Uid_tbl.find_opt t.known_addrs uid with Some r -> !r | None -> []

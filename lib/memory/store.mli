@@ -116,6 +116,12 @@ val has_objects_of_bunch : t -> Bmx_util.Ids.Bunch.t -> bool
 val addr_of_uid : t -> Bmx_util.Ids.Uid.t -> Bmx_util.Addr.t option
 (** Current local address of the object with this uid, if cached. *)
 
+val bunch_of_uid : t -> Bmx_util.Ids.Uid.t -> Bmx_util.Ids.Bunch.t
+(** Bunch of the local copy of [uid] — [addr_of_uid] then {!resolve},
+    with the same path compression — or [-1] (never a bunch id) when
+    there is none.  Allocates nothing unless compression rewrites a
+    forwarder. *)
+
 val address_history : t -> Bmx_util.Ids.Uid.t -> Bmx_util.Addr.t list
 (** Addresses this node has seen the object at, newest first.  This is the
     node-local knowledge from which new-location messages (§4.4) are

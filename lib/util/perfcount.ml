@@ -35,6 +35,13 @@ type t = {
   mutable gc_ns_copy : int;  (* live-object evacuation *)
   mutable gc_ns_scan : int;  (* reference update + reclamation scan *)
   mutable gc_ns_reconcile : int;  (* stub/scion table emission + cleaner merge *)
+  (* Scion-cleaner receive time by path (lib/core/scion_cleaner.ml): a
+     breakdown, not further phases — delivery-time receives are also in
+     [gc_ns_reconcile], self hand-offs run inside a collection's
+     cleaner-reconcile phase. *)
+  mutable gc_ns_recv_delta : int;  (* deltas, empty ones included *)
+  mutable gc_ns_recv_full : int;  (* full tables and resyncs *)
+  mutable gc_ns_recv_self : int;  (* a node's hand-off of its own tables *)
 }
 
 let counters = {
@@ -52,6 +59,9 @@ let counters = {
   gc_ns_copy = 0;
   gc_ns_scan = 0;
   gc_ns_reconcile = 0;
+  gc_ns_recv_delta = 0;
+  gc_ns_recv_full = 0;
+  gc_ns_recv_self = 0;
 }
 
 type snapshot = {
@@ -69,6 +79,9 @@ type snapshot = {
   s_gc_ns_copy : int;
   s_gc_ns_scan : int;
   s_gc_ns_reconcile : int;
+  s_gc_ns_recv_delta : int;
+  s_gc_ns_recv_full : int;
+  s_gc_ns_recv_self : int;
 }
 
 let snapshot () = {
@@ -86,6 +99,9 @@ let snapshot () = {
   s_gc_ns_copy = counters.gc_ns_copy;
   s_gc_ns_scan = counters.gc_ns_scan;
   s_gc_ns_reconcile = counters.gc_ns_reconcile;
+  s_gc_ns_recv_delta = counters.gc_ns_recv_delta;
+  s_gc_ns_recv_full = counters.gc_ns_recv_full;
+  s_gc_ns_recv_self = counters.gc_ns_recv_self;
 }
 
 let diff ~before ~after = {
@@ -103,6 +119,9 @@ let diff ~before ~after = {
   s_gc_ns_copy = after.s_gc_ns_copy - before.s_gc_ns_copy;
   s_gc_ns_scan = after.s_gc_ns_scan - before.s_gc_ns_scan;
   s_gc_ns_reconcile = after.s_gc_ns_reconcile - before.s_gc_ns_reconcile;
+  s_gc_ns_recv_delta = after.s_gc_ns_recv_delta - before.s_gc_ns_recv_delta;
+  s_gc_ns_recv_full = after.s_gc_ns_recv_full - before.s_gc_ns_recv_full;
+  s_gc_ns_recv_self = after.s_gc_ns_recv_self - before.s_gc_ns_recv_self;
 }
 
 let reset () =
@@ -119,7 +138,10 @@ let reset () =
   counters.gc_ns_flip <- 0;
   counters.gc_ns_copy <- 0;
   counters.gc_ns_scan <- 0;
-  counters.gc_ns_reconcile <- 0
+  counters.gc_ns_reconcile <- 0;
+  counters.gc_ns_recv_delta <- 0;
+  counters.gc_ns_recv_full <- 0;
+  counters.gc_ns_recv_self <- 0
 
 let pp ppf s =
   Format.fprintf ppf
@@ -127,9 +149,11 @@ let pp ppf s =
      gc: objects=%d table-entries=%d@,\
      memory: cells=%d words-copied=%d@,\
      obs: sample-work=%d@,\
-     gc-phase-ns: trace=%d flip=%d copy=%d scan=%d reconcile=%d@]"
+     gc-phase-ns: trace=%d flip=%d copy=%d scan=%d reconcile=%d@,\
+     cleaner-recv-ns: delta=%d full=%d self=%d@]"
     s.s_memo_invalidations s.s_memo_full_rebuilds s.s_memo_resyncs
     s.s_reach_nodes_touched s.s_gc_objects_touched s.s_gc_table_entries
     s.s_store_cells_touched s.s_flat_words_copied s.s_obs_sample_work
     s.s_gc_ns_trace s.s_gc_ns_flip s.s_gc_ns_copy s.s_gc_ns_scan
-    s.s_gc_ns_reconcile
+    s.s_gc_ns_reconcile s.s_gc_ns_recv_delta s.s_gc_ns_recv_full
+    s.s_gc_ns_recv_self

@@ -28,7 +28,16 @@ type t = {
       (** [gc_ns_*]: wall-clock nanoseconds spent in each collector phase
           (trace / flip / copy / scan / cleaner-reconcile) — the
           metrics-backed replacement for the old BMX_GC_PHASE_TIMING
-          stderr hack. *)
+          stderr hack.  [gc_ns_reconcile] holds collection-time table
+          emission (self hand-offs included) plus delivery-time cleaner
+          receives, so the five phase counters never overlap. *)
+  mutable gc_ns_recv_delta : int;
+  mutable gc_ns_recv_full : int;
+  mutable gc_ns_recv_self : int;
+      (** [gc_ns_recv_*]: scion-cleaner receive time split by path —
+          deltas (empty ones included), full tables and resyncs, and a
+          node's hand-off of its own tables.  A breakdown of time already
+          inside [gc_ns_reconcile], not extra phases. *)
 }
 
 val counters : t
@@ -50,6 +59,9 @@ type snapshot = {
   s_gc_ns_copy : int;
   s_gc_ns_scan : int;
   s_gc_ns_reconcile : int;
+  s_gc_ns_recv_delta : int;
+  s_gc_ns_recv_full : int;
+  s_gc_ns_recv_self : int;
 }
 
 val snapshot : unit -> snapshot

@@ -144,6 +144,104 @@ let test_entering_reconciliation () =
   let r0' = Cluster.bgc c ~node:0 ~bunch:b in
   check_int "x reclaimed at owner" 1 r0'.Bmx_gc.Collect.r_reclaimed
 
+(* One node, [n] objects of B1 each pointing into B2: every edge is a
+   local cross-bunch SSP, stub and scion both at N0, so each BGC of B1
+   hands N0's cleaner its own tables. *)
+let local_ssps ~n =
+  let c = Cluster.create ~nodes:1 () in
+  let b1 = Cluster.new_bunch c ~home:0 in
+  let b2 = Cluster.new_bunch c ~home:0 in
+  let ys =
+    List.init n (fun i ->
+        let x = Cluster.alloc c ~node:0 ~bunch:b2 [| Value.Data i |] in
+        let y = Cluster.alloc c ~node:0 ~bunch:b1 [| Value.Ref x |] in
+        Cluster.add_root c ~node:0 y;
+        y)
+  in
+  ignore (Cluster.drain c);
+  (c, b1, b2, ys)
+
+let stat c name = Stats.get (Cluster.stats c) name
+
+let test_self_handoff_unchanged_is_noop () =
+  let c, b1, _b2, _ys = local_ssps ~n:4 in
+  ignore (Cluster.bgc c ~node:0 ~bunch:b1);
+  check_int "first contact hands over a full" 1 (stat c "gc.cleaner.self_full");
+  let noop = stat c "gc.cleaner.noop_tables" in
+  ignore (Cluster.bgc c ~node:0 ~bunch:b1);
+  check_int "re-collecting hands over a delta" 1 (stat c "gc.cleaner.self_delta");
+  check_int "and no second full" 1 (stat c "gc.cleaner.self_full");
+  check_int "the empty delta is a no-op" (noop + 1)
+    (stat c "gc.cleaner.noop_tables")
+
+let test_self_delta_retires_local_scion () =
+  let c, b1, b2, ys = local_ssps ~n:4 in
+  let gc = Cluster.gc c in
+  ignore (Cluster.bgc c ~node:0 ~bunch:b1);
+  check_int "four local scions" 4
+    (List.length (Gc_state.inter_scions gc ~node:0 ~bunch:b2));
+  (* Drop one cross-bunch edge; the next BGC of B1 regenerates its stub
+     table without it. *)
+  let y = Cluster.acquire_write c ~node:0 (List.hd ys) in
+  Cluster.write c ~node:0 y 0 (Value.Data 0);
+  Cluster.release c ~node:0 y;
+  ignore (Cluster.bgc c ~node:0 ~bunch:b1);
+  check_int "handed over as a delta" 1 (stat c "gc.cleaner.self_delta");
+  check_int "its scion is retired" 3
+    (List.length (Gc_state.inter_scions gc ~node:0 ~bunch:b2));
+  let r = Cluster.bgc c ~node:0 ~bunch:b2 in
+  check_int "and its target reclaimed" 1 r.Bmx_gc.Collect.r_reclaimed
+
+let test_self_handoff_full_after_crash () =
+  let c = Cluster.create ~nodes:2 () in
+  let b1 = Cluster.new_bunch c ~home:1 in
+  let b2 = Cluster.new_bunch c ~home:1 in
+  let populate () =
+    for i = 1 to 4 do
+      let x = Cluster.alloc c ~node:1 ~bunch:b2 [| Value.Data i |] in
+      let y = Cluster.alloc c ~node:1 ~bunch:b1 [| Value.Ref x |] in
+      Cluster.add_root c ~node:1 y
+    done;
+    ignore (Cluster.drain c)
+  in
+  populate ();
+  ignore (Cluster.bgc c ~node:1 ~bunch:b1);
+  ignore (Cluster.bgc c ~node:1 ~bunch:b1);
+  check_int "full, then delta" 1 (stat c "gc.cleaner.self_delta");
+  Cluster.crash_node c ~node:1;
+  Cluster.restart_node c ~node:1;
+  populate ();
+  let resyncs = stat c "gc.cleaner.resyncs" in
+  ignore (Cluster.bgc c ~node:1 ~bunch:b1);
+  check_int "first hand-off after the crash is a full" 2
+    (stat c "gc.cleaner.self_full");
+  ignore (Cluster.bgc c ~node:1 ~bunch:b1);
+  check_int "then the delta stream resumes" 2 (stat c "gc.cleaner.self_delta");
+  check_int "without a resync" resyncs (stat c "gc.cleaner.resyncs")
+
+(* Collect.run's cleaner-reconcile phase already contains the node's
+   hand-off of its own tables; the receive timer must not charge that
+   interval a second time, or the phase counters overstate the
+   collection.  A thousand local SSPs make the hand-off long enough that
+   a double charge exceeds the whole collection's elapsed time. *)
+let test_phase_timers_not_double_charged () =
+  let c, b1, _b2, _ys = local_ssps ~n:1000 in
+  let module P = Perfcount in
+  let before = P.snapshot () in
+  let t0 = Sys.time () in
+  ignore (Cluster.bgc c ~node:0 ~bunch:b1);
+  let elapsed_ns = (Sys.time () -. t0) *. 1e9 in
+  let d = P.diff ~before ~after:(P.snapshot ()) in
+  let phases =
+    d.P.s_gc_ns_trace + d.P.s_gc_ns_flip + d.P.s_gc_ns_copy + d.P.s_gc_ns_scan
+    + d.P.s_gc_ns_reconcile
+  in
+  check_bool
+    (Printf.sprintf "phase sum %d ns <= elapsed %.0f ns" phases elapsed_ns)
+    true
+    (float_of_int phases <= elapsed_ns);
+  check_bool "the self hand-off is broken out" true (d.P.s_gc_ns_recv_self > 0)
+
 let test_destinations () =
   let c, b1, _b2, _x, _y = cross_node_ssp () in
   let gc = Cluster.gc c in
@@ -175,5 +273,16 @@ let () =
           Alcotest.test_case "loss tolerated, repaired by resend" `Quick
             test_loss_tolerance_with_resend;
           Alcotest.test_case "duplication harmless" `Quick test_duplication_tolerance;
+        ] );
+      ( "self hand-off",
+        [
+          Alcotest.test_case "unchanged bunch hands over an empty delta" `Quick
+            test_self_handoff_unchanged_is_noop;
+          Alcotest.test_case "dropped local edge retired by delta" `Quick
+            test_self_delta_retires_local_scion;
+          Alcotest.test_case "full after crash, then deltas" `Quick
+            test_self_handoff_full_after_crash;
+          Alcotest.test_case "phase timers not double-charged" `Quick
+            test_phase_timers_not_double_charged;
         ] );
     ]

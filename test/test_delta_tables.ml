@@ -10,7 +10,17 @@
    exactly.  After every cleanly delivered round the receiver's mirror
    (rebuilt from fulls and one-round deltas, healed by pull-resyncs
    after losses and restarts) must cover precisely the stubs the model
-   holds, and reassemble exactly the model's exiting list. *)
+   holds, and reassemble exactly the model's exiting list.
+
+   A second source bunch from the same sender has its own stubs, aimed
+   at the same targets as the first's, so the receiver's per-(sender,
+   target) claim counts must add up across two mirrors.  After every op
+   — fulls, deltas, resyncs, losses and crashes alike —
+   [Gc_state.mirror_claims_target] must agree, for every pool target,
+   with the brute-force fold over the receiver's mirrors that it
+   replaced.  Not decrementing the counts when a full replaces an
+   existing mirror (in [Gc_state.mirror_reset]) fails this test, and so
+   does keeping a presence set instead of counts. *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
@@ -26,7 +36,9 @@ let pool_size = 6
 type op =
   | Add_inter of int  (* pool index *)
   | Add_intra of int
+  | Add_inter2 of int  (* second source bunch *)
   | Replace of bool array * bool array  (* presence masks over the pools *)
+  | Replace2 of bool array
   | Round of bool array * bool  (* exiting mask, drop all table messages? *)
   | Crash_receiver
   | Crash_sender
@@ -37,7 +49,9 @@ let pp_mask m =
 let pp_op = function
   | Add_inter i -> Printf.sprintf "Add_inter %d" i
   | Add_intra i -> Printf.sprintf "Add_intra %d" i
+  | Add_inter2 i -> Printf.sprintf "Add_inter2 %d" i
   | Replace (a, b) -> Printf.sprintf "Replace (%s, %s)" (pp_mask a) (pp_mask b)
+  | Replace2 a -> Printf.sprintf "Replace2 %s" (pp_mask a)
   | Round (m, drop) ->
       Printf.sprintf "Round (%s, drop=%b)" (pp_mask m) drop
   | Crash_receiver -> "Crash_receiver"
@@ -51,7 +65,9 @@ let gen_op =
       [
         (3, map (fun i -> Add_inter i) (int_bound (pool_size - 1)));
         (3, map (fun i -> Add_intra i) (int_bound (pool_size - 1)));
+        (2, map (fun i -> Add_inter2 i) (int_bound (pool_size - 1)));
         (2, map2 (fun a b -> Replace (a, b)) gen_mask gen_mask);
+        (1, map (fun a -> Replace2 a) gen_mask);
         ( 6,
           map2
             (fun m d -> Round (m, d))
@@ -87,6 +103,7 @@ let prop_indexed_tables_match_lists =
       let g = Cluster.gc c in
       let b = Cluster.new_bunch c ~home:sender in
       let tb = Cluster.new_bunch c ~home:sender in
+      let b2 = Cluster.new_bunch c ~home:sender in
       let fault_rng = Rng.make 7 in
       (* Fixed pools of distinct records; every scion side lives at the
          receiver so it stays in the broadcast destination set whenever
@@ -103,6 +120,10 @@ let prop_indexed_tables_match_lists =
               is_scion_at = receiver;
             })
       in
+      let inter_pool2 =
+        Array.init pool_size (fun i ->
+            { (inter_pool.(i)) with Ssp.is_src_bunch = b2; is_src_uid = 500 + i })
+      in
       let intra_pool =
         Array.init pool_size (fun i ->
             { Ssp.ns_bunch = b; ns_uid = 300 + i; ns_holder = receiver })
@@ -112,12 +133,16 @@ let prop_indexed_tables_match_lists =
       in
       (* The reference model: the sender's tables with list semantics. *)
       let m_inter = ref [] and m_intra = ref [] and m_exiting = ref [] in
+      let m_inter2 = ref [] in
       let fail fmt = QCheck.Test.fail_reportf fmt in
+      let mirror bunch = Gc_state.mirror g ~node:receiver ~sender ~bunch in
       let check_views op =
         let vi = Gc_state.inter_stubs g ~node:sender ~bunch:b in
         if vi <> !m_inter then
           fail "after %s: inter view has %d entries, model %d" (pp_op op)
             (List.length vi) (List.length !m_inter);
+        if Gc_state.inter_stubs g ~node:sender ~bunch:b2 <> !m_inter2 then
+          fail "after %s: second bunch's inter view diverges" (pp_op op);
         let vn = Gc_state.intra_stubs g ~node:sender ~bunch:b in
         if vn <> !m_intra then
           fail "after %s: intra view has %d entries, model %d" (pp_op op)
@@ -143,6 +168,28 @@ let prop_indexed_tables_match_lists =
             fail "after %s: intra_stubs_for_uid %d diverges" (pp_op op) uid
         done
       in
+      (* The oracle is the scan the claim counts replaced: every mirror
+         the receiver holds from the sender, every inter key in it. *)
+      let check_claims op =
+        for i = 0 to pool_size - 1 do
+          let target = 200 + i in
+          let scanned = ref false in
+          List.iter
+            (fun bunch ->
+              match mirror bunch with
+              | None -> ()
+              | Some m ->
+                  Gc_state.mirror_iter_inter m (fun (_, _, _, t) ->
+                      if t = target then scanned := true))
+            [ b; b2 ];
+          let indexed =
+            Gc_state.mirror_claims_target g ~node:receiver ~sender target
+          in
+          if indexed <> !scanned then
+            fail "after %s: claims on target %d = %b, mirror scan %b"
+              (pp_op op) target indexed !scanned
+        done
+      in
       let check_mirror op =
         (* Only meaningful if this round actually addressed the receiver
            (after a sender crash the destination set can be empty until
@@ -161,8 +208,9 @@ let prop_indexed_tables_match_lists =
                 }
               in
               let covered =
-                Gc_state.mirror_covers_inter g ~node:receiver ~sender ~bunch:b
-                  scion
+                match mirror b with
+                | None -> false
+                | Some m -> Gc_state.mirror_has_inter m (Ssp.inter_scion_key scion)
               in
               let want =
                 List.exists (fun s -> Ssp.inter_stub_matches s scion) !m_inter
@@ -177,8 +225,11 @@ let prop_indexed_tables_match_lists =
                 { Ssp.xn_bunch = b; xn_uid = 300 + i; xn_owner_side = sender }
               in
               let covered =
-                Gc_state.mirror_covers_intra g ~node:receiver ~sender ~bunch:b
-                  ~holder:receiver scion
+                match mirror b with
+                | None -> false
+                | Some m ->
+                    Gc_state.mirror_has_intra m
+                      (Ssp.intra_scion_key ~holder:receiver scion)
               in
               let want =
                 List.exists
@@ -189,9 +240,11 @@ let prop_indexed_tables_match_lists =
                 fail "after %s: mirror intra coverage of uid %d = %b, model %b"
                   (pp_op op) (300 + i) covered want)
             intra_pool;
-          let got =
-            sorted (Gc_state.mirror_exiting g ~node:receiver ~sender ~bunch:b)
-          in
+          let got = ref [] in
+          Option.iter
+            (fun m -> Gc_state.mirror_iter_exiting m (fun e -> got := e :: !got))
+            (mirror b);
+          let got = sorted !got in
           if got <> sorted !m_exiting then
             fail "after %s: mirror exiting has %d entries, model %d" (pp_op op)
               (List.length got) (List.length !m_exiting)
@@ -208,6 +261,10 @@ let prop_indexed_tables_match_lists =
               let s = intra_pool.(i) in
               Gc_state.add_intra_stub g ~node:sender s;
               if not (List.mem s !m_intra) then m_intra := s :: !m_intra
+          | Add_inter2 i ->
+              let s = inter_pool2.(i) in
+              Gc_state.add_inter_stub g ~node:sender s;
+              if not (List.mem s !m_inter2) then m_inter2 := s :: !m_inter2
           | Replace (mi, mn) ->
               let inter = masked inter_pool mi in
               let intra = masked intra_pool mn in
@@ -215,6 +272,11 @@ let prop_indexed_tables_match_lists =
                 ~intra;
               m_inter := inter;
               m_intra := intra
+          | Replace2 mask ->
+              let inter = masked inter_pool2 mask in
+              Gc_state.replace_stub_tables g ~node:sender ~bunch:b2 ~inter
+                ~intra:[];
+              m_inter2 := inter
           | Round (mask, drop) ->
               let exiting = masked exiting_pool mask in
               if drop then
@@ -228,6 +290,9 @@ let prop_indexed_tables_match_lists =
                    ~old_inter:!m_inter ~old_intra:!m_intra ~exiting);
               Gc_state.record_exiting g ~node:sender ~bunch:b exiting;
               m_exiting := exiting;
+              ignore
+                (Scion_cleaner.broadcast g ~node:sender ~bunch:b2
+                   ~old_inter:!m_inter2 ~old_intra:[] ~exiting:[]);
               ignore (Cluster.drain c);
               if drop then Net.clear_faults (Cluster.net c)
               else check_mirror op
@@ -239,8 +304,10 @@ let prop_indexed_tables_match_lists =
               Cluster.restart_node c ~node:sender;
               m_inter := [];
               m_intra := [];
+              m_inter2 := [];
               m_exiting := []);
-          check_views op)
+          check_views op;
+          check_claims op)
         ops;
       (* One final clean round: whatever losses or crashes the sequence
          ended on, a single delivered message must restore the mirror to
@@ -250,8 +317,13 @@ let prop_indexed_tables_match_lists =
         (Scion_cleaner.broadcast g ~node:sender ~bunch:b ~old_inter:!m_inter
            ~old_intra:!m_intra ~exiting);
       Gc_state.record_exiting g ~node:sender ~bunch:b exiting;
+      ignore
+        (Scion_cleaner.broadcast g ~node:sender ~bunch:b2 ~old_inter:!m_inter2
+           ~old_intra:[] ~exiting:[]);
       ignore (Cluster.drain c);
-      check_mirror (Round (Array.make pool_size false, false));
+      let final = Round (Array.make pool_size false, false) in
+      check_mirror final;
+      check_claims final;
       let stat name = Stats.get (Cluster.stats c) name in
       total_deltas := !total_deltas + stat "gc.cleaner.delta_sent";
       total_fulls := !total_fulls + stat "gc.cleaner.full_sent";

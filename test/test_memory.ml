@@ -143,6 +143,38 @@ let test_store_forwarders () =
   check (Alcotest.list Alcotest.int) "history newest first" [ d; c; a ]
     (Store.address_history s 1)
 
+let test_store_chain_walk () =
+  (* [resolve] and [bunch_of_uid] share one forwarder walk: a chain that
+     reaches an object is re-pointed straight at it, and a chain that
+     leads nowhere is left as it was. *)
+  let _, s = make_store () in
+  let fields = [| Value.Data 1 |] in
+  let points_at a =
+    match Store.cell s a with Some (Store.Forwarder b) -> b | _ -> -1
+  in
+  let chain uid =
+    let x = Store.alloc s ~bunch:3 ~uid ~fields in
+    let y = Store.alloc s ~bunch:3 ~uid ~fields in
+    let z = Store.alloc s ~bunch:3 ~uid ~fields in
+    (* The uid index names the newest install, [z]. *)
+    Store.set_forwarder s ~at:y ~target:x;
+    Store.set_forwarder s ~at:z ~target:y;
+    (x, y, z)
+  in
+  let x, y, z = chain 7 in
+  check_int "chain built" y (points_at z);
+  check_int "bunch through the chain" 3 (Store.bunch_of_uid s 7);
+  check_int "compressed by bunch_of_uid" x (points_at z);
+  check_int "no such uid" (-1) (Store.bunch_of_uid s 8);
+  let x, _, z = chain 9 in
+  check_int "resolved" x (Store.current_addr s z);
+  check_int "compressed by resolve" x (points_at z);
+  let x, y, z = chain 11 in
+  Store.remove s x;
+  check_int "dangling chain has no bunch" (-1) (Store.bunch_of_uid s 11);
+  check_bool "dangling chain does not resolve" true (Store.resolve s z = None);
+  check_int "dangling chain left alone" y (points_at z)
+
 let test_store_remove () =
   let _, s = make_store () in
   let a = Store.alloc s ~bunch:0 ~uid:1 ~fields:[| Value.Data 1 |] in
@@ -198,6 +230,7 @@ let () =
           Alcotest.test_case "alloc and bit maps" `Quick test_store_alloc_and_maps;
           Alcotest.test_case "segment overflow" `Quick test_store_segment_overflow;
           Alcotest.test_case "forwarder chains" `Quick test_store_forwarders;
+          Alcotest.test_case "one chain walk" `Quick test_store_chain_walk;
           Alcotest.test_case "remove" `Quick test_store_remove;
           Alcotest.test_case "objects per bunch" `Quick test_store_objects_of_bunch;
           Alcotest.test_case "remote install maps segment" `Quick test_store_remote_install;
