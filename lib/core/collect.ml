@@ -34,194 +34,185 @@ let pp_report ppf r =
     r.r_ref_updates r.r_new_inter_stubs r.r_new_intra_stubs r.r_exiting
     r.r_tables_sent
 
-(* An inter-bunch (or cross-replica) edge discovered while scanning:
-   [src_uid] (in [src_bunch]) references [target_uid]. *)
-type edge = {
-  e_src_bunch : Ids.Bunch.t;
-  e_src_uid : Ids.Uid.t;
-  e_target_uid : Ids.Uid.t;
-  e_target_owner_hint : (Ids.Bunch.t * Ids.Node.t) option;
-      (* target's bunch and owner, for conservative exiting entries when
-         the target has no local copy *)
-}
-
 let bump ?by t name = Stats.incr ?by (Gc_state.stats t) name
 
-(* ------------------------------------------------------------------ *)
-(* Tracing.                                                            *)
+(* Per-object events are counted in locals and charged once per
+   collection; a zero count is not charged, so it creates no counter. *)
+let bump_count t name n = if n > 0 then bump ~by:n t name
 
-(* Compute the set of live objects local to [node] within [bunches],
-   starting from the given root addresses.  Scanning follows pointer
-   fields of the local — possibly inconsistent — copies only; edges
-   leaving the collected set are returned for stub-table reconstruction.
-   [extra_root_uids] are roots known by identity only (scions protecting
-   objects with no local copy): they produce conservative edges. *)
-let trace t ~node ~in_set ~root_addrs ~root_uids =
+(* In group mode, inter-bunch scions whose stub lives inside the group
+   at this very node are internal edges, not roots (§7). *)
+let internal ~group_mode ~in_set ~node (s : Ssp.inter_scion) =
+  group_mode && in_set s.Ssp.xs_src_bunch && Ids.Node.equal s.Ssp.xs_src_node node
+
+(* ------------------------------------------------------------------ *)
+(* Tracing (§4.1).
+
+   One trace in two phases.  Phase 1 marks from the mutator roots, the
+   entering ownerPtrs and the inter-bunch scions; phase 2 continues from
+   the intra-bunch scions.  What phase 1 marks is exactly what a trace
+   without the intra-bunch scions would reach — the §6.2 set, the only
+   objects allowed to contribute exiting ownerPtrs, or the cross-replica
+   cycle would never be reclaimed — so every live object is scanned
+   once.  Roots are fed to the trace as they are found: no root list and
+   no uid set is built.
+
+   Scanning follows pointer fields of the local — possibly inconsistent —
+   copies only.  Edges leaving a bunch are recorded for stub-table
+   reconstruction; references to collected-set objects with no local
+   copy, found in phase 1, become conservative exiting entries towards
+   the owner (DESIGN.md par. 5). *)
+
+type trace = {
+  live : Addr.t Ids.Uid_tbl.t; (* uid -> current local address *)
+  order : Addr.t array;
+      (* marked addresses in mark order: the scan queue, and its first
+         [phase1] entries are the §6.2 set *)
+  mutable marked : int;
+  mutable phase1 : int;
+  edges : Ids.Uid.t list Ids.Uid_tbl.t; (* cross-bunch targets by source *)
+  mutable roots : int;
+}
+
+let trace t ~node ~bunches ~in_set ~group_mode ~capacity ~exiting_for =
   let proto = Gc_state.proto t in
   let store = Protocol.store proto node in
   let registry = Protocol.registry proto in
-  let live : Addr.t Ids.Uid_tbl.t = Ids.Uid_tbl.create 256 in
-  let edges = ref [] in
-  let pending = Queue.create () in
-  let add_edge ~src_bunch ~src_uid ~target_uid ~hint =
-    edges :=
-      {
-        e_src_bunch = src_bunch;
-        e_src_uid = src_uid;
-        e_target_uid = target_uid;
-        e_target_owner_hint = hint;
-      }
-      :: !edges
+  let dir = Protocol.directory proto node in
+  (* A node holds at most one live copy per uid, so the marks never
+     outnumber the local cells of the collected bunches. *)
+  let tr =
+    {
+      live = Ids.Uid_tbl.create 256;
+      order = Array.make (max 1 capacity) Addr.null;
+      marked = 0;
+      phase1 = 0;
+      edges = Ids.Uid_tbl.create 64;
+      roots = 0;
+    }
   in
-  let mark addr =
-    match Store.resolve store addr with
-    | None -> false
-    | Some (a, obj) ->
-        if
-          in_set obj.Heap_obj.bunch
-          && not (Ids.Uid_tbl.mem live obj.Heap_obj.uid)
-        then begin
-          Ids.Uid_tbl.add live obj.Heap_obj.uid a;
-          Queue.add (a, obj) pending;
-          true
-        end
-        else false
+  let stale = ref 0 and remote_intra = ref 0 and in_phase1 = ref true in
+  let add_edge src target =
+    match Ids.Uid_tbl.find tr.edges src with
+    | targets ->
+        if not (List.mem target targets) then
+          Ids.Uid_tbl.replace tr.edges src (target :: targets)
+    | exception Not_found -> Ids.Uid_tbl.add tr.edges src [ target ]
   in
-  List.iter (fun a -> ignore (mark a)) root_addrs;
-  (* Roots known only by identity: protect the remote copy through a
-     conservative exiting entry if there is no local copy to trace. *)
-  List.iter
-    (fun uid ->
-      match Store.addr_of_uid store uid with
-      | Some a -> ignore (mark a)
-      | None -> ())
-    root_uids;
-  while not (Queue.is_empty pending) do
-    let a, obj = Queue.take pending in
-    ignore a;
-    Perfcount.(counters.gc_objects_touched <- counters.gc_objects_touched + 1);
-    Heap_obj.iter_pointers obj
-      (fun target ->
-        match Store.resolve store target with
-        | Some (_, tobj) ->
-            if in_set tobj.Heap_obj.bunch then begin
-              ignore (mark target);
-              (* Cross-bunch references between bunches collected together
-                 (group mode) keep their SSPs: §7 excludes them from the
-                 roots, not from the regenerated stub tables. *)
-              if not (Ids.Bunch.equal tobj.Heap_obj.bunch obj.Heap_obj.bunch)
-              then
-                add_edge ~src_bunch:obj.Heap_obj.bunch ~src_uid:obj.Heap_obj.uid
-                  ~target_uid:tobj.Heap_obj.uid ~hint:None
-            end
-            else
-              add_edge ~src_bunch:obj.Heap_obj.bunch ~src_uid:obj.Heap_obj.uid
-                ~target_uid:tobj.Heap_obj.uid ~hint:None
-        | None -> (
-            (* The address does not resolve locally.  Identify the target
-               through the address oracle; if we in fact cache it under a
-               newer address (a stale pointer arrived after its forwarder
-               was retired), trace the local copy; otherwise record a
-               conservative edge so the remote copy stays protected (see
-               DESIGN.md par. 5). *)
-            match Protocol.uid_of_addr proto target with
-            | None -> ()
-            | Some tuid when Store.addr_of_uid store tuid <> None -> (
-                let local = Option.get (Store.addr_of_uid store tuid) in
-                bump t "gc.trace.stale_pointer_recoveries";
-                ignore (mark local);
+  (* [a] is where the local chain from a pointer ends and [obj] is
+     there. *)
+  let mark_at a (obj : Heap_obj.t) =
+    if in_set obj.Heap_obj.bunch && not (Ids.Uid_tbl.mem tr.live obj.Heap_obj.uid)
+    then begin
+      Ids.Uid_tbl.add tr.live obj.Heap_obj.uid a;
+      tr.order.(tr.marked) <- a;
+      tr.marked <- tr.marked + 1
+    end
+  in
+  let mark a =
+    let a = Store.endpoint store a in
+    match Store.object_at store a with
+    | obj -> mark_at a obj
+    | exception Not_found -> ()
+  in
+  let mark_uid uid =
+    tr.roots <- tr.roots + 1;
+    match Store.uid_addr store uid with
+    | a -> mark a
+    | exception Not_found -> ()
+  in
+  (* Roots known by address count only inside the collected set. *)
+  let mark_root a =
+    match Registry.entry_at registry a with
+    | e when in_set e.Registry.bunch ->
+        tr.roots <- tr.roots + 1;
+        mark a
+    | _ | (exception Not_found) -> ()
+  in
+  let scan_ref (obj : Heap_obj.t) target =
+    let a = Store.endpoint store target in
+    match Store.object_at store a with
+    | tobj ->
+        (* Cross-bunch references between bunches collected together
+           (group mode) keep their SSPs: §7 excludes them from the
+           roots, not from the regenerated stub tables. *)
+        mark_at a tobj;
+        if not (Ids.Bunch.equal tobj.Heap_obj.bunch obj.Heap_obj.bunch) then
+          add_edge obj.Heap_obj.uid tobj.Heap_obj.uid
+    | exception Not_found -> (
+        (* The address does not resolve locally.  Identify the target
+           through the address oracle; if we in fact cache it under a
+           newer address (a stale pointer arrived after its forwarder
+           was retired), trace the local copy; otherwise record a
+           conservative edge so the remote copy stays protected. *)
+        match Protocol.uid_at proto target with
+        | exception Not_found -> ()
+        | tuid -> (
+            match Store.uid_addr store tuid with
+            | local -> (
+                incr stale;
+                mark local;
                 match Store.resolve store local with
                 | Some (_, tobj)
                   when (not (in_set tobj.Heap_obj.bunch))
                        || not (Ids.Bunch.equal tobj.Heap_obj.bunch obj.Heap_obj.bunch)
                   ->
-                    add_edge ~src_bunch:obj.Heap_obj.bunch
-                      ~src_uid:obj.Heap_obj.uid ~target_uid:tuid ~hint:None
+                    add_edge obj.Heap_obj.uid tuid
                 | Some _ | None -> ())
-            | Some tuid ->
-                let hint =
-                  match Registry.bunch_of_addr registry target with
-                  | Some tb when in_set tb -> (
-                      match Protocol.owner_of proto tuid with
-                      | Some owner -> Some (tb, owner)
-                      | None -> None)
-                  | Some _ | None -> None
-                in
-                if hint <> None then bump t "gc.trace.remote_intra_refs";
-                add_edge ~src_bunch:obj.Heap_obj.bunch ~src_uid:obj.Heap_obj.uid
-                  ~target_uid:tuid ~hint))
-  done;
-  (live, !edges)
-
-(* ------------------------------------------------------------------ *)
-(* Root computation (§4.1).                                            *)
-
-(* Both §4.1 root sets in one pass: the full one and the one without
-   intra-bunch scions (the §6.2 exiting-ownerPtr trace).  They share
-   every component except the intra-scion contribution, so computing
-   them together halves the per-collection root work — which is the
-   dominant non-trace cost at large heaps. *)
-let collect_roots t ~node ~in_set ~group_mode =
-  let proto = Gc_state.proto t in
-  let store = Protocol.store proto node in
-  let registry = Protocol.registry proto in
-  let dir = Protocol.directory proto node in
-  let root_addrs = ref [] and root_uids = ref Ids.Uid_set.empty in
-  let add_addr a = root_addrs := a :: !root_addrs in
-  let add_uid u = root_uids := Ids.Uid_set.add u !root_uids in
-  (* Mutator stacks. *)
-  List.iter
-    (fun a ->
-      match Registry.bunch_of_addr registry a with
-      | Some b when in_set b -> add_addr a
-      | Some _ | None -> ())
-    (Gc_state.roots t ~node);
-  let bunches =
-    Ids.Bunch_set.union
-      (Ids.Bunch_set.of_list
-         (List.filter in_set (Gc_state.bunches_with_tables t ~node)))
-      (Ids.Bunch_set.of_list (List.filter in_set (Store.mapped_bunches store)))
-    |> Ids.Bunch_set.elements
+            | exception Not_found ->
+                add_edge obj.Heap_obj.uid tuid;
+                (match Registry.entry_at registry target with
+                | e when in_set e.Registry.bunch -> (
+                    match Protocol.owner_of proto tuid with
+                    | Some owner ->
+                        incr remote_intra;
+                        if !in_phase1 && not (Ids.Node.equal owner node) then
+                          Hashtbl.replace (exiting_for e.Registry.bunch) tuid owner
+                    | None -> ())
+                | _ | (exception Not_found) -> ())))
   in
-  (* Inter-bunch scions protecting objects of the collected bunches.  In
-     group mode, scions whose stub lives inside the group at this very
-     node are internal edges, not roots (§7). *)
-  List.iter
-    (fun b ->
-      List.iter
-        (fun (s : Ssp.inter_scion) ->
-          let internal =
-            group_mode
-            && in_set s.Ssp.xs_src_bunch
-            && Ids.Node.equal s.Ssp.xs_src_node node
-          in
-          if not internal then add_uid s.Ssp.xs_target_uid)
-        (Gc_state.inter_scions t ~node ~bunch:b))
-    bunches;
-  (* Intra-bunch scions — excluded from the second, exiting-ownerPtr
-     root set of §6.2. *)
-  let uids_no_intra = !root_uids in
-  List.iter
-    (fun b ->
-      List.iter
-        (fun (s : Ssp.intra_scion) -> add_uid s.Ssp.xn_uid)
-        (Gc_state.intra_scions t ~node ~bunch:b))
-    bunches;
-  (* Entering ownerPtrs: remote replicas still reference these locally
-     owned objects. *)
+  let rec drain head =
+    if head < tr.marked then begin
+      let obj = Store.object_at store tr.order.(head) in
+      Perfcount.(counters.gc_objects_touched <- counters.gc_objects_touched + 1);
+      for i = 0 to Heap_obj.num_fields obj - 1 do
+        let r = Heap_obj.get_raw obj i in
+        if Value.raw_is_pointer r then scan_ref obj (Value.raw_addr r)
+      done;
+      drain (head + 1)
+    end
+  in
+  (* Phase 1: mutator stacks, entering ownerPtrs (remote replicas still
+     reference these locally owned objects), inter-bunch scions. *)
+  List.iter mark_root (Gc_state.roots t ~node);
   List.iter
     (fun uid ->
-      match Store.addr_of_uid store uid with
-      | Some a -> (
-          match Registry.bunch_of_addr registry a with
-          | Some b when in_set b -> add_addr a
-          | Some _ | None -> ())
-      | None -> ())
+      match Store.uid_addr store uid with
+      | a -> mark_root a
+      | exception Not_found -> ())
     (Directory.entering_uids dir);
-  (* Entering ownerPtrs contribute addresses only, so [uids_no_intra] —
-     snapshotted before the intra-scion block — is the complete §6.2
-     uid root set. *)
-  (!root_addrs, Ids.Uid_set.elements !root_uids, Ids.Uid_set.elements uids_no_intra)
+  List.iter
+    (fun b ->
+      List.iter
+        (fun s ->
+          if not (internal ~group_mode ~in_set ~node s) then
+            mark_uid s.Ssp.xs_target_uid)
+        (Gc_state.inter_scions t ~node ~bunch:b))
+    bunches;
+  drain 0;
+  tr.phase1 <- tr.marked;
+  in_phase1 := false;
+  (* Phase 2: the intra-bunch scions. *)
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (s : Ssp.intra_scion) -> mark_uid s.Ssp.xn_uid)
+        (Gc_state.intra_scions t ~node ~bunch:b))
+    bunches;
+  drain tr.phase1;
+  bump_count t "gc.trace.stale_pointer_recoveries" !stale;
+  bump_count t "gc.trace.remote_intra_refs" !remote_intra;
+  tr
 
 (* ------------------------------------------------------------------ *)
 (* The collection itself.                                              *)
@@ -271,6 +262,7 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
   in
   let proto = Gc_state.proto t in
   let store = Protocol.store proto node in
+  let registry = Protocol.registry proto in
   let dir = Protocol.directory proto node in
   let set = Ids.Bunch_set.of_list bunches in
   let in_set b = Ids.Bunch_set.mem b set in
@@ -279,21 +271,31 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
   if Trace_event.enabled evlog then
     Trace_event.record evlog
       (Trace_event.Gc_begin { node; group = group_mode; bunches });
-
-  (* Roots and the full trace. *)
-  let root_addrs, root_uids, root_uids_no_intra =
-    collect_roots t ~node ~in_set ~group_mode
+  let owned uid =
+    match Directory.record dir uid with
+    | r -> r.Directory.is_owner
+    | exception Not_found -> false
   in
-  pt P_trace;
-  let live, edges = trace t ~node ~in_set ~root_addrs ~root_uids in
-  pt P_trace;
-
-  (* Second trace without the intra-bunch scions: objects reachable only
-     through an intra-bunch scion must not contribute exiting ownerPtrs,
-     or the cross-replica cycle of §6.2 would never be reclaimed. *)
-  let live_no_intra, _ =
-    trace t ~node ~in_set ~root_addrs ~root_uids:root_uids_no_intra
+  (* Exiting ownerPtrs per collected bunch, filled by the trace, the
+     phantom-root walk and the per-bunch walk below. *)
+  let exiting_tbls = Ids.Bunch_tbl.create 4 in
+  let exiting_for b =
+    match Ids.Bunch_tbl.find exiting_tbls b with
+    | h -> h
+    | exception Not_found ->
+        let h = Hashtbl.create 16 in
+        Ids.Bunch_tbl.add exiting_tbls b h;
+        h
   in
+  let local_cells =
+    List.fold_left (fun acc b -> acc + Store.bunch_object_count store b) 0 bunches
+  in
+
+  (* Roots and the trace. *)
+  let tr =
+    trace t ~node ~bunches ~in_set ~group_mode ~capacity:local_cells ~exiting_for
+  in
+  let live = tr.live in
   pt P_trace;
 
   (* Economical mode: evacuation exists to reclaim the from-space, so
@@ -303,9 +305,6 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
      keeps the whole cluster's dirtiness epochs churning.  Skip the flip
      and leave the spaces alone; the moment garbage appears the next
      collection evacuates as usual. *)
-  let local_cells =
-    List.fold_left (fun acc b -> acc + Store.bunch_object_count store b) 0 bunches
-  in
   let do_copy =
     copy && ((not economical) || local_cells > Ids.Uid_tbl.length live)
   in
@@ -339,33 +338,24 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
         Ids.Bunch_tbl.add to_spaces bunch seg;
         seg
   in
-  let copied = ref 0 and scanned_in_place = ref 0 in
-  (* Deterministic copy order without rebuilding sorted lists: dump the
-     live index into an array and sort in place by uid. *)
-  let live_arr = Array.make (Ids.Uid_tbl.length live) (0, Addr.null) in
-  let n_live = ref 0 in
+  let copied = ref 0 and scanned_in_place = ref 0 and foreign = ref 0 in
+  let uids = Array.make (Ids.Uid_tbl.length live) 0 in
+  let n_uids = ref 0 in
   Ids.Uid_tbl.iter
-    (fun uid a ->
-      live_arr.(!n_live) <- (uid, a);
-      incr n_live)
+    (fun uid _ ->
+      uids.(!n_uids) <- uid;
+      incr n_uids)
     live;
-  Array.sort (fun (a, _) (b, _) -> Ids.Uid.compare a b) live_arr;
+  Array.sort Ids.Uid.compare uids;
   Array.iter
-    (fun (uid, addr) ->
-      let obj =
-        match Store.resolve store addr with
-        | Some (_, o) -> o
-        | None -> assert false
-      in
-      let owned =
-        match Directory.find dir uid with
-        | Some r -> r.Directory.is_owner
-        | None -> false
-      in
+    (fun uid ->
+      let addr = Ids.Uid_tbl.find live uid in
+      let obj = Store.object_at store (Store.endpoint store addr) in
+      let owned = owned uid in
       let in_from_space =
-        match Store.segment_at store addr with
-        | Some seg -> seg.Segment.role = Segment.From_space
-        | None -> false
+        match Store.find_segment store addr with
+        | seg -> seg.Segment.role = Segment.From_space
+        | exception Not_found -> false
       in
       if do_copy && owned && in_from_space then begin
         let bunch = obj.Heap_obj.bunch in
@@ -385,112 +375,128 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
         Store.set_forwarder store ~at:addr ~target:new_addr;
         Protocol.register_copy_location proto ~uid ~addr:new_addr;
         Ids.Uid_tbl.replace live uid new_addr;
-        incr copied;
-        bump t "gc.objects_copied"
+        incr copied
       end
       else begin
         incr scanned_in_place;
-        if not owned then bump t "gc.objects_scanned_in_place"
+        if not owned then incr foreign
       end)
-    live_arr;
+    uids;
+  bump_count t "gc.objects_copied" !copied;
+  bump_count t "gc.objects_scanned_in_place" !foreign;
   pt P_copy;
 
   (* Reference updating (§4.4): rewrite pointer fields of every live local
      copy through the local forwarder chains — strictly local, no token. *)
-  Gc_state.set_roots t ~node
-    (List.map (Store.current_addr store) (Gc_state.roots t ~node));
+  let roots = Gc_state.roots t ~node in
+  if List.exists (fun a -> not (Addr.equal (Store.current_addr store a) a)) roots
+  then Gc_state.set_roots t ~node (List.map (Store.current_addr store) roots);
   let ref_updates = ref 0 in
   Ids.Uid_tbl.iter
     (fun _uid addr ->
-      match Store.resolve store addr with
-      | None -> ()
-      | Some (a, obj) ->
+      let a = Store.endpoint store addr in
+      match Store.object_at store a with
+      | exception Not_found -> ()
+      | obj ->
           Perfcount.(counters.gc_objects_touched <- counters.gc_objects_touched + 1);
-          Heap_obj.iteri_pointers obj (fun i p ->
+          for i = 0 to Heap_obj.num_fields obj - 1 do
+            let r = Heap_obj.get_raw obj i in
+            if Value.raw_is_pointer r then begin
+              let p = Value.raw_addr r in
               let p' = Store.current_addr store p in
               if not (Addr.equal p p') then begin
-                Heap_obj.fixup obj i (Value.Ref p');
-                Store.note_field_write store ~obj_addr:a ~index:i (Value.Ref p');
-                incr ref_updates;
-                bump t "gc.ref_updates"
-              end))
+                let v = Value.Ref p' in
+                Heap_obj.fixup obj i v;
+                Store.note_field_write store ~obj_addr:a ~index:i v;
+                incr ref_updates
+              end
+            end
+          done)
     live;
+  bump_count t "gc.ref_updates" !ref_updates;
   pt P_scan;
 
   (* Reclamation: local replicas of the collected bunches that the trace
-     did not reach are garbage here. *)
+     did not reach are garbage here.  They go in address order, because
+     removal order sets the arena's free-list order. *)
   let reclaimed = ref 0 in
+  let dead obj = not (Ids.Uid_tbl.mem live obj.Heap_obj.uid) in
   List.iter
     (fun b ->
-      List.iter
-        (fun (addr, obj) ->
-          let uid = obj.Heap_obj.uid in
-          if not (Ids.Uid_tbl.mem live uid) then begin
-            Store.remove store addr;
-            Protocol.forget_replica proto ~node ~uid;
-            incr reclaimed;
-            bump t "gc.objects_reclaimed"
-          end)
-        (Store.objects_of_bunch store b))
+      let n_dead = ref 0 in
+      Store.iter_objects_of_bunch store b (fun _ obj -> if dead obj then incr n_dead);
+      if !n_dead > 0 then begin
+        let addrs = Array.make !n_dead Addr.null in
+        let k = ref 0 in
+        Store.iter_objects_of_bunch store b (fun a obj ->
+            if dead obj then begin
+              addrs.(!k) <- a;
+              incr k
+            end);
+        Array.sort Addr.compare addrs;
+        Array.iter
+          (fun a ->
+            let uid = (Store.object_at store a).Heap_obj.uid in
+            Store.remove store a;
+            Protocol.forget_replica proto ~node ~uid)
+          addrs;
+        reclaimed := !reclaimed + !n_dead
+      end)
     bunches;
+  bump_count t "gc.objects_reclaimed" !reclaimed;
   pt P_scan;
 
   (* Scion roots for objects with no local copy (the reference was
      created here without the target ever being cached): they cannot be
      traced, but the remote copy must stay protected, so they contribute
-     conservative exiting ownerPtrs towards the owner. *)
-  let phantom_of_uid counter uid =
-    match Store.addr_of_uid store uid with
-    | Some _ -> None
-    | None -> (
+     conservative exiting ownerPtrs towards the owner.  Mutator-stack
+     roots naming objects with no local copy protect the remote copy the
+     same way. *)
+  let phantom count b uid =
+    match Store.uid_addr store uid with
+    | _ -> ()
+    | exception Not_found -> (
         match Protocol.owner_of proto uid with
         | Some owner when not (Ids.Node.equal owner node) ->
-            bump t counter;
-            Some (uid, owner)
-        | Some _ | None -> None)
+            incr count;
+            Hashtbl.replace (exiting_for b) uid owner
+        | Some _ | None -> ())
   in
-  let phantom_exiting =
-    List.concat_map
-      (fun b ->
-        List.filter_map
-          (fun (s : Ssp.inter_scion) ->
-            let internal =
-              group_mode
-              && in_set s.Ssp.xs_src_bunch
-              && Ids.Node.equal s.Ssp.xs_src_node node
-            in
-            if internal then None
-            else
-              Option.map
-                (fun e -> (b, e))
-                (phantom_of_uid "gc.trace.phantom_scion_roots" s.Ssp.xs_target_uid))
-          (Gc_state.inter_scions t ~node ~bunch:b))
-      bunches
-    (* Mutator-stack roots naming objects with no local copy protect the
-       remote copy the same way. *)
-    @ List.filter_map
-        (fun a ->
-          match Bmx_memory.Registry.bunch_of_addr (Protocol.registry proto) a with
-          | Some b when in_set b -> (
-              match Protocol.uid_of_addr proto a with
-              | Some uid ->
-                  Option.map
-                    (fun e -> (b, e))
-                    (phantom_of_uid "gc.trace.phantom_mutator_roots" uid)
-              | None -> None)
-          | Some _ | None -> None)
-        (Gc_state.roots t ~node)
-  in
+  let phantom_scions = ref 0 and phantom_roots = ref 0 in
+  List.iter
+    (fun b ->
+      List.iter
+        (fun (s : Ssp.inter_scion) ->
+          if not (internal ~group_mode ~in_set ~node s) then
+            phantom phantom_scions b s.Ssp.xs_target_uid)
+        (Gc_state.inter_scions t ~node ~bunch:b))
+    bunches;
+  List.iter
+    (fun a ->
+      match Registry.entry_at registry a with
+      | e when in_set e.Registry.bunch -> (
+          match Protocol.uid_at proto a with
+          | uid -> phantom phantom_roots e.Registry.bunch uid
+          | exception Not_found -> ())
+      | _ | (exception Not_found) -> ())
+    (Gc_state.roots t ~node);
+  bump_count t "gc.trace.phantom_scion_roots" !phantom_scions;
+  bump_count t "gc.trace.phantom_mutator_roots" !phantom_roots;
 
   (* Stub-table reconstruction (§4.3) and exiting-ownerPtr lists, then the
      broadcast to the scion cleaners (§6). *)
-  let edge_tbl : (Ids.Uid.t * Ids.Uid.t, unit) Hashtbl.t =
-    Hashtbl.create (max 16 (2 * List.length edges))
+  let edge_exists src target =
+    match Ids.Uid_tbl.find tr.edges src with
+    | targets -> List.mem target targets
+    | exception Not_found -> false
   in
-  List.iter
-    (fun e -> Hashtbl.replace edge_tbl (e.e_src_uid, e.e_target_uid) ())
-    edges;
-  let edge_exists src_uid target_uid = Hashtbl.mem edge_tbl (src_uid, target_uid) in
+  let keep_inter (s : Ssp.inter_stub) =
+    Ids.Uid_tbl.mem live s.Ssp.is_src_uid
+    && edge_exists s.Ssp.is_src_uid s.Ssp.is_target_uid
+  in
+  let keep_intra (s : Ssp.intra_stub) =
+    Ids.Uid_tbl.mem live s.Ssp.ns_uid && owned s.Ssp.ns_uid
+  in
   let new_inter_total = ref 0
   and new_intra_total = ref 0
   and exiting_total = ref 0
@@ -499,62 +505,33 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
     (fun b ->
       let old_inter = Gc_state.inter_stubs t ~node ~bunch:b in
       let old_intra = Gc_state.intra_stubs t ~node ~bunch:b in
-      let new_inter =
-        List.filter
-          (fun (s : Ssp.inter_stub) ->
-            Ids.Uid_tbl.mem live s.Ssp.is_src_uid
-            && edge_exists s.Ssp.is_src_uid s.Ssp.is_target_uid)
-          old_inter
-      in
-      let new_intra =
-        List.filter
-          (fun (s : Ssp.intra_stub) ->
-            Ids.Uid_tbl.mem live s.Ssp.ns_uid
-            &&
-            match Directory.find dir s.Ssp.ns_uid with
-            | Some r -> r.Directory.is_owner
-            | None -> false)
-          old_intra
-      in
       (* Exiting ownerPtrs: live non-owned local objects of the bunch —
-         except those reachable only via an intra-bunch scion (§6.2) —
-         plus conservative entries for collected-set objects referenced
-         but not cached locally. *)
-      let exiting_tbl = Hashtbl.create 16 in
-      List.iter
-        (fun (_, obj) ->
-          let uid = obj.Heap_obj.uid in
-          if Ids.Uid_tbl.mem live uid && Ids.Uid_tbl.mem live_no_intra uid then
-            match Directory.find dir uid with
-            | Some r when not r.Directory.is_owner ->
-                Hashtbl.replace exiting_tbl uid r.Directory.prob_owner
-            | Some _ | None -> ())
-        (Store.objects_of_bunch store b);
-      List.iter
-        (fun e ->
-          match e.e_target_owner_hint with
-          | Some (tb, owner)
-            when Ids.Bunch.equal tb b
-                 && Ids.Uid_tbl.mem live_no_intra e.e_src_uid
-                 && not (Ids.Node.equal owner node) ->
-              Hashtbl.replace exiting_tbl e.e_target_uid owner
-          | Some _ | None -> ())
-        edges;
-      List.iter
-        (fun (pb, (uid, owner)) ->
-          if Ids.Bunch.equal pb b then Hashtbl.replace exiting_tbl uid owner)
-        phantom_exiting;
+         except those reachable only via an intra-bunch scion (§6.2),
+         i.e. the phase-1 marks, found at their current addresses — plus
+         the conservative entries the trace and the phantom walk added. *)
+      let exiting_tbl = exiting_for b in
+      for i = 0 to tr.phase1 - 1 do
+        match Store.object_at store (Store.endpoint store tr.order.(i)) with
+        | obj when Ids.Bunch.equal obj.Heap_obj.bunch b -> (
+            match Directory.record dir obj.Heap_obj.uid with
+            | r when not r.Directory.is_owner ->
+                Hashtbl.replace exiting_tbl obj.Heap_obj.uid r.Directory.prob_owner
+            | _ | (exception Not_found) -> ())
+        | _ | (exception Not_found) -> ()
+      done;
       let exiting =
         Hashtbl.fold (fun uid owner acc -> (uid, owner) :: acc) exiting_tbl []
         |> List.sort compare
       in
-      Gc_state.replace_stub_tables t ~node ~bunch:b ~inter:new_inter ~intra:new_intra;
+      Gc_state.retain_stubs t ~node ~bunch:b ~inter:keep_inter ~intra:keep_intra;
       let sent =
         Scion_cleaner.broadcast t ~node ~bunch:b ~old_inter ~old_intra ~exiting
       in
       Gc_state.record_exiting t ~node ~bunch:b exiting;
-      new_inter_total := !new_inter_total + List.length new_inter;
-      new_intra_total := !new_intra_total + List.length new_intra;
+      new_inter_total :=
+        !new_inter_total + List.length (Gc_state.inter_stubs t ~node ~bunch:b);
+      new_intra_total :=
+        !new_intra_total + List.length (Gc_state.intra_stubs t ~node ~bunch:b);
       exiting_total := !exiting_total + List.length exiting;
       tables_sent := !tables_sent + sent)
     bunches;
@@ -602,7 +579,7 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
   {
     r_node = node;
     r_bunches = bunches;
-    r_roots = List.length root_addrs + List.length root_uids;
+    r_roots = tr.roots;
     r_live = Ids.Uid_tbl.length live;
     r_copied = !copied;
     r_scanned_in_place = !scanned_in_place;

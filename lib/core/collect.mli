@@ -26,7 +26,11 @@
 type report = {
   r_node : Bmx_util.Ids.Node.t;
   r_bunches : Bmx_util.Ids.Bunch.t list;
-  r_roots : int;  (** root addresses examined (flip work, §4.1) *)
+  r_roots : int;
+      (** root entries fed to the trace (§4.1): mutator roots and entering
+          ownerPtrs whose local copy lies in the collected bunches, plus
+          every scion of those bunches that is a root (a uid protected by
+          several scions counts once per scion) *)
   r_live : int;
   r_copied : int;  (** locally-owned objects evacuated *)
   r_scanned_in_place : int;  (** non-owned live objects merely scanned *)

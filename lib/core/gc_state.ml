@@ -7,14 +7,14 @@ open Bmx_util
    deduplicated with [List.exists] on every insert — O(n) on the write
    barrier's hottest path.  Each table is now a hash-membership set with
    the insertion-ordered list kept alongside as the public view (newest
-   first, exactly the order the list tables had), plus secondary indexes:
+   first, exactly the order the list tables had), plus at most one
+   secondary index of each kind, kept only where a query reads it:
 
-   - [by_uid]   — the SSP's target uid (the object the entry protects);
-   - [by_uid2]  — an optional second uid key (inter stubs: the source
-                  uid, which is what the §5 invariant-3 hook queries);
-   - [by_node]  — the peer node of the entry (scion holder, stub holder,
-                  owner side), which is what the scion cleaner's
-                  destination and per-sender queries need.
+   - [by_uid]  — stub tables: the uid the §5 invariant-3 hook queries
+                 (inter stubs: the source object; intra stubs: the
+                 object itself);
+   - [by_node] — scion tables: the stub side's node, which is what the
+                 scion cleaner's per-sender sweeps query.
 
    [key_count]/[touched] track the table at {e match-key} granularity
    (see {!Ssp.inter_stub_key}): the journal records every key whose
@@ -27,29 +27,25 @@ open Bmx_util
    same edges) journals nothing. *)
 
 type ('a, 'k) table = {
-  key_uid : 'a -> Ids.Uid.t;
-  key_uid2 : ('a -> Ids.Uid.t) option;
-  key_node : 'a -> Ids.Node.t;
+  key_uid : ('a -> Ids.Uid.t) option;
+  key_node : ('a -> Ids.Node.t) option;
   key_of : 'a -> 'k;
   mutable view : 'a list; (* newest first *)
   members : ('a, unit) Hashtbl.t;
   by_uid : ('a, unit) Hashtbl.t Ids.Uid_tbl.t;
-  by_uid2 : ('a, unit) Hashtbl.t Ids.Uid_tbl.t;
   by_node : ('a, unit) Hashtbl.t Ids.Node_tbl.t;
   key_count : ('k, int) Hashtbl.t;
   touched : ('k, unit) Hashtbl.t;
 }
 
-let t_make ~key_uid ?key_uid2 ~key_node ~key_of () =
+let t_make ?key_uid ?key_node ~key_of () =
   {
     key_uid;
-    key_uid2;
     key_node;
     key_of;
     view = [];
     members = Hashtbl.create 16;
     by_uid = Ids.Uid_tbl.create 16;
-    by_uid2 = Ids.Uid_tbl.create 16;
     by_node = Ids.Node_tbl.create 8;
     key_count = Hashtbl.create 16;
     touched = Hashtbl.create 16;
@@ -92,18 +88,20 @@ let nbucket_remove tbl key item =
       if Hashtbl.length b = 0 then Ids.Node_tbl.remove tbl key
 
 let t_index_add tb item =
-  bucket_add tb.by_uid (tb.key_uid item) item;
-  (match tb.key_uid2 with
-  | Some key -> bucket_add tb.by_uid2 (key item) item
+  (match tb.key_uid with
+  | Some key -> bucket_add tb.by_uid (key item) item
   | None -> ());
-  nbucket_add tb.by_node (tb.key_node item) item
+  match tb.key_node with
+  | Some key -> nbucket_add tb.by_node (key item) item
+  | None -> ()
 
 let t_index_remove tb item =
-  bucket_remove tb.by_uid (tb.key_uid item) item;
-  (match tb.key_uid2 with
-  | Some key -> bucket_remove tb.by_uid2 (key item) item
+  (match tb.key_uid with
+  | Some key -> bucket_remove tb.by_uid (key item) item
   | None -> ());
-  nbucket_remove tb.by_node (tb.key_node item) item
+  match tb.key_node with
+  | Some key -> nbucket_remove tb.by_node (key item) item
+  | None -> ()
 
 let t_key_incr tb k =
   let c = match Hashtbl.find_opt tb.key_count k with Some c -> c | None -> 0 in
@@ -128,6 +126,17 @@ let t_add tb item =
     true
   end
 
+(* Drop one member from the set, the index and the key count (which
+   journals the key if this was its last entry).  The caller refilters
+   the view once, after all its drops. *)
+let t_drop tb x =
+  Hashtbl.remove tb.members x;
+  t_index_remove tb x;
+  t_key_decr tb (tb.key_of x)
+
+let t_refilter_view tb =
+  tb.view <- List.filter (fun x -> Hashtbl.mem tb.members x) tb.view
+
 (* Remove the entries whose peer is [node] and that satisfy [pred].  Only
    that node's index bucket is visited; the insertion-ordered view is
    refiltered only when something actually goes. *)
@@ -138,61 +147,30 @@ let t_remove_from tb node pred =
       match Hashtbl.fold (fun x () acc -> if pred x then x :: acc else acc) b [] with
       | [] -> 0
       | drop ->
-          List.iter
-            (fun x ->
-              Hashtbl.remove tb.members x;
-              t_index_remove tb x;
-              t_key_decr tb (tb.key_of x))
-            drop;
-          tb.view <- List.filter (fun x -> Hashtbl.mem tb.members x) tb.view;
+          List.iter (t_drop tb) drop;
+          t_refilter_view tb;
           List.length drop)
 
-let t_replace tb items =
-  (* Wholesale replacement (BGC table reconstruction): journal exactly
-     the keys whose presence flips, so a rebuild that keeps the same
-     edges (even with every record's volatile fields rewritten) adds
-     nothing to the next delta. *)
-  let new_count = Hashtbl.create (max 16 (2 * List.length items)) in
-  let incoming = Hashtbl.create (max 16 (2 * List.length items)) in
-  List.iter
-    (fun x ->
-      if not (Hashtbl.mem incoming x) then begin
-        Hashtbl.replace incoming x ();
-        let k = tb.key_of x in
-        let c =
-          match Hashtbl.find_opt new_count k with Some c -> c | None -> 0
-        in
-        Hashtbl.replace new_count k (c + 1)
-      end)
-    items;
-  Hashtbl.iter
-    (fun k _ ->
-      if not (Hashtbl.mem new_count k) then Hashtbl.replace tb.touched k ())
-    tb.key_count;
-  Hashtbl.iter
-    (fun k _ ->
-      if not (Hashtbl.mem tb.key_count k) then Hashtbl.replace tb.touched k ())
-    new_count;
-  tb.view <- items;
-  Hashtbl.reset tb.members;
-  Ids.Uid_tbl.reset tb.by_uid;
-  Ids.Uid_tbl.reset tb.by_uid2;
-  Ids.Node_tbl.reset tb.by_node;
-  Hashtbl.reset tb.key_count;
-  Hashtbl.iter
-    (fun x () ->
-      Hashtbl.replace tb.members x ();
-      t_index_add tb x)
-    incoming;
-  Hashtbl.iter (fun k c -> Hashtbl.replace tb.key_count k c) new_count
+(* Keep only the entries satisfying [keep] (BGC table reconstruction,
+   §4.3).  Only the write barrier adds entries, so the table a BGC
+   regenerates is always a subset of the current one: dropping the
+   failures in place journals exactly the keys whose last entry goes,
+   and a collection that keeps every edge allocates nothing per stub. *)
+let t_retain tb keep =
+  let dropped =
+    List.fold_left
+      (fun n x ->
+        if keep x then n
+        else begin
+          t_drop tb x;
+          n + 1
+        end)
+      0 tb.view
+  in
+  if dropped > 0 then t_refilter_view tb
 
 let t_by_uid tb uid =
   match Ids.Uid_tbl.find_opt tb.by_uid uid with
-  | None -> []
-  | Some b -> Hashtbl.fold (fun x () acc -> x :: acc) b []
-
-let t_by_uid2 tb uid =
-  match Ids.Uid_tbl.find_opt tb.by_uid2 uid with
   | None -> []
   | Some b -> Hashtbl.fold (fun x () acc -> x :: acc) b []
 
@@ -265,26 +243,21 @@ let metrics t = t.obs
 
 let make_inter_stub_table () =
   t_make
-    ~key_uid:(fun (s : Ssp.inter_stub) -> s.Ssp.is_target_uid)
-    ~key_uid2:(fun (s : Ssp.inter_stub) -> s.Ssp.is_src_uid)
-    ~key_node:(fun (s : Ssp.inter_stub) -> s.Ssp.is_scion_at)
+    ~key_uid:(fun (s : Ssp.inter_stub) -> s.Ssp.is_src_uid)
     ~key_of:Ssp.inter_stub_key ()
 
 let make_intra_stub_table () =
   t_make
     ~key_uid:(fun (s : Ssp.intra_stub) -> s.Ssp.ns_uid)
-    ~key_node:(fun (s : Ssp.intra_stub) -> s.Ssp.ns_holder)
     ~key_of:Ssp.intra_stub_key ()
 
 let make_inter_scion_table () =
   t_make
-    ~key_uid:(fun (s : Ssp.inter_scion) -> s.Ssp.xs_target_uid)
     ~key_node:(fun (s : Ssp.inter_scion) -> s.Ssp.xs_src_node)
     ~key_of:Ssp.inter_scion_key ()
 
 let make_intra_scion_table () =
   t_make
-    ~key_uid:(fun (s : Ssp.intra_scion) -> s.Ssp.xn_uid)
     ~key_node:(fun (s : Ssp.intra_scion) -> s.Ssp.xn_owner_side)
     ~key_of:(fun _ -> ()) ()
 
@@ -383,10 +356,10 @@ let add_intra_stub t ~node (s : Ssp.intra_stub) =
   if t_add (find_table make_intra_stub_table ns.intra_stubs s.Ssp.ns_bunch) s
   then ns.gc_version <- ns.gc_version + 1
 
-let replace_stub_tables t ~node ~bunch ~inter ~intra =
+let retain_stubs t ~node ~bunch ~inter ~intra =
   let ns = node_state t node in
-  t_replace (find_table make_inter_stub_table ns.inter_stubs bunch) inter;
-  t_replace (find_table make_intra_stub_table ns.intra_stubs bunch) intra
+  t_retain (find_table make_inter_stub_table ns.inter_stubs bunch) inter;
+  t_retain (find_table make_intra_stub_table ns.intra_stubs bunch) intra
 
 let inter_scions t ~node ~bunch = tbl_view (node_state t node).inter_scions bunch
 let intra_scions t ~node ~bunch = tbl_view (node_state t node).intra_scions bunch
@@ -453,7 +426,7 @@ let note_bgc_epoch t ~node ~bunch =
 let inter_stubs_with_src t ~node ~bunch ~uid =
   match Ids.Bunch_tbl.find_opt (node_state t node).inter_stubs bunch with
   | None -> []
-  | Some tb -> t_by_uid2 tb uid
+  | Some tb -> t_by_uid tb uid
 
 let intra_stubs_for_uid t ~node ~bunch ~uid =
   match Ids.Bunch_tbl.find_opt (node_state t node).intra_stubs bunch with

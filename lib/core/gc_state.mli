@@ -78,14 +78,19 @@ val add_inter_stub : t -> node:Bmx_util.Ids.Node.t -> Ssp.inter_stub -> unit
 
 val add_intra_stub : t -> node:Bmx_util.Ids.Node.t -> Ssp.intra_stub -> unit
 
-val replace_stub_tables :
+val retain_stubs :
   t ->
   node:Bmx_util.Ids.Node.t ->
   bunch:Bmx_util.Ids.Bunch.t ->
-  inter:Ssp.inter_stub list ->
-  intra:Ssp.intra_stub list ->
+  inter:(Ssp.inter_stub -> bool) ->
+  intra:(Ssp.intra_stub -> bool) ->
   unit
-(** Install the tables a BGC reconstructed (§4.3). *)
+(** Install the tables a BGC reconstructed (§4.3): keep exactly the
+    stubs of [bunch] that satisfy the predicates, in their view order.
+    Only the write barrier adds stubs, so the regenerated table is
+    always a subset of the current one; the failures are dropped in
+    place, and a key is journalled when its last stub goes.  Creates
+    both (possibly empty) tables if absent. *)
 
 (** {1 Scion tables} *)
 

@@ -55,6 +55,7 @@ let mut_version t = t.version
 let touch t = t.version <- t.version + 1
 
 let node t = t.node
+let record t uid = Ids.Uid_tbl.find t.records uid
 let find t uid = Ids.Uid_tbl.find_opt t.records uid
 
 let ensure t ~uid ~prob_owner =

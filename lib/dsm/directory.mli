@@ -48,7 +48,12 @@ val touch : t -> unit
 (** Advance {!mut_version}.  The protocol calls this when it rewrites
     [is_owner]/[prob_owner] on a record in place. *)
 
+val record : t -> Bmx_util.Ids.Uid.t -> record
+(** The record for the uid.  Allocates nothing.
+    @raise Not_found if this node has none. *)
+
 val find : t -> Bmx_util.Ids.Uid.t -> record option
+(** {!record} as an option. *)
 
 val ensure :
   t -> uid:Bmx_util.Ids.Uid.t -> prob_owner:Bmx_util.Ids.Node.t -> record

@@ -177,6 +177,7 @@ let alloc t ~node ~bunch ~fields =
   addr
 
 let register_copy_location t ~uid ~addr = Hashtbl.replace t.addr_oracle addr uid
+let uid_at t addr = Hashtbl.find t.addr_oracle addr
 let uid_of_addr t addr = Hashtbl.find_opt t.addr_oracle addr
 
 (* ------------------------------------------------------------------ *)

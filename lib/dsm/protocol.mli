@@ -128,8 +128,13 @@ val register_copy_location :
 (** Collector callback: a BGC copied the object to a fresh address.
     Keeps the simulator's address oracle complete. *)
 
+val uid_at : t -> Bmx_util.Addr.t -> Bmx_util.Ids.Uid.t
+(** Simulator oracle: stable identity behind an address (any epoch).
+    Allocates nothing.  @raise Not_found for an address no object ever
+    had. *)
+
 val uid_of_addr : t -> Bmx_util.Addr.t -> Bmx_util.Ids.Uid.t option
-(** Simulator oracle: stable identity behind an address (any epoch). *)
+(** {!uid_at} as an option. *)
 
 (** {1 Token operations (§2.2)} *)
 

@@ -2,12 +2,6 @@ open Bmx_util
 
 type entry = { range : Addr.Range.t; bunch : Ids.Bunch.t; origin : Ids.Node.t }
 
-module Addr_map = Map.Make (struct
-  type t = Addr.t
-
-  let compare = Addr.compare
-end)
-
 (* Each shard owns a fixed, contiguous slice of the single address space
    and carves ranges sequentially inside it.  The slice boundaries are
    arithmetic — shard k covers [first_lo + k*region_bytes,
@@ -15,15 +9,18 @@ end)
    one subtraction and one division, O(1), before the per-shard floor
    lookup.  A shard's authoritative state is its allocation cursor and
    entry set, held by the owning node's BMX-server; the [by_lo] index is
-   a cluster-wide read cache.  Because ranges are immutable once handed
-   out (never freed, never moved), the cache can never go stale: lookups
-   keep answering while the owner is down, and only new allocations
-   fail. *)
+   a cluster-wide read cache: the shard's entries in an array sorted by
+   [range.lo], which sequential carving keeps sorted by appending, so
+   the floor lookup is an allocation-free binary search.  Because ranges
+   are immutable once handed out (never freed, never moved), the cache
+   can never go stale: lookups keep answering while the owner is down,
+   and only new allocations fail. *)
 type shard = {
   shard_id : int;
   region : Addr.Range.t;
   mutable next : Addr.t;
-  mutable by_lo : entry Addr_map.t;
+  mutable by_lo : entry array; (* ascending [range.lo]; first [count] used *)
+  mutable count : int;
   mutable bytes : int;  (** O(1) maintained gauge: bytes carved here *)
   mutable owner : Ids.Node.t;
   mutable up : bool;
@@ -53,7 +50,8 @@ let create ?(shards = 1) ?(first_addr = Addr.page_size) () =
       shard_id = k;
       region = Addr.Range.make ~lo ~size:region_bytes;
       next = lo;
-      by_lo = Addr_map.empty;
+      by_lo = [||];
+      count = 0;
       bytes = 0;
       owner = 0;
       up = true;
@@ -86,6 +84,29 @@ let crash_shard t k = t.shards.(k).up <- false
 let revive_shard t k = t.shards.(k).up <- true
 let add_on_alloc t f = t.on_alloc <- f :: t.on_alloc
 
+(* Index in [entries.(lo .. hi-1)] of the last entry whose range starts
+   at or below [a], or [lo - 1] when none does.  Top-level rather than a
+   local closure, so a lookup allocates nothing. *)
+let rec floor_index entries a lo hi =
+  if lo >= hi then lo - 1
+  else
+    let mid = (lo + hi) lsr 1 in
+    if entries.(mid).range.Addr.Range.lo <= a then floor_index entries a (mid + 1) hi
+    else floor_index entries a lo mid
+
+(* Carving appends at the end; only a recovery replay can land below
+   existing entries, and it shifts the tail to keep the order. *)
+let insert s e =
+  if s.count = Array.length s.by_lo then begin
+    let grown = Array.make (max 8 (2 * s.count)) e in
+    Array.blit s.by_lo 0 grown 0 s.count;
+    s.by_lo <- grown
+  end;
+  let i = floor_index s.by_lo e.range.Addr.Range.lo 0 s.count + 1 in
+  Array.blit s.by_lo i s.by_lo (i + 1) (s.count - i);
+  s.by_lo.(i) <- e;
+  s.count <- s.count + 1
+
 let index_bunch t e =
   match Ids.Bunch_tbl.find_opt t.by_bunch e.bunch with
   | Some r -> r := e :: !r
@@ -101,25 +122,26 @@ let alloc_range t ~bunch ~origin ?(bytes = Segment.default_bytes) () =
   let range = Addr.Range.make ~lo:s.next ~size in
   s.next <- range.Addr.Range.hi;
   let e = { range; bunch; origin } in
-  s.by_lo <- Addr_map.add range.Addr.Range.lo e s.by_lo;
+  insert s e;
   s.bytes <- s.bytes + size;
   t.total <- t.total + size;
   index_bunch t e;
   List.iter (fun f -> f ~shard:s.shard_id e) t.on_alloc;
   range
 
-let find t a =
-  match shard_of_addr t a with
-  | None -> None
-  | Some k -> (
-      let s = t.shards.(k) in
-      match
-        Addr_map.find_last_opt (fun lo -> Addr.compare lo a <= 0) s.by_lo
-      with
-      | Some (_, e) when Addr.Range.contains e.range a -> Some e
-      | Some _ | None -> None)
+let entry_at t a =
+  if a < t.first_lo then raise_notrace Not_found;
+  let k = (a - t.first_lo) / t.region_bytes in
+  if k >= Array.length t.shards then raise_notrace Not_found;
+  let s = t.shards.(k) in
+  let i = floor_index s.by_lo a 0 s.count in
+  if i < 0 || a >= s.by_lo.(i).range.Addr.Range.hi then raise_notrace Not_found;
+  s.by_lo.(i)
 
-let bunch_of_addr t a = Option.map (fun e -> e.bunch) (find t a)
+let find t a = match entry_at t a with e -> Some e | exception Not_found -> None
+
+let bunch_of_addr t a =
+  match entry_at t a with e -> Some e.bunch | exception Not_found -> None
 
 let entries_of_bunch t bunch =
   match Ids.Bunch_tbl.find_opt t.by_bunch bunch with
@@ -127,7 +149,8 @@ let entries_of_bunch t bunch =
   | None -> []
 
 let shard_entries t k =
-  List.rev (Addr_map.fold (fun _ e acc -> e :: acc) t.shards.(k).by_lo [])
+  let s = t.shards.(k) in
+  Array.to_list (Array.sub s.by_lo 0 s.count)
 
 let total_bytes t = t.total
 
@@ -135,21 +158,25 @@ let restore_entry t ~shard e =
   let s = t.shards.(shard) in
   if not (Addr.Range.contains s.region e.range.Addr.Range.lo) then
     invalid_arg "Registry.restore_entry: range outside shard region";
-  match Addr_map.find_opt e.range.Addr.Range.lo s.by_lo with
-  | Some cached ->
-      (* The read cache survived; recovery just confirms the journal and
-         re-establishes the cursor past everything it promised. *)
-      if
-        cached.range.Addr.Range.hi <> e.range.Addr.Range.hi
-        || not (Ids.Bunch.equal cached.bunch e.bunch)
-      then failwith "Registry.restore_entry: journal disagrees with index";
-      if s.next < e.range.Addr.Range.hi then s.next <- e.range.Addr.Range.hi;
-      false
-  | None ->
-      s.by_lo <- Addr_map.add e.range.Addr.Range.lo e s.by_lo;
-      let size = Addr.Range.size e.range in
-      s.bytes <- s.bytes + size;
-      t.total <- t.total + size;
-      if s.next < e.range.Addr.Range.hi then s.next <- e.range.Addr.Range.hi;
-      index_bunch t e;
-      true
+  let lo = e.range.Addr.Range.lo in
+  let i = floor_index s.by_lo lo 0 s.count in
+  if i >= 0 && s.by_lo.(i).range.Addr.Range.lo = lo then begin
+    (* The read cache survived; recovery just confirms the journal and
+       re-establishes the cursor past everything it promised. *)
+    let cached = s.by_lo.(i) in
+    if
+      cached.range.Addr.Range.hi <> e.range.Addr.Range.hi
+      || not (Ids.Bunch.equal cached.bunch e.bunch)
+    then failwith "Registry.restore_entry: journal disagrees with index";
+    if s.next < e.range.Addr.Range.hi then s.next <- e.range.Addr.Range.hi;
+    false
+  end
+  else begin
+    insert s e;
+    let size = Addr.Range.size e.range in
+    s.bytes <- s.bytes + size;
+    t.total <- t.total + size;
+    if s.next < e.range.Addr.Range.hi then s.next <- e.range.Addr.Range.hi;
+    index_bunch t e;
+    true
+  end

@@ -50,11 +50,16 @@ val alloc_range :
     down (owner crashed and not yet recovered) or its region is
     exhausted. *)
 
+val entry_at : t -> Bmx_util.Addr.t -> entry
+(** The entry whose range contains the address: O(1) shard routing plus
+    a binary search over the shard's entries, sorted by [range.lo].
+    Allocates nothing.  @raise Not_found if no range contains it. *)
+
 val find : t -> Bmx_util.Addr.t -> entry option
-(** The entry whose range contains the address, if any.  O(1) shard
-    routing plus an O(log segments-in-shard) floor lookup. *)
+(** {!entry_at} as an option. *)
 
 val bunch_of_addr : t -> Bmx_util.Addr.t -> Bmx_util.Ids.Bunch.t option
+(** The bunch of {!entry_at}, as an option. *)
 
 val entries_of_bunch : t -> Bmx_util.Ids.Bunch.t -> entry list
 (** All ranges registered to the bunch, oldest first. *)

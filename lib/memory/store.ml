@@ -103,10 +103,11 @@ let add_segment t seg =
   | Some r -> r := !r @ [ lo ]
   | None -> Ids.Bunch_tbl.add t.seg_order bunch (ref [ lo ])
 
+let find_segment t a =
+  Hashtbl.find t.segments (Registry.entry_at t.registry a).Registry.range.Addr.Range.lo
+
 let segment_at t a =
-  match Registry.find t.registry a with
-  | None -> None
-  | Some e -> Hashtbl.find_opt t.segments e.Registry.range.Addr.Range.lo
+  match find_segment t a with seg -> Some seg | exception Not_found -> None
 
 let ensure_segment t ~range ~bunch =
   match Hashtbl.find_opt t.segments range.Addr.Range.lo with
@@ -144,18 +145,15 @@ let mapped_bunches t =
 
 let cell t a = Hashtbl.find_opt t.cells a
 
-let note_maps t a (obj : Heap_obj.t) =
-  match segment_at t a with
-  | None -> ()
-  | Some seg ->
-      Bitmap.set seg.Segment.object_map a;
-      let n = Heap_obj.num_fields obj in
-      for i = 0 to n - 1 do
-        let field_addr = Addr.add a (Heap_obj.header_bytes + (i * Addr.word)) in
-        if Segment.contains seg field_addr then
-          Segment.note_pointer seg field_addr
-            ~is_pointer:(Value.raw_is_pointer (Heap_obj.get_raw obj i))
-      done
+let note_maps seg a (obj : Heap_obj.t) =
+  Bitmap.set seg.Segment.object_map a;
+  let n = Heap_obj.num_fields obj in
+  for i = 0 to n - 1 do
+    let field_addr = Addr.add a (Heap_obj.header_bytes + (i * Addr.word)) in
+    if Segment.contains seg field_addr then
+      Segment.note_pointer seg field_addr
+        ~is_pointer:(Value.raw_is_pointer (Heap_obj.get_raw obj i))
+  done
 
 let install t a obj =
   (* Claim the new slot before letting go of the old cell: when [a] is
@@ -174,13 +172,9 @@ let install t a obj =
   | None -> Ids.Uid_tbl.add t.known_addrs obj.Heap_obj.uid (ref [ a ]));
   (* Make sure the containing segment is mapped locally so the object-map
      stays accurate even for remotely allocated ranges. *)
-  (match segment_at t a with
-  | Some _ -> ()
-  | None -> (
-      match Registry.find t.registry a with
-      | Some e -> ignore (ensure_segment t ~range:e.Registry.range ~bunch:e.Registry.bunch)
-      | None -> ()));
-  note_maps t a obj
+  match Registry.entry_at t.registry a with
+  | e -> note_maps (ensure_segment t ~range:e.Registry.range ~bunch:e.Registry.bunch) a obj
+  | exception Not_found -> ()
 
 let set_forwarder t ~at ~target =
   (* The forwarder graph must stay acyclic or [resolve] dies.  A cycle
@@ -218,9 +212,9 @@ let set_forwarder t ~at ~target =
     | Some (Object _) | None -> ());
     unindex_cell t at;
     Hashtbl.replace t.cells at (Forwarder target);
-    match segment_at t at with
-    | Some seg -> Segment.clear_object seg at
-    | None -> ()
+    match find_segment t at with
+    | seg -> Segment.clear_object seg at
+    | exception Not_found -> ()
   end
 
 let remove t a =
@@ -232,9 +226,9 @@ let remove t a =
   | Some (Forwarder _) | None -> ());
   unindex_cell t a;
   Hashtbl.remove t.cells a;
-  match segment_at t a with
-  | Some seg -> Segment.clear_object seg a
-  | None -> ()
+  match find_segment t a with
+  | seg -> Segment.clear_object seg a
+  | exception Not_found -> ()
 
 (* Re-point every forwarder from [a] up to [endpoint] at [endpoint]. *)
 let rec compress_to t a endpoint =
@@ -260,19 +254,26 @@ let rec chain_end t start a fuel =
   | Forwarder next when fuel > 1 -> chain_end t start next (fuel - 1)
   | Forwarder _ | (exception Not_found) -> a
 
-let resolve t a =
-  let endpoint = chain_end t a a 4096 in
-  match Hashtbl.find_opt t.cells endpoint with
-  | Some (Object obj) -> Some (endpoint, obj)
-  | Some (Forwarder _) | None -> None
+let endpoint t a = chain_end t a a 4096
 
-let current_addr t a = match resolve t a with Some (a', _) -> a' | None -> a
+let object_at t a =
+  match Hashtbl.find t.cells a with
+  | Object obj -> obj
+  | Forwarder _ -> raise_notrace Not_found
+
+let resolve t a =
+  let e = endpoint t a in
+  match object_at t e with obj -> Some (e, obj) | exception Not_found -> None
+
+let current_addr t a =
+  let e = endpoint t a in
+  match object_at t e with _ -> e | exception Not_found -> a
 
 let note_field_write t ~obj_addr ~index v =
   touch t;
-  match segment_at t obj_addr with
-  | None -> ()
-  | Some seg ->
+  match find_segment t obj_addr with
+  | exception Not_found -> ()
+  | seg ->
       let field_addr =
         Addr.add obj_addr (Heap_obj.header_bytes + (index * Addr.word))
       in
@@ -343,18 +344,13 @@ let has_objects_of_bunch t bunch =
   | None -> false
   | Some h -> Hashtbl.length h > 0
 
+let uid_addr t uid = Ids.Uid_tbl.find t.uid_index uid
 let addr_of_uid t uid = Ids.Uid_tbl.find_opt t.uid_index uid
 
-(* [resolve] from [addr_of_uid] for callers that only need the bunch,
-   without the option and tuple: the scion cleaner asks this once per
-   candidate entering entry and per re-asserted stub. *)
 let bunch_of_uid t uid =
-  match Ids.Uid_tbl.find t.uid_index uid with
+  match object_at t (endpoint t (uid_addr t uid)) with
+  | obj -> obj.Heap_obj.bunch
   | exception Not_found -> -1
-  | a -> (
-      match Hashtbl.find t.cells (chain_end t a a 4096) with
-      | Object obj -> obj.Heap_obj.bunch
-      | Forwarder _ | (exception Not_found) -> -1)
 
 let address_history t uid =
   match Ids.Uid_tbl.find_opt t.known_addrs uid with Some r -> !r | None -> []

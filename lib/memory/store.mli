@@ -52,8 +52,13 @@ val alloc_clone :
     and version blitted raw) into [seg] and this store's arena — the
     collectors' copy primitive; no boxed field array is materialized. *)
 
+val find_segment : t -> Bmx_util.Addr.t -> Segment.t
+(** The local segment view containing the address: the registry's
+    {!Registry.entry_at} and one hash lookup.  Allocates nothing.
+    @raise Not_found if the address is in no locally mapped segment. *)
+
 val segment_at : t -> Bmx_util.Addr.t -> Segment.t option
-(** The local segment view containing the address, if mapped. *)
+(** {!find_segment} as an option. *)
 
 val ensure_segment :
   t -> range:Bmx_util.Addr.Range.t -> bunch:Bmx_util.Ids.Bunch.t -> Segment.t
@@ -94,13 +99,28 @@ val set_forwarder : t -> at:Bmx_util.Addr.t -> target:Bmx_util.Addr.t -> unit
 val remove : t -> Bmx_util.Addr.t -> unit
 (** Drop the cell (object reclaimed or forwarder retired). *)
 
+val endpoint : t -> Bmx_util.Addr.t -> Bmx_util.Addr.t
+(** Where the local forwarder chain from the address stops: the current
+    address of the object it leads to, with the chain path-compressed,
+    or — when it leads nowhere — an address holding no object (see
+    {!object_at}).  The one chain walk under {!resolve},
+    {!current_addr} and {!bunch_of_uid}.  Allocates nothing unless
+    compression rewrites a hop. *)
+
+val object_at : t -> Bmx_util.Addr.t -> Heap_obj.t
+(** The object in the cell at exactly this address (no chain walk).
+    Allocates nothing.  @raise Not_found if the cell is a forwarder or
+    absent. *)
+
 val resolve : t -> Bmx_util.Addr.t -> (Bmx_util.Addr.t * Heap_obj.t) option
 (** Follow the local forwarder chain from the address to the current local
-    copy; [None] if the address is unknown here or leads nowhere. *)
+    copy; [None] if the address is unknown here or leads nowhere.
+    {!endpoint} then {!object_at}, as an option. *)
 
 val current_addr : t -> Bmx_util.Addr.t -> Bmx_util.Addr.t
 (** Endpoint of the local forwarder chain ([a] itself if not forwarded).
-    The paper's pointer-comparison operation (§4.2) compares these. *)
+    The paper's pointer-comparison operation (§4.2) compares these.
+    Allocates nothing unless compression rewrites a hop. *)
 
 val note_field_write : t -> obj_addr:Bmx_util.Addr.t -> index:int -> Value.t -> unit
 (** Maintain the reference-map bit for field [index] of the object at
@@ -113,14 +133,17 @@ val objects_of_bunch : t -> Bmx_util.Ids.Bunch.t -> (Bmx_util.Addr.t * Heap_obj.
 val has_objects_of_bunch : t -> Bmx_util.Ids.Bunch.t -> bool
 (** Whether any local object copy of the bunch exists — O(1). *)
 
+val uid_addr : t -> Bmx_util.Ids.Uid.t -> Bmx_util.Addr.t
+(** Current local address of the object with this uid.  Allocates
+    nothing.  @raise Not_found if it is not cached here. *)
+
 val addr_of_uid : t -> Bmx_util.Ids.Uid.t -> Bmx_util.Addr.t option
-(** Current local address of the object with this uid, if cached. *)
+(** {!uid_addr} as an option. *)
 
 val bunch_of_uid : t -> Bmx_util.Ids.Uid.t -> Bmx_util.Ids.Bunch.t
-(** Bunch of the local copy of [uid] — [addr_of_uid] then {!resolve},
-    with the same path compression — or [-1] (never a bunch id) when
-    there is none.  Allocates nothing unless compression rewrites a
-    forwarder. *)
+(** Bunch of the local copy of [uid] — {!uid_addr}, {!endpoint} and
+    {!object_at} — or [-1] (never a bunch id) when there is none.
+    Allocates nothing unless compression rewrites a forwarder. *)
 
 val address_history : t -> Bmx_util.Ids.Uid.t -> Bmx_util.Addr.t list
 (** Addresses this node has seen the object at, newest first.  This is the

@@ -1,13 +1,15 @@
 (* Equivalence of the indexed stub tables and the delta-reassembled
-   mirrors with plain list semantics (PR 4).
+   mirrors with plain list semantics.
 
    A reference model maintains the sender's stub tables as naive lists
-   with the documented semantics (adds prepend-if-absent, replaces
-   install verbatim).  Random op sequences — adds, wholesale replaces,
-   broadcast rounds (some with every table message dropped), and
-   crash/restart of either side — drive the real implementation, and
-   after every op the indexed accessors must agree with the model
-   exactly.  After every cleanly delivered round the receiver's mirror
+   with the documented semantics: adds prepend-if-absent, and a BGC's
+   table reconstruction filters the list in place.  A replace is a
+   retain followed by adds, the sequence BGCs and the write barrier
+   produce, so the model's view order follows from those two rules.
+   Random op sequences — adds, replaces, broadcast rounds (some with
+   every table message dropped), and crash/restart of either side —
+   drive the real implementation, and after every op the indexed
+   accessors must agree with the model exactly.  After every cleanly delivered round the receiver's mirror
    (rebuilt from fulls and one-round deltas, healed by pull-resyncs
    after losses and restarts) must cover precisely the stubs the model
    holds, and reassemble exactly the model's exiting list.
@@ -20,7 +22,11 @@
    with the brute-force fold over the receiver's mirrors that it
    replaced.  Not decrementing the counts when a full replaces an
    existing mirror (in [Gc_state.mirror_reset]) fails this test, and so
-   does keeping a presence set instead of counts. *)
+   does keeping a presence set instead of counts.  So does an in-place
+   retain ([Gc_state.t_retain]) that skips [t_index_remove] (a dropped
+   stub lingers in the [inter_stubs_with_src] index) or [t_key_decr]
+   (its key is never journalled as deleted, and the mirror keeps
+   covering it). *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
@@ -37,7 +43,9 @@ type op =
   | Add_inter of int  (* pool index *)
   | Add_intra of int
   | Add_inter2 of int  (* second source bunch *)
-  | Replace of bool array * bool array  (* presence masks over the pools *)
+  | Replace of bool array * bool array
+      (* presence masks over the pools: retain the masked entries, then
+         add the masked ones the table lacks *)
   | Replace2 of bool array
   | Round of bool array * bool  (* exiting mask, drop all table messages? *)
   | Crash_receiver
@@ -136,6 +144,18 @@ let prop_indexed_tables_match_lists =
       let m_inter2 = ref [] in
       let fail fmt = QCheck.Test.fail_reportf fmt in
       let mirror bunch = Gc_state.mirror g ~node:receiver ~sender ~bunch in
+      let model_add m s = if not (List.mem s !m) then m := s :: !m in
+      let model_replace m wanted =
+        m := List.filter (fun s -> List.mem s wanted) !m;
+        List.iter (model_add m) wanted
+      in
+      let replace ~bunch ~inter ~intra =
+        Gc_state.retain_stubs g ~node:sender ~bunch
+          ~inter:(fun s -> List.mem s inter)
+          ~intra:(fun s -> List.mem s intra);
+        List.iter (Gc_state.add_inter_stub g ~node:sender) inter;
+        List.iter (Gc_state.add_intra_stub g ~node:sender) intra
+      in
       let check_views op =
         let vi = Gc_state.inter_stubs g ~node:sender ~bunch:b in
         if vi <> !m_inter then
@@ -256,33 +276,31 @@ let prop_indexed_tables_match_lists =
           | Add_inter i ->
               let s = inter_pool.(i) in
               Gc_state.add_inter_stub g ~node:sender s;
-              if not (List.mem s !m_inter) then m_inter := s :: !m_inter
+              model_add m_inter s
           | Add_intra i ->
               let s = intra_pool.(i) in
               Gc_state.add_intra_stub g ~node:sender s;
-              if not (List.mem s !m_intra) then m_intra := s :: !m_intra
+              model_add m_intra s
           | Add_inter2 i ->
               let s = inter_pool2.(i) in
               Gc_state.add_inter_stub g ~node:sender s;
-              if not (List.mem s !m_inter2) then m_inter2 := s :: !m_inter2
+              model_add m_inter2 s
           | Replace (mi, mn) ->
               let inter = masked inter_pool mi in
               let intra = masked intra_pool mn in
-              Gc_state.replace_stub_tables g ~node:sender ~bunch:b ~inter
-                ~intra;
-              m_inter := inter;
-              m_intra := intra
+              replace ~bunch:b ~inter ~intra;
+              model_replace m_inter inter;
+              model_replace m_intra intra
           | Replace2 mask ->
               let inter = masked inter_pool2 mask in
-              Gc_state.replace_stub_tables g ~node:sender ~bunch:b2 ~inter
-                ~intra:[];
-              m_inter2 := inter
+              replace ~bunch:b2 ~inter ~intra:[];
+              model_replace m_inter2 inter
           | Round (mask, drop) ->
               let exiting = masked exiting_pool mask in
               if drop then
                 Net.set_fault (Cluster.net c) ~kind:Net.Stub_table ~drop:1.0
                   ~dup:0.0 ~rng:fault_rng;
-              (* The Collect call convention: tables already replaced,
+              (* The Collect call convention: tables already retained,
                  broadcast, then record the exiting list for the next
                  round's destination set. *)
               ignore

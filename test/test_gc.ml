@@ -221,6 +221,29 @@ let test_bgc_large_heap_multi_segment () =
   let r2 = Cluster.bgc c ~node:0 ~bunch:b in
   check_int "still live" 8000 r2.Collect.r_live
 
+let test_bgc_trace_counters_charged_once () =
+  (* N1 caches A, whose field names B: same bunch, no copy at N1.  The
+     BGC traces each live object once, so the remote intra-bunch
+     reference is counted once, and every live object is touched twice:
+     once by the trace, once by the reference update. *)
+  let c = Cluster.create ~nodes:2 () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let bo = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 1 |] in
+  let a = Cluster.alloc c ~node:0 ~bunch:b [| Value.Ref bo |] in
+  let a1 = Cluster.acquire_read c ~node:1 a in
+  Cluster.release c ~node:1 a1;
+  Cluster.add_root c ~node:1 a1;
+  check_bool "B has no copy at N1" false
+    (Cluster.cached_at c ~node:1 ~uid:(Cluster.uid_at c ~node:0 bo));
+  let remote () = Stats.get (Cluster.stats c) "gc.trace.remote_intra_refs" in
+  let touched () = Perfcount.counters.Perfcount.gc_objects_touched in
+  let remote0 = remote () and touched0 = touched () in
+  let r = Cluster.bgc c ~node:1 ~bunch:b in
+  check_int "A alone is live at N1" 1 r.Collect.r_live;
+  check_int "remote intra-bunch reference counted once" 1 (remote () - remote0);
+  check_int "objects touched = 2 x live" (2 * r.Collect.r_live)
+    (touched () - touched0)
+
 let () =
   Alcotest.run "gc"
     [
@@ -251,5 +274,7 @@ let () =
           Alcotest.test_case "replicas collect independently" `Quick
             test_bgc_independent_per_replica;
           Alcotest.test_case "multi-segment heap" `Quick test_bgc_large_heap_multi_segment;
+          Alcotest.test_case "trace counters charged once" `Quick
+            test_bgc_trace_counters_charged_once;
         ] );
     ]

@@ -151,6 +151,34 @@ let test_restore_entry_idempotent () =
   | _ -> Alcotest.fail "conflicting replay must fail");
   ignore (hi_of e)
 
+let test_restore_out_of_order () =
+  (* Carving appends to a shard's sorted index; a replay into an empty
+     index may arrive in any order and must still leave it sorted, so
+     the floor lookup keeps answering. *)
+  let r = Registry.create () in
+  List.iter
+    (fun bunch -> ignore (Registry.alloc_range r ~bunch ~origin:0 ()))
+    [ 0; 0; 0; 0 ];
+  let entries = Registry.shard_entries r 0 in
+  let fresh = Registry.create () in
+  List.iter
+    (fun e ->
+      check_bool "missing entry re-installed" true
+        (Registry.restore_entry fresh ~shard:0 e))
+    [ List.nth entries 2; List.nth entries 0; List.nth entries 3; List.nth entries 1 ];
+  check (Alcotest.list Alcotest.int) "index ascending by lo"
+    (List.map lo_of entries)
+    (List.map lo_of (Registry.shard_entries fresh 0));
+  List.iter
+    (fun e ->
+      List.iter
+        (fun a ->
+          match Registry.find fresh a with
+          | Some e' -> check_int "lookup lands in its range" (lo_of e) (lo_of e')
+          | None -> Alcotest.fail "restored range not found")
+        [ lo_of e; hi_of e - 1 ])
+    entries
+
 (* --------------------------------------------- QCheck: model equivalence *)
 
 (* Arithmetic model of the sharded registry: per-shard cursor plus a
@@ -375,6 +403,8 @@ let () =
             test_crash_recover_surface;
           Alcotest.test_case "restore_entry idempotence" `Quick
             test_restore_entry_idempotent;
+          Alcotest.test_case "out-of-order replay keeps the index sorted"
+            `Quick test_restore_out_of_order;
         ] );
       ("model", [ QCheck_alcotest.to_alcotest qcheck_model ]);
       ( "gauges",

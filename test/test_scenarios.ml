@@ -216,6 +216,58 @@ let test_invariant3_third_party_holder () =
   ignore (Cluster.collect_until_quiescent c ());
   check_int "everything reclaimed" 0 (Bmx.Audit.total_cached_copies c)
 
+let test_invariant3_ignores_unrelated_stubs () =
+  (* The granter N2 holds, for the transferred object o, an inter-bunch
+     stub (it wrote a cross-bunch reference into o) and an intra-bunch
+     stub naming N1 (o reached it from N1, which holds o's original
+     inter stub).  Next to them it holds stubs of the same bunch for
+     other objects: u's inter stub and w's intra stub.  The transfer to
+     N3 must create exactly two intra SSPs, both for o: one towards the
+     granter and one directly towards N1. *)
+  let c = Cluster.create ~nodes:4 () in
+  let n1 = 1 and n2 = 2 and n3 = 3 in
+  let b = Cluster.new_bunch c ~home:n1 in
+  let tb = Cluster.new_bunch c ~home:n1 in
+  let target = Cluster.alloc c ~node:n1 ~bunch:tb [| Value.Data 1 |] in
+  let target2 = Cluster.alloc c ~node:n1 ~bunch:tb [| Value.Data 2 |] in
+  let o = Cluster.alloc c ~node:n1 ~bunch:b [| Value.Ref target; Value.nil |] in
+  let w = Cluster.alloc c ~node:n1 ~bunch:b [| Value.Ref target |] in
+  let o2 = Cluster.acquire_write c ~node:n2 o in
+  Cluster.write c ~node:n2 o2 1 (Value.Ref target2);
+  Cluster.release c ~node:n2 o2;
+  let w2 = Cluster.acquire_write c ~node:n2 w in
+  Cluster.release c ~node:n2 w2;
+  let _u = Cluster.alloc c ~node:n2 ~bunch:b [| Value.Ref target |] in
+  ignore (Cluster.drain c);
+  let gc = Cluster.gc c in
+  let o_uid = uid c ~node:n1 o in
+  check_int "granter holds two inter stubs of the bunch" 2
+    (List.length (Gc_state.inter_stubs gc ~node:n2 ~bunch:b));
+  check_int "granter holds two intra stubs of the bunch" 2
+    (List.length (Gc_state.intra_stubs gc ~node:n2 ~bunch:b));
+  let created () = Stats.get (Cluster.stats c) "gc.intra_ssp.created" in
+  let created0 = created () in
+  let o3 = Cluster.acquire_write c ~node:n3 o2 in
+  Cluster.release c ~node:n3 o3;
+  ignore (Cluster.drain c);
+  check_int "exactly two intra SSPs created" 2 (created () - created0);
+  let stubs_n3 = Gc_state.intra_stubs gc ~node:n3 ~bunch:b in
+  check_bool "both new stubs are for o" true
+    (List.for_all (fun (s : Bmx_gc.Ssp.intra_stub) -> s.Bmx_gc.Ssp.ns_uid = o_uid) stubs_n3);
+  check (Alcotest.list Alcotest.int) "stub holders: N1 directly, and the granter"
+    [ n1; n2 ]
+    (List.sort compare
+       (List.map (fun (s : Bmx_gc.Ssp.intra_stub) -> s.Bmx_gc.Ssp.ns_holder) stubs_n3));
+  let scions_for_n3 node =
+    List.filter
+      (fun (s : Bmx_gc.Ssp.intra_scion) ->
+        s.Bmx_gc.Ssp.xn_owner_side = n3 && s.Bmx_gc.Ssp.xn_uid = o_uid)
+      (Gc_state.intra_scions gc ~node ~bunch:b)
+  in
+  check_int "matching scion at the granter" 1 (List.length (scions_for_n3 n2));
+  check_int "matching scion at N1" 1 (List.length (scions_for_n3 n1));
+  check_bool "safety" true (Result.is_ok (Bmx.Audit.check_safety c))
+
 (* ------------------------------------------------------------- Figure 4 *)
 
 let test_fig4_deletion_chain () =
@@ -268,6 +320,8 @@ let () =
             test_fig1_centralized_mode;
           Alcotest.test_case "invariant 3: third-party stub holder" `Quick
             test_invariant3_third_party_holder;
+          Alcotest.test_case "invariant 3: unrelated stubs make no SSP" `Quick
+            test_invariant3_ignores_unrelated_stubs;
         ] );
       ( "figure4",
         [
