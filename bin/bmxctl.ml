@@ -157,8 +157,8 @@ let run_workload nodes bunches objects ops seed mode collect ggc dump trace
   let d = Driver.setup cfg in
   let c = Driver.cluster d in
   let net = Cluster.net c in
-  if trace then Bmx_util.Tracelog.set_enabled (Cluster.tracer c) true;
-  if emit_trace <> None || flight_dir <> None || partitions > 0 || corrupt_disk
+  if trace || emit_trace <> None || flight_dir <> None || partitions > 0
+     || corrupt_disk
   then Cluster.set_event_trace c true;
   let flight =
     match flight_dir with
@@ -357,9 +357,11 @@ let run_workload nodes bunches objects ops seed mode collect ggc dump trace
   end;
   if trace then begin
     print_endline "--- last 40 trace events";
-    List.iter
-      (fun e -> Format.printf "%a@." Bmx_util.Tracelog.pp_event e)
-      (Bmx_util.Tracelog.recent (Cluster.tracer c) 40)
+    let events = Cluster.events c in
+    let skip = List.length events - 40 in
+    List.iteri
+      (fun i e -> if i >= skip then print_endline (Bmx_util.Trace_event.to_line e))
+      events
   end;
   (match emit_trace with
   | None -> ()
@@ -453,7 +455,10 @@ let workload_term dump_default =
   in
   let ggc = Arg.(value & flag & info [ "ggc" ] ~doc:"Run a GGC at every node") in
   let trace =
-    Arg.(value & flag & info [ "trace" ] ~doc:"Record and print the event trace")
+    Arg.(
+      value & flag
+      & info [ "trace" ]
+          ~doc:"Record the typed event trace and print its last 40 events")
   in
   let emit_trace =
     Arg.(
@@ -855,17 +860,48 @@ let run_report nodes bunches objects ops seed mode ggc drop dup fault_kinds
              "token_acquire.gc";
              "gc.pause";
            ]);
+  let failures = ref [] in
+  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
   (match series with
   | None -> ()
   | Some file ->
+      let text = Bmx_obs.Timeseries.to_jsonl ts in
       let oc = open_out file in
-      output_string oc (Bmx_obs.Timeseries.to_jsonl ts);
+      output_string oc text;
       close_out oc;
       Printf.printf "series: %d window(s) written to %s\n"
         (Bmx_obs.Timeseries.closed_windows ts)
-        file);
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun m -> failures := m :: !failures) fmt in
+        file;
+      if selfcheck then begin
+        (* Nothing else parses the export: check every window line. *)
+        let lines =
+          List.filter (fun l -> l <> "") (String.split_on_char '\n' text)
+        in
+        let well_formed line =
+          match Bmx_obs.Json.parse line with
+          | Error _ -> false
+          | Ok w -> (
+              let field f = Bmx_obs.Json.member f w in
+              (match (field "t0", field "t1") with
+              | Some (Bmx_obs.Json.Int t0), Some (Bmx_obs.Json.Int t1) ->
+                  t0 < t1
+              | _ -> false)
+              && List.for_all
+                   (fun f ->
+                     match field f with
+                     | Some (Bmx_obs.Json.List _) -> true
+                     | _ -> false)
+                   [ "counters"; "gauges"; "histos" ])
+        in
+        let bad = List.filter (fun l -> not (well_formed l)) lines in
+        if lines = [] then fail "series JSONL is empty"
+        else if bad <> [] then
+          fail "series JSONL: %d of %d window line(s) malformed"
+            (List.length bad) (List.length lines)
+        else
+          Printf.printf "selfcheck: series JSONL ok (%d windows)\n"
+            (List.length lines)
+      end);
   (match perfetto with
   | None -> ()
   | Some file ->

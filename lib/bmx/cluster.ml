@@ -141,7 +141,6 @@ let gc t = t.gc
 let net t = t.net
 let stats t = t.stats
 let metrics t = t.obs
-let tracer t = Protocol.tracer t.proto
 let evlog t = Protocol.evlog t.proto
 let set_event_trace t b = Trace_event.set_enabled (Protocol.evlog t.proto) b
 let events t = Trace_event.events (Protocol.evlog t.proto)

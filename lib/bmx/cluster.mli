@@ -66,11 +66,6 @@ val enable_flight :
 
 val flight : t -> Bmx_obs.Flight.t option
 
-val tracer : t -> Bmx_util.Tracelog.t
-(** The shared structured event trace (disabled by default); enable with
-    {!Bmx_util.Tracelog.set_enabled} to record token grants, ownership
-    transfers, invalidations, collections and cleaner activity. *)
-
 val evlog : t -> Bmx_util.Trace_event.log
 (** The typed event log shared by the protocol, the network and the
     collector — the input to the trace linter ([Bmx_check.Lint]). *)

@@ -544,13 +544,6 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
       Store.set_active_segment store ~bunch seg)
     to_spaces;
 
-  Bmx_util.Tracelog.recordf
-    (Gc_state.proto t |> Protocol.tracer)
-    ~category:"gc" "%s N%d %s: live=%d copied=%d reclaimed=%d"
-    (if group_mode then "GGC" else "BGC")
-    node
-    (String.concat "," (List.map Ids.Bunch.to_string bunches))
-    (Ids.Uid_tbl.length live) !copied !reclaimed;
   (* Surface the per-phase wall-clock totals of this collection. *)
   List.iter
     (fun phase ->

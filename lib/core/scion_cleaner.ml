@@ -306,13 +306,10 @@ let process t ~at ~seq msg =
   else begin
     Gc_state.record_table_seq t ~node:at ~sender ~bunch ~seq;
     bump t "gc.cleaner.processed";
-    (let proto = Gc_state.proto t in
-     let evlog = Protocol.evlog proto in
+    (let evlog = Protocol.evlog (Gc_state.proto t) in
      if Trace_event.enabled evlog then
        Trace_event.record evlog
-         (Trace_event.Tables_processed { at; sender; bunch; seq });
-     Bmx_util.Tracelog.recordf (Protocol.tracer proto) ~category:"cleaner"
-       "N%d processed tables from N%d for B%d (seq %d)" at sender bunch seq);
+         (Trace_event.Tables_processed { at; sender; bunch; seq }));
     match sync_mirror t ~at ~seq msg with
     | None ->
         (* Quiet-stream fast path: an empty delta on a matching basis

@@ -33,7 +33,6 @@ type t = {
       (* cached owner per uid — a hint, validated against the directory
          on every lookup (tests and crashes may flip [is_owner] without
          going through the protocol) and repaired by scan on a miss *)
-  tracer : Tracelog.t;
   evlog : Trace_event.log;
   mutable obs : Bmx_obs.Metrics.t option;
   mutable copyset_hist : int array;
@@ -58,7 +57,6 @@ let create ~net ~registry ?(mode = Distributed) ?(update_policy = Lazy) () =
     uidgen = Ids.Uid.generator ();
     addr_oracle = Hashtbl.create 1024;
     owners = Ids.Uid_tbl.create 1024;
-    tracer = (let tr = Tracelog.create () in Tracelog.set_enabled tr false; tr);
     evlog = Trace_event.create_log ();
     obs = None;
     copyset_hist = Array.make 8 0;
@@ -89,7 +87,6 @@ let copyset_changed t ~was ~now =
   end
 
 let set_hooks t hooks = t.hooks <- hooks
-let tracer t = t.tracer
 let evlog t = t.evlog
 
 let set_metrics t m =
@@ -114,7 +111,6 @@ let ev t e = if Trace_event.enabled t.evlog then Trace_event.record t.evlog e
 let ev_actor = function App -> Trace_event.App | Gc -> Trace_event.Gc
 let ev_tok = function `Read -> Trace_event.Read | `Write -> Trace_event.Write
 
-let trace t category fmt = Tracelog.recordf t.tracer ~category fmt
 let net t = t.net
 let stats t = Net.stats t.net
 let registry t = t.registry
@@ -160,7 +156,27 @@ let bunches t =
    instead of funnelling through one authority. *)
 let shard_of t addr = Registry.shard_of_addr t.registry addr
 
-let actor_prefix = function App -> "dsm.app" | Gc -> "dsm.gc"
+(* Per-actor counter names as literals: the acquire and ownerPtr-hop
+   paths must not concatenate strings. *)
+let acquire_key actor kind =
+  match (actor, kind) with
+  | App, `Read -> "dsm.app.acquire_read"
+  | App, `Write -> "dsm.app.acquire_write"
+  | Gc, `Read -> "dsm.gc.acquire_read"
+  | Gc, `Write -> "dsm.gc.acquire_write"
+
+let acquire_local_key = function
+  | App -> "dsm.app.acquire_local"
+  | Gc -> "dsm.gc.acquire_local"
+
+let hops_key = function App -> "dsm.app.hops" | Gc -> "dsm.gc.hops"
+
+let invalidations_key = function
+  | App -> "dsm.app.invalidations"
+  | Gc -> "dsm.gc.invalidations"
+
+let faults_key = function App -> "dsm.app.faults" | Gc -> "dsm.gc.faults"
+
 let bump t name = Stats.incr (stats t) name
 let note_owner t ~uid ~node = Ids.Uid_tbl.replace t.owners uid node
 
@@ -275,7 +291,7 @@ let chase_owner t ~actor ~start uid =
       | Some r ->
           let next = r.Directory.prob_owner in
           Net.record_rpc t.net ~src:node ~dst:next ~kind:Net.Token_request ();
-          bump t (actor_prefix actor ^ ".hops");
+          bump t (hops_key actor);
           go next (node :: visited) (fuel - 1)
       | None -> (
           (* This node never heard of the object; the owner oracle stands in
@@ -284,7 +300,7 @@ let chase_owner t ~actor ~start uid =
           | Some owner ->
               if not (Ids.Node.equal owner node) then begin
                 Net.record_rpc t.net ~src:node ~dst:owner ~kind:Net.Token_request ();
-                bump t (actor_prefix actor ^ ".hops")
+                bump t (hops_key actor)
               end;
               (owner, List.rev visited)
           | None ->
@@ -313,7 +329,7 @@ let find_read_granter t ~actor ~start uid =
           | Some r ->
               let next = r.Directory.prob_owner in
               Net.record_rpc t.net ~src:node ~dst:next ~kind:Net.Token_request ();
-              bump t (actor_prefix actor ^ ".hops");
+              bump t (hops_key actor);
               go next (node :: visited) (fuel - 1)
           | None -> (
               match owner_of t uid with
@@ -321,7 +337,7 @@ let find_read_granter t ~actor ~start uid =
                   if not (Ids.Node.equal owner node) then begin
                     Net.record_rpc t.net ~src:node ~dst:owner
                       ~kind:Net.Token_request ();
-                    bump t (actor_prefix actor ^ ".hops")
+                    bump t (hops_key actor)
                   end;
                   (owner, List.rev visited)
               | None -> failwith "Protocol.find_read_granter: no owner")
@@ -335,7 +351,7 @@ let find_read_granter t ~actor ~start uid =
       if Ids.Node.equal first start then go start [] 64
       else begin
         Net.record_rpc t.net ~src:start ~dst:first ~kind:Net.Token_request ();
-        bump t (actor_prefix actor ^ ".hops");
+        bump t (hops_key actor);
         go first [ start ] 64
       end
 
@@ -530,8 +546,7 @@ let rec invalidate_subtree t ~actor ~skip node uid =
             if not (Net.is_down t.net peer) then begin
               Net.record_rpc t.net ~src:node ~dst:peer ~kind:Net.Invalidate ();
               ev t (Trace_event.Invalidate { src = node; dst = peer; uid });
-              trace t "dsm" "invalidate u%d at N%d (from N%d)" uid peer node;
-              bump t (actor_prefix actor ^ ".invalidations")
+              bump t (invalidations_key actor)
             end;
             invalidate_subtree t ~actor ~skip peer uid
           end)
@@ -564,12 +579,10 @@ let install_granted t ~node ~gaddr gobj =
   | Some (Store.Forwarder _) | None -> assert false
 
 let acquire t ?(actor = App) ~node:n addr kind =
-  let pfx = actor_prefix actor in
   let uid = locate t n addr in
   let s_n = store t n in
   let d_n = directory t n in
-  let kind_str = match kind with `Read -> "read" | `Write -> "write" in
-  bump t (pfx ^ ".acquire_" ^ kind_str);
+  bump t (acquire_key actor kind);
   ev t
     (Trace_event.Acquire_start
        { actor = ev_actor actor; node = n; uid; tok = ev_tok kind });
@@ -599,7 +612,7 @@ let acquire t ?(actor = App) ~node:n addr kind =
     | None -> false
   in
   if local_ok then begin
-    bump t (pfx ^ ".acquire_local");
+    bump t (acquire_local_key actor);
     let r = Option.get (Directory.find d_n uid) in
     r.Directory.held <- true;
     ev_done ();
@@ -671,8 +684,6 @@ let acquire t ?(actor = App) ~node:n addr kind =
           Net.record_piggyback t.net ~src:granter ~kind:Net.Token_grant
             ~bytes:(List.length updates * update_bytes)
             ?shard:(shard_of t gaddr) ();
-        trace t "dsm" "read grant u%d: N%d -> N%d (%d updates)" uid granter n
-          (List.length updates);
         let r_n =
           Directory.ensure d_n ~uid
             ~prob_owner:
@@ -766,8 +777,6 @@ let acquire t ?(actor = App) ~node:n addr kind =
           (* Ownership transfer: the old owner keeps an inconsistent copy
              (Figure 1: o3 marked "i" at N2) and its ownerPtr now exits
              towards the new owner. *)
-          trace t "dsm" "ownership u%d: N%d -> N%d (%d updates)" uid owner n
-            (List.length updates);
           o_rec.Directory.state <- Directory.Invalid;
           o_rec.Directory.is_owner <- false;
           o_rec.Directory.prob_owner <- n;
@@ -826,7 +835,7 @@ let demand_fetch t ?(actor = App) ~node:n addr =
   match Store.addr_of_uid s_n uid with
   | Some a -> a
   | None ->
-      bump t (actor_prefix actor ^ ".faults");
+      bump t (faults_key actor);
       let supplier, _ = chase_owner t ~actor ~start:n uid in
       let sup_store = store t supplier in
       let gaddr, gobj =
@@ -1034,8 +1043,7 @@ let adopt_ownership t ~node ~uid =
       Ids.Node_set.empty (replica_nodes t uid);
   copyset_changed t ~was:cs_was
     ~now:(Ids.Node_set.cardinal r.Directory.copyset);
-  ev t (Trace_event.Owner_adopted { node; uid });
-  trace t "dsm" "ownership of u%d adopted by N%d" uid node
+  ev t (Trace_event.Owner_adopted { node; uid })
 
 let exiting_ownerptrs t ~node ~bunch =
   let s = store t node in

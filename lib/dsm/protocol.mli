@@ -75,12 +75,6 @@ val set_metrics : t -> Bmx_obs.Metrics.t -> unit
     grant) and [dsm.grant.updates] (piggybacked location updates per
     grant, §4.4). *)
 
-val tracer : t -> Bmx_util.Tracelog.t
-(** The shared event trace; disabled by default (see
-    {!Bmx_util.Tracelog.set_enabled}).  The protocol records token
-    grants, ownership transfers and invalidations; the collector and the
-    cleaner record their phases into the same trace. *)
-
 val evlog : t -> Bmx_util.Trace_event.log
 (** The typed event log consumed by the trace linter
     ([Bmx_check.Lint]); disabled by default.  The acquire path records

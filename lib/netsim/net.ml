@@ -101,6 +101,37 @@ let comp_msgs_key = function
   | Component.Rvm -> "net.comp.msgs.rvm"
   | Component.App -> "net.comp.msgs.app"
 
+let kind_index = function
+  | Token_request -> 0
+  | Token_grant -> 1
+  | Invalidate -> 2
+  | Object_fetch -> 3
+  | Scion_message -> 4
+  | Stub_table -> 5
+  | Addr_update -> 6
+  | Reclaim_request -> 7
+  | Reclaim_reply -> 8
+  | Refcount_op -> 9
+  | App_message -> 10
+
+(* ["net.<family>.<kind>"] for every kind, built once per family. *)
+let per_kind family =
+  let names = Array.make (List.length all_kinds) "" in
+  List.iter
+    (fun k -> names.(kind_index k) <- family ^ kind_to_string k)
+    all_kinds;
+  fun kind -> names.(kind_index kind)
+
+let sent_key = per_kind "net.sent."
+let bytes_key = per_kind "net.bytes."
+let piggyback_key = per_kind "net.piggyback."
+let delivered_key = per_kind "net.delivered."
+let dropped_key = per_kind "net.dropped."
+let duplicated_key = per_kind "net.duplicated."
+let retransmit_key = per_kind "net.retransmit."
+let down_dropped_key = per_kind "net.down_dropped."
+let cut_dropped_key = per_kind "net.cut_dropped."
+
 type 'p envelope = {
   src : Ids.Node.t;
   dst : Ids.Node.t;
@@ -432,12 +463,12 @@ let shard_account_opt t ~kind ~shard ~bytes ?(count_msg = true) () =
   | Some s -> shard_account t ~kind ~shard:s ~bytes ~count_msg
 
 let account_bytes t ~src ~kind ~bytes =
-  Stats.incr t.stats ~by:bytes ("net.bytes." ^ kind_to_string kind);
+  Stats.incr t.stats ~by:bytes (bytes_key kind);
   Stats.incr t.stats ~by:bytes "net.bytes.total";
   comp_account_bytes t ~src ~kind ~bytes
 
 let account t ~src ~kind ~bytes =
-  Stats.incr t.stats ("net.sent." ^ kind_to_string kind);
+  Stats.incr t.stats (sent_key kind);
   Stats.incr t.stats "net.sent.total";
   comp_account_msg t ~src ~kind;
   account_bytes t ~src ~kind ~bytes
@@ -449,14 +480,14 @@ let transmit t env ~bytes =
   match Hashtbl.find_opt t.faults env.kind with
   | Some { drop; dup; rng } ->
       if Rng.float rng 1.0 < drop then begin
-        Stats.incr t.stats ("net.dropped." ^ kind_to_string env.kind);
+        Stats.incr t.stats (dropped_key env.kind);
         Stats.incr t.stats "net.dropped.total"
       end
       else begin
         account_bytes t ~src:env.src ~kind:env.kind ~bytes;
         Queue.add env t.queue;
         if Rng.float rng 1.0 < dup then begin
-          Stats.incr t.stats ("net.duplicated." ^ kind_to_string env.kind);
+          Stats.incr t.stats (duplicated_key env.kind);
           Stats.incr t.stats "net.duplicated.total";
           account_bytes t ~src:env.src ~kind:env.kind ~bytes;
           Queue.add env t.queue
@@ -474,7 +505,7 @@ let send t ~src ~dst ~kind ?(bytes = 64) ?shard payload =
     let rel = next_rseq t ~src ~dst in
     let env = { src; dst; kind; seq; rel; payload } in
     (* One logical send, however many transmissions it takes. *)
-    Stats.incr t.stats ("net.sent." ^ kind_to_string kind);
+    Stats.incr t.stats (sent_key kind);
     Stats.incr t.stats "net.sent.total";
     comp_account_msg t ~src ~kind;
     let u =
@@ -497,14 +528,14 @@ let send t ~src ~dst ~kind ?(bytes = 64) ?shard payload =
     match Hashtbl.find_opt t.faults kind with
     | Some { drop; dup; rng } ->
         if Rng.float rng 1.0 < drop then begin
-          Stats.incr t.stats ("net.dropped." ^ kind_to_string kind);
+          Stats.incr t.stats (dropped_key kind);
           Stats.incr t.stats "net.dropped.total"
         end
         else begin
           account t ~src ~kind ~bytes;
           Queue.add env t.queue;
           if Rng.float rng 1.0 < dup then begin
-            Stats.incr t.stats ("net.duplicated." ^ kind_to_string kind);
+            Stats.incr t.stats (duplicated_key kind);
             Stats.incr t.stats "net.duplicated.total";
             account t ~src ~kind ~bytes;
             Queue.add env t.queue
@@ -534,8 +565,8 @@ let record_rpc t ~src ~dst ~kind ?(bytes = 64) ?shard () =
 
 let record_piggyback t ~src ~kind ~bytes ?shard () =
   shard_account_opt t ~kind ~shard ~bytes ();
-  Stats.incr t.stats ("net.piggyback." ^ kind_to_string kind);
-  Stats.incr t.stats ~by:bytes ("net.bytes." ^ kind_to_string kind);
+  Stats.incr t.stats (piggyback_key kind);
+  Stats.incr t.stats ~by:bytes (bytes_key kind);
   Stats.incr t.stats ~by:bytes "net.bytes.total";
   Stats.incr t.stats ~by:bytes "net.bytes.piggyback";
   comp_account_bytes t ~src ~kind ~bytes
@@ -583,7 +614,7 @@ let handoff t env =
     | Some h -> h
     | None -> failwith "Net.step: no handler installed"
   in
-  Stats.incr t.stats ("net.delivered." ^ kind_to_string env.kind);
+  Stats.incr t.stats (delivered_key env.kind);
   ev_delivered t ~src:env.src ~dst:env.dst ~kind:env.kind ~seq:env.seq
     ~rel:(env.rel > 0);
   handler env
@@ -593,14 +624,14 @@ let deliver t env =
     (* The destination host is dead: the message evaporates.  Reliable
        messages stay in the sender's retransmission buffer and are
        retried when (if) the node returns. *)
-    Stats.incr t.stats ("net.down_dropped." ^ kind_to_string env.kind);
+    Stats.incr t.stats (down_dropped_key env.kind);
     Stats.incr t.stats "net.down_dropped.total"
   end
   else if Hashtbl.mem t.cut (env.src, env.dst) then begin
     (* The directed link is cut: the transmission blackholes.  As with a
        dead destination, reliable messages survive in the sender's
        retransmission buffer and land after heal. *)
-    Stats.incr t.stats ("net.cut_dropped." ^ kind_to_string env.kind);
+    Stats.incr t.stats (cut_dropped_key env.kind);
     Stats.incr t.stats "net.cut_dropped.total"
   end
   else if env.rel = 0 then handoff t env
@@ -739,7 +770,7 @@ let tick ?(dt = 1) t =
     u.u_interval <- interval;
     u.u_due <- t.now + interval;
     incr retransmitted;
-    Stats.incr t.stats ("net.retransmit." ^ kind_to_string u.u_env.kind);
+    Stats.incr t.stats (retransmit_key u.u_env.kind);
     Stats.incr t.stats "net.retransmit.total";
     ev t
       (Trace_event.Msg_retransmit
@@ -905,7 +936,7 @@ let current_seq t ~src ~dst =
   match Hashtbl.find_opt t.seqs (src, dst) with Some r -> !r | None -> 0
 let set_fault t ~kind ~drop ~dup ~rng = Hashtbl.replace t.faults kind { drop; dup; rng }
 let clear_faults t = Hashtbl.reset t.faults
-let sent t kind = Stats.get t.stats ("net.sent." ^ kind_to_string kind)
+let sent t kind = Stats.get t.stats (sent_key kind)
 let total_messages t = Stats.get t.stats "net.sent.total"
 let total_bytes t = Stats.get t.stats "net.bytes.total"
 
@@ -913,7 +944,7 @@ let component_bytes t comp =
   List.fold_left
     (fun acc k ->
       if Component.of_kind k = comp then
-        acc + Stats.get t.stats ("net.bytes." ^ kind_to_string k)
+        acc + Stats.get t.stats (bytes_key k)
       else acc)
     0 all_kinds
 

@@ -5,21 +5,6 @@ type t = {
   certified : bool option;
 }
 
-let latency_family (s : Span.t) =
-  match s.Span.name with
-  | "acquire.read" ->
-      Some
-        (if s.Span.track = Span.Gc then "token_acquire.gc"
-         else "token_acquire.read")
-  | "acquire.write" ->
-      Some
-        (if s.Span.track = Span.Gc then "token_acquire.gc"
-         else "token_acquire.write")
-  | "gc.bgc" | "gc.ggc" -> Some "gc.pause"
-  | name when String.length name > 4 && String.sub name 0 4 = "msg." ->
-      Some ("msg." ^ String.sub name 4 (String.length name - 4))
-  | _ -> None
-
 let of_events ~metrics timed =
   let spans = Span.of_events timed in
   (* Created at zero so the non-interference number is in every report,
@@ -31,9 +16,11 @@ let of_events ~metrics timed =
       | "acquire.read" | "acquire.write" when ev.Span.track = Span.Gc ->
           Metrics.incr metrics "gc.token_acquires"
       | _ -> ());
-      match (latency_family ev, ev.Span.dur) with
+      match (ev.Span.family, ev.Span.dur) with
       | Some fam, Some d ->
-          Metrics.observe metrics ("latency." ^ fam) (float_of_int d)
+          Metrics.observe metrics
+            ("latency." ^ Span.family_name fam)
+            (float_of_int d)
       | _ -> ())
     spans;
   let snap = Metrics.snapshot metrics in
@@ -98,14 +85,3 @@ let to_text t =
                erasure holds)"
             else "NO (happens-before certificate failed)")));
   Buffer.contents buf
-
-let to_json t =
-  Json.Obj
-    [
-      ("metrics", Metrics.to_json t.snap);
-      ("spans", Json.Int (List.length t.spans));
-      ("gc_token_acquires", Json.Int t.gc_acquires);
-      ( "certified",
-        match t.certified with None -> Json.Null | Some v -> Json.Bool v );
-      ("ok", Json.Bool (ok t));
-    ]

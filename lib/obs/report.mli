@@ -1,10 +1,10 @@
 (** End-of-run observability report.
 
     Combines a metrics registry snapshot with latency histograms derived
-    from the span layer: every finished span feeds a
-    [latency.<family>] histogram ([latency.token_acquire.read],
-    [latency.token_acquire.write], [latency.gc.pause],
-    [latency.msg.<kind>]), in virtual µsteps.
+    from the span layer: every finished span with a {!Span.family} feeds
+    its [latency.<family>] histogram ([latency.token_acquire.read],
+    [latency.token_acquire.write], [latency.token_acquire.gc],
+    [latency.gc.pause], [latency.msg.<kind>]), in virtual µsteps.
 
     The paper's non-interference claim (§5) is surfaced as the
     [gc.token_acquires] counter — the number of token acquisitions
@@ -31,8 +31,7 @@ val ok : t -> bool
 val with_certified : t -> bool -> t
 (** Attach the happens-before certifier's verdict ([Bmx_check.Races],
     computed by the caller — the observability layer does not depend on
-    the checker).  Renders next to [gc.token_acquires] in {!to_text}
-    and as a ["certified"] field in {!to_json}. *)
+    the checker).  Renders next to [gc.token_acquires] in {!to_text}. *)
 
 val certified : t -> bool option
 (** [None] when no certificate was attached. *)
@@ -42,5 +41,3 @@ val latency : t -> string -> Metrics.summary option
 
 val to_text : t -> string
 (** Metrics table, latency percentile table, non-interference verdict. *)
-
-val to_json : t -> Json.t

@@ -10,15 +10,16 @@
      Metrics.snapshot — the sampling path must stay allocation-bounded
      and heap-size-independent, see Perfcount.obs_sample_work);
    - latency.* histograms are derived live from the typed Trace_event
-     stream (acquire start/done, gc begin/end, msg sent/delivered),
-     mirroring Report's families, into per-window bounded reservoirs
-     (Vitter's algorithm R with a private deterministic Rng per series)
-     so p50/p99/p999 are queryable over any window interval;
+     stream by Span's pairing (the one begin/end matcher, which also
+     feeds Report), one histogram per Span.family, into per-window
+     bounded reservoirs (Stats.Summary's algorithm R step with a private
+     deterministic Rng per series) so p50/p99/p999 are queryable over
+     any window interval;
    - any other Metrics.observe samples reach the windows through the
      registry's observer hook.
 
-   Windows export as JSONL (one window per line, re-parseable) and as
-   Perfetto "C" counter-track events. *)
+   Windows export as JSONL (one window per line) and as Perfetto "C"
+   counter-track events. *)
 
 open Bmx_util
 module T = Trace_event
@@ -64,11 +65,8 @@ type t = {
   mutable frozen : bool;
   mutable closed : int;
   mutable on_window : (t -> unit) option;
-  (* open-interval state for live latency derivation *)
-  open_acq : (T.actor * Ids.Node.t * Ids.Uid.t * T.tok, int) Hashtbl.t;
-  open_gc : (Ids.Node.t, int) Hashtbl.t;
-  open_msg : (Ids.Node.t * Ids.Node.t * string * int, int) Hashtbl.t;
-  msg_keys : (string, key) Hashtbl.t;  (* kind -> interned latency key *)
+  pairing : int Span.pairing;  (* open intervals hold their begin time *)
+  family_cols : (Span.family, int) Hashtbl.t;  (* family -> hcol index *)
   seed : int;
 }
 
@@ -98,10 +96,8 @@ let create ?(window = default_window) ?(slots = default_slots)
     frozen = false;
     closed = 0;
     on_window = None;
-    open_acq = Hashtbl.create 32;
-    open_gc = Hashtbl.create 8;
-    open_msg = Hashtbl.create 64;
-    msg_keys = Hashtbl.create 16;
+    pairing = Span.pairing (fun ts _ -> ts);
+    family_cols = Hashtbl.create 16;
     seed;
   }
 
@@ -168,6 +164,15 @@ let hcol_index t key =
       Hashtbl.replace t.hindex key i;
       i
 
+(* The latency column of a family, its name built on first use only. *)
+let family_col t f =
+  match Hashtbl.find t.family_cols f with
+  | i -> i
+  | exception Not_found ->
+      let i = hcol_index t ("latency." ^ Span.family_name f, None) in
+      Hashtbl.add t.family_cols f i;
+      i
+
 (* --------------------------------------------------------- the clock *)
 
 let align t ts = ts - (ts mod t.window)
@@ -224,81 +229,39 @@ let freeze t =
 
 (* ------------------------------------------------------ observations *)
 
+(* Offer [x] to histogram column [i]'s reservoir in the current window. *)
+let add t i x =
+  let s = t.slots.(t.cur) in
+  if Array.length s.hwins <= i then begin
+    let n = Array.length s.hwins in
+    s.hwins <-
+      Array.init (Array.length t.hcols) (fun j ->
+          if j < n then s.hwins.(j)
+          else { hn = 0; hsamples = Array.make t.reservoir 0. })
+  end;
+  let hw = s.hwins.(i) in
+  hw.hn <- hw.hn + 1;
+  let j =
+    Stats.Summary.reservoir_slot t.hcols.(i).hrng ~n:hw.hn
+      ~cap:(Array.length hw.hsamples)
+  in
+  if j >= 0 then hw.hsamples.(j) <- x
+
 let observe t ts key x =
   if not t.frozen then begin
     note t ts;
-    let i = hcol_index t key in
-    let s = t.slots.(t.cur) in
-    if Array.length s.hwins <= i then begin
-      let n = Array.length s.hwins in
-      let grown =
-        Array.init (Array.length t.hcols) (fun j ->
-            if j < n then s.hwins.(j)
-            else { hn = 0; hsamples = Array.make t.reservoir 0. })
-      in
-      s.hwins <- grown
-    end;
-    let hw = s.hwins.(i) in
-    hw.hn <- hw.hn + 1;
-    let cap = Array.length hw.hsamples in
-    if hw.hn <= cap then hw.hsamples.(hw.hn - 1) <- x
-    else begin
-      let j = Rng.int t.hcols.(i).hrng hw.hn in
-      if j < cap then hw.hsamples.(j) <- x
-    end
+    add t (hcol_index t key) x
   end
-
-(* Live latency families, mirroring Report: token_acquire.{gc,read,write},
-   gc.pause, msg.<kind>. *)
-let lat_acquire_gc : key = ("latency.token_acquire.gc", None)
-let lat_acquire_read : key = ("latency.token_acquire.read", None)
-let lat_acquire_write : key = ("latency.token_acquire.write", None)
-let lat_gc_pause : key = ("latency.gc.pause", None)
-
-let msg_key t kind =
-  match Hashtbl.find_opt t.msg_keys kind with
-  | Some k -> k
-  | None ->
-      let k = ("latency.msg." ^ kind, None) in
-      Hashtbl.replace t.msg_keys kind k;
-      k
 
 let event t ts e =
   if not t.frozen then begin
     note t ts;
-    match e with
-    | T.Acquire_start { actor; node; uid; tok } ->
-        Hashtbl.replace t.open_acq (actor, node, uid, tok) ts
-    | T.Acquire_done { actor; node; uid; tok; _ } -> (
-        let k = (actor, node, uid, tok) in
-        match Hashtbl.find_opt t.open_acq k with
-        | None -> ()
-        | Some start ->
-            Hashtbl.remove t.open_acq k;
-            let fam =
-              match (actor, tok) with
-              | T.Gc, _ -> lat_acquire_gc
-              | T.App, T.Read -> lat_acquire_read
-              | T.App, T.Write -> lat_acquire_write
-            in
-            observe t ts fam (float_of_int (ts - start)))
-    | T.Gc_begin { node; _ } -> Hashtbl.replace t.open_gc node ts
-    | T.Gc_end { node; _ } -> (
-        match Hashtbl.find_opt t.open_gc node with
-        | None -> ()
-        | Some start ->
-            Hashtbl.remove t.open_gc node;
-            observe t ts lat_gc_pause (float_of_int (ts - start)))
-    | T.Msg_sent { src; dst; kind; seq; _ } ->
-        Hashtbl.replace t.open_msg (src, dst, kind, seq) ts
-    | T.Msg_delivered { src; dst; kind; seq; _ } -> (
-        let k = (src, dst, kind, seq) in
-        match Hashtbl.find_opt t.open_msg k with
-        | None -> ()
-        | Some start ->
-            Hashtbl.remove t.open_msg k;
-            observe t ts (msg_key t kind) (float_of_int (ts - start)))
-    | _ -> ()
+    match Span.step t.pairing ts e with
+    | Span.Ended start -> (
+        match Span.family e with
+        | Some f -> add t (family_col t f) (float_of_int (ts - start))
+        | None -> ())
+    | Span.Began | Span.Unmatched | Span.Retransmitted _ | Span.Unpaired -> ()
   end
 
 let attach t log =
@@ -388,28 +351,10 @@ let sample_count t ?node ~since ~until name =
         0
         (overlapping t ~since ~until)
 
-(* Same round-to-nearest-rank estimator as Stats.Summary.percentile, so
-   a merged window interval that saw every sample reproduces the
-   whole-run reservoir exactly. *)
-let percentile_of arr p =
-  let len = Array.length arr in
-  if len = 0 then 0.
-  else begin
-    let arr = Array.copy arr in
-    Array.sort Float.compare arr;
-    let rank = p /. 100. *. float_of_int (len - 1) in
-    let lo = int_of_float (Float.round rank) in
-    arr.(Stdlib.max 0 (Stdlib.min (len - 1) lo))
-  end
-
+(* Stats.Summary's estimator, so a merged window interval that saw every
+   sample reproduces the whole-run reservoir exactly. *)
 let percentile t ?node ~since ~until name p =
-  percentile_of (gather t ?node ~since ~until name) p
-
-let histo_names t =
-  Array.to_list (Array.map (fun h -> h.hkey) t.hcols)
-
-let numeric_names t =
-  Array.to_list (Array.map (fun c -> c.nkey) t.ncols)
+  Stats.Summary.nearest_rank (gather t ?node ~since ~until name) p
 
 (* ------------------------------------------------------------- export *)
 
@@ -468,139 +413,15 @@ let to_jsonl t =
     (used_slots t);
   Buffer.contents buf
 
-(* Rebuild a frozen, queryable series from its own JSONL.  Columns are
-   keyed by (name, node); values missing from a line read as absent
-   (shorter per-slot arrays), matching how a live series grows. *)
-let of_jsonl text =
-  let lines =
-    String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
-  in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> (
-        match Json.parse line with
-        | Error e -> err "bad JSONL line: %s" e
-        | Ok j -> go (j :: acc) rest)
-  in
-  match go [] lines with
-  | Error _ as e -> e
-  | Ok [] -> Error "empty timeseries"
-  | Ok (first :: _ as windows) -> (
-      let int_m name j =
-        match Json.member name j with Some (Json.Int i) -> Some i | _ -> None
-      in
-      match (int_m "t0" first, int_m "t1" first) with
-      | Some t0, Some t1 when t1 > t0 ->
-          let w = t1 - t0 in
-          let t =
-            create ~window:w ~slots:(Stdlib.max 1 (List.length windows)) ()
-          in
-          let nkind : (key, bool) Hashtbl.t = Hashtbl.create 32 in
-          let ncol_index key is_counter =
-            match Hashtbl.find_opt t.nindex key with
-            | Some i -> i
-            | None ->
-                let i = Array.length t.ncols in
-                Hashtbl.replace nkind key is_counter;
-                t.ncols <-
-                  Array.append t.ncols
-                    [|
-                      {
-                        nkey = key;
-                        nsrc = Metrics.S_gauge (ref 0);
-                        prev = 0;
-                        nis_counter = is_counter;
-                      };
-                    |];
-                Hashtbl.replace t.nindex key i;
-                i
-          in
-          let key_of j =
-            match Json.member "name" j with
-            | Some (Json.String name) ->
-                let node =
-                  match Json.member "node" j with
-                  | Some (Json.Int n) -> Some n
-                  | _ -> None
-                in
-                Some ((name, node) : key)
-            | _ -> None
-          in
-          let ok = ref true in
-          List.iteri
-            (fun wi j ->
-              let s = t.slots.(wi) in
-              s.t0 <- (match int_m "t0" j with Some v -> v | None -> 0);
-              s.used <- true;
-              let load_numeric field is_counter =
-                match Json.member field j with
-                | Some (Json.List l) ->
-                    List.iter
-                      (fun entry ->
-                        match (key_of entry, int_m "v" entry) with
-                        | Some key, Some v ->
-                            let i = ncol_index key is_counter in
-                            if Array.length s.nvals <= i then begin
-                              let old = s.nvals in
-                              s.nvals <- Array.make (i + 1) 0;
-                              Array.blit old 0 s.nvals 0 (Array.length old)
-                            end;
-                            s.nvals.(i) <- v
-                        | _ -> ok := false)
-                      l
-                | _ -> ()
-              in
-              load_numeric "counters" true;
-              load_numeric "gauges" false;
-              (match Json.member "histos" j with
-              | Some (Json.List l) ->
-                  List.iter
-                    (fun entry ->
-                      match (key_of entry, int_m "n" entry) with
-                      | Some key, Some n -> (
-                          let i = hcol_index t key in
-                          if Array.length s.hwins <= i then begin
-                            let old = s.hwins in
-                            s.hwins <-
-                              Array.init (i + 1) (fun j ->
-                                  if j < Array.length old then old.(j)
-                                  else { hn = 0; hsamples = [||] })
-                          end;
-                          match Json.member "samples" entry with
-                          | Some (Json.List samples) ->
-                              let arr =
-                                Array.of_list
-                                  (List.filter_map
-                                     (function
-                                       | Json.Float f -> Some f
-                                       | Json.Int i -> Some (float_of_int i)
-                                       | _ -> None)
-                                     samples)
-                              in
-                              s.hwins.(i) <- { hn = n; hsamples = arr }
-                          | _ -> ok := false)
-                      | _ -> ok := false)
-                    l
-              | _ -> ());
-              t.closed <- t.closed + 1)
-            windows;
-          t.frozen <- true;
-          if !ok then Ok t else Error "malformed series entry"
-      | _ -> err "first window lacks t0/t1")
-
 (* Perfetto counter tracks: one "C" event per numeric column per window
    (node-labelled series go to their node's process, cluster-wide to
    pid 0). *)
-let perfetto_counters ?names t =
-  let wanted (name, _) =
-    match names with None -> true | Some l -> List.mem name l
-  in
+let perfetto_counters t =
   List.concat_map
     (fun s ->
       let l = ref [] in
       for i = Array.length s.nvals - 1 downto 0 do
-        if i < Array.length t.ncols && wanted t.ncols.(i).nkey then begin
+        if i < Array.length t.ncols then begin
           let name, node = t.ncols.(i).nkey in
           l :=
             Json.Obj
@@ -616,12 +437,3 @@ let perfetto_counters ?names t =
       done;
       !l)
     (used_slots t)
-
-(* Offline replay: rebuild latency series (and window structure) from a
-   timed event trace — bmxctl report --since/--until uses this when all
-   it has is a trace file. *)
-let replay ?window ?slots ?reservoir timed =
-  let t = create ?window ?slots ?reservoir () in
-  List.iter (fun (ts, e) -> event t ts e) timed;
-  freeze t;
-  t

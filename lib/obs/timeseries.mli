@@ -4,9 +4,11 @@
     ({!Bmx_util.Trace_event} timestamps, {!Bmx_util.Trace_event.quantum}
     µsteps per [Net.now] tick) and keeps a bounded ring of them:
     counters and gauges sampled from a {!Metrics} registry at each
-    window close, plus windowed reservoir histograms ([latency.*]
-    derived live from the typed event stream) so p50/p99/p999 are
-    queryable over any interval.  The sampling path reads cached cell
+    window close, plus windowed reservoir histograms so p50/p99/p999
+    are queryable over any interval.  The [latency.*] histograms come
+    live from the typed event stream through {!Span}'s pairing, one per
+    {!Span.family} — the same intervals {!Report} folds over the whole
+    run.  The sampling path reads cached cell
     references — no snapshot lists — and charges
     [Perfcount.obs_sample_work] per column per close, keeping the
     observer effect allocation-bounded and heap-size-independent.
@@ -42,12 +44,11 @@ val closed_windows : t -> int
 (** {1 Feeding} *)
 
 val attach : t -> Trace_event.log -> unit
-(** Wire the series to a live run: taps the event log (latency
-    derivation + clock advance) and, when a [metrics] registry was
-    given, installs its sample observer. *)
-
-val event : t -> int -> Trace_event.t -> unit
-(** Feed one timed event by hand (what the tap calls). *)
+(** Wire the series to a live run: taps the event log and, when a
+    [metrics] registry was given, installs its sample observer.  Every
+    event advances the clock; an end event that closes an interval
+    samples its family's latency, and an end with no open begin samples
+    nothing. *)
 
 val note : t -> int -> unit
 (** Advance virtual time without an event (e.g. from a [Net] tick hook);
@@ -79,32 +80,21 @@ val gauge_last :
 val percentile :
   t -> ?node:Ids.Node.t -> since:int -> until:int -> string -> float -> float
 (** Merge the reservoirs of every overlapping window and estimate with
-    the same round-to-nearest-rank rule as
+    [Stats.Summary.nearest_rank], the rule behind
     [Stats.Summary.percentile] — exact whenever no window evicted. *)
 
 val sample_count :
   t -> ?node:Ids.Node.t -> since:int -> until:int -> string -> int
 (** Samples {e offered} (not merely retained) over the interval. *)
 
-val numeric_names : t -> key list
-val histo_names : t -> key list
-
 (** {1 Export} *)
 
 val to_jsonl : t -> string
 (** One JSON object per window (oldest first):
     [{"t0","t1","counters":[{"name","node"?,"v"}...],"gauges":[...],
-    "histos":[{"name","node"?,"n","samples":[...]}]}]. *)
+    "histos":[{"name","node"?,"n","samples":[...]}]}].
+    [bmxctl report --selfcheck] parses it back with {!Json.parse}. *)
 
-val of_jsonl : string -> (t, string) result
-(** Rebuild a frozen, queryable series from {!to_jsonl} output. *)
-
-val perfetto_counters : ?names:string list -> t -> Json.t list
+val perfetto_counters : t -> Json.t list
 (** Perfetto counter-track ("C") events, one per numeric column per
-    window; [names] filters series names.  Merge into a trace via
-    {!Perfetto.to_json}'s [?extra]. *)
-
-val replay : ?window:int -> ?slots:int -> ?reservoir:int -> (int * Trace_event.t) list -> t
-(** Offline: derive the latency series from a timed trace (counters and
-    gauges are unavailable without a live registry).  Returns a frozen
-    series. *)
+    window.  Merge into a trace via {!Perfetto.to_json}'s [?extra]. *)

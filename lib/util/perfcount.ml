@@ -16,7 +16,6 @@
 type t = {
   (* driver legality memo (lib/workload/driver.ml + reach.ml) *)
   mutable memo_invalidations : int;  (* removal epochs: root drops, edge overwrites *)
-  mutable memo_full_rebuilds : int;  (* from-scratch BFS over the mirror graph *)
   mutable memo_resyncs : int;  (* full mirror re-extractions from the cluster *)
   mutable reach_nodes_touched : int;  (* graph nodes visited by queries/rebuilds *)
   (* collector (lib/core/collect.ml) *)
@@ -46,7 +45,6 @@ type t = {
 
 let counters = {
   memo_invalidations = 0;
-  memo_full_rebuilds = 0;
   memo_resyncs = 0;
   reach_nodes_touched = 0;
   gc_objects_touched = 0;
@@ -66,7 +64,6 @@ let counters = {
 
 type snapshot = {
   s_memo_invalidations : int;
-  s_memo_full_rebuilds : int;
   s_memo_resyncs : int;
   s_reach_nodes_touched : int;
   s_gc_objects_touched : int;
@@ -86,7 +83,6 @@ type snapshot = {
 
 let snapshot () = {
   s_memo_invalidations = counters.memo_invalidations;
-  s_memo_full_rebuilds = counters.memo_full_rebuilds;
   s_memo_resyncs = counters.memo_resyncs;
   s_reach_nodes_touched = counters.reach_nodes_touched;
   s_gc_objects_touched = counters.gc_objects_touched;
@@ -106,7 +102,6 @@ let snapshot () = {
 
 let diff ~before ~after = {
   s_memo_invalidations = after.s_memo_invalidations - before.s_memo_invalidations;
-  s_memo_full_rebuilds = after.s_memo_full_rebuilds - before.s_memo_full_rebuilds;
   s_memo_resyncs = after.s_memo_resyncs - before.s_memo_resyncs;
   s_reach_nodes_touched = after.s_reach_nodes_touched - before.s_reach_nodes_touched;
   s_gc_objects_touched = after.s_gc_objects_touched - before.s_gc_objects_touched;
@@ -123,37 +118,3 @@ let diff ~before ~after = {
   s_gc_ns_recv_full = after.s_gc_ns_recv_full - before.s_gc_ns_recv_full;
   s_gc_ns_recv_self = after.s_gc_ns_recv_self - before.s_gc_ns_recv_self;
 }
-
-let reset () =
-  counters.memo_invalidations <- 0;
-  counters.memo_full_rebuilds <- 0;
-  counters.memo_resyncs <- 0;
-  counters.reach_nodes_touched <- 0;
-  counters.gc_objects_touched <- 0;
-  counters.gc_table_entries <- 0;
-  counters.store_cells_touched <- 0;
-  counters.flat_words_copied <- 0;
-  counters.obs_sample_work <- 0;
-  counters.gc_ns_trace <- 0;
-  counters.gc_ns_flip <- 0;
-  counters.gc_ns_copy <- 0;
-  counters.gc_ns_scan <- 0;
-  counters.gc_ns_reconcile <- 0;
-  counters.gc_ns_recv_delta <- 0;
-  counters.gc_ns_recv_full <- 0;
-  counters.gc_ns_recv_self <- 0
-
-let pp ppf s =
-  Format.fprintf ppf
-    "@[<v>memo: invalidations=%d rebuilds=%d resyncs=%d reach-touched=%d@,\
-     gc: objects=%d table-entries=%d@,\
-     memory: cells=%d words-copied=%d@,\
-     obs: sample-work=%d@,\
-     gc-phase-ns: trace=%d flip=%d copy=%d scan=%d reconcile=%d@,\
-     cleaner-recv-ns: delta=%d full=%d self=%d@]"
-    s.s_memo_invalidations s.s_memo_full_rebuilds s.s_memo_resyncs
-    s.s_reach_nodes_touched s.s_gc_objects_touched s.s_gc_table_entries
-    s.s_store_cells_touched s.s_flat_words_copied s.s_obs_sample_work
-    s.s_gc_ns_trace s.s_gc_ns_flip s.s_gc_ns_copy s.s_gc_ns_scan
-    s.s_gc_ns_reconcile s.s_gc_ns_recv_delta s.s_gc_ns_recv_full
-    s.s_gc_ns_recv_self

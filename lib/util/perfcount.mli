@@ -12,7 +12,6 @@
 
 type t = {
   mutable memo_invalidations : int;
-  mutable memo_full_rebuilds : int;
   mutable memo_resyncs : int;
   mutable reach_nodes_touched : int;
   mutable gc_objects_touched : int;
@@ -46,7 +45,6 @@ val counters : t
 
 type snapshot = {
   s_memo_invalidations : int;
-  s_memo_full_rebuilds : int;
   s_memo_resyncs : int;
   s_reach_nodes_touched : int;
   s_gc_objects_touched : int;
@@ -66,5 +64,3 @@ type snapshot = {
 
 val snapshot : unit -> snapshot
 val diff : before:snapshot -> after:snapshot -> snapshot
-val reset : unit -> unit
-val pp : Format.formatter -> snapshot -> unit

@@ -37,7 +37,6 @@ module Summary = struct
     mutable min : float;
     mutable max : float;
     samples : float array;
-    mutable filled : int;
     rng : Rng.t;
   }
 
@@ -51,9 +50,18 @@ module Summary = struct
       min = infinity;
       max = neg_infinity;
       samples = Array.make reservoir_capacity 0.;
-      filled = 0;
       rng = Rng.make seed;
     }
+
+  (* Vitter's algorithm R: every sample has an equal chance of sitting in
+     the reservoir, so percentiles over it are unbiased estimates.  It
+     returns a slot rather than storing, so it serves any sample array
+     and no float crosses the call. *)
+  let reservoir_slot rng ~n ~cap =
+    if n <= cap then n - 1
+    else
+      let j = Rng.int rng n in
+      if j < cap then j else -1
 
   let add t x =
     t.n <- t.n + 1;
@@ -62,16 +70,8 @@ module Summary = struct
     t.m2 <- t.m2 +. (delta *. (x -. t.mean));
     if x < t.min then t.min <- x;
     if x > t.max then t.max <- x;
-    (* Vitter's algorithm R: every sample has an equal chance of sitting in
-       the reservoir, so percentiles over it are unbiased estimates. *)
-    if t.filled < reservoir_capacity then begin
-      t.samples.(t.filled) <- x;
-      t.filled <- t.filled + 1
-    end
-    else begin
-      let j = Rng.int t.rng t.n in
-      if j < reservoir_capacity then t.samples.(j) <- x
-    end
+    let j = reservoir_slot t.rng ~n:t.n ~cap:reservoir_capacity in
+    if j >= 0 then t.samples.(j) <- x
 
   let n t = t.n
   let mean t = if t.n = 0 then 0. else t.mean
@@ -80,13 +80,16 @@ module Summary = struct
   let max t = if t.n = 0 then 0. else t.max
   let total t = t.mean *. float_of_int t.n
 
-  let percentile t p =
-    if t.filled = 0 then 0.
+  let nearest_rank arr p =
+    let len = Array.length arr in
+    if len = 0 then 0.
     else begin
-      let arr = Array.sub t.samples 0 t.filled in
       Array.sort Float.compare arr;
-      let rank = p /. 100. *. float_of_int (Array.length arr - 1) in
+      let rank = p /. 100. *. float_of_int (len - 1) in
       let lo = int_of_float (Float.round rank) in
-      arr.(Stdlib.max 0 (Stdlib.min (Array.length arr - 1) lo))
+      arr.(Stdlib.max 0 (Stdlib.min (len - 1) lo))
     end
+
+  let percentile t p =
+    nearest_rank (Array.sub t.samples 0 (Stdlib.min t.n reservoir_capacity)) p
 end

@@ -55,4 +55,18 @@ module Summary : sig
   val percentile : t -> float -> float
   (** [percentile t p] for [p] in [0,100]; exact up to
       {!reservoir_capacity} samples, reservoir-estimated beyond. *)
+
+  (** {2 The estimator's two steps}, shared with the windowed reservoirs
+      of the virtual-time series so both estimate alike. *)
+
+  val reservoir_slot : Rng.t -> n:int -> cap:int -> int
+  (** Where the [n]-th sample offered (1-based) goes in a reservoir of
+      [cap] slots: slot [n - 1] while the reservoir fills, then a draw
+      from [rng] that keeps it with probability [cap / n]; [-1] discards
+      it.  {!add} is this step over the {!reservoir_capacity} slots. *)
+
+  val nearest_rank : float array -> float -> float
+  (** [nearest_rank samples p] sorts [samples] in place and picks the
+      round-to-nearest-rank [p]-th percentile; [0.] when empty.
+      {!percentile} is this pick over the retained samples. *)
 end

@@ -1,12 +1,13 @@
 (** Structured protocol/GC event trace for mechanical verification.
 
-    Unlike {!Tracelog} (free-form strings for humans), this log records
-    {e typed} events that the offline linter ([Bmx_check.Lint]) can
-    replay against the protocol state machine: token acquisitions with
-    their acting subsystem, grant messages with their piggybacked
-    location-update counts, the §5 invariant hook firings, copy-set
-    forwards, GC phase boundaries, and every network message with its
-    per-pair sequence number.
+    The one event log.  It records {e typed} events: the offline linter
+    ([Bmx_check.Lint]) replays them against the protocol state machine,
+    the observability layer pairs them into spans and latency series,
+    and [bmxctl workload --trace] prints them.  They cover token
+    acquisitions with their acting subsystem, grant messages with their
+    piggybacked location-update counts, the §5 invariant hook firings,
+    copy-set forwards, GC phase boundaries, and every network message
+    with its per-pair sequence number.
 
     The log is an append-only buffer owned by the protocol instance and
     shared with the network simulator and the collector; it is disabled

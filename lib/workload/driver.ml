@@ -16,7 +16,6 @@ type config = {
   seed : int;
   mode : Bmx_dsm.Protocol.mode;
   update_policy : Bmx_dsm.Protocol.update_policy;
-  full_rescan_legality : bool;
   shards : int;
   locality : int;
 }
@@ -35,7 +34,6 @@ let default =
     seed = 7;
     mode = Bmx_dsm.Protocol.Distributed;
     update_policy = Bmx_dsm.Protocol.Lazy;
-    full_rescan_legality = false;
     shards = 1;
     locality = 0;
   }
@@ -57,10 +55,6 @@ type t = {
   mutable root_is : int array;
   mutable root_head : int;
   mutable root_len : int;
-  (* Memoized from-scratch reachability, used only when the config asks
-     for [full_rescan_legality] — kept as the slow baseline the
-     complexity tests compare the mirror against. *)
-  mutable reach_cache : Ids.Uid_set.t option;
 }
 
 let cluster t = t.cluster
@@ -113,21 +107,6 @@ let root_pop t =
 (* A mutator can only name objects it can reach from a root: pointers come
    from roots or from fields of reachable objects.  The handle table is a
    testing convenience and must not resurrect unreachable objects. *)
-let invalidate_reachability t = t.reach_cache <- None
-
-let reachable_uid t uid =
-  let set =
-    match t.reach_cache with
-    | Some s -> s
-    | None ->
-        Perfcount.counters.Perfcount.memo_full_rebuilds <-
-          Perfcount.counters.Perfcount.memo_full_rebuilds + 1;
-        let s = Bmx.Audit.union_reachable t.cluster in
-        t.reach_cache <- Some s;
-        s
-  in
-  Ids.Uid_set.mem uid set
-
 let uid_of_handle t addr = Protocol.uid_of_addr (Cluster.proto t.cluster) addr
 
 (* Legality of operating on population index [i] through [addr]: the
@@ -136,69 +115,63 @@ let uid_of_handle t addr = Protocol.uid_of_addr (Cluster.proto t.cluster) addr
    address whose forwarder chain has been retired; the op on it would
    fail, so a real mutator could not issue it). *)
 let legal t i addr =
-  if t.cfg.full_rescan_legality then
-    match uid_of_handle t addr with
-    | Some uid -> reachable_uid t uid
-    | None -> false
-  else Reach.reachable t.reach i && uid_of_handle t addr <> None
+  Reach.reachable t.reach i && uid_of_handle t addr <> None
 
 (* Rebuild the mirror from cluster truth: per-slot edges read from each
    object's owner copy (the audit's authoritative-graph rule, with the
    same stale-replica fallback), roots from every node's root set.
    O(population) — run once per batch, amortized over the batch's ops. *)
 let resync t =
-  if not t.cfg.full_rescan_legality then begin
-    Perfcount.counters.Perfcount.memo_resyncs <-
-      Perfcount.counters.Perfcount.memo_resyncs + 1;
-    Reach.reset t.reach;
-    let proto = Cluster.proto t.cluster in
-    let module Store = Bmx_memory.Store in
-    let module Heap_obj = Bmx_memory.Heap_obj in
-    let copy_at node uid =
-      let store = Protocol.store proto node in
-      match Store.addr_of_uid store uid with
-      | None -> None
-      | Some a -> (
-          match Store.resolve store a with
-          | Some (_, obj) -> Some obj
-          | None -> None)
-    in
-    let arity = t.cfg.out_degree in
-    Array.iteri
-      (fun i uid ->
-        let obj =
-          match Protocol.owner_of proto uid with
-          | Some owner when copy_at owner uid <> None -> copy_at owner uid
-          | Some _ | None -> (
-              match Protocol.replica_nodes proto uid with
-              | n :: _ -> copy_at n uid
-              | [] -> None)
-        in
-        match obj with
-        | None -> () (* reclaimed — unreachable, no edges *)
-        | Some obj ->
-            Heap_obj.iteri_pointers obj (fun slot target ->
-                if slot < arity then
-                  match Protocol.uid_of_addr proto target with
-                  | Some tu -> (
-                      match Ids.Uid_tbl.find_opt t.uid_index tu with
-                      | Some j -> Reach.set_edge t.reach ~src:i ~slot j
-                      | None -> ())
-                  | None -> ()))
-      t.uids;
-    List.iter
-      (fun node ->
-        List.iter
-          (fun addr ->
-            match Protocol.uid_of_addr proto addr with
-            | Some uid -> (
-                match Ids.Uid_tbl.find_opt t.uid_index uid with
-                | Some i -> Reach.add_root t.reach i
-                | None -> ())
-            | None -> ())
-          (Cluster.roots t.cluster ~node))
-      (Cluster.nodes t.cluster)
-  end
+  Perfcount.counters.Perfcount.memo_resyncs <-
+    Perfcount.counters.Perfcount.memo_resyncs + 1;
+  Reach.reset t.reach;
+  let proto = Cluster.proto t.cluster in
+  let module Store = Bmx_memory.Store in
+  let module Heap_obj = Bmx_memory.Heap_obj in
+  let copy_at node uid =
+    let store = Protocol.store proto node in
+    match Store.addr_of_uid store uid with
+    | None -> None
+    | Some a -> (
+        match Store.resolve store a with
+        | Some (_, obj) -> Some obj
+        | None -> None)
+  in
+  let arity = t.cfg.out_degree in
+  Array.iteri
+    (fun i uid ->
+      let obj =
+        match Protocol.owner_of proto uid with
+        | Some owner when copy_at owner uid <> None -> copy_at owner uid
+        | Some _ | None -> (
+            match Protocol.replica_nodes proto uid with
+            | n :: _ -> copy_at n uid
+            | [] -> None)
+      in
+      match obj with
+      | None -> () (* reclaimed — unreachable, no edges *)
+      | Some obj ->
+          Heap_obj.iteri_pointers obj (fun slot target ->
+              if slot < arity then
+                match Protocol.uid_of_addr proto target with
+                | Some tu -> (
+                    match Ids.Uid_tbl.find_opt t.uid_index tu with
+                    | Some j -> Reach.set_edge t.reach ~src:i ~slot j
+                    | None -> ())
+                | None -> ()))
+    t.uids;
+  List.iter
+    (fun node ->
+      List.iter
+        (fun addr ->
+          match Protocol.uid_of_addr proto addr with
+          | Some uid -> (
+              match Ids.Uid_tbl.find_opt t.uid_index uid with
+              | Some i -> Reach.add_root t.reach i
+              | None -> ())
+          | None -> ())
+        (Cluster.roots t.cluster ~node))
+    (Cluster.nodes t.cluster)
 
 let setup cfg =
   let c =
@@ -246,7 +219,6 @@ let setup cfg =
       root_is = Array.make 8 0;
       root_head = 0;
       root_len = 0;
-      reach_cache = None;
     }
   in
   List.iter
@@ -297,23 +269,19 @@ let one_op t =
       (pick_local t node, node)
   in
   let addr = handle t ~node i in
-  let incremental = not t.cfg.full_rescan_legality in
   if not (legal t i addr) then () else
   if Rng.float t.rng 1.0 < t.cfg.root_churn_prob && t.root_len > 0 then begin
     (* Root churn: drop one root, add another — this is what creates
        garbage for the collector to find. *)
     let rn, ri = root_pop t in
     let removed = Cluster.remove_root_checked c ~node:rn (handle t ~node:rn ri) in
-    if incremental then begin
-      if removed then Reach.drop_root t.reach ri
-    end;
+    if removed then Reach.drop_root t.reach ri;
     let a = Cluster.acquire_read c ~node addr in
     Cluster.release c ~node a;
     set_handle t ~node i a;
     Cluster.add_root c ~node a;
     root_push t node i;
-    if incremental then Reach.add_root t.reach i
-    else invalidate_reachability t
+    Reach.add_root t.reach i
   end
   else if Rng.float t.rng 1.0 < t.cfg.write_prob then begin
     let a = Cluster.acquire_write c ~node addr in
@@ -328,9 +296,7 @@ let one_op t =
       let alive = legal t j target in
       if alive then Cluster.write c ~node a field (Value.Ref target)
       else Cluster.write c ~node a field Value.nil;
-      if incremental then
-        Reach.set_edge t.reach ~src:i ~slot:field (if alive then j else -1)
-      else invalidate_reachability t
+      Reach.set_edge t.reach ~src:i ~slot:field (if alive then j else -1)
     end
     else
       Cluster.write c ~node a t.cfg.out_degree (Value.Data (Rng.int t.rng 1000));
@@ -350,10 +316,7 @@ let run_ops t ?(resync_first = true) ?ops () =
      [resync_first:false] skips the O(population) re-extraction for
      callers that know only driver ops have run — the complexity tests
      use it to measure the steady-state per-op cost in isolation. *)
-  if resync_first then begin
-    invalidate_reachability t;
-    resync t
-  end;
+  if resync_first then resync t;
   for _ = 1 to n do
     (* An op may target an object that has legitimately died (its roots
        were all dropped and a collection ran): real mutators cannot name
@@ -362,25 +325,22 @@ let run_ops t ?(resync_first = true) ?ops () =
   done
 
 let check_memo t =
-  if t.cfg.full_rescan_legality then Ok ()
-  else begin
-    let truth = Bmx.Audit.union_reachable t.cluster in
-    let bad = ref [] in
-    Array.iteri
-      (fun i uid ->
-        let mirror = Reach.reachable t.reach i in
-        let oracle = Ids.Uid_set.mem uid truth in
-        if mirror <> oracle then bad := (i, mirror, oracle) :: !bad)
-      t.uids;
-    match !bad with
-    | [] -> Ok ()
-    | l ->
-        Error
-          (Printf.sprintf "legality memo diverged on %d object(s): %s"
-             (List.length l)
-             (String.concat ", "
-                (List.map
-                   (fun (i, m, o) ->
-                     Printf.sprintf "#%d mirror=%b oracle=%b" i m o)
-                   (List.filteri (fun k _ -> k < 8) (List.rev l)))))
-  end
+  let truth = Bmx.Audit.union_reachable t.cluster in
+  let bad = ref [] in
+  Array.iteri
+    (fun i uid ->
+      let mirror = Reach.reachable t.reach i in
+      let oracle = Ids.Uid_set.mem uid truth in
+      if mirror <> oracle then bad := (i, mirror, oracle) :: !bad)
+    t.uids;
+  match !bad with
+  | [] -> Ok ()
+  | l ->
+      Error
+        (Printf.sprintf "legality memo diverged on %d object(s): %s"
+           (List.length l)
+           (String.concat ", "
+              (List.map
+                 (fun (i, m, o) ->
+                   Printf.sprintf "#%d mirror=%b oracle=%b" i m o)
+                 (List.filteri (fun k _ -> k < 8) (List.rev l)))))

@@ -9,10 +9,8 @@
     objects still reachable from some root.  That check is served by an
     {e incremental} reachability mirror ({!Reach}) kept exact across root
     churn and pointer relinks, so the per-op cost does not grow with the
-    heap; [full_rescan_legality] switches back to the memoized
-    from-scratch recomputation ({!Bmx.Audit.union_reachable}) as the slow
-    reference implementation (both modes draw identically from the RNG,
-    so they execute the same op sequence). *)
+    heap.  {!check_memo} compares it against the from-scratch
+    recomputation ({!Bmx.Audit.union_reachable}). *)
 
 type config = {
   nodes : int;
@@ -27,9 +25,6 @@ type config = {
   seed : int;
   mode : Bmx_dsm.Protocol.mode;
   update_policy : Bmx_dsm.Protocol.update_policy;
-  full_rescan_legality : bool;
-      (** use the old full-traversal legality memo instead of the
-          incremental mirror (complexity-test baseline; default false) *)
   shards : int;  (** registry shards for the cluster (default 1) *)
   locality : int;
       (** when positive, node [n] only operates on objects of bunches
@@ -70,5 +65,4 @@ val live_roots : t -> int
 val check_memo : t -> (unit, string) result
 (** Compare the incremental legality mirror object-by-object against the
     from-scratch oracle ({!Bmx.Audit.union_reachable}); [Error] names the
-    first divergent indexes.  Always [Ok] under [full_rescan_legality]
-    (there is no mirror to diverge). *)
+    first divergent indexes. *)

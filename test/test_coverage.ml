@@ -275,7 +275,7 @@ let test_token_discipline_audit () =
 
 let test_trace_records_protocol_events () =
   let c = Cluster.create ~nodes:2 () in
-  Tracelog.set_enabled (Cluster.tracer c) true;
+  Cluster.set_event_trace c true;
   let b = Cluster.new_bunch c ~home:0 in
   let x = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 1 |] in
   Cluster.add_root c ~node:0 x;
@@ -284,12 +284,21 @@ let test_trace_records_protocol_events () =
   let x1' = Cluster.acquire_write c ~node:1 x1 in
   Cluster.release c ~node:1 x1';
   ignore (Cluster.bgc c ~node:1 ~bunch:b);
-  let cats =
-    List.map (fun e -> e.Tracelog.category) (Tracelog.events (Cluster.tracer c))
-    |> List.sort_uniq compare
+  let events = Cluster.events c in
+  let grants tok =
+    List.exists
+      (function
+        | Trace_event.Grant_sent { granter = 0; requester = 1; tok = t; _ } ->
+            t = tok
+        | _ -> false)
+      events
   in
-  check_bool "dsm events traced" true (List.mem "dsm" cats);
-  check_bool "gc events traced" true (List.mem "gc" cats)
+  check_bool "read grant traced" true (grants Trace_event.Read);
+  check_bool "ownership transfer traced" true (grants Trace_event.Write);
+  check_bool "collection traced" true
+    (List.exists
+       (function Trace_event.Gc_end { node = 1; _ } -> true | _ -> false)
+       events)
 
 let () =
   Alcotest.run "coverage"

@@ -356,6 +356,32 @@ let test_report () =
      in
      scan 0)
 
+(* Stub tables travel unreliably (§6.1), so a duplicated delivery is
+   normal input: the second copy closes no interval and must not count
+   as a second, zero-latency flight. *)
+let test_duplicate_delivery () =
+  let sent =
+    T.Msg_sent { src = 0; dst = 1; kind = "stub_table"; seq = 1; rel = false }
+  and delivered =
+    T.Msg_delivered
+      { src = 0; dst = 1; kind = "stub_table"; seq = 1; rel = false }
+  in
+  let r =
+    Report.of_events ~metrics:(Metrics.create ())
+      [ (1300, sent); (1450, delivered); (1460, delivered) ]
+  in
+  (match Report.latency r "msg.stub_table" with
+  | Some s ->
+      check_int "one flight" 1 s.Metrics.s_count;
+      check (Alcotest.float 0.0) "its latency" 150. s.Metrics.s_p50
+  | None -> Alcotest.fail "stub-table latency missing");
+  match List.filter (fun (s : Span.t) -> s.Span.ts = 1460) (Report.spans r) with
+  | [ dup ] ->
+      check_bool "the copy is an unmatched instant" true
+        (dup.Span.dur = None && dup.Span.family = None
+        && List.assoc_opt "unmatched" dup.Span.args = Some (Json.Bool true))
+  | l -> Alcotest.failf "expected one span at the copy, got %d" (List.length l)
+
 (* ------------------------------------------------------ reservoir summary *)
 
 let test_reservoir_summary () =
@@ -378,20 +404,6 @@ let test_reservoir_summary () =
   done;
   check_bool "deterministic" true
     (Stats.Summary.percentile s2 90. = Stats.Summary.percentile s 90.)
-
-(* ------------------------------------------------------- lazy tracelog -- *)
-
-let test_tracelog_lazy () =
-  let tr = Tracelog.create () in
-  Tracelog.set_enabled tr false;
-  Tracelog.recordf tr ~category:"t" "x=%d" 1;
-  check_int "disabled records nothing" 0 (Tracelog.total_recorded tr);
-  Tracelog.set_enabled tr true;
-  Tracelog.recordf tr ~category:"t" "x=%d y=%s" 2 "z";
-  check_int "enabled records" 1 (Tracelog.total_recorded tr);
-  match Tracelog.events tr with
-  | [ e ] -> check_string "formatted" "x=2 y=z" e.Tracelog.detail
-  | _ -> Alcotest.fail "expected one event"
 
 (* ------------------------------------------------------------- wiring --- *)
 
@@ -446,13 +458,14 @@ let () =
           Alcotest.test_case "roundtrip all constructors" `Quick
             test_trace_roundtrip_all_constructors;
           Alcotest.test_case "virtual timestamps" `Quick test_trace_timestamps;
-          Alcotest.test_case "lazy recordf" `Quick test_tracelog_lazy;
         ] );
       ( "spans",
         [
           Alcotest.test_case "derivation" `Quick test_span_derivation;
           Alcotest.test_case "perfetto export" `Quick test_perfetto_export;
           Alcotest.test_case "report" `Quick test_report;
+          Alcotest.test_case "duplicate delivery is one flight" `Quick
+            test_duplicate_delivery;
         ] );
       ( "summary",
         [ Alcotest.test_case "reservoir" `Quick test_reservoir_summary ] );

@@ -11,12 +11,6 @@
    constant factor, nowhere near the 8x a linear-in-heap path would show.
 
    Mutation checks (hand-applied breakages that make this file fail):
-   - forcing [full_rescan_legality] into the incremental path (or
-     resurrecting the Audit.union_reachable call per invalidation):
-     [memo_full_rebuilds] stops being 0 and reach-work explodes with the
-     heap — "per-op reach work is heap-size independent" fails exactly
-     the way the pre-flat-heap driver did (the sibling test below runs
-     the old path deliberately and shows the counters catching it);
    - a Store.iter sneaking into the mutator path: store_cells_touched
      per op is no longer ~0;
    - reverting the rooted-set ring buffer to the O(roots) list append
@@ -47,9 +41,8 @@ let steady_cfg objects_per_bunch =
   }
 
 (* Steady-state per-op counter deltas over [ops] driver ops. *)
-let measure ?(full_rescan = false) ~objects_per_bunch ~ops () =
-  let cfg = { (steady_cfg objects_per_bunch) with full_rescan_legality = full_rescan } in
-  let d = Driver.setup cfg in
+let measure ~objects_per_bunch ~ops () =
+  let d = Driver.setup (steady_cfg objects_per_bunch) in
   (* Warm: one resynced batch so lazily-built state exists. *)
   Driver.run_ops d ~ops:200 ();
   let before = P.snapshot () in
@@ -65,9 +58,6 @@ let test_reach_work_heap_independent () =
   let ops = 1500 in
   let _, small, _ = measure ~objects_per_bunch:64 ~ops () in
   let _, big, _ = measure ~objects_per_bunch:512 ~ops () in
-  (* The incremental mirror never falls back to a from-scratch rebuild. *)
-  check_int "no full rebuilds (small)" 0 small.P.s_memo_full_rebuilds;
-  check_int "no full rebuilds (8x heap)" 0 big.P.s_memo_full_rebuilds;
   check_int "no batch resyncs measured" 0 big.P.s_memo_resyncs;
   (* No store-wide iteration inside the mutator loop. *)
   check_int "no store scans (small)" 0 small.P.s_store_cells_touched;
@@ -89,19 +79,6 @@ let test_allocation_heap_independent () =
   if w_big > (2.5 *. w_small) +. 64.0 then
     Alcotest.failf
       "allocation per op scales with the heap: %.0f -> %.0f words" w_small w_big
-
-(* The deliberate mutation, kept runnable: the pre-flat-heap legality
-   path (memoized full traversals) through the same workload.  The
-   counter harness must *see* it — this is what guards the guards. *)
-let test_full_rescan_baseline_is_visible () =
-  let ops = 300 in
-  let _, slow, _ = measure ~full_rescan:true ~objects_per_bunch:64 ~ops () in
-  if slow.P.s_memo_full_rebuilds < 5 then
-    Alcotest.failf
-      "expected the full-rescan baseline to rebuild the memo repeatedly, saw %d"
-      slow.P.s_memo_full_rebuilds;
-  check_int "the incremental mirror stays out of the baseline's way" 0
-    slow.P.s_reach_nodes_touched
 
 let test_gauge_sampling_heap_independent () =
   let sample_work objects_per_bunch =
@@ -171,8 +148,6 @@ let () =
             `Quick test_reach_work_heap_independent;
           Alcotest.test_case "per-op allocation is heap-size independent"
             `Quick test_allocation_heap_independent;
-          Alcotest.test_case "counter harness sees the full-rescan baseline"
-            `Quick test_full_rescan_baseline_is_visible;
           Alcotest.test_case "gauge sampling is heap-size independent" `Quick
             test_gauge_sampling_heap_independent;
           Alcotest.test_case "post-quiescence rounds do constant work"

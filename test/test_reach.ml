@@ -200,35 +200,6 @@ let test_driver_memo_matches_audit () =
   assert_memo d "after 100 more ops";
   check_bool "workload actually exercised churn" true (Driver.live_roots d > 0)
 
-let test_modes_execute_identically () =
-  (* The incremental mirror and the full-rescan baseline must drive the
-     cluster through the same op sequence: same RNG draws, same
-     legality verdicts.  Compare end states cheaply: live roots and the
-     audit's reachable-set cardinality. *)
-  let run full_rescan_legality =
-    let cfg =
-      {
-        Driver.default with
-        nodes = 3;
-        bunches = 3;
-        objects_per_bunch = 16;
-        root_churn_prob = 0.2;
-        relink_prob = 0.6;
-        seed = 41;
-        ops = 400;
-        full_rescan_legality;
-      }
-    in
-    let d = Driver.setup cfg in
-    Driver.run_ops d ();
-    ( Driver.live_roots d,
-      Ids.Uid_set.cardinal (Bmx.Audit.union_reachable (Driver.cluster d)) )
-  in
-  let roots_inc, reach_inc = run false in
-  let roots_full, reach_full = run true in
-  check Alcotest.int "live roots agree" roots_full roots_inc;
-  check Alcotest.int "reachable set agrees" reach_full reach_inc
-
 let () =
   Alcotest.run "reach"
     [
@@ -253,7 +224,5 @@ let () =
         [
           Alcotest.test_case "mirror matches audit under churn" `Quick
             test_driver_memo_matches_audit;
-          Alcotest.test_case "incremental and full-rescan modes agree" `Quick
-            test_modes_execute_identically;
         ] );
     ]

@@ -4,8 +4,10 @@
    The series tests pin the contract that makes window queries trustable:
    merged window reservoirs reproduce the whole-run Stats.Summary
    estimator exactly whenever nothing evicted (same round-to-nearest-rank
-   rule), JSONL export is a fixed point through of_jsonl, and eviction
-   under pressure is deterministic per seed.  The flight tests pin the
+   rule), the JSONL export parses back to the values the queries give,
+   eviction under pressure is deterministic per seed, and the live
+   latency series agrees with the whole-run Report family by family —
+   both drive Span's one pairing, duplicated deliveries included.  The flight tests pin the
    auto triggers (§5 alarm, truncating recovery), the ring/dump bounds,
    and that a dump slice replays through the lint and happens-before
    certifiers — clean slices come back clean, a §5 violation slice names
@@ -16,6 +18,11 @@ module T = Trace_event
 module Ts = Bmx_obs.Timeseries
 module Flight = Bmx_obs.Flight
 module Metrics = Bmx_obs.Metrics
+module Report = Bmx_obs.Report
+module Json = Bmx_obs.Json
+module Cluster = Bmx.Cluster
+module Net = Bmx_netsim.Net
+module Driver = Bmx_workload.Driver
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -110,21 +117,63 @@ let test_jsonl_round_trip () =
   done;
   Ts.note ts 300;
   Ts.freeze ts;
-  let text = Ts.to_jsonl ts in
-  match Ts.of_jsonl text with
-  | Error m -> Alcotest.failf "of_jsonl: %s" m
-  | Ok ts2 ->
-      check_string "to_jsonl is a fixed point" text (Ts.to_jsonl ts2);
-      check_int "counter survives" 7
-        (Ts.counter_sum ts2 ~since:0 ~until:400 "ops");
-      check (Alcotest.option Alcotest.int) "node-labelled gauge survives"
-        (Some 3)
-        (Ts.gauge_last ts2 ~since:0 ~until:400 ~node:2 "depth");
-      check_int "samples survive" 10
-        (Ts.sample_count ts2 ~since:0 ~until:400 "latency.test");
-      check (Alcotest.float 0.0) "percentiles survive"
-        (Ts.percentile ts ~since:0 ~until:400 "latency.test" 90.)
-        (Ts.percentile ts2 ~since:0 ~until:400 "latency.test" 90.)
+  let windows =
+    String.split_on_char '\n' (Ts.to_jsonl ts)
+    |> List.filter (fun l -> l <> "")
+    |> List.map (fun l ->
+           match Json.parse l with
+           | Ok j -> j
+           | Error e -> Alcotest.failf "unparseable window %S: %s" l e)
+  in
+  check_int "one line per window" (Ts.closed_windows ts) (List.length windows);
+  let entries field name ?node () =
+    List.concat_map
+      (fun w ->
+        match Json.member field w with
+        | Some (Json.List l) ->
+            List.filter
+              (fun e ->
+                Json.member "name" e = Some (Json.String name)
+                && Json.member "node" e = Option.map (fun n -> Json.Int n) node)
+              l
+        | _ -> Alcotest.failf "window lacks %s" field)
+      windows
+  in
+  let int_of field e =
+    match Json.member field e with
+    | Some (Json.Int v) -> v
+    | _ -> Alcotest.failf "entry lacks %s" field
+  in
+  check_int "counter survives"
+    (Ts.counter_sum ts ~since:0 ~until:400 "ops")
+    (List.fold_left (fun acc e -> acc + int_of "v" e) 0
+       (entries "counters" "ops" ()));
+  check (Alcotest.option Alcotest.int) "node-labelled gauge survives"
+    (Ts.gauge_last ts ~since:0 ~until:400 ~node:2 "depth")
+    (match List.rev (entries "gauges" "depth" ~node:2 ()) with
+    | e :: _ -> Some (int_of "v" e)
+    | [] -> None);
+  let histos = entries "histos" "latency.test" () in
+  check_int "samples survive"
+    (Ts.sample_count ts ~since:0 ~until:400 "latency.test")
+    (List.fold_left (fun acc e -> acc + int_of "n" e) 0 histos);
+  let samples =
+    List.concat_map
+      (fun e ->
+        match Json.member "samples" e with
+        | Some (Json.List l) ->
+            List.map
+              (function
+                | Json.Float f -> f
+                | Json.Int i -> float_of_int i
+                | _ -> Alcotest.fail "non-numeric sample")
+              l
+        | _ -> Alcotest.fail "histogram lacks samples")
+      histos
+  in
+  check (Alcotest.float 0.0) "percentiles survive"
+    (Ts.percentile ts ~since:0 ~until:400 "latency.test" 90.)
+    (Stats.Summary.nearest_rank (Array.of_list samples) 90.)
 
 let test_eviction_deterministic_per_seed () =
   (* 400 samples into a 16-slot reservoir: heavy eviction.  Identical
@@ -132,45 +181,95 @@ let test_eviction_deterministic_per_seed () =
   let run seed =
     let ts = Ts.create ~window:1000 ~reservoir:16 ~seed () in
     ignore (feed_samples ts ~w:1000 ~windows:2 ~per:200);
-    Ts.to_jsonl ts
+    ts
   in
-  check_string "same seed, same series" (run 1) (run 1);
+  let a = run 1 in
+  check_string "same seed, same series" (Ts.to_jsonl a) (Ts.to_jsonl (run 1));
+  check_bool "another seed retains other samples" true
+    (Ts.to_jsonl a <> Ts.to_jsonl (run 2));
   check_int "offered count independent of eviction" 400
-    (match Ts.of_jsonl (run 1) with
-    | Ok ts -> Ts.sample_count ts ~since:0 ~until:2000 "latency.test"
-    | Error _ -> -1)
+    (Ts.sample_count a ~since:0 ~until:2000 "latency.test")
 
-let test_replay_matches_live () =
-  (* The offline replay of a timed trace builds the same latency series
-     a live tap would have. *)
-  let timed =
+(* The live series and the whole-run report pair the same intervals.
+   Over a run whose reservoirs never evict (1024 slots per window, fewer
+   samples per family than Summary's 1024), every latency family has
+   the same count, p50 and p99 in both.  The second leg duplicates stub
+   tables (unreliable by design, §6.1): a duplicate closes nothing, so
+   neither side may sample it. *)
+let test_live_series_matches_report () =
+  let families =
     [
-      (10, T.Acquire_start { actor = T.App; node = 0; uid = 1; tok = T.Read });
-      ( 25,
-        T.Acquire_done
-          { actor = T.App; node = 0; uid = 1; tok = T.Read; addr_valid = true }
-      );
-      (40, T.Gc_begin { node = 1; group = false; bunches = [ 0 ] });
-      (1200, T.Gc_end { node = 1; group = false; live = 3; reclaimed = 1 });
-      ( 1300,
-        T.Msg_sent { src = 0; dst = 1; kind = "stub_table"; seq = 1; rel = false }
-      );
-      ( 1450,
-        T.Msg_delivered
-          { src = 0; dst = 1; kind = "stub_table"; seq = 1; rel = false } );
+      "token_acquire.read";
+      "token_acquire.write";
+      "token_acquire.gc";
+      "gc.pause";
+      "msg.stub_table";
+      "msg.scion_message";
     ]
   in
-  let live = Ts.create ~window:1000 () in
-  List.iter (fun (ts, e) -> Ts.event live ts e) timed;
-  Ts.freeze live;
-  let offline = Ts.replay ~window:1000 timed in
-  check_string "replay equals live tap" (Ts.to_jsonl live) (Ts.to_jsonl offline);
-  check (Alcotest.float 0.0) "acquire latency derived" 15.
-    (Ts.percentile offline ~since:0 ~until:2000 "latency.token_acquire.read" 50.);
-  check (Alcotest.float 0.0) "gc pause derived" 1160.
-    (Ts.percentile offline ~since:0 ~until:2000 "latency.gc.pause" 50.);
-  check (Alcotest.float 0.0) "msg flight derived" 150.
-    (Ts.percentile offline ~since:0 ~until:2000 "latency.msg.stub_table" 50.)
+  let run ~dup =
+    let d =
+      Driver.setup
+        {
+          Driver.default with
+          nodes = 3;
+          bunches = 3;
+          objects_per_bunch = 24;
+          ops = 400;
+          seed = 7;
+        }
+    in
+    let c = Driver.cluster d in
+    Cluster.set_event_trace c true;
+    let ts = Cluster.enable_timeseries ~reservoir:1024 c in
+    if dup then
+      Net.set_fault (Cluster.net c) ~kind:Net.Stub_table ~drop:0. ~dup:0.3
+        ~rng:(Rng.make 5);
+    Driver.run_ops d ();
+    ignore (Cluster.collect_until_quiescent c ());
+    Net.clear_faults (Cluster.net c);
+    ignore (Cluster.settle c);
+    Ts.freeze ts;
+    let report =
+      Report.of_events ~metrics:(Cluster.metrics c)
+        (T.timed_events (Cluster.evlog c))
+    in
+    let leg = if dup then "dup" else "clean" in
+    if dup then
+      check_bool "stub tables were duplicated" true
+        (Stats.get (Cluster.stats c) "net.duplicated.stub_table" > 0);
+    let since, until =
+      match Ts.span ts with
+      | Some r -> r
+      | None -> Alcotest.fail "no windows closed"
+    in
+    check_bool "the ring kept every window" true
+      (Ts.closed_windows ts <= 512);
+    List.iter
+      (fun fam ->
+        let name = "latency." ^ fam in
+        let live = Ts.sample_count ts ~since ~until name in
+        match Report.latency report fam with
+        | None -> check_int (Printf.sprintf "%s %s: no samples" leg fam) 0 live
+        | Some s ->
+            check_bool (leg ^ " " ^ fam ^ ": under the reservoir") true
+              (s.Metrics.s_count <= Stats.Summary.reservoir_capacity);
+            check_int (Printf.sprintf "%s %s count" leg fam) s.Metrics.s_count live;
+            List.iter
+              (fun (p, v) ->
+                check (Alcotest.float 0.0)
+                  (Printf.sprintf "%s %s p%g" leg fam p)
+                  v
+                  (Ts.percentile ts ~since ~until name p))
+              [ (50., s.Metrics.s_p50); (99., s.Metrics.s_p99) ])
+      families;
+    Report.latency report "msg.stub_table"
+  in
+  (match (run ~dup:false, run ~dup:true) with
+  | Some clean, Some dup ->
+      check_bool "both legs carry stub-table flights" true
+        (clean.Metrics.s_count > 0 && dup.Metrics.s_count > 0)
+  | _ -> Alcotest.fail "no stub-table flights")
 
 (* ------------------------------------------------------------- flight *)
 
@@ -304,8 +403,8 @@ let () =
           Alcotest.test_case "JSONL round trip" `Quick test_jsonl_round_trip;
           Alcotest.test_case "eviction deterministic per seed" `Quick
             test_eviction_deterministic_per_seed;
-          Alcotest.test_case "offline replay matches live tap" `Quick
-            test_replay_matches_live;
+          Alcotest.test_case "live series matches whole-run report" `Quick
+            test_live_series_matches_report;
         ] );
       ( "flight",
         [

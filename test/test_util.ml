@@ -140,6 +140,37 @@ let test_stats_summary () =
   check (Alcotest.float 1e-6) "stddev" (sqrt 2.5) (Stats.Summary.stddev s);
   check (Alcotest.float 1e-9) "median" 3.0 (Stats.Summary.percentile s 50.0)
 
+(* The two exposed estimator steps are the whole estimator: a reservoir
+   driven by [reservoir_slot] and read by [nearest_rank] reproduces
+   [Summary] sample for sample, eviction included. *)
+let test_summary_steps () =
+  let cap = Stats.Summary.reservoir_capacity in
+  let seed = 42 in
+  let s = Stats.Summary.create ~seed () in
+  let rng = Rng.make seed in
+  let samples = Array.make cap 0. in
+  let values = Rng.make 7 in
+  let n = (3 * cap) + 11 in
+  for k = 1 to n do
+    let x = float_of_int (Rng.int values 100_000) in
+    Stats.Summary.add s x;
+    let j = Stats.Summary.reservoir_slot rng ~n:k ~cap in
+    if k <= cap then check_int "fills in order" (k - 1) j;
+    if j >= 0 then samples.(j) <- x
+  done;
+  List.iter
+    (fun p ->
+      check (Alcotest.float 0.0)
+        (Printf.sprintf "p%g" p)
+        (Stats.Summary.percentile s p)
+        (Stats.Summary.nearest_rank (Array.copy samples) p))
+    [ 0.; 50.; 90.; 99.; 100. ];
+  let a = [| 5.; 1.; 4.; 2.; 3. |] in
+  check (Alcotest.float 0.0) "nearest rank" 4. (Stats.Summary.nearest_rank a 75.);
+  check (Alcotest.array (Alcotest.float 0.0)) "sorted in place"
+    [| 1.; 2.; 3.; 4.; 5. |] a;
+  check (Alcotest.float 0.0) "empty" 0. (Stats.Summary.nearest_rank [||] 50.)
+
 (* ----------------------------------------------------------------- Table *)
 
 let contains_substring s sub =
@@ -160,44 +191,6 @@ let test_table_width_mismatch () =
   let t = Table.create ~title:"T" ~columns:[ "x"; "y" ] in
   Alcotest.check_raises "row width" (Invalid_argument "Table.add_row: row width mismatch")
     (fun () -> Table.add_row t [ "1" ])
-
-(* -------------------------------------------------------------- Tracelog *)
-
-let test_tracelog_order () =
-  let tr = Tracelog.create ~capacity:8 () in
-  for i = 1 to 5 do
-    Tracelog.recordf tr ~category:"t" "event %d" i
-  done;
-  let evs = Tracelog.events tr in
-  check_int "five events" 5 (List.length evs);
-  check (Alcotest.list Alcotest.int) "oldest first" [ 0; 1; 2; 3; 4 ]
-    (List.map (fun e -> e.Tracelog.seq) evs);
-  check Alcotest.string "detail" "event 3"
-    (List.nth evs 2).Tracelog.detail
-
-let test_tracelog_ring_wraps () =
-  let tr = Tracelog.create ~capacity:4 () in
-  for i = 1 to 10 do
-    Tracelog.recordf tr ~category:"t" "e%d" i
-  done;
-  let evs = Tracelog.events tr in
-  check_int "only capacity retained" 4 (List.length evs);
-  check_int "total counted" 10 (Tracelog.total_recorded tr);
-  check (Alcotest.list Alcotest.string) "last four, oldest first"
-    [ "e7"; "e8"; "e9"; "e10" ]
-    (List.map (fun e -> e.Tracelog.detail) evs);
-  check_int "recent 2" 2 (List.length (Tracelog.recent tr 2))
-
-let test_tracelog_disable_clear () =
-  let tr = Tracelog.create () in
-  Tracelog.set_enabled tr false;
-  Tracelog.record tr ~category:"t" "ignored";
-  check_int "disabled records nothing" 0 (Tracelog.length tr);
-  Tracelog.set_enabled tr true;
-  Tracelog.record tr ~category:"t" "kept";
-  check_int "enabled records" 1 (Tracelog.length tr);
-  Tracelog.clear tr;
-  check_int "cleared" 0 (Tracelog.length tr)
 
 (* ------------------------------------------------------------------- Ids *)
 
@@ -236,17 +229,13 @@ let () =
         [
           Alcotest.test_case "counters" `Quick test_stats_counters;
           Alcotest.test_case "summary" `Quick test_stats_summary;
+          Alcotest.test_case "summary estimator steps" `Quick
+            test_summary_steps;
         ] );
       ( "table",
         [
           Alcotest.test_case "render" `Quick test_table_render;
           Alcotest.test_case "width mismatch" `Quick test_table_width_mismatch;
-        ] );
-      ( "tracelog",
-        [
-          Alcotest.test_case "ordering" `Quick test_tracelog_order;
-          Alcotest.test_case "ring wraps" `Quick test_tracelog_ring_wraps;
-          Alcotest.test_case "disable and clear" `Quick test_tracelog_disable_clear;
         ] );
       ("ids", [ Alcotest.test_case "generators and printing" `Quick test_ids ]);
     ]
