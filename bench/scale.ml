@@ -31,6 +31,9 @@ type run_result = {
   r_bytes : int;
   r_stub_table_msgs : int;
   r_delta_bytes : int;
+  r_full_wire_bytes : int;
+  r_delta_wire_bytes : int;
+  r_resync_bytes : int;
   r_full_bytes : int;
   r_steady_delta_bytes : int;
   r_steady_full_bytes : int;
@@ -103,6 +106,11 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
   let stats = Cluster.stats c in
   let delta_before = Stats.get stats "tables.delta_bytes" in
   let full_before = Stats.get stats "tables.full_bytes" in
+  (* [tables.delta_bytes] is every stub-table byte sent, split by
+     encoding: full tables, deltas and resync pulls. *)
+  let full_wire = Stats.get stats "tables.full_wire_bytes" in
+  let delta_wire = Stats.get stats "tables.delta_wire_bytes" in
+  let resync = Stats.get stats "tables.resync_bytes" in
   (* Steady state: light churn between cleaner cycles.  With delta
      tables, Stub_table bytes here are O(churn), not O(table). *)
   for _ = 1 to 4 do
@@ -133,6 +141,9 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
     r_bytes = Net.total_bytes net;
     r_stub_table_msgs = Net.sent net Net.Stub_table;
     r_delta_bytes = delta_before;
+    r_full_wire_bytes = full_wire;
+    r_delta_wire_bytes = delta_wire;
+    r_resync_bytes = resync;
     r_full_bytes = full_before;
     r_steady_delta_bytes = Stats.get stats "tables.delta_bytes" - delta_before;
     r_steady_full_bytes = Stats.get stats "tables.full_bytes" - full_before;
@@ -211,6 +222,9 @@ let result_json r =
       ("bytes", Json.Int r.r_bytes);
       ("stub_table_msgs", Json.Int r.r_stub_table_msgs);
       ("tables_delta_bytes", Json.Int r.r_delta_bytes);
+      ("tables_full_wire_bytes", Json.Int r.r_full_wire_bytes);
+      ("tables_delta_wire_bytes", Json.Int r.r_delta_wire_bytes);
+      ("tables_resync_bytes", Json.Int r.r_resync_bytes);
       ("tables_full_bytes", Json.Int r.r_full_bytes);
       ("steady_delta_bytes", Json.Int r.r_steady_delta_bytes);
       ("steady_full_bytes", Json.Int r.r_steady_full_bytes);
@@ -373,7 +387,18 @@ let e20 () =
    the culprit when one of those is superlinear in the heap. *)
 let e20_diag_at ~nodes ~objects_per_bunch =
   let module P = Perfcount in
+  let stats = ref None in
+  (* Stub-table bytes sent so far, by encoding. *)
+  let table_bytes () =
+    match !stats with
+    | None -> (0, 0, 0)
+    | Some s ->
+        ( Stats.get s "tables.full_wire_bytes",
+          Stats.get s "tables.delta_wire_bytes",
+          Stats.get s "tables.resync_bytes" )
+  in
   let phase name f =
+    let full0, delta0, resync0 = table_bytes () in
     let before = P.snapshot () in
     let w0 = Gc.minor_words () in
     let t0 = now_ns () in
@@ -392,15 +417,19 @@ let e20_diag_at ~nodes ~objects_per_bunch =
       + d.P.s_gc_ns_scan + d.P.s_gc_ns_reconcile
     in
     let ms ns = float_of_int ns /. 1e6 in
-    if pn > 0 then
+    if pn > 0 then begin
+      let full1, delta1, resync1 = table_bytes () in
       Printf.printf
         "%-22s %12s gc-phase-ms: trace=%.1f flip=%.1f copy=%.1f scan=%.1f \
-         reconcile=%.1f (recv delta=%.1f full=%.1f self=%.1f)\n\
+         reconcile=%.1f (recv delta=%.1f full=%.1f self=%.1f) table-bytes: \
+         full=%d delta=%d resync=%d\n\
          %!"
         "" "" (ms d.P.s_gc_ns_trace) (ms d.P.s_gc_ns_flip)
         (ms d.P.s_gc_ns_copy) (ms d.P.s_gc_ns_scan) (ms d.P.s_gc_ns_reconcile)
         (ms d.P.s_gc_ns_recv_delta) (ms d.P.s_gc_ns_recv_full)
-        (ms d.P.s_gc_ns_recv_self);
+        (ms d.P.s_gc_ns_recv_self) (full1 - full0) (delta1 - delta0)
+        (resync1 - resync0)
+    end;
     r
   in
   Printf.printf "--- e20-diag: %d nodes x %d objs/bunch ---
@@ -417,6 +446,7 @@ let e20_diag_at ~nodes ~objects_per_bunch =
   in
   let d = phase "setup" (fun () -> Driver.setup cfg) in
   let c = Driver.cluster d in
+  stats := Some (Cluster.stats c);
   Cluster.set_event_trace c true;
   phase "mutate 2000 ops" (fun () -> Driver.run_ops d ~ops:2000 ());
   phase "mutate (no resync)" (fun () ->

@@ -7,14 +7,15 @@
    cut, and the delta-table streams must resynchronize within a bounded
    number of cleaner cycles after heal.
 
-   Three performance gates ride along, locking in the flat-heap hot path
+   Five performance gates ride along, locking in the flat-heap hot path
    and the churn-proportional cleaner: a wall-clock throughput floor (the
    pre-flat-heap driver managed ~155 ops/sec at 8x1280; even the
    miniature smoke configuration must clear ten times that), an
    OCaml-runtime allocation budget per mutator op (the legality memo,
    handle table and op dispatch are flat arrays and bitmaps; only
-   Rng.float boxing and a few option cells remain), and an allocation
-   budget for the collector waves, per mutator op. *)
+   Rng.float boxing and a few option cells remain), an allocation
+   budget for the collector waves per mutator op, and deterministic
+   budgets for the stub-table bytes and the messages the run sends. *)
 
 module Json = Bmx_obs.Json
 
@@ -62,6 +63,16 @@ let minor_words_per_op_budget = 630.0
    on the smoke's small tables — a claim scan over every mirror, a full
    self hand-off on every BGC — still pass it. *)
 let wave_minor_words_per_op_budget = 535.0
+
+(* Deterministic wire budgets: for a fixed seed the smoke configuration
+   sends exactly the same messages and stub-table bytes on every machine,
+   so these sit just above the measured values and any change to what
+   the protocol or the cleaner puts on the wire must move them on
+   purpose.  Stub-table bytes ([tables.delta_bytes]: fulls, deltas and
+   resync pulls) are 20 992 with key-only full tables; restoring 40-byte
+   stub records in fulls gives 23 456.  Messages are 1 003. *)
+let table_bytes_budget = 21_400
+let messages_budget = 1_020
 
 let () =
   let path = Sys.argv.(1) in
@@ -136,6 +147,16 @@ let () =
            allocation: a second trace, a stub-table rebuild, an \
            allocating address or root lookup?)"
           nodes wave_words_per_op wave_minor_words_per_op_budget;
+      let table_bytes = int_member "tables_delta_bytes" cfg in
+      if table_bytes > table_bytes_budget then
+        die
+          "bench-smoke: %d-node run sent %d stub-table bytes (budget %d — \
+           fuller tables on the wire: stub records in fulls, more fulls?)"
+          nodes table_bytes table_bytes_budget;
+      let messages = int_member "messages" cfg in
+      if messages > messages_budget then
+        die "bench-smoke: %d-node run sent %d messages (budget %d)" nodes
+          messages messages_budget;
       let delta = int_member "steady_delta_bytes" cfg in
       let full = int_member "steady_full_bytes" cfg in
       if delta > full then
@@ -146,10 +167,12 @@ let () =
       Printf.printf
         "bench-smoke: %d nodes ok — gc tokens 0, %.0f ops/sec (floor %.0f), \
          %.0f alloc words/op (budget %.0f), %.0f wave words/op (budget %.0f), \
+         %d table bytes (budget %d), %d messages (budget %d), \
          steady delta %dB <= full %dB (%.1f%%)\n"
         nodes ops_per_sec ops_per_sec_floor words_per_op
         minor_words_per_op_budget wave_words_per_op
-        wave_minor_words_per_op_budget delta full
+        wave_minor_words_per_op_budget table_bytes table_bytes_budget
+        messages messages_budget delta full
         (if full = 0 then 0.0 else 100.0 *. float_of_int delta /. float_of_int full)
       end)
     configs

@@ -529,9 +529,9 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
       in
       Gc_state.record_exiting t ~node ~bunch:b exiting;
       new_inter_total :=
-        !new_inter_total + List.length (Gc_state.inter_stubs t ~node ~bunch:b);
+        !new_inter_total + Gc_state.inter_stub_count t ~node ~bunch:b;
       new_intra_total :=
-        !new_intra_total + List.length (Gc_state.intra_stubs t ~node ~bunch:b);
+        !new_intra_total + Gc_state.intra_stub_count t ~node ~bunch:b;
       exiting_total := !exiting_total + List.length exiting;
       tables_sent := !tables_sent + sent)
     bunches;

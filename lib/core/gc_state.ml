@@ -346,6 +346,33 @@ let tbl_view tbl bunch =
 let inter_stubs t ~node ~bunch = tbl_view (node_state t node).inter_stubs bunch
 let intra_stubs t ~node ~bunch = tbl_view (node_state t node).intra_stubs bunch
 
+(* Key views: [key_count] holds each match key once, so a table's
+   distinct keys are one fold over it and their number is its length. *)
+let tbl_keys tbl bunch =
+  match Ids.Bunch_tbl.find_opt tbl bunch with
+  | Some tb -> Hashtbl.fold (fun k _ acc -> k :: acc) tb.key_count []
+  | None -> []
+
+let tbl_count size tbl bunch =
+  match Ids.Bunch_tbl.find_opt tbl bunch with Some tb -> size tb | None -> 0
+
+let records tb = Hashtbl.length tb.members
+let keys tb = Hashtbl.length tb.key_count
+let inter_stub_keys t ~node ~bunch = tbl_keys (node_state t node).inter_stubs bunch
+let intra_stub_keys t ~node ~bunch = tbl_keys (node_state t node).intra_stubs bunch
+
+let inter_stub_count t ~node ~bunch =
+  tbl_count records (node_state t node).inter_stubs bunch
+
+let intra_stub_count t ~node ~bunch =
+  tbl_count records (node_state t node).intra_stubs bunch
+
+let inter_key_count t ~node ~bunch =
+  tbl_count keys (node_state t node).inter_stubs bunch
+
+let intra_key_count t ~node ~bunch =
+  tbl_count keys (node_state t node).intra_stubs bunch
+
 let add_inter_stub t ~node (s : Ssp.inter_stub) =
   let ns = node_state t node in
   if t_add (find_table make_inter_stub_table ns.inter_stubs s.Ssp.is_src_bunch) s
@@ -585,8 +612,8 @@ let mirror_reset t ~node ~sender ~bunch ~basis ~inter ~intra ~exiting =
       mi_exiting = Hashtbl.create (max 16 (2 * List.length exiting));
     }
   in
-  List.iter (fun s -> Hashtbl.replace m.mi_inter (Ssp.inter_stub_key s) ()) inter;
-  List.iter (fun s -> Hashtbl.replace m.mi_intra (Ssp.intra_stub_key s) ()) intra;
+  List.iter (fun k -> Hashtbl.replace m.mi_inter k ()) inter;
+  List.iter (fun k -> Hashtbl.replace m.mi_intra k ()) intra;
   List.iter (fun e -> Hashtbl.replace m.mi_exiting e ()) exiting;
   (* Claims move only for the keys whose presence the install flips. *)
   (match Hashtbl.find_opt ns.mirrors (sender, bunch) with
@@ -639,6 +666,7 @@ let mirror_has_inter m key = Hashtbl.mem m.mi_inter key
 let mirror_has_intra m key = Hashtbl.mem m.mi_intra key
 let mirror_has_exiting m uid node = Hashtbl.mem m.mi_exiting (uid, node)
 let mirror_iter_inter m f = Hashtbl.iter (fun k () -> f k) m.mi_inter
+let mirror_iter_intra m f = Hashtbl.iter (fun k () -> f k) m.mi_intra
 let mirror_iter_exiting m f = Hashtbl.iter (fun e () -> f e) m.mi_exiting
 
 let mirror_claims_target t ~node ~sender uid =

@@ -73,6 +73,30 @@ val inter_stubs :
 val intra_stubs :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.intra_stub list
 
+val inter_stub_keys :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.inter_key list
+(** The table's distinct match keys ({!Ssp.inter_stub_key}), each once
+    however many stubs share it, in no particular order — what a full
+    reachability table ships.  One fold over the key counts. *)
+
+val intra_stub_keys :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.intra_key list
+
+val inter_stub_count :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
+(** Stub records in the table, O(1). *)
+
+val intra_stub_count :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
+
+val inter_key_count :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
+(** Distinct match keys in the table (the length of
+    {!inter_stub_keys}), O(1). *)
+
+val intra_key_count :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
+
 val add_inter_stub : t -> node:Bmx_util.Ids.Node.t -> Ssp.inter_stub -> unit
 (** Idempotent (duplicate stubs are suppressed). *)
 
@@ -239,11 +263,13 @@ val mirror_reset :
   sender:Bmx_util.Ids.Node.t ->
   bunch:Bmx_util.Ids.Bunch.t ->
   basis:int ->
-  inter:Ssp.inter_stub list ->
-  intra:Ssp.intra_stub list ->
+  inter:Ssp.inter_key list ->
+  intra:Ssp.intra_key list ->
   exiting:(Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list ->
   unit
-(** Install a full table received from [sender] as the new mirror. *)
+(** Install a full table received from [sender] as the new mirror.  The
+    shipped keys go in as they are, so every mirror of one broadcast
+    shares the sender's key tuples. *)
 
 val mirror_apply :
   t ->
@@ -283,6 +309,7 @@ val mirror_has_exiting :
 (** Does the sender's exiting list name this (object, owner) pair? *)
 
 val mirror_iter_inter : mirror -> (Ssp.inter_key -> unit) -> unit
+val mirror_iter_intra : mirror -> (Ssp.intra_key -> unit) -> unit
 val mirror_iter_exiting :
   mirror -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t -> unit) -> unit
 (** In no particular order; [f] must not change the mirror. *)

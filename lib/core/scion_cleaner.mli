@@ -20,12 +20,16 @@
     stamps (§6.1), exactly as for full tables.  The exiting ownerPtr
     list rides the same encoding: complete in fulls, flips-only in
     deltas, reassembled by the receiver's mirror before the entering
-    reconciliation runs. *)
+    reconciliation runs.  Both encodings carry match keys
+    ({!Ssp.inter_key}, {!Ssp.intra_key}), never stub records: the
+    receiver's coverage tests compare keys, and nothing reads a stub's
+    address, target bunch or scion site off the wire. *)
 
 type table_body =
   | Full of {
-      fb_inter : Ssp.inter_stub list;
-      fb_intra : Ssp.intra_stub list;
+      fb_inter : Ssp.inter_key list;
+          (** the sender's distinct inter-bunch stub keys *)
+      fb_intra : Ssp.intra_key list;
       fb_exiting : (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list;
           (** the sender's complete exiting ownerPtrs: object and the
               owner node the sender believes in *)
@@ -48,8 +52,9 @@ type table_msg = {
 }
 
 val msg_bytes : table_msg -> int
-(** Actual wire size of the message — delta messages are costed by their
-    delta payload, not the full-table formula. *)
+(** Actual wire size of the message: a header (16 bytes for a full, 24
+    for a delta) plus 24 bytes per match key and 16 per exiting entry,
+    for either encoding. *)
 
 val receive : Gc_state.t -> at:Bmx_util.Ids.Node.t -> seq:int -> table_msg -> unit
 (** Process one reachability message at node [at].  Stale or duplicated
@@ -84,6 +89,9 @@ val broadcast :
     (when the sender knows which basis it holds) or a full table (first
     contact, periodic rebase, or when the accumulated diff outgrew the
     table).  Re-running after a loss simply resends — the cumulative
-    encoding keeps that safe.  Accounts [tables.delta_bytes] (actual
-    wire bytes) and [tables.full_bytes] (what full tables would have
-    cost) per send. *)
+    encoding keeps that safe.  Accounts, per send, the wire bytes under
+    [tables.full_wire_bytes] or [tables.delta_wire_bytes] and
+    [tables.full_bytes] (what a full table would have cost); a resync
+    pull adds its RPC under [tables.resync_bytes].
+    [tables.delta_bytes] is the sum of the three: all stub-table bytes
+    sent. *)

@@ -40,8 +40,14 @@ type ncol = {
 type hcol = { hkey : key; hrng : Rng.t }
 
 (* Per-window reservoir of one histogram column.  [hn] counts samples
-   offered; the stored prefix is [min hn (Array.length hsamples)]. *)
+   offered; the stored prefix is [min hn (Array.length hsamples)].  The
+   array grows by doubling up to the series' reservoir cap, so a column
+   that sees few samples in a window holds few floats. *)
 type hwin = { mutable hn : int; mutable hsamples : float array }
+
+(* Every column idle in a window shares this one: a column gets its own
+   reservoir on its first sample there.  Never written. *)
+let idle = { hn = 0; hsamples = [||] }
 
 type slot = {
   mutable t0 : int;
@@ -180,7 +186,7 @@ let align t ts = ts - (ts mod t.window)
 let reset_slot s ~t0 =
   s.t0 <- t0;
   s.used <- false;
-  Array.iter (fun hw -> hw.hn <- 0) s.hwins
+  Array.iter (fun hw -> if hw != idle then hw.hn <- 0) s.hwins
 
 let close_current t =
   refresh_cols t;
@@ -236,15 +242,25 @@ let add t i x =
     let n = Array.length s.hwins in
     s.hwins <-
       Array.init (Array.length t.hcols) (fun j ->
-          if j < n then s.hwins.(j)
-          else { hn = 0; hsamples = Array.make t.reservoir 0. })
+          if j < n then s.hwins.(j) else idle)
   end;
-  let hw = s.hwins.(i) in
-  hw.hn <- hw.hn + 1;
-  let j =
-    Stats.Summary.reservoir_slot t.hcols.(i).hrng ~n:hw.hn
-      ~cap:(Array.length hw.hsamples)
+  let hw =
+    match s.hwins.(i) with
+    | hw when hw == idle ->
+        let hw = { hn = 0; hsamples = Array.make 1 0. } in
+        s.hwins.(i) <- hw;
+        hw
+    | hw -> hw
   in
+  hw.hn <- hw.hn + 1;
+  let j = Stats.Summary.reservoir_slot t.hcols.(i).hrng ~n:hw.hn ~cap:t.reservoir in
+  if j >= Array.length hw.hsamples then begin
+    let grown =
+      Array.make (Stdlib.min t.reservoir (2 * Array.length hw.hsamples)) 0.
+    in
+    Array.blit hw.hsamples 0 grown 0 (Array.length hw.hsamples);
+    hw.hsamples <- grown
+  end;
   if j >= 0 then hw.hsamples.(j) <- x
 
 let observe t ts key x =

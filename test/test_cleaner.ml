@@ -8,6 +8,8 @@ module Value = Bmx_memory.Value
 module Gc_state = Bmx_gc.Gc_state
 module Scion_cleaner = Bmx_gc.Scion_cleaner
 module Directory = Bmx_dsm.Directory
+module Ssp = Bmx_gc.Ssp
+module Driver = Bmx_workload.Driver
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -62,7 +64,7 @@ let test_stale_table_ignored () =
     }
   in
   (* First deliver with a high seq so the stream position advances. *)
-  let real_stubs = Gc_state.inter_stubs gc ~node:0 ~bunch:b1 in
+  let real_stubs = Gc_state.inter_stub_keys gc ~node:0 ~bunch:b1 in
   let full =
     {
       empty with
@@ -253,6 +255,190 @@ let test_destinations () =
   check_bool "scion holder N1 is a destination" true (List.mem 1 dests);
   check_bool "never includes self" false (List.mem 0 dests)
 
+(* ---------------------------------------------------------------- *)
+(* Key encoding: fulls ship each stub table's distinct match keys.
+
+   The key views replace a scan of the stub records, so they are checked
+   against it: on a random workload with collector waves, every (node,
+   bunch) table's keys must be the sorted, deduplicated keys of its
+   records, with matching O(1) counts.  Once the collector is quiescent,
+   every mirror must hold exactly its sender's current keys and exiting
+   list. *)
+
+let driver_run () =
+  let d =
+    Driver.setup
+      {
+        Driver.default with
+        nodes = 4;
+        bunches = 4;
+        objects_per_bunch = 40;
+        cross_bunch_prob = 0.3;
+        write_prob = 0.5;
+        seed = 11;
+      }
+  in
+  (d, Driver.cluster d)
+
+let check_key_views c =
+  let gc = Cluster.gc c in
+  List.iter
+    (fun node ->
+      List.iter
+        (fun bunch ->
+          let inter = Gc_state.inter_stubs gc ~node ~bunch in
+          let intra = Gc_state.intra_stubs gc ~node ~bunch in
+          let scanned_inter =
+            List.sort_uniq compare (List.map Ssp.inter_stub_key inter)
+          in
+          let scanned_intra =
+            List.sort_uniq compare (List.map Ssp.intra_stub_key intra)
+          in
+          let where = Printf.sprintf "N%d bunch %d" node bunch in
+          check_bool (where ^ ": inter keys = scan") true
+            (List.sort compare (Gc_state.inter_stub_keys gc ~node ~bunch)
+            = scanned_inter);
+          check_bool (where ^ ": intra keys = scan") true
+            (List.sort compare (Gc_state.intra_stub_keys gc ~node ~bunch)
+            = scanned_intra);
+          check_int (where ^ ": inter key count")
+            (List.length scanned_inter)
+            (Gc_state.inter_key_count gc ~node ~bunch);
+          check_int (where ^ ": intra key count")
+            (List.length scanned_intra)
+            (Gc_state.intra_key_count gc ~node ~bunch);
+          check_int (where ^ ": inter stub count") (List.length inter)
+            (Gc_state.inter_stub_count gc ~node ~bunch);
+          check_int (where ^ ": intra stub count") (List.length intra)
+            (Gc_state.intra_stub_count gc ~node ~bunch))
+        (Protocol.bunches (Cluster.proto c)))
+    (Cluster.nodes c)
+
+let test_key_views_match_scan () =
+  let d, c = driver_run () in
+  let gc = Cluster.gc c in
+  for _ = 1 to 5 do
+    Driver.run_ops d ~ops:120 ();
+    check_key_views c;
+    ignore (Cluster.gc_round c);
+    check_key_views c
+  done;
+  ignore (Cluster.collect_until_quiescent c ());
+  check_key_views c;
+  let nodes = Cluster.nodes c and bunches = Protocol.bunches (Cluster.proto c) in
+  let mirrors = ref 0 and shared = ref 0 in
+  List.iter
+    (fun at ->
+      List.iter
+        (fun sender ->
+          List.iter
+            (fun bunch ->
+              match Gc_state.mirror gc ~node:at ~sender ~bunch with
+              | None -> ()
+              | Some m ->
+                  incr mirrors;
+                  let keys iter =
+                    let l = ref [] in
+                    iter m (fun k -> l := k :: !l);
+                    List.sort compare !l
+                  in
+                  let where =
+                    Printf.sprintf "N%d's mirror of N%d bunch %d" at sender bunch
+                  in
+                  let want_inter =
+                    List.sort compare
+                      (Gc_state.inter_stub_keys gc ~node:sender ~bunch)
+                  in
+                  check_bool (where ^ ": inter keys") true
+                    (keys Gc_state.mirror_iter_inter = want_inter);
+                  check_bool (where ^ ": intra keys") true
+                    (keys Gc_state.mirror_iter_intra
+                    = List.sort compare
+                        (Gc_state.intra_stub_keys gc ~node:sender ~bunch));
+                  check_bool (where ^ ": exiting") true
+                    (keys Gc_state.mirror_iter_exiting
+                    = List.sort compare
+                        (Gc_state.current_exiting gc ~node:sender ~bunch));
+                  if want_inter <> [] then incr shared)
+            bunches)
+        nodes)
+    nodes;
+  check_bool "mirrors were compared" true (!mirrors > 0);
+  check_bool "some mirrored inter tables are non-empty" true (!shared > 0)
+
+(* Two stub records that differ only in volatile detail (the target's
+   address) share one match key: the table keeps both records, but a full
+   ships the key once, at 16 + 24 bytes. *)
+let test_shared_key_ships_once () =
+  let c = Cluster.create ~nodes:2 () in
+  let gc = Cluster.gc c in
+  let b = Cluster.new_bunch c ~home:0 in
+  let tb = Cluster.new_bunch c ~home:1 in
+  let stub addr =
+    {
+      Ssp.is_src_bunch = b;
+      is_src_uid = 100;
+      is_created_at = 0;
+      is_target_uid = 200;
+      is_target_bunch = tb;
+      is_target_addr = addr;
+      is_scion_at = 1;
+    }
+  in
+  Gc_state.add_inter_stub gc ~node:0 (stub Addr.null);
+  Gc_state.add_inter_stub gc ~node:0 (stub (Addr.add Addr.null Addr.word));
+  check_int "both records kept" 2 (Gc_state.inter_stub_count gc ~node:0 ~bunch:b);
+  let keys = Gc_state.inter_stub_keys gc ~node:0 ~bunch:b in
+  check_bool "one key" true (keys = [ Ssp.inter_stub_key (stub Addr.null) ]);
+  let full =
+    {
+      Scion_cleaner.tm_sender = 0;
+      tm_bunch = b;
+      tm_body = Scion_cleaner.Full { fb_inter = keys; fb_intra = []; fb_exiting = [] };
+    }
+  in
+  check_int "msg_bytes of the full" (16 + 24) (Scion_cleaner.msg_bytes full);
+  (* The first broadcast is first contact, so N1 gets a full. *)
+  ignore
+    (Scion_cleaner.broadcast gc ~node:0 ~bunch:b ~old_inter:[] ~old_intra:[]
+       ~exiting:[]);
+  ignore (Cluster.drain c);
+  let stats = Cluster.stats c in
+  check_int "one full sent" 1 (Stats.get stats "gc.cleaner.full_sent");
+  check_int "full wire bytes" (16 + 24) (Stats.get stats "tables.full_wire_bytes");
+  let mirrored = ref [] in
+  Option.iter
+    (fun m -> Gc_state.mirror_iter_inter m (fun k -> mirrored := k :: !mirrored))
+    (Gc_state.mirror gc ~node:1 ~sender:0 ~bunch:b);
+  check_bool "the receiver mirrors the one key" true (!mirrored = keys)
+
+(* The ledger splits the cleaner's wire by encoding: fulls, deltas and
+   resync pulls.  Fault-free, their sum is what the network carried as
+   stub tables, and [tables.delta_bytes] is that sum.  A receiver restart
+   wipes its mirrors, so the sender's next delta to it resyncs. *)
+let test_ledger_splits_wire () =
+  let d, c = driver_run () in
+  for _ = 1 to 4 do
+    Driver.run_ops d ~ops:120 ();
+    ignore (Cluster.gc_round c)
+  done;
+  Cluster.crash_node c ~node:1;
+  Cluster.restart_node c ~node:1;
+  ignore (Cluster.gc_round c);
+  let stats = Cluster.stats c in
+  let get = Stats.get stats in
+  let full = get "tables.full_wire_bytes"
+  and delta = get "tables.delta_wire_bytes"
+  and resync = get "tables.resync_bytes" in
+  check_bool "fulls sent" true (full > 0);
+  check_bool "deltas sent" true (delta > 0);
+  check_bool "resyncs pulled" true (resync > 0);
+  check_int "full + delta + resync = net stub_table bytes"
+    (get ("net.bytes." ^ Net.kind_to_string Net.Stub_table))
+    (full + delta + resync);
+  check_int "tables.delta_bytes is the sum" (full + delta + resync)
+    (get "tables.delta_bytes")
+
 let () =
   Alcotest.run "scion_cleaner"
     [
@@ -284,5 +470,14 @@ let () =
             test_self_handoff_full_after_crash;
           Alcotest.test_case "phase timers not double-charged" `Quick
             test_phase_timers_not_double_charged;
+        ] );
+      ( "key encoding",
+        [
+          Alcotest.test_case "key views match the stub scan" `Quick
+            test_key_views_match_scan;
+          Alcotest.test_case "a shared key ships once" `Quick
+            test_shared_key_ships_once;
+          Alcotest.test_case "ledger splits wire by encoding" `Quick
+            test_ledger_splits_wire;
         ] );
     ]

@@ -190,6 +190,42 @@ let test_eviction_deterministic_per_seed () =
   check_int "offered count independent of eviction" 400
     (Ts.sample_count a ~since:0 ~until:2000 "latency.test")
 
+(* Words allocated so far.  Not [Gc.allocated_bytes]: on OCaml 5.1 its
+   minor-heap term undercounts what the current minor heap holds, so an
+   allocation between two minor collections barely shows. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* A window holds reservoirs only for the columns it sampled.  With 200
+   histogram columns registered, 50 windows of 20 samples each into one
+   column must allocate a small constant per sample, not a 128-float
+   reservoir per column per window (about 50 x 200 x 129 words). *)
+let test_idle_columns_allocate_nothing () =
+  let w = 100 and columns = 200 and windows = 50 and per = 20 in
+  let ts = Ts.create ~window:w () in
+  let keys = Array.init columns (fun k -> (Printf.sprintf "h%d" k, None)) in
+  Array.iter (fun key -> Ts.observe ts 0 key 1.) keys;
+  let key = keys.(columns - 1) in
+  let before = allocated_words () in
+  for win = 1 to windows do
+    for k = 0 to per - 1 do
+      Ts.observe ts ((win * w) + k) key (float_of_int k)
+    done
+  done;
+  let words = allocated_words () -. before in
+  let samples = windows * per in
+  let budget = float_of_int (32 * samples) in
+  check_bool
+    (Printf.sprintf "%.0f words allocated for %d samples (budget %.0f)" words
+       samples budget)
+    true (words <= budget);
+  Ts.freeze ts;
+  check_int "every sample offered" samples
+    (Ts.sample_count ts ~since:w ~until:((windows + 1) * w) (fst key));
+  check (Alcotest.float 0.0) "window maximum retained" (float_of_int (per - 1))
+    (Ts.percentile ts ~since:w ~until:(2 * w) (fst key) 100.)
+
 (* The live series and the whole-run report pair the same intervals.
    Over a run whose reservoirs never evict (1024 slots per window, fewer
    samples per family than Summary's 1024), every latency family has
@@ -403,6 +439,8 @@ let () =
           Alcotest.test_case "JSONL round trip" `Quick test_jsonl_round_trip;
           Alcotest.test_case "eviction deterministic per seed" `Quick
             test_eviction_deterministic_per_seed;
+          Alcotest.test_case "idle columns allocate nothing" `Quick
+            test_idle_columns_allocate_nothing;
           Alcotest.test_case "live series matches whole-run report" `Quick
             test_live_series_matches_report;
         ] );
