@@ -794,9 +794,9 @@ let e19 () =
   ignore (Cluster.collect_until_quiescent c ());
   ignore (Cluster.settle c);
   let report =
-    Bmx_obs.Report.of_events
+    Bmx_obs.Report.of_iter
       ~metrics:(Cluster.metrics c)
-      (Bmx_util.Trace_event.timed_events (Cluster.evlog c))
+      (Bmx_util.Trace_event.iter (Cluster.evlog c))
   in
   let families = [ "token_acquire.read"; "token_acquire.write"; "gc.pause" ] in
   let json_rows =

@@ -43,6 +43,8 @@ type run_result = {
   r_gc_token_acquires : int;
   r_minor_words_per_op : float;
   r_wave_minor_words_per_op : float;
+  r_events : int;
+  r_event_log_words : int;
   r_components : (Net.Component.t * int) list;
 }
 
@@ -119,9 +121,8 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
   done;
   Bmx_obs.Timeseries.freeze ts;
   let report =
-    Bmx_obs.Report.of_events
-      ~metrics:(Cluster.metrics c)
-      (Trace_event.timed_events (Cluster.evlog c))
+    Bmx_obs.Report.of_iter ~metrics:(Cluster.metrics c)
+      (Trace_event.iter (Cluster.evlog c))
   in
   let net = Cluster.net c in
   let per_op words =
@@ -155,6 +156,8 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
       + Stats.get stats "dsm.gc.acquire_write";
     r_minor_words_per_op = per_op !mutator_words;
     r_wave_minor_words_per_op = per_op !wave_words;
+    r_events = Trace_event.length (Cluster.evlog c);
+    r_event_log_words = Trace_event.words (Cluster.evlog c);
     r_components =
       List.map
         (fun comp -> (comp, Net.component_bytes net comp))
@@ -234,6 +237,8 @@ let result_json r =
       ("gc_token_acquires", Json.Int r.r_gc_token_acquires);
       ("minor_words_per_op", Json.Float r.r_minor_words_per_op);
       ("wave_minor_words_per_op", Json.Float r.r_wave_minor_words_per_op);
+      ("events", Json.Int r.r_events);
+      ("event_log_words", Json.Int r.r_event_log_words);
       ( "components",
         Json.Obj
           (List.map
@@ -459,7 +464,7 @@ let e20_diag_at ~nodes ~objects_per_bunch =
   Printf.printf "net: %d msgs, %d bytes, %d events
 %!"
     (Net.total_messages net) (Net.total_bytes net)
-    (List.length (Trace_event.events (Cluster.evlog c)))
+    (Trace_event.length (Cluster.evlog c))
 
 let e20_diag () =
   List.iter

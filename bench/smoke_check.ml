@@ -7,15 +7,16 @@
    cut, and the delta-table streams must resynchronize within a bounded
    number of cleaner cycles after heal.
 
-   Five performance gates ride along, locking in the flat-heap hot path
-   and the churn-proportional cleaner: a wall-clock throughput floor (the
-   pre-flat-heap driver managed ~155 ops/sec at 8x1280; even the
-   miniature smoke configuration must clear ten times that), an
-   OCaml-runtime allocation budget per mutator op (the legality memo,
-   handle table and op dispatch are flat arrays and bitmaps; only
-   Rng.float boxing and a few option cells remain), an allocation
-   budget for the collector waves per mutator op, and deterministic
-   budgets for the stub-table bytes and the messages the run sends. *)
+   Performance gates ride along, locking in the flat-heap hot path, the
+   churn-proportional cleaner and the packed event log: a wall-clock
+   throughput floor (the pre-flat-heap driver managed ~155 ops/sec at
+   8x1280; even the miniature smoke configuration must clear ten times
+   that), an OCaml-runtime allocation budget per mutator op (the
+   legality memo, handle table and op dispatch are flat arrays and
+   bitmaps; only Rng.float boxing and a few option cells remain), an
+   allocation budget for the collector waves per mutator op, and
+   deterministic budgets for the stub-table bytes and messages the run
+   sends and for the event log's words per recorded event. *)
 
 module Json = Bmx_obs.Json
 
@@ -46,22 +47,25 @@ let ops_per_sec_floor = 1550.0
    that the figure is a heap-size-independent constant (the complexity
    tests compare it across heap sizes); the budget here catches a
    reintroduced per-op traversal, not ordinary message allocation.
-   The smoke configuration measures 588 words/op; ~7% of headroom
-   absorbs compiler and runtime drift while still catching any
-   O(population) cost that sneaks back onto the per-op or per-sample
-   path.  (An allocating registry lookup under the DSM's write path
-   adds only 4% here, 611; the wave budget below catches it.) *)
+   The smoke configuration measures 467 words/op (533 while the event
+   log consed a boxed event per record); the budget, set when it
+   measured 588, absorbs compiler and runtime drift while still
+   catching any O(population) cost that sneaks back onto the per-op or
+   per-sample path.  (An allocating registry lookup under the DSM's
+   write path adds only 4% here, 611; the wave budget below catches
+   it.) *)
 let minor_words_per_op_budget = 630.0
 
 (* Minor words the collector waves between the mutator batches allocate,
-   per mutator op: about 500 in the smoke configuration (it moves by a
-   few words with the timings the phase histograms record), with the
-   budget ~7% above.  Each of these collector regressions fails it: a
-   second trace per collection (579), stub tables rebuilt wholesale
-   instead of retained in place (558), an allocating registry lookup
-   (641).  It holds total wave allocation only, so CPU-bound regressions
-   on the smoke's small tables — a claim scan over every mirror, a full
-   self hand-off on every BGC — still pass it. *)
+   per mutator op: 464 in the smoke configuration (479 with the boxed
+   event log; it moves by a few words with the timings the phase
+   histograms record).  The budget sits ~7% above the 500 measured
+   before the packed log, where each of these collector regressions
+   failed it: a second trace per collection (579), stub tables rebuilt
+   wholesale instead of retained in place (558), an allocating registry
+   lookup (641).  It holds total wave allocation only, so CPU-bound
+   regressions on the smoke's small tables — a claim scan over every
+   mirror, a full self hand-off on every BGC — still pass it. *)
 let wave_minor_words_per_op_budget = 535.0
 
 (* Deterministic wire budgets: for a fixed seed the smoke configuration
@@ -73,6 +77,11 @@ let wave_minor_words_per_op_budget = 535.0
    stub records in fulls gives 23 456.  Messages are 1 003. *)
 let table_bytes_budget = 21_400
 let messages_budget = 1_020
+
+(* Deterministic event-log density: words the typed event log stores per
+   recorded event.  The packed log measures 3.36 (14 411 words for 4 286
+   events); a cons list of boxed (timestamp, event) pairs holds about 11. *)
+let event_log_words_per_event_budget = 4.0
 
 let () =
   let path = Sys.argv.(1) in
@@ -157,6 +166,17 @@ let () =
       if messages > messages_budget then
         die "bench-smoke: %d-node run sent %d messages (budget %d)" nodes
           messages messages_budget;
+      let events = int_member "events" cfg in
+      let log_words = int_member "event_log_words" cfg in
+      let words_per_event =
+        if events = 0 then 0.0 else float_of_int log_words /. float_of_int events
+      in
+      if words_per_event > event_log_words_per_event_budget then
+        die
+          "bench-smoke: %d-node run's event log holds %.2f words per event \
+           (%d words, %d events; budget %.1f — boxed events back in the log?)"
+          nodes words_per_event log_words events
+          event_log_words_per_event_budget;
       let delta = int_member "steady_delta_bytes" cfg in
       let full = int_member "steady_full_bytes" cfg in
       if delta > full then
@@ -168,11 +188,13 @@ let () =
         "bench-smoke: %d nodes ok — gc tokens 0, %.0f ops/sec (floor %.0f), \
          %.0f alloc words/op (budget %.0f), %.0f wave words/op (budget %.0f), \
          %d table bytes (budget %d), %d messages (budget %d), \
+         %.2f event-log words/event (budget %.1f), \
          steady delta %dB <= full %dB (%.1f%%)\n"
         nodes ops_per_sec ops_per_sec_floor words_per_op
         minor_words_per_op_budget wave_words_per_op
         wave_minor_words_per_op_budget table_bytes table_bytes_budget
-        messages messages_budget delta full
+        messages messages_budget words_per_event
+        event_log_words_per_event_budget delta full
         (if full = 0 then 0.0 else 100.0 *. float_of_int delta /. float_of_int full)
       end)
     configs

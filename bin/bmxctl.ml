@@ -357,25 +357,27 @@ let run_workload nodes bunches objects ops seed mode collect ggc dump trace
   end;
   if trace then begin
     print_endline "--- last 40 trace events";
-    let events = Cluster.events c in
-    let skip = List.length events - 40 in
-    List.iteri
-      (fun i e -> if i >= skip then print_endline (Bmx_util.Trace_event.to_line e))
-      events
+    let log = Cluster.evlog c in
+    let skip = Bmx_util.Trace_event.length log - 40 in
+    ignore
+      (Bmx_util.Trace_event.fold log
+         (fun i _ e ->
+           if i >= skip then print_endline (Bmx_util.Trace_event.to_line e);
+           i + 1)
+         0)
   end;
   (match emit_trace with
   | None -> ()
   | Some file ->
       let oc = open_out file in
-      let count = ref 0 in
-      List.iter
-        (fun e ->
+      let log = Cluster.evlog c in
+      Bmx_util.Trace_event.iter log (fun _ e ->
           output_string oc (Bmx_util.Trace_event.to_line e);
-          output_char oc '\n';
-          incr count)
-        (Cluster.events c);
+          output_char oc '\n');
       close_out oc;
-      Printf.printf "trace: %d typed events written to %s\n" !count file);
+      Printf.printf "trace: %d typed events written to %s\n"
+        (Bmx_util.Trace_event.length log)
+        file);
   (* Flight post-mortems: automatic trips (GC token acquire, truncating
      RVM recovery) already fired live; end-of-run analysis trips — a lint
      rule firing, the audit finding loss — are added here, then every
@@ -582,9 +584,12 @@ let oo7_cmd =
 
 (* ---------------------------------------------------------------- check *)
 
+(* Parse a saved trace into an (unbounded) event log. *)
 let load_trace file =
   let ic = open_in file in
-  let events = ref [] and lineno = ref 0 and bad = ref 0 in
+  let log = Bmx_util.Trace_event.create_log ~capacity:max_int () in
+  Bmx_util.Trace_event.set_enabled log true;
+  let lineno = ref 0 and bad = ref 0 in
   (try
      while true do
        incr lineno;
@@ -592,22 +597,24 @@ let load_trace file =
        (* '#' lines are flight-recorder headers (reason, metrics snapshot). *)
        if line <> "" && line.[0] <> '#' then
          match Bmx_util.Trace_event.of_line line with
-         | Ok e -> events := e :: !events
+         | Ok e -> Bmx_util.Trace_event.record log e
          | Error m ->
              incr bad;
              Printf.eprintf "%s:%d: unparseable event (%s)\n" file !lineno m
      done
    with End_of_file -> ());
   close_in ic;
-  (List.rev !events, !bad)
+  (log, !bad)
 
 let run_check trace_file nodes bunches objects ops seed mode =
   let violations =
     match trace_file with
     | Some file ->
-        let events, bad = load_trace file in
-        Printf.printf "linting %d event(s) from %s\n" (List.length events) file;
-        let vs = Bmx_check.Lint.run events in
+        let log, bad = load_trace file in
+        Printf.printf "linting %d event(s) from %s\n"
+          (Bmx_util.Trace_event.length log)
+          file;
+        let vs = Bmx_check.Lint.check_log log in
         if bad > 0 then
           {
             Bmx_check.Lint.rule = Bmx_check.Lint.Incomplete_trace;
@@ -642,7 +649,7 @@ let run_check trace_file nodes bunches objects ops seed mode =
           "workload: %d nodes, %d bunches, %d ops (seed %d); linting %d \
            event(s)\n"
           nodes bunches ops seed
-          (List.length (Cluster.events c));
+          (Bmx_util.Trace_event.length (Cluster.evlog c));
         Bmx_check.Lint.check_all (Cluster.proto c)
   in
   match violations with
@@ -695,10 +702,12 @@ let run_certify trace_file json nodes bunches objects ops seed mode =
   let cert =
     match trace_file with
     | Some file ->
-        let events, bad = load_trace file in
-        Printf.printf "certifying %d event(s) from %s\n" (List.length events)
+        let log, bad = load_trace file in
+        Printf.printf "certifying %d event(s) from %s\n"
+          (Bmx_util.Trace_event.length log)
           file;
-        Bmx_check.Races.certify ~overflowed:(bad > 0) events
+        Bmx_check.Races.certify ~overflowed:(bad > 0)
+          (Bmx_util.Trace_event.events log)
     | None ->
         let cfg =
           {
@@ -806,9 +815,9 @@ let run_report nodes bunches objects ops seed mode ggc drop dup fault_kinds
      don't pollute the final window. *)
   Bmx_obs.Timeseries.freeze ts;
   let report =
-    Bmx_obs.Report.of_events
+    Bmx_obs.Report.of_iter
       ~metrics:(Cluster.metrics c)
-      (Bmx_util.Trace_event.timed_events (Cluster.evlog c))
+      (Bmx_util.Trace_event.iter (Cluster.evlog c))
   in
   let cert =
     Bmx_check.Races.certify

@@ -24,49 +24,8 @@ let join ~into src =
 
 let node_span events =
   let m = ref 0 in
-  let see n = if n > !m then m := n in
   Array.iter
-    (fun (e : E.t) ->
-      match e with
-      | E.Acquire_start { node; _ }
-      | E.Acquire_done { node; _ }
-      | E.Release { node; _ }
-      | E.Updates_applied { node; _ }
-      | E.Forward_due { node; _ }
-      | E.Gc_begin { node; _ }
-      | E.Gc_end { node; _ }
-      | E.Crash { node }
-      | E.Restart { node }
-      | E.Owner_adopted { node; _ }
-      | E.Disk_fault { node; _ }
-      | E.Rvm_recover { node; _ }
-      | E.Bunch_verified { node; _ }
-      | E.Shard_alloc { node; _ }
-      | E.Shard_adopted { node; _ }
-      | E.Read_obs { node; _ }
-      | E.Write_obs { node; _ }
-      | E.Gc_phase { node; _ } ->
-          see node
-      | E.Grant_sent { granter; requester; _ }
-      | E.Hook_ssp { granter; requester; _ } ->
-          see granter;
-          see requester
-      | E.Invalidate { src; dst; _ }
-      | E.Copyset_forward { src; dst; _ }
-      | E.Msg_sent { src; dst; _ }
-      | E.Msg_delivered { src; dst; _ }
-      | E.Msg_retransmit { src; dst; _ }
-      | E.Msg_suppressed { src; dst; _ }
-      | E.Msg_buffered { src; dst; _ }
-      | E.Rpc { src; dst; _ }
-      | E.Link_cut { src; dst }
-      | E.Link_heal { src; dst }
-      | E.Suspect { src; dst; _ } ->
-          see src;
-          see dst
-      | E.Tables_processed { at; sender; _ } ->
-          see at;
-          see sender)
+    (fun e -> List.iter (fun n -> m := Int.max !m n) (E.nodes e))
     events;
   !m + 1
 

@@ -58,7 +58,9 @@ let normalize vs = List.sort_uniq compare_violation vs
 
 let tok_str = function E.Read -> "read" | E.Write -> "write"
 
-let run events =
+(* [replay iter] runs the rules over [iter], which calls its argument on
+   every event with its index, oldest first. *)
+let replay iter =
   let out = ref [] in
   let add ~at ~vnode rule fmt =
     Printf.ksprintf (fun detail -> out := { rule; at; vnode; detail } :: !out) fmt
@@ -105,8 +107,7 @@ let run events =
             "event %d: %s at/involving crashed N%d" i what node)
       fmt
   in
-  List.iteri
-    (fun i e ->
+  iter (fun i e ->
       match e with
       | E.Acquire_start { actor = E.Gc; node; uid; tok } ->
           add ~at:i ~vnode:node Gc_acquired_token
@@ -315,8 +316,7 @@ let run events =
       | E.Invalidate { src; dst = _; uid } ->
           (* An invalidation *to* a dead node is legal — the message just
              evaporates at the dead host; one *from* a dead node is not. *)
-          dead i src "invalidation of o%d issued" uid)
-    events;
+          dead i src "invalidation of o%d issued" uid);
   Hashtbl.iter
     (fun (node, peer, uid) i ->
       add ~at:i ~vnode:node Invariant2
@@ -336,8 +336,18 @@ let run events =
     faults;
   normalize !out
 
+let run events = replay (fun f -> List.iteri f events)
+
 let check_log log =
-  let vs = run (E.events log) in
+  let vs =
+    replay (fun f ->
+        ignore
+          (E.fold log
+             (fun i _ e ->
+               f i e;
+               i + 1)
+             0))
+  in
   if E.overflowed log then
     {
       rule = Incomplete_trace;

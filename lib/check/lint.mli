@@ -91,7 +91,8 @@ val run : Bmx_util.Trace_event.t list -> violation list
 (** Replay the log; empty result means every checked invariant held. *)
 
 val check_log : Bmx_util.Trace_event.log -> violation list
-(** {!run} on the log's events, plus the truncation check. *)
+(** The rules of {!run}, decoding the log one event at a time (no event
+    list is built), plus the truncation check. *)
 
 val check_stores : Bmx_dsm.Protocol.t -> violation list
 (** Forwarding-pointer acyclicity on every node's store. *)

@@ -50,45 +50,6 @@ let create ?(per_node = 256) ?(max_dumps = 4) ?metrics () =
 let set_on_dump t f = t.on_dump <- Some f
 let dumps t = List.rev t.dumps_rev
 
-(* Attribution is total over the event type on purpose: a new
-   constructor must decide here which node's history it belongs to
-   (both, for pair events) or the build breaks. *)
-let nodes_of_event = function
-  | T.Acquire_start { node; _ }
-  | T.Acquire_done { node; _ }
-  | T.Release { node; _ }
-  | T.Updates_applied { node; _ }
-  | T.Forward_due { node; _ }
-  | T.Gc_begin { node; _ }
-  | T.Gc_end { node; _ }
-  | T.Gc_phase { node; _ }
-  | T.Crash { node }
-  | T.Restart { node }
-  | T.Owner_adopted { node; _ }
-  | T.Disk_fault { node; _ }
-  | T.Rvm_recover { node; _ }
-  | T.Bunch_verified { node; _ }
-  | T.Shard_alloc { node; _ }
-  | T.Shard_adopted { node; _ }
-  | T.Read_obs { node; _ }
-  | T.Write_obs { node; _ } ->
-      (node, None)
-  | T.Grant_sent { granter; requester; _ } -> (granter, Some requester)
-  | T.Hook_ssp { granter; requester; _ } -> (granter, Some requester)
-  | T.Invalidate { src; dst; _ }
-  | T.Copyset_forward { src; dst; _ }
-  | T.Msg_sent { src; dst; _ }
-  | T.Msg_delivered { src; dst; _ }
-  | T.Msg_retransmit { src; dst; _ }
-  | T.Msg_suppressed { src; dst; _ }
-  | T.Msg_buffered { src; dst; _ }
-  | T.Rpc { src; dst; _ }
-  | T.Link_cut { src; dst }
-  | T.Link_heal { src; dst }
-  | T.Suspect { src; dst; _ } ->
-      (src, Some dst)
-  | T.Tables_processed { at; sender; _ } -> (at, Some sender)
-
 let ring_of t node =
   match Hashtbl.find_opt t.rings node with
   | Some r -> r
@@ -148,11 +109,10 @@ let trip t ?at reason =
 
 let record t ts e =
   t.last_ts <- ts;
-  let a, b = nodes_of_event e in
-  push (ring_of t a) (ts, e);
-  (match b with
-  | Some b when b <> a -> push (ring_of t b) (ts, e)
-  | _ -> ());
+  (* A pair event lands in both nodes' rings. *)
+  List.iter
+    (fun node -> push (ring_of t node) (ts, e))
+    (List.sort_uniq Int.compare (T.nodes e));
   (* Automatic triggers: the §5 alarm and truncating recovery. *)
   match e with
   | T.Acquire_start { actor = T.Gc; node; uid; _ } ->

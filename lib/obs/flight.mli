@@ -45,8 +45,3 @@ val dumps : t -> dump list
 val set_on_dump : t -> (dump -> unit) -> unit
 (** Called on every dump as it is produced (e.g. to write it to disk —
     the library itself never touches the filesystem). *)
-
-val nodes_of_event : Trace_event.t -> Ids.Node.t * Ids.Node.t option
-(** Total attribution of an event to its node (and peer, for pair
-    events) — a new constructor must be classified here or the build
-    fails. *)

@@ -5,8 +5,8 @@ type t = {
   certified : bool option;
 }
 
-let of_events ~metrics timed =
-  let spans = Span.of_events timed in
+let of_iter ~metrics iter =
+  let spans = Span.of_iter iter in
   (* Created at zero so the non-interference number is in every report,
      then bumped per GC-actor acquisition. *)
   Metrics.incr metrics ~by:0 "gc.token_acquires";
@@ -33,6 +33,9 @@ let of_events ~metrics timed =
       | _ -> 0);
     certified = None;
   }
+
+let of_events ~metrics timed =
+  of_iter ~metrics (fun f -> List.iter (fun (ts, e) -> f ts e) timed)
 
 let with_certified t verdict = { t with certified = Some verdict }
 let certified t = t.certified

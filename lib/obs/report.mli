@@ -15,11 +15,16 @@ open Bmx_util
 
 type t
 
-val of_events : metrics:Metrics.t -> (int * Trace_event.t) list -> t
-(** Derives spans from the timed trace, folds their durations into
-    latency histograms {e inside [metrics]}, then snapshots it.  The
+val of_iter :
+  metrics:Metrics.t -> ((int -> Trace_event.t -> unit) -> unit) -> t
+(** Derives spans from the timed trace ({!Span.of_iter}; pass
+    [Trace_event.iter log]), folds their durations into latency
+    histograms {e inside [metrics]}, then snapshots it.  The
     [gc.token_acquires] counter is created (at zero) if no GC-actor
     acquire was ever recorded, so it appears in every report. *)
+
+val of_events : metrics:Metrics.t -> (int * Trace_event.t) list -> t
+(** {!of_iter} over a [(ts, event)] list, oldest first. *)
 
 val spans : t -> Span.t list
 val snapshot : t -> Metrics.snapshot

@@ -136,7 +136,7 @@ let gc_name group = if group then "gc.ggc" else "gc.bgc"
 let msg_track kind =
   match kind with "scion_message" | "stub_table" -> Cleaner | _ -> Net
 
-(* What [of_events] keeps in an open interval: the begin event, its
+(* What [of_iter] keeps in an open interval: the begin event, its
    time, and the transmissions of a message flight so far. *)
 type opened = { start : int; first : T.t; mutable attempts : int }
 
@@ -245,12 +245,11 @@ let lone ts ev =
         (instant ("gc.phase." ^ phase) node Gc ts [ ("wall_us", Json.Int us) ])
   | _ -> None
 
-let of_events timed =
+let of_iter iter =
   let p = pairing (fun start first -> { start; first; attempts = 1 }) in
   let spans = ref [] in
   let emit s = spans := s :: !spans in
-  List.iter
-    (fun (ts, ev) ->
+  iter (fun ts ev ->
       match (step p ts ev, ev) with
       | Began, _ -> ()
       | Ended o, _ -> emit (ended (Some o) ts ev)
@@ -258,8 +257,7 @@ let of_events timed =
       | Retransmitted o, T.Msg_retransmit { attempt; _ } ->
           o.attempts <- attempt;
           Option.iter emit (lone ts ev)
-      | (Retransmitted _ | Unpaired), _ -> Option.iter emit (lone ts ev))
-    timed;
+      | (Retransmitted _ | Unpaired), _ -> Option.iter emit (lone ts ev));
   iter_open p (fun o -> emit (unfinished o));
   List.sort (fun a b -> compare (a.ts, a.node, a.name) (b.ts, b.node, b.name))
     !spans

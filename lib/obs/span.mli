@@ -92,6 +92,7 @@ type t = {
   args : (string * Json.t) list;
 }
 
-val of_events : (int * Trace_event.t) list -> t list
-(** Input as produced by {!Bmx_util.Trace_event.timed_events} (oldest
-    first); output sorted by [ts]. *)
+val of_iter : ((int -> Trace_event.t -> unit) -> unit) -> t list
+(** [of_iter iter] pairs the events [iter] calls its argument on, as
+    [f ts event] oldest first ([Trace_event.iter log] streams a log);
+    output sorted by [ts]. *)

@@ -1,113 +1,201 @@
-type actor = App | Gc
-type tok = Read | Write
+include Trace_types
 
-type t =
-  | Acquire_start of {
-      actor : actor;
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      tok : tok;
-    }
-  | Acquire_done of {
-      actor : actor;
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      tok : tok;
-      addr_valid : bool;
-    }
-  | Release of { node : Ids.Node.t; uid : Ids.Uid.t }
-  | Grant_sent of {
-      granter : Ids.Node.t;
-      requester : Ids.Node.t;
-      uid : Ids.Uid.t;
-      tok : tok;
-      updates : int;
-    }
-  | Hook_ssp of {
-      granter : Ids.Node.t;
-      requester : Ids.Node.t;
-      uid : Ids.Uid.t;
-    }
-  | Invalidate of { src : Ids.Node.t; dst : Ids.Node.t; uid : Ids.Uid.t }
-  | Updates_applied of { node : Ids.Node.t; uids : Ids.Uid.t list }
-  | Forward_due of {
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      peers : Ids.Node.t list;
-    }
-  | Copyset_forward of { src : Ids.Node.t; dst : Ids.Node.t; uid : Ids.Uid.t }
-  | Gc_begin of { node : Ids.Node.t; group : bool; bunches : Ids.Bunch.t list }
-  | Gc_end of { node : Ids.Node.t; group : bool; live : int; reclaimed : int }
-  | Msg_sent of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-      rel : bool;
-    }
-  | Msg_delivered of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-      rel : bool;
-    }
-  | Msg_retransmit of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-      attempt : int;
-    }
-  | Msg_suppressed of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-    }
-  | Msg_buffered of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-    }
-  | Rpc of { src : Ids.Node.t; dst : Ids.Node.t; kind : string; seq : int }
-  | Crash of { node : Ids.Node.t }
-  | Restart of { node : Ids.Node.t }
-  | Link_cut of { src : Ids.Node.t; dst : Ids.Node.t }
-  | Link_heal of { src : Ids.Node.t; dst : Ids.Node.t }
-  | Suspect of { src : Ids.Node.t; dst : Ids.Node.t; on : bool }
-  | Owner_adopted of { node : Ids.Node.t; uid : Ids.Uid.t }
-  | Tables_processed of {
-      at : Ids.Node.t;
-      sender : Ids.Node.t;
-      bunch : Ids.Bunch.t;
-      seq : int;
-    }
-  | Disk_fault of { node : Ids.Node.t; fault : string }
-  | Rvm_recover of { node : Ids.Node.t; dropped : int; lost : int }
-  | Bunch_verified of { node : Ids.Node.t; missing : int }
-  | Shard_alloc of { shard : int; node : Ids.Node.t }
-  | Shard_adopted of { shard : int; node : Ids.Node.t }
-  | Read_obs of {
-      actor : actor;
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      version : int;
-      covered : bool;
-    }
-  | Write_obs of {
-      actor : actor;
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      version : int;
-      covered : bool;
-    }
-  | Gc_phase of { node : Ids.Node.t; phase : string; us : int }
+(* ------------------------------------------------------------- schema *)
+
+(* Each constructor's fields in text order, indexed by tag.  Flags (actor,
+   tok, bools) are header bits, nodes its two node slots and the string
+   its interned id; ints follow the header as words and the list trails
+   them.  [Rel] is a bool that traces from before the reliable-delivery
+   layer omit (read as 0). *)
+type field = Actor | Tok | Bool | Rel | Node | Int | Str | Ints
+
+let schema =
+  [|
+    ("acquire_start", [ Actor; Node; Int; Tok ]);
+    ("acquire_done", [ Actor; Node; Int; Tok; Bool ]);
+    ("release", [ Node; Int ]);
+    ("grant_sent", [ Node; Node; Int; Tok; Int ]);
+    ("hook_ssp", [ Node; Node; Int ]);
+    ("invalidate", [ Node; Node; Int ]);
+    ("updates_applied", [ Node; Ints ]);
+    ("forward_due", [ Node; Int; Ints ]);
+    ("copyset_forward", [ Node; Node; Int ]);
+    ("gc_begin", [ Node; Bool; Ints ]);
+    ("gc_end", [ Node; Bool; Int; Int ]);
+    ("msg_sent", [ Node; Node; Str; Int; Rel ]);
+    ("msg_delivered", [ Node; Node; Str; Int; Rel ]);
+    ("msg_retransmit", [ Node; Node; Str; Int; Int ]);
+    ("msg_suppressed", [ Node; Node; Str; Int ]);
+    ("msg_buffered", [ Node; Node; Str; Int ]);
+    ("rpc", [ Node; Node; Str; Int ]);
+    ("crash", [ Node ]);
+    ("restart", [ Node ]);
+    ("link_cut", [ Node; Node ]);
+    ("link_heal", [ Node; Node ]);
+    ("suspect", [ Node; Node; Bool ]);
+    ("owner_adopted", [ Node; Int ]);
+    ("tables_processed", [ Node; Node; Int; Int ]);
+    ("disk_fault", [ Node; Str ]);
+    ("rvm_recover", [ Node; Int; Int ]);
+    ("bunch_verified", [ Node; Int ]);
+    ("shard_alloc", [ Int; Node ]);
+    ("shard_adopted", [ Int; Node ]);
+    ("read_obs", [ Actor; Node; Int; Int; Bool ]);
+    ("write_obs", [ Actor; Node; Int; Int; Bool ]);
+    ("gc_phase", [ Node; Str; Int ]);
+  |]
+
+let count k =
+  Array.map (fun (_, fs) -> List.length (List.filter (( = ) k) fs)) schema
+
+let n_nodes = count Node
+let n_ints = count Int
+let n_strs = count Str
+let n_lists = count Ints
+
+(* One event unpacked: [encode] fills it from a [t], [decode] builds a
+   [t] from it.  Nodes and ints fill their two slots in text order. *)
+type fields = {
+  mutable tag : int;
+  mutable flags : int;
+  mutable n0 : int;
+  mutable n1 : int;
+  mutable str : string;
+  mutable i0 : int;
+  mutable i1 : int;
+  mutable ints : int list;
+}
+
+let fields () =
+  { tag = 0; flags = 0; n0 = 0; n1 = 0; str = ""; i0 = 0; i1 = 0; ints = [] }
+
+let set f tag flags n0 n1 str i0 i1 ints =
+  f.tag <- tag;
+  f.flags <- flags;
+  f.n0 <- n0;
+  f.n1 <- n1;
+  f.str <- str;
+  f.i0 <- i0;
+  f.i1 <- i1;
+  f.ints <- ints
+
+let bit b = if b then 1 else 0
+let act = function App -> 0 | Gc -> 1
+let tk = function Read -> 0 | Write -> 1
+
+let encode f = function
+  | Acquire_start { actor; node; uid; tok } ->
+      set f 0 (act actor lor (tk tok lsl 1)) node 0 "" uid 0 []
+  | Acquire_done { actor; node; uid; tok; addr_valid } ->
+      let flags = act actor lor (tk tok lsl 1) lor (bit addr_valid lsl 2) in
+      set f 1 flags node 0 "" uid 0 []
+  | Release { node; uid } -> set f 2 0 node 0 "" uid 0 []
+  | Grant_sent { granter; requester; uid; tok; updates } ->
+      set f 3 (tk tok) granter requester "" uid updates []
+  | Hook_ssp { granter; requester; uid } ->
+      set f 4 0 granter requester "" uid 0 []
+  | Invalidate { src; dst; uid } -> set f 5 0 src dst "" uid 0 []
+  | Updates_applied { node; uids } -> set f 6 0 node 0 "" 0 0 uids
+  | Forward_due { node; uid; peers } -> set f 7 0 node 0 "" uid 0 peers
+  | Copyset_forward { src; dst; uid } -> set f 8 0 src dst "" uid 0 []
+  | Gc_begin { node; group; bunches } ->
+      set f 9 (bit group) node 0 "" 0 0 bunches
+  | Gc_end { node; group; live; reclaimed } ->
+      set f 10 (bit group) node 0 "" live reclaimed []
+  | Msg_sent { src; dst; kind; seq; rel } ->
+      set f 11 (bit rel) src dst kind seq 0 []
+  | Msg_delivered { src; dst; kind; seq; rel } ->
+      set f 12 (bit rel) src dst kind seq 0 []
+  | Msg_retransmit { src; dst; kind; seq; attempt } ->
+      set f 13 0 src dst kind seq attempt []
+  | Msg_suppressed { src; dst; kind; seq } -> set f 14 0 src dst kind seq 0 []
+  | Msg_buffered { src; dst; kind; seq } -> set f 15 0 src dst kind seq 0 []
+  | Rpc { src; dst; kind; seq } -> set f 16 0 src dst kind seq 0 []
+  | Crash { node } -> set f 17 0 node 0 "" 0 0 []
+  | Restart { node } -> set f 18 0 node 0 "" 0 0 []
+  | Link_cut { src; dst } -> set f 19 0 src dst "" 0 0 []
+  | Link_heal { src; dst } -> set f 20 0 src dst "" 0 0 []
+  | Suspect { src; dst; on } -> set f 21 (bit on) src dst "" 0 0 []
+  | Owner_adopted { node; uid } -> set f 22 0 node 0 "" uid 0 []
+  | Tables_processed { at; sender; bunch; seq } ->
+      set f 23 0 at sender "" bunch seq []
+  | Disk_fault { node; fault } -> set f 24 0 node 0 fault 0 0 []
+  | Rvm_recover { node; dropped; lost } ->
+      set f 25 0 node 0 "" dropped lost []
+  | Bunch_verified { node; missing } -> set f 26 0 node 0 "" missing 0 []
+  | Shard_alloc { shard; node } -> set f 27 0 node 0 "" shard 0 []
+  | Shard_adopted { shard; node } -> set f 28 0 node 0 "" shard 0 []
+  | Read_obs { actor; node; uid; version; covered } ->
+      set f 29 (act actor lor (bit covered lsl 1)) node 0 "" uid version []
+  | Write_obs { actor; node; uid; version; covered } ->
+      set f 30 (act actor lor (bit covered lsl 1)) node 0 "" uid version []
+  | Gc_phase { node; phase; us } -> set f 31 0 node 0 phase us 0 []
+
+let flag f k = (f.flags lsr k) land 1 = 1
+let actor f = if flag f 0 then Gc else App
+let tok f k = if flag f k then Write else Read
+
+let decode f =
+  let n0 = f.n0 and n1 = f.n1 and i0 = f.i0 and i1 = f.i1 and str = f.str in
+  match f.tag with
+  | 0 -> Acquire_start { actor = actor f; node = n0; uid = i0; tok = tok f 1 }
+  | 1 ->
+      let actor = actor f and tok = tok f 1 in
+      Acquire_done { actor; node = n0; uid = i0; tok; addr_valid = flag f 2 }
+  | 2 -> Release { node = n0; uid = i0 }
+  | 3 ->
+      let tok = tok f 0 in
+      Grant_sent { granter = n0; requester = n1; uid = i0; tok; updates = i1 }
+  | 4 -> Hook_ssp { granter = n0; requester = n1; uid = i0 }
+  | 5 -> Invalidate { src = n0; dst = n1; uid = i0 }
+  | 6 -> Updates_applied { node = n0; uids = f.ints }
+  | 7 -> Forward_due { node = n0; uid = i0; peers = f.ints }
+  | 8 -> Copyset_forward { src = n0; dst = n1; uid = i0 }
+  | 9 -> Gc_begin { node = n0; group = flag f 0; bunches = f.ints }
+  | 10 -> Gc_end { node = n0; group = flag f 0; live = i0; reclaimed = i1 }
+  | 11 -> Msg_sent { src = n0; dst = n1; kind = str; seq = i0; rel = flag f 0 }
+  | 12 ->
+      Msg_delivered { src = n0; dst = n1; kind = str; seq = i0; rel = flag f 0 }
+  | 13 ->
+      Msg_retransmit { src = n0; dst = n1; kind = str; seq = i0; attempt = i1 }
+  | 14 -> Msg_suppressed { src = n0; dst = n1; kind = str; seq = i0 }
+  | 15 -> Msg_buffered { src = n0; dst = n1; kind = str; seq = i0 }
+  | 16 -> Rpc { src = n0; dst = n1; kind = str; seq = i0 }
+  | 17 -> Crash { node = n0 }
+  | 18 -> Restart { node = n0 }
+  | 19 -> Link_cut { src = n0; dst = n1 }
+  | 20 -> Link_heal { src = n0; dst = n1 }
+  | 21 -> Suspect { src = n0; dst = n1; on = flag f 0 }
+  | 22 -> Owner_adopted { node = n0; uid = i0 }
+  | 23 -> Tables_processed { at = n0; sender = n1; bunch = i0; seq = i1 }
+  | 24 -> Disk_fault { node = n0; fault = str }
+  | 25 -> Rvm_recover { node = n0; dropped = i0; lost = i1 }
+  | 26 -> Bunch_verified { node = n0; missing = i0 }
+  | 27 -> Shard_alloc { shard = i0; node = n0 }
+  | 28 -> Shard_adopted { shard = i0; node = n0 }
+  | 29 ->
+      let actor = actor f and covered = flag f 1 in
+      Read_obs { actor; node = n0; uid = i0; version = i1; covered }
+  | 30 ->
+      let actor = actor f and covered = flag f 1 in
+      Write_obs { actor; node = n0; uid = i0; version = i1; covered }
+  | 31 -> Gc_phase { node = n0; phase = str; us = i0 }
+  | tag -> invalid_arg (Printf.sprintf "Trace_event.decode: tag %d" tag)
+
+let nodes e =
+  let f = fields () in
+  encode f e;
+  if n_nodes.(f.tag) = 2 then [ f.n0; f.n1 ] else [ f.n0 ]
+
+(* ------------------------------------------------------------ storage *)
 
 type log = {
   mutable log_enabled : bool;
-  mutable rev : (int * t) list;
+  mutable full : int array list;  (* filled chunks, newest first *)
+  mutable cur : int array;
+  mutable pos : int;  (* next free word of [cur] *)
+  mutable strs : string array;  (* interned strings, by id *)
+  scratch : fields;
   mutable count : int;
   capacity : int;
   mutable over : bool;
@@ -118,11 +206,21 @@ type log = {
 
 let quantum = 1000
 
+(* Chunks double from [first_chunk] words (most logs in tests hold a few
+   events) to [chunk_words].  Both exceed the minor heap's 256-word
+   limit, so every chunk is allocated straight on the major heap. *)
+let first_chunk = 512
+let chunk_words = 65_536
+
 let create_log ?(capacity = 1_000_000) () =
   if capacity <= 0 then invalid_arg "Trace_event.create_log: capacity";
   {
     log_enabled = false;
-    rev = [];
+    full = [];
+    cur = [||];
+    pos = 0;
+    strs = [||];
+    scratch = fields ();
     count = 0;
     capacity;
     over = false;
@@ -140,6 +238,61 @@ let set_clock l f = l.clock <- f
    hangs off here rather than polling the log. *)
 let add_tap l f = l.taps <- l.taps @ [ f ]
 
+let push l w =
+  let n = Array.length l.cur in
+  if l.pos = n then begin
+    if n > 0 then l.full <- l.cur :: l.full;
+    l.cur <- Array.make (Int.max first_chunk (Int.min chunk_words (2 * n))) 0;
+    l.pos <- 0
+  end;
+  l.cur.(l.pos) <- w;
+  l.pos <- l.pos + 1
+
+let rec push_list l = function
+  | [] -> ()
+  | x :: rest ->
+      push l x;
+      push_list l rest
+
+(* A scan, not a hashtable: a log holds a few dozen kind and phase
+   names, producers pass the same literal each time, and the lookup must
+   not allocate. *)
+let rec intern l s i =
+  if i = Array.length l.strs then begin
+    l.strs <- Array.append l.strs [| s |];
+    i
+  end
+  else if l.strs.(i) == s || String.equal l.strs.(i) s then i
+  else intern l s (i + 1)
+
+(* Header bits: tag 0-5, wide 6, flags 7-10, string id 11-18, node slots
+   19-38 and 39-58. *)
+let narrow n = n >= -1 && n < 0xFFFFF
+
+let store l f =
+  let sid = if n_strs.(f.tag) > 0 then intern l f.str 0 else 0 in
+  let h = f.tag lor (f.flags lsl 7) lor (Int.min sid 255 lsl 11) in
+  if narrow f.n0 && narrow f.n1 then
+    push l (h lor ((f.n0 + 1) lsl 19) lor ((f.n1 + 1) lsl 39))
+  else begin
+    push l (h lor 64);
+    push l f.n0;
+    push l f.n1
+  end;
+  if sid >= 255 then push l sid;
+  if n_ints.(f.tag) > 0 then push l f.i0;
+  if n_ints.(f.tag) > 1 then push l f.i1;
+  if n_lists.(f.tag) > 0 then begin
+    push l (List.length f.ints);
+    push_list l f.ints
+  end
+
+let rec fire ts e = function
+  | [] -> ()
+  | tap :: rest ->
+      tap ts e;
+      fire ts e rest
+
 let record l e =
   if l.log_enabled then begin
     if l.count >= l.capacity then l.over <- true
@@ -147,239 +300,149 @@ let record l e =
       (* Virtual-microstep timestamp: the network clock anchors it, and
          every recorded event advances at least one µstep so intervals
          between events in the same clock tick still have extent. *)
-      let ts = Stdlib.max (l.last_ts + 1) (l.clock () * quantum) in
+      let ts = Int.max (l.last_ts + 1) (l.clock () * quantum) in
       l.last_ts <- ts;
-      l.rev <- (ts, e) :: l.rev;
+      encode l.scratch e;
+      push l ts;
+      store l l.scratch;
       l.count <- l.count + 1;
-      match l.taps with
-      | [] -> ()
-      | taps -> List.iter (fun f -> f ts e) taps
+      fire ts e l.taps
     end
   end
 
-let events l = List.rev_map snd l.rev
-let timed_events l = List.rev l.rev
+type reader = {
+  mutable rest : int array list;
+  mutable ch : int array;
+  mutable off : int;
+}
+
+let next r =
+  if r.off = Array.length r.ch then begin
+    r.ch <- List.hd r.rest;
+    r.rest <- List.tl r.rest;
+    r.off <- 0
+  end;
+  let w = r.ch.(r.off) in
+  r.off <- r.off + 1;
+  w
+
+let load l r f =
+  let h = next r in
+  f.tag <- h land 63;
+  f.flags <- (h lsr 7) land 15;
+  if h land 64 = 0 then begin
+    f.n0 <- ((h lsr 19) land 0xFFFFF) - 1;
+    f.n1 <- ((h lsr 39) land 0xFFFFF) - 1
+  end
+  else begin
+    f.n0 <- next r;
+    f.n1 <- next r
+  end;
+  let sid = (h lsr 11) land 255 in
+  if n_strs.(f.tag) > 0 then
+    f.str <- l.strs.(if sid = 255 then next r else sid);
+  if n_ints.(f.tag) > 0 then f.i0 <- next r;
+  if n_ints.(f.tag) > 1 then f.i1 <- next r;
+  if n_lists.(f.tag) > 0 then f.ints <- List.init (next r) (fun _ -> next r)
+
+let fold l fn acc =
+  let r = { rest = List.rev (l.cur :: l.full); ch = [||]; off = 0 } in
+  let f = fields () and acc = ref acc in
+  for _ = 1 to l.count do
+    let ts = next r in
+    load l r f;
+    acc := fn !acc ts (decode f)
+  done;
+  !acc
+
+let iter l fn = fold l (fun () ts e -> fn ts e) ()
+let events l = List.rev (fold l (fun acc _ e -> e :: acc) [])
+let timed_events l = List.rev (fold l (fun acc ts e -> (ts, e) :: acc) [])
 let length l = l.count
+let words l = List.fold_left (fun n c -> n + Array.length c) l.pos l.full
 let overflowed l = l.over
 
 let clear l =
-  l.rev <- [];
+  l.full <- [];
+  l.cur <- [||];
+  l.pos <- 0;
+  l.strs <- [||];
   l.count <- 0;
   l.over <- false;
   l.last_ts <- 0
 
 (* --------------------------------------------------------------- text *)
 
-let actor_str = function App -> "app" | Gc -> "gc"
-let tok_str = function Read -> "r" | Write -> "w"
-let bool_str b = if b then "1" else "0"
+(* A flag field's name, then its text for 0 and for 1. *)
+let flag_text = function
+  | Actor -> ("actor", "app", "gc")
+  | Tok -> ("tok", "r", "w")
+  | _ -> ("bool", "0", "1")
 
-(* Int lists print as "-" when empty, else comma-separated. *)
-let ints_str = function
-  | [] -> "-"
-  | l -> String.concat "," (List.map string_of_int l)
+(* Counts a slot's use: true the first time, for [n0]/[i0]. *)
+let first r =
+  incr r;
+  !r = 1
 
-let to_line = function
-  | Acquire_start { actor; node; uid; tok } ->
-      Printf.sprintf "acquire_start %s %d %d %s" (actor_str actor) node uid
-        (tok_str tok)
-  | Acquire_done { actor; node; uid; tok; addr_valid } ->
-      Printf.sprintf "acquire_done %s %d %d %s %s" (actor_str actor) node uid
-        (tok_str tok) (bool_str addr_valid)
-  | Release { node; uid } -> Printf.sprintf "release %d %d" node uid
-  | Grant_sent { granter; requester; uid; tok; updates } ->
-      Printf.sprintf "grant_sent %d %d %d %s %d" granter requester uid
-        (tok_str tok) updates
-  | Hook_ssp { granter; requester; uid } ->
-      Printf.sprintf "hook_ssp %d %d %d" granter requester uid
-  | Invalidate { src; dst; uid } ->
-      Printf.sprintf "invalidate %d %d %d" src dst uid
-  | Updates_applied { node; uids } ->
-      Printf.sprintf "updates_applied %d %s" node (ints_str uids)
-  | Forward_due { node; uid; peers } ->
-      Printf.sprintf "forward_due %d %d %s" node uid (ints_str peers)
-  | Copyset_forward { src; dst; uid } ->
-      Printf.sprintf "copyset_forward %d %d %d" src dst uid
-  | Gc_begin { node; group; bunches } ->
-      Printf.sprintf "gc_begin %d %s %s" node (bool_str group) (ints_str bunches)
-  | Gc_end { node; group; live; reclaimed } ->
-      Printf.sprintf "gc_end %d %s %d %d" node (bool_str group) live reclaimed
-  | Msg_sent { src; dst; kind; seq; rel } ->
-      Printf.sprintf "msg_sent %d %d %s %d %s" src dst kind seq (bool_str rel)
-  | Msg_delivered { src; dst; kind; seq; rel } ->
-      Printf.sprintf "msg_delivered %d %d %s %d %s" src dst kind seq
-        (bool_str rel)
-  | Msg_retransmit { src; dst; kind; seq; attempt } ->
-      Printf.sprintf "msg_retransmit %d %d %s %d %d" src dst kind seq attempt
-  | Msg_suppressed { src; dst; kind; seq } ->
-      Printf.sprintf "msg_suppressed %d %d %s %d" src dst kind seq
-  | Msg_buffered { src; dst; kind; seq } ->
-      Printf.sprintf "msg_buffered %d %d %s %d" src dst kind seq
-  | Rpc { src; dst; kind; seq } ->
-      Printf.sprintf "rpc %d %d %s %d" src dst kind seq
-  | Crash { node } -> Printf.sprintf "crash %d" node
-  | Restart { node } -> Printf.sprintf "restart %d" node
-  | Link_cut { src; dst } -> Printf.sprintf "link_cut %d %d" src dst
-  | Link_heal { src; dst } -> Printf.sprintf "link_heal %d %d" src dst
-  | Suspect { src; dst; on } ->
-      Printf.sprintf "suspect %d %d %s" src dst (bool_str on)
-  | Owner_adopted { node; uid } -> Printf.sprintf "owner_adopted %d %d" node uid
-  | Tables_processed { at; sender; bunch; seq } ->
-      Printf.sprintf "tables_processed %d %d %d %d" at sender bunch seq
-  | Disk_fault { node; fault } -> Printf.sprintf "disk_fault %d %s" node fault
-  | Rvm_recover { node; dropped; lost } ->
-      Printf.sprintf "rvm_recover %d %d %d" node dropped lost
-  | Shard_alloc { shard; node } -> Printf.sprintf "shard_alloc %d %d" shard node
-  | Shard_adopted { shard; node } ->
-      Printf.sprintf "shard_adopted %d %d" shard node
-  | Bunch_verified { node; missing } ->
-      Printf.sprintf "bunch_verified %d %d" node missing
-  | Read_obs { actor; node; uid; version; covered } ->
-      Printf.sprintf "read_obs %s %d %d %d %s" (actor_str actor) node uid
-        version (bool_str covered)
-  | Write_obs { actor; node; uid; version; covered } ->
-      Printf.sprintf "write_obs %s %d %d %d %s" (actor_str actor) node uid
-        version (bool_str covered)
-  | Gc_phase { node; phase; us } ->
-      Printf.sprintf "gc_phase %d %s %d" node phase us
+let to_line e =
+  let f = fields () in
+  encode f e;
+  let name, kinds = schema.(f.tag) in
+  let flags = ref 0 and nodes = ref 0 and ints = ref 0 in
+  let text = function
+    | Node -> string_of_int (if first nodes then f.n0 else f.n1)
+    | Int -> string_of_int (if first ints then f.i0 else f.i1)
+    | Str -> f.str
+    | Ints when f.ints = [] -> "-"
+    | Ints -> String.concat "," (List.map string_of_int f.ints)
+    | (Actor | Tok | Bool | Rel) as k ->
+        let _, no, yes = flag_text k in
+        incr flags;
+        if flag f (!flags - 1) then yes else no
+  in
+  String.concat " " (name :: List.map text kinds)
 
 exception Parse of string
 
 let of_line line =
   let fail fmt = Printf.ksprintf (fun m -> raise (Parse m)) fmt in
   let int s =
-    match int_of_string_opt s with
-    | Some i -> i
-    | None -> fail "bad int %S" s
+    match int_of_string_opt s with Some i -> i | None -> fail "bad int %S" s
   in
-  let actor = function
-    | "app" -> App
-    | "gc" -> Gc
-    | s -> fail "bad actor %S" s
+  let f = fields () and flags = ref 0 and nodes = ref 0 and ints = ref 0 in
+  let parse k a =
+    match k with
+    | Node -> if first nodes then f.n0 <- int a else f.n1 <- int a
+    | Int -> if first ints then f.i0 <- int a else f.i1 <- int a
+    | Str -> f.str <- a
+    | Ints ->
+        f.ints <-
+          (if a = "-" then [] else List.map int (String.split_on_char ',' a))
+    | Actor | Tok | Bool | Rel ->
+        let what, no, yes = flag_text k in
+        if a = yes then f.flags <- f.flags lor (1 lsl !flags)
+        else if a <> no then fail "bad %s %S" what a;
+        incr flags
   in
-  let tok = function "r" -> Read | "w" -> Write | s -> fail "bad tok %S" s in
-  let bool = function "1" -> true | "0" -> false | s -> fail "bad bool %S" s in
-  let ints = function
-    | "-" -> []
-    | s -> List.map int (String.split_on_char ',' s)
-  in
-  try
-    match
-      String.split_on_char ' ' (String.trim line)
-      |> List.filter (fun s -> s <> "")
-    with
-    | [ "acquire_start"; a; n; u; k ] ->
-        Ok (Acquire_start { actor = actor a; node = int n; uid = int u; tok = tok k })
-    | [ "acquire_done"; a; n; u; k; v ] ->
-        Ok
-          (Acquire_done
-             {
-               actor = actor a;
-               node = int n;
-               uid = int u;
-               tok = tok k;
-               addr_valid = bool v;
-             })
-    | [ "release"; n; u ] -> Ok (Release { node = int n; uid = int u })
-    | [ "grant_sent"; g; r; u; k; c ] ->
-        Ok
-          (Grant_sent
-             {
-               granter = int g;
-               requester = int r;
-               uid = int u;
-               tok = tok k;
-               updates = int c;
-             })
-    | [ "hook_ssp"; g; r; u ] ->
-        Ok (Hook_ssp { granter = int g; requester = int r; uid = int u })
-    | [ "invalidate"; s; d; u ] ->
-        Ok (Invalidate { src = int s; dst = int d; uid = int u })
-    | [ "updates_applied"; n; us ] ->
-        Ok (Updates_applied { node = int n; uids = ints us })
-    | [ "forward_due"; n; u; ps ] ->
-        Ok (Forward_due { node = int n; uid = int u; peers = ints ps })
-    | [ "copyset_forward"; s; d; u ] ->
-        Ok (Copyset_forward { src = int s; dst = int d; uid = int u })
-    | [ "gc_begin"; n; g; bs ] ->
-        Ok (Gc_begin { node = int n; group = bool g; bunches = ints bs })
-    | [ "gc_end"; n; g; l; r ] ->
-        Ok
-          (Gc_end
-             { node = int n; group = bool g; live = int l; reclaimed = int r })
-    (* Traces written before the reliable-delivery layer lack the [rel]
-       field: parse them as unreliable sends/deliveries. *)
-    | [ "msg_sent"; s; d; k; q ] ->
-        Ok
-          (Msg_sent
-             { src = int s; dst = int d; kind = k; seq = int q; rel = false })
-    | [ "msg_sent"; s; d; k; q; r ] ->
-        Ok
-          (Msg_sent
-             { src = int s; dst = int d; kind = k; seq = int q; rel = bool r })
-    | [ "msg_delivered"; s; d; k; q ] ->
-        Ok
-          (Msg_delivered
-             { src = int s; dst = int d; kind = k; seq = int q; rel = false })
-    | [ "msg_delivered"; s; d; k; q; r ] ->
-        Ok
-          (Msg_delivered
-             { src = int s; dst = int d; kind = k; seq = int q; rel = bool r })
-    | [ "msg_retransmit"; s; d; k; q; a ] ->
-        Ok
-          (Msg_retransmit
-             { src = int s; dst = int d; kind = k; seq = int q; attempt = int a })
-    | [ "msg_suppressed"; s; d; k; q ] ->
-        Ok (Msg_suppressed { src = int s; dst = int d; kind = k; seq = int q })
-    | [ "msg_buffered"; s; d; k; q ] ->
-        Ok (Msg_buffered { src = int s; dst = int d; kind = k; seq = int q })
-    | [ "rpc"; s; d; k; q ] ->
-        Ok (Rpc { src = int s; dst = int d; kind = k; seq = int q })
-    | [ "crash"; n ] -> Ok (Crash { node = int n })
-    | [ "restart"; n ] -> Ok (Restart { node = int n })
-    | [ "link_cut"; s; d ] -> Ok (Link_cut { src = int s; dst = int d })
-    | [ "link_heal"; s; d ] -> Ok (Link_heal { src = int s; dst = int d })
-    | [ "suspect"; s; d; o ] ->
-        Ok (Suspect { src = int s; dst = int d; on = bool o })
-    | [ "owner_adopted"; n; u ] ->
-        Ok (Owner_adopted { node = int n; uid = int u })
-    | [ "tables_processed"; a; s; b; q ] ->
-        Ok
-          (Tables_processed
-             { at = int a; sender = int s; bunch = int b; seq = int q })
-    | [ "disk_fault"; n; f ] -> Ok (Disk_fault { node = int n; fault = f })
-    | [ "rvm_recover"; n; d; l ] ->
-        Ok (Rvm_recover { node = int n; dropped = int d; lost = int l })
-    | [ "shard_alloc"; s; n ] ->
-        Ok (Shard_alloc { shard = int s; node = int n })
-    | [ "shard_adopted"; s; n ] ->
-        Ok (Shard_adopted { shard = int s; node = int n })
-    | [ "bunch_verified"; n; m ] ->
-        Ok (Bunch_verified { node = int n; missing = int m })
-    | [ "read_obs"; a; n; u; v; c ] ->
-        Ok
-          (Read_obs
-             {
-               actor = actor a;
-               node = int n;
-               uid = int u;
-               version = int v;
-               covered = bool c;
-             })
-    | [ "write_obs"; a; n; u; v; c ] ->
-        Ok
-          (Write_obs
-             {
-               actor = actor a;
-               node = int n;
-               uid = int u;
-               version = int v;
-               covered = bool c;
-             })
-    | [ "gc_phase"; n; p; u ] ->
-        Ok (Gc_phase { node = int n; phase = p; us = int u })
-    | w :: _ -> Error (Printf.sprintf "unknown or malformed event %S" w)
-    | [] -> Error "empty line"
-  with Parse m -> Error m
+  let toks = String.split_on_char ' ' (String.trim line) in
+  match List.filter (( <> ) "") toks with
+  | [] -> Error "empty line"
+  | w :: args -> (
+      let tag = Array.find_index (fun (name, _) -> name = w) schema in
+      let kinds = match tag with Some t -> snd schema.(t) | None -> [] in
+      (* Traces written before the reliable-delivery layer lack [rel]. *)
+      let args =
+        if List.mem Rel kinds && List.length args + 1 = List.length kinds then
+          args @ [ "0" ]
+        else args
+      in
+      match tag with
+      | Some t when List.length args = List.length kinds -> (
+          f.tag <- t;
+          try
+            List.iter2 parse kinds args;
+            Ok (decode f)
+          with Parse m -> Error m)
+      | _ -> Error (Printf.sprintf "unknown or malformed event %S" w))
 
 let pp ppf e = Format.pp_print_string ppf (to_line e)

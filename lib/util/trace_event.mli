@@ -9,172 +9,27 @@
     copy-set forwards, GC phase boundaries, and every network message
     with its per-pair sequence number.
 
-    The log is an append-only buffer owned by the protocol instance and
-    shared with the network simulator and the collector; it is disabled
-    by default (recording costs one list cons per event when on).  Events
-    serialize to a stable one-line text format so traces can be saved and
-    linted offline ([bmxctl check --trace FILE]). *)
+    The log is owned by the protocol instance and shared with the
+    network simulator and the collector; it is disabled by default.
+    Events serialize to a stable one-line text format so traces can be
+    saved and linted offline ([bmxctl check --trace FILE]).
 
-(** Which subsystem performed a token operation.  The paper's central
-    claim (§5) is that [Gc] never appears in an acquisition event. *)
-type actor = App | Gc
+    {b Storage.}  Events are packed as ints into [int array] chunks on
+    the OCaml heap (the first small, then doubling to 64 Ki words; a
+    filled chunk is never copied) and decoded when read.  An event is a
+    timestamp word, then a header word: the constructor tag (6 bits), a
+    wide flag, up to 4 flag bits (actor, tok, bools), the 8-bit interned
+    id of its kind, phase or fault string (255: the id follows as a
+    word) and two 20-bit node fields biased by one so [Node.invalid]
+    fits.  A node that does not fit sets the wide flag and both nodes
+    follow as words.  Then come the int fields in text order and any
+    list as its length and elements.  Strings are interned per log;
+    decoding returns the interned string.  {!record} allocates nothing
+    on the minor heap: a new chunk goes straight to the major heap. *)
 
-type tok = Read | Write
-
-type t =
-  | Acquire_start of {
-      actor : actor;
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      tok : tok;
-    }  (** a node entered the token-acquire path for an object *)
-  | Acquire_done of {
-      actor : actor;
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      tok : tok;
-      addr_valid : bool;
-          (** §5 invariant 1: the acquiring node resolved a valid local
-              address for the object at completion time *)
-    }
-  | Release of { node : Ids.Node.t; uid : Ids.Uid.t }
-  | Grant_sent of {
-      granter : Ids.Node.t;
-      requester : Ids.Node.t;
-      uid : Ids.Uid.t;
-      tok : tok;
-      updates : int;  (** piggybacked location updates (§4.4) *)
-    }
-  | Hook_ssp of {
-      granter : Ids.Node.t;
-      requester : Ids.Node.t;
-      uid : Ids.Uid.t;
-    }  (** §5 invariant 3: the before-write-grant hook ran *)
-  | Invalidate of { src : Ids.Node.t; dst : Ids.Node.t; uid : Ids.Uid.t }
-  | Updates_applied of { node : Ids.Node.t; uids : Ids.Uid.t list }
-      (** a batch of location updates was processed at [node] *)
-  | Forward_due of {
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      peers : Ids.Node.t list;
-    }  (** §5 invariant 2: fresh location info must reach these copy-set
-           members *)
-  | Copyset_forward of { src : Ids.Node.t; dst : Ids.Node.t; uid : Ids.Uid.t }
-  | Gc_begin of { node : Ids.Node.t; group : bool; bunches : Ids.Bunch.t list }
-  | Gc_end of { node : Ids.Node.t; group : bool; live : int; reclaimed : int }
-  | Msg_sent of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-      rel : bool;  (** sent on a reliable (acked, retransmitted) channel *)
-    }  (** a background message was enqueued (recorded once, at the
-           original send — retransmissions get {!Msg_retransmit}) *)
-  | Msg_delivered of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-      rel : bool;
-    }  (** a background message was handed to its handler.  Reliable
-           deliveries carry the {e original} sequence number and are
-           handed off exactly once, in send order; unreliable ones may
-           repeat (duplicate) or leave gaps (loss). *)
-  | Msg_retransmit of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-      attempt : int;  (** total transmissions so far, >= 2 *)
-    }  (** the reliable layer re-sent an unacknowledged message *)
-  | Msg_suppressed of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-    }  (** receiver-side duplicate suppression swallowed a copy *)
-  | Msg_buffered of {
-      src : Ids.Node.t;
-      dst : Ids.Node.t;
-      kind : string;
-      seq : int;
-    }  (** a reliable message arrived ahead of a gap and was buffered *)
-  | Rpc of { src : Ids.Node.t; dst : Ids.Node.t; kind : string; seq : int }
-      (** a synchronous request/reply executed inline by the caller; it
-          shares the per-pair sequence counter with background messages
-          but is exempt from their FIFO — it logically overtakes anything
-          still queued *)
-  | Crash of { node : Ids.Node.t }
-      (** the node lost its volatile state (store, tokens, channels) *)
-  | Restart of { node : Ids.Node.t }
-      (** the node rejoined; recovery from the persistent image follows *)
-  | Link_cut of { src : Ids.Node.t; dst : Ids.Node.t }
-      (** the directed link src→dst was cut: transmissions on it
-          blackhole (partition model, distinct from probabilistic loss) *)
-  | Link_heal of { src : Ids.Node.t; dst : Ids.Node.t }
-      (** the directed link src→dst was restored *)
-  | Suspect of { src : Ids.Node.t; dst : Ids.Node.t; on : bool }
-      (** the reliable layer's failure detector changed its opinion of
-          dst as seen from src: [on = true] enters the suspect state
-          (retransmissions collapse to a single slow probe), [on = false]
-          clears it (an ack got through) *)
-  | Owner_adopted of { node : Ids.Node.t; uid : Ids.Uid.t }
-      (** recovery re-seated ownership of [uid] at [node] (only legal
-          when the recorded owner is genuinely gone, not merely
-          unreachable — the split-brain lint checks this) *)
-  | Tables_processed of {
-      at : Ids.Node.t;
-      sender : Ids.Node.t;
-      bunch : Ids.Bunch.t;
-      seq : int;
-    }
-      (** the scion cleaner at [at] accepted and processed a reachability
-          tables message — quarantined (dead or unreachable sender) and
-          stale-seq messages are {e not} recorded, so the partition lint
-          can flag any processing that should have been quarantined *)
-  | Disk_fault of { node : Ids.Node.t; fault : string }
-      (** a storage fault was injected into the node's RVM log
-          ([flip_bits], [drop_record], [truncate_mid_record], ...) *)
-  | Rvm_recover of { node : Ids.Node.t; dropped : int; lost : int }
-      (** checksummed log recovery ran: [dropped] log records were behind
-          the last verifiable commit prefix, losing the latest state of
-          [lost] distinct addresses *)
-  | Bunch_verified of { node : Ids.Node.t; missing : int }
-      (** the fsck-style post-restore verification ran; [missing] objects
-          present on the checksummed disk image failed to make it into
-          the restored store *)
-  | Shard_alloc of { shard : int; node : Ids.Node.t }
-      (** a segment range was carved from registry shard [shard], applied
-          by [node] — which must be the shard's owner; the
-          [Shard_ownership] lint flags any other applier *)
-  | Shard_adopted of { shard : int; node : Ids.Node.t }
-      (** registry shard [shard]'s ownership was (re-)established at
-          [node]: initial placement, post-restart recovery, or
-          split-brain-checked adoption by a survivor *)
-  | Read_obs of {
-      actor : actor;
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      version : int;  (** object version observed by the read *)
-      covered : bool;
-          (** the reader held a valid token (directory state was not
-              [Invalid]) — [false] only for explicit [~weak] reads *)
-    }  (** a field read at access level, for the happens-before
-           certifier's read-mapping check ([Bmx_check.Races]) *)
-  | Write_obs of {
-      actor : actor;
-      node : Ids.Node.t;
-      uid : Ids.Uid.t;
-      version : int;  (** object version {e after} the write *)
-      covered : bool;
-    }  (** a field write at access level; semantic writes only — GC and
-           protocol pointer fixups ([Heap_obj.fixup]) are not recorded *)
-  | Gc_phase of { node : Ids.Node.t; phase : string; us : int }
-      (** a collector phase (trace / flip / copy / scan /
-          cleaner-reconcile) completed at [node], having consumed [us]
-          wall-clock microseconds — the first-class replacement for the
-          BMX_GC_PHASE_TIMING stderr hack.  GC-side for the
-          happens-before certifier: erasure deletes it. *)
+include module type of struct
+  include Trace_types
+end
 
 type log
 
@@ -205,17 +60,37 @@ val add_tap : log -> (int -> t -> unit) -> unit
     timeseries sampler and the flight recorder) attaches here. *)
 
 val record : log -> t -> unit
+(** Append an event (when enabled and under capacity), then run the taps
+    on it. *)
+
+val iter : log -> (int -> t -> unit) -> unit
+(** [iter l f] decodes the events oldest first and calls [f ts event],
+    with the µstep timestamp assigned at {!record} time. *)
+
+val fold : log -> ('a -> int -> t -> 'a) -> 'a -> 'a
+(** {!iter} threading an accumulator: [f acc ts event]. *)
+
 val events : log -> t list
-(** Oldest first. *)
+(** Oldest first.  Decodes the whole log into a list; prefer {!iter}. *)
 
 val timed_events : log -> (int * t) list
-(** Oldest first, with the µstep timestamp assigned at {!record} time. *)
+(** {!events} with timestamps. *)
 
 val length : log -> int
+(** Events recorded, without decoding. *)
+
+val words : log -> int
+(** Words the recorded events occupy, up to the write cursor. *)
+
 val overflowed : log -> bool
 val clear : log -> unit
-(** Drop all events, reset the overflow flag and the timestamp cursor;
-    leaves [enabled] and the clock alone. *)
+(** Drop all events (and the chunks holding them), reset the overflow
+    flag and the timestamp cursor; leaves [enabled], the clock and the
+    taps alone. *)
+
+val nodes : t -> Ids.Node.t list
+(** The event's node fields in text order: one node, or two for a pair
+    event (granter and requester, src and dst, at and sender). *)
 
 (** {1 Serialization} — stable one-line format, [to_line] ∘ [of_line] = id. *)
 

@@ -234,6 +234,208 @@ let test_trace_timestamps () =
   check_bool "clear resets the cursor" true
     (match T.timed_events l with [ (1, _) ] -> true | _ -> false)
 
+(* ------------------------------------------------ packed log = boxed events *)
+
+(* Events at the edges of the packing: nodes that fit a header slot and
+   nodes that take the wide path, extreme ints, empty lists. *)
+let edge_events () =
+  List.concat_map
+    (fun node ->
+      [
+        T.Crash { node };
+        T.Msg_sent
+          { src = node; dst = 0; kind = "stub_table"; seq = max_int; rel = true };
+        T.Msg_delivered
+          { src = 3; dst = node; kind = "stub_table"; seq = min_int; rel = false };
+        T.Read_obs
+          { actor = T.Gc; node; uid = 1; version = min_int; covered = true };
+        T.Write_obs
+          { actor = T.App; node; uid = max_int; version = max_int; covered = false };
+        T.Gc_phase { node; phase = "copy"; us = max_int };
+        T.Gc_phase { node; phase = "scan"; us = min_int };
+        T.Forward_due { node; uid = 2; peers = [ node; -1; 1 lsl 20 ] };
+        T.Gc_begin { node; group = true; bunches = [] };
+        T.Tables_processed
+          { at = node; sender = node; bunch = min_int; seq = max_int };
+      ])
+    [ -1; 0; (1 lsl 20) - 2; (1 lsl 20) - 1; 1 lsl 20; max_int; min_int ]
+
+(* Every constructor and the packing's edge cases, recorded with a tap
+   that keeps each event boxed, as the log stored it before packing. *)
+let test_packed_log_matches_boxed () =
+  let l = T.create_log () in
+  T.set_enabled l true;
+  let tapped = ref [] in
+  T.add_tap l (fun ts e -> tapped := (ts, e) :: !tapped);
+  let boxed () = List.rev !tapped in
+  let clock = ref 0 in
+  T.set_clock l (fun () -> !clock);
+  (* More distinct strings than the header's 8-bit id holds. *)
+  let kinds =
+    List.init 300 (fun i ->
+        T.Rpc { src = 0; dst = 1; kind = Printf.sprintf "k%d" i; seq = i })
+  in
+  (* One list longer than a chunk: the event spans chunks. *)
+  let uids = List.init 200_000 (fun i -> (7 * i) - 3) in
+  let big = T.Updates_applied { node = 4; uids } in
+  let events =
+    generated_events () @ edge_events () @ kinds @ [ big ] @ generated_events ()
+  in
+  List.iteri
+    (fun i e ->
+      if i mod 5 = 0 then clock := i;
+      T.record l e)
+    events;
+  check_int "length" (List.length events) (T.length l);
+  check_bool "words span several chunks" true (T.words l > 3 * 65_536);
+  check_bool "decoded events equal the recorded ones" true
+    (T.events l = events);
+  check_bool "timed events equal the tapped ones" true
+    (T.timed_events l = boxed ());
+  check_bool "iter decodes the same stream" true
+    (List.rev (T.fold l (fun acc ts e -> (ts, e) :: acc) []) = boxed ());
+  (* [clear] drops the chunks and the string table; the log is reusable. *)
+  T.clear l;
+  check_int "cleared length" 0 (T.length l);
+  check_int "cleared words" 0 (T.words l);
+  clock := 0;
+  let again =
+    [
+      T.Msg_sent
+        { src = 2; dst = -1; kind = "fresh_kind"; seq = 1; rel = true };
+      T.Gc_phase { node = 1 lsl 20; phase = "trace"; us = 5 };
+      T.Updates_applied { node = 0; uids = [] };
+    ]
+  in
+  List.iter (T.record l) again;
+  check_bool "reuse after clear" true
+    (T.timed_events l = List.mapi (fun i e -> (i + 1, e)) again)
+
+(* The per-constructor node attribution Flight and Hb wrote by hand
+   before [Trace_event.nodes] derived it from the schema. *)
+let hand_nodes = function
+  | T.Acquire_start { node; _ }
+  | T.Acquire_done { node; _ }
+  | T.Release { node; _ }
+  | T.Updates_applied { node; _ }
+  | T.Forward_due { node; _ }
+  | T.Gc_begin { node; _ }
+  | T.Gc_end { node; _ }
+  | T.Gc_phase { node; _ }
+  | T.Crash { node }
+  | T.Restart { node }
+  | T.Owner_adopted { node; _ }
+  | T.Disk_fault { node; _ }
+  | T.Rvm_recover { node; _ }
+  | T.Bunch_verified { node; _ }
+  | T.Shard_alloc { node; _ }
+  | T.Shard_adopted { node; _ }
+  | T.Read_obs { node; _ }
+  | T.Write_obs { node; _ } ->
+      [ node ]
+  | T.Grant_sent { granter; requester; _ }
+  | T.Hook_ssp { granter; requester; _ } ->
+      [ granter; requester ]
+  | T.Invalidate { src; dst; _ }
+  | T.Copyset_forward { src; dst; _ }
+  | T.Msg_sent { src; dst; _ }
+  | T.Msg_delivered { src; dst; _ }
+  | T.Msg_retransmit { src; dst; _ }
+  | T.Msg_suppressed { src; dst; _ }
+  | T.Msg_buffered { src; dst; _ }
+  | T.Rpc { src; dst; _ }
+  | T.Link_cut { src; dst }
+  | T.Link_heal { src; dst }
+  | T.Suspect { src; dst; _ } ->
+      [ src; dst ]
+  | T.Tables_processed { at; sender; _ } -> [ at; sender ]
+
+let test_nodes_match_hand_attribution () =
+  List.iter
+    (fun e ->
+      if T.nodes e <> hand_nodes e then
+        Alcotest.failf "nodes of %S differ from the hand attribution"
+          (T.to_line e))
+    (generated_events () @ edge_events ())
+
+(* A random workload with collector waves and message faults: the
+   decoded log equals what a tap saw, event for event and as text. *)
+let test_workload_log_matches_tap () =
+  let module Driver = Bmx_workload.Driver in
+  let module Cluster = Bmx.Cluster in
+  let d =
+    Driver.setup
+      {
+        Driver.default with
+        nodes = 4;
+        bunches = 4;
+        objects_per_bunch = 32;
+        ops = 600;
+        seed = 31;
+      }
+  in
+  let c = Driver.cluster d in
+  let l = Cluster.evlog c in
+  T.set_enabled l true;
+  let boxed = ref [] in
+  T.add_tap l (fun ts e -> boxed := (ts, e) :: !boxed);
+  Bmx_netsim.Net.set_fault (Cluster.net c) ~kind:Bmx_netsim.Net.Stub_table
+    ~drop:0.1 ~dup:0.2 ~rng:(Rng.make 3);
+  for _ = 1 to 3 do
+    Driver.run_ops d ~ops:200 ();
+    ignore (Cluster.gc_round c)
+  done;
+  Bmx_netsim.Net.clear_faults (Cluster.net c);
+  ignore (Cluster.collect_until_quiescent c ());
+  ignore (Cluster.settle c);
+  let boxed = List.rev !boxed in
+  check_bool "a real trace" true (List.length boxed > 1000);
+  check_int "length" (List.length boxed) (T.length l);
+  let decoded = T.timed_events l in
+  check_bool "decoded log equals the tapped events" true (decoded = boxed);
+  let text evs =
+    String.concat "\n"
+      (List.map (fun (ts, e) -> string_of_int ts ^ " " ^ T.to_line e) evs)
+  in
+  check_string "same to_line stream" (text boxed) (text decoded)
+
+(* Words allocated so far: minor words plus direct major allocations.
+   Not [Gc.allocated_bytes]: on OCaml 5.1 its minor-heap term
+   undercounts what the current minor heap holds. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* [record] writes words into chunks and allocates nothing else.  The
+   chunks never touch the minor heap, so minor words per event are the
+   per-record cost (0.00 here; a log of boxed events allocated 6: a cons
+   cell and a (timestamp, event) pair).  Storage is 3.27 words per event
+   (boxed, about 11), and everything allocated beyond it (0.66 per
+   event) is the unfilled tail of the last chunk. *)
+let test_record_allocation () =
+  let n = 100_000 in
+  let pool = Array.of_list (generated_events ()) in
+  let events =
+    Array.init n (fun i -> pool.(i * 7919 mod Array.length pool))
+  in
+  let l = T.create_log () in
+  T.set_enabled l true;
+  let minor0 = Gc.minor_words () and total0 = allocated_words () in
+  Array.iter (T.record l) events;
+  let minor = Gc.minor_words () -. minor0
+  and total = allocated_words () -. total0 in
+  let stored = float_of_int (T.words l) in
+  let per x = x /. float_of_int n in
+  let within what x budget =
+    check_bool
+      (Printf.sprintf "%.2f %s per event (budget %.0f)" (per x) what budget)
+      true
+      (per x <= budget)
+  in
+  within "minor words allocated" minor 1.0;
+  within "words stored" stored 4.0;
+  within "words allocated beyond storage" (total -. stored) 1.0
+
 (* ----------------------------------------------------------------- spans *)
 
 (* A hand-built trace: an app read acquire spanning two other events, a
@@ -255,13 +457,16 @@ let hand_trace =
     (60, T.Acquire_start { actor = T.Gc; node = 2; uid = 9; tok = T.Write });
   ]
 
+let spans_of timed =
+  Span.of_iter (fun f -> List.iter (fun (ts, e) -> f ts e) timed)
+
 let find_span spans name =
   match List.find_opt (fun (s : Span.t) -> s.Span.name = name) spans with
   | Some s -> s
   | None -> Alcotest.failf "span %s not derived" name
 
 let test_span_derivation () =
-  let spans = Span.of_events hand_trace in
+  let spans = spans_of hand_trace in
   let acq = find_span spans "acquire.read" in
   check_int "acquire start" 10 acq.Span.ts;
   check_bool "acquire duration" true (acq.Span.dur = Some 4);
@@ -293,7 +498,7 @@ let test_span_derivation () =
 (* -------------------------------------------------------------- perfetto *)
 
 let test_perfetto_export () =
-  let spans = Span.of_events hand_trace in
+  let spans = spans_of hand_trace in
   let body = Perfetto.to_string spans in
   match Json.parse body with
   | Error m -> Alcotest.failf "perfetto JSON unparseable: %s" m
@@ -422,8 +627,8 @@ let test_cluster_wiring () =
   ignore (Cluster.bgc c ~node:0 ~bunch:b);
   ignore (Cluster.settle c);
   let r =
-    Report.of_events ~metrics:(Cluster.metrics c)
-      (Trace_event.timed_events (Cluster.evlog c))
+    Report.of_iter ~metrics:(Cluster.metrics c)
+      (Trace_event.iter (Cluster.evlog c))
   in
   check_bool "non-interference holds" true (Report.ok r);
   let snap = Report.snapshot r in
@@ -458,6 +663,14 @@ let () =
           Alcotest.test_case "roundtrip all constructors" `Quick
             test_trace_roundtrip_all_constructors;
           Alcotest.test_case "virtual timestamps" `Quick test_trace_timestamps;
+          Alcotest.test_case "packed log = boxed events" `Quick
+            test_packed_log_matches_boxed;
+          Alcotest.test_case "schema nodes = hand attribution" `Quick
+            test_nodes_match_hand_attribution;
+          Alcotest.test_case "workload log = tapped events" `Quick
+            test_workload_log_matches_tap;
+          Alcotest.test_case "record allocates only storage" `Quick
+            test_record_allocation;
         ] );
       ( "spans",
         [

@@ -267,8 +267,7 @@ let test_live_series_matches_report () =
     ignore (Cluster.settle c);
     Ts.freeze ts;
     let report =
-      Report.of_events ~metrics:(Cluster.metrics c)
-        (T.timed_events (Cluster.evlog c))
+      Report.of_iter ~metrics:(Cluster.metrics c) (T.iter (Cluster.evlog c))
     in
     let leg = if dup then "dup" else "clean" in
     if dup then

@@ -92,16 +92,38 @@ let test_driver_runs_and_stays_safe () =
   check_bool "collection made progress" true (reclaimed >= 0 && after <= before);
   check_bool "safety after collection" true (Result.is_ok (Bmx.Audit.check_safety c))
 
+(* The whole run: message totals and cached copies after the mutator
+   ops, then the typed event log through quiescence as timestamped
+   text.  [Gc_phase.us] is wall clock, so it is zeroed. *)
 let test_driver_deterministic () =
-  let run () =
-    let d = Driver.setup { Driver.default with ops = 300; seed = 9 } in
-    Driver.run_ops d ();
+  let run seed =
+    let d = Driver.setup { Driver.default with ops = 300; seed } in
     let c = Driver.cluster d in
-    ( Bmx_netsim.Net.total_messages (Cluster.net c),
-      Bmx.Audit.total_cached_copies c )
+    Cluster.set_event_trace c true;
+    Driver.run_ops d ();
+    let totals =
+      ( Bmx_netsim.Net.total_messages (Cluster.net c),
+        Bmx.Audit.total_cached_copies c )
+    in
+    ignore (Cluster.collect_until_quiescent c ());
+    let b = Buffer.create 65_536 and phases = ref 0 in
+    Trace_event.iter (Cluster.evlog c) (fun ts e ->
+        let e =
+          match e with
+          | Trace_event.Gc_phase p ->
+              incr phases;
+              Trace_event.Gc_phase { p with us = 0 }
+          | e -> e
+        in
+        Printf.bprintf b "%d %s\n" ts (Trace_event.to_line e));
+    check_bool "the log covers collections" true (!phases > 0);
+    (totals, Buffer.contents b)
   in
-  let a = run () and b = run () in
-  check (Alcotest.pair Alcotest.int Alcotest.int) "same seed, same trace" a b
+  let a, trace = run 9 and b, trace' = run 9 in
+  check (Alcotest.pair Alcotest.int Alcotest.int) "same seed, same totals" a b;
+  check_bool "same seed, same event log" true (String.equal trace trace');
+  check_bool "next seed, another event log" true
+    (not (String.equal trace (snd (run 10))))
 
 let test_driver_eager_policy () =
   let d =
