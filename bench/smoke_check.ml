@@ -73,9 +73,12 @@ let wave_minor_words_per_op_budget = 535.0
    so these sit just above the measured values and any change to what
    the protocol or the cleaner puts on the wire must move them on
    purpose.  Stub-table bytes ([tables.delta_bytes]: fulls, deltas and
-   resync pulls) are 20 992 with key-only full tables; restoring 40-byte
-   stub records in fulls gives 23 456.  Messages are 1 003. *)
-let table_bytes_budget = 21_400
+   resync pulls) are 12 832 with key-only full tables and exiting
+   entries sent only to their owner, as bare uids.  Shipping every
+   destination the whole exiting list with owners gives 20 992, and
+   sending each its own entries with the owner kept (16 bytes each)
+   15 552.  Messages are 1 003. *)
+let table_bytes_budget = 13_300
 let messages_budget = 1_020
 
 (* Deterministic event-log density: words the typed event log stores per
@@ -160,7 +163,8 @@ let () =
       if table_bytes > table_bytes_budget then
         die
           "bench-smoke: %d-node run sent %d stub-table bytes (budget %d — \
-           fuller tables on the wire: stub records in fulls, more fulls?)"
+           fuller tables on the wire: stub records in fulls, more fulls, \
+           exiting entries sent to other nodes than their owner?)"
           nodes table_bytes table_bytes_budget;
       let messages = int_member "messages" cfg in
       if messages > messages_budget then

@@ -527,7 +527,6 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
       let sent =
         Scion_cleaner.broadcast t ~node ~bunch:b ~old_inter ~old_intra ~exiting
       in
-      Gc_state.record_exiting t ~node ~bunch:b exiting;
       new_inter_total :=
         !new_inter_total + Gc_state.inter_stub_count t ~node ~bunch:b;
       new_intra_total :=

@@ -30,7 +30,8 @@ type ('a, 'k) table = {
   key_uid : ('a -> Ids.Uid.t) option;
   key_node : ('a -> Ids.Node.t) option;
   key_of : 'a -> 'k;
-  mutable view : 'a list; (* newest first *)
+  mutable view : 'a list; (* newest first; may still hold dropped entries *)
+  mutable stale : bool; (* [view] holds entries no longer in [members] *)
   members : ('a, unit) Hashtbl.t;
   by_uid : ('a, unit) Hashtbl.t Ids.Uid_tbl.t;
   by_node : ('a, unit) Hashtbl.t Ids.Node_tbl.t;
@@ -44,6 +45,7 @@ let t_make ?key_uid ?key_node ~key_of () =
     key_node;
     key_of;
     view = [];
+    stale = false;
     members = Hashtbl.create 16;
     by_uid = Ids.Uid_tbl.create 16;
     by_node = Ids.Node_tbl.create 8;
@@ -116,10 +118,23 @@ let t_key_decr tb k =
       Hashtbl.replace tb.touched k ()
   | Some c -> Hashtbl.replace tb.key_count k (c - 1)
 
+(* The insertion-ordered view, with the entries dropped since it was
+   last read filtered out.  Removals only mark it stale, so a run of
+   removals between two reads (every table message a drain delivers
+   sweeps the sender's scions) costs one refilter, not one each. *)
+let t_view tb =
+  if tb.stale then begin
+    tb.view <- List.filter (fun x -> Hashtbl.mem tb.members x) tb.view;
+    tb.stale <- false
+  end;
+  tb.view
+
+(* Refilter before prepending: an entry dropped and re-added while the
+   view is stale would otherwise appear twice. *)
 let t_add tb item =
   if Hashtbl.mem tb.members item then false
   else begin
-    tb.view <- item :: tb.view;
+    tb.view <- item :: t_view tb;
     Hashtbl.replace tb.members item ();
     t_index_add tb item;
     t_key_incr tb (tb.key_of item);
@@ -127,19 +142,16 @@ let t_add tb item =
   end
 
 (* Drop one member from the set, the index and the key count (which
-   journals the key if this was its last entry).  The caller refilters
-   the view once, after all its drops. *)
+   journals the key if this was its last entry), and mark the view
+   stale. *)
 let t_drop tb x =
   Hashtbl.remove tb.members x;
   t_index_remove tb x;
-  t_key_decr tb (tb.key_of x)
-
-let t_refilter_view tb =
-  tb.view <- List.filter (fun x -> Hashtbl.mem tb.members x) tb.view
+  t_key_decr tb (tb.key_of x);
+  tb.stale <- true
 
 (* Remove the entries whose peer is [node] and that satisfy [pred].  Only
-   that node's index bucket is visited; the insertion-ordered view is
-   refiltered only when something actually goes. *)
+   that node's index bucket is visited. *)
 let t_remove_from tb node pred =
   match Ids.Node_tbl.find_opt tb.by_node node with
   | None -> 0
@@ -148,7 +160,6 @@ let t_remove_from tb node pred =
       | [] -> 0
       | drop ->
           List.iter (t_drop tb) drop;
-          t_refilter_view tb;
           List.length drop)
 
 (* Keep only the entries satisfying [keep] (BGC table reconstruction,
@@ -157,17 +168,7 @@ let t_remove_from tb node pred =
    failures in place journals exactly the keys whose last entry goes,
    and a collection that keeps every edge allocates nothing per stub. *)
 let t_retain tb keep =
-  let dropped =
-    List.fold_left
-      (fun n x ->
-        if keep x then n
-        else begin
-          t_drop tb x;
-          n + 1
-        end)
-      0 tb.view
-  in
-  if dropped > 0 then t_refilter_view tb
+  List.iter (fun x -> if not (keep x) then t_drop tb x) (t_view tb)
 
 let t_by_uid tb uid =
   match Ids.Uid_tbl.find_opt tb.by_uid uid with
@@ -179,16 +180,28 @@ let t_by_uid tb uid =
 
    A node receiving delta reachability messages keeps, per (sender,
    bunch), the key set of the sender's stub tables reassembled from
-   fulls and diffs.  Coverage queries — the cleaner's §6.1 deletion test
-   — are O(1) key lookups.  [mi_basis] identifies the full table the
-   mirror (and every delta the sender emits) builds on; a delta with a
-   different basis is unusable and triggers a resync. *)
+   fulls and diffs, and the sender's exiting entries addressed to the
+   node (only an object's owner reads an exiting entry, so the sender
+   ships each destination its own and the owner goes without saying).
+   Coverage queries — the cleaner's §6.1 deletion test — are O(1) key
+   lookups.  [mi_basis] identifies the full table the mirror (and every
+   delta the sender emits) builds on; a delta with a different basis is
+   unusable and triggers a resync. *)
 
 type mirror = {
   mutable mi_basis : int;
   mi_inter : (Ssp.inter_key, unit) Hashtbl.t;
   mi_intra : (Ssp.intra_key, unit) Hashtbl.t;
-  mi_exiting : (Ids.Uid.t * Ids.Node.t, unit) Hashtbl.t;
+  mi_exiting : unit Ids.Uid_tbl.t;
+}
+
+(* One owner's share of a bunch's exiting-ownerPtr journal, the same
+   shape as the stub-table journals: the present uids, each with the
+   mark [note_exiting] sets while it updates the slot (false between
+   calls), and the uids whose presence flipped since the last rebase. *)
+type exiting_slot = {
+  ex_cur : bool Ids.Uid_tbl.t;
+  ex_touched : unit Ids.Uid_tbl.t;
 }
 
 (* Per sender, how many mirrored inter-bunch stub keys (over all of the
@@ -214,7 +227,6 @@ type node_state = {
       (* by target bunch *)
   intra_scions : (Ssp.intra_scion, unit) table Ids.Bunch_tbl.t;
   last_seq : (Ids.Node.t * Ids.Bunch.t, int) Hashtbl.t;
-  last_exiting : (Ids.Uid.t * Ids.Node.t) list ref Ids.Bunch_tbl.t;
   last_dests : Ids.Node.t list ref Ids.Bunch_tbl.t;
   (* Delta-table state.  Sender side: which basis (full-table id) each
      destination is believed to hold, and how many broadcasts happened
@@ -223,10 +235,7 @@ type node_state = {
   since_rebase : int ref Ids.Bunch_tbl.t;
   mirrors : (Ids.Node.t * Ids.Bunch.t, mirror) Hashtbl.t;
   claims : claims;
-  (* Exiting-ownerPtr journal, same shape as the stub-table journals:
-     present set plus the entries that flipped since the last rebase. *)
-  exiting_cur : (Ids.Uid.t * Ids.Node.t, unit) Hashtbl.t Ids.Bunch_tbl.t;
-  exiting_touched : (Ids.Uid.t * Ids.Node.t, unit) Hashtbl.t Ids.Bunch_tbl.t;
+  exiting : exiting_slot Ids.Node_tbl.t Ids.Bunch_tbl.t; (* by bunch, owner *)
 }
 
 type t = {
@@ -275,14 +284,12 @@ let node_state t node =
           inter_scions = Ids.Bunch_tbl.create 8;
           intra_scions = Ids.Bunch_tbl.create 8;
           last_seq = Hashtbl.create 16;
-          last_exiting = Ids.Bunch_tbl.create 8;
           last_dests = Ids.Bunch_tbl.create 8;
           dest_basis = Hashtbl.create 16;
           since_rebase = Ids.Bunch_tbl.create 8;
           mirrors = Hashtbl.create 16;
           claims = Ids.Node_tbl.create 8;
-          exiting_cur = Ids.Bunch_tbl.create 8;
-          exiting_touched = Ids.Bunch_tbl.create 8;
+          exiting = Ids.Bunch_tbl.create 8;
         }
       in
       Ids.Node_tbl.add t.per_node node ns;
@@ -341,7 +348,7 @@ let find_table make tbl bunch =
       tb
 
 let tbl_view tbl bunch =
-  match Ids.Bunch_tbl.find_opt tbl bunch with Some tb -> tb.view | None -> []
+  match Ids.Bunch_tbl.find_opt tbl bunch with Some tb -> t_view tb | None -> []
 
 let inter_stubs t ~node ~bunch = tbl_view (node_state t node).inter_stubs bunch
 let intra_stubs t ~node ~bunch = tbl_view (node_state t node).intra_stubs bunch
@@ -473,8 +480,7 @@ type stub_delta = {
   sd_del_inter : Ssp.inter_key list;
   sd_add_intra : Ssp.intra_key list;
   sd_del_intra : Ssp.intra_key list;
-  sd_add_exiting : (Ids.Uid.t * Ids.Node.t) list;
-  sd_del_exiting : (Ids.Uid.t * Ids.Node.t) list;
+  sd_exiting_flips : int;
 }
 
 let split_touched tb =
@@ -484,37 +490,90 @@ let split_touched tb =
       else (added, k :: removed))
     tb.touched ([], [])
 
-let find_pair_tbl tbl bunch =
-  match Ids.Bunch_tbl.find_opt tbl bunch with
-  | Some h -> h
+let exiting_slots ns bunch =
+  match Ids.Bunch_tbl.find_opt ns.exiting bunch with
+  | Some slots -> slots
   | None ->
-      let h = Hashtbl.create 16 in
-      Ids.Bunch_tbl.add tbl bunch h;
-      h
+      let slots = Ids.Node_tbl.create 8 in
+      Ids.Bunch_tbl.add ns.exiting bunch slots;
+      slots
+
+let find_exiting_slot t ~node ~bunch ~owner =
+  match Ids.Bunch_tbl.find_opt (node_state t node).exiting bunch with
+  | Some slots -> Ids.Node_tbl.find_opt slots owner
+  | None -> None
 
 let note_exiting t ~node ~bunch exiting =
-  (* Reflect the list the BGC just produced in the journal: every entry
-     whose presence flips (in either direction) is marked touched, so
-     cumulative deltas also cover entries that appeared and vanished
-     again between two rebases. *)
-  let ns = node_state t node in
-  let cur = find_pair_tbl ns.exiting_cur bunch in
-  let touched = find_pair_tbl ns.exiting_touched bunch in
-  let next = Hashtbl.create (max 16 (2 * List.length exiting)) in
-  List.iter (fun e -> Hashtbl.replace next e ()) exiting;
-  Hashtbl.iter
-    (fun e () -> if not (Hashtbl.mem next e) then Hashtbl.replace touched e ())
-    cur;
-  Hashtbl.iter
-    (fun e () -> if not (Hashtbl.mem cur e) then Hashtbl.replace touched e ())
-    next;
-  Hashtbl.reset cur;
-  Hashtbl.iter (fun e () -> Hashtbl.replace cur e ()) next
+  (* Reflect the list the BGC just produced in the journal, in place:
+     mark every listed entry (adding and journalling the new ones), then
+     drop and journal the unmarked ones.  Every entry whose presence
+     flips is marked touched, so cumulative deltas also cover entries
+     that appeared and vanished again between two rebases. *)
+  let slots = exiting_slots (node_state t node) bunch in
+  List.iter
+    (fun (uid, owner) ->
+      let slot =
+        match Ids.Node_tbl.find_opt slots owner with
+        | Some slot -> slot
+        | None ->
+            let slot =
+              { ex_cur = Ids.Uid_tbl.create 16; ex_touched = Ids.Uid_tbl.create 16 }
+            in
+            Ids.Node_tbl.add slots owner slot;
+            slot
+      in
+      if not (Ids.Uid_tbl.mem slot.ex_cur uid) then
+        Ids.Uid_tbl.replace slot.ex_touched uid ();
+      Ids.Uid_tbl.replace slot.ex_cur uid true)
+    exiting;
+  Ids.Node_tbl.iter
+    (fun _ slot ->
+      Ids.Uid_tbl.filter_map_inplace
+        (fun uid marked ->
+          if marked then Some false
+          else begin
+            Ids.Uid_tbl.replace slot.ex_touched uid ();
+            None
+          end)
+        slot.ex_cur)
+    slots
+
+let exiting_owners t ~node ~bunch =
+  match Ids.Bunch_tbl.find_opt (node_state t node).exiting bunch with
+  | None -> []
+  | Some slots ->
+      Ids.Node_tbl.fold
+        (fun owner slot acc ->
+          if Ids.Uid_tbl.length slot.ex_cur > 0 then owner :: acc else acc)
+        slots []
+
+let exiting_to t ~node ~bunch ~owner =
+  match find_exiting_slot t ~node ~bunch ~owner with
+  | None -> []
+  | Some slot -> Ids.Uid_tbl.fold (fun uid _ acc -> uid :: acc) slot.ex_cur []
+
+let exiting_count_to t ~node ~bunch ~owner =
+  match find_exiting_slot t ~node ~bunch ~owner with
+  | None -> 0
+  | Some slot -> Ids.Uid_tbl.length slot.ex_cur
+
+let exiting_delta_to t ~node ~bunch ~owner =
+  match find_exiting_slot t ~node ~bunch ~owner with
+  | None -> ([], [])
+  | Some slot ->
+      Ids.Uid_tbl.fold
+        (fun uid () (a, d) ->
+          if Ids.Uid_tbl.mem slot.ex_cur uid then (uid :: a, d) else (a, uid :: d))
+        slot.ex_touched ([], [])
 
 let current_exiting t ~node ~bunch =
-  match Ids.Bunch_tbl.find_opt (node_state t node).exiting_cur bunch with
+  match Ids.Bunch_tbl.find_opt (node_state t node).exiting bunch with
   | None -> []
-  | Some h -> Hashtbl.fold (fun e () acc -> e :: acc) h []
+  | Some slots ->
+      Ids.Node_tbl.fold
+        (fun owner slot acc ->
+          Ids.Uid_tbl.fold (fun uid _ acc -> (uid, owner) :: acc) slot.ex_cur acc)
+        slots []
 
 let stub_delta t ~node ~bunch =
   let ns = node_state t node in
@@ -528,27 +587,18 @@ let stub_delta t ~node ~bunch =
     | None -> ([], [])
     | Some tb -> split_touched tb
   in
-  let add_exiting, del_exiting =
-    match
-      ( Ids.Bunch_tbl.find_opt ns.exiting_touched bunch,
-        Ids.Bunch_tbl.find_opt ns.exiting_cur bunch )
-    with
-    | None, _ -> ([], [])
-    | Some touched, cur ->
-        let present e =
-          match cur with Some c -> Hashtbl.mem c e | None -> false
-        in
-        Hashtbl.fold
-          (fun e () (a, d) -> if present e then (e :: a, d) else (a, e :: d))
-          touched ([], [])
-  in
   {
     sd_add_inter = add_inter;
     sd_del_inter = del_inter;
     sd_add_intra = add_intra;
     sd_del_intra = del_intra;
-    sd_add_exiting = add_exiting;
-    sd_del_exiting = del_exiting;
+    sd_exiting_flips =
+      (match Ids.Bunch_tbl.find_opt ns.exiting bunch with
+      | None -> 0
+      | Some slots ->
+          Ids.Node_tbl.fold
+            (fun _ slot n -> n + Ids.Uid_tbl.length slot.ex_touched)
+            slots 0);
   }
 
 let rebase_stub_journal t ~node ~bunch =
@@ -559,8 +609,14 @@ let rebase_stub_journal t ~node ~bunch =
   (match Ids.Bunch_tbl.find_opt ns.intra_stubs bunch with
   | Some tb -> Hashtbl.reset tb.touched
   | None -> ());
-  (match Ids.Bunch_tbl.find_opt ns.exiting_touched bunch with
-  | Some h -> Hashtbl.reset h
+  (* An owner whose last entry went has nothing left to journal. *)
+  (match Ids.Bunch_tbl.find_opt ns.exiting bunch with
+  | Some slots ->
+      Ids.Node_tbl.filter_map_inplace
+        (fun _ slot ->
+          Ids.Uid_tbl.reset slot.ex_touched;
+          if Ids.Uid_tbl.length slot.ex_cur = 0 then None else Some slot)
+        slots
   | None -> ());
   match Ids.Bunch_tbl.find_opt ns.since_rebase bunch with
   | Some r -> incr r
@@ -609,12 +665,12 @@ let mirror_reset t ~node ~sender ~bunch ~basis ~inter ~intra ~exiting =
       mi_basis = basis;
       mi_inter = Hashtbl.create (max 16 (2 * List.length inter));
       mi_intra = Hashtbl.create (max 16 (2 * List.length intra));
-      mi_exiting = Hashtbl.create (max 16 (2 * List.length exiting));
+      mi_exiting = Ids.Uid_tbl.create (max 16 (2 * List.length exiting));
     }
   in
   List.iter (fun k -> Hashtbl.replace m.mi_inter k ()) inter;
   List.iter (fun k -> Hashtbl.replace m.mi_intra k ()) intra;
-  List.iter (fun e -> Hashtbl.replace m.mi_exiting e ()) exiting;
+  List.iter (fun uid -> Ids.Uid_tbl.replace m.mi_exiting uid ()) exiting;
   (* Claims move only for the keys whose presence the install flips. *)
   (match Hashtbl.find_opt ns.mirrors (sender, bunch) with
   | Some old ->
@@ -654,8 +710,8 @@ let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
         add_inter;
       List.iter (Hashtbl.remove m.mi_intra) del_intra;
       List.iter (fun k -> Hashtbl.replace m.mi_intra k ()) add_intra;
-      List.iter (Hashtbl.remove m.mi_exiting) del_exiting;
-      List.iter (fun e -> Hashtbl.replace m.mi_exiting e ()) add_exiting;
+      List.iter (Ids.Uid_tbl.remove m.mi_exiting) del_exiting;
+      List.iter (fun uid -> Ids.Uid_tbl.replace m.mi_exiting uid ()) add_exiting;
       (* Basis chaining: this message's transport seq is what the
          sender's next delta on this stream will name as its basis. *)
       m.mi_basis <- seq;
@@ -664,10 +720,10 @@ let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
 
 let mirror_has_inter m key = Hashtbl.mem m.mi_inter key
 let mirror_has_intra m key = Hashtbl.mem m.mi_intra key
-let mirror_has_exiting m uid node = Hashtbl.mem m.mi_exiting (uid, node)
+let mirror_has_exiting m uid = Ids.Uid_tbl.mem m.mi_exiting uid
 let mirror_iter_inter m f = Hashtbl.iter (fun k () -> f k) m.mi_inter
 let mirror_iter_intra m f = Hashtbl.iter (fun k () -> f k) m.mi_intra
-let mirror_iter_exiting m f = Hashtbl.iter (fun e () -> f e) m.mi_exiting
+let mirror_iter_exiting m f = Ids.Uid_tbl.iter (fun uid () -> f uid) m.mi_exiting
 
 let mirror_claims_target t ~node ~sender uid =
   match Ids.Node_tbl.find (node_state t node).claims sender with
@@ -675,14 +731,6 @@ let mirror_claims_target t ~node ~sender uid =
   | exception Not_found -> false
 
 (* ------------------------------------------------------------------ *)
-
-let last_exiting t ~node ~bunch =
-  match Ids.Bunch_tbl.find_opt (node_state t node).last_exiting bunch with
-  | Some r -> !r
-  | None -> []
-
-let record_exiting t ~node ~bunch exiting =
-  Ids.Bunch_tbl.replace (node_state t node).last_exiting bunch (ref exiting)
 
 let last_broadcast_dests t ~node ~bunch =
   match Ids.Bunch_tbl.find_opt (node_state t node).last_dests bunch with
@@ -753,20 +801,19 @@ let pp_node t ppf node =
   let ns = node_state t node in
   Format.fprintf ppf "@[<v>node %a gc-state:@," Ids.Node.pp node;
   Ids.Bunch_tbl.iter
-    (fun b tb ->
-      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_inter_stub s) tb.view;
-      ignore b)
+    (fun _ tb ->
+      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_inter_stub s) (t_view tb))
     ns.inter_stubs;
   Ids.Bunch_tbl.iter
     (fun _ tb ->
-      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_intra_stub s) tb.view)
+      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_intra_stub s) (t_view tb))
     ns.intra_stubs;
   Ids.Bunch_tbl.iter
     (fun _ tb ->
-      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_inter_scion s) tb.view)
+      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_inter_scion s) (t_view tb))
     ns.inter_scions;
   Ids.Bunch_tbl.iter
     (fun _ tb ->
-      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_intra_scion s) tb.view)
+      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_intra_scion s) (t_view tb))
     ns.intra_scions;
   Format.fprintf ppf "@]"

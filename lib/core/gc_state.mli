@@ -166,18 +166,7 @@ val has_inter_scion :
 (** Does [node] hold a scion for [bunch] with this match key?  One hash
     lookup; allocates nothing. *)
 
-(** {1 Exiting-ownerPtr lists}
-
-    The list a BGC last constructed for a bunch (§4.3); kept so the next
-    broadcast can also reach nodes that dropped out of it. *)
-
-val last_exiting :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list
-
-val record_exiting :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list -> unit
+(** {1 Broadcast destinations} *)
 
 val last_broadcast_dests :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
@@ -202,36 +191,66 @@ val record_broadcast_dests :
     each message's transport seq is the basis the next delta on that
     stream names, and a mismatch (loss, restart) makes the receiver pull
     a resync over the unreliable [Stub_table] channel.  The receiver
-    side keeps per-(sender, bunch) mirrors keyed by basis id. *)
+    side keeps per-(sender, bunch) mirrors keyed by basis id.
+
+    The exiting-ownerPtr list (§4.3) is journalled per owner: an entry
+    (uid, owner) says "I hold a live replica of uid and believe [owner]
+    owns it", and only that owner reads it, so each destination is sent
+    the uids of its own slot and nothing else. *)
 
 type stub_delta = {
   sd_add_inter : Ssp.inter_key list;
   sd_del_inter : Ssp.inter_key list;
   sd_add_intra : Ssp.intra_key list;
   sd_del_intra : Ssp.intra_key list;
-  sd_add_exiting : (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list;
-  sd_del_exiting : (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list;
+  sd_exiting_flips : int;
+      (** exiting entries touched since the journal base, over every
+          owner (what the full-vs-delta rule weighs) *)
 }
 
 val note_exiting :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
   -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list -> unit
 (** Reflect the exiting-ownerPtr list the BGC just produced in the
-    journal: entries whose presence flips get marked touched, exactly
-    like stub-table keys.  Call before {!stub_delta}. *)
+    per-owner journal, in place: entries whose presence flips get marked
+    touched, exactly like stub-table keys.  Call before {!stub_delta}. *)
+
+val exiting_owners :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> Bmx_util.Ids.Node.t list
+(** The owners the journalled list names, in no particular order.  Read
+    before {!note_exiting}, these are the owners of the previous list. *)
+
+val exiting_to :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> owner:Bmx_util.Ids.Node.t -> Bmx_util.Ids.Uid.t list
+(** The journalled entries addressed to [owner], as bare uids: what a
+    full or a resync pull carries to [owner].  One slot lookup. *)
+
+val exiting_count_to :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> owner:Bmx_util.Ids.Node.t -> int
+(** The length of {!exiting_to}, O(1). *)
+
+val exiting_delta_to :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> owner:Bmx_util.Ids.Node.t -> Bmx_util.Ids.Uid.t list * Bmx_util.Ids.Uid.t list
+(** [owner]'s entries touched since the journal base that are still
+    present (adds) or now absent (dels): the exiting part of [owner]'s
+    delta.  One slot lookup. *)
 
 val current_exiting :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
   -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list
-(** The exiting list as last journalled by {!note_exiting} (what a
-    resync pull reads). *)
+(** The whole journalled list, every owner's entries (introspection). *)
 
 val stub_delta :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> stub_delta
 (** Match keys touched since the journal base that are still present
-    (adds) or now absent (dels).  Does not clear the journal.  Working
-    at key granularity means a BGC rebuild that relocates targets but
-    keeps the same edges contributes nothing. *)
+    (adds) or now absent (dels), and how many exiting entries flipped.
+    Does not clear the journal.  Working at key granularity means a BGC
+    rebuild that relocates targets but keeps the same edges contributes
+    nothing. *)
 
 val rebase_stub_journal :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> unit
@@ -265,11 +284,12 @@ val mirror_reset :
   basis:int ->
   inter:Ssp.inter_key list ->
   intra:Ssp.intra_key list ->
-  exiting:(Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list ->
+  exiting:Bmx_util.Ids.Uid.t list ->
   unit
-(** Install a full table received from [sender] as the new mirror.  The
-    shipped keys go in as they are, so every mirror of one broadcast
-    shares the sender's key tuples. *)
+(** Install a full table received from [sender] as the new mirror, with
+    the sender's exiting entries addressed to [node].  The shipped keys
+    go in as they are, so every mirror of one broadcast shares the
+    sender's key tuples. *)
 
 val mirror_apply :
   t ->
@@ -282,8 +302,8 @@ val mirror_apply :
   del_inter:Ssp.inter_key list ->
   add_intra:Ssp.intra_key list ->
   del_intra:Ssp.intra_key list ->
-  add_exiting:(Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list ->
-  del_exiting:(Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list ->
+  add_exiting:Bmx_util.Ids.Uid.t list ->
+  del_exiting:Bmx_util.Ids.Uid.t list ->
   bool
 (** Apply a delta and advance the mirror basis to [seq] (the transport
     seq that delivered it — the basis the sender's next delta names);
@@ -292,7 +312,8 @@ val mirror_apply :
 
 type mirror
 (** [node]'s reassembly of one (sender, bunch) stream: the key sets of
-    the sender's stub tables and its complete exiting list. *)
+    the sender's stub tables and the uids of the sender's exiting
+    entries addressed to [node]. *)
 
 val mirror :
   t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
@@ -304,14 +325,13 @@ val mirror_has_inter : mirror -> Ssp.inter_key -> bool
 
 val mirror_has_intra : mirror -> Ssp.intra_key -> bool
 
-val mirror_has_exiting :
-  mirror -> Bmx_util.Ids.Uid.t -> Bmx_util.Ids.Node.t -> bool
-(** Does the sender's exiting list name this (object, owner) pair? *)
+val mirror_has_exiting : mirror -> Bmx_util.Ids.Uid.t -> bool
+(** Does the sender's exiting list name this object, with the mirror's
+    node as its owner? *)
 
 val mirror_iter_inter : mirror -> (Ssp.inter_key -> unit) -> unit
 val mirror_iter_intra : mirror -> (Ssp.intra_key -> unit) -> unit
-val mirror_iter_exiting :
-  mirror -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t -> unit) -> unit
+val mirror_iter_exiting : mirror -> (Bmx_util.Ids.Uid.t -> unit) -> unit
 (** In no particular order; [f] must not change the mirror. *)
 
 val mirror_claims_target :

@@ -9,7 +9,7 @@ type table_body =
   | Full of {
       fb_inter : Ssp.inter_key list;
       fb_intra : Ssp.intra_key list;
-      fb_exiting : (Ids.Uid.t * Ids.Node.t) list;
+      fb_exiting : Ids.Uid.t list;
     }
   | Delta of {
       db_basis : int;
@@ -17,8 +17,8 @@ type table_body =
       db_del_inter : Ssp.inter_key list;
       db_add_intra : Ssp.intra_key list;
       db_del_intra : Ssp.intra_key list;
-      db_add_exiting : (Ids.Uid.t * Ids.Node.t) list;
-      db_del_exiting : (Ids.Uid.t * Ids.Node.t) list;
+      db_add_exiting : Ids.Uid.t list;
+      db_del_exiting : Ids.Uid.t list;
     }
 
 type table_msg = {
@@ -28,16 +28,19 @@ type table_msg = {
 }
 
 (* Both encodings ship match keys (four resp. three small ids per entry,
-   24 bytes) and exiting entries (16 bytes), never stub records: a
-   receiver only tests coverage, and coverage compares keys.  A delta's
-   header is a little larger than a full table's (basis id plus section
-   lengths). *)
-let full_bytes ~keys ~exiting = 16 + (24 * keys) + (16 * exiting)
+   24 bytes), never stub records: a receiver only tests coverage, and
+   coverage compares keys.  Exiting entries travel as bare uids (8
+   bytes): each destination gets only the entries whose owner it is, so
+   the owner goes without saying.  A delta's header is a little larger
+   than a full table's (basis id plus section lengths). *)
+let full_header = 16
+let delta_header = 24
+let wire_bytes ~header ~keys ~exiting = header + (24 * keys) + (8 * exiting)
 
 let msg_bytes m =
   match m.tm_body with
   | Full { fb_inter; fb_intra; fb_exiting } ->
-      full_bytes
+      wire_bytes ~header:full_header
         ~keys:(List.length fb_inter + List.length fb_intra)
         ~exiting:(List.length fb_exiting)
   | Delta
@@ -50,16 +53,16 @@ let msg_bytes m =
         db_del_exiting;
         _;
       } ->
-      24
-      + (24
-        * (List.length db_add_inter + List.length db_del_inter
-         + List.length db_add_intra + List.length db_del_intra))
-      + (16 * (List.length db_add_exiting + List.length db_del_exiting))
+      wire_bytes ~header:delta_header
+        ~keys:
+          (List.length db_add_inter + List.length db_del_inter
+         + List.length db_add_intra + List.length db_del_intra)
+        ~exiting:(List.length db_add_exiting + List.length db_del_exiting)
 
-(* What a full of [node]'s current tables for [bunch] costs, from the
-   O(1) key counts. *)
+(* What a full of [node]'s current tables for [bunch] costs when it
+   carries [exiting] uids, from the O(1) key counts. *)
 let full_size t ~node ~bunch ~exiting =
-  full_bytes
+  wire_bytes ~header:full_header
     ~keys:
       (Gc_state.inter_key_count t ~node ~bunch
       + Gc_state.intra_key_count t ~node ~bunch)
@@ -85,9 +88,9 @@ type candidates =
   | Named of {
       del_inter : Ssp.inter_key list;
       del_intra : Ssp.intra_key list;
-      del_exiting : (Ids.Uid.t * Ids.Node.t) list;
+      del_exiting : Ids.Uid.t list;
       add_inter : Ssp.inter_key list;
-      add_exiting : (Ids.Uid.t * Ids.Node.t) list;
+      add_exiting : Ids.Uid.t list;
     }
   | Everything
 
@@ -136,11 +139,16 @@ let sync_mirror t ~at ~seq msg =
            the sender's latest send on this stream — that is the state
            the pull observes (tables only change at a BGC, which
            broadcasts immediately), so later deltas chain correctly;
-           any older in-flight message simply resyncs again. *)
+           any older in-flight message simply resyncs again.  Like a
+           full, the pull carries the exiting entries addressed here. *)
+        let remote = not (Ids.Node.equal sender at) in
         let inter = Gc_state.inter_stub_keys t ~node:sender ~bunch in
         let intra = Gc_state.intra_stub_keys t ~node:sender ~bunch in
-        let exiting = Gc_state.current_exiting t ~node:sender ~bunch in
-        if not (Ids.Node.equal sender at) then begin
+        let exiting =
+          if remote then Gc_state.exiting_to t ~node:sender ~bunch ~owner:at
+          else []
+        in
+        if remote then begin
           let bytes =
             full_size t ~node:sender ~bunch ~exiting:(List.length exiting)
           in
@@ -208,7 +216,8 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
     let dir = Protocol.directory proto at in
     let store = Protocol.store proto at in
     (* An entry from the sender for an object of this bunch loses its
-       protection once the exiting list stops naming it — unless it was
+       protection once the exiting entries addressed here stop naming
+       it — unless it was
        registered after the table was sent, or (keep-alive across owner
        crashes: a checkpoint-restored entry stands in for a scion that
        died with this node) a mirrored stub of the sender still targets
@@ -218,7 +227,7 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
       let b = Store.bunch_of_uid store uid in
       Directory.is_entering_from dir ~uid ~from:sender
       && Ids.Bunch.equal b bunch
-      && (not (Gc_state.mirror_has_exiting m uid at))
+      && (not (Gc_state.mirror_has_exiting m uid))
       && Directory.entering_registration_seq dir ~uid ~from:sender < seq
       && not (Gc_state.mirror_claims_target t ~node:at ~sender uid)
     in
@@ -226,10 +235,9 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
       Directory.remove_entering dir ~uid ~from:sender;
       bump t "gc.cleaner.entering_removed"
     in
-    let enter (uid, owner) =
+    let enter uid =
       visit ();
-      if Ids.Node.equal owner at then
-        Directory.add_entering dir ~seq ~uid ~from:sender
+      Directory.add_entering dir ~seq ~uid ~from:sender
     in
     (* The dual of the §6.1 deletion test, needed only after a crash: a
        mirrored stub whose matching scion no longer exists here (it was
@@ -254,12 +262,9 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
     in
     match candidates with
     | Named d ->
-        (* Deleted exiting claims addressed here, and the targets of
-           deleted stubs (a stub claim was the keep-alive). *)
-        List.iter
-          (fun (uid, owner) ->
-            if Ids.Node.equal owner at && retirable uid then retire uid)
-          d.del_exiting;
+        (* Deleted exiting claims, and the targets of deleted stubs (a
+           stub claim was the keep-alive). *)
+        List.iter (fun uid -> if retirable uid then retire uid) d.del_exiting;
         List.iter
           (fun (_, _, _, target) -> if retirable target then retire target)
           d.del_inter;
@@ -355,6 +360,8 @@ let destinations t ~node ~bunch ~old_inter ~new_inter ~old_intra ~new_intra
   let add_inter acc (s : Ssp.inter_stub) = Node_set.add s.Ssp.is_scion_at acc in
   let add_intra acc (s : Ssp.intra_stub) = Node_set.add s.Ssp.ns_holder acc in
   let add_owner acc (_, n) = Node_set.add n acc in
+  (* Called before the new list is journalled, so the journal still
+     names the previous list's owners: those it drops must hear so. *)
   let dests =
     Node_set.of_list (Protocol.bunch_replica_nodes proto bunch)
     |> fun acc ->
@@ -363,7 +370,7 @@ let destinations t ~node ~bunch ~old_inter ~new_inter ~old_intra ~new_intra
     List.fold_left add_intra acc old_intra |> fun acc ->
     List.fold_left add_intra acc new_intra |> fun acc ->
     List.fold_left add_owner acc exiting |> fun acc ->
-    List.fold_left add_owner acc (Gc_state.last_exiting t ~node ~bunch)
+    Node_set.union acc (Node_set.of_list (Gc_state.exiting_owners t ~node ~bunch))
   in
   Node_set.elements (Node_set.remove node dests)
 
@@ -405,60 +412,79 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
   let deferred = List.length dests - List.length live_dests in
   if deferred > 0 then bump t ~by:deferred "gc.cleaner.deferred_unreachable";
   Gc_state.note_exiting t ~node ~bunch exiting;
-  let n_exiting = List.length exiting in
   (* Keys are built only on a round where some stream takes a full. *)
-  let full_body =
+  let full_keys =
     lazy
-      (Full
-         {
-           fb_inter = Gc_state.inter_stub_keys t ~node ~bunch;
-           fb_intra = Gc_state.intra_stub_keys t ~node ~bunch;
-           fb_exiting = exiting;
-         })
+      ( Gc_state.inter_stub_keys t ~node ~bunch,
+        Gc_state.intra_stub_keys t ~node ~bunch )
   in
-  let full_sz = full_size t ~node ~bunch ~exiting:n_exiting in
   let delta = Gc_state.stub_delta t ~node ~bunch in
-  let delta_body_for basis =
-    Delta
-      {
-        db_basis = basis;
-        db_add_inter = delta.Gc_state.sd_add_inter;
-        db_del_inter = delta.Gc_state.sd_del_inter;
-        db_add_intra = delta.Gc_state.sd_add_intra;
-        db_del_intra = delta.Gc_state.sd_del_intra;
-        db_add_exiting = delta.Gc_state.sd_add_exiting;
-        db_del_exiting = delta.Gc_state.sd_del_exiting;
-      }
-  in
-  let delta_sz =
-    msg_bytes { tm_sender = node; tm_bunch = bunch; tm_body = delta_body_for 0 }
+  let delta_keys =
+    List.length delta.Gc_state.sd_add_inter
+    + List.length delta.Gc_state.sd_del_inter
+    + List.length delta.Gc_state.sd_add_intra
+    + List.length delta.Gc_state.sd_del_intra
   in
   (* The journal rebases after every round, so a delta covers exactly
      one round of churn: a peer gets one only if its mirror sits on last
      round's basis.  Still send fulls periodically (bounding mirror drift
      and deferred retention) and whenever the round's churn outweighs
      half the table — common for small tables, where a full is the
-     cheaper and sturdier encoding anyway.  The table's weight is a churn
-     policy, not a wire size: 40 per inter-bunch stub record, 24 per
-     intra-bunch one, 16 per exiting entry and 16 more, the record-sized
-     figure the rule was tuned with.  Pricing it at the key-only size
-     sends more fulls and, on the benchmark's workloads, more bytes;
-     retuning the rule is its own measured change. *)
+     cheaper and sturdier encoding anyway.  The rule is decided once per
+     round, from the whole table and the whole round's churn, not per
+     destination: the table's weight is 40 per inter-bunch stub record,
+     24 per intra-bunch one, 16 per exiting entry and 16 more, and the
+     churn is the delta with every exiting flip at 16 bytes, whoever it
+     is addressed to — the record-sized figures the rule was tuned with.
+     Pricing either at what a destination is actually sent moves the
+     full/delta choice, and with it the message count; retuning the
+     rule is its own measured change. *)
   let weight =
     16
     + (40 * Gc_state.inter_stub_count t ~node ~bunch)
     + (24 * Gc_state.intra_stub_count t ~node ~bunch)
-    + (16 * n_exiting)
+    + (16 * List.length exiting)
+  in
+  let churn =
+    delta_header + (24 * delta_keys) + (16 * delta.Gc_state.sd_exiting_flips)
   in
   let round = Gc_state.broadcast_round t ~node ~bunch in
-  let full_round = (round + 1) mod full_period = 0 || 2 * delta_sz >= weight in
-  let body_on = function
-    | Some basis when not full_round -> delta_body_for basis
-    | Some _ | None -> Lazy.force full_body
+  let full_round = (round + 1) mod full_period = 0 || 2 * churn >= weight in
+  (* A destination's body: the shared keys plus the exiting uids it
+     owns.  No node exits toward itself, so the self hand-off carries
+     none. *)
+  let body_for ~dst basis =
+    let remote = not (Ids.Node.equal dst node) in
+    match basis with
+    | Some basis when not full_round ->
+        let add_exiting, del_exiting =
+          if remote then Gc_state.exiting_delta_to t ~node ~bunch ~owner:dst
+          else ([], [])
+        in
+        Delta
+          {
+            db_basis = basis;
+            db_add_inter = delta.Gc_state.sd_add_inter;
+            db_del_inter = delta.Gc_state.sd_del_inter;
+            db_add_intra = delta.Gc_state.sd_add_intra;
+            db_del_intra = delta.Gc_state.sd_del_intra;
+            db_add_exiting = add_exiting;
+            db_del_exiting = del_exiting;
+          }
+    | Some _ | None ->
+        let inter, intra = Lazy.force full_keys in
+        Full
+          {
+            fb_inter = inter;
+            fb_intra = intra;
+            fb_exiting =
+              (if remote then Gc_state.exiting_to t ~node ~bunch ~owner:dst
+               else []);
+          }
   in
   let send_to dst =
     let body =
-      body_on
+      body_for ~dst
         (match Gc_state.dest_basis t ~node ~bunch ~dest:dst with
         | Some (r, basis) when r = round - 1 -> Some basis
         | Some _ | None ->
@@ -468,16 +494,25 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
             None)
     in
     let msg = { tm_sender = node; tm_bunch = bunch; tm_body = body } in
+    (* Priced from counts, not by walking the body's key lists again. *)
+    let full_sz =
+      full_size t ~node ~bunch
+        ~exiting:(Gc_state.exiting_count_to t ~node ~bunch ~owner:dst)
+    in
     let wire =
       match body with
       | Full _ ->
           bump t "gc.cleaner.full_sent";
           bump t ~by:full_sz "tables.full_wire_bytes";
           full_sz
-      | Delta _ ->
+      | Delta { db_add_exiting; db_del_exiting; _ } ->
+          let sz =
+            wire_bytes ~header:delta_header ~keys:delta_keys
+              ~exiting:(List.length db_add_exiting + List.length db_del_exiting)
+          in
           bump t "gc.cleaner.delta_sent";
-          bump t ~by:delta_sz "tables.delta_wire_bytes";
-          delta_sz
+          bump t ~by:sz "tables.delta_wire_bytes";
+          sz
     in
     bump t ~by:full_sz "tables.full_bytes";
     bump t ~by:wire "tables.delta_bytes";
@@ -500,7 +535,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
      (or after a crash wiped the mirror), on the periodic round, and when
      the delta outgrows the table. *)
   let last_self = Gc_state.last_table_seq t ~node ~sender:node ~bunch in
-  let self_body = body_on last_self in
+  let self_body = body_for ~dst:node last_self in
   bump t
     (match self_body with
     | Full _ -> "gc.cleaner.self_full"

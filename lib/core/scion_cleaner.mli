@@ -17,22 +17,29 @@
     healed by pulling the sender's current tables; a peer the sender
     knows missed a round gets a fresh full instead.  Duplicates are
     suppressed by the per-pair FIFO sequence numbers the network already
-    stamps (§6.1), exactly as for full tables.  The exiting ownerPtr
-    list rides the same encoding: complete in fulls, flips-only in
-    deltas, reassembled by the receiver's mirror before the entering
-    reconciliation runs.  Both encodings carry match keys
-    ({!Ssp.inter_key}, {!Ssp.intra_key}), never stub records: the
-    receiver's coverage tests compare keys, and nothing reads a stub's
-    address, target bunch or scion site off the wire. *)
+    stamps (§6.1), exactly as for full tables.  Both encodings carry
+    match keys ({!Ssp.inter_key}, {!Ssp.intra_key}), never stub records:
+    the receiver's coverage tests compare keys, and nothing reads a
+    stub's address, target bunch or scion site off the wire.
+
+    The exiting ownerPtrs ride the same encoding, addressed by owner:
+    an entry is read only by the object's owner, so each destination's
+    message carries only the entries naming it as owner, as bare uids —
+    all of them in a full or a resync pull, its own flips in a delta —
+    and the receiver's mirror reassembles that set before the entering
+    reconciliation runs.  The self hand-off carries none (no node exits
+    toward itself).  The choice between full and delta does not depend
+    on the destination's share: it is made once per broadcast, from the
+    whole table and the whole round's churn. *)
 
 type table_body =
   | Full of {
       fb_inter : Ssp.inter_key list;
           (** the sender's distinct inter-bunch stub keys *)
       fb_intra : Ssp.intra_key list;
-      fb_exiting : (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list;
-          (** the sender's complete exiting ownerPtrs: object and the
-              owner node the sender believes in *)
+      fb_exiting : Bmx_util.Ids.Uid.t list;
+          (** the objects of the sender's exiting ownerPtrs whose owner,
+              the sender believes, is the destination *)
     }
   | Delta of {
       db_basis : int;
@@ -41,8 +48,10 @@ type table_body =
       db_del_inter : Ssp.inter_key list;
       db_add_intra : Ssp.intra_key list;
       db_del_intra : Ssp.intra_key list;
-      db_add_exiting : (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list;
-      db_del_exiting : (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list;
+      db_add_exiting : Bmx_util.Ids.Uid.t list;
+          (** the destination's exiting entries that flipped, as in
+              [fb_exiting] *)
+      db_del_exiting : Bmx_util.Ids.Uid.t list;
     }
 
 type table_msg = {
@@ -52,9 +61,9 @@ type table_msg = {
 }
 
 val msg_bytes : table_msg -> int
-(** Actual wire size of the message: a header (16 bytes for a full, 24
-    for a delta) plus 24 bytes per match key and 16 per exiting entry,
-    for either encoding. *)
+(** Actual wire size of the message, priced from what the body holds: a
+    header (16 bytes for a full, 24 for a delta) plus 24 bytes per match
+    key and 8 per exiting uid, for either encoding. *)
 
 val receive : Gc_state.t -> at:Bmx_util.Ids.Node.t -> seq:int -> table_msg -> unit
 (** Process one reachability message at node [at].  Stale or duplicated
@@ -73,7 +82,8 @@ val destinations :
   Bmx_util.Ids.Node.t list
 (** The nodes a BGC's reachability information must reach (§4.1): replicas
     of the bunch, scion holders of old and new stubs, and the owners the
-    exiting list names. *)
+    new exiting list or the journalled previous one names.  Call before
+    the new list is journalled. *)
 
 val broadcast :
   Gc_state.t ->
@@ -91,7 +101,7 @@ val broadcast :
     table).  Re-running after a loss simply resends — the cumulative
     encoding keeps that safe.  Accounts, per send, the wire bytes under
     [tables.full_wire_bytes] or [tables.delta_wire_bytes] and
-    [tables.full_bytes] (what a full table would have cost); a resync
-    pull adds its RPC under [tables.resync_bytes].
+    [tables.full_bytes] (what a full table to that destination would
+    have cost); a resync pull adds its RPC under [tables.resync_bytes].
     [tables.delta_bytes] is the sum of the three: all stub-table bytes
     sent. *)

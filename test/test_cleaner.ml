@@ -262,8 +262,8 @@ let test_destinations () =
    against it: on a random workload with collector waves, every (node,
    bunch) table's keys must be the sorted, deduplicated keys of its
    records, with matching O(1) counts.  Once the collector is quiescent,
-   every mirror must hold exactly its sender's current keys and exiting
-   list. *)
+   every mirror must hold exactly its sender's current keys and the
+   sender's current exiting entries whose owner is the mirror's node. *)
 
 let driver_run () =
   let d =
@@ -326,7 +326,7 @@ let test_key_views_match_scan () =
   ignore (Cluster.collect_until_quiescent c ());
   check_key_views c;
   let nodes = Cluster.nodes c and bunches = Protocol.bunches (Cluster.proto c) in
-  let mirrors = ref 0 and shared = ref 0 in
+  let mirrors = ref 0 and shared = ref 0 and addressed = ref 0 in
   List.iter
     (fun at ->
       List.iter
@@ -355,16 +355,27 @@ let test_key_views_match_scan () =
                     (keys Gc_state.mirror_iter_intra
                     = List.sort compare
                         (Gc_state.intra_stub_keys gc ~node:sender ~bunch));
-                  check_bool (where ^ ": exiting") true
+                  (* Only the owner reads an exiting entry, so a mirror
+                     holds just the sender's entries naming its node, and
+                     a node's own hand-off holds none. *)
+                  let want_exiting =
+                    if at = sender then []
+                    else
+                      List.filter_map
+                        (fun (uid, owner) -> if owner = at then Some uid else None)
+                        (Gc_state.current_exiting gc ~node:sender ~bunch)
+                  in
+                  check_bool (where ^ ": exiting addressed here") true
                     (keys Gc_state.mirror_iter_exiting
-                    = List.sort compare
-                        (Gc_state.current_exiting gc ~node:sender ~bunch));
+                    = List.sort compare want_exiting);
+                  if want_exiting <> [] then incr addressed;
                   if want_inter <> [] then incr shared)
             bunches)
         nodes)
     nodes;
   check_bool "mirrors were compared" true (!mirrors > 0);
-  check_bool "some mirrored inter tables are non-empty" true (!shared > 0)
+  check_bool "some mirrored inter tables are non-empty" true (!shared > 0);
+  check_bool "some mirrors hold exiting entries" true (!addressed > 0)
 
 (* Two stub records that differ only in volatile detail (the target's
    address) share one match key: the table keeps both records, but a full
@@ -411,6 +422,158 @@ let test_shared_key_ships_once () =
     (fun m -> Gc_state.mirror_iter_inter m (fun k -> mirrored := k :: !mirrored))
     (Gc_state.mirror gc ~node:1 ~sender:0 ~bunch:b);
   check_bool "the receiver mirrors the one key" true (!mirrored = keys)
+
+(* Exiting entries are addressed by owner.  N0 exits four objects,
+   three it believes N1 owns and one N2 owns: N1's full carries three
+   bare uids and N2's one, at 8 bytes each, and each receiver enters
+   only its own.  The next round changes only N2's entries; N1 still
+   gets its delta, but the delta is empty for it and takes the no-op
+   path. *)
+let test_exiting_addressed_by_owner () =
+  let c = Cluster.create ~nodes:3 () in
+  let gc = Cluster.gc c in
+  let b = Cluster.new_bunch c ~home:0 in
+  let tb = Cluster.new_bunch c ~home:1 in
+  (* Ten stub records make the table outweigh the round's churn, so the
+     second round goes out as deltas. *)
+  for i = 0 to 9 do
+    Gc_state.add_inter_stub gc ~node:0
+      {
+        Ssp.is_src_bunch = b;
+        is_src_uid = 100 + i;
+        is_created_at = 0;
+        is_target_uid = 200 + i;
+        is_target_bunch = tb;
+        is_target_addr = Addr.null;
+        is_scion_at = 1;
+      }
+  done;
+  let broadcast exiting =
+    ignore
+      (Scion_cleaner.broadcast gc ~node:0 ~bunch:b ~old_inter:[] ~old_intra:[]
+         ~exiting);
+    ignore (Cluster.drain c)
+  in
+  let mirrored at =
+    let l = ref [] in
+    Option.iter
+      (fun m -> Gc_state.mirror_iter_exiting m (fun uid -> l := uid :: !l))
+      (Gc_state.mirror gc ~node:at ~sender:0 ~bunch:b);
+    List.sort compare !l
+  in
+  let entering at uid =
+    Directory.is_entering_from (Protocol.directory (Cluster.proto c) at) ~uid
+      ~from:0
+  in
+  let keys = 24 * 10 in
+  broadcast [ (10, 1); (11, 1); (12, 1); (20, 2) ];
+  check_int "first contact: two fulls" 2 (stat c "gc.cleaner.full_sent");
+  check_int "full wire bytes: key tables plus 8 per addressed uid"
+    ((2 * (16 + keys)) + (8 * 4))
+    (stat c "tables.full_wire_bytes");
+  check_bool "N1 mirrors its three uids" true (mirrored 1 = [ 10; 11; 12 ]);
+  check_bool "N2 mirrors its one" true (mirrored 2 = [ 20 ]);
+  check_bool "N1 enters its objects" true (entering 1 10 && entering 1 12);
+  check_bool "and not N2's" false (entering 1 20);
+  check_bool "N2 enters its object" true (entering 2 20);
+  let noop = stat c "gc.cleaner.noop_tables" in
+  let full_bytes = stat c "tables.full_bytes" in
+  broadcast [ (10, 1); (11, 1); (12, 1); (21, 2) ];
+  check_int "then two deltas" 2 (stat c "gc.cleaner.delta_sent");
+  check_int "delta wire bytes: N1's is a bare header, N2's flips two uids"
+    (24 + (24 + (8 * 2)))
+    (stat c "tables.delta_wire_bytes");
+  check_int "the full counterfactual is per destination"
+    (16 + keys + (8 * 3) + (16 + keys + 8))
+    (stat c "tables.full_bytes" - full_bytes);
+  check_int "N1's delta and the self hand-off are no-ops" (noop + 2)
+    (stat c "gc.cleaner.noop_tables");
+  check_bool "N1's mirror is unchanged" true (mirrored 1 = [ 10; 11; 12 ]);
+  check_bool "N2's mirror follows its flips" true (mirrored 2 = [ 21 ]);
+  check_bool "N2 enters the new object" true (entering 2 21)
+
+(* Owner-addressed exiting entries on a real workload, with stub-table
+   messages dropped and duplicated through quiescence.  A sender's
+   exiting journal changes only inside its collections, so a snapshot at
+   every collection's end holds every entry any table could carry.
+   After each table message is delivered, every mirror at its receiver
+   may hold only uids the sender journalled with the receiver as owner.
+   Once the faults clear and every node collects every bunch again, no
+   entry owned by a live node may be missing from that node's mirror. *)
+let test_exiting_reaches_only_owner () =
+  let d, c = driver_run () in
+  let gc = Cluster.gc c in
+  let net = Cluster.net c in
+  let nodes = Cluster.nodes c and bunches = Protocol.bunches (Cluster.proto c) in
+  let journalled = Hashtbl.create 256 in
+  let evlog = Cluster.evlog c in
+  Trace_event.set_enabled evlog true;
+  Trace_event.add_tap evlog (fun _ e ->
+      match e with
+      | Trace_event.Gc_end { node; _ } ->
+          List.iter
+            (fun bunch ->
+              List.iter
+                (fun (uid, owner) ->
+                  Hashtbl.replace journalled (node, bunch, owner, uid) ())
+                (Gc_state.current_exiting gc ~node ~bunch))
+            bunches
+      | _ -> ());
+  let delivered = ref 0 and mirrored = ref 0 in
+  Net.set_handler net (fun env ->
+      env.Net.payload env.Net.seq;
+      if env.Net.kind = Net.Stub_table then begin
+        incr delivered;
+        let at = env.Net.dst and sender = env.Net.src in
+        List.iter
+          (fun bunch ->
+            Option.iter
+              (fun m ->
+                Gc_state.mirror_iter_exiting m (fun uid ->
+                    incr mirrored;
+                    if not (Hashtbl.mem journalled (sender, bunch, at, uid)) then
+                      Alcotest.failf
+                        "N%d's mirror of N%d bunch %d holds u%d, never sent to it"
+                        at sender bunch uid))
+              (Gc_state.mirror gc ~node:at ~sender ~bunch))
+          bunches
+      end);
+  Net.set_fault net ~kind:Net.Stub_table ~drop:0.1 ~dup:0.2 ~rng:(Rng.make 5);
+  for _ = 1 to 4 do
+    Driver.run_ops d ~ops:120 ();
+    ignore (Cluster.gc_round c)
+  done;
+  ignore (Cluster.collect_until_quiescent c ());
+  Net.clear_faults net;
+  List.iter
+    (fun node -> List.iter (fun bunch -> ignore (Cluster.bgc c ~node ~bunch)) bunches)
+    nodes;
+  ignore (Cluster.drain c);
+  let checked = ref 0 in
+  List.iter
+    (fun sender ->
+      List.iter
+        (fun bunch ->
+          List.iter
+            (fun (uid, owner) ->
+              if owner <> sender && not (Net.is_down net owner) then begin
+                incr checked;
+                match Gc_state.mirror gc ~node:owner ~sender ~bunch with
+                | Some m when Gc_state.mirror_has_exiting m uid -> ()
+                | Some _ | None ->
+                    Alcotest.failf "N%d's mirror of N%d bunch %d misses u%d" owner
+                      sender bunch uid
+              end)
+            (Gc_state.current_exiting gc ~node:sender ~bunch))
+        bunches)
+    nodes;
+  let get = Stats.get (Cluster.stats c) in
+  let kind = Net.kind_to_string Net.Stub_table in
+  check_bool "tables were dropped" true (get ("net.dropped." ^ kind) > 0);
+  check_bool "and duplicated" true (get ("net.duplicated." ^ kind) > 0);
+  check_bool "tables were delivered" true (!delivered > 0);
+  check_bool "mirrors held exiting entries" true (!mirrored > 0);
+  check_bool "live owners' entries were checked" true (!checked > 0)
 
 (* The ledger splits the cleaner's wire by encoding: fulls, deltas and
    resync pulls.  Fault-free, their sum is what the network carried as
@@ -477,6 +640,10 @@ let () =
             test_key_views_match_scan;
           Alcotest.test_case "a shared key ships once" `Quick
             test_shared_key_ships_once;
+          Alcotest.test_case "exiting entries addressed by owner" `Quick
+            test_exiting_addressed_by_owner;
+          Alcotest.test_case "exiting entries reach only their owner" `Quick
+            test_exiting_reaches_only_owner;
           Alcotest.test_case "ledger splits wire by encoding" `Quick
             test_ledger_splits_wire;
         ] );

@@ -9,10 +9,17 @@
    Random op sequences — adds, replaces, broadcast rounds (some with
    every table message dropped), and crash/restart of either side —
    drive the real implementation, and after every op the indexed
-   accessors must agree with the model exactly.  After every cleanly delivered round the receiver's mirror
-   (rebuilt from fulls and one-round deltas, healed by pull-resyncs
-   after losses and restarts) must cover precisely the stubs the model
-   holds, and reassemble exactly the model's exiting list.
+   accessors must agree with the model exactly.  After every cleanly
+   delivered round the receiver's mirror (rebuilt from fulls and
+   one-round deltas, healed by pull-resyncs after losses and restarts)
+   must cover precisely the stubs the model holds.
+
+   The exiting pool names two owners, the receiver and a third node, and
+   only an entry's owner may be sent it: after every delivered table
+   message, a destination's mirror may hold only uids it owns, and after
+   every clean round each owner's mirror must hold exactly the model's
+   entries naming it.  Shipping the whole list to every destination
+   fails this test.
 
    A second source bunch from the same sender has its own stubs, aimed
    at the same targets as the first's, so the receiver's per-(sender,
@@ -37,6 +44,7 @@ module Ssp = Bmx_gc.Ssp
 
 let sender = 0
 let receiver = 1
+let third = 2
 let pool_size = 6
 
 type op =
@@ -47,7 +55,9 @@ type op =
       (* presence masks over the pools: retain the masked entries, then
          add the masked ones the table lacks *)
   | Replace2 of bool array
-  | Round of bool array * bool  (* exiting mask, drop all table messages? *)
+  | Round of bool array * bool
+      (* exiting mask (receiver's half, then the third node's), drop all
+         table messages? *)
   | Crash_receiver
   | Crash_sender
 
@@ -79,7 +89,7 @@ let gen_op =
         ( 6,
           map2
             (fun m d -> Round (m, d))
-            gen_mask
+            (array_size (return (2 * pool_size)) bool)
             (frequency [ (4, return false); (1, return true) ]) );
         (1, return Crash_receiver);
         (1, return Crash_sender);
@@ -107,7 +117,7 @@ let total_resyncs = ref 0
 let prop_indexed_tables_match_lists =
   QCheck.Test.make ~name:"indexed tables + delta mirrors = list semantics"
     ~count:150 arb_ops (fun ops ->
-      let c = Cluster.create ~nodes:2 () in
+      let c = Cluster.create ~nodes:3 () in
       let g = Cluster.gc c in
       let b = Cluster.new_bunch c ~home:sender in
       let tb = Cluster.new_bunch c ~home:sender in
@@ -137,13 +147,42 @@ let prop_indexed_tables_match_lists =
             { Ssp.ns_bunch = b; ns_uid = 300 + i; ns_holder = receiver })
       in
       let exiting_pool =
-        Array.init pool_size (fun i -> (400 + i, receiver))
+        Array.init (2 * pool_size) (fun i ->
+            (400 + i, if i < pool_size then receiver else third))
       in
       (* The reference model: the sender's tables with list semantics. *)
       let m_inter = ref [] and m_intra = ref [] and m_exiting = ref [] in
       let m_inter2 = ref [] in
       let fail fmt = QCheck.Test.fail_reportf fmt in
       let mirror bunch = Gc_state.mirror g ~node:receiver ~sender ~bunch in
+      let mirrored_exiting ~at bunch =
+        let got = ref [] in
+        Option.iter
+          (fun m -> Gc_state.mirror_iter_exiting m (fun uid -> got := uid :: !got))
+          (Gc_state.mirror g ~node:at ~sender ~bunch);
+        sorted !got
+      in
+      let owned_by at =
+        sorted
+          (List.filter_map
+             (fun (uid, owner) -> if owner = at then Some uid else None)
+             !m_exiting)
+      in
+      (* Every table message, once processed, may have left only uids its
+         destination owns in the destination's mirrors. *)
+      Net.set_handler (Cluster.net c) (fun env ->
+          env.Net.payload env.Net.seq;
+          let at = env.Net.dst in
+          if env.Net.kind = Net.Stub_table && env.Net.src = sender then begin
+            List.iter
+              (fun uid ->
+                if not (Array.mem (uid, at) exiting_pool) then
+                  fail "N%d's mirror holds exiting uid %d, which it does not own"
+                    at uid)
+              (mirrored_exiting ~at b);
+            if mirrored_exiting ~at b2 <> [] then
+              fail "N%d's mirror of a bunch with no exiting entries holds some" at
+          end);
       let model_add m s = if not (List.mem s !m) then m := s :: !m in
       let model_replace m wanted =
         m := List.filter (fun s -> List.mem s wanted) !m;
@@ -260,15 +299,18 @@ let prop_indexed_tables_match_lists =
                 fail "after %s: mirror intra coverage of uid %d = %b, model %b"
                   (pp_op op) (300 + i) covered want)
             intra_pool;
-          let got = ref [] in
-          Option.iter
-            (fun m -> Gc_state.mirror_iter_exiting m (fun e -> got := e :: !got))
-            (mirror b);
-          let got = sorted !got in
-          if got <> sorted !m_exiting then
-            fail "after %s: mirror exiting has %d entries, model %d" (pp_op op)
-              (List.length got) (List.length !m_exiting)
-        end
+        end;
+        (* Each owner addressed this round mirrors exactly its share. *)
+        List.iter
+          (fun at ->
+            if List.mem at (Gc_state.last_broadcast_dests g ~node:sender ~bunch:b)
+            then begin
+              let got = mirrored_exiting ~at b in
+              if got <> owned_by at then
+                fail "after %s: N%d's mirror exiting has %d entries, model %d"
+                  (pp_op op) at (List.length got) (List.length (owned_by at))
+            end)
+          [ receiver; third ]
       in
       List.iter
         (fun op ->
@@ -301,13 +343,11 @@ let prop_indexed_tables_match_lists =
                 Net.set_fault (Cluster.net c) ~kind:Net.Stub_table ~drop:1.0
                   ~dup:0.0 ~rng:fault_rng;
               (* The Collect call convention: tables already retained,
-                 broadcast, then record the exiting list for the next
-                 round's destination set. *)
+                 then broadcast. *)
+              m_exiting := exiting;
               ignore
                 (Scion_cleaner.broadcast g ~node:sender ~bunch:b
                    ~old_inter:!m_inter ~old_intra:!m_intra ~exiting);
-              Gc_state.record_exiting g ~node:sender ~bunch:b exiting;
-              m_exiting := exiting;
               ignore
                 (Scion_cleaner.broadcast g ~node:sender ~bunch:b2
                    ~old_inter:!m_inter2 ~old_intra:[] ~exiting:[]);
@@ -334,7 +374,6 @@ let prop_indexed_tables_match_lists =
       ignore
         (Scion_cleaner.broadcast g ~node:sender ~bunch:b ~old_inter:!m_inter
            ~old_intra:!m_intra ~exiting);
-      Gc_state.record_exiting g ~node:sender ~bunch:b exiting;
       ignore
         (Scion_cleaner.broadcast g ~node:sender ~bunch:b2 ~old_inter:!m_inter2
            ~old_intra:[] ~exiting:[]);
@@ -357,6 +396,155 @@ let test_paths_exercised () =
   Alcotest.(check bool)
     "losses triggered mirror resyncs" true (!total_resyncs > 0)
 
+(* Scion views under removal.  A removal only drops members and marks
+   the view stale; the next read refilters it.  Random interleavings of
+   adds, per-sender removals (which re-add later) and reads must keep
+   every view equal to a newest-first list model: adds prepend if
+   absent, removals filter.  Reads are ops of their own, so a removal
+   and a re-add can meet with no read between them: a re-add that
+   prepends to the stale view shows the scion twice. *)
+
+type sop =
+  | S_add_inter of int  (* pool index *)
+  | S_add_intra of int
+  | S_remove_inter of int * bool array  (* stub-side node, removal mask *)
+  | S_remove_intra of int * bool array
+  | S_read
+
+let scion_pool_size = 8
+let scion_holder = 0
+
+let pp_sop = function
+  | S_add_inter i -> Printf.sprintf "add_inter %d" i
+  | S_add_intra i -> Printf.sprintf "add_intra %d" i
+  | S_remove_inter (src, m) -> Printf.sprintf "remove_inter N%d %s" src (pp_mask m)
+  | S_remove_intra (src, m) -> Printf.sprintf "remove_intra N%d %s" src (pp_mask m)
+  | S_read -> "read"
+
+let arb_sops =
+  let open QCheck.Gen in
+  let idx = int_bound (scion_pool_size - 1) in
+  let src = int_range 1 2 in
+  let mask = array_size (return scion_pool_size) bool in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_sop ops))
+    (list_size (int_range 10 60)
+       (frequency
+          [
+            (4, map (fun i -> S_add_inter i) idx);
+            (4, map (fun i -> S_add_intra i) idx);
+            (2, map2 (fun n m -> S_remove_inter (n, m)) src mask);
+            (2, map2 (fun n m -> S_remove_intra (n, m)) src mask);
+            (2, return S_read);
+          ]))
+
+let prop_scion_views_match_lists =
+  QCheck.Test.make ~name:"scion views under removal = ordered model" ~count:300
+    arb_sops (fun ops ->
+      let c = Cluster.create ~nodes:3 () in
+      let g = Cluster.gc c in
+      let sb = Cluster.new_bunch c ~home:1 in
+      let tb1 = Cluster.new_bunch c ~home:scion_holder in
+      let tb2 = Cluster.new_bunch c ~home:scion_holder in
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      (* Stub sides alternate between nodes 1 and 2, and the inter pool
+         spans two target bunches, so a removal visits one by-node
+         bucket in each of two tables. *)
+      let inter_pool =
+        Array.init scion_pool_size (fun i ->
+            {
+              Ssp.xs_src_bunch = sb;
+              xs_src_uid = 100 + i;
+              xs_src_node = 1 + (i mod 2);
+              xs_target_uid = 200 + i;
+              xs_target_bunch = (if i < scion_pool_size / 2 then tb1 else tb2);
+            })
+      in
+      let intra_pool =
+        Array.init scion_pool_size (fun i ->
+            { Ssp.xn_bunch = tb1; xn_uid = 300 + i; xn_owner_side = 1 + (i mod 2) })
+      in
+      let index pool x =
+        let rec go i = if pool.(i) = x then i else go (i + 1) in
+        go 0
+      in
+      (* Newest-first models, one per table. *)
+      let m_inter1 = ref [] and m_inter2 = ref [] and m_intra = ref [] in
+      let model_of_inter (s : Ssp.inter_scion) =
+        if s.Ssp.xs_target_bunch = tb1 then m_inter1 else m_inter2
+      in
+      let model_add m x = if not (List.mem x !m) then m := x :: !m in
+      let model_remove m drop =
+        let gone = List.filter drop !m in
+        m := List.filter (fun x -> not (drop x)) !m;
+        List.length gone
+      in
+      let check_members op =
+        Array.iter
+          (fun (s : Ssp.inter_scion) ->
+            let want = List.mem s !(model_of_inter s) in
+            let got =
+              Gc_state.has_inter_scion g ~node:scion_holder
+                ~bunch:s.Ssp.xs_target_bunch (Ssp.inter_scion_key s)
+            in
+            if got <> want then
+              fail "after %s: scion of uid %d present = %b, model %b" (pp_sop op)
+                s.Ssp.xs_src_uid got want)
+          inter_pool
+      in
+      let check_views op =
+        let inter bunch = Gc_state.inter_scions g ~node:scion_holder ~bunch in
+        if inter tb1 <> !m_inter1 || inter tb2 <> !m_inter2 then
+          fail "after %s: inter scion views differ from the model (%d+%d vs %d+%d)"
+            (pp_sop op)
+            (List.length (inter tb1))
+            (List.length (inter tb2))
+            (List.length !m_inter1) (List.length !m_inter2);
+        let intra = Gc_state.intra_scions g ~node:scion_holder ~bunch:tb1 in
+        if intra <> !m_intra then
+          fail "after %s: intra scion view has %d entries, model %d" (pp_sop op)
+            (List.length intra) (List.length !m_intra)
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | S_add_inter i ->
+              let s = inter_pool.(i) in
+              Gc_state.add_inter_scion g ~node:scion_holder s;
+              model_add (model_of_inter s) s
+          | S_add_intra i ->
+              let s = intra_pool.(i) in
+              Gc_state.add_intra_scion g ~node:scion_holder s;
+              model_add m_intra s
+          | S_remove_inter (src, mask) ->
+              let drop (s : Ssp.inter_scion) =
+                s.Ssp.xs_src_node = src && mask.(index inter_pool s)
+              in
+              let got =
+                Gc_state.remove_inter_scions_from g ~node:scion_holder ~src drop
+              in
+              let want = model_remove m_inter1 drop + model_remove m_inter2 drop in
+              if got <> want then
+                fail "after %s: removed %d inter scions, model %d" (pp_sop op) got
+                  want
+          | S_remove_intra (src, mask) ->
+              let drop (s : Ssp.intra_scion) = mask.(index intra_pool s) in
+              let got =
+                Gc_state.remove_intra_scions_from g ~node:scion_holder ~bunch:tb1
+                  ~src drop
+              in
+              let want =
+                model_remove m_intra (fun s -> s.Ssp.xn_owner_side = src && drop s)
+              in
+              if got <> want then
+                fail "after %s: removed %d intra scions, model %d" (pp_sop op) got
+                  want
+          | S_read -> check_views op);
+          check_members op)
+        ops;
+      check_views S_read;
+      true)
+
 let pinned_to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260807 |]) t
 
@@ -366,6 +554,7 @@ let () =
       ( "equivalence",
         [
           pinned_to_alcotest prop_indexed_tables_match_lists;
+          pinned_to_alcotest prop_scion_views_match_lists;
           Alcotest.test_case "delta/full/resync paths exercised" `Quick
             test_paths_exercised;
         ] );
