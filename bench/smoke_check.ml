@@ -15,8 +15,9 @@
    legality memo, handle table and op dispatch are flat arrays and
    bitmaps; only Rng.float boxing and a few option cells remain), an
    allocation budget for the collector waves per mutator op, and
-   deterministic budgets for the stub-table bytes and messages the run
-   sends and for the event log's words per recorded event. *)
+   deterministic budgets for the stub-table bytes, total wire bytes and
+   messages the run sends and for the event log's words per recorded
+   event. *)
 
 module Json = Bmx_obs.Json
 
@@ -77,9 +78,13 @@ let wave_minor_words_per_op_budget = 535.0
    entries sent only to their owner, as bare uids.  Shipping every
    destination the whole exiting list with owners gives 20 992, and
    sending each its own entries with the owner kept (16 bytes each)
-   15 552.  Messages are 1 003. *)
+   15 552.  Messages are 1 003.  Total wire bytes are 74 284 with every
+   piggybacked location update counted once, as piggyback; counting
+   each grant's updates a second time in the grant itself gives
+   84 868. *)
 let table_bytes_budget = 13_300
 let messages_budget = 1_020
+let bytes_budget = 75_500
 
 (* Deterministic event-log density: words the typed event log stores per
    recorded event.  The packed log measures 3.36 (14 411 words for 4 286
@@ -170,6 +175,13 @@ let () =
       if messages > messages_budget then
         die "bench-smoke: %d-node run sent %d messages (budget %d)" nodes
           messages messages_budget;
+      let bytes = int_member "bytes" cfg in
+      if bytes > bytes_budget then
+        die
+          "bench-smoke: %d-node run sent %d wire bytes (budget %d — a \
+           byte counted twice, e.g. piggybacked updates inside the grant \
+           too?)"
+          nodes bytes bytes_budget;
       let events = int_member "events" cfg in
       let log_words = int_member "event_log_words" cfg in
       let words_per_event =
@@ -192,12 +204,13 @@ let () =
         "bench-smoke: %d nodes ok — gc tokens 0, %.0f ops/sec (floor %.0f), \
          %.0f alloc words/op (budget %.0f), %.0f wave words/op (budget %.0f), \
          %d table bytes (budget %d), %d messages (budget %d), \
+         %d wire bytes (budget %d), \
          %.2f event-log words/event (budget %.1f), \
          steady delta %dB <= full %dB (%.1f%%)\n"
         nodes ops_per_sec ops_per_sec_floor words_per_op
         minor_words_per_op_budget wave_words_per_op
         wave_minor_words_per_op_budget table_bytes table_bytes_budget
-        messages messages_budget words_per_event
+        messages messages_budget bytes bytes_budget words_per_event
         event_log_words_per_event_budget delta full
         (if full = 0 then 0.0 else 100.0 *. float_of_int delta /. float_of_int full)
       end)

@@ -156,11 +156,8 @@ let restore c ~node disk =
                 ~uid ~from:node;
               match Directory.find (Protocol.directory proto owner) uid with
               | Some orec ->
-                  let was = Ids.Node_set.cardinal orec.Directory.copyset in
-                  orec.Directory.copyset <-
-                    Ids.Node_set.add node orec.Directory.copyset;
-                  Protocol.copyset_changed proto ~was
-                    ~now:(Ids.Node_set.cardinal orec.Directory.copyset)
+                  Protocol.set_copyset proto orec
+                    (Ids.Node_set.add node orec.Directory.copyset)
               | None -> ()
             in
             if Bmx_netsim.Net.reachable net node owner then register ()

@@ -15,7 +15,34 @@ let scion_target t ~node ~bunch =
   in
   if mapped_locally then node else Protocol.bunch_home proto bunch
 
-let create_inter_ssp t ~node ~src_obj ~src_addr:_ ~target_addr =
+(* Register [node] at the owner of [uid] as keeping it alive: an
+   entering ownerPtr, announced by a synchronous exchange.  Registration
+   must never fail halfway through a store (the pointer would exist
+   unprotected), so across a cut the exchange is replaced by a queued
+   reliable registration: the entry is installed eagerly — protection
+   can only err conservative — and the wire cost is accounted when the
+   link heals.  Returns the owner registered at, if any. *)
+let register_at_owner t ~node ~uid =
+  let proto = Gc_state.proto t in
+  match Protocol.owner_of proto uid with
+  | Some owner as registered when not (Ids.Node.equal owner node) ->
+      let net = Protocol.net proto in
+      if Net.reachable net node owner then
+        Net.record_rpc net ~src:node ~dst:owner ~kind:Net.Scion_message
+          ~bytes:24 ()
+      else begin
+        bump t "gc.barrier.deferred_registrations";
+        Net.send net ~src:node ~dst:owner ~kind:Net.Scion_message ~bytes:24
+          (fun _seq -> ())
+      end;
+      Bmx_dsm.Directory.add_entering
+        (Protocol.directory proto owner)
+        ~seq:(Net.current_seq net ~src:node ~dst:owner)
+        ~uid ~from:node;
+      registered
+  | Some _ | None -> None
+
+let create_inter_ssp t ~node ~src_obj ~target_addr =
   let proto = Gc_state.proto t in
   let src_bunch = src_obj.Heap_obj.bunch in
   match Registry.bunch_of_addr (Protocol.registry proto) target_addr with
@@ -76,30 +103,7 @@ let create_inter_ssp t ~node ~src_obj ~src_addr:_ ~target_addr =
             bump t "gc.barrier.scion_messages";
             let provisional_owner =
               if Store.addr_of_uid (Protocol.store proto node) target_uid = None
-              then
-                match Protocol.owner_of proto target_uid with
-                | Some owner when not (Ids.Node.equal owner node) ->
-                    (* Registration must never fail halfway through a
-                       store (the pointer would exist unprotected), so
-                       across a cut the synchronous exchange is replaced
-                       by a queued reliable registration: the entry is
-                       installed eagerly — protection can only err
-                       conservative — and the wire cost is accounted
-                       when the link heals. *)
-                    if Net.reachable (Protocol.net proto) node owner then
-                      Net.record_rpc (Protocol.net proto) ~src:node ~dst:owner
-                        ~kind:Net.Scion_message ~bytes:24 ()
-                    else begin
-                      bump t "gc.barrier.deferred_registrations";
-                      Net.send (Protocol.net proto) ~src:node ~dst:owner
-                        ~kind:Net.Scion_message ~bytes:24 (fun _seq -> ())
-                    end;
-                    Bmx_dsm.Directory.add_entering
-                      (Protocol.directory proto owner)
-                      ~seq:(Net.current_seq (Protocol.net proto) ~src:node ~dst:owner)
-                      ~uid:target_uid ~from:node;
-                    Some owner
-                | Some _ | None -> None
+              then register_at_owner t ~node ~uid:target_uid
               else None
             in
             Net.send (Protocol.net proto) ~src:node ~dst:scion_at
@@ -141,28 +145,10 @@ let protect_uncached_target t ~node ~src_bunch ~target =
         | Some tb -> Ids.Bunch.equal tb src_bunch
         | None -> false
       in
-      if same_bunch && Store.addr_of_uid store uid = None then begin
-        match Protocol.owner_of proto uid with
-        | Some owner when not (Ids.Node.equal owner node) ->
-            bump t "gc.barrier.remote_target_registrations";
-            (* As above: across a cut the registration rides the queued
-               reliable channel instead of a synchronous exchange, and
-               the (conservative) entry is installed eagerly so the
-               freshly written pointer is never left unprotected. *)
-            if Net.reachable (Protocol.net proto) node owner then
-              Net.record_rpc (Protocol.net proto) ~src:node ~dst:owner
-                ~kind:Net.Scion_message ~bytes:24 ()
-            else begin
-              bump t "gc.barrier.deferred_registrations";
-              Net.send (Protocol.net proto) ~src:node ~dst:owner
-                ~kind:Net.Scion_message ~bytes:24 (fun _seq -> ())
-            end;
-            Bmx_dsm.Directory.add_entering
-              (Protocol.directory proto owner)
-              ~seq:(Net.current_seq (Protocol.net proto) ~src:node ~dst:owner)
-              ~uid ~from:node
-        | Some _ | None -> ()
-      end
+      if same_bunch && Store.addr_of_uid store uid = None then
+        match register_at_owner t ~node ~uid with
+        | Some _ -> bump t "gc.barrier.remote_target_registrations"
+        | None -> ()
 
 (* Crash recovery re-runs the barrier over recovered contents: the SSPs
    and entering registrations the original stores created were volatile
@@ -176,13 +162,13 @@ let reassert_protection t ~node addr =
   let store = Protocol.store proto node in
   match Store.resolve store addr with
   | None -> ()
-  | Some (src_addr, src_obj) ->
+  | Some (_, src_obj) ->
       List.iter
         (fun target ->
           if not (Addr.is_null target) then begin
             protect_uncached_target t ~node
               ~src_bunch:src_obj.Heap_obj.bunch ~target;
-            create_inter_ssp t ~node ~src_obj ~src_addr ~target_addr:target
+            create_inter_ssp t ~node ~src_obj ~target_addr:target
           end)
         (Heap_obj.pointers src_obj)
 
@@ -194,9 +180,9 @@ let write_field t ~node addr index v =
   | Value.Ref target when not (Addr.is_null target) -> (
       let store = Protocol.store proto node in
       match Store.resolve store addr with
-      | Some (src_addr, src_obj) ->
+      | Some (_, src_obj) ->
           protect_uncached_target t ~node
             ~src_bunch:src_obj.Heap_obj.bunch ~target;
-          create_inter_ssp t ~node ~src_obj ~src_addr ~target_addr:target
+          create_inter_ssp t ~node ~src_obj ~target_addr:target
       | None -> ())
   | Value.Ref _ | Value.Data _ -> ()

@@ -63,10 +63,13 @@ let create ~net ~registry ?(mode = Distributed) ?(update_policy = Lazy) () =
     copyset_max = 0;
   }
 
-(* Every copyset write reports its before/after cardinality here (record
-   removal reports [~now:0]); the histogram's top index is then the exact
-   cluster-wide maximum, maintained in O(1) amortized. *)
-let copyset_changed t ~was ~now =
+(* Every copyset write goes through here (dropping a record first sets
+   the empty set), so the cardinality histogram stays exact and its top
+   index is the cluster-wide maximum, maintained in O(1) amortized. *)
+let set_copyset t (r : Directory.record) cs =
+  let was = Ids.Node_set.cardinal r.Directory.copyset in
+  let now = Ids.Node_set.cardinal cs in
+  r.Directory.copyset <- cs;
   if was <> now then begin
     let h =
       if now < Array.length t.copyset_hist then t.copyset_hist
@@ -279,81 +282,47 @@ let locate t n addr =
             (Printf.sprintf "Protocol.locate: dangling address %s at N%d"
                (Addr.to_string addr) n))
 
-(* Follow the ownerPtr (probable-owner) chain from [start] to the current
-   owner, recording one forwarded request message per hop.  Returns the
-   owner and the chain of intermediate nodes visited. *)
-let chase_owner t ~actor ~start uid =
-  let rec go node visited fuel =
-    if fuel = 0 then failwith "Protocol.chase_owner: ownerPtr cycle"
-    else
-      match Directory.find (directory t node) uid with
-      | Some r when r.Directory.is_owner -> (node, List.rev visited)
-      | Some r ->
-          let next = r.Directory.prob_owner in
-          Net.record_rpc t.net ~src:node ~dst:next ~kind:Net.Token_request ();
-          bump t (hops_key actor);
-          go next (node :: visited) (fuel - 1)
-      | None -> (
-          (* This node never heard of the object; the owner oracle stands in
-             for the BMX-server's directory. *)
-          match owner_of t uid with
-          | Some owner ->
-              if not (Ids.Node.equal owner node) then begin
-                Net.record_rpc t.net ~src:node ~dst:owner ~kind:Net.Token_request ();
-                bump t (hops_key actor)
-              end;
-              (owner, List.rev visited)
-          | None ->
-              failwith
-                (Printf.sprintf "Protocol.chase_owner: no owner for %s"
-                   (Ids.Uid.to_string uid)))
-  in
-  go start [] 64
+(* Forward the request one ownerPtr hop: one request message, one hop
+   charged to the acting subsystem. *)
+let hop t ~actor ~src ~dst =
+  Net.record_rpc t.net ~src ~dst ~kind:Net.Token_request ();
+  bump t (hops_key actor)
 
-(* First node along the chain from [start] that holds a valid token
-   (read-token grants can come from any read-token holder, §2.2). *)
-let find_read_granter t ~actor ~start uid =
-  match t.mode with
-  | Centralized -> chase_owner t ~actor ~start uid
-  | Distributed ->
-      let rec go node visited fuel =
-        if fuel = 0 then failwith "Protocol.find_read_granter: cycle"
-        else
-          match Directory.find (directory t node) uid with
-          | Some r
-            when (not (Ids.Node.equal node start))
-                 && (r.Directory.state = Directory.Read
-                    || r.Directory.state = Directory.Write) ->
-              (node, List.rev visited)
-          | Some r when r.Directory.is_owner -> (node, List.rev visited)
-          | Some r ->
-              let next = r.Directory.prob_owner in
-              Net.record_rpc t.net ~src:node ~dst:next ~kind:Net.Token_request ();
-              bump t (hops_key actor);
-              go next (node :: visited) (fuel - 1)
-          | None -> (
-              match owner_of t uid with
-              | Some owner ->
-                  if not (Ids.Node.equal owner node) then begin
-                    Net.record_rpc t.net ~src:node ~dst:owner
-                      ~kind:Net.Token_request ();
-                    bump t (hops_key actor)
-                  end;
-                  (owner, List.rev visited)
-              | None -> failwith "Protocol.find_read_granter: no owner")
-      in
-      (* Start the chase at the requester's own ownerPtr. *)
-      let first =
-        match Directory.find (directory t start) uid with
-        | Some r when not r.Directory.is_owner -> r.Directory.prob_owner
-        | Some _ | None -> start
-      in
-      if Ids.Node.equal first start then go start [] 64
-      else begin
-        Net.record_rpc t.net ~src:start ~dst:first ~kind:Net.Token_request ();
-        bump t (hops_key actor);
-        go first [ start ] 64
-      end
+(* Follow the ownerPtr (probable-owner) chain from [start], one hop per
+   forwarded request, to the owner — or, with [stop], to the first node
+   past [start] holding a Read or Write token (read-token grants can come
+   from any read-token holder, §2.2).  Returns the granter and the nodes
+   visited before it.  A top-level recursion: a local one would allocate
+   its closure on every remote acquire. *)
+let rec chase_from t ~actor ~stop ~start uid node visited fuel =
+  if fuel = 0 then failwith "Protocol.chase: ownerPtr cycle"
+  else
+    match Directory.find (directory t node) uid with
+    | Some r
+      when r.Directory.is_owner
+           || stop
+              && (not (Ids.Node.equal node start))
+              && r.Directory.state <> Directory.Invalid ->
+        (node, List.rev visited)
+    | Some r ->
+        let next = r.Directory.prob_owner in
+        hop t ~actor ~src:node ~dst:next;
+        chase_from t ~actor ~stop ~start uid next (node :: visited) (fuel - 1)
+    | None -> (
+        (* This node never heard of the object; the owner oracle stands in
+           for the BMX-server's directory. *)
+        match owner_of t uid with
+        | Some owner ->
+            if not (Ids.Node.equal owner node) then
+              hop t ~actor ~src:node ~dst:owner;
+            (owner, List.rev visited)
+        | None ->
+            failwith
+              (Printf.sprintf "Protocol.chase: no owner for %s"
+                 (Ids.Uid.to_string uid)))
+
+let chase t ~actor ~stop ~start uid =
+  chase_from t ~actor ~stop ~start uid start [] 64
 
 (* ------------------------------------------------------------------ *)
 (* Location updates (§4.4, §5 invariants 1 and 2).                     *)
@@ -535,8 +504,7 @@ let rec invalidate_subtree t ~actor ~skip node uid =
   | None -> ()
   | Some r ->
       let grantees = r.Directory.copyset in
-      r.Directory.copyset <- Ids.Node_set.empty;
-      copyset_changed t ~was:(Ids.Node_set.cardinal grantees) ~now:0;
+      set_copyset t r Ids.Node_set.empty;
       Ids.Node_set.iter
         (fun peer ->
           if not (Ids.Node.equal peer node) then begin
@@ -560,9 +528,6 @@ let rec invalidate_subtree t ~actor ~skip node uid =
 (* ------------------------------------------------------------------ *)
 (* Token acquisition.                                                  *)
 
-let grant_bytes obj updates =
-  32 + Heap_obj.size_bytes obj + (List.length updates * update_bytes)
-
 let install_granted t ~node ~gaddr gobj =
   let s = store t node in
   let prev = Store.addr_of_uid s gobj.Heap_obj.uid in
@@ -573,10 +538,47 @@ let install_granted t ~node ~gaddr gobj =
   | Some p when not (Addr.equal p gaddr) -> Store.set_forwarder s ~at:p ~target:gaddr
   | Some _ | None -> ());
   match Store.cell s gaddr with
-  | Some (Store.Object obj) ->
-      fix_fields_through_forwarders t node gaddr obj;
-      obj
+  | Some (Store.Object obj) -> fix_fields_through_forwarders t node gaddr obj
   | Some (Store.Forwarder _) | None -> assert false
+
+(* Ship [src]'s copy of [uid] to [dst]: resolve it, compute the location
+   updates it carries, account the reply (32 bytes plus the object) and
+   the updates piggybacked on it (§4.4), and install a clone at [dst].
+   A token grant ([tok]) also records [Grant_sent]; a demand-fetch reply
+   ([None]) first records its request.  The caller sets directory state
+   and applies the returned updates last, so invariant 1 completes
+   before the acquire returns. *)
+let ship_copy t ~src ~dst ~uid ~requested ~tok =
+  let s = store t src in
+  let gaddr, gobj =
+    match Store.addr_of_uid s uid with
+    | Some a -> (
+        match Store.resolve s a with
+        | Some found -> found
+        | None -> failwith "Protocol.ship_copy: source copy vanished")
+    | None -> failwith "Protocol.ship_copy: source has no copy"
+  in
+  let updates = compute_updates t ~granter:src ~requested gaddr gobj in
+  let k = List.length updates in
+  let shard = shard_of t gaddr in
+  (match tok with
+  | None -> Net.record_rpc t.net ~src:dst ~dst:src ~kind:Net.Object_fetch ?shard ()
+  | Some _ -> ());
+  Net.record_rpc t.net ~src ~dst ~kind:Net.Token_grant
+    ~bytes:(32 + Heap_obj.size_bytes gobj)
+    ?shard ();
+  (match tok with
+  | Some tok ->
+      ev t
+        (Trace_event.Grant_sent
+           { granter = src; requester = dst; uid; tok; updates = k });
+      obs_observe t ~node:src "dsm.grant.updates" k
+  | None -> ());
+  if k > 0 then
+    Net.record_piggyback t.net ~src ~kind:Net.Token_grant
+      ~bytes:(k * update_bytes) ?shard ();
+  install_granted t ~node:dst ~gaddr gobj;
+  updates
 
 let acquire t ?(actor = App) ~node:n addr kind =
   let uid = locate t n addr in
@@ -630,7 +632,9 @@ let acquire t ?(actor = App) ~node:n addr kind =
                 failwith "Protocol.acquire: write token held elsewhere"
             | Some _ | None -> ())
         | Some _ | None -> ());
-        let granter, _visited = find_read_granter t ~actor ~start:n uid in
+        let granter, _visited =
+          chase t ~actor ~stop:(t.mode = Distributed) ~start:n uid
+        in
         (* Partition pre-flight: the grant is a synchronous round trip,
            so an unreachable granter fails the acquire cleanly before
            any directory state is touched. *)
@@ -650,53 +654,24 @@ let acquire t ?(actor = App) ~node:n addr kind =
           g_rec.Directory.state <- Directory.Read;
         if g_rec.Directory.state <> Directory.Read then
           failwith "Protocol.acquire: granter has no valid copy";
-        let cs_was = Ids.Node_set.cardinal g_rec.Directory.copyset in
-        g_rec.Directory.copyset <- Ids.Node_set.add n g_rec.Directory.copyset;
-        let cs_now = Ids.Node_set.cardinal g_rec.Directory.copyset in
-        copyset_changed t ~was:cs_was ~now:cs_now;
-        obs_observe t ~node:granter "dsm.copyset.size" cs_now;
+        set_copyset t g_rec (Ids.Node_set.add n g_rec.Directory.copyset);
+        obs_observe t ~node:granter "dsm.copyset.size"
+          (Ids.Node_set.cardinal g_rec.Directory.copyset);
         Directory.add_entering g_dir
           ~seq:(Net.current_seq t.net ~src:n ~dst:granter)
           ~uid ~from:n;
-        let g_store = store t granter in
-        let gaddr, gobj =
-          match Store.addr_of_uid g_store uid with
-          | Some a -> (
-              match Store.resolve g_store a with
-              | Some (a', o) -> (a', o)
-              | None -> failwith "Protocol.acquire: granter copy vanished")
-          | None -> failwith "Protocol.acquire: granter has no copy"
+        let updates =
+          ship_copy t ~src:granter ~dst:n ~uid ~requested:addr
+            ~tok:(Some Trace_event.Read)
         in
-        let updates = compute_updates t ~granter ~requested:addr gaddr gobj in
-        Net.record_rpc t.net ~src:granter ~dst:n ~kind:Net.Token_grant
-          ~bytes:(grant_bytes gobj updates) ?shard:(shard_of t gaddr) ();
-        ev t
-          (Trace_event.Grant_sent
-             {
-               granter;
-               requester = n;
-               uid;
-               tok = Trace_event.Read;
-               updates = List.length updates;
-             });
-        obs_observe t ~node:granter "dsm.grant.updates" (List.length updates);
-        if updates <> [] then
-          Net.record_piggyback t.net ~src:granter ~kind:Net.Token_grant
-            ~bytes:(List.length updates * update_bytes)
-            ?shard:(shard_of t gaddr) ();
-        let r_n =
-          Directory.ensure d_n ~uid
-            ~prob_owner:
-              (if g_rec.Directory.is_owner then granter
-               else g_rec.Directory.prob_owner)
+        let prob_owner =
+          if g_rec.Directory.is_owner then granter else g_rec.Directory.prob_owner
         in
-        ignore (install_granted t ~node:n ~gaddr gobj);
+        let r_n = Directory.ensure d_n ~uid ~prob_owner in
         r_n.Directory.state <- Directory.Read;
         r_n.Directory.held <- true;
         if not r_n.Directory.is_owner then begin
-          r_n.Directory.prob_owner <-
-            (if g_rec.Directory.is_owner then granter
-             else g_rec.Directory.prob_owner);
+          r_n.Directory.prob_owner <- prob_owner;
           Directory.touch d_n
         end;
         (* Invariant 1 completes before the acquire returns. *)
@@ -704,7 +679,7 @@ let acquire t ?(actor = App) ~node:n addr kind =
         ev_done ();
         Option.get (Store.addr_of_uid s_n uid)
     | `Write ->
-        let owner, visited = chase_owner t ~actor ~start:n uid in
+        let owner, visited = chase t ~actor ~stop:false ~start:n uid in
         if Ids.Node.equal owner n then begin
           (* We were the owner all along (stale local state); revalidate. *)
           if not (invalidation_reachable t owner uid) then
@@ -748,55 +723,26 @@ let acquire t ?(actor = App) ~node:n addr kind =
              grant message is sent. *)
           ev t (Trace_event.Hook_ssp { granter = owner; requester = n; uid });
           t.hooks.before_write_grant ~granter:owner ~requester:n ~uid;
-          let o_store = store t owner in
-          let gaddr, gobj =
-            match Store.addr_of_uid o_store uid with
-            | Some a -> (
-                match Store.resolve o_store a with
-                | Some (a', o) -> (a', o)
-                | None -> failwith "Protocol.acquire: owner copy vanished")
-            | None -> failwith "Protocol.acquire: owner has no copy"
+          let updates =
+            ship_copy t ~src:owner ~dst:n ~uid ~requested:addr
+              ~tok:(Some Trace_event.Write)
           in
-          let updates = compute_updates t ~granter:owner ~requested:addr gaddr gobj in
-          Net.record_rpc t.net ~src:owner ~dst:n ~kind:Net.Token_grant
-            ~bytes:(grant_bytes gobj updates) ?shard:(shard_of t gaddr) ();
-          ev t
-            (Trace_event.Grant_sent
-               {
-                 granter = owner;
-                 requester = n;
-                 uid;
-                 tok = Trace_event.Write;
-                 updates = List.length updates;
-               });
-          obs_observe t ~node:owner "dsm.grant.updates" (List.length updates);
-          if updates <> [] then
-            Net.record_piggyback t.net ~src:owner ~kind:Net.Token_grant
-              ~bytes:(List.length updates * update_bytes)
-              ?shard:(shard_of t gaddr) ();
           (* Ownership transfer: the old owner keeps an inconsistent copy
              (Figure 1: o3 marked "i" at N2) and its ownerPtr now exits
              towards the new owner. *)
           o_rec.Directory.state <- Directory.Invalid;
           o_rec.Directory.is_owner <- false;
           o_rec.Directory.prob_owner <- n;
-          copyset_changed t
-            ~was:(Ids.Node_set.cardinal o_rec.Directory.copyset)
-            ~now:0;
-          o_rec.Directory.copyset <- Ids.Node_set.empty;
-          Directory.touch (directory t owner);
+          set_copyset t o_rec Ids.Node_set.empty;
+          Directory.touch o_dir;
           let r_n = Directory.ensure d_n ~uid ~prob_owner:n in
-          ignore (install_granted t ~node:n ~gaddr gobj);
           r_n.Directory.state <- Directory.Write;
           r_n.Directory.is_owner <- true;
           Directory.touch d_n;
           note_owner t ~uid ~node:n;
           r_n.Directory.held <- true;
           r_n.Directory.prob_owner <- n;
-          copyset_changed t
-            ~was:(Ids.Node_set.cardinal r_n.Directory.copyset)
-            ~now:0;
-          r_n.Directory.copyset <- Ids.Node_set.empty;
+          set_copyset t r_n Ids.Node_set.empty;
           Directory.add_entering d_n
             ~seq:(Net.current_seq t.net ~src:owner ~dst:n)
             ~uid ~from:owner;
@@ -836,25 +782,13 @@ let demand_fetch t ?(actor = App) ~node:n addr =
   | Some a -> a
   | None ->
       bump t (faults_key actor);
-      let supplier, _ = chase_owner t ~actor ~start:n uid in
-      let sup_store = store t supplier in
-      let gaddr, gobj =
-        match Store.addr_of_uid sup_store uid with
-        | Some a -> (
-            match Store.resolve sup_store a with
-            | Some (a', o) -> (a', o)
-            | None -> failwith "Protocol.demand_fetch: supplier copy vanished")
-        | None -> failwith "Protocol.demand_fetch: supplier has no copy"
+      let supplier, _ = chase t ~actor ~stop:false ~start:n uid in
+      let updates =
+        ship_copy t ~src:supplier ~dst:n ~uid ~requested:addr ~tok:None
       in
-      let updates = compute_updates t ~granter:supplier ~requested:addr gaddr gobj in
-      Net.record_rpc t.net ~src:n ~dst:supplier ~kind:Net.Object_fetch
-        ?shard:(shard_of t gaddr) ();
-      Net.record_rpc t.net ~src:supplier ~dst:n ~kind:Net.Token_grant
-        ~bytes:(grant_bytes gobj updates) ?shard:(shard_of t gaddr) ();
       (* The fetched copy carries no token: it is inconsistent from the
          start, exactly like an invalidated replica. *)
       let r_n = Directory.ensure (directory t n) ~uid ~prob_owner:supplier in
-      ignore (install_granted t ~node:n ~gaddr gobj);
       r_n.Directory.state <- Directory.Invalid;
       (* The supplier (owner) must keep the object alive for us. *)
       Directory.add_entering (directory t supplier)
@@ -947,10 +881,7 @@ let bunch_replica_nodes t bunch =
 let forget_replica t ~node ~uid =
   let d = directory t node in
   (match Directory.find d uid with
-  | Some r ->
-      copyset_changed t
-        ~was:(Ids.Node_set.cardinal r.Directory.copyset)
-        ~now:0
+  | Some r -> set_copyset t r Ids.Node_set.empty
   | None -> ());
   Directory.forget d uid
 
@@ -965,9 +896,7 @@ let crash_node t node =
   (* Drain the dying directory's copysets from the histogram before the
      records vanish. *)
   Directory.iter (directory t node) (fun r ->
-      copyset_changed t
-        ~was:(Ids.Node_set.cardinal r.Directory.copyset)
-        ~now:0);
+      set_copyset t r Ids.Node_set.empty);
   Ids.Node_tbl.replace t.stores node (Store.create ~registry:t.registry ~node);
   Ids.Node_tbl.replace t.dirs node (Directory.create ~node)
 
@@ -1031,18 +960,15 @@ let adopt_ownership t ~node ~uid =
      from the replicas that survive (one query per live node), or a
      later write grant would skip invalidating their read tokens.
      Nodes that are down re-register themselves when they recover. *)
-  let cs_was = Ids.Node_set.cardinal r.Directory.copyset in
-  r.Directory.copyset <-
-    List.fold_left
-      (fun acc n ->
-        if Ids.Node.equal n node || Net.is_down t.net n then acc
-        else begin
-          Net.record_rpc t.net ~src:node ~dst:n ~kind:Net.Token_request ();
-          Ids.Node_set.add n acc
-        end)
-      Ids.Node_set.empty (replica_nodes t uid);
-  copyset_changed t ~was:cs_was
-    ~now:(Ids.Node_set.cardinal r.Directory.copyset);
+  set_copyset t r
+    (List.fold_left
+       (fun acc n ->
+         if Ids.Node.equal n node || Net.is_down t.net n then acc
+         else begin
+           Net.record_rpc t.net ~src:node ~dst:n ~kind:Net.Token_request ();
+           Ids.Node_set.add n acc
+         end)
+       Ids.Node_set.empty (replica_nodes t uid));
   ev t (Trace_event.Owner_adopted { node; uid })
 
 let exiting_ownerptrs t ~node ~bunch =

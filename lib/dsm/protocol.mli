@@ -210,12 +210,11 @@ val bunch_replica_nodes : t -> Bmx_util.Ids.Bunch.t -> Bmx_util.Ids.Node.t list
 val forget_replica : t -> node:Bmx_util.Ids.Node.t -> uid:Bmx_util.Ids.Uid.t -> unit
 (** Collector callback: the local replica was reclaimed; drop DSM state. *)
 
-val copyset_changed : t -> was:int -> now:int -> unit
-(** Report a copyset cardinality change ([~now:0] for record removal) to
-    the histogram backing the O(1) [dsm.copyset.max] gauge.  Every
-    mutation of a directory record's copyset made outside this module
-    (e.g. recovery re-registration in [Persist]) must report here, or
-    the gauge drifts from the true maximum. *)
+val set_copyset : t -> Directory.record -> Bmx_util.Ids.Node_set.t -> unit
+(** Replace a directory record's copyset, keeping the histogram behind
+    the O(1) [dsm.copyset.max] gauge exact.  Every copyset write goes
+    through here (e.g. recovery re-registration in [Persist]); one made
+    around it makes the gauge drift from the true maximum. *)
 
 val adopt_ownership : t -> node:Bmx_util.Ids.Node.t -> uid:Bmx_util.Ids.Uid.t -> unit
 (** Ownership recovery: a node still holding a live copy claims

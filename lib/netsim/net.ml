@@ -26,8 +26,6 @@ let kind_to_string = function
   | Refcount_op -> "refcount_op"
   | App_message -> "app_message"
 
-let pp_kind ppf k = Format.pp_print_string ppf (kind_to_string k)
-
 let all_kinds =
   [
     Token_request; Token_grant; Invalidate; Object_fetch; Scion_message;
@@ -83,24 +81,6 @@ module Component = struct
   let count = 6
 end
 
-(* Pre-interned metric names: the per-message accounting path must not
-   build strings. *)
-let comp_bytes_key = function
-  | Component.Dsm -> "net.comp.bytes.dsm"
-  | Component.Gc_cleaner -> "net.comp.bytes.gc-cleaner"
-  | Component.Gc_bgc -> "net.comp.bytes.gc-bgc"
-  | Component.Registry -> "net.comp.bytes.registry"
-  | Component.Rvm -> "net.comp.bytes.rvm"
-  | Component.App -> "net.comp.bytes.app"
-
-let comp_msgs_key = function
-  | Component.Dsm -> "net.comp.msgs.dsm"
-  | Component.Gc_cleaner -> "net.comp.msgs.gc-cleaner"
-  | Component.Gc_bgc -> "net.comp.msgs.gc-bgc"
-  | Component.Registry -> "net.comp.msgs.registry"
-  | Component.Rvm -> "net.comp.msgs.rvm"
-  | Component.App -> "net.comp.msgs.app"
-
 let kind_index = function
   | Token_request -> 0
   | Token_grant -> 1
@@ -122,6 +102,17 @@ let per_kind family =
     all_kinds;
   fun kind -> names.(kind_index kind)
 
+(* ["net.comp.<family>.<component>"], likewise: the per-message
+   accounting path must not build strings. *)
+let per_component family =
+  let names = Array.make Component.count "" in
+  List.iter
+    (fun c -> names.(Component.index c) <- family ^ Component.to_string c)
+    Component.all;
+  fun c -> names.(Component.index c)
+
+let comp_bytes_key = per_component "net.comp.bytes."
+let comp_msgs_key = per_component "net.comp.msgs."
 let sent_key = per_kind "net.sent."
 let bytes_key = per_kind "net.bytes."
 let piggyback_key = per_kind "net.piggyback."
@@ -225,17 +216,6 @@ let stats t = t.stats
 let set_handler t f = t.handler <- Some f
 let set_evlog t l = t.evlog <- Some l
 
-let set_reliable t ?(rto = 4) ?(rto_max = 64) ?(max_attempts = 20)
-    ?(suspect_after = 6) kinds =
-  if rto <= 0 || rto_max < rto || max_attempts < 1 || suspect_after < 1 then
-    invalid_arg "Net.set_reliable: bad retransmission parameters";
-  Hashtbl.reset t.reliable;
-  List.iter (fun k -> Hashtbl.replace t.reliable k ()) kinds;
-  t.rto <- rto;
-  t.rto_max <- rto_max;
-  t.max_attempts <- max_attempts;
-  t.suspect_after <- suspect_after
-
 let set_backoff t ?rto ?rto_max ?max_attempts ?suspect_after () =
   let rto = Option.value ~default:t.rto rto in
   let rto_max = Option.value ~default:t.rto_max rto_max in
@@ -248,11 +228,15 @@ let set_backoff t ?rto ?rto_max ?max_attempts ?suspect_after () =
   t.max_attempts <- max_attempts;
   t.suspect_after <- suspect_after
 
+let set_reliable t ?(rto = 4) ?(rto_max = 64) ?(max_attempts = 20)
+    ?(suspect_after = 6) kinds =
+  set_backoff t ~rto ~rto_max ~max_attempts ~suspect_after ();
+  Hashtbl.reset t.reliable;
+  List.iter (fun k -> Hashtbl.replace t.reliable k ()) kinds
+
 let backoff_ceiling t = t.rto_max
 let suspect_after t = t.suspect_after
 
-let reliable_kinds t = List.filter (Hashtbl.mem t.reliable) all_kinds
-let is_reliable t kind = Hashtbl.mem t.reliable kind
 let now t = t.now
 let is_down t node = Hashtbl.mem t.down node
 
@@ -349,24 +333,15 @@ let clear_suspect t (src, dst) =
     suspect_transition t ~src ~dst ~on:false
   end
 
-let next_seq t ~src ~dst =
-  let key = (src, dst) in
-  match Hashtbl.find_opt t.seqs key with
+(* Advance a per-(src, dst) stream counter: the sequence numbers of
+   every send, or the reliable-stream indices. *)
+let next_in tbl key =
+  match Hashtbl.find_opt tbl key with
   | Some r ->
       incr r;
       !r
   | None ->
-      Hashtbl.add t.seqs key (ref 1);
-      1
-
-let next_rseq t ~src ~dst =
-  let key = (src, dst) in
-  match Hashtbl.find_opt t.rseqs key with
-  | Some r ->
-      incr r;
-      !r
-  | None ->
-      Hashtbl.add t.rseqs key (ref 1);
+      Hashtbl.add tbl key (ref 1);
       1
 
 let rstate t key =
@@ -376,24 +351,6 @@ let rstate t key =
       let rs = { r_next = 1; r_buf = Hashtbl.create 4 } in
       Hashtbl.add t.rstates key rs;
       rs
-
-(* Per-(component, node) byte/message series feed the continuous
-   sampler; cluster-wide totals ride along unlabelled. *)
-let comp_account_bytes t ~src ~kind ~bytes =
-  match t.obs with
-  | None -> ()
-  | Some m ->
-      let key = comp_bytes_key (Component.of_kind kind) in
-      Bmx_obs.Metrics.incr m ~by:bytes key;
-      Bmx_obs.Metrics.incr m ~node:src ~by:bytes key
-
-let comp_account_msg t ~src ~kind =
-  match t.obs with
-  | None -> ()
-  | Some m ->
-      let key = comp_msgs_key (Component.of_kind kind) in
-      Bmx_obs.Metrics.incr m key;
-      Bmx_obs.Metrics.incr m ~node:src key
 
 let shard_row rows shard =
   if shard < Array.length rows then rows.(shard)
@@ -444,38 +401,56 @@ let register_shard_gauges t shard =
       end
 
 (* One logical send routed via a registry shard: label the component
-   series with the shard so a hot shard can't hide in a flat total. *)
-let shard_account t ~kind ~shard ~bytes ~count_msg =
-  if shard < 0 then invalid_arg "Net: negative shard label";
-  ensure_shard_rows t shard;
-  register_shard_gauges t shard;
-  let ci = Component.index (Component.of_kind kind) in
-  let brow = shard_row t.shard_b shard in
-  brow.(ci) <- brow.(ci) + bytes;
-  if count_msg then begin
-    let mrow = shard_row t.shard_m shard in
-    mrow.(ci) <- mrow.(ci) + 1
-  end
-
-let shard_account_opt t ~kind ~shard ~bytes ?(count_msg = true) () =
+   series with the shard so a hot shard can't hide in a flat total.
+   [msg] is false for a piggyback, which adds bytes but no message. *)
+let shard_account t ~kind ~shard ~bytes ~msg =
   match shard with
   | None -> ()
-  | Some s -> shard_account t ~kind ~shard:s ~bytes ~count_msg
+  | Some shard ->
+      if shard < 0 then invalid_arg "Net: negative shard label";
+      ensure_shard_rows t shard;
+      register_shard_gauges t shard;
+      let ci = Component.index (Component.of_kind kind) in
+      let brow = shard_row t.shard_b shard in
+      brow.(ci) <- brow.(ci) + bytes;
+      if msg then begin
+        let mrow = shard_row t.shard_m shard in
+        mrow.(ci) <- mrow.(ci) + 1
+      end
+
+(* One message, and the bytes of one copy on the wire.  The
+   per-(component, node) series feed the continuous sampler;
+   cluster-wide totals ride along unlabelled. *)
+let account_msg t ~src ~kind =
+  Stats.incr t.stats (sent_key kind);
+  Stats.incr t.stats "net.sent.total";
+  match t.obs with
+  | None -> ()
+  | Some m ->
+      let key = comp_msgs_key (Component.of_kind kind) in
+      Bmx_obs.Metrics.incr m key;
+      Bmx_obs.Metrics.incr m ~node:src key
 
 let account_bytes t ~src ~kind ~bytes =
   Stats.incr t.stats ~by:bytes (bytes_key kind);
   Stats.incr t.stats ~by:bytes "net.bytes.total";
-  comp_account_bytes t ~src ~kind ~bytes
+  match t.obs with
+  | None -> ()
+  | Some m ->
+      let key = comp_bytes_key (Component.of_kind kind) in
+      Bmx_obs.Metrics.incr m ~by:bytes key;
+      Bmx_obs.Metrics.incr m ~node:src ~by:bytes key
 
-let account t ~src ~kind ~bytes =
-  Stats.incr t.stats (sent_key kind);
-  Stats.incr t.stats "net.sent.total";
-  comp_account_msg t ~src ~kind;
-  account_bytes t ~src ~kind ~bytes
+(* Enqueue one copy of [env].  An unreliable copy counts as a message; a
+   reliable one counts only its bytes (its logical send is counted once,
+   by [send]). *)
+let enqueue t env ~bytes =
+  if env.rel = 0 then account_msg t ~src:env.src ~kind:env.kind;
+  account_bytes t ~src:env.src ~kind:env.kind ~bytes;
+  Queue.add env t.queue
 
-(* Put one copy of [env] on the wire: roll the fault dice, account the
-   bytes of every copy actually enqueued.  Used for reliable transmissions
-   and retransmissions (logical sends are counted separately, once). *)
+(* Put one copy of [env] on the wire, rolling the fault dice: first sends
+   and retransmissions alike. *)
 let transmit t env ~bytes =
   match Hashtbl.find_opt t.faults env.kind with
   | Some { drop; dup; rng } ->
@@ -484,30 +459,25 @@ let transmit t env ~bytes =
         Stats.incr t.stats "net.dropped.total"
       end
       else begin
-        account_bytes t ~src:env.src ~kind:env.kind ~bytes;
-        Queue.add env t.queue;
+        enqueue t env ~bytes;
         if Rng.float rng 1.0 < dup then begin
           Stats.incr t.stats (duplicated_key env.kind);
           Stats.incr t.stats "net.duplicated.total";
-          account_bytes t ~src:env.src ~kind:env.kind ~bytes;
-          Queue.add env t.queue
+          enqueue t env ~bytes
         end
       end
-  | None ->
-      account_bytes t ~src:env.src ~kind:env.kind ~bytes;
-      Queue.add env t.queue
+  | None -> enqueue t env ~bytes
 
 let send t ~src ~dst ~kind ?(bytes = 64) ?shard payload =
-  shard_account_opt t ~kind ~shard ~bytes ();
-  let seq = next_seq t ~src ~dst in
-  if Hashtbl.mem t.reliable kind then begin
-    ev_sent t ~src ~dst ~kind ~seq ~rel:true;
-    let rel = next_rseq t ~src ~dst in
-    let env = { src; dst; kind; seq; rel; payload } in
+  shard_account t ~kind ~shard ~bytes ~msg:true;
+  let seq = next_in t.seqs (src, dst) in
+  let reliable = Hashtbl.mem t.reliable kind in
+  ev_sent t ~src ~dst ~kind ~seq ~rel:reliable;
+  let rel = if reliable then next_in t.rseqs (src, dst) else 0 in
+  let env = { src; dst; kind; seq; rel; payload } in
+  if reliable then begin
     (* One logical send, however many transmissions it takes. *)
-    Stats.incr t.stats (sent_key kind);
-    Stats.incr t.stats "net.sent.total";
-    comp_account_msg t ~src ~kind;
+    account_msg t ~src ~kind;
     let u =
       {
         u_env = env;
@@ -517,34 +487,11 @@ let send t ~src ~dst ~kind ?(bytes = 64) ?shard payload =
         u_attempts = 1;
       }
     in
-    (match Hashtbl.find_opt t.unacked_tbl (src, dst) with
+    match Hashtbl.find_opt t.unacked_tbl (src, dst) with
     | Some r -> r := !r @ [ u ]
-    | None -> Hashtbl.add t.unacked_tbl (src, dst) (ref [ u ]));
-    transmit t env ~bytes
-  end
-  else begin
-    ev_sent t ~src ~dst ~kind ~seq ~rel:false;
-    let env = { src; dst; kind; seq; rel = 0; payload } in
-    match Hashtbl.find_opt t.faults kind with
-    | Some { drop; dup; rng } ->
-        if Rng.float rng 1.0 < drop then begin
-          Stats.incr t.stats (dropped_key kind);
-          Stats.incr t.stats "net.dropped.total"
-        end
-        else begin
-          account t ~src ~kind ~bytes;
-          Queue.add env t.queue;
-          if Rng.float rng 1.0 < dup then begin
-            Stats.incr t.stats (duplicated_key kind);
-            Stats.incr t.stats "net.duplicated.total";
-            account t ~src ~kind ~bytes;
-            Queue.add env t.queue
-          end
-        end
-    | None ->
-        account t ~src ~kind ~bytes;
-        Queue.add env t.queue
-  end
+    | None -> Hashtbl.add t.unacked_tbl (src, dst) (ref [ u ])
+  end;
+  transmit t env ~bytes
 
 let record_rpc t ~src ~dst ~kind ?(bytes = 64) ?shard () =
   (* Synchronous exchange executed inline by the caller; it overtakes
@@ -558,18 +505,17 @@ let record_rpc t ~src ~dst ~kind ?(bytes = 64) ?shard () =
       (Printf.sprintf "Net.record_rpc: link %d-%d cut (%s)" src dst
          (kind_to_string kind))
   end;
-  shard_account_opt t ~kind ~shard ~bytes ();
-  let seq = next_seq t ~src ~dst in
+  shard_account t ~kind ~shard ~bytes ~msg:true;
+  let seq = next_in t.seqs (src, dst) in
   ev t (Trace_event.Rpc { src; dst; kind = kind_to_string kind; seq });
-  account t ~src ~kind ~bytes
+  account_msg t ~src ~kind;
+  account_bytes t ~src ~kind ~bytes
 
 let record_piggyback t ~src ~kind ~bytes ?shard () =
-  shard_account_opt t ~kind ~shard ~bytes ();
+  shard_account t ~kind ~shard ~bytes ~msg:false;
   Stats.incr t.stats (piggyback_key kind);
-  Stats.incr t.stats ~by:bytes (bytes_key kind);
-  Stats.incr t.stats ~by:bytes "net.bytes.total";
   Stats.incr t.stats ~by:bytes "net.bytes.piggyback";
-  comp_account_bytes t ~src ~kind ~bytes
+  account_bytes t ~src ~kind ~bytes
 
 (* Cumulative acknowledgement: everything on the (src, dst) stream up to
    reliable index [upto] has been handed to the handler; retire the
@@ -1003,66 +949,43 @@ let scaling_check ?(floor = 1024) ?(bound = 1.5) points =
   let last = List.nth points (List.length points - 1) in
   if first.sp_nodes >= last.sp_nodes then
     invalid_arg "Net.scaling_check: sweep points must span distinct node counts";
-  let bytes_of p c =
-    match List.assoc_opt c p.sp_bytes with Some b -> b | None -> 0
+  let bytes_of comps c =
+    match List.assoc_opt c comps with Some b -> b | None -> 0
+  in
+  let per_node b p = float_of_int b /. float_of_int p.sp_nodes in
+  let growth b0 b1 =
+    let per0 = per_node b0 first in
+    if per0 > 0. then per_node b1 last /. per0 else 0.
+  in
+  let row c shard b0 b1 (ok, note) =
+    {
+      sr_component = c;
+      sr_shard = shard;
+      sr_first_per_node = per_node b0 first;
+      sr_last_per_node = per_node b1 last;
+      sr_growth = growth b0 b1;
+      sr_ok = ok;
+      sr_note = note;
+    }
   in
   let rows =
     List.map
       (fun c ->
-        let b0 = bytes_of first c and b1 = bytes_of last c in
-        let per0 = float_of_int b0 /. float_of_int first.sp_nodes in
-        let per1 = float_of_int b1 /. float_of_int last.sp_nodes in
-        let growth = if per0 > 0. then per1 /. per0 else 0. in
-        match c with
-        | Component.Gc_cleaner ->
-            (* Cleaner traffic is O(sharing): widening the sweep adds
-               cross-node references, so its total must grow — but it is
-               exempt from the per-node bound. *)
-            if b1 <= floor && b0 <= floor then
-              {
-                sr_component = c;
-                sr_shard = None;
-                sr_first_per_node = per0;
-                sr_last_per_node = per1;
-                sr_growth = growth;
-                sr_ok = false;
-                sr_note = "cleaner traffic below floor — sweep saw no sharing";
-              }
-            else
-              {
-                sr_component = c;
-                sr_shard = None;
-                sr_first_per_node = per0;
-                sr_last_per_node = per1;
-                sr_growth = growth;
-                sr_ok = b1 > b0;
-                sr_note =
-                  (if b1 > b0 then "grows with sharing (exempt from bound)"
-                   else "cleaner traffic failed to grow with sharing");
-              }
-        | _ ->
-            if b1 <= floor then
-              {
-                sr_component = c;
-                sr_shard = None;
-                sr_first_per_node = per0;
-                sr_last_per_node = per1;
-                sr_growth = growth;
-                sr_ok = true;
-                sr_note = "below floor (skipped)";
-              }
-            else
-              {
-                sr_component = c;
-                sr_shard = None;
-                sr_first_per_node = per0;
-                sr_last_per_node = per1;
-                sr_growth = growth;
-                sr_ok = growth <= bound;
-                sr_note =
-                  (if growth <= bound then "per-node traffic bounded"
-                   else "per-node traffic grows with N — superlinear total");
-              })
+        let b0 = bytes_of first.sp_bytes c and b1 = bytes_of last.sp_bytes c in
+        row c None b0 b1
+          (match c with
+          | Component.Gc_cleaner ->
+              (* Cleaner traffic is O(sharing): widening the sweep adds
+                 cross-node references, so its total must grow — but it is
+                 exempt from the per-node bound. *)
+              if b1 <= floor && b0 <= floor then
+                (false, "cleaner traffic below floor — sweep saw no sharing")
+              else if b1 > b0 then (true, "grows with sharing (exempt from bound)")
+              else (false, "cleaner traffic failed to grow with sharing")
+          | _ ->
+              if b1 <= floor then (true, "below floor (skipped)")
+              else if growth b0 b1 <= bound then (true, "per-node traffic bounded")
+              else (false, "per-node traffic grows with N — superlinear total")))
       Component.all
   in
   (* Hottest-shard rows: when the sweep carries per-shard attribution at
@@ -1070,11 +993,6 @@ let scaling_check ?(floor = 1024) ?(bound = 1.5) points =
      shard can absorb the growth while the sum stays bounded.  For each
      component with shard data, gate the single hottest shard's per-node
      traffic by the same bound.  The cleaner keeps its exemption. *)
-  let shard_bytes_of p s c =
-    match List.assoc_opt s p.sp_shards with
-    | None -> 0
-    | Some comps -> ( match List.assoc_opt c comps with Some b -> b | None -> 0)
-  in
   let shard_rows =
     if first.sp_shards = [] || last.sp_shards = [] then []
     else
@@ -1085,9 +1003,7 @@ let scaling_check ?(floor = 1024) ?(bound = 1.5) points =
             let hottest =
               List.fold_left
                 (fun acc (s, comps) ->
-                  let b =
-                    match List.assoc_opt c comps with Some b -> b | None -> 0
-                  in
+                  let b = bytes_of comps c in
                   match acc with
                   | Some (_, best) when best >= b -> acc
                   | _ -> if b > 0 then Some (s, b) else acc)
@@ -1098,26 +1014,20 @@ let scaling_check ?(floor = 1024) ?(bound = 1.5) points =
             | Some (s, b1) ->
                 if b1 <= floor then None
                 else
-                  let b0 = shard_bytes_of first s c in
-                  let per0 = float_of_int b0 /. float_of_int first.sp_nodes in
-                  let per1 = float_of_int b1 /. float_of_int last.sp_nodes in
-                  let growth = if per0 > 0. then per1 /. per0 else 0. in
-                  let ok = per0 > 0. && growth <= bound in
+                  let b0 =
+                    match List.assoc_opt s first.sp_shards with
+                    | None -> 0
+                    | Some comps -> bytes_of comps c
+                  in
+                  let ok = per_node b0 first > 0. && growth b0 b1 <= bound in
                   Some
-                    {
-                      sr_component = c;
-                      sr_shard = Some s;
-                      sr_first_per_node = per0;
-                      sr_last_per_node = per1;
-                      sr_growth = growth;
-                      sr_ok = ok;
-                      sr_note =
-                        (if ok then "hottest shard bounded"
-                         else if per0 = 0. then
+                    (row c (Some s) b0 b1
+                       ( ok,
+                         if ok then "hottest shard bounded"
+                         else if per_node b0 first = 0. then
                            "hottest shard absent at first point — \
                             shard layout changed across the sweep"
-                         else "hottest shard's per-node traffic grows with N");
-                    })
+                         else "hottest shard's per-node traffic grows with N" )))
         Component.all
   in
   let rows = rows @ shard_rows in

@@ -17,8 +17,9 @@
       §4.4) to be delivered by [step]/[drain];
     - [record_rpc] accounts for a synchronous request/reply pair performed
       on behalf of an application (token acquire, §2.2) that the caller
-      executes inline; [record_piggyback] accounts for extra GC payload
-      bytes riding such a message without adding a message (§4.4, §8). *)
+      executes inline; [record_piggyback] accounts for GC payload bytes
+      riding such a message: bytes the message itself does not already
+      count, and no message in any row (§4.4, §8). *)
 
 type kind =
   | Token_request  (** read/write token acquire request (§2.2) *)
@@ -34,7 +35,6 @@ type kind =
   | App_message  (** application-level traffic *)
 
 val kind_to_string : kind -> string
-val pp_kind : Format.formatter -> kind -> unit
 val all_kinds : kind list
 
 (** Wire attribution: every message kind maps to exactly one component
@@ -103,10 +103,13 @@ val send :
   ?shard:int ->
   'p ->
   unit
-(** Enqueue a background message.  Subject to fault injection.  [shard]
-    labels the message with the registry shard whose routing decided its
-    destination; labelled traffic feeds {!shard_components} and the
-    per-shard [net.comp.*.s<k>] metric series. *)
+(** Enqueue a background message.  Subject to fault injection: every
+    copy put on the wire counts its bytes, and an unreliable copy also
+    counts as a message (a duplicated send is two), while a reliable
+    send counts one logical message however many copies it takes.
+    [shard] labels the message with the registry shard whose routing
+    decided its destination; labelled traffic feeds {!shard_components}
+    and the per-shard [net.comp.*.s<k>] metric series. *)
 
 val record_rpc :
   'p t ->
@@ -129,8 +132,9 @@ val record_piggyback :
   unit ->
   unit
 (** Account for GC payload bytes piggybacked onto an existing message of
-    [kind] sent by [src]; adds no message count.  [shard] as in
-    {!send}. *)
+    [kind] sent by [src].  [bytes] must not already be counted in that
+    message; the piggyback adds them to every byte row and no message to
+    any row.  [shard] as in {!send}. *)
 
 val step : 'p t -> bool
 (** Deliver the oldest pending message (globally).  Returns [false] if the
@@ -220,9 +224,6 @@ val backoff_ceiling : 'p t -> int
 
 val suspect_after : 'p t -> int
 
-val reliable_kinds : 'p t -> kind list
-val is_reliable : 'p t -> kind -> bool
-
 val now : 'p t -> int
 (** The virtual clock (advanced only by {!tick}). *)
 
@@ -299,8 +300,6 @@ val reachable : 'p t -> Bmx_util.Ids.Node.t -> Bmx_util.Ids.Node.t -> bool
 val is_suspect :
   'p t -> src:Bmx_util.Ids.Node.t -> dst:Bmx_util.Ids.Node.t -> bool
 
-val suspect_pairs : 'p t -> (Bmx_util.Ids.Node.t * Bmx_util.Ids.Node.t) list
-
 val current_seq :
   'p t -> src:Bmx_util.Ids.Node.t -> dst:Bmx_util.Ids.Node.t -> int
 (** The last sequence number stamped on the (src, dst) stream (0 if no
@@ -321,7 +320,7 @@ val shard_components : 'p t -> (int * (Component.t * int) list) list
 
 val shard_component_msgs : 'p t -> (int * (Component.t * int) list) list
 (** Like {!shard_components}, counting logical messages instead of
-    bytes (piggybacks add bytes but no message). *)
+    bytes.  A shard-labelled piggyback adds to {!shard_components} only. *)
 
 type scaling_point = {
   sp_nodes : int;

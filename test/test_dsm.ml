@@ -4,6 +4,7 @@ module Protocol = Bmx_dsm.Protocol
 module Directory = Bmx_dsm.Directory
 module Store = Bmx_memory.Store
 module Value = Bmx_memory.Value
+module Heap_obj = Bmx_memory.Heap_obj
 module Net = Bmx_netsim.Net
 
 let check = Alcotest.check
@@ -150,17 +151,78 @@ let test_ownerptr_chain_and_compression () =
   let a2 = Cluster.acquire_write c ~node:2 a1 in
   Cluster.release c ~node:2 a2;
   (* N3's ownerPtr still points at N0; the request must be forwarded
-     0 -> 1 -> 2, counted as hops. *)
+     N3 -> N0 -> N1 -> N2, one hop each. *)
   let hops_before = Stats.get (Cluster.stats c) "dsm.app.hops" in
   let a3' = Cluster.acquire_write c ~node:3 a3 in
   Cluster.release c ~node:3 a3';
   check_opt_int "N3 owns" (Some 3) (Cluster.owner_of c ~uid);
-  check_bool "request was forwarded along the chain" true
-    (Stats.get (Cluster.stats c) "dsm.app.hops" >= hops_before + 2);
-  (* After compression, N0's ownerPtr points directly at N3. *)
-  (match Directory.find (Protocol.directory (Cluster.proto c) 0) uid with
-  | Some r -> check_int "compressed" 3 r.Directory.prob_owner
-  | None -> Alcotest.fail "N0 lost the record")
+  check_int "request forwarded along the chain" 3
+    (Stats.get (Cluster.stats c) "dsm.app.hops" - hops_before);
+  (* After compression the visited nodes N0 and N1, and the old owner N2,
+     point directly at N3, and each keeps its replica alive there through
+     an entering ownerPtr. *)
+  let proto = Cluster.proto c in
+  let entering = Directory.entering (Protocol.directory proto 3) uid in
+  List.iter
+    (fun v ->
+      (match Directory.find (Protocol.directory proto v) uid with
+      | Some r ->
+          check_int (Printf.sprintf "N%d's ownerPtr names N3" v) 3
+            r.Directory.prob_owner
+      | None -> Alcotest.failf "N%d lost the record" v);
+      check_bool (Printf.sprintf "N%d keeps a replica" v) true
+        (Store.addr_of_uid (Protocol.store proto v) uid <> None);
+      check_bool (Printf.sprintf "N3 holds an entering entry from N%d" v) true
+        (Ids.Node_set.mem v entering))
+    [ 0; 1; 2 ]
+
+(* The granter and piggybacked update count of the last grant of [uid] to
+   [requester] in the event log. *)
+let last_grant c ~requester ~uid =
+  List.fold_left
+    (fun acc e ->
+      match e with
+      | Trace_event.Grant_sent { granter; requester = r; uid = u; updates; _ }
+        when r = requester && u = uid ->
+          Some (granter, updates)
+      | _ -> acc)
+    None (Cluster.events c)
+
+(* N2's stale ownerPtr names N1, which holds a read token; the owner is
+   N0.  Returns the granter of N2's read and the hops it took. *)
+let read_through_reader mode =
+  let c = Cluster.create ~nodes:3 ~mode () in
+  let b = Cluster.new_bunch c ~home:1 in
+  let o = Cluster.alloc c ~node:1 ~bunch:b [| Value.Data 1 |] in
+  let uid = Cluster.uid_at c ~node:1 o in
+  List.iter
+    (fun (node, acquire) ->
+      let a = acquire c ~node o in
+      Cluster.release c ~node a)
+    [ (2, Cluster.acquire_read); (0, Cluster.acquire_write); (1, Cluster.acquire_read) ];
+  (match Directory.find (Protocol.directory (Cluster.proto c) 2) uid with
+  | Some r -> check_int "N2's ownerPtr names N1" 1 r.Directory.prob_owner
+  | None -> Alcotest.fail "N2 lost its record");
+  Cluster.set_event_trace c true;
+  let hops_before = Stats.get (Cluster.stats c) "dsm.app.hops" in
+  let a = Cluster.acquire_read c ~node:2 o in
+  Cluster.release c ~node:2 a;
+  match last_grant c ~requester:2 ~uid with
+  | Some (granter, _) ->
+      (granter, Stats.get (Cluster.stats c) "dsm.app.hops" - hops_before)
+  | None -> Alcotest.fail "no grant recorded"
+
+(* Distributed copysets: the first read-token holder on the requester's
+   ownerPtr chain grants, not the owner (§2.2). *)
+let test_distributed_read_stops_at_reader () =
+  let granter, hops = read_through_reader Protocol.Distributed in
+  check_int "granted by the reader N1" 1 granter;
+  check_int "one hop: N2 -> N1" 1 hops
+
+let test_centralized_read_goes_to_owner () =
+  let granter, hops = read_through_reader Protocol.Centralized in
+  check_int "granted by the owner N0" 0 granter;
+  check_int "two hops: N2 -> N1 -> N0" 2 hops
 
 (* ------------------------------------------------------------ tokens/data *)
 
@@ -260,6 +322,43 @@ let test_invariant2_copyset_forwarding () =
   check_opt_int "N2 was informed transitively" (Some fresh)
     (Store.addr_of_uid n2_store o_uid |> Option.map (Store.current_addr n2_store))
 
+(* N0's BGC moves p and the o it references, so the first copy of p
+   shipped to N1 carries k location updates; [ship] sends it and [k]
+   reads k from the event log.  The reply counts 32 bytes plus the
+   object, and the updates count once, as piggyback. *)
+let check_updates_counted_once ~ship ~k =
+  let c, b = two_nodes () in
+  let o = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 1 |] in
+  let p = Cluster.alloc c ~node:0 ~bunch:b [| Value.Ref o; Value.Data 2 |] in
+  let uid = Cluster.uid_at c ~node:0 p in
+  Cluster.add_root c ~node:0 p;
+  let _ = Cluster.bgc c ~node:0 ~bunch:b in
+  let s0 = Protocol.store (Cluster.proto c) 0 in
+  let size =
+    match Store.resolve s0 (Option.get (Store.addr_of_uid s0 uid)) with
+    | Some (_, obj) -> Heap_obj.size_bytes obj
+    | None -> Alcotest.fail "p vanished at N0"
+  in
+  let stats = Cluster.stats c in
+  let grant0 = Stats.get stats "net.bytes.token_grant" in
+  let pig0 = Stats.get stats "net.bytes.piggyback" in
+  Cluster.set_event_trace c true;
+  ship c p;
+  let k = k c uid in
+  check_bool "the reply carries updates" true (k > 0);
+  check_int "token_grant bytes: reply + updates once" (32 + size + (24 * k))
+    (Stats.get stats "net.bytes.token_grant" - grant0);
+  check_int "piggyback bytes" (24 * k)
+    (Stats.get stats "net.bytes.piggyback" - pig0)
+
+let test_grant_counts_updates_once () =
+  check_updates_counted_once
+    ~ship:(fun c p -> Cluster.release c ~node:1 (Cluster.acquire_read c ~node:1 p))
+    ~k:(fun c uid ->
+      match last_grant c ~requester:1 ~uid with
+      | Some (_, k) -> k
+      | None -> Alcotest.fail "no grant recorded")
+
 let test_exiting_ownerptrs () =
   let c, b = two_nodes () in
   let a = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 1 |] in
@@ -313,6 +412,18 @@ let test_demand_fetch_carries_updates () =
         || Protocol.uid_of_addr (Cluster.proto c) (Store.current_addr s1 p) <> None)
   | Value.Data _ -> Alcotest.fail "y.f0 should be a pointer");
   check_bool "fault counted" true (Stats.get (Cluster.stats c) "dsm.app.faults" > 0)
+
+(* A fetch reply piggybacks its location updates the way a grant does. *)
+let test_demand_fetch_piggyback_counted () =
+  check_updates_counted_once
+    ~ship:(fun c p -> ignore (Cluster.demand_fetch c ~node:1 p))
+    ~k:(fun c _ ->
+      List.fold_left
+        (fun acc e ->
+          match e with
+          | Trace_event.Updates_applied { node = 1; uids } -> acc + List.length uids
+          | _ -> acc)
+        0 (Cluster.events c))
 
 let test_demand_fetch_idempotent () =
   let c, b = two_nodes () in
@@ -398,6 +509,10 @@ let () =
           Alcotest.test_case "centralized copy-sets" `Quick test_centralized_mode;
           Alcotest.test_case "ownerPtr chains compress" `Quick
             test_ownerptr_chain_and_compression;
+          Alcotest.test_case "distributed read stops at a reader" `Quick
+            test_distributed_read_stops_at_reader;
+          Alcotest.test_case "centralized read goes to the owner" `Quick
+            test_centralized_read_goes_to_owner;
         ] );
       ( "data",
         [
@@ -413,6 +528,8 @@ let () =
             test_invariant1_acquire_returns_fresh_address;
           Alcotest.test_case "invariant 2: copy-set forwarding" `Quick
             test_invariant2_copyset_forwarding;
+          Alcotest.test_case "grants count piggybacked updates once" `Quick
+            test_grant_counts_updates_once;
           Alcotest.test_case "entering/exiting ownerPtrs" `Quick test_exiting_ownerptrs;
         ] );
       ( "fault-driven (§5)",
@@ -421,6 +538,8 @@ let () =
             test_demand_fetch_basics;
           Alcotest.test_case "fetch carries location updates" `Quick
             test_demand_fetch_carries_updates;
+          Alcotest.test_case "fetch replies count their piggyback" `Quick
+            test_demand_fetch_piggyback_counted;
           Alcotest.test_case "fetch is idempotent" `Quick test_demand_fetch_idempotent;
         ] );
       ( "metrics",

@@ -64,6 +64,59 @@ let test_accounting () =
   check_int "piggyback count" 1 (Stats.get stats "net.piggyback.token_grant");
   check_int "piggyback bytes" 24 (Stats.get stats "net.bytes.piggyback")
 
+(* A shard-labelled piggyback adds its bytes to the shard's byte row and
+   no message to its message row: it rides a message counted elsewhere. *)
+let test_piggyback_shard_rows () =
+  let net, _ = make () in
+  Net.record_rpc net ~src:1 ~dst:0 ~kind:Net.Token_grant ~bytes:50 ~shard:0 ();
+  Net.record_piggyback net ~src:1 ~kind:Net.Token_grant ~bytes:24 ~shard:0 ();
+  let row rows =
+    match List.assoc_opt 0 rows with
+    | Some comps -> List.assoc_opt Net.Component.Dsm comps
+    | None -> None
+  in
+  check (Alcotest.option Alcotest.int) "shard 0 dsm bytes" (Some 74)
+    (row (Net.shard_components net));
+  check (Alcotest.option Alcotest.int) "shard 0 dsm messages" (Some 1)
+    (row (Net.shard_component_msgs net))
+
+(* Every copy on the wire pays its bytes; an unreliable copy is also a
+   message, a reliable send is one logical message however many copies. *)
+let test_dup_accounting_unreliable () =
+  let net, _ = make () in
+  Net.set_handler net (fun _ -> ());
+  Net.set_fault net ~kind:Net.Stub_table ~drop:0.0 ~dup:1.0 ~rng:(Rng.make 1);
+  Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table ~bytes:100 "x";
+  check_int "two messages" 2 (Net.sent net Net.Stub_table);
+  check_int "two byte charges" 200 (Net.total_bytes net)
+
+let test_dup_accounting_reliable () =
+  let net, _ = make () in
+  Net.set_reliable net [ Net.Scion_message ];
+  Net.set_handler net (fun _ -> ());
+  Net.set_fault net ~kind:Net.Scion_message ~drop:0.0 ~dup:1.0
+    ~rng:(Rng.make 1);
+  Net.send net ~src:0 ~dst:1 ~kind:Net.Scion_message ~bytes:100 "x";
+  check_int "one logical message" 1 (Net.sent net Net.Scion_message);
+  check_int "two byte charges" 200 (Net.total_bytes net)
+
+let test_retransmit_accounting () =
+  let net, stats = make () in
+  Net.set_reliable net [ Net.Scion_message ];
+  Net.set_handler net (fun _ -> ());
+  Net.set_fault net ~kind:Net.Scion_message ~drop:1.0 ~dup:0.0
+    ~rng:(Rng.make 1);
+  Net.send net ~src:0 ~dst:1 ~kind:Net.Scion_message ~bytes:100 "x";
+  check_int "a dropped copy pays no bytes" 0 (Net.total_bytes net);
+  Net.clear_faults net;
+  check_int "one retransmission" 1 (Net.tick ~dt:4 net);
+  check_int "retransmission counted" 1
+    (Stats.get stats "net.retransmit.scion_message");
+  check_int "still one message" 1 (Net.sent net Net.Scion_message);
+  check_int "the retransmission pays its bytes" 100 (Net.total_bytes net);
+  ignore (Net.drain net);
+  check_int "acked" 0 (Net.unacked_count net)
+
 let test_drop_consumes_seq () =
   let net, stats = make () in
   let seqs = ref [] in
@@ -196,6 +249,14 @@ let () =
         [
           Alcotest.test_case "messages, bytes, piggyback" `Quick test_accounting;
           Alcotest.test_case "kind names unique" `Quick test_kind_names_unique;
+          Alcotest.test_case "piggyback adds shard bytes, no message" `Quick
+            test_piggyback_shard_rows;
+          Alcotest.test_case "unreliable duplicate: two messages" `Quick
+            test_dup_accounting_unreliable;
+          Alcotest.test_case "reliable duplicate: one message" `Quick
+            test_dup_accounting_reliable;
+          Alcotest.test_case "retransmission: bytes, no message" `Quick
+            test_retransmit_accounting;
         ] );
       ( "faults",
         [
