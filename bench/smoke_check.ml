@@ -74,17 +74,19 @@ let wave_minor_words_per_op_budget = 535.0
    so these sit just above the measured values and any change to what
    the protocol or the cleaner puts on the wire must move them on
    purpose.  Stub-table bytes ([tables.delta_bytes]: fulls, deltas and
-   resync pulls) are 12 832 with key-only full tables and exiting
-   entries sent only to their owner, as bare uids.  Shipping every
-   destination the whole exiting list with owners gives 20 992, and
-   sending each its own entries with the owner kept (16 bytes each)
-   15 552.  Messages are 1 003.  Total wire bytes are 74 284 with every
-   piggybacked location update counted once, as piggyback; counting
-   each grant's updates a second time in the grant itself gives
-   84 868. *)
-let table_bytes_budget = 13_300
+   resync pulls) are 10 368 with every stub entry shipped as a 16-byte
+   edge (the message header names the sender and bunch once) and
+   exiting entries sent only to their owner, as bare uids.  Shipping
+   whole 24-byte match keys gives 12 832, shipping every destination
+   the whole exiting list with owners 20 992, and sending each its own
+   entries with the owner kept (16 bytes each) 15 552.  Messages are
+   1 003.  Total wire bytes are 71 692 with every piggybacked location
+   update counted once, as piggyback; 24-byte match keys give 74 284,
+   and counting each grant's updates a second time in the grant itself
+   a further 10 584. *)
+let table_bytes_budget = 10_800
 let messages_budget = 1_020
-let bytes_budget = 75_500
+let bytes_budget = 72_500
 
 (* Deterministic event-log density: words the typed event log stores per
    recorded event.  The packed log measures 3.36 (14 411 words for 4 286
@@ -168,8 +170,9 @@ let () =
       if table_bytes > table_bytes_budget then
         die
           "bench-smoke: %d-node run sent %d stub-table bytes (budget %d — \
-           fuller tables on the wire: stub records in fulls, more fulls, \
-           exiting entries sent to other nodes than their owner?)"
+           fuller tables on the wire: whole match keys or stub records \
+           instead of edges, more fulls, exiting entries sent to other \
+           nodes than their owner?)"
           nodes table_bytes table_bytes_budget;
       let messages = int_member "messages" cfg in
       if messages > messages_budget then

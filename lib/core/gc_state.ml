@@ -16,15 +16,17 @@ open Bmx_util
    - [by_node] — scion tables: the stub side's node, which is what the
                  scion cleaner's per-sender sweeps query.
 
-   [key_count]/[touched] track the table at {e match-key} granularity
-   (see {!Ssp.inter_stub_key}): the journal records every key whose
-   presence flipped since the last {!rebase_stub_journal}, and the scion
-   cleaner derives reachability-table deltas from it (added = touched
-   key still present, removed = touched key now absent).  Cumulative
-   since the journal base, the delta applies correctly to a mirror in
-   any state between the base and now.  Working on keys rather than
-   records means a BGC that merely relocates targets (new addresses,
-   same edges) journals nothing. *)
+   [key_count]/[touched] track the table at {e key} granularity: the
+   stream-relative edge for stub tables (see {!Ssp.inter_stub_edge}),
+   the global match key for inter-bunch scion tables.  The journal
+   records every key whose presence flipped since the last
+   {!rebase_stub_journal}, and the scion cleaner derives
+   reachability-table deltas from it (added = touched key still present,
+   removed = touched key now absent).  Cumulative since the journal
+   base, the delta applies correctly to a mirror in any state between
+   the base and now.  Working on keys rather than records means a BGC
+   that merely relocates targets (new addresses, same edges) journals
+   nothing. *)
 
 type ('a, 'k) table = {
   key_uid : ('a -> Ids.Uid.t) option;
@@ -179,19 +181,20 @@ let t_by_uid tb uid =
 (* Reachability-table mirrors (§6.1, delta protocol).
 
    A node receiving delta reachability messages keeps, per (sender,
-   bunch), the key set of the sender's stub tables reassembled from
+   bunch), the edge sets of the sender's stub tables reassembled from
    fulls and diffs, and the sender's exiting entries addressed to the
    node (only an object's owner reads an exiting entry, so the sender
    ships each destination its own and the owner goes without saying).
-   Coverage queries — the cleaner's §6.1 deletion test — are O(1) key
-   lookups.  [mi_basis] identifies the full table the mirror (and every
-   delta the sender emits) builds on; a delta with a different basis is
-   unusable and triggers a resync. *)
+   Coverage queries — the cleaner's §6.1 deletion test — are O(1) edge
+   lookups; the (sender, bunch) the mirror is filed under supplies the
+   rest of each match key.  [mi_basis] identifies the full table the
+   mirror (and every delta the sender emits) builds on; a delta with a
+   different basis is unusable and triggers a resync. *)
 
 type mirror = {
   mutable mi_basis : int;
-  mi_inter : (Ssp.inter_key, unit) Hashtbl.t;
-  mi_intra : (Ssp.intra_key, unit) Hashtbl.t;
+  mi_inter : (Ssp.inter_edge, unit) Hashtbl.t;
+  mi_intra : (Ssp.intra_edge, unit) Hashtbl.t;
   mi_exiting : unit Ids.Uid_tbl.t;
 }
 
@@ -204,10 +207,10 @@ type exiting_slot = {
   ex_touched : unit Ids.Uid_tbl.t;
 }
 
-(* Per sender, how many mirrored inter-bunch stub keys (over all of the
+(* Per sender, how many mirrored inter-bunch edges (over all of the
    sender's bunches) target each uid — the index behind
    [mirror_claims_target].  Maintained by [mirror_reset] and
-   [mirror_apply] at every key whose mirror presence flips; a zero count
+   [mirror_apply] at every edge whose mirror presence flips; a zero count
    is removed, so membership means "claimed". *)
 type claims = int Ids.Uid_tbl.t Ids.Node_tbl.t
 
@@ -220,9 +223,9 @@ type node_state = {
          bookkeeping a collection writes about itself *)
   last_bgc : int Ids.Bunch_tbl.t; (* composite epoch after last BGC *)
   mutable roots : Addr.t list;
-  inter_stubs : (Ssp.inter_stub, Ssp.inter_key) table Ids.Bunch_tbl.t;
-      (* by source bunch *)
-  intra_stubs : (Ssp.intra_stub, Ssp.intra_key) table Ids.Bunch_tbl.t;
+  inter_stubs : (Ssp.inter_stub, Ssp.inter_edge) table Ids.Bunch_tbl.t;
+      (* by source bunch; holds only stubs created at this node *)
+  intra_stubs : (Ssp.intra_stub, Ssp.intra_edge) table Ids.Bunch_tbl.t;
   inter_scions : (Ssp.inter_scion, Ssp.inter_key) table Ids.Bunch_tbl.t;
       (* by target bunch *)
   intra_scions : (Ssp.intra_scion, unit) table Ids.Bunch_tbl.t;
@@ -253,12 +256,12 @@ let metrics t = t.obs
 let make_inter_stub_table () =
   t_make
     ~key_uid:(fun (s : Ssp.inter_stub) -> s.Ssp.is_src_uid)
-    ~key_of:Ssp.inter_stub_key ()
+    ~key_of:Ssp.inter_stub_edge ()
 
 let make_intra_stub_table () =
   t_make
     ~key_uid:(fun (s : Ssp.intra_stub) -> s.Ssp.ns_uid)
-    ~key_of:Ssp.intra_stub_key ()
+    ~key_of:Ssp.intra_stub_edge ()
 
 let make_inter_scion_table () =
   t_make
@@ -353,8 +356,8 @@ let tbl_view tbl bunch =
 let inter_stubs t ~node ~bunch = tbl_view (node_state t node).inter_stubs bunch
 let intra_stubs t ~node ~bunch = tbl_view (node_state t node).intra_stubs bunch
 
-(* Key views: [key_count] holds each match key once, so a table's
-   distinct keys are one fold over it and their number is its length. *)
+(* Key views: [key_count] holds each edge once, so a table's distinct
+   edges are one fold over it and their number is its length. *)
 let tbl_keys tbl bunch =
   match Ids.Bunch_tbl.find_opt tbl bunch with
   | Some tb -> Hashtbl.fold (fun k _ acc -> k :: acc) tb.key_count []
@@ -380,7 +383,14 @@ let inter_key_count t ~node ~bunch =
 let intra_key_count t ~node ~bunch =
   tbl_count keys (node_state t node).intra_stubs bunch
 
+(* Nothing on the wire names a stub's holder: receivers rebuild it from
+   the stream's sender, so a stub filed at any node but its creator
+   would be rebuilt into the wrong key everywhere. *)
 let add_inter_stub t ~node (s : Ssp.inter_stub) =
+  if not (Ids.Node.equal s.Ssp.is_created_at node) then
+    invalid_arg
+      (Printf.sprintf "Gc_state.add_inter_stub: stub created at N%d filed at N%d"
+         s.Ssp.is_created_at node);
   let ns = node_state t node in
   if t_add (find_table make_inter_stub_table ns.inter_stubs s.Ssp.is_src_bunch) s
   then ns.gc_version <- ns.gc_version + 1
@@ -476,10 +486,10 @@ let has_inter_scion t ~node ~bunch key =
 (* Delta-table journal (sender side).                                  *)
 
 type stub_delta = {
-  sd_add_inter : Ssp.inter_key list;
-  sd_del_inter : Ssp.inter_key list;
-  sd_add_intra : Ssp.intra_key list;
-  sd_del_intra : Ssp.intra_key list;
+  sd_add_inter : Ssp.inter_edge list;
+  sd_del_inter : Ssp.inter_edge list;
+  sd_add_intra : Ssp.intra_edge list;
+  sd_del_intra : Ssp.intra_edge list;
   sd_exiting_flips : int;
 }
 
@@ -636,7 +646,7 @@ let record_dest_basis t ~node ~bunch ~dest ~round ~basis =
 (* ------------------------------------------------------------------ *)
 (* Delta-table mirrors (receiver side).                                *)
 
-let claim_incr ns sender (_, _, _, target) =
+let claim_incr ns sender (_, target) =
   let tbl =
     match Ids.Node_tbl.find ns.claims sender with
     | tbl -> tbl
@@ -649,7 +659,7 @@ let claim_incr ns sender (_, _, _, target) =
   | c -> Ids.Uid_tbl.replace tbl target (c + 1)
   | exception Not_found -> Ids.Uid_tbl.add tbl target 1
 
-let claim_decr ns sender (_, _, _, target) =
+let claim_decr ns sender (_, target) =
   match Ids.Node_tbl.find ns.claims sender with
   | exception Not_found -> ()
   | tbl -> (
@@ -671,7 +681,7 @@ let mirror_reset t ~node ~sender ~bunch ~basis ~inter ~intra ~exiting =
   List.iter (fun k -> Hashtbl.replace m.mi_inter k ()) inter;
   List.iter (fun k -> Hashtbl.replace m.mi_intra k ()) intra;
   List.iter (fun uid -> Ids.Uid_tbl.replace m.mi_exiting uid ()) exiting;
-  (* Claims move only for the keys whose presence the install flips. *)
+  (* Claims move only for the edges whose presence the install flips. *)
   (match Hashtbl.find_opt ns.mirrors (sender, bunch) with
   | Some old ->
       Hashtbl.iter
@@ -691,9 +701,10 @@ let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
   let ns = node_state t node in
   match Hashtbl.find_opt ns.mirrors (sender, bunch) with
   | Some m when m.mi_basis = basis ->
-      (* The delta covers every key touched since its basis, so deletions
-         are applied before additions: a key removed and later re-added
-         appears only on the add side and must end up present. *)
+      (* The delta covers every edge touched since its basis, so
+         deletions are applied before additions: an edge removed and
+         later re-added appears only on the add side and must end up
+         present. *)
       List.iter
         (fun k ->
           if Hashtbl.mem m.mi_inter k then begin
@@ -718,8 +729,8 @@ let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
       true
   | Some _ | None -> false
 
-let mirror_has_inter m key = Hashtbl.mem m.mi_inter key
-let mirror_has_intra m key = Hashtbl.mem m.mi_intra key
+let mirror_has_inter m edge = Hashtbl.mem m.mi_inter edge
+let mirror_has_intra m edge = Hashtbl.mem m.mi_intra edge
 let mirror_has_exiting m uid = Ids.Uid_tbl.mem m.mi_exiting uid
 let mirror_iter_inter m f = Hashtbl.iter (fun k () -> f k) m.mi_inter
 let mirror_iter_intra m f = Hashtbl.iter (fun k () -> f k) m.mi_intra

@@ -65,7 +65,16 @@ val remove_root : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Addr.t -> unit
 val roots : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Addr.t list
 val set_roots : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Addr.t list -> unit
 
-(** {1 Stub tables} *)
+(** {1 Stub tables}
+
+    A node's stub tables are filed by bunch: inter-bunch stubs under
+    their source bunch, intra-bunch stubs under theirs.  Every query
+    about one table, every table message and every receiver's mirror of
+    it belongs to one (node, bunch) stream, so they key stubs by their
+    {e edge} ({!Ssp.inter_edge}, {!Ssp.intra_edge}) and the stream
+    supplies the rest of the match key ({!Ssp.inter_key_of_edge}).  That
+    is exact only because an inter-bunch table holds nothing but stubs
+    created at its node, which {!add_inter_stub} enforces. *)
 
 val inter_stubs :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.inter_stub list
@@ -74,13 +83,13 @@ val intra_stubs :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.intra_stub list
 
 val inter_stub_keys :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.inter_key list
-(** The table's distinct match keys ({!Ssp.inter_stub_key}), each once
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.inter_edge list
+(** The table's distinct edges ({!Ssp.inter_stub_edge}), each once
     however many stubs share it, in no particular order — what a full
     reachability table ships.  One fold over the key counts. *)
 
 val intra_stub_keys :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.intra_key list
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.intra_edge list
 
 val inter_stub_count :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
@@ -91,14 +100,17 @@ val intra_stub_count :
 
 val inter_key_count :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
-(** Distinct match keys in the table (the length of
-    {!inter_stub_keys}), O(1). *)
+(** Distinct edges in the table (the length of {!inter_stub_keys}),
+    O(1). *)
 
 val intra_key_count :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
 
 val add_inter_stub : t -> node:Bmx_util.Ids.Node.t -> Ssp.inter_stub -> unit
-(** Idempotent (duplicate stubs are suppressed). *)
+(** Idempotent (duplicate stubs are suppressed).  Raises
+    [Invalid_argument] unless the stub's [is_created_at] is [node]: no
+    table message names a stub's holder, so receivers take it to be the
+    sender. *)
 
 val add_intra_stub : t -> node:Bmx_util.Ids.Node.t -> Ssp.intra_stub -> unit
 
@@ -183,15 +195,16 @@ val record_broadcast_dests :
 
     The cleaner ships table {e diffs} instead of full tables whenever a
     destination is known to sit on the previous round's basis.  The
-    sender side journals every match key whose table presence flipped
-    since the last {!rebase_stub_journal}; {!stub_delta} materialises the
+    sender side journals every edge whose table presence flipped since
+    the last {!rebase_stub_journal}; {!stub_delta} materialises the
     diff (covering {e every} touched key, so it is correct against any
     mirror state reached between the journal base and now).  The journal
     is rebased after every broadcast round; bases chain per message —
     each message's transport seq is the basis the next delta on that
     stream names, and a mismatch (loss, restart) makes the receiver pull
     a resync over the unreliable [Stub_table] channel.  The receiver
-    side keeps per-(sender, bunch) mirrors keyed by basis id.
+    side keeps per-(sender, bunch) mirrors keyed by basis id, holding
+    the same edges.
 
     The exiting-ownerPtr list (§4.3) is journalled per owner: an entry
     (uid, owner) says "I hold a live replica of uid and believe [owner]
@@ -199,10 +212,10 @@ val record_broadcast_dests :
     the uids of its own slot and nothing else. *)
 
 type stub_delta = {
-  sd_add_inter : Ssp.inter_key list;
-  sd_del_inter : Ssp.inter_key list;
-  sd_add_intra : Ssp.intra_key list;
-  sd_del_intra : Ssp.intra_key list;
+  sd_add_inter : Ssp.inter_edge list;
+  sd_del_inter : Ssp.inter_edge list;
+  sd_add_intra : Ssp.intra_edge list;
+  sd_del_intra : Ssp.intra_edge list;
   sd_exiting_flips : int;
       (** exiting entries touched since the journal base, over every
           owner (what the full-vs-delta rule weighs) *)
@@ -213,7 +226,7 @@ val note_exiting :
   -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list -> unit
 (** Reflect the exiting-ownerPtr list the BGC just produced in the
     per-owner journal, in place: entries whose presence flips get marked
-    touched, exactly like stub-table keys.  Call before {!stub_delta}. *)
+    touched, exactly like stub-table edges.  Call before {!stub_delta}. *)
 
 val exiting_owners :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
@@ -246,9 +259,9 @@ val current_exiting :
 
 val stub_delta :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> stub_delta
-(** Match keys touched since the journal base that are still present
-    (adds) or now absent (dels), and how many exiting entries flipped.
-    Does not clear the journal.  Working at key granularity means a BGC
+(** Edges touched since the journal base that are still present (adds)
+    or now absent (dels), and how many exiting entries flipped.  Does
+    not clear the journal.  Working at edge granularity means a BGC
     rebuild that relocates targets but keeps the same edges contributes
     nothing. *)
 
@@ -282,14 +295,14 @@ val mirror_reset :
   sender:Bmx_util.Ids.Node.t ->
   bunch:Bmx_util.Ids.Bunch.t ->
   basis:int ->
-  inter:Ssp.inter_key list ->
-  intra:Ssp.intra_key list ->
+  inter:Ssp.inter_edge list ->
+  intra:Ssp.intra_edge list ->
   exiting:Bmx_util.Ids.Uid.t list ->
   unit
 (** Install a full table received from [sender] as the new mirror, with
-    the sender's exiting entries addressed to [node].  The shipped keys
+    the sender's exiting entries addressed to [node].  The shipped edges
     go in as they are, so every mirror of one broadcast shares the
-    sender's key tuples. *)
+    sender's edge pairs. *)
 
 val mirror_apply :
   t ->
@@ -298,10 +311,10 @@ val mirror_apply :
   bunch:Bmx_util.Ids.Bunch.t ->
   basis:int ->
   seq:int ->
-  add_inter:Ssp.inter_key list ->
-  del_inter:Ssp.inter_key list ->
-  add_intra:Ssp.intra_key list ->
-  del_intra:Ssp.intra_key list ->
+  add_inter:Ssp.inter_edge list ->
+  del_inter:Ssp.inter_edge list ->
+  add_intra:Ssp.intra_edge list ->
+  del_intra:Ssp.intra_edge list ->
   add_exiting:Bmx_util.Ids.Uid.t list ->
   del_exiting:Bmx_util.Ids.Uid.t list ->
   bool
@@ -311,26 +324,29 @@ val mirror_apply :
     from [basis] — the caller must resync. *)
 
 type mirror
-(** [node]'s reassembly of one (sender, bunch) stream: the key sets of
+(** [node]'s reassembly of one (sender, bunch) stream: the edge sets of
     the sender's stub tables and the uids of the sender's exiting
-    entries addressed to [node]. *)
+    entries addressed to [node].  An edge with the stream's sender and
+    bunch is the global match key ({!Ssp.inter_key_of_edge},
+    {!Ssp.intra_key_of_edge}). *)
 
 val mirror :
   t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
   -> bunch:Bmx_util.Ids.Bunch.t -> mirror option
 
-val mirror_has_inter : mirror -> Ssp.inter_key -> bool
-(** Does the mirrored table hold a stub with this key (the cleaner's
-    §6.1 deletion test for an inter-bunch scion, O(1))? *)
+val mirror_has_inter : mirror -> Ssp.inter_edge -> bool
+(** Does the mirrored table hold a stub with this edge (the cleaner's
+    §6.1 deletion test for an inter-bunch scion of the mirror's stream,
+    O(1))? *)
 
-val mirror_has_intra : mirror -> Ssp.intra_key -> bool
+val mirror_has_intra : mirror -> Ssp.intra_edge -> bool
 
 val mirror_has_exiting : mirror -> Bmx_util.Ids.Uid.t -> bool
 (** Does the sender's exiting list name this object, with the mirror's
     node as its owner? *)
 
-val mirror_iter_inter : mirror -> (Ssp.inter_key -> unit) -> unit
-val mirror_iter_intra : mirror -> (Ssp.intra_key -> unit) -> unit
+val mirror_iter_inter : mirror -> (Ssp.inter_edge -> unit) -> unit
+val mirror_iter_intra : mirror -> (Ssp.intra_edge -> unit) -> unit
 val mirror_iter_exiting : mirror -> (Bmx_util.Ids.Uid.t -> unit) -> unit
 (** In no particular order; [f] must not change the mirror. *)
 
@@ -343,8 +359,8 @@ val mirror_claims_target :
     SSP dies with a crash, the recovered owner's only protection is a
     checkpoint-restored entering entry, and that entry must not be
     retired while the claimant's stub survives.  One lookup in a
-    per-(sender, target) claim count that {!mirror_reset} and
-    {!mirror_apply} maintain; a crash wipes it with the mirrors. *)
+    per-(sender, target) count of mirrored edges that {!mirror_reset}
+    and {!mirror_apply} maintain; a crash wipes it with the mirrors. *)
 
 (** {1 Scion-cleaner FIFO state (§6.1)} *)
 

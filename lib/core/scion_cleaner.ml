@@ -7,16 +7,16 @@ module Directory = Bmx_dsm.Directory
 
 type table_body =
   | Full of {
-      fb_inter : Ssp.inter_key list;
-      fb_intra : Ssp.intra_key list;
+      fb_inter : Ssp.inter_edge list;
+      fb_intra : Ssp.intra_edge list;
       fb_exiting : Ids.Uid.t list;
     }
   | Delta of {
       db_basis : int;
-      db_add_inter : Ssp.inter_key list;
-      db_del_inter : Ssp.inter_key list;
-      db_add_intra : Ssp.intra_key list;
-      db_del_intra : Ssp.intra_key list;
+      db_add_inter : Ssp.inter_edge list;
+      db_del_inter : Ssp.inter_edge list;
+      db_add_intra : Ssp.intra_edge list;
+      db_del_intra : Ssp.intra_edge list;
       db_add_exiting : Ids.Uid.t list;
       db_del_exiting : Ids.Uid.t list;
     }
@@ -27,15 +27,16 @@ type table_msg = {
   tm_body : table_body;
 }
 
-(* Both encodings ship match keys (four resp. three small ids per entry,
-   24 bytes), never stub records: a receiver only tests coverage, and
-   coverage compares keys.  Exiting entries travel as bare uids (8
-   bytes): each destination gets only the entries whose owner it is, so
-   the owner goes without saying.  A delta's header is a little larger
-   than a full table's (basis id plus section lengths). *)
+(* Both encodings ship stub edges (two 8-byte ids per entry, 16 bytes),
+   never stub records: a receiver only tests coverage, coverage compares
+   match keys, and the header's (sender, bunch) supplies the rest of
+   every key.  Exiting entries travel as bare uids (8 bytes): each
+   destination gets only the entries whose owner it is, so the owner
+   goes without saying.  A delta's header is a little larger than a full
+   table's (basis id plus section lengths). *)
 let full_header = 16
 let delta_header = 24
-let wire_bytes ~header ~keys ~exiting = header + (24 * keys) + (8 * exiting)
+let wire_bytes ~header ~keys ~exiting = header + (16 * keys) + (8 * exiting)
 
 let msg_bytes m =
   match m.tm_body with
@@ -86,10 +87,10 @@ let bump ?by t name = Stats.incr ?by (Gc_state.stats t) name
    must be re-checked. *)
 type candidates =
   | Named of {
-      del_inter : Ssp.inter_key list;
-      del_intra : Ssp.intra_key list;
+      del_inter : Ssp.inter_edge list;
+      del_intra : Ssp.intra_edge list;
       del_exiting : Ids.Uid.t list;
-      add_inter : Ssp.inter_key list;
+      add_inter : Ssp.inter_edge list;
       add_exiting : Ids.Uid.t list;
     }
   | Everything
@@ -187,9 +188,12 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
   let proto = Gc_state.proto t in
   let m = Option.get (Gc_state.mirror t ~node:at ~sender ~bunch) in
   (* Scions held here whose stub lived in the sender's copy of the
-     bunch: drop those the mirrored table no longer covers.  Coverage
-     only shrinks through deletions, so a delta sweeps only a section it
-     deleted from. *)
+     bunch: drop those the mirrored table no longer covers.  Only scions
+     of this stream are tested — the by-node sweep visits the sender's,
+     the inter sweep keeps to the bunch, and the intra sweep's table is
+     the bunch's and its holder is this node — so the mirror's edges
+     stand for their full match keys.  Coverage only shrinks through
+     deletions, so a delta sweeps only a section it deleted from. *)
   let sweep_inter, sweep_intra =
     match candidates with
     | Named d -> (d.del_inter <> [], d.del_intra <> [])
@@ -199,7 +203,7 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
      let removed =
        Gc_state.remove_inter_scions_from t ~node:at ~src:sender (fun scion ->
            Ids.Bunch.equal scion.Ssp.xs_src_bunch bunch
-           && not (Gc_state.mirror_has_inter m (Ssp.inter_scion_key scion)))
+           && not (Gc_state.mirror_has_inter m (Ssp.inter_scion_edge scion)))
      in
      if removed > 0 then bump t ~by:removed "gc.cleaner.inter_scions_removed");
   (if sweep_intra then
@@ -207,7 +211,7 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
        Gc_state.remove_intra_scions_from t ~node:at ~bunch ~src:sender
          (fun scion ->
            not
-             (Gc_state.mirror_has_intra m (Ssp.intra_scion_key ~holder:at scion)))
+             (Gc_state.mirror_has_intra m (Ssp.intra_scion_edge ~holder:at scion)))
      in
      if removed > 0 then bump t ~by:removed "gc.cleaner.intra_scions_removed");
   (* Entering ownerPtrs.  A node keeps none from itself, so its own
@@ -246,8 +250,10 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
        entering entry; the reconciliation above retires it once the
        claimant drops the stub.  Doing this for every arriving stub
        makes the repair independent of the order the sender's per-bunch
-       tables land in. *)
-    let reassert ((_, _, _, target) as key) =
+       tables land in.  The scion table holds stubs of every stream, so
+       its probe needs the global key, rebuilt from the edge only when
+       the cheaper tests have passed. *)
+    let reassert ((_, target) as edge) =
       visit ();
       match Directory.find dir target with
       | Some r
@@ -255,7 +261,8 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
              && not (Directory.is_entering_from dir ~uid:target ~from:sender)
              && not
                   (Gc_state.has_inter_scion t ~node:at
-                     ~bunch:(Store.bunch_of_uid store target) key) ->
+                     ~bunch:(Store.bunch_of_uid store target)
+                     (Ssp.inter_key_of_edge ~sender ~bunch edge)) ->
           Directory.add_entering dir ~seq ~uid:target ~from:sender;
           bump t "gc.cleaner.entering_reasserted"
       | Some _ | None -> ()
@@ -266,7 +273,7 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
            stub claim was the keep-alive). *)
         List.iter (fun uid -> if retirable uid then retire uid) d.del_exiting;
         List.iter
-          (fun (_, _, _, target) -> if retirable target then retire target)
+          (fun (_, target) -> if retirable target then retire target)
           d.del_inter;
         List.iter enter d.add_exiting;
         List.iter reassert d.add_inter
@@ -340,11 +347,15 @@ let process t ~at ~seq msg =
 
 let elapsed_ns t0 = int_of_float ((Sys.time () -. t0) *. 1e9)
 
+let delivery_tap = ref None
+let set_delivery_tap f = delivery_tap := f
+
 (* Delivery-time receives run outside any collection, so they charge the
    reconcile phase counter themselves; a node's hand-off of its own
    tables runs inside its collection's cleaner-reconcile phase and is
    only broken out (see [broadcast]). *)
 let receive t ~at ~seq msg =
+  (match !delivery_tap with Some f -> f ~at msg | None -> ());
   let t0 = Sys.time () in
   let full = process t ~at ~seq msg in
   let ns = elapsed_ns t0 in
@@ -434,11 +445,12 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
      round, from the whole table and the whole round's churn, not per
      destination: the table's weight is 40 per inter-bunch stub record,
      24 per intra-bunch one, 16 per exiting entry and 16 more, and the
-     churn is the delta with every exiting flip at 16 bytes, whoever it
-     is addressed to — the record-sized figures the rule was tuned with.
-     Pricing either at what a destination is actually sent moves the
-     full/delta choice, and with it the message count; retuning the
-     rule is its own measured change. *)
+     churn is the delta with every edge at 24 bytes and every exiting
+     flip at 16, whoever it is addressed to — the figures the rule was
+     tuned with, not the 16-byte edges the wire carries.  Pricing either
+     at what a destination is actually sent moves the full/delta choice,
+     and with it the message count; retuning the rule is its own
+     measured change. *)
   let weight =
     16
     + (40 * Gc_state.inter_stub_count t ~node ~bunch)

@@ -18,9 +18,13 @@
     knows missed a round gets a fresh full instead.  Duplicates are
     suppressed by the per-pair FIFO sequence numbers the network already
     stamps (§6.1), exactly as for full tables.  Both encodings carry
-    match keys ({!Ssp.inter_key}, {!Ssp.intra_key}), never stub records:
-    the receiver's coverage tests compare keys, and nothing reads a
-    stub's address, target bunch or scion site off the wire.
+    stub edges ({!Ssp.inter_edge}, {!Ssp.intra_edge}), never stub
+    records or whole match keys: a message names its stream
+    ([tm_sender], [tm_bunch]) once, and that supplies every stub's
+    holder and source bunch.  The receiver's coverage tests compare
+    keys, and nothing reads a stub's address, target bunch or scion site
+    off the wire.  The encoding relies on every inter-bunch table holding
+    only stubs created at its node ({!Gc_state.add_inter_stub}).
 
     The exiting ownerPtrs ride the same encoding, addressed by owner:
     an entry is read only by the object's owner, so each destination's
@@ -34,9 +38,9 @@
 
 type table_body =
   | Full of {
-      fb_inter : Ssp.inter_key list;
-          (** the sender's distinct inter-bunch stub keys *)
-      fb_intra : Ssp.intra_key list;
+      fb_inter : Ssp.inter_edge list;
+          (** the sender's distinct inter-bunch stub edges *)
+      fb_intra : Ssp.intra_edge list;
       fb_exiting : Bmx_util.Ids.Uid.t list;
           (** the objects of the sender's exiting ownerPtrs whose owner,
               the sender believes, is the destination *)
@@ -44,10 +48,10 @@ type table_body =
   | Delta of {
       db_basis : int;
           (** transport seq of the full table this diff builds on *)
-      db_add_inter : Ssp.inter_key list;
-      db_del_inter : Ssp.inter_key list;
-      db_add_intra : Ssp.intra_key list;
-      db_del_intra : Ssp.intra_key list;
+      db_add_inter : Ssp.inter_edge list;
+      db_del_inter : Ssp.inter_edge list;
+      db_add_intra : Ssp.intra_edge list;
+      db_del_intra : Ssp.intra_edge list;
       db_add_exiting : Bmx_util.Ids.Uid.t list;
           (** the destination's exiting entries that flipped, as in
               [fb_exiting] *)
@@ -62,13 +66,21 @@ type table_msg = {
 
 val msg_bytes : table_msg -> int
 (** Actual wire size of the message, priced from what the body holds: a
-    header (16 bytes for a full, 24 for a delta) plus 24 bytes per match
-    key and 8 per exiting uid, for either encoding. *)
+    header (16 bytes for a full, 24 for a delta, naming the stream) plus
+    16 bytes per stub edge (two 8-byte ids) and 8 per exiting uid, for
+    either encoding.  {!broadcast} prices its sends from table counts
+    instead, without walking the body; the two must agree. *)
 
 val receive : Gc_state.t -> at:Bmx_util.Ids.Node.t -> seq:int -> table_msg -> unit
 (** Process one reachability message at node [at].  Stale or duplicated
     messages (sequence number not beyond the last processed for the same
     (sender, bunch) stream) are ignored. *)
+
+val set_delivery_tap : (at:Bmx_util.Ids.Node.t -> table_msg -> unit) option -> unit
+(** Observe every table message {!receive} gets, before it is processed
+    (the self hand-off does not go through it).  One tap for the whole
+    process; [None] removes it.  For tests that compare what crossed the
+    wire with what was accounted. *)
 
 val destinations :
   Gc_state.t ->

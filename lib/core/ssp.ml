@@ -29,8 +29,9 @@ type intra_scion = {
 (* Match keys: exactly the fields the coverage predicates below compare.
    Stub records also carry volatile detail — notably the target's address,
    which changes whenever the target bunch is copied — so table journals,
-   delta messages and receiver mirrors all work at key granularity:
-   address churn costs no wire bytes and cannot perturb scion cleaning. *)
+   delta messages and receiver mirrors all work at key granularity
+   (stream-relative edges, below): address churn costs no wire bytes and
+   cannot perturb scion cleaning. *)
 
 type inter_key = Ids.Bunch.t * Ids.Uid.t * Ids.Node.t * Ids.Uid.t
 type intra_key = Ids.Bunch.t * Ids.Uid.t * Ids.Node.t
@@ -42,7 +43,20 @@ let inter_scion_key s =
   (s.xs_src_bunch, s.xs_src_uid, s.xs_src_node, s.xs_target_uid)
 
 let intra_stub_key s = (s.ns_bunch, s.ns_uid, s.ns_holder)
-let intra_scion_key ~holder s = (s.xn_bunch, s.xn_uid, holder)
+
+(* Edge keys: the match key minus what a (node, bunch) stub table's
+   stream already names.  Stub tables, table messages and mirrors use
+   these; the inter-bunch scion tables keep the global keys above. *)
+
+type inter_edge = Ids.Uid.t * Ids.Uid.t
+type intra_edge = Ids.Uid.t * Ids.Node.t
+
+let inter_stub_edge s = (s.is_src_uid, s.is_target_uid)
+let inter_scion_edge s = (s.xs_src_uid, s.xs_target_uid)
+let intra_stub_edge s = (s.ns_uid, s.ns_holder)
+let intra_scion_edge ~holder s = (s.xn_uid, holder)
+let inter_key_of_edge ~sender ~bunch (src, target) = (bunch, src, sender, target)
+let intra_key_of_edge ~bunch (uid, holder) = (bunch, uid, holder)
 
 let inter_stub_matches stub scion =
   Ids.Bunch.equal stub.is_src_bunch scion.xs_src_bunch

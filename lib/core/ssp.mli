@@ -54,11 +54,13 @@ type intra_scion = {
 (** {1 Match keys}
 
     Exactly the fields {!inter_stub_matches}/{!intra_stub_matches}
-    compare.  Stub records also carry volatile detail (the target's
-    address changes whenever the target bunch is copied), so the delta
-    reachability tables and the cleaner's coverage checks work on keys:
-    [inter_stub_matches stub scion] iff
-    [inter_stub_key stub = inter_scion_key scion]. *)
+    compare: [inter_stub_matches stub scion] iff
+    [inter_stub_key stub = inter_scion_key scion].  Stub records also
+    carry volatile detail (the target's address changes whenever the
+    target bunch is copied), so the GC tables work on keys: the
+    inter-bunch scion tables on these global ones, the stub tables,
+    table messages and mirrors on the stream-relative
+    {!section-edges} below. *)
 
 type inter_key =
   Bmx_util.Ids.Bunch.t * Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t * Bmx_util.Ids.Uid.t
@@ -71,9 +73,40 @@ val inter_stub_key : inter_stub -> inter_key
 val inter_scion_key : inter_scion -> inter_key
 val intra_stub_key : intra_stub -> intra_key
 
-val intra_scion_key : holder:Bmx_util.Ids.Node.t -> intra_scion -> intra_key
-(** The key of the stub that would cover this scion when held at
+(** {1:edges Edge keys}
+
+    A stub table lives at one node for one bunch, and every message
+    about it names that (sender, bunch) stream once, so the table, the
+    messages and the receivers' mirrors key each stub by its {e edge}:
+    the part of its match key the stream does not already say.  An
+    inter-bunch stub is filed only at the node that created it, under
+    its source bunch ({!Gc_state.add_inter_stub} checks the node), and an
+    intra-bunch stub under its bunch, so within one stream the edge and
+    the match key determine each other.  Where stubs of different
+    streams can meet — the inter-bunch scion tables' key counts and the
+    coverage predicates above — the global keys stay. *)
+
+type inter_edge = Bmx_util.Ids.Uid.t * Bmx_util.Ids.Uid.t
+(** source uid, target uid; the stream supplies the source bunch and the
+    stub-holder node *)
+
+type intra_edge = Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t
+(** uid, scion-holder node; the stream supplies the bunch *)
+
+val inter_stub_edge : inter_stub -> inter_edge
+val inter_scion_edge : inter_scion -> inter_edge
+val intra_stub_edge : intra_stub -> intra_edge
+
+val intra_scion_edge : holder:Bmx_util.Ids.Node.t -> intra_scion -> intra_edge
+(** The edge of the stub that would cover this scion when held at
     [holder]. *)
+
+val inter_key_of_edge :
+  sender:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> inter_edge -> inter_key
+(** The match key of the stub with this edge in [sender]'s table for
+    [bunch]. *)
+
+val intra_key_of_edge : bunch:Bmx_util.Ids.Bunch.t -> intra_edge -> intra_key
 
 val inter_stub_matches : inter_stub -> inter_scion -> bool
 (** Stub and scion of the same inter-bunch SSP? *)

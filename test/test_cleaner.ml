@@ -256,14 +256,18 @@ let test_destinations () =
   check_bool "never includes self" false (List.mem 0 dests)
 
 (* ---------------------------------------------------------------- *)
-(* Key encoding: fulls ship each stub table's distinct match keys.
+(* Key encoding: fulls ship each stub table's distinct edges, and the
+   stream's (sender, bunch) supplies the rest of every match key.
 
    The key views replace a scan of the stub records, so they are checked
    against it: on a random workload with collector waves, every (node,
-   bunch) table's keys must be the sorted, deduplicated keys of its
-   records, with matching O(1) counts.  Once the collector is quiescent,
-   every mirror must hold exactly its sender's current keys and the
-   sender's current exiting entries whose owner is the mirror's node. *)
+   bunch) table's edges must be the sorted, deduplicated edges of its
+   records, with matching O(1) counts, and rebuilt with the table's node
+   and bunch they must be its records' global match keys.  Once the
+   collector is quiescent, every mirror's edges, rebuilt with the
+   mirror's sender and bunch, must be exactly the match keys of the
+   sender's current stub records, and the mirror must hold the sender's
+   current exiting entries whose owner is the mirror's node. *)
 
 let driver_run () =
   let d =
@@ -289,18 +293,26 @@ let check_key_views c =
           let inter = Gc_state.inter_stubs gc ~node ~bunch in
           let intra = Gc_state.intra_stubs gc ~node ~bunch in
           let scanned_inter =
-            List.sort_uniq compare (List.map Ssp.inter_stub_key inter)
+            List.sort_uniq compare (List.map Ssp.inter_stub_edge inter)
           in
           let scanned_intra =
-            List.sort_uniq compare (List.map Ssp.intra_stub_key intra)
+            List.sort_uniq compare (List.map Ssp.intra_stub_edge intra)
           in
           let where = Printf.sprintf "N%d bunch %d" node bunch in
-          check_bool (where ^ ": inter keys = scan") true
-            (List.sort compare (Gc_state.inter_stub_keys gc ~node ~bunch)
-            = scanned_inter);
-          check_bool (where ^ ": intra keys = scan") true
-            (List.sort compare (Gc_state.intra_stub_keys gc ~node ~bunch)
-            = scanned_intra);
+          let inter_edges = Gc_state.inter_stub_keys gc ~node ~bunch in
+          let intra_edges = Gc_state.intra_stub_keys gc ~node ~bunch in
+          check_bool (where ^ ": inter edges = scan") true
+            (List.sort compare inter_edges = scanned_inter);
+          check_bool (where ^ ": intra edges = scan") true
+            (List.sort compare intra_edges = scanned_intra);
+          check_bool (where ^ ": rebuilt inter keys = scan") true
+            (List.sort compare
+               (List.map (Ssp.inter_key_of_edge ~sender:node ~bunch) inter_edges)
+            = List.sort_uniq compare (List.map Ssp.inter_stub_key inter));
+          check_bool (where ^ ": rebuilt intra keys = scan") true
+            (List.sort compare
+               (List.map (Ssp.intra_key_of_edge ~bunch) intra_edges)
+            = List.sort_uniq compare (List.map Ssp.intra_stub_key intra));
           check_int (where ^ ": inter key count")
             (List.length scanned_inter)
             (Gc_state.inter_key_count gc ~node ~bunch);
@@ -345,16 +357,27 @@ let test_key_views_match_scan () =
                   let where =
                     Printf.sprintf "N%d's mirror of N%d bunch %d" at sender bunch
                   in
+                  (* The reference is the sender's stub records, not its
+                     edge views: an edge rebuilt with the wrong stream
+                     fails here. *)
                   let want_inter =
-                    List.sort compare
-                      (Gc_state.inter_stub_keys gc ~node:sender ~bunch)
+                    List.sort_uniq compare
+                      (List.map Ssp.inter_stub_key
+                         (Gc_state.inter_stubs gc ~node:sender ~bunch))
                   in
-                  check_bool (where ^ ": inter keys") true
-                    (keys Gc_state.mirror_iter_inter = want_inter);
-                  check_bool (where ^ ": intra keys") true
-                    (keys Gc_state.mirror_iter_intra
-                    = List.sort compare
-                        (Gc_state.intra_stub_keys gc ~node:sender ~bunch));
+                  check_bool (where ^ ": rebuilt inter keys") true
+                    (List.sort compare
+                       (List.map
+                          (Ssp.inter_key_of_edge ~sender ~bunch)
+                          (keys Gc_state.mirror_iter_inter))
+                    = want_inter);
+                  check_bool (where ^ ": rebuilt intra keys") true
+                    (List.sort compare
+                       (List.map (Ssp.intra_key_of_edge ~bunch)
+                          (keys Gc_state.mirror_iter_intra))
+                    = List.sort_uniq compare
+                        (List.map Ssp.intra_stub_key
+                           (Gc_state.intra_stubs gc ~node:sender ~bunch)));
                   (* Only the owner reads an exiting entry, so a mirror
                      holds just the sender's entries naming its node, and
                      a node's own hand-off holds none. *)
@@ -378,8 +401,8 @@ let test_key_views_match_scan () =
   check_bool "some mirrors hold exiting entries" true (!addressed > 0)
 
 (* Two stub records that differ only in volatile detail (the target's
-   address) share one match key: the table keeps both records, but a full
-   ships the key once, at 16 + 24 bytes. *)
+   address) share one edge: the table keeps both records, but a full
+   ships the edge once, at 16 + 16 bytes. *)
 let test_shared_key_ships_once () =
   let c = Cluster.create ~nodes:2 () in
   let gc = Cluster.gc c in
@@ -400,7 +423,7 @@ let test_shared_key_ships_once () =
   Gc_state.add_inter_stub gc ~node:0 (stub (Addr.add Addr.null Addr.word));
   check_int "both records kept" 2 (Gc_state.inter_stub_count gc ~node:0 ~bunch:b);
   let keys = Gc_state.inter_stub_keys gc ~node:0 ~bunch:b in
-  check_bool "one key" true (keys = [ Ssp.inter_stub_key (stub Addr.null) ]);
+  check_bool "one edge" true (keys = [ Ssp.inter_stub_edge (stub Addr.null) ]);
   let full =
     {
       Scion_cleaner.tm_sender = 0;
@@ -408,7 +431,7 @@ let test_shared_key_ships_once () =
       tm_body = Scion_cleaner.Full { fb_inter = keys; fb_intra = []; fb_exiting = [] };
     }
   in
-  check_int "msg_bytes of the full" (16 + 24) (Scion_cleaner.msg_bytes full);
+  check_int "msg_bytes of the full" (16 + 16) (Scion_cleaner.msg_bytes full);
   (* The first broadcast is first contact, so N1 gets a full. *)
   ignore
     (Scion_cleaner.broadcast gc ~node:0 ~bunch:b ~old_inter:[] ~old_intra:[]
@@ -416,12 +439,140 @@ let test_shared_key_ships_once () =
   ignore (Cluster.drain c);
   let stats = Cluster.stats c in
   check_int "one full sent" 1 (Stats.get stats "gc.cleaner.full_sent");
-  check_int "full wire bytes" (16 + 24) (Stats.get stats "tables.full_wire_bytes");
+  check_int "full wire bytes" (16 + 16) (Stats.get stats "tables.full_wire_bytes");
   let mirrored = ref [] in
   Option.iter
     (fun m -> Gc_state.mirror_iter_inter m (fun k -> mirrored := k :: !mirrored))
     (Gc_state.mirror gc ~node:1 ~sender:0 ~bunch:b);
-  check_bool "the receiver mirrors the one key" true (!mirrored = keys)
+  check_bool "the receiver mirrors the one edge" true (!mirrored = keys)
+
+(* Nothing on the wire names a stub's holder, so a table may hold only
+   stubs its node created: filing one anywhere else is refused, and the
+   table stays as it was. *)
+let test_misfiled_stub_refused () =
+  let c = Cluster.create ~nodes:2 () in
+  let gc = Cluster.gc c in
+  let b = Cluster.new_bunch c ~home:0 in
+  let tb = Cluster.new_bunch c ~home:1 in
+  let stub =
+    {
+      Ssp.is_src_bunch = b;
+      is_src_uid = 100;
+      is_created_at = 1;
+      is_target_uid = 200;
+      is_target_bunch = tb;
+      is_target_addr = Addr.null;
+      is_scion_at = 0;
+    }
+  in
+  check_bool "filing N1's stub at N0 raises Invalid_argument" true
+    (match Gc_state.add_inter_stub gc ~node:0 stub with
+    | () -> false
+    | exception Invalid_argument _ -> true);
+  check_int "N0's table is untouched" 0 (Gc_state.inter_stub_count gc ~node:0 ~bunch:b);
+  Gc_state.add_inter_stub gc ~node:1 stub;
+  check_int "its creator files it" 1 (Gc_state.inter_stub_count gc ~node:1 ~bunch:b)
+
+(* One edge at two holders.  N0 and N1 each hold a stub with the same
+   edge in their tables for one bunch, and N2 holds a scion for each, so
+   the two match keys differ only in the holder; N0 also holds a stub
+   of a second bunch, with its scion at N2 too.  No message names a
+   stub's holder or source bunch, so only the sweep's sender and bunch
+   filters keep N0's stream from judging N1's scion or the other
+   bunch's.  N0 drops the edge and broadcasts: N2 must lose N0's scion
+   and keep the other two.  [stubs] files a holder's stub and [scions]
+   the matching scion at N2. *)
+let edge_at_two_holders ~stubs ~scions =
+  let c = Cluster.create ~nodes:3 () in
+  let gc = Cluster.gc c in
+  let b = Cluster.new_bunch c ~home:0 in
+  let b2 = Cluster.new_bunch c ~home:0 in
+  let tb = Cluster.new_bunch c ~home:2 in
+  let broadcast ~node ~bunch ~old_inter ~old_intra =
+    ignore
+      (Scion_cleaner.broadcast gc ~node ~bunch ~old_inter ~old_intra ~exiting:[]);
+    ignore (Cluster.drain c)
+  in
+  List.iter
+    (fun holder ->
+      stubs gc ~holder ~bunch:b ~tb;
+      scions gc ~holder ~bunch:b ~tb)
+    [ 0; 1 ];
+  stubs gc ~holder:0 ~bunch:b2 ~tb;
+  scions gc ~holder:0 ~bunch:b2 ~tb;
+  List.iter
+    (fun (node, bunch) ->
+      broadcast ~node ~bunch
+        ~old_inter:(Gc_state.inter_stubs gc ~node ~bunch)
+        ~old_intra:(Gc_state.intra_stubs gc ~node ~bunch))
+    [ (0, b); (1, b); (0, b2) ];
+  let scions_at_n2 =
+    List.fold_left
+      (fun n bunch ->
+        n
+        + List.length (Gc_state.inter_scions gc ~node:2 ~bunch)
+        + List.length (Gc_state.intra_scions gc ~node:2 ~bunch))
+      0 [ b; b2; tb ]
+  in
+  check_int "every scion survives the first tables" 3 scions_at_n2;
+  let old_inter = Gc_state.inter_stubs gc ~node:0 ~bunch:b in
+  let old_intra = Gc_state.intra_stubs gc ~node:0 ~bunch:b in
+  Gc_state.retain_stubs gc ~node:0 ~bunch:b ~inter:(fun _ -> false)
+    ~intra:(fun _ -> false);
+  broadcast ~node:0 ~bunch:b ~old_inter ~old_intra;
+  (gc, b, b2, tb)
+
+let test_inter_edge_at_two_holders () =
+  let stubs gc ~holder ~bunch ~tb =
+    Gc_state.add_inter_stub gc ~node:holder
+      {
+        Ssp.is_src_bunch = bunch;
+        is_src_uid = 100 + bunch;
+        is_created_at = holder;
+        is_target_uid = 200;
+        is_target_bunch = tb;
+        is_target_addr = Addr.null;
+        is_scion_at = 2;
+      }
+  in
+  let scion ~holder ~bunch ~tb =
+    {
+      Ssp.xs_src_bunch = bunch;
+      xs_src_uid = 100 + bunch;
+      xs_src_node = holder;
+      xs_target_uid = 200;
+      xs_target_bunch = tb;
+    }
+  in
+  let scions gc ~holder ~bunch ~tb =
+    Gc_state.add_inter_scion gc ~node:2 (scion ~holder ~bunch ~tb)
+  in
+  let gc, b, b2, tb = edge_at_two_holders ~stubs ~scions in
+  let held s = List.mem s (Gc_state.inter_scions gc ~node:2 ~bunch:tb) in
+  check_bool "N0's scion is gone" false (held (scion ~holder:0 ~bunch:b ~tb));
+  check_bool "N1's scion for the same edge stays" true
+    (held (scion ~holder:1 ~bunch:b ~tb));
+  check_bool "N0's scion of the other bunch stays" true
+    (held (scion ~holder:0 ~bunch:b2 ~tb))
+
+let test_intra_edge_at_two_holders () =
+  let stubs gc ~holder ~bunch ~tb:_ =
+    Gc_state.add_intra_stub gc ~node:holder
+      { Ssp.ns_bunch = bunch; ns_uid = 300 + bunch; ns_holder = 2 }
+  in
+  let scion ~holder ~bunch =
+    { Ssp.xn_bunch = bunch; xn_uid = 300 + bunch; xn_owner_side = holder }
+  in
+  let scions gc ~holder ~bunch ~tb:_ =
+    Gc_state.add_intra_scion gc ~node:2 (scion ~holder ~bunch)
+  in
+  let gc, b, b2, _ = edge_at_two_holders ~stubs ~scions in
+  let held bunch s = List.mem s (Gc_state.intra_scions gc ~node:2 ~bunch) in
+  check_bool "N0's scion is gone" false (held b (scion ~holder:0 ~bunch:b));
+  check_bool "N1's scion for the same edge stays" true
+    (held b (scion ~holder:1 ~bunch:b));
+  check_bool "N0's scion of the other bunch stays" true
+    (held b2 (scion ~holder:0 ~bunch:b2))
 
 (* Exiting entries are addressed by owner.  N0 exits four objects,
    three it believes N1 owns and one N2 owns: N1's full carries three
@@ -465,7 +616,7 @@ let test_exiting_addressed_by_owner () =
     Directory.is_entering_from (Protocol.directory (Cluster.proto c) at) ~uid
       ~from:0
   in
-  let keys = 24 * 10 in
+  let keys = 16 * 10 in
   broadcast [ (10, 1); (11, 1); (12, 1); (20, 2) ];
   check_int "first contact: two fulls" 2 (stat c "gc.cleaner.full_sent");
   check_int "full wire bytes: key tables plus 8 per addressed uid"
@@ -575,6 +726,40 @@ let test_exiting_reaches_only_owner () =
   check_bool "mirrors held exiting entries" true (!mirrored > 0);
   check_bool "live owners' entries were checked" true (!checked > 0)
 
+(* Sends are priced from counts (the tables' key counts and the round's
+   delta), and [msg_bytes] prices a message from its body.  On a
+   fault-free workload through quiescence, the bodies of every delivered
+   table message must add up to the bytes the sends accounted. *)
+let test_one_price () =
+  let d, c = driver_run () in
+  let net = Cluster.net c in
+  let delivered = ref 0 and tapped = ref 0 and priced = ref 0 in
+  Net.set_handler net (fun env ->
+      env.Net.payload env.Net.seq;
+      if env.Net.kind = Net.Stub_table then incr delivered);
+  Fun.protect
+    ~finally:(fun () -> Scion_cleaner.set_delivery_tap None)
+    (fun () ->
+      Scion_cleaner.set_delivery_tap
+        (Some
+           (fun ~at:_ msg ->
+             incr tapped;
+             priced := !priced + Scion_cleaner.msg_bytes msg));
+      for _ = 1 to 4 do
+        Driver.run_ops d ~ops:120 ();
+        ignore (Cluster.gc_round c)
+      done;
+      ignore (Cluster.collect_until_quiescent c ()));
+  let get = Stats.get (Cluster.stats c) in
+  check_bool "tables were delivered" true (!delivered > 0);
+  check_int "the tap saw every delivery" !delivered !tapped;
+  check_bool "fulls and deltas were sent" true
+    (get "gc.cleaner.full_sent" > 0 && get "gc.cleaner.delta_sent" > 0);
+  check_int "no resync pulls" 0 (get "tables.resync_bytes");
+  check_int "sum of msg_bytes = full + delta wire bytes"
+    (get "tables.full_wire_bytes" + get "tables.delta_wire_bytes")
+    !priced
+
 (* The ledger splits the cleaner's wire by encoding: fulls, deltas and
    resync pulls.  Fault-free, their sum is what the network carried as
    stub tables, and [tables.delta_bytes] is that sum.  A receiver restart
@@ -646,5 +831,12 @@ let () =
             test_exiting_reaches_only_owner;
           Alcotest.test_case "ledger splits wire by encoding" `Quick
             test_ledger_splits_wire;
+          Alcotest.test_case "a stub filed away from its creator is refused"
+            `Quick test_misfiled_stub_refused;
+          Alcotest.test_case "one inter edge at two holders" `Quick
+            test_inter_edge_at_two_holders;
+          Alcotest.test_case "one intra edge at two holders" `Quick
+            test_intra_edge_at_two_holders;
+          Alcotest.test_case "one price on both paths" `Quick test_one_price;
         ] );
     ]

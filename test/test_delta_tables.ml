@@ -238,7 +238,7 @@ let prop_indexed_tables_match_lists =
               match mirror bunch with
               | None -> ()
               | Some m ->
-                  Gc_state.mirror_iter_inter m (fun (_, _, _, t) ->
+                  Gc_state.mirror_iter_inter m (fun (_, t) ->
                       if t = target then scanned := true))
             [ b; b2 ];
           let indexed =
@@ -269,7 +269,7 @@ let prop_indexed_tables_match_lists =
               let covered =
                 match mirror b with
                 | None -> false
-                | Some m -> Gc_state.mirror_has_inter m (Ssp.inter_scion_key scion)
+                | Some m -> Gc_state.mirror_has_inter m (Ssp.inter_scion_edge scion)
               in
               let want =
                 List.exists (fun s -> Ssp.inter_stub_matches s scion) !m_inter
@@ -288,7 +288,7 @@ let prop_indexed_tables_match_lists =
                 | None -> false
                 | Some m ->
                     Gc_state.mirror_has_intra m
-                      (Ssp.intra_scion_key ~holder:receiver scion)
+                      (Ssp.intra_scion_edge ~holder:receiver scion)
               in
               let want =
                 List.exists
