@@ -2,7 +2,9 @@
 
    `dune exec bench/main.exe` prints every experiment table (E1-E19);
    `dune exec bench/main.exe -- e5` prints one; `-- micro` runs the
-   Bechamel micro-benchmarks (E11/E12). *)
+   Bechamel micro-benchmarks (E11/E12).  `--rev REV` (default
+   "unknown") names the source revision the BENCH_SCALE.json lines
+   record. *)
 
 let experiments =
   [
@@ -40,9 +42,20 @@ let print_tables tables =
       print_newline ())
     tables
 
+(* The experiment names, with [--rev REV] taken out. *)
+let rec names_of = function
+  | "--rev" :: v :: rest ->
+      Scale.rev := v;
+      names_of rest
+  | [ "--rev" ] ->
+      prerr_endline "--rev needs a revision";
+      exit 2
+  | name :: rest -> name :: names_of rest
+  | [] -> []
+
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: [] ->
+  match names_of (List.tl (Array.to_list Sys.argv)) with
+  | [] ->
       print_endline "BMX experiment harness - reproducing Ferreira & Shapiro, OSDI '94";
       print_endline "(figures E1-E4 as executable scenarios; claims E5-E13 as measurements)";
       print_newline ();
@@ -60,7 +73,7 @@ let () =
         experiments;
       Printf.printf "### MICRO (E11/E12)\n\n";
       print_tables (Micro.run ())
-  | _ :: names ->
+  | names ->
       List.iter
         (fun name ->
           match List.assoc_opt (String.lowercase_ascii name) experiments with
@@ -70,4 +83,3 @@ let () =
                 (String.concat ", " (List.map fst experiments));
               exit 1)
         names
-  | [] -> assert false

@@ -28,8 +28,10 @@ type run_result = {
   r_ops_per_sec : float;
   r_gc_pause : Bmx_obs.Metrics.summary option;
   r_messages : int;
+  r_payloads : int;
   r_bytes : int;
   r_stub_table_msgs : int;
+  r_stub_table_payloads : int;
   r_delta_bytes : int;
   r_full_wire_bytes : int;
   r_delta_wire_bytes : int;
@@ -49,6 +51,15 @@ type run_result = {
 }
 
 let now_ns () = Monotonic_clock.now ()
+
+(* Source revision written into every BENCH_SCALE.json line
+   ([bench/main.exe --rev REV]). *)
+let rev = ref "unknown"
+
+(* Wire messages and the payloads they carried: a payload that rode
+   another message of its pair ([Net.send]'s riders) adds to the
+   second count only. *)
+let payloads net = Net.total_messages net + Net.total_coalesced net
 
 (* One collector wave: BGC every replicated bunch at every holder, then
    drain — the E5/E6 shape, kept identical so throughput numbers include
@@ -139,8 +150,11 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
        else float_of_int ops /. (elapsed_ms /. 1000.0));
     r_gc_pause = Bmx_obs.Report.latency report "gc.pause";
     r_messages = Net.total_messages net;
+    r_payloads = payloads net;
     r_bytes = Net.total_bytes net;
     r_stub_table_msgs = Net.sent net Net.Stub_table;
+    r_stub_table_payloads =
+      Net.sent net Net.Stub_table + Net.coalesced net Net.Stub_table;
     r_delta_bytes = delta_before;
     r_full_wire_bytes = full_wire;
     r_delta_wire_bytes = delta_wire;
@@ -222,8 +236,10 @@ let result_json r =
       ("ops_per_sec", Json.Float r.r_ops_per_sec);
       ("gc_pause_usteps", summary_json r.r_gc_pause);
       ("messages", Json.Int r.r_messages);
+      ("payloads", Json.Int r.r_payloads);
       ("bytes", Json.Int r.r_bytes);
       ("stub_table_msgs", Json.Int r.r_stub_table_msgs);
+      ("stub_table_payloads", Json.Int r.r_stub_table_payloads);
       ("tables_delta_bytes", Json.Int r.r_delta_bytes);
       ("tables_full_wire_bytes", Json.Int r.r_full_wire_bytes);
       ("tables_delta_wire_bytes", Json.Int r.r_delta_wire_bytes);
@@ -251,6 +267,7 @@ let sweep_json ?(extra_configs = []) results =
   Json.Obj
     [
       ("experiment", Json.String "e20");
+      ("rev", Json.String !rev);
       ("unit", Json.String "ops_per_sec_wallclock");
       ("configs", Json.List (List.map result_json results @ extra_configs));
     ]
@@ -330,6 +347,7 @@ let run_sweep ?(extra_configs = []) ~configs ~json_path () =
           "ops/sec";
           "gc p99";
           "msgs";
+          "payloads";
           "steady delta B";
           "steady full B";
           "gc tokens";
@@ -352,6 +370,7 @@ let run_sweep ?(extra_configs = []) ~configs ~json_path () =
             | Some s -> Printf.sprintf "%.0f" s.Bmx_obs.Metrics.s_p99
             | None -> "-");
             string_of_int r.r_messages;
+            string_of_int r.r_payloads;
             string_of_int r.r_steady_delta_bytes;
             string_of_int r.r_steady_full_bytes;
             string_of_int r.r_gc_token_acquires;
@@ -503,6 +522,7 @@ type e22_result = {
   s_elapsed_ms : float;
   s_ops_per_sec : float;
   s_messages : int;
+  s_payloads : int;
   s_bytes : int;
   s_gc_token_acquires : int;
   s_point : Net.scaling_point;
@@ -544,6 +564,7 @@ let e22_point ~nodes ~shards ~ops_per_node ~waves =
       (if elapsed_ms <= 0.0 then 0.0
        else float_of_int ops /. (elapsed_ms /. 1000.0));
     s_messages = Net.total_messages net;
+    s_payloads = payloads net;
     s_bytes = Net.total_bytes net;
     s_gc_token_acquires =
       Stats.get stats "dsm.gc.acquire_read"
@@ -573,6 +594,7 @@ let e22_result_json r =
       ("elapsed_ms", Json.Float r.s_elapsed_ms);
       ("ops_per_sec", Json.Float r.s_ops_per_sec);
       ("messages", Json.Int r.s_messages);
+      ("payloads", Json.Int r.s_payloads);
       ("bytes", Json.Int r.s_bytes);
       ("bytes_per_node", Json.Float (float_of_int r.s_bytes /. float_of_int r.s_nodes));
       ("gc_token_acquires", Json.Int r.s_gc_token_acquires);
@@ -624,7 +646,17 @@ let run_e22 ~sweep ~shards ~ops_per_node ~json_path ~extra_json =
            (String.concat "/" (List.map string_of_int sweep))
            shards)
       ~columns:
-        [ "nodes"; "shards"; "ops"; "ms"; "ops/sec"; "msgs"; "B/node"; "gc tokens" ]
+        [
+          "nodes";
+          "shards";
+          "ops";
+          "ms";
+          "ops/sec";
+          "msgs";
+          "payloads";
+          "B/node";
+          "gc tokens";
+        ]
   in
   List.iter
     (fun r ->
@@ -636,6 +668,7 @@ let run_e22 ~sweep ~shards ~ops_per_node ~json_path ~extra_json =
           Printf.sprintf "%.1f" r.s_elapsed_ms;
           Printf.sprintf "%.0f" r.s_ops_per_sec;
           string_of_int r.s_messages;
+          string_of_int r.s_payloads;
           Printf.sprintf "%.0f" (float_of_int r.s_bytes /. float_of_int r.s_nodes);
           string_of_int r.s_gc_token_acquires;
         ])
@@ -651,6 +684,7 @@ let run_e22 ~sweep ~shards ~ops_per_node ~json_path ~extra_json =
     Json.Obj
       ([
          ("experiment", Json.String "e22");
+         ("rev", Json.String !rev);
          ("unit", Json.String "bytes_per_node_flat");
          ("scaling_ok", Json.Bool scaling_ok);
          ("gc_token_acquires", Json.Int tokens);

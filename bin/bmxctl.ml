@@ -780,6 +780,28 @@ let certify_cmd =
 
 (* --------------------------------------------------------------- report *)
 
+(* Per kind, the wire messages and the payloads they carried: a payload
+   that rode another message of its pair counts in the second column
+   only. *)
+let print_wire net stats =
+  let module Net = Bmx_netsim.Net in
+  let row name msgs payloads bytes =
+    Printf.printf "%-16s %9d %9d %11d\n" name msgs payloads bytes
+  in
+  Printf.printf "\n== wire ==\n%-16s %9s %9s %11s\n" "kind" "messages"
+    "payloads" "bytes";
+  List.iter
+    (fun kind ->
+      let name = Net.kind_to_string kind in
+      let msgs = Net.sent net kind in
+      let payloads = msgs + Net.coalesced net kind in
+      if payloads > 0 then
+        row name msgs payloads (Stats.get stats ("net.bytes." ^ name)))
+    Net.all_kinds;
+  row "total" (Net.total_messages net)
+    (Net.total_messages net + Net.total_coalesced net)
+    (Net.total_bytes net)
+
 let run_report nodes bunches objects ops seed mode ggc drop dup fault_kinds
     perfetto selfcheck since until series =
   let cfg =
@@ -828,6 +850,7 @@ let run_report nodes bunches objects ops seed mode ggc drop dup fault_kinds
   Printf.printf "report: %d nodes, %d bunches, %d objects, %d ops (seed %d)\n\n"
     nodes bunches (bunches * objects) ops seed;
   print_string (Bmx_obs.Report.to_text report);
+  print_wire net (Cluster.stats c);
   (* Continuous-series window queries: --since/--until select a half-open
      virtual-time interval in µsteps; defaults cover the retained ring. *)
   (if since <> None || until <> None then

@@ -39,7 +39,9 @@ type report = {
   r_new_inter_stubs : int;
   r_new_intra_stubs : int;
   r_exiting : int;
-  r_tables_sent : int;  (** reachability messages to scion cleaners *)
+  r_tables_sent : int;
+      (** reachability tables handed to the network for scion cleaners
+          (payloads, not wire messages) *)
 }
 
 val pp_report : Format.formatter -> report -> unit

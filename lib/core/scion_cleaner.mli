@@ -107,13 +107,15 @@ val broadcast :
   int
 (** Send the node's (already replaced) current tables for the bunch to
     all {!destinations} as background messages; returns the number of
-    messages sent.  Each destination independently gets either a delta
-    (when the sender knows which basis it holds) or a full table (first
-    contact, periodic rebase, or when the accumulated diff outgrew the
-    table).  Re-running after a loss simply resends — the cumulative
-    encoding keeps that safe.  Accounts, per send, the wire bytes under
-    [tables.full_wire_bytes] or [tables.delta_wire_bytes] and
-    [tables.full_bytes] (what a full table to that destination would
-    have cost); a resync pull adds its RPC under [tables.resync_bytes].
-    [tables.delta_bytes] is the sum of the three: all stub-table bytes
-    sent. *)
+    tables handed to the network, not wire messages: a table sent while
+    the peer's previous one is still queued rides in that message
+    ({!Bmx_netsim.Net.send}).  Each destination independently gets
+    either a delta (when the sender knows which basis it holds) or a
+    full table (first contact, periodic rebase, or when the accumulated
+    diff outgrew the table).  Re-running after a loss simply resends —
+    the cumulative encoding keeps that safe.  Accounts, per send, the
+    wire bytes under [tables.full_wire_bytes] or
+    [tables.delta_wire_bytes] and [tables.full_bytes] (what a full
+    table to that destination would have cost); a resync pull adds its
+    RPC under [tables.resync_bytes].  [tables.delta_bytes] is the sum
+    of the three: all stub-table bytes sent. *)

@@ -122,6 +122,7 @@ let duplicated_key = per_kind "net.duplicated."
 let retransmit_key = per_kind "net.retransmit."
 let down_dropped_key = per_kind "net.down_dropped."
 let cut_dropped_key = per_kind "net.cut_dropped."
+let coalesced_key = per_kind "net.coalesced."
 
 type 'p envelope = {
   src : Ids.Node.t;
@@ -130,6 +131,15 @@ type 'p envelope = {
   seq : int;
   rel : int;
   payload : 'p;
+}
+
+(* One message on the wire: the carrier's envelope and the riders that
+   joined it after it was queued (see [send]).  Riders share the
+   carrier's fate and are handed off right after it, in send order. *)
+type 'p wire = {
+  w_env : 'p envelope;
+  mutable w_riders : 'p envelope list;  (* newest first *)
+  w_at : int;  (* virtual time of the carrier's send *)
 }
 
 type fault = { drop : float; dup : float; rng : Rng.t }
@@ -152,7 +162,10 @@ type 'p rstate = {
 
 type 'p t = {
   stats : Stats.registry;
-  queue : 'p envelope Queue.t;
+  queue : 'p wire Queue.t;
+  (* Per pair, the queued unreliable message a send may still ride:
+     unduplicated, and removed when it leaves the queue. *)
+  tails : (Ids.Node.t * Ids.Node.t, 'p wire) Hashtbl.t;
   seqs : (Ids.Node.t * Ids.Node.t, int ref) Hashtbl.t;
   faults : (kind, fault) Hashtbl.t;
   mutable handler : ('p envelope -> unit) option;
@@ -189,6 +202,7 @@ let create ~stats () =
   {
     stats;
     queue = Queue.create ();
+    tails = Hashtbl.create 16;
     seqs = Hashtbl.create 16;
     faults = Hashtbl.create 4;
     handler = None;
@@ -441,57 +455,97 @@ let account_bytes t ~src ~kind ~bytes =
       Bmx_obs.Metrics.incr m ~by:bytes key;
       Bmx_obs.Metrics.incr m ~node:src ~by:bytes key
 
-(* Enqueue one copy of [env].  An unreliable copy counts as a message; a
+(* Enqueue one copy of [w].  An unreliable copy counts as a message; a
    reliable one counts only its bytes (its logical send is counted once,
    by [send]). *)
-let enqueue t env ~bytes =
+let enqueue t w ~bytes =
+  let env = w.w_env in
   if env.rel = 0 then account_msg t ~src:env.src ~kind:env.kind;
   account_bytes t ~src:env.src ~kind:env.kind ~bytes;
-  Queue.add env t.queue
+  Queue.add w t.queue
 
 (* Put one copy of [env] on the wire, rolling the fault dice: first sends
-   and retransmissions alike. *)
+   and retransmissions alike.  Returns the message when exactly one copy
+   was queued: a dropped message is gone, and a duplicated one takes no
+   riders, since each copy would hand them off again. *)
 let transmit t env ~bytes =
+  let w = { w_env = env; w_riders = []; w_at = t.now } in
   match Hashtbl.find_opt t.faults env.kind with
   | Some { drop; dup; rng } ->
       if Rng.float rng 1.0 < drop then begin
         Stats.incr t.stats (dropped_key env.kind);
-        Stats.incr t.stats "net.dropped.total"
+        Stats.incr t.stats "net.dropped.total";
+        None
       end
       else begin
-        enqueue t env ~bytes;
+        enqueue t w ~bytes;
         if Rng.float rng 1.0 < dup then begin
           Stats.incr t.stats (duplicated_key env.kind);
           Stats.incr t.stats "net.duplicated.total";
-          enqueue t env ~bytes
+          enqueue t w ~bytes;
+          None
         end
+        else Some w
       end
-  | None -> enqueue t env ~bytes
+  | None ->
+      enqueue t w ~bytes;
+      Some w
+
+(* The queued message an unreliable send of [kind] on the pair [key]
+   rides: the pair's tail, when it has the same kind, was sent at this
+   virtual instant, and is still the last thing stamped on the pair. *)
+let carrier t key kind =
+  match (Hashtbl.find_opt t.tails key, Hashtbl.find_opt t.seqs key) with
+  | Some w, Some stamped when w.w_env.kind = kind && w.w_at = t.now ->
+      let last = match w.w_riders with r :: _ -> r | [] -> w.w_env in
+      if last.seq = !stamped then Some w else None
+  | _ -> None
+
+(* [w] leaves the queue (delivered or purged): nothing may join it. *)
+let close t w =
+  let key = (w.w_env.src, w.w_env.dst) in
+  match Hashtbl.find_opt t.tails key with
+  | Some tail when tail == w -> Hashtbl.remove t.tails key
+  | Some _ | None -> ()
 
 let send t ~src ~dst ~kind ?(bytes = 64) ?shard payload =
-  shard_account t ~kind ~shard ~bytes ~msg:true;
-  let seq = next_in t.seqs (src, dst) in
+  let key = (src, dst) in
   let reliable = Hashtbl.mem t.reliable kind in
+  let ride = if reliable then None else carrier t key kind in
+  shard_account t ~kind ~shard ~bytes ~msg:(Option.is_none ride);
+  let seq = next_in t.seqs key in
   ev_sent t ~src ~dst ~kind ~seq ~rel:reliable;
-  let rel = if reliable then next_in t.rseqs (src, dst) else 0 in
-  let env = { src; dst; kind; seq; rel; payload } in
-  if reliable then begin
-    (* One logical send, however many transmissions it takes. *)
-    account_msg t ~src ~kind;
-    let u =
-      {
-        u_env = env;
-        u_bytes = bytes;
-        u_due = t.now + t.rto;
-        u_interval = t.rto;
-        u_attempts = 1;
-      }
-    in
-    match Hashtbl.find_opt t.unacked_tbl (src, dst) with
-    | Some r -> r := !r @ [ u ]
-    | None -> Hashtbl.add t.unacked_tbl (src, dst) (ref [ u ])
-  end;
-  transmit t env ~bytes
+  match ride with
+  | Some w ->
+      (* A rider: its own seq, event, handler call and bytes, but no
+         wire message of its own, and no dice — it shares the carrier's
+         fate. *)
+      w.w_riders <- { src; dst; kind; seq; rel = 0; payload } :: w.w_riders;
+      Stats.incr t.stats (coalesced_key kind);
+      Stats.incr t.stats "net.coalesced.total";
+      account_bytes t ~src ~kind ~bytes
+  | None -> (
+      let rel = if reliable then next_in t.rseqs key else 0 in
+      let env = { src; dst; kind; seq; rel; payload } in
+      if reliable then begin
+        (* One logical send, however many transmissions it takes. *)
+        account_msg t ~src ~kind;
+        let u =
+          {
+            u_env = env;
+            u_bytes = bytes;
+            u_due = t.now + t.rto;
+            u_interval = t.rto;
+            u_attempts = 1;
+          }
+        in
+        match Hashtbl.find_opt t.unacked_tbl key with
+        | Some r -> r := !r @ [ u ]
+        | None -> Hashtbl.add t.unacked_tbl key (ref [ u ])
+      end;
+      match transmit t env ~bytes with
+      | Some w when not reliable -> Hashtbl.replace t.tails key w
+      | Some _ | None -> ())
 
 let record_rpc t ~src ~dst ~kind ?(bytes = 64) ?shard () =
   (* Synchronous exchange executed inline by the caller; it overtakes
@@ -634,11 +688,19 @@ let deliver t env =
     else ack t ~src:env.src ~dst:env.dst ~upto:(rs.r_next - 1)
   end
 
+(* Hand off a wire message: the carrier, then its riders in send order.
+   Each payload meets the carrier's fate on its own account, so one lost
+   with it counts once in the down or cut rows. *)
+let deliver_wire t w =
+  close t w;
+  deliver t w.w_env;
+  List.iter (deliver t) (List.rev w.w_riders)
+
 let step t =
   match Queue.take_opt t.queue with
   | None -> false
-  | Some env ->
-      deliver t env;
+  | Some w ->
+      deliver_wire t w;
       true
 
 (* ------------------------------------------------------------------ *)
@@ -651,7 +713,7 @@ let step t =
 let deliverable_pairs t =
   let seen = Hashtbl.create 8 in
   Queue.fold
-    (fun acc env ->
+    (fun acc { w_env = env; _ } ->
       let key = (env.src, env.dst) in
       if Hashtbl.mem seen key then acc
       else begin
@@ -667,17 +729,17 @@ let step_pair t ~src ~dst =
   let all = List.of_seq (Queue.to_seq t.queue) in
   let rec split acc = function
     | [] -> None
-    | env :: rest when Ids.Node.equal env.src src && Ids.Node.equal env.dst dst
-      ->
-        Some (env, List.rev_append acc rest)
-    | env :: rest -> split (env :: acc) rest
+    | w :: rest
+      when Ids.Node.equal w.w_env.src src && Ids.Node.equal w.w_env.dst dst ->
+        Some (w, List.rev_append acc rest)
+    | w :: rest -> split (w :: acc) rest
   in
   match split [] all with
   | None -> false
-  | Some (env, rest) ->
+  | Some (w, rest) ->
       Queue.clear t.queue;
       List.iter (fun e -> Queue.add e t.queue) rest;
-      deliver t env;
+      deliver_wire t w;
       true
 
 let drain t =
@@ -730,7 +792,7 @@ let tick ?(dt = 1) t =
     (* Retransmissions carry the original sequence number: the
        receivers' logical clocks compare against send time, and
        the reorder buffer restores handler-visible FIFO. *)
-    transmit t u.u_env ~bytes:u.u_bytes
+    ignore (transmit t u.u_env ~bytes:u.u_bytes)
   in
   Hashtbl.iter
     (fun key r ->
@@ -827,15 +889,20 @@ let set_down t node =
   if not (Hashtbl.mem t.down node) then begin
     Hashtbl.replace t.down node ();
     Stats.incr t.stats "net.crash.count";
-    (* In-flight messages involving the node are lost. *)
+    (* In-flight messages involving the node are lost, riders with their
+       carrier, each payload counted once. *)
     let keep =
       Queue.fold
-        (fun acc env ->
-          if Ids.Node.equal env.src node || Ids.Node.equal env.dst node then begin
-            Stats.incr t.stats "net.crash.purged_in_flight";
+        (fun acc w ->
+          if Ids.Node.equal w.w_env.src node || Ids.Node.equal w.w_env.dst node
+          then begin
+            close t w;
+            Stats.incr t.stats
+              ~by:(1 + List.length w.w_riders)
+              "net.crash.purged_in_flight";
             acc
           end
-          else env :: acc)
+          else w :: acc)
         [] t.queue
     in
     Queue.clear t.queue;
@@ -883,7 +950,9 @@ let current_seq t ~src ~dst =
 let set_fault t ~kind ~drop ~dup ~rng = Hashtbl.replace t.faults kind { drop; dup; rng }
 let clear_faults t = Hashtbl.reset t.faults
 let sent t kind = Stats.get t.stats (sent_key kind)
+let coalesced t kind = Stats.get t.stats (coalesced_key kind)
 let total_messages t = Stats.get t.stats "net.sent.total"
+let total_coalesced t = Stats.get t.stats "net.coalesced.total"
 let total_bytes t = Stats.get t.stats "net.bytes.total"
 
 let component_bytes t comp =

@@ -14,12 +14,20 @@
     Two transmission modes mirror the paper's accounting:
 
     - [send] enqueues a background message ("exchanged in the background",
-      §4.4) to be delivered by [step]/[drain];
+      §4.4) to be delivered by [step]/[drain].  Background traffic is
+      batched per peer: an unreliable send made while the pair's previous
+      message of the same kind is still queued joins it as a {e rider}
+      instead of taking a wire message of its own (see {!send});
     - [record_rpc] accounts for a synchronous request/reply pair performed
       on behalf of an application (token acquire, §2.2) that the caller
       executes inline; [record_piggyback] accounts for GC payload bytes
       riding such a message: bytes the message itself does not already
-      count, and no message in any row (§4.4, §8). *)
+      count, and no message in any row (§4.4, §8).
+
+    A {e wire message} is what the message rows ([net.sent.*],
+    {!sent}, {!total_messages}) count; a {e payload} is what one [send]
+    hands to the network and what one handler call receives.  Without
+    riders the two coincide. *)
 
 type kind =
   | Token_request  (** read/write token acquire request (§2.2) *)
@@ -103,13 +111,30 @@ val send :
   ?shard:int ->
   'p ->
   unit
-(** Enqueue a background message.  Subject to fault injection: every
+(** Enqueue one background payload.  Subject to fault injection: every
     copy put on the wire counts its bytes, and an unreliable copy also
     counts as a message (a duplicated send is two), while a reliable
     send counts one logical message however many copies it takes.
     [shard] labels the message with the registry shard whose routing
     decided its destination; labelled traffic feeds {!shard_components}
-    and the per-shard [net.comp.*.s<k>] metric series. *)
+    and the per-shard [net.comp.*.s<k>] metric series.
+
+    {b Riders.}  An unreliable send joins the pair's last queued message
+    (its {e carrier}) when all of these hold: the carrier has the same
+    kind; it is still queued (not delivered, stepped or purged); it was
+    sent at the current virtual instant ({!now} has not advanced); the
+    dup die did not copy it; and nothing was stamped on the pair since
+    (no send, reliable send or {!record_rpc}).  Otherwise the send takes
+    a wire message of its own.  A rider keeps its own sequence number
+    and [Msg_sent] event, its own handler call and [Msg_delivered] event
+    (right after the carrier's, in send order, as its own envelope), and
+    its bytes, which it adds the way {!record_piggyback} does: to every
+    byte row and the shard byte row, no message to any row.  It counts
+    in [net.coalesced.<kind>] and [net.coalesced.total] instead.  It
+    rolls no fault dice and shares the carrier's fate: a dead or cut
+    destination, or a crash purge, loses it with the carrier, and each
+    lost payload counts once in [net.down_dropped.*],
+    [net.cut_dropped.*] or [net.crash.purged_in_flight]. *)
 
 val record_rpc :
   'p t ->
@@ -137,14 +162,17 @@ val record_piggyback :
     any row.  [shard] as in {!send}. *)
 
 val step : 'p t -> bool
-(** Deliver the oldest pending message (globally).  Returns [false] if the
-    queue was empty. *)
+(** Deliver the oldest pending wire message (globally): the carrier's
+    payload, then its riders'.  Returns [false] if the queue was
+    empty. *)
 
 val drain : 'p t -> int
-(** Deliver until quiescent; returns the number of messages delivered.
-    Messages sent by handlers during the drain are delivered too. *)
+(** Deliver until quiescent; returns the number of wire messages taken
+    off the queue (riders not counted).  Messages sent by handlers
+    during the drain are delivered too. *)
 
 val pending : 'p t -> int
+(** Wire messages queued; riders are not counted. *)
 
 (** {1 Schedule exploration}
 
@@ -160,9 +188,9 @@ val deliverable_pairs :
 
 val step_pair :
   'p t -> src:Bmx_util.Ids.Node.t -> dst:Bmx_util.Ids.Node.t -> bool
-(** Deliver the {e oldest} pending message of the pair (preserving
-    per-pair FIFO while allowing any cross-pair interleaving).  Returns
-    [false] if the pair has nothing pending. *)
+(** Deliver the {e oldest} pending wire message of the pair, riders
+    included (preserving per-pair FIFO while allowing any cross-pair
+    interleaving).  Returns [false] if the pair has nothing pending. *)
 
 val set_fault :
   'p t -> kind:kind -> drop:float -> dup:float -> rng:Bmx_util.Rng.t -> unit
@@ -171,7 +199,8 @@ val set_fault :
     so a message is never both dropped and duplicated.  Dropped messages
     consume a sequence number — receivers observe a gap, as over a real
     lossy transport.  Faults apply per transmission: retransmissions of
-    a reliable message reroll the dice. *)
+    a reliable message reroll the dice, and a rider ({!send}) rolls none,
+    sharing its carrier's. *)
 
 val clear_faults : 'p t -> unit
 
@@ -362,7 +391,13 @@ val scaling_check :
     on fewer than 3 points or a degenerate sweep. *)
 
 val sent : 'p t -> kind -> int
-(** Total messages of [kind] accounted so far (sent + rpc, not drops). *)
+(** Total wire messages of [kind] accounted so far (sent + rpc, not
+    drops, not riders). *)
+
+val coalesced : 'p t -> kind -> int
+(** Payloads of [kind] that rode another message ([net.coalesced.<kind>]);
+    [sent + coalesced] is the payload count. *)
 
 val total_messages : 'p t -> int
+val total_coalesced : 'p t -> int
 val total_bytes : 'p t -> int

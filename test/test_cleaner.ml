@@ -729,14 +729,34 @@ let test_exiting_reaches_only_owner () =
 (* Sends are priced from counts (the tables' key counts and the round's
    delta), and [msg_bytes] prices a message from its body.  On a
    fault-free workload through quiescence, the bodies of every delivered
-   table message must add up to the bytes the sends accounted. *)
+   table message must add up to the bytes the sends accounted.  The
+   tables a wave sends one peer ride in one wire message: every table
+   sent is delivered, in fewer messages, and no wave sends a pair more
+   than one. *)
 let test_one_price () =
   let d, c = driver_run () in
   let net = Cluster.net c in
   let delivered = ref 0 and tapped = ref 0 and priced = ref 0 in
+  let pairs = Hashtbl.create 16 in
   Net.set_handler net (fun env ->
       env.Net.payload env.Net.seq;
-      if env.Net.kind = Net.Stub_table then incr delivered);
+      if env.Net.kind = Net.Stub_table then begin
+        incr delivered;
+        Hashtbl.replace pairs (env.Net.src, env.Net.dst) ()
+      end);
+  (* A wave run from an empty queue delivers, fault-free, only the tables
+     it sent, in at least one wire message per pair it reached: exactly
+     one each when the counts match. *)
+  let wave () =
+    ignore (Cluster.drain c);
+    Hashtbl.reset pairs;
+    let before = Net.sent net Net.Stub_table in
+    let reclaimed = Cluster.gc_round c in
+    check_int "one stub-table wire message per pair and wave"
+      (Hashtbl.length pairs)
+      (Net.sent net Net.Stub_table - before);
+    reclaimed
+  in
   Fun.protect
     ~finally:(fun () -> Scion_cleaner.set_delivery_tap None)
     (fun () ->
@@ -747,12 +767,23 @@ let test_one_price () =
              priced := !priced + Scion_cleaner.msg_bytes msg));
       for _ = 1 to 4 do
         Driver.run_ops d ~ops:120 ();
-        ignore (Cluster.gc_round c)
+        ignore (wave ())
       done;
-      ignore (Cluster.collect_until_quiescent c ()));
+      (* Quiescence as [Cluster.collect_until_quiescent] decides it:
+         nodes + 1 rounds in a row that reclaim nothing. *)
+      let quiet = List.length (Cluster.nodes c) + 1 in
+      let rec quiesce zeros rounds =
+        if zeros < quiet && rounds > 0 then
+          quiesce (if wave () = 0 then zeros + 1 else 0) (rounds - 1)
+      in
+      quiesce 0 (10 + (3 * quiet)));
   let get = Stats.get (Cluster.stats c) in
+  let tables = get "gc.cleaner.full_sent" + get "gc.cleaner.delta_sent" in
   check_bool "tables were delivered" true (!delivered > 0);
   check_int "the tap saw every delivery" !delivered !tapped;
+  check_int "the tap saw every table sent" tables !tapped;
+  check_bool "in fewer wire messages" true
+    (Net.sent net Net.Stub_table < tables);
   check_bool "fulls and deltas were sent" true
     (get "gc.cleaner.full_sent" > 0 && get "gc.cleaner.delta_sent" > 0);
   check_int "no resync pulls" 0 (get "tables.resync_bytes");

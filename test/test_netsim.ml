@@ -1,5 +1,6 @@
 open Bmx_util
 module Net = Bmx_netsim.Net
+module Lint = Bmx_check.Lint
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
@@ -236,6 +237,154 @@ let test_kind_names_unique () =
   check_int "all kind names distinct" (List.length names)
     (List.length (List.sort_uniq compare names))
 
+(* -------------------------------------------------------------- riders *)
+
+let send3 ?(bytes = 64) ?shard net =
+  List.iter
+    (fun p -> Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table ~bytes ?shard p)
+    [ "a"; "b"; "c" ]
+
+(* Back-to-back background sends on a pair travel as one wire message:
+   one message in every row, every payload's bytes, and one handler call
+   per payload, in send order, each with its own sequence number. *)
+let test_riders_share_a_message () =
+  let net, stats = make () in
+  let seen = ref [] in
+  Net.set_handler net (fun env ->
+      seen := (env.Net.payload, env.Net.seq) :: !seen);
+  send3 ~bytes:100 net;
+  check_int "one wire message" 1 (Net.sent net Net.Stub_table);
+  check_int "net.sent.total" 1 (Stats.get stats "net.sent.total");
+  check_int "two riders" 2 (Stats.get stats "net.coalesced.stub_table");
+  check_int "net.coalesced.total" 2 (Stats.get stats "net.coalesced.total");
+  check_int "summed bytes" 300 (Net.total_bytes net);
+  check_int "one message pending" 1 (Net.pending net);
+  check_bool "one step" true (Net.step net);
+  check
+    Alcotest.(list (pair string int))
+    "three handler calls in send order"
+    [ ("a", 1); ("b", 2); ("c", 3) ]
+    (List.rev !seen);
+  check_int "nothing left" 0 (Net.pending net)
+
+(* Anything stamped on the pair, a clock tick or the carrier's delivery
+   between two sends starts a new message; a send on another pair does
+   not. *)
+let test_rider_rule () =
+  let second_send between =
+    let net, stats = make () in
+    Net.set_reliable net [ Net.Scion_message ];
+    Net.set_handler net (fun _ -> ());
+    Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table "first";
+    between net;
+    Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table "second";
+    Stats.get stats "net.coalesced.stub_table"
+  in
+  List.iter
+    (fun (what, between) ->
+      check_int (what ^ " starts a new message") 0 (second_send between))
+    [
+      ( "a send of another kind",
+        fun net -> Net.send net ~src:0 ~dst:1 ~kind:Net.App_message "x" );
+      ( "a reliable send",
+        fun net -> Net.send net ~src:0 ~dst:1 ~kind:Net.Scion_message "x" );
+      ( "an rpc on the pair",
+        fun net -> Net.record_rpc net ~src:0 ~dst:1 ~kind:Net.Token_request ()
+      );
+      ("a tick", fun net -> ignore (Net.tick net));
+      ("the carrier's delivery", fun net -> ignore (Net.step net));
+    ];
+  check_int "a send on another pair lets the second ride" 1
+    (second_send (fun net ->
+         Net.send net ~src:0 ~dst:2 ~kind:Net.Stub_table "x"))
+
+(* Each copy of a duplicated message would hand its riders off again,
+   taking the stream's seqs backwards: a copied carrier takes none. *)
+let test_duplicated_carrier_takes_no_riders () =
+  let net, _ = make () in
+  let log = Trace_event.create_log () in
+  Trace_event.set_enabled log true;
+  Net.set_evlog net log;
+  let seqs = ref [] in
+  Net.set_handler net (fun env -> seqs := env.Net.seq :: !seqs);
+  Net.set_fault net ~kind:Net.Stub_table ~drop:0.0 ~dup:1.0 ~rng:(Rng.make 1);
+  Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table "a";
+  Net.clear_faults net;
+  Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table "b";
+  Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table "c";
+  ignore (Net.drain net);
+  check
+    Alcotest.(list string)
+    "lint passes" []
+    (List.map Lint.violation_to_string (Lint.check_log log));
+  check Alcotest.(list int) "delivered seqs" [ 1; 1; 2; 3 ] (List.rev !seqs);
+  check_int "two copies, then b carrying c" 3 (Net.sent net Net.Stub_table)
+
+(* A crash purges the carrier with its riders, each payload counted
+   once; the restarted pair's next send is a message of its own. *)
+let test_crash_purges_riders () =
+  let net, stats = make () in
+  let count = ref 0 in
+  Net.set_handler net (fun _ -> incr count);
+  send3 net;
+  Net.set_down net 1;
+  check_int "each payload purged once" 3
+    (Stats.get stats "net.crash.purged_in_flight");
+  check_int "nothing pending" 0 (Net.pending net);
+  Net.set_up net 1;
+  Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table "d";
+  check_int "a new message after set_up" 2 (Net.sent net Net.Stub_table);
+  ignore (Net.drain net);
+  check_int "only that payload delivered" 1 !count
+
+(* A dead or cut destination loses every payload aboard, each counted
+   once in its row. *)
+let test_lost_riders_count_once () =
+  let net, stats = make () in
+  Net.set_handler net (fun _ -> Alcotest.fail "nothing may arrive");
+  Net.set_down net 1;
+  send3 net;
+  ignore (Net.drain net);
+  check_int "down-dropped per payload" 3
+    (Stats.get stats "net.down_dropped.stub_table");
+  Net.set_up net 1;
+  Net.cut_link net ~src:0 ~dst:1;
+  send3 net;
+  ignore (Net.drain net);
+  check_int "cut-dropped per payload" 3
+    (Stats.get stats "net.cut_dropped.stub_table");
+  check_int "two wire messages" 2 (Net.sent net Net.Stub_table)
+
+(* The explorer's pair step delivers a carrier's riders with it, even
+   past a message on another pair queued between them. *)
+let test_step_pair_delivers_riders () =
+  let net, _ = make () in
+  let seen = ref [] in
+  Net.set_handler net (fun env -> seen := env.Net.payload :: !seen);
+  Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table "a";
+  Net.send net ~src:0 ~dst:2 ~kind:Net.Stub_table "x";
+  Net.send net ~src:0 ~dst:1 ~kind:Net.Stub_table "b";
+  check_bool "pair stepped" true (Net.step_pair net ~src:0 ~dst:1);
+  check Alcotest.(list string) "carrier, then rider" [ "a"; "b" ] (List.rev !seen);
+  check
+    Alcotest.(list (pair int int))
+    "only the other pair left" [ (0, 2) ] (Net.deliverable_pairs net)
+
+(* A shard-labelled rider adds its bytes to the shard's byte row and no
+   message to its message row, as a piggyback does. *)
+let test_rider_shard_rows () =
+  let net, _ = make () in
+  send3 ~bytes:100 ~shard:0 net;
+  let row rows =
+    match List.assoc_opt 0 rows with
+    | Some comps -> List.assoc_opt Net.Component.Gc_cleaner comps
+    | None -> None
+  in
+  check (Alcotest.option Alcotest.int) "shard 0 cleaner bytes" (Some 300)
+    (row (Net.shard_components net));
+  check (Alcotest.option Alcotest.int) "shard 0 cleaner messages" (Some 1)
+    (row (Net.shard_component_msgs net))
+
 let () =
   Alcotest.run "netsim"
     [
@@ -273,5 +422,21 @@ let () =
           Alcotest.test_case "cut is directed" `Quick test_cut_is_directed;
           Alcotest.test_case "partition groups" `Quick test_partition_groups;
           Alcotest.test_case "rpc refused on cut" `Quick test_rpc_refused_on_cut;
+        ] );
+      ( "riders",
+        [
+          Alcotest.test_case "back-to-back sends share a message" `Quick
+            test_riders_share_a_message;
+          Alcotest.test_case "what starts a new message" `Quick test_rider_rule;
+          Alcotest.test_case "a duplicated carrier takes no riders" `Quick
+            test_duplicated_carrier_takes_no_riders;
+          Alcotest.test_case "a crash purges the riders" `Quick
+            test_crash_purges_riders;
+          Alcotest.test_case "lost riders count once" `Quick
+            test_lost_riders_count_once;
+          Alcotest.test_case "step_pair delivers the riders" `Quick
+            test_step_pair_delivers_riders;
+          Alcotest.test_case "riders add shard bytes, no message" `Quick
+            test_rider_shard_rows;
         ] );
     ]
