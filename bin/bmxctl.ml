@@ -139,22 +139,93 @@ let write_flight_dumps dir f =
       Printf.printf "flight: %s -> %s\n" d.Bmx_obs.Flight.reason file)
     (Bmx_obs.Flight.dumps f)
 
-let run_workload nodes bunches objects ops seed mode collect ggc dump trace
-    emit_trace flight_dir drop dup fault_kinds crashes partitions corrupt_disk =
-  (* Disk corruption is only observable through a crash/recover cycle. *)
-  let crashes = if corrupt_disk && crashes = 0 then 1 else crashes in
-  let cfg =
+(* The workload every running command drives: its six flags are declared
+   once, here. *)
+type shape = {
+  nodes : int;
+  bunches : int;
+  objects : int;
+  ops : int;
+  seed : int;
+  mode : Bmx_dsm.Protocol.mode;
+}
+
+let shape_term =
+  let nodes = Arg.(value & opt int 4 & info [ "nodes"; "n" ] ~doc:"Cluster size") in
+  let bunches = Arg.(value & opt int 4 & info [ "bunches"; "b" ] ~doc:"Bunch count") in
+  let objects =
+    Arg.(value & opt int 64 & info [ "objects" ] ~doc:"Objects per bunch")
+  in
+  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"Mutator operations") in
+  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Deterministic seed") in
+  let mode =
+    Arg.(
+      value
+      & opt mode_conv Bmx_dsm.Protocol.Distributed
+      & info [ "mode" ] ~doc:"Copy-set mode: distributed or centralized")
+  in
+  Term.(
+    const (fun nodes bunches objects ops seed mode ->
+        { nodes; bunches; objects; ops; seed; mode })
+    $ nodes $ bunches $ objects $ ops $ seed $ mode)
+
+let setup s =
+  Driver.setup
     {
       Driver.default with
-      nodes;
-      bunches;
-      objects_per_bunch = objects;
-      ops;
-      seed;
-      mode;
+      nodes = s.nodes;
+      bunches = s.bunches;
+      objects_per_bunch = s.objects;
+      ops = s.ops;
+      seed = s.seed;
+      mode = s.mode;
     }
-  in
-  let d = Driver.setup cfg in
+
+(* [setup] with the typed event trace on from the first operation. *)
+let traced_setup s =
+  let d = setup s in
+  let c = Driver.cluster d in
+  Cluster.set_event_trace c true;
+  (d, c)
+
+(* The traced workload of [check] and [certify], run to quiescence. *)
+let traced_run s verb =
+  let d, c = traced_setup s in
+  Driver.run_ops d ();
+  ignore (Cluster.collect_until_quiescent c ());
+  ignore (Cluster.drain c);
+  Printf.printf
+    "workload: %d nodes, %d bunches, %d ops (seed %d); %s %d event(s)\n"
+    s.nodes s.bunches s.ops s.seed verb
+    (Bmx_util.Trace_event.length (Cluster.evlog c));
+  c
+
+let ggc_term = Arg.(value & flag & info [ "ggc" ] ~doc:"Run a GGC at every node")
+
+let drop_term =
+  Arg.(
+    value & opt float 0.
+    & info [ "drop" ]
+        ~doc:"Drop probability for the faulted message kinds (0.0-1.0)")
+
+let dup_term =
+  Arg.(
+    value & opt float 0.
+    & info [ "dup" ] ~doc:"Duplication probability for the faulted message kinds")
+
+let set_faults net ~seed ~drop ~dup kinds =
+  List.iteri
+    (fun i k ->
+      Bmx_netsim.Net.set_fault net ~kind:k ~drop ~dup
+        ~rng:(Rng.make (seed + 101 + i)))
+    kinds
+
+let run_workload ({ nodes; bunches; objects; ops; seed; _ } as s) collect ggc
+    dump trace emit_trace flight_dir drop dup fault_kinds crashes partitions
+    corrupt_disk =
+  (* Disk corruption is only observable through a crash/recover cycle. *)
+  let crashes = if corrupt_disk && crashes = 0 then 1 else crashes in
+  let d = setup s in
   let c = Driver.cluster d in
   let net = Cluster.net c in
   if trace || emit_trace <> None || flight_dir <> None || partitions > 0
@@ -166,12 +237,7 @@ let run_workload nodes bunches objects ops seed mode collect ggc dump trace
     | Some _ -> Some (Cluster.enable_flight c)
   in
   let kinds = parse_fault_kinds fault_kinds in
-  if drop > 0. || dup > 0. then
-    List.iteri
-      (fun i k ->
-        Bmx_netsim.Net.set_fault net ~kind:k ~drop ~dup
-          ~rng:(Rng.make (seed + 101 + i)))
-      kinds;
+  if drop > 0. || dup > 0. then set_faults net ~seed ~drop ~dup kinds;
   (* With [crashes] or [partitions] > 0 the op stream is cut into chunks;
      between chunks either a victim node checkpoints its bunches
      (continuous RVM logging, approximated), crashes, restarts and
@@ -439,23 +505,9 @@ let run_workload nodes bunches objects ops seed mode collect ggc dump trace
   end
 
 let workload_term dump_default =
-  let nodes = Arg.(value & opt int 4 & info [ "nodes"; "n" ] ~doc:"Cluster size") in
-  let bunches = Arg.(value & opt int 4 & info [ "bunches"; "b" ] ~doc:"Bunch count") in
-  let objects =
-    Arg.(value & opt int 64 & info [ "objects" ] ~doc:"Objects per bunch")
-  in
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"Mutator operations") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Deterministic seed") in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Bmx_dsm.Protocol.Distributed
-      & info [ "mode" ] ~doc:"Copy-set mode: distributed or centralized")
-  in
   let collect =
     Arg.(value & flag & info [ "collect" ] ~doc:"Run BGC rounds to quiescence")
   in
-  let ggc = Arg.(value & flag & info [ "ggc" ] ~doc:"Run a GGC at every node") in
   let trace =
     Arg.(
       value & flag
@@ -478,18 +530,6 @@ let workload_term dump_default =
             "Attach the flight recorder and write every dump (auto trips \
              plus end-of-run lint/audit trips) as a replayable trace \
              artifact under $(docv)")
-  in
-  let drop =
-    Arg.(
-      value & opt float 0.
-      & info [ "drop" ]
-          ~doc:"Drop probability for the faulted message kinds (0.0-1.0)")
-  in
-  let dup =
-    Arg.(
-      value & opt float 0.
-      & info [ "dup" ]
-          ~doc:"Duplication probability for the faulted message kinds")
   in
   let fault_kinds =
     Arg.(
@@ -531,9 +571,9 @@ let workload_term dump_default =
              Exits nonzero if the final lint or safety audit fails.")
   in
   Term.(
-    const run_workload $ nodes $ bunches $ objects $ ops $ seed $ mode $ collect
-    $ ggc $ const dump_default $ trace $ emit_trace $ flight_dir $ drop $ dup
-    $ fault_kinds $ crashes $ partitions $ corrupt_disk)
+    const run_workload $ shape_term $ collect $ ggc_term $ const dump_default
+    $ trace $ emit_trace $ flight_dir $ drop_term $ dup_term $ fault_kinds
+    $ crashes $ partitions $ corrupt_disk)
 
 let workload_cmd =
   Cmd.v
@@ -606,7 +646,7 @@ let load_trace file =
   close_in ic;
   (log, !bad)
 
-let run_check trace_file nodes bunches objects ops seed mode =
+let run_check trace_file s =
   let violations =
     match trace_file with
     | Some file ->
@@ -628,29 +668,7 @@ let run_check trace_file nodes bunches objects ops seed mode =
     | None ->
         (* No trace file: run a workload in-process with the typed event
            log on, then lint the live protocol (log + store check). *)
-        let cfg =
-          {
-            Driver.default with
-            nodes;
-            bunches;
-            objects_per_bunch = objects;
-            ops;
-            seed;
-            mode;
-          }
-        in
-        let d = Driver.setup cfg in
-        let c = Driver.cluster d in
-        Cluster.set_event_trace c true;
-        Driver.run_ops d ();
-        ignore (Cluster.collect_until_quiescent c ());
-        ignore (Cluster.drain c);
-        Printf.printf
-          "workload: %d nodes, %d bunches, %d ops (seed %d); linting %d \
-           event(s)\n"
-          nodes bunches ops seed
-          (Bmx_util.Trace_event.length (Cluster.evlog c));
-        Bmx_check.Lint.check_all (Cluster.proto c)
+        Bmx_check.Lint.check_all (Cluster.proto (traced_run s "linting"))
   in
   match violations with
   | [] ->
@@ -672,33 +690,17 @@ let check_cmd =
           ~doc:"Lint a saved trace (from 'workload --emit-trace') instead of \
                 running a workload")
   in
-  let nodes = Arg.(value & opt int 4 & info [ "nodes"; "n" ] ~doc:"Cluster size") in
-  let bunches = Arg.(value & opt int 4 & info [ "bunches"; "b" ] ~doc:"Bunch count") in
-  let objects =
-    Arg.(value & opt int 64 & info [ "objects" ] ~doc:"Objects per bunch")
-  in
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"Mutator operations") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Deterministic seed") in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Bmx_dsm.Protocol.Distributed
-      & info [ "mode" ] ~doc:"Copy-set mode: distributed or centralized")
-  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
          "Replay a typed event trace through the invariant linter (GC never \
           acquires tokens; §5 invariants 1-3; per-pair FIFO; forwarder \
           acyclicity)")
-    Term.(
-      ret
-        (const run_check $ trace_file $ nodes $ bunches $ objects $ ops $ seed
-       $ mode))
+    Term.(ret (const run_check $ trace_file $ shape_term))
 
 (* -------------------------------------------------------------- certify *)
 
-let run_certify trace_file json nodes bunches objects ops seed mode =
+let run_certify trace_file json s =
   let cert =
     match trace_file with
     | Some file ->
@@ -709,29 +711,7 @@ let run_certify trace_file json nodes bunches objects ops seed mode =
         Bmx_check.Races.certify ~overflowed:(bad > 0)
           (Bmx_util.Trace_event.events log)
     | None ->
-        let cfg =
-          {
-            Driver.default with
-            nodes;
-            bunches;
-            objects_per_bunch = objects;
-            ops;
-            seed;
-            mode;
-          }
-        in
-        let d = Driver.setup cfg in
-        let c = Driver.cluster d in
-        Cluster.set_event_trace c true;
-        Driver.run_ops d ();
-        ignore (Cluster.collect_until_quiescent c ());
-        ignore (Cluster.drain c);
-        let log = Cluster.evlog c in
-        Printf.printf
-          "workload: %d nodes, %d bunches, %d ops (seed %d); certifying %d \
-           event(s)\n"
-          nodes bunches ops seed
-          (Bmx_util.Trace_event.length log);
+        let log = Cluster.evlog (traced_run s "certifying") in
         Bmx_check.Races.certify
           ~overflowed:(Bmx_util.Trace_event.overflowed log)
           (Bmx_util.Trace_event.events log)
@@ -753,19 +733,6 @@ let certify_cmd =
   let json =
     Arg.(value & flag & info [ "json" ] ~doc:"Emit the certificate as JSON")
   in
-  let nodes = Arg.(value & opt int 4 & info [ "nodes"; "n" ] ~doc:"Cluster size") in
-  let bunches = Arg.(value & opt int 4 & info [ "bunches"; "b" ] ~doc:"Bunch count") in
-  let objects =
-    Arg.(value & opt int 64 & info [ "objects" ] ~doc:"Objects per bunch")
-  in
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"Mutator operations") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Deterministic seed") in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Bmx_dsm.Protocol.Distributed
-      & info [ "mode" ] ~doc:"Copy-set mode: distributed or centralized")
-  in
   Cmd.v
     (Cmd.info "certify"
        ~doc:
@@ -773,10 +740,7 @@ let certify_cmd =
           vector-clock race detection, per-object read-mapping check, and \
           the GC non-interference erasure theorem (§5).  Exits 1 unless the \
           trace certifies clean")
-    Term.(
-      ret
-        (const run_certify $ trace_file $ json $ nodes $ bunches $ objects
-       $ ops $ seed $ mode))
+    Term.(ret (const run_certify $ trace_file $ json $ shape_term))
 
 (* --------------------------------------------------------------- report *)
 
@@ -802,30 +766,13 @@ let print_wire net stats =
     (Net.total_messages net + Net.total_coalesced net)
     (Net.total_bytes net)
 
-let run_report nodes bunches objects ops seed mode ggc drop dup fault_kinds
-    perfetto selfcheck since until series =
-  let cfg =
-    {
-      Driver.default with
-      nodes;
-      bunches;
-      objects_per_bunch = objects;
-      ops;
-      seed;
-      mode;
-    }
-  in
-  let d = Driver.setup cfg in
-  let c = Driver.cluster d in
-  Cluster.set_event_trace c true;
+let run_report ({ nodes; bunches; objects; ops; seed; _ } as s) ggc drop dup
+    fault_kinds perfetto selfcheck since until series =
+  let d, c = traced_setup s in
   let ts = Cluster.enable_timeseries c in
   let net = Cluster.net c in
   if drop > 0. || dup > 0. then
-    List.iteri
-      (fun i k ->
-        Bmx_netsim.Net.set_fault net ~kind:k ~drop ~dup
-          ~rng:(Rng.make (seed + 101 + i)))
-      (parse_fault_kinds fault_kinds);
+    set_faults net ~seed ~drop ~dup (parse_fault_kinds fault_kinds);
   Driver.run_ops d ();
   if drop > 0. || dup > 0. then Bmx_netsim.Net.clear_faults net;
   ignore (Cluster.collect_until_quiescent c ());
@@ -983,32 +930,6 @@ let run_report nodes bunches objects ops seed mode ggc drop dup fault_kinds
       exit 1
 
 let report_cmd =
-  let nodes = Arg.(value & opt int 4 & info [ "nodes"; "n" ] ~doc:"Cluster size") in
-  let bunches = Arg.(value & opt int 4 & info [ "bunches"; "b" ] ~doc:"Bunch count") in
-  let objects =
-    Arg.(value & opt int 64 & info [ "objects" ] ~doc:"Objects per bunch")
-  in
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"Mutator operations") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Deterministic seed") in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Bmx_dsm.Protocol.Distributed
-      & info [ "mode" ] ~doc:"Copy-set mode: distributed or centralized")
-  in
-  let ggc = Arg.(value & flag & info [ "ggc" ] ~doc:"Run a GGC at every node") in
-  let drop =
-    Arg.(
-      value & opt float 0.
-      & info [ "drop" ]
-          ~doc:"Drop probability for the faulted message kinds (0.0-1.0)")
-  in
-  let dup =
-    Arg.(
-      value & opt float 0.
-      & info [ "dup" ]
-          ~doc:"Duplication probability for the faulted message kinds")
-  in
   let fault_kinds =
     Arg.(
       value
@@ -1068,32 +989,18 @@ let report_cmd =
           non-interference verdict")
     Term.(
       ret
-        (const run_report $ nodes $ bunches $ objects $ ops $ seed $ mode $ ggc
-       $ drop $ dup $ fault_kinds $ perfetto $ selfcheck $ since $ until
-       $ series))
+        (const run_report $ shape_term $ ggc_term $ drop_term $ dup_term
+       $ fault_kinds $ perfetto $ selfcheck $ since $ until $ series))
 
 (* ---------------------------------------------------------------- watch *)
 
-let run_watch nodes bunches objects ops seed mode every =
-  let cfg =
-    {
-      Driver.default with
-      nodes;
-      bunches;
-      objects_per_bunch = objects;
-      ops;
-      seed;
-      mode;
-    }
-  in
-  let d = Driver.setup cfg in
-  let c = Driver.cluster d in
-  Cluster.set_event_trace c true;
+let run_watch s every =
+  let d, c = traced_setup s in
   let ts = Cluster.enable_timeseries c in
   let w = Bmx_obs.Timeseries.window ts in
   Printf.printf "watch: %d nodes, %d ops (seed %d); one row per %d window(s) \
                  of %d µsteps\n"
-    nodes ops seed every w;
+    s.nodes s.ops s.seed every w;
   Printf.printf "%12s %8s %10s %6s %12s %12s\n" "t1/µstep" "msgs" "bytes" "gcs"
     "p99.acq" "p99.pause";
   Bmx_obs.Timeseries.on_window ts (fun ts ->
@@ -1136,19 +1043,6 @@ let run_watch nodes bunches objects ops seed mode every =
     + Stats.get (Cluster.stats c) "dsm.gc.acquire_write")
 
 let watch_cmd =
-  let nodes = Arg.(value & opt int 4 & info [ "nodes"; "n" ] ~doc:"Cluster size") in
-  let bunches = Arg.(value & opt int 4 & info [ "bunches"; "b" ] ~doc:"Bunch count") in
-  let objects =
-    Arg.(value & opt int 64 & info [ "objects" ] ~doc:"Objects per bunch")
-  in
-  let ops = Arg.(value & opt int 2000 & info [ "ops" ] ~doc:"Mutator operations") in
-  let seed = Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Deterministic seed") in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv Bmx_dsm.Protocol.Distributed
-      & info [ "mode" ] ~doc:"Copy-set mode: distributed or centralized")
-  in
   let every =
     Arg.(
       value & opt int 10
@@ -1161,8 +1055,7 @@ let watch_cmd =
          "Run a workload with continuous sampling on and print a live text \
           dashboard — per-component traffic, collections and p99 latencies \
           per window of virtual time — as the run advances")
-    Term.(
-      const run_watch $ nodes $ bunches $ objects $ ops $ seed $ mode $ every)
+    Term.(const run_watch $ shape_term $ every)
 
 (* -------------------------------------------------------------- explore *)
 

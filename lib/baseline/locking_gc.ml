@@ -20,9 +20,3 @@ let token_sweep gc ~node ~bunches =
 let run gc ~node ~bunch =
   token_sweep gc ~node ~bunches:[ bunch ];
   Bmx_gc.Collect.run gc ~node ~bunches:[ bunch ] ~group_mode:false ()
-
-let run_world gc ~node =
-  let proto = Bmx_gc.Gc_state.proto gc in
-  let bunches = Store.mapped_bunches (Protocol.store proto node) in
-  token_sweep gc ~node ~bunches;
-  Bmx_gc.Collect.run gc ~node ~bunches ~group_mode:false ()

@@ -24,8 +24,3 @@ val run :
   Bmx_gc.Collect.report
 (** Collect the bunch at [node] the strongly-consistent way.  Raises like
     {!Bmx_dsm.Protocol.acquire} if some token is held. *)
-
-val run_world : Bmx_gc.Gc_state.t -> node:Bmx_util.Ids.Node.t -> Bmx_gc.Collect.report
-(** Collect every bunch mapped at [node] at once after a full token sweep
-    — the "entire address space at the same time" design §9 calls
-    unscalable; used for the flip/pause comparison (E7). *)

@@ -38,18 +38,6 @@ val union_reachable :
 val cached_anywhere : Cluster.t -> Bmx_util.Ids.Uid_set.t
 (** Uids with at least one cached copy on some node. *)
 
-val union_edges :
-  ?stable:stable_cell Bmx_util.Ids.Uid_tbl.t -> Cluster.t
-  -> Bmx_util.Ids.Uid_set.t ref Bmx_util.Ids.Uid_tbl.t
-(** The authoritative edge graph itself — uid to pointer-target uids,
-    each object's edges read from its owner's copy (stale-replica
-    fallback as in {!union_reachable}).  The workload driver seeds its
-    incremental reachability mirror from this exact graph, so the
-    mirror's baseline is the audit's, by construction. *)
-
-val root_uids : Cluster.t -> Bmx_util.Ids.Uid_set.t
-(** Every node's mutator roots, as uids. *)
-
 val lost_objects :
   ?stable:stable_cell Bmx_util.Ids.Uid_tbl.t -> Cluster.t
   -> Bmx_util.Ids.Uid_set.t

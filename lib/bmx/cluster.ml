@@ -17,7 +17,6 @@ type t = {
   net : (int -> unit) Net.t;
   stats : Stats.registry;
   obs : Bmx_obs.Metrics.t;
-  rng : Rng.t;
   mutable next_node : int;
   mutable next_bunch : int;
   mutable timeseries : Bmx_obs.Timeseries.t option;
@@ -32,7 +31,7 @@ type t = {
    simulator and need no retransmission. *)
 let default_reliable = [ Net.Scion_message; Net.Addr_update ]
 
-let create ?(nodes = 3) ?(shards = 1) ?mode ?update_policy ?(seed = 42)
+let create ?(nodes = 3) ?(shards = 1) ?mode ?update_policy ?seed:_
     ?(trace_events = false) ?(reliable = default_reliable) () =
   let stats = Stats.create_registry () in
   let net = Net.create ~stats () in
@@ -51,11 +50,11 @@ let create ?(nodes = 3) ?(shards = 1) ?mode ?update_policy ?(seed = 42)
   Protocol.set_metrics proto obs;
   Gc_state.set_metrics gc obs;
   (* Registry occupancy rides the maintained O(1) gauge — sampling must
-     never fold over segments (Perfcount.obs_sample_work stays flat as
+     never fold over segments (Perfcount.s_obs_sample_work stays flat as
      ranges are carved; test_registry asserts it). *)
   Bmx_obs.Metrics.gauge_fn obs "registry.bytes" (fun () ->
-      Perfcount.counters.Perfcount.obs_sample_work <-
-        Perfcount.counters.Perfcount.obs_sample_work + 1;
+      Perfcount.counters.Perfcount.s_obs_sample_work <-
+        Perfcount.counters.Perfcount.s_obs_sample_work + 1;
       Registry.total_bytes registry);
   Net.set_handler net (fun env -> env.Net.payload env.Net.seq);
   let t =
@@ -65,7 +64,6 @@ let create ?(nodes = 3) ?(shards = 1) ?mode ?update_policy ?(seed = 42)
       net;
       stats;
       obs;
-      rng = Rng.make seed;
       next_node = 0;
       next_bunch = 0;
       timeseries = None;
@@ -135,7 +133,6 @@ let enable_flight ?per_node ?max_dumps t =
       t.flight <- Some f;
       f
 
-let flight t = t.flight
 let proto t = t.proto
 let gc t = t.gc
 let net t = t.net
@@ -144,7 +141,6 @@ let metrics t = t.obs
 let evlog t = Protocol.evlog t.proto
 let set_event_trace t b = Trace_event.set_enabled (Protocol.evlog t.proto) b
 let events t = Trace_event.events (Protocol.evlog t.proto)
-let rng t = t.rng
 let nodes t = Protocol.nodes t.proto
 
 let add_node t =
@@ -352,7 +348,10 @@ let gc_round t =
             (* Peers that once received this node's tables keep getting
                rebroadcasts: that is the §6.1 retransmission that repairs
                losses without acknowledgements. *)
-            || Bmx_gc.Gc_state.last_broadcast_dests t.gc ~node ~bunch <> []))
+            ||
+            match Bmx_gc.Gc_state.find_broadcast_state t.gc ~node ~bunch with
+            | Some bs -> bs.Bmx_gc.Gc_state.bs_dests <> []
+            | None -> false))
           (Protocol.nodes t.proto)
       in
       List.iter

@@ -10,13 +10,6 @@
 
 type t
 
-val default_reliable : Bmx_netsim.Net.kind list
-(** [[Scion_message; Addr_update]] — the background messages that mutate
-    remote protocol state and therefore ride the reliable channel.  Stub
-    tables are deliberately {e not} in the set: §6.1's design point is
-    that rebroadcast plus the cleaner's per-(sender, bunch) freshness
-    check tolerate their loss without acknowledgements. *)
-
 val create :
   ?nodes:int ->
   ?shards:int ->
@@ -32,12 +25,17 @@ val create :
     ({!Bmx_memory.Registry}); shard [s] starts owned by node
     [s mod nodes], so with [shards = nodes] each bunch's home shard is
     its home node.  [mode] selects distributed (default) or centralized
-    copy-sets; [seed] feeds the deterministic generators.
+    copy-sets.  [seed] is ignored: the cluster itself draws no random
+    numbers.
     [trace_events] (default [false]) turns on the typed event log from
     the first operation so the whole run can be replayed through the
-    trace linter.  [reliable] (default {!default_reliable}) selects the
-    message kinds carried with acknowledgement + retransmission
-    semantics; pass [[]] for the bare §6.1 transport. *)
+    trace linter.  [reliable] selects the message kinds carried with
+    acknowledgement + retransmission semantics.  The default,
+    [[Scion_message; Addr_update]], is the background messages that
+    mutate remote protocol state; stub tables are deliberately left out,
+    since §6.1's rebroadcast plus the cleaner's per-(sender, bunch)
+    freshness check tolerate their loss.  Pass [[]] for the bare §6.1
+    transport. *)
 
 val proto : t -> Bmx_dsm.Protocol.t
 val gc : t -> Bmx_gc.Gc_state.t
@@ -64,8 +62,6 @@ val enable_flight :
 (** Attach a {!Bmx_obs.Flight} recorder to the event log (with the
     cluster metrics registry for dump snapshots).  Idempotent. *)
 
-val flight : t -> Bmx_obs.Flight.t option
-
 val evlog : t -> Bmx_util.Trace_event.log
 (** The typed event log shared by the protocol, the network and the
     collector — the input to the trace linter ([Bmx_check.Lint]). *)
@@ -76,7 +72,6 @@ val set_event_trace : t -> bool -> unit
 val events : t -> Bmx_util.Trace_event.t list
 (** Recorded typed events, oldest first. *)
 
-val rng : t -> Bmx_util.Rng.t
 val nodes : t -> Bmx_util.Ids.Node.t list
 
 val add_node : t -> Bmx_util.Ids.Node.t

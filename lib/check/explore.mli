@@ -49,13 +49,10 @@ val run :
     every leaf after the unused locals and before the final settle — a
     crash scenario uses it to guarantee recovery happens on schedules
     that never placed the recovery local.  [check] (default:
-    cluster-wide safety + token-discipline audit) runs on every settled
-    final state; the trace linter always runs.  [build] must be
-    deterministic and should create the cluster with
+    {!Bmx.Audit.check_safety} then {!Bmx.Audit.check_tokens}) runs on
+    every settled final state; the trace linter always runs.  [build]
+    must be deterministic and should create the cluster with
     [~trace_events:true] so the linter sees the whole history. *)
-
-val default_check : Bmx.Cluster.t -> (unit, string) result
-(** {!Bmx.Audit.check_safety} then {!Bmx.Audit.check_tokens}. *)
 
 (** A named scenario for [bmxctl explore]. *)
 type scenario = {

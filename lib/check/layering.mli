@@ -24,20 +24,10 @@ type finding = {
 
 val pp_finding : Format.formatter -> finding -> unit
 
-val forbidden_members : string list
-(** Member names of {!Bmx_dsm.Protocol} that the collector layer must not
-    call: [acquire], [release], [demand_fetch], [set_hooks]. *)
-
-val sanctioned : (string * string) list
-(** [(basename, member)] pairs exempt from the rule — the one place each
-    hook is legitimately installed. *)
-
 val scan_source : file:string -> string -> finding list
 (** Scan one file's contents.  [file] is used for reporting and for the
-    {!sanctioned} basename check. *)
-
-val scan_file : string -> finding list
-(** Read and {!scan_source} a file on disk. *)
+    basename check that exempts the one place each hook is legitimately
+    installed. *)
 
 val scan_dir : string -> finding list
 (** Scan every [.ml]/[.mli] file under a directory (recursively),

@@ -80,15 +80,10 @@ val rule_to_string : rule -> string
 val violation_to_string : violation -> string
 val pp_violation : Format.formatter -> violation -> unit
 
-val compare_violation : violation -> violation -> int
-(** Orders by trace position, then rule, then node, then text. *)
-
-val normalize : violation list -> violation list
-(** Sort by {!compare_violation} and drop duplicates — report order is
-    deterministic regardless of hashtable iteration order. *)
-
 val run : Bmx_util.Trace_event.t list -> violation list
-(** Replay the log; empty result means every checked invariant held. *)
+(** Replay the log; empty result means every checked invariant held.
+    Violations come sorted by trace position, then rule, node and text,
+    without duplicates, whatever the hashtable iteration order. *)
 
 val check_log : Bmx_util.Trace_event.log -> violation list
 (** The rules of {!run}, decoding the log one event at a time (no event

@@ -70,10 +70,6 @@ val certify : ?overflowed:bool -> Bmx_util.Trace_event.t list -> t
 val ok : t -> bool
 (** No findings. *)
 
-val races : t -> int
-val stale_reads : t -> int
-
-val kind_to_string : kind -> string
 val finding_to_string : finding -> string
 val pp_finding : Format.formatter -> finding -> unit
 

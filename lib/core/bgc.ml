@@ -36,9 +36,3 @@ let run ?(economical = false) t ~node ~bunch =
     Gc_state.sample_node_gauges t ~node;
     r
   end
-
-let run_all_replicas ?economical t ~bunch =
-  let proto = Gc_state.proto t in
-  List.map
-    (fun node -> run ?economical t ~node ~bunch)
-    (Bmx_dsm.Protocol.bunch_replica_nodes proto bunch)

@@ -22,10 +22,3 @@ val run :
     location-update churn.  Liveness is unaffected: any mutation,
     received deletion or crash bumps the epoch and the next collection
     runs in full. *)
-
-val run_all_replicas :
-  ?economical:bool -> Gc_state.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> Collect.report list
-(** Convenience for tests and benchmarks: run the BGC on every node that
-    caches the bunch, in node order (still one independent local
-    collection per replica). *)

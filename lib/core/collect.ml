@@ -22,18 +22,6 @@ type report = {
   r_tables_sent : int;
 }
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<h>gc@%a[%a]: roots=%d live=%d copied=%d scanned=%d reclaimed=%d \
-     updates=%d stubs=%d+%d exiting=%d msgs=%d@]"
-    Ids.Node.pp r.r_node
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",")
-       Ids.Bunch.pp)
-    r.r_bunches r.r_roots r.r_live r.r_copied r.r_scanned_in_place r.r_reclaimed
-    r.r_ref_updates r.r_new_inter_stubs r.r_new_intra_stubs r.r_exiting
-    r.r_tables_sent
-
 let bump ?by t name = Stats.incr ?by (Gc_state.stats t) name
 
 (* Per-object events are counted in locals and charged once per
@@ -174,7 +162,7 @@ let trace t ~node ~bunches ~in_set ~group_mode ~capacity ~exiting_for =
   let rec drain head =
     if head < tr.marked then begin
       let obj = Store.object_at store tr.order.(head) in
-      Perfcount.(counters.gc_objects_touched <- counters.gc_objects_touched + 1);
+      Perfcount.(counters.s_gc_objects_touched <- counters.s_gc_objects_touched + 1);
       for i = 0 to Heap_obj.num_fields obj - 1 do
         let r = Heap_obj.get_raw obj i in
         if Value.raw_is_pointer r then scan_ref obj (Value.raw_addr r)
@@ -236,11 +224,11 @@ let phase_name = function
 let charge_phase_ns phase ns =
   Perfcount.(
     match phase with
-    | P_trace -> counters.gc_ns_trace <- counters.gc_ns_trace + ns
-    | P_flip -> counters.gc_ns_flip <- counters.gc_ns_flip + ns
-    | P_copy -> counters.gc_ns_copy <- counters.gc_ns_copy + ns
-    | P_scan -> counters.gc_ns_scan <- counters.gc_ns_scan + ns
-    | P_reconcile -> counters.gc_ns_reconcile <- counters.gc_ns_reconcile + ns)
+    | P_trace -> counters.s_gc_ns_trace <- counters.s_gc_ns_trace + ns
+    | P_flip -> counters.s_gc_ns_flip <- counters.s_gc_ns_flip + ns
+    | P_copy -> counters.s_gc_ns_copy <- counters.s_gc_ns_copy + ns
+    | P_scan -> counters.s_gc_ns_scan <- counters.s_gc_ns_scan + ns
+    | P_reconcile -> counters.s_gc_ns_reconcile <- counters.s_gc_ns_reconcile + ns)
 
 let all_phases = [ P_trace; P_flip; P_copy; P_scan; P_reconcile ]
 
@@ -398,7 +386,7 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
       match Store.object_at store a with
       | exception Not_found -> ()
       | obj ->
-          Perfcount.(counters.gc_objects_touched <- counters.gc_objects_touched + 1);
+          Perfcount.(counters.s_gc_objects_touched <- counters.s_gc_objects_touched + 1);
           for i = 0 to Heap_obj.num_fields obj - 1 do
             let r = Heap_obj.get_raw obj i in
             if Value.raw_is_pointer r then begin

@@ -44,8 +44,6 @@ type report = {
           (payloads, not wire messages) *)
 }
 
-val pp_report : Format.formatter -> report -> unit
-
 val run :
   ?economical:bool ->
   Gc_state.t ->

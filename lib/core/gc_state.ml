@@ -16,11 +16,12 @@ open Bmx_util
    - [by_node] — scion tables: the stub side's node, which is what the
                  scion cleaner's per-sender sweeps query.
 
-   [key_count]/[touched] track the table at {e key} granularity: the
+   A table can also track itself at {e key} granularity, only where a
+   query reads it.  [key_count] counts the entries per key: the
    stream-relative edge for stub tables (see {!Ssp.inter_stub_edge}),
-   the global match key for inter-bunch scion tables.  The journal
-   records every key whose presence flipped since the last
-   {!rebase_stub_journal}, and the scion cleaner derives
+   the global match key for inter-bunch scion tables.  Stub tables also
+   keep [touched], the journal of every key whose presence flipped since
+   the last {!rebase_stub_journal}, and the scion cleaner derives
    reachability-table deltas from it (added = touched key still present,
    removed = touched key now absent).  Cumulative since the journal
    base, the delta applies correctly to a mirror in any state between
@@ -28,31 +29,35 @@ open Bmx_util
    that merely relocates targets (new addresses, same edges) journals
    nothing. *)
 
+type keys = Uncounted | Counted | Journalled
+
 type ('a, 'k) table = {
   key_uid : ('a -> Ids.Uid.t) option;
   key_node : ('a -> Ids.Node.t) option;
   key_of : 'a -> 'k;
+  keys : keys;
   mutable view : 'a list; (* newest first; may still hold dropped entries *)
   mutable stale : bool; (* [view] holds entries no longer in [members] *)
   members : ('a, unit) Hashtbl.t;
   by_uid : ('a, unit) Hashtbl.t Ids.Uid_tbl.t;
   by_node : ('a, unit) Hashtbl.t Ids.Node_tbl.t;
-  key_count : ('k, int) Hashtbl.t;
-  touched : ('k, unit) Hashtbl.t;
+  key_count : ('k, int) Hashtbl.t; (* empty unless [keys <> Uncounted] *)
+  touched : ('k, unit) Hashtbl.t; (* empty unless [keys = Journalled] *)
 }
 
-let t_make ?key_uid ?key_node ~key_of () =
+let t_make ?key_uid ?key_node ~key_of keys =
   {
     key_uid;
     key_node;
     key_of;
+    keys;
     view = [];
     stale = false;
     members = Hashtbl.create 16;
     by_uid = Ids.Uid_tbl.create 16;
     by_node = Ids.Node_tbl.create 8;
-    key_count = Hashtbl.create 16;
-    touched = Hashtbl.create 16;
+    key_count = Hashtbl.create (if keys = Uncounted then 1 else 16);
+    touched = Hashtbl.create (if keys = Journalled then 16 else 1);
   }
 
 let bucket_add tbl key item =
@@ -107,18 +112,24 @@ let t_index_remove tb item =
   | Some key -> nbucket_remove tb.by_node (key item) item
   | None -> ()
 
-let t_key_incr tb k =
-  let c = match Hashtbl.find_opt tb.key_count k with Some c -> c | None -> 0 in
-  Hashtbl.replace tb.key_count k (c + 1);
-  if c = 0 then Hashtbl.replace tb.touched k ()
+let t_key_incr tb x =
+  if tb.keys <> Uncounted then begin
+    let k = tb.key_of x in
+    let c = match Hashtbl.find_opt tb.key_count k with Some c -> c | None -> 0 in
+    Hashtbl.replace tb.key_count k (c + 1);
+    if c = 0 && tb.keys = Journalled then Hashtbl.replace tb.touched k ()
+  end
 
-let t_key_decr tb k =
-  match Hashtbl.find_opt tb.key_count k with
-  | None -> ()
-  | Some 1 ->
-      Hashtbl.remove tb.key_count k;
-      Hashtbl.replace tb.touched k ()
-  | Some c -> Hashtbl.replace tb.key_count k (c - 1)
+let t_key_decr tb x =
+  if tb.keys <> Uncounted then begin
+    let k = tb.key_of x in
+    match Hashtbl.find_opt tb.key_count k with
+    | None -> ()
+    | Some 1 ->
+        Hashtbl.remove tb.key_count k;
+        if tb.keys = Journalled then Hashtbl.replace tb.touched k ()
+    | Some c -> Hashtbl.replace tb.key_count k (c - 1)
+  end
 
 (* The insertion-ordered view, with the entries dropped since it was
    last read filtered out.  Removals only mark it stale, so a run of
@@ -139,17 +150,17 @@ let t_add tb item =
     tb.view <- item :: t_view tb;
     Hashtbl.replace tb.members item ();
     t_index_add tb item;
-    t_key_incr tb (tb.key_of item);
+    t_key_incr tb item;
     true
   end
 
 (* Drop one member from the set, the index and the key count (which
-   journals the key if this was its last entry), and mark the view
-   stale. *)
+   journals the key if this was its last entry and the table keeps a
+   journal), and mark the view stale. *)
 let t_drop tb x =
   Hashtbl.remove tb.members x;
   t_index_remove tb x;
-  t_key_decr tb (tb.key_of x);
+  t_key_decr tb x;
   tb.stale <- true
 
 (* Remove the entries whose peer is [node] and that satisfy [pred].  Only
@@ -187,11 +198,14 @@ let t_by_uid tb uid =
    ships each destination its own and the owner goes without saying).
    Coverage queries — the cleaner's §6.1 deletion test — are O(1) edge
    lookups; the (sender, bunch) the mirror is filed under supplies the
-   rest of each match key.  [mi_basis] identifies the full table the
-   mirror (and every delta the sender emits) builds on; a delta with a
-   different basis is unusable and triggers a resync. *)
+   rest of each match key.  [mi_seq] is the transport seq of the last
+   message processed on the stream, the cleaner's freshness clock.
+   [mi_basis] is the seq of the send the mirror's contents reflect (and
+   every delta the sender emits builds on); a delta with a different
+   basis is unusable and triggers a resync. *)
 
 type mirror = {
+  mutable mi_seq : int;
   mutable mi_basis : int;
   mi_inter : (Ssp.inter_edge, unit) Hashtbl.t;
   mi_intra : (Ssp.intra_edge, unit) Hashtbl.t;
@@ -205,6 +219,14 @@ type mirror = {
 type exiting_slot = {
   ex_cur : bool Ids.Uid_tbl.t;
   ex_touched : unit Ids.Uid_tbl.t;
+}
+
+(* The sender side of a bunch's table streams at one node. *)
+type broadcast_state = {
+  mutable bs_round : int;
+  mutable bs_dests : Ids.Node.t list;
+  bs_sent : (int * int) Ids.Node_tbl.t;
+  bs_exiting : exiting_slot Ids.Node_tbl.t;
 }
 
 (* Per sender, how many mirrored inter-bunch edges (over all of the
@@ -229,16 +251,10 @@ type node_state = {
   inter_scions : (Ssp.inter_scion, Ssp.inter_key) table Ids.Bunch_tbl.t;
       (* by target bunch *)
   intra_scions : (Ssp.intra_scion, unit) table Ids.Bunch_tbl.t;
-  last_seq : (Ids.Node.t * Ids.Bunch.t, int) Hashtbl.t;
-  last_dests : Ids.Node.t list ref Ids.Bunch_tbl.t;
-  (* Delta-table state.  Sender side: which basis (full-table id) each
-     destination is believed to hold, and how many broadcasts happened
-     since the journal base.  Receiver side: the mirrors. *)
-  dest_basis : (Ids.Bunch.t * Ids.Node.t, int * int) Hashtbl.t;
-  since_rebase : int ref Ids.Bunch_tbl.t;
+  broadcasts : broadcast_state Ids.Bunch_tbl.t; (* sender side, by bunch *)
   mirrors : (Ids.Node.t * Ids.Bunch.t, mirror) Hashtbl.t;
+      (* receiver side, by (sender, bunch) *)
   claims : claims;
-  exiting : exiting_slot Ids.Node_tbl.t Ids.Bunch_tbl.t; (* by bunch, owner *)
 }
 
 type t = {
@@ -256,22 +272,24 @@ let metrics t = t.obs
 let make_inter_stub_table () =
   t_make
     ~key_uid:(fun (s : Ssp.inter_stub) -> s.Ssp.is_src_uid)
-    ~key_of:Ssp.inter_stub_edge ()
+    ~key_of:Ssp.inter_stub_edge Journalled
 
 let make_intra_stub_table () =
   t_make
     ~key_uid:(fun (s : Ssp.intra_stub) -> s.Ssp.ns_uid)
-    ~key_of:Ssp.intra_stub_edge ()
+    ~key_of:Ssp.intra_stub_edge Journalled
 
+(* [has_inter_scion] reads the key count; no query reads an intra-bunch
+   scion table's keys. *)
 let make_inter_scion_table () =
   t_make
     ~key_node:(fun (s : Ssp.inter_scion) -> s.Ssp.xs_src_node)
-    ~key_of:Ssp.inter_scion_key ()
+    ~key_of:Ssp.inter_scion_key Counted
 
 let make_intra_scion_table () =
   t_make
     ~key_node:(fun (s : Ssp.intra_scion) -> s.Ssp.xn_owner_side)
-    ~key_of:(fun _ -> ()) ()
+    ~key_of:(fun _ -> ()) Uncounted
 
 let node_state t node =
   match Ids.Node_tbl.find_opt t.per_node node with
@@ -286,13 +304,9 @@ let node_state t node =
           intra_stubs = Ids.Bunch_tbl.create 8;
           inter_scions = Ids.Bunch_tbl.create 8;
           intra_scions = Ids.Bunch_tbl.create 8;
-          last_seq = Hashtbl.create 16;
-          last_dests = Ids.Bunch_tbl.create 8;
-          dest_basis = Hashtbl.create 16;
-          since_rebase = Ids.Bunch_tbl.create 8;
+          broadcasts = Ids.Bunch_tbl.create 8;
           mirrors = Hashtbl.create 16;
           claims = Ids.Node_tbl.create 8;
-          exiting = Ids.Bunch_tbl.create 8;
         }
       in
       Ids.Node_tbl.add t.per_node node ns;
@@ -301,9 +315,9 @@ let node_state t node =
 let crash_node t ~node =
   (* GC tables are volatile per-node state (they are reconstructed by
      every local collection, §4.3): a crash loses roots, stub and scion
-     tables, the cleaner's per-sender freshness clocks, the broadcast
-     bookkeeping, the delta-table mirrors with their claim counts, and
-     the journals alike.  The entry regenerates lazily, empty. *)
+     tables, both sides of every cleaner stream (the broadcast records
+     with their journals, the mirrors with their freshness seqs) and the
+     claim counts alike.  The entry regenerates lazily, empty. *)
   Ids.Node_tbl.remove t.per_node node
 
 let add_root t ~node a =
@@ -500,26 +514,31 @@ let split_touched tb =
       else (added, k :: removed))
     tb.touched ([], [])
 
-let exiting_slots ns bunch =
-  match Ids.Bunch_tbl.find_opt ns.exiting bunch with
-  | Some slots -> slots
+let find_broadcast_state t ~node ~bunch =
+  Ids.Bunch_tbl.find_opt (node_state t node).broadcasts bunch
+
+let broadcast_state t ~node ~bunch =
+  match find_broadcast_state t ~node ~bunch with
+  | Some bs -> bs
   | None ->
-      let slots = Ids.Node_tbl.create 8 in
-      Ids.Bunch_tbl.add ns.exiting bunch slots;
-      slots
+      let bs =
+        {
+          bs_round = 0;
+          bs_dests = [];
+          bs_sent = Ids.Node_tbl.create 8;
+          bs_exiting = Ids.Node_tbl.create 8;
+        }
+      in
+      Ids.Bunch_tbl.add (node_state t node).broadcasts bunch bs;
+      bs
 
-let find_exiting_slot t ~node ~bunch ~owner =
-  match Ids.Bunch_tbl.find_opt (node_state t node).exiting bunch with
-  | Some slots -> Ids.Node_tbl.find_opt slots owner
-  | None -> None
-
-let note_exiting t ~node ~bunch exiting =
+let note_exiting bs exiting =
   (* Reflect the list the BGC just produced in the journal, in place:
      mark every listed entry (adding and journalling the new ones), then
      drop and journal the unmarked ones.  Every entry whose presence
      flips is marked touched, so cumulative deltas also cover entries
      that appeared and vanished again between two rebases. *)
-  let slots = exiting_slots (node_state t node) bunch in
+  let slots = bs.bs_exiting in
   List.iter
     (fun (uid, owner) ->
       let slot =
@@ -548,27 +567,24 @@ let note_exiting t ~node ~bunch exiting =
         slot.ex_cur)
     slots
 
-let exiting_owners t ~node ~bunch =
-  match Ids.Bunch_tbl.find_opt (node_state t node).exiting bunch with
-  | None -> []
-  | Some slots ->
-      Ids.Node_tbl.fold
-        (fun owner slot acc ->
-          if Ids.Uid_tbl.length slot.ex_cur > 0 then owner :: acc else acc)
-        slots []
+let exiting_owners bs =
+  Ids.Node_tbl.fold
+    (fun owner slot acc ->
+      if Ids.Uid_tbl.length slot.ex_cur > 0 then owner :: acc else acc)
+    bs.bs_exiting []
 
-let exiting_to t ~node ~bunch ~owner =
-  match find_exiting_slot t ~node ~bunch ~owner with
+let exiting_to bs ~owner =
+  match Ids.Node_tbl.find_opt bs.bs_exiting owner with
   | None -> []
   | Some slot -> Ids.Uid_tbl.fold (fun uid _ acc -> uid :: acc) slot.ex_cur []
 
-let exiting_count_to t ~node ~bunch ~owner =
-  match find_exiting_slot t ~node ~bunch ~owner with
+let exiting_count_to bs ~owner =
+  match Ids.Node_tbl.find_opt bs.bs_exiting owner with
   | None -> 0
   | Some slot -> Ids.Uid_tbl.length slot.ex_cur
 
-let exiting_delta_to t ~node ~bunch ~owner =
-  match find_exiting_slot t ~node ~bunch ~owner with
+let exiting_delta_to bs ~owner =
+  match Ids.Node_tbl.find_opt bs.bs_exiting owner with
   | None -> ([], [])
   | Some slot ->
       Ids.Uid_tbl.fold
@@ -577,13 +593,13 @@ let exiting_delta_to t ~node ~bunch ~owner =
         slot.ex_touched ([], [])
 
 let current_exiting t ~node ~bunch =
-  match Ids.Bunch_tbl.find_opt (node_state t node).exiting bunch with
+  match find_broadcast_state t ~node ~bunch with
   | None -> []
-  | Some slots ->
+  | Some bs ->
       Ids.Node_tbl.fold
         (fun owner slot acc ->
           Ids.Uid_tbl.fold (fun uid _ acc -> (uid, owner) :: acc) slot.ex_cur acc)
-        slots []
+        bs.bs_exiting []
 
 let stub_delta t ~node ~bunch =
   let ns = node_state t node in
@@ -603,12 +619,9 @@ let stub_delta t ~node ~bunch =
     sd_add_intra = add_intra;
     sd_del_intra = del_intra;
     sd_exiting_flips =
-      (match Ids.Bunch_tbl.find_opt ns.exiting bunch with
-      | None -> 0
-      | Some slots ->
-          Ids.Node_tbl.fold
-            (fun _ slot n -> n + Ids.Uid_tbl.length slot.ex_touched)
-            slots 0);
+      Ids.Node_tbl.fold
+        (fun _ slot n -> n + Ids.Uid_tbl.length slot.ex_touched)
+        (broadcast_state t ~node ~bunch).bs_exiting 0;
   }
 
 let rebase_stub_journal t ~node ~bunch =
@@ -619,29 +632,14 @@ let rebase_stub_journal t ~node ~bunch =
   (match Ids.Bunch_tbl.find_opt ns.intra_stubs bunch with
   | Some tb -> Hashtbl.reset tb.touched
   | None -> ());
+  let bs = broadcast_state t ~node ~bunch in
   (* An owner whose last entry went has nothing left to journal. *)
-  (match Ids.Bunch_tbl.find_opt ns.exiting bunch with
-  | Some slots ->
-      Ids.Node_tbl.filter_map_inplace
-        (fun _ slot ->
-          Ids.Uid_tbl.reset slot.ex_touched;
-          if Ids.Uid_tbl.length slot.ex_cur = 0 then None else Some slot)
-        slots
-  | None -> ());
-  match Ids.Bunch_tbl.find_opt ns.since_rebase bunch with
-  | Some r -> incr r
-  | None -> Ids.Bunch_tbl.add ns.since_rebase bunch (ref 1)
-
-let broadcast_round t ~node ~bunch =
-  match Ids.Bunch_tbl.find_opt (node_state t node).since_rebase bunch with
-  | Some r -> !r
-  | None -> 0
-
-let dest_basis t ~node ~bunch ~dest =
-  Hashtbl.find_opt (node_state t node).dest_basis (bunch, dest)
-
-let record_dest_basis t ~node ~bunch ~dest ~round ~basis =
-  Hashtbl.replace (node_state t node).dest_basis (bunch, dest) (round, basis)
+  Ids.Node_tbl.filter_map_inplace
+    (fun _ slot ->
+      Ids.Uid_tbl.reset slot.ex_touched;
+      if Ids.Uid_tbl.length slot.ex_cur = 0 then None else Some slot)
+    bs.bs_exiting;
+  bs.bs_round <- bs.bs_round + 1
 
 (* ------------------------------------------------------------------ *)
 (* Delta-table mirrors (receiver side).                                *)
@@ -668,10 +666,11 @@ let claim_decr ns sender (_, target) =
       | c -> Ids.Uid_tbl.replace tbl target (c - 1)
       | exception Not_found -> ())
 
-let mirror_reset t ~node ~sender ~bunch ~basis ~inter ~intra ~exiting =
+let mirror_reset t ~node ~sender ~bunch ~seq ~basis ~inter ~intra ~exiting =
   let ns = node_state t node in
   let m =
     {
+      mi_seq = seq;
       mi_basis = basis;
       mi_inter = Hashtbl.create (max 16 (2 * List.length inter));
       mi_intra = Hashtbl.create (max 16 (2 * List.length intra));
@@ -725,10 +724,12 @@ let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
       List.iter (fun uid -> Ids.Uid_tbl.replace m.mi_exiting uid ()) add_exiting;
       (* Basis chaining: this message's transport seq is what the
          sender's next delta on this stream will name as its basis. *)
+      m.mi_seq <- seq;
       m.mi_basis <- seq;
       true
   | Some _ | None -> false
 
+let mirror_seq m = m.mi_seq
 let mirror_has_inter m edge = Hashtbl.mem m.mi_inter edge
 let mirror_has_intra m edge = Hashtbl.mem m.mi_intra edge
 let mirror_has_exiting m uid = Ids.Uid_tbl.mem m.mi_exiting uid
@@ -743,30 +744,6 @@ let mirror_claims_target t ~node ~sender uid =
 
 (* ------------------------------------------------------------------ *)
 
-let last_broadcast_dests t ~node ~bunch =
-  match Ids.Bunch_tbl.find_opt (node_state t node).last_dests bunch with
-  | Some r -> !r
-  | None -> []
-
-let record_broadcast_dests t ~node ~bunch dests =
-  Ids.Bunch_tbl.replace (node_state t node).last_dests bunch (ref dests)
-
-let last_table_seq t ~node ~sender ~bunch =
-  Hashtbl.find_opt (node_state t node).last_seq (sender, bunch)
-
-let record_table_seq t ~node ~sender ~bunch ~seq =
-  Hashtbl.replace (node_state t node).last_seq (sender, bunch) seq
-
-let bunches_with_tables t ~node =
-  let ns = node_state t node in
-  let collect tbl acc =
-    Ids.Bunch_tbl.fold (fun b _ acc -> Ids.Bunch_set.add b acc) tbl acc
-  in
-  Ids.Bunch_set.elements
-    (collect ns.inter_stubs
-       (collect ns.intra_stubs
-          (collect ns.inter_scions (collect ns.intra_scions Ids.Bunch_set.empty))))
-
 let tbl_total tbl =
   Ids.Bunch_tbl.fold (fun _ tb acc -> acc + Hashtbl.length tb.members) tbl 0
 
@@ -778,8 +755,8 @@ let sample_ssp_gauges t ~node =
       let set name v = Bmx_obs.Metrics.set_gauge m ~node name v in
       (* [tbl_total] folds over per-bunch tables — O(bunches), never
          O(entries), and bunches don't grow with the heap. *)
-      Bmx_util.Perfcount.counters.Bmx_util.Perfcount.obs_sample_work <-
-        Bmx_util.Perfcount.counters.Bmx_util.Perfcount.obs_sample_work
+      Bmx_util.Perfcount.counters.Bmx_util.Perfcount.s_obs_sample_work <-
+        Bmx_util.Perfcount.counters.Bmx_util.Perfcount.s_obs_sample_work
         + Ids.Bunch_tbl.length ns.inter_stubs
         + Ids.Bunch_tbl.length ns.intra_stubs
         + Ids.Bunch_tbl.length ns.inter_scions
@@ -792,7 +769,7 @@ let sample_ssp_gauges t ~node =
 (* Sampled at every GC / cleaner completion: must stay O(1) in the heap.
    The store maintains object, byte and segment counters on
    install/remove, so no iteration happens here — the complexity tests
-   assert via [Perfcount.obs_sample_work] that sampling cost does not
+   assert via [Perfcount.s_obs_sample_work] that sampling cost does not
    scale with the object population. *)
 let sample_node_gauges t ~node =
   match t.obs with
@@ -801,30 +778,9 @@ let sample_node_gauges t ~node =
       let store = Bmx_dsm.Protocol.store t.proto node in
       let module Store = Bmx_memory.Store in
       let set name v = Bmx_obs.Metrics.set_gauge m ~node name v in
-      Bmx_util.Perfcount.counters.Bmx_util.Perfcount.obs_sample_work <-
-        Bmx_util.Perfcount.counters.Bmx_util.Perfcount.obs_sample_work + 3;
+      Bmx_util.Perfcount.counters.Bmx_util.Perfcount.s_obs_sample_work <-
+        Bmx_util.Perfcount.counters.Bmx_util.Perfcount.s_obs_sample_work + 3;
       set "gc.heap.objects" (Store.object_count store);
       set "gc.heap.bytes" (Store.objects_bytes store);
       set "gc.heap.segments" (Store.segment_count store);
       sample_ssp_gauges t ~node
-
-let pp_node t ppf node =
-  let ns = node_state t node in
-  Format.fprintf ppf "@[<v>node %a gc-state:@," Ids.Node.pp node;
-  Ids.Bunch_tbl.iter
-    (fun _ tb ->
-      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_inter_stub s) (t_view tb))
-    ns.inter_stubs;
-  Ids.Bunch_tbl.iter
-    (fun _ tb ->
-      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_intra_stub s) (t_view tb))
-    ns.intra_stubs;
-  Ids.Bunch_tbl.iter
-    (fun _ tb ->
-      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_inter_scion s) (t_view tb))
-    ns.inter_scions;
-  Ids.Bunch_tbl.iter
-    (fun _ tb ->
-      List.iter (fun s -> Format.fprintf ppf "  %a@," Ssp.pp_intra_scion s) (t_view tb))
-    ns.intra_scions;
-  Format.fprintf ppf "@]"

@@ -1,11 +1,9 @@
 (** Per-node garbage-collection state: stub and scion tables, mutator
-    roots, and the FIFO bookkeeping of the scion cleaner (§3, §6.1).
+    roots, and both sides of the scion cleaner's table streams (§3, §6.1).
 
     Tables are held per node per bunch — every cached copy of a bunch
     carries its own stub table and scion table (§3), which is what makes a
     replica collectable in isolation. *)
-
-type node_state
 
 type t
 
@@ -18,7 +16,8 @@ val set_metrics : t -> Bmx_obs.Metrics.t -> unit
 
 val metrics : t -> Bmx_obs.Metrics.t option
 
-val sample_node_gauges : t -> node:Bmx_util.Ids.Node.t -> unit(** Refresh the per-node occupancy gauges after a collection:
+val sample_node_gauges : t -> node:Bmx_util.Ids.Node.t -> unit
+(** Refresh the per-node occupancy gauges after a collection:
     [gc.heap.objects], [gc.heap.segments], [gc.stubs.inter/intra] and
     [gc.scion_table.inter/intra].  No-op without {!set_metrics}. *)
 
@@ -26,33 +25,27 @@ val sample_ssp_gauges : t -> node:Bmx_util.Ids.Node.t -> unit
 (** Refresh just the stub/scion-table gauges (the cleaner calls this
     after pruning tables outside any collection). *)
 
-val dirty_epoch : t -> node:Bmx_util.Ids.Node.t -> int
-(** Composite mutation epoch of everything a local collection at [node]
-    reads: store content, directory records/ownership/entering entries,
-    GC roots and scion tables.  Monotone within a node's lifetime;
-    deliberately NOT advanced by the bookkeeping a collection writes
-    about itself (stub tables, exiting journals, broadcast bases), so a
-    collection leaves the epoch where its own copies/reclaims put it. *)
-
 val bgc_clean : t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> bool
-(** Whether the epoch is unchanged since the end of the last recorded
-    collection of [bunch] at [node] — in which case collecting again
-    would recompute the identical live set, reclaim nothing, and
-    rebroadcast identical tables. *)
+(** Whether [node]'s dirtiness epoch is unchanged since the end of the
+    last recorded collection of [bunch] there — in which case collecting
+    again would recompute the identical live set, reclaim nothing, and
+    rebroadcast identical tables.  The epoch composes everything a local
+    collection reads: store content, directory records/ownership/entering
+    entries, GC roots and scion tables.  It is monotone within a node's
+    lifetime and deliberately NOT advanced by the bookkeeping a
+    collection writes about itself (stub tables, exiting journals,
+    broadcast records), so a collection leaves the epoch where its own
+    copies/reclaims put it. *)
 
 val note_bgc_epoch :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> unit
 (** Record the current epoch as the post-collection state of
     [bunch]@[node]; pairs with {!bgc_clean}. *)
 
-
-val node_state : t -> Bmx_util.Ids.Node.t -> node_state
-(** Created lazily per node. *)
-
 val crash_node : t -> node:Bmx_util.Ids.Node.t -> unit
-(** Drop the node's whole GC state (roots, SSP tables, cleaner
-    freshness clocks, broadcast bookkeeping) — it died with the node's
-    volatile memory.  The state regenerates lazily, empty. *)
+(** Drop the node's whole GC state (roots, SSP tables, both sides of
+    every cleaner stream) — it died with the node's volatile memory.
+    The state regenerates lazily, empty. *)
 
 (** {1 Mutator roots}
 
@@ -178,38 +171,66 @@ val has_inter_scion :
 (** Does [node] hold a scion for [bunch] with this match key?  One hash
     lookup; allocates nothing. *)
 
-(** {1 Broadcast destinations} *)
+(** {1 Cleaner streams (§6.1)}
 
-val last_broadcast_dests :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> Bmx_util.Ids.Node.t list
-(** Where the previous reachability broadcast for the bunch went.  A
-    resend after a loss must still reach peers whose scions the replaced
-    tables no longer mention (§6.1's retransmission tolerance). *)
-
-val record_broadcast_dests :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> Bmx_util.Ids.Node.t list -> unit
-
-(** {1 Delta reachability tables (§6.1, PR 4)}
+    A node sends its reachability tables for a bunch to every peer that
+    needs them; each (sender, bunch) pair is one stream per destination.
+    A stream has one record on each side: the sender's
+    {!broadcast_state} for the bunch, shared by its destinations, and
+    each receiver's {!mirror}.
 
     The cleaner ships table {e diffs} instead of full tables whenever a
     destination is known to sit on the previous round's basis.  The
-    sender side journals every edge whose table presence flipped since
-    the last {!rebase_stub_journal}; {!stub_delta} materialises the
-    diff (covering {e every} touched key, so it is correct against any
+    sender journals every edge whose table presence flipped since the
+    last {!rebase_stub_journal}; {!stub_delta} materialises the diff
+    (covering {e every} touched key, so it is correct against any
     mirror state reached between the journal base and now).  The journal
     is rebased after every broadcast round; bases chain per message —
     each message's transport seq is the basis the next delta on that
     stream names, and a mismatch (loss, restart) makes the receiver pull
-    a resync over the unreliable [Stub_table] channel.  The receiver
-    side keeps per-(sender, bunch) mirrors keyed by basis id, holding
-    the same edges.
+    a resync over the unreliable [Stub_table] channel.
+
+    {b Resync basis rule.}  A pull observes the sender's current tables,
+    which are the tables of its latest send to the receiver (tables
+    change only at a BGC, which broadcasts at once).  So a resynced
+    mirror's basis is that send's seq ([bs_sent]), never the triggering
+    message's own seq.  An older delta still in flight then names a
+    basis the mirror does not sit on and resyncs again; with the
+    trigger's seq as basis, the next one would be applied on top of the
+    newer tables.
 
     The exiting-ownerPtr list (§4.3) is journalled per owner: an entry
     (uid, owner) says "I hold a live replica of uid and believe [owner]
     owns it", and only that owner reads it, so each destination is sent
     the uids of its own slot and nothing else. *)
+
+type exiting_slot
+(** One owner's share of a bunch's exiting-ownerPtr journal. *)
+
+type broadcast_state = {
+  mutable bs_round : int;
+      (** broadcast rounds completed; {!rebase_stub_journal} advances it *)
+  mutable bs_dests : Bmx_util.Ids.Node.t list;
+      (** where the previous round went.  A resend after a loss must
+          still reach peers whose scions the replaced tables no longer
+          mention (§6.1's retransmission tolerance). *)
+  bs_sent : (int * int) Bmx_util.Ids.Node_tbl.t;
+      (** per destination, the [(round, seq)] of the last table message
+          sent to it.  The destination is eligible for a delta only if
+          [round] is the round just before the current one: otherwise it
+          missed a round, and the journal no longer covers the gap. *)
+  bs_exiting : exiting_slot Bmx_util.Ids.Node_tbl.t;  (** by owner *)
+}
+(** The sender side of a bunch's streams at one node. *)
+
+val broadcast_state :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> broadcast_state
+(** Created lazily, empty. *)
+
+val find_broadcast_state :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> broadcast_state option
+(** {!broadcast_state} without creating one. *)
 
 type stub_delta = {
   sd_add_inter : Ssp.inter_edge list;
@@ -222,32 +243,25 @@ type stub_delta = {
 }
 
 val note_exiting :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list -> unit
+  broadcast_state -> (Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list -> unit
 (** Reflect the exiting-ownerPtr list the BGC just produced in the
     per-owner journal, in place: entries whose presence flips get marked
     touched, exactly like stub-table edges.  Call before {!stub_delta}. *)
 
-val exiting_owners :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> Bmx_util.Ids.Node.t list
+val exiting_owners : broadcast_state -> Bmx_util.Ids.Node.t list
 (** The owners the journalled list names, in no particular order.  Read
     before {!note_exiting}, these are the owners of the previous list. *)
 
-val exiting_to :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> owner:Bmx_util.Ids.Node.t -> Bmx_util.Ids.Uid.t list
+val exiting_to : broadcast_state -> owner:Bmx_util.Ids.Node.t -> Bmx_util.Ids.Uid.t list
 (** The journalled entries addressed to [owner], as bare uids: what a
     full or a resync pull carries to [owner].  One slot lookup. *)
 
-val exiting_count_to :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> owner:Bmx_util.Ids.Node.t -> int
+val exiting_count_to : broadcast_state -> owner:Bmx_util.Ids.Node.t -> int
 (** The length of {!exiting_to}, O(1). *)
 
 val exiting_delta_to :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> owner:Bmx_util.Ids.Node.t -> Bmx_util.Ids.Uid.t list * Bmx_util.Ids.Uid.t list
+  broadcast_state -> owner:Bmx_util.Ids.Node.t
+  -> Bmx_util.Ids.Uid.t list * Bmx_util.Ids.Uid.t list
 (** [owner]'s entries touched since the journal base that are still
     present (adds) or now absent (dels): the exiting part of [owner]'s
     delta.  One slot lookup. *)
@@ -268,41 +282,42 @@ val stub_delta :
 val rebase_stub_journal :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> unit
 (** Close the current broadcast round: clear the journal and advance
-    {!broadcast_round}.  Call after every round's sends — the next
-    round's deltas cover exactly one round of churn. *)
+    [bs_round].  Call after every round's sends — the next round's
+    deltas cover exactly one round of churn. *)
 
-val broadcast_round :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
-(** How many broadcast rounds this bunch has completed at [node].
-    Resets only when the node crashes (state dies with it). *)
+type mirror
+(** The receiver side of one stream: [node]'s reassembly of the
+    (sender, bunch) tables — the edge sets of the sender's stub tables
+    and the uids of the sender's exiting entries addressed to [node] —
+    with the stream's freshness clock and delta basis.  An edge with the
+    stream's sender and bunch is the global match key
+    ({!Ssp.inter_key_of_edge}, {!Ssp.intra_key_of_edge}). *)
 
-val dest_basis :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> dest:Bmx_util.Ids.Node.t -> (int * int) option
-(** The [(round, seq)] of the last table message sent to [dest] for
-    [bunch] — [None] until a first send.  [dest] is eligible for a
-    delta only if [round] is the round just before the current one
-    (otherwise it missed a round and the journal no longer covers the
-    gap). *)
+val mirror :
+  t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
+  -> bunch:Bmx_util.Ids.Bunch.t -> mirror option
 
-val record_dest_basis :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> dest:Bmx_util.Ids.Node.t -> round:int -> basis:int -> unit
+val mirror_seq : mirror -> int
+(** The transport seq of the last message processed on the stream: the
+    cleaner's per-(sender, bunch) freshness clock (§6.1).  A message at
+    or below it is stale. *)
 
 val mirror_reset :
   t ->
   node:Bmx_util.Ids.Node.t ->
   sender:Bmx_util.Ids.Node.t ->
   bunch:Bmx_util.Ids.Bunch.t ->
+  seq:int ->
   basis:int ->
   inter:Ssp.inter_edge list ->
   intra:Ssp.intra_edge list ->
   exiting:Bmx_util.Ids.Uid.t list ->
   unit
-(** Install a full table received from [sender] as the new mirror, with
-    the sender's exiting entries addressed to [node].  The shipped edges
-    go in as they are, so every mirror of one broadcast shares the
-    sender's edge pairs. *)
+(** Install the sender's tables, as message [seq] delivered them, as the
+    new mirror with the sender's exiting entries addressed to [node]: a
+    full table ([basis] = [seq]) or a resync pull ([basis] by the resync
+    basis rule above).  The shipped edges go in as they are, so every
+    mirror of one broadcast shares the sender's edge pairs. *)
 
 val mirror_apply :
   t ->
@@ -318,21 +333,10 @@ val mirror_apply :
   add_exiting:Bmx_util.Ids.Uid.t list ->
   del_exiting:Bmx_util.Ids.Uid.t list ->
   bool
-(** Apply a delta and advance the mirror basis to [seq] (the transport
-    seq that delivered it — the basis the sender's next delta names);
-    [false] (and no change) if there is no mirror or its basis differs
-    from [basis] — the caller must resync. *)
-
-type mirror
-(** [node]'s reassembly of one (sender, bunch) stream: the edge sets of
-    the sender's stub tables and the uids of the sender's exiting
-    entries addressed to [node].  An edge with the stream's sender and
-    bunch is the global match key ({!Ssp.inter_key_of_edge},
-    {!Ssp.intra_key_of_edge}). *)
-
-val mirror :
-  t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> bunch:Bmx_util.Ids.Bunch.t -> mirror option
+(** Apply a delta and advance the mirror's seq and basis to [seq] (the
+    transport seq that delivered it — the basis the sender's next delta
+    names); [false] (and no change) if there is no mirror or its basis
+    differs from [basis] — the caller must resync. *)
 
 val mirror_has_inter : mirror -> Ssp.inter_edge -> bool
 (** Does the mirrored table hold a stub with this edge (the cleaner's
@@ -361,18 +365,3 @@ val mirror_claims_target :
     retired while the claimant's stub survives.  One lookup in a
     per-(sender, target) count of mirrored edges that {!mirror_reset}
     and {!mirror_apply} maintain; a crash wipes it with the mirrors. *)
-
-(** {1 Scion-cleaner FIFO state (§6.1)} *)
-
-val last_table_seq :
-  t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> bunch:Bmx_util.Ids.Bunch.t -> int option
-
-val record_table_seq :
-  t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> bunch:Bmx_util.Ids.Bunch.t -> seq:int -> unit
-
-(** {1 Introspection} *)
-
-val bunches_with_tables : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Ids.Bunch.t list
-val pp_node : t -> Format.formatter -> Bmx_util.Ids.Node.t -> unit

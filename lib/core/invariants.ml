@@ -3,6 +3,10 @@ module Net = Bmx_netsim.Net
 module Protocol = Bmx_dsm.Protocol
 module Store = Bmx_memory.Store
 
+(* The hook body: if the old owner holds inter-bunch stubs for the
+   object, or an intra-bunch stub naming the node that does, create the
+   intra-bunch SSP linking the new owner to each such stub holder (§3.2,
+   §5 invariant 3). *)
 let on_write_transfer t ~granter ~requester ~uid =
   let proto = Gc_state.proto t in
   match Store.bunch_of_uid (Protocol.store proto granter) uid with

@@ -10,16 +10,3 @@
 
 val install : Gc_state.t -> unit
 (** Register the invariant-3 hook with the state's protocol. *)
-
-val on_write_transfer :
-  Gc_state.t ->
-  granter:Bmx_util.Ids.Node.t ->
-  requester:Bmx_util.Ids.Node.t ->
-  uid:Bmx_util.Ids.Uid.t ->
-  unit
-(** The hook body, exposed for direct testing: if the old owner holds
-    inter-bunch stubs for the object, or an intra-bunch stub naming the
-    node that does, create the intra-bunch SSP linking the new owner to
-    each such stub holder (§3.2, §5 invariant 3).  Scion creation at the
-    granter and the stub-creation request to the requester ride the
-    token-grant exchange (piggybacked, no extra message). *)

@@ -100,8 +100,8 @@ let sync_mirror t ~at ~seq msg =
   let sender = msg.tm_sender and bunch = msg.tm_bunch in
   match msg.tm_body with
   | Full { fb_inter; fb_intra; fb_exiting } ->
-      Gc_state.mirror_reset t ~node:at ~sender ~bunch ~basis:seq ~inter:fb_inter
-        ~intra:fb_intra ~exiting:fb_exiting;
+      Gc_state.mirror_reset t ~node:at ~sender ~bunch ~seq ~basis:seq
+        ~inter:fb_inter ~intra:fb_intra ~exiting:fb_exiting;
       Some Everything
   | Delta
       {
@@ -143,11 +143,11 @@ let sync_mirror t ~at ~seq msg =
            any older in-flight message simply resyncs again.  Like a
            full, the pull carries the exiting entries addressed here. *)
         let remote = not (Ids.Node.equal sender at) in
+        let bs = Gc_state.broadcast_state t ~node:sender ~bunch in
         let inter = Gc_state.inter_stub_keys t ~node:sender ~bunch in
         let intra = Gc_state.intra_stub_keys t ~node:sender ~bunch in
         let exiting =
-          if remote then Gc_state.exiting_to t ~node:sender ~bunch ~owner:at
-          else []
+          if remote then Gc_state.exiting_to bs ~owner:at else []
         in
         if remote then begin
           let bytes =
@@ -161,18 +161,18 @@ let sync_mirror t ~at ~seq msg =
           bump t ~by:bytes "tables.delta_bytes"
         end;
         let basis =
-          match Gc_state.dest_basis t ~node:sender ~bunch ~dest:at with
+          match Ids.Node_tbl.find_opt bs.Gc_state.bs_sent at with
           | Some (_, s) -> s
           | None -> seq
         in
-        Gc_state.mirror_reset t ~node:at ~sender ~bunch ~basis ~inter ~intra
-          ~exiting;
+        Gc_state.mirror_reset t ~node:at ~sender ~bunch ~seq ~basis ~inter
+          ~intra ~exiting;
         bump t "gc.cleaner.resyncs";
         Some Everything
       end
 
 let visit () =
-  Perfcount.(counters.gc_table_entries <- counters.gc_table_entries + 1)
+  Perfcount.(counters.s_gc_table_entries <- counters.s_gc_table_entries + 1)
 
 (* The one reconciliation path (§6.1), driven by the candidate set the
    sync produced: the keys a clean delta names, or every entry from the
@@ -296,8 +296,8 @@ let process t ~at ~seq msg =
   let remote = not (Ids.Node.equal sender at) in
   let is_full = match msg.tm_body with Full _ -> true | Delta _ -> false in
   let fresh =
-    match Gc_state.last_table_seq t ~node:at ~sender ~bunch with
-    | Some last -> seq > last
+    match Gc_state.mirror t ~node:at ~sender ~bunch with
+    | Some m -> seq > Gc_state.mirror_seq m
     | None -> true
   in
   if remote && Net.is_down net sender then begin
@@ -325,7 +325,6 @@ let process t ~at ~seq msg =
     is_full
   end
   else begin
-    Gc_state.record_table_seq t ~node:at ~sender ~bunch ~seq;
     bump t "gc.cleaner.processed";
     (let evlog = Protocol.evlog (Gc_state.proto t) in
      if Trace_event.enabled evlog then
@@ -360,9 +359,9 @@ let receive t ~at ~seq msg =
   let full = process t ~at ~seq msg in
   let ns = elapsed_ns t0 in
   Perfcount.(
-    counters.gc_ns_reconcile <- counters.gc_ns_reconcile + ns;
-    if full then counters.gc_ns_recv_full <- counters.gc_ns_recv_full + ns
-    else counters.gc_ns_recv_delta <- counters.gc_ns_recv_delta + ns)
+    counters.s_gc_ns_reconcile <- counters.s_gc_ns_reconcile + ns;
+    if full then counters.s_gc_ns_recv_full <- counters.s_gc_ns_recv_full + ns
+    else counters.s_gc_ns_recv_delta <- counters.s_gc_ns_recv_delta + ns)
 
 let destinations t ~node ~bunch ~old_inter ~new_inter ~old_intra ~new_intra
     ~exiting =
@@ -381,7 +380,9 @@ let destinations t ~node ~bunch ~old_inter ~new_inter ~old_intra ~new_intra
     List.fold_left add_intra acc old_intra |> fun acc ->
     List.fold_left add_intra acc new_intra |> fun acc ->
     List.fold_left add_owner acc exiting |> fun acc ->
-    Node_set.union acc (Node_set.of_list (Gc_state.exiting_owners t ~node ~bunch))
+    Node_set.union acc
+      (Node_set.of_list
+         (Gc_state.exiting_owners (Gc_state.broadcast_state t ~node ~bunch)))
   in
   Node_set.elements (Node_set.remove node dests)
 
@@ -398,6 +399,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
   (* Table exchanges are per-bunch, and a bunch's segments all come from
      one registry shard — route and account them against it. *)
   let shard = Registry.shard_of_bunch (Protocol.registry proto) bunch in
+  let bs = Gc_state.broadcast_state t ~node ~bunch in
   let new_inter = Gc_state.inter_stubs t ~node ~bunch in
   let new_intra = Gc_state.intra_stubs t ~node ~bunch in
   let dests =
@@ -407,11 +409,10 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
   (* A resend must also reach last round's destinations: after a loss the
      replaced tables no longer name the peers whose scions must go. *)
   let dests =
-    List.sort_uniq Ids.Node.compare
-      (dests @ Gc_state.last_broadcast_dests t ~node ~bunch)
+    List.sort_uniq Ids.Node.compare (dests @ bs.Gc_state.bs_dests)
     |> List.filter (fun n -> not (Ids.Node.equal n node))
   in
-  Gc_state.record_broadcast_dests t ~node ~bunch dests;
+  bs.Gc_state.bs_dests <- dests;
   (* Peers that are down or cut off right now are deferred, not
      forgotten: they stay in the recorded destination list, so the next
      round's rebroadcast reaches them once they return or the partition
@@ -422,7 +423,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
   let live_dests = List.filter (fun d -> Net.reachable net node d) dests in
   let deferred = List.length dests - List.length live_dests in
   if deferred > 0 then bump t ~by:deferred "gc.cleaner.deferred_unreachable";
-  Gc_state.note_exiting t ~node ~bunch exiting;
+  Gc_state.note_exiting bs exiting;
   (* Keys are built only on a round where some stream takes a full. *)
   let full_keys =
     lazy
@@ -460,7 +461,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
   let churn =
     delta_header + (24 * delta_keys) + (16 * delta.Gc_state.sd_exiting_flips)
   in
-  let round = Gc_state.broadcast_round t ~node ~bunch in
+  let round = bs.Gc_state.bs_round in
   let full_round = (round + 1) mod full_period = 0 || 2 * churn >= weight in
   (* A destination's body: the shared keys plus the exiting uids it
      owns.  No node exits toward itself, so the self hand-off carries
@@ -470,8 +471,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
     match basis with
     | Some basis when not full_round ->
         let add_exiting, del_exiting =
-          if remote then Gc_state.exiting_delta_to t ~node ~bunch ~owner:dst
-          else ([], [])
+          if remote then Gc_state.exiting_delta_to bs ~owner:dst else ([], [])
         in
         Delta
           {
@@ -490,14 +490,13 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
             fb_inter = inter;
             fb_intra = intra;
             fb_exiting =
-              (if remote then Gc_state.exiting_to t ~node ~bunch ~owner:dst
-               else []);
+              (if remote then Gc_state.exiting_to bs ~owner:dst else []);
           }
   in
   let send_to dst =
     let body =
       body_for ~dst
-        (match Gc_state.dest_basis t ~node ~bunch ~dest:dst with
+        (match Ids.Node_tbl.find_opt bs.Gc_state.bs_sent dst with
         | Some (r, basis) when r = round - 1 -> Some basis
         | Some _ | None ->
             (* First contact, or the peer missed a round (down, or
@@ -509,7 +508,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
     (* Priced from counts, not by walking the body's key lists again. *)
     let full_sz =
       full_size t ~node ~bunch
-        ~exiting:(Gc_state.exiting_count_to t ~node ~bunch ~owner:dst)
+        ~exiting:(Gc_state.exiting_count_to bs ~owner:dst)
     in
     let wire =
       match body with
@@ -533,8 +532,8 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
     (* The transport seq just stamped on this pair is the basis the next
        round's delta to this peer will name; the receiver's mirror
        records the same number when it processes the message. *)
-    Gc_state.record_dest_basis t ~node ~bunch ~dest:dst ~round
-      ~basis:(Net.current_seq net ~src:node ~dst)
+    Ids.Node_tbl.replace bs.Gc_state.bs_sent dst
+      (round, Net.current_seq net ~src:node ~dst)
   in
   List.iter send_to live_dests;
   Gc_state.rebase_stub_journal t ~node ~bunch;
@@ -546,7 +545,9 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
      remote peer on last round's basis would — a full on first contact
      (or after a crash wiped the mirror), on the periodic round, and when
      the delta outgrows the table. *)
-  let last_self = Gc_state.last_table_seq t ~node ~sender:node ~bunch in
+  let last_self =
+    Option.map Gc_state.mirror_seq (Gc_state.mirror t ~node ~sender:node ~bunch)
+  in
   let self_body = body_for ~dst:node last_self in
   bump t
     (match self_body with
@@ -558,5 +559,5 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
        ~seq:(match last_self with Some s -> s + 1 | None -> 1)
        { tm_sender = node; tm_bunch = bunch; tm_body = self_body });
   Perfcount.(
-    counters.gc_ns_recv_self <- counters.gc_ns_recv_self + elapsed_ns t0);
+    counters.s_gc_ns_recv_self <- counters.s_gc_ns_recv_self + elapsed_ns t0);
   List.length live_dests

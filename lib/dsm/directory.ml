@@ -54,7 +54,6 @@ let create ~node =
 let mut_version t = t.version
 let touch t = t.version <- t.version + 1
 
-let node t = t.node
 let record t uid = Ids.Uid_tbl.find t.records uid
 let find t uid = Ids.Uid_tbl.find_opt t.records uid
 
@@ -182,14 +181,3 @@ let entering_uids t =
       uids
 
 let iter t f = Ids.Uid_tbl.iter (fun _ r -> f r) t.records
-
-let records t =
-  Ids.Uid_tbl.fold (fun _ r acc -> r :: acc) t.records []
-  |> List.sort (fun a b -> Ids.Uid.compare a.uid b.uid)
-
-let pp_record ppf r =
-  Format.fprintf ppf "@[<h>%a:%s%s%s->%a@]" Ids.Uid.pp r.uid
-    (token_state_to_string r.state)
-    (if r.is_owner then "o" else "")
-    (if r.held then "!" else "")
-    Ids.Node.pp r.prob_owner

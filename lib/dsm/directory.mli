@@ -34,7 +34,6 @@ type record = {
 type t
 
 val create : node:Bmx_util.Ids.Node.t -> t
-val node : t -> Bmx_util.Ids.Node.t
 
 val mut_version : t -> int
 (** Mutation epoch: advances on any change that can alter what a local
@@ -99,5 +98,3 @@ val fold_entering_from :
     node's whole entering set. *)
 
 val iter : t -> (record -> unit) -> unit
-val records : t -> record list
-val pp_record : Format.formatter -> record -> unit

@@ -485,8 +485,10 @@ let send_location_updates t ~src ~dst updates =
    no invalidation; a holder that is {e alive but cut off} still holds
    a live read token we cannot revoke — granting the write would leave
    a reader and a writer coexisting across the partition.  The check
-   runs before any mutation so a refusal leaves no partial state. *)
-let rec invalidation_reachable t node uid =
+   runs before any mutation so a refusal leaves no partial state.
+   Copysets can form a cycle, so the walk checks every link but carries
+   the nodes whose copysets it has [seen] and walks each one once. *)
+let rec invalidation_walk t ~seen node uid =
   match Directory.find (directory t node) uid with
   | None -> true
   | Some r ->
@@ -494,9 +496,16 @@ let rec invalidation_reachable t node uid =
         (fun peer ->
           Ids.Node.equal peer node
           || Net.is_down t.net peer
-          || (Net.reachable t.net node peer
-             && invalidation_reachable t peer uid))
+          || Net.reachable t.net node peer
+             && (Ids.Node_set.mem peer !seen
+                || begin
+                     seen := Ids.Node_set.add peer !seen;
+                     invalidation_walk t ~seen peer uid
+                   end))
         r.Directory.copyset
+
+let invalidation_reachable t node uid =
+  invalidation_walk t ~seen:(ref Ids.Node_set.empty) node uid
 
 let rec invalidate_subtree t ~actor ~skip node uid =
   let d = directory t node in

@@ -53,8 +53,6 @@ type hooks = {
           transfer requires (scion at granter, stub at requester). *)
 }
 
-val no_hooks : hooks
-
 type t
 
 val create :

@@ -57,8 +57,6 @@ let id t = t.id
 
 let capacity t = Bigarray.Array1.dim t.data
 let live t = t.live
-let used_words t = t.bump
-
 let grow t needed =
   let cap = ref (2 * capacity t) in
   while !cap < needed do
@@ -161,7 +159,7 @@ let alloc_copy dst ~src ~src_base ~src_gen =
       (Bigarray.Array1.unsafe_get src.data (src_base + header_words + i))
   done;
   dst.data.{base + 1} <- src.data.{src_base + 1};
-  Perfcount.(counters.flat_words_copied <- counters.flat_words_copied + n);
+  Perfcount.(counters.s_flat_words_copied <- counters.s_flat_words_copied + n);
   (base, gen)
 
 let blit_fields ~src ~src_base ~src_gen ~dst ~dst_base ~dst_gen =
@@ -176,7 +174,7 @@ let blit_fields ~src ~src_base ~src_gen ~dst ~dst_base ~dst_gen =
       (Bigarray.Array1.unsafe_get src.data (src_base + header_words + i))
   done;
   dst.data.{dst_base + 1} <- src.data.{src_base + 1};
-  Perfcount.(counters.flat_words_copied <- counters.flat_words_copied + n)
+  Perfcount.(counters.s_flat_words_copied <- counters.s_flat_words_copied + n)
 
 (* ------------------------------------------------------------------ *)
 (* Mark bitmap (one bit per word, addressed by slot base).              *)

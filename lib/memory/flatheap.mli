@@ -25,13 +25,10 @@ val capacity : t -> int
 val live : t -> int
 (** Number of currently allocated (un-freed) slots — O(1). *)
 
-val used_words : t -> int
-
 val alloc : t -> nfields:int -> int * int
 (** Fresh zero-filled (all-nil) slot; returns [(base, gen)]. *)
 
 val free : t -> base:int -> gen:int -> unit
-val check : t -> base:int -> gen:int -> unit
 val nfields : t -> base:int -> gen:int -> int
 val version : t -> base:int -> gen:int -> int
 val set_version : t -> base:int -> gen:int -> int -> unit
@@ -45,7 +42,7 @@ val unsafe_get_raw : t -> base:int -> int -> int
 val alloc_copy : t -> src:t -> src_base:int -> src_gen:int -> int * int
 (** Allocate in the destination arena and blit fields + version from the
     source slot (same or another arena).  The collector's object-copy
-    primitive; bumps [Perfcount.flat_words_copied]. *)
+    primitive; bumps [Perfcount.s_flat_words_copied]. *)
 
 val blit_fields :
   src:t -> src_base:int -> src_gen:int ->

@@ -51,13 +51,6 @@ let overwrite t ~from =
 let free t = Flatheap.free t.heap ~base:t.base ~gen:t.gen
 
 (* Allocation-free pointer iteration — the collectors' field scan. *)
-let iter_pointers t f =
-  let n = num_fields t in
-  for i = 0 to n - 1 do
-    let r = Flatheap.unsafe_get_raw t.heap ~base:t.base i in
-    if Value.raw_is_pointer r then f (Value.raw_addr r)
-  done
-
 let iteri_pointers t f =
   let n = num_fields t in
   for i = 0 to n - 1 do
@@ -113,8 +106,3 @@ let image_pointers im =
 let mark t = Flatheap.mark t.heap ~base:t.base
 let unmark t = Flatheap.unmark t.heap ~base:t.base
 let is_marked t = Flatheap.is_marked t.heap ~base:t.base
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>%a@%a{%a}@]" Ids.Uid.pp t.uid Ids.Bunch.pp t.bunch
-    (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ",") Value.pp)
-    (Array.to_list (fields_copy t))

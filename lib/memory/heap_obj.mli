@@ -79,12 +79,10 @@ val free : t -> unit
     handle to the slot raises.  Owned by {!Store} — callers holding
     handles must not free. *)
 
-val iter_pointers : t -> (Bmx_util.Addr.t -> unit) -> unit
-(** Apply [f] to every non-null pointer field in field order.  Raw scan:
-    no per-field allocation — the collectors' trace primitive. *)
-
 val iteri_pointers : t -> (int -> Bmx_util.Addr.t -> unit) -> unit
-(** Like {!iter_pointers} but passing the field index. *)
+(** Apply [f] to the index and address of every non-null pointer field,
+    in field order.  Raw scan: no per-field allocation — the collectors'
+    trace primitive. *)
 
 val pointers : t -> Bmx_util.Addr.t list
 (** Addresses of all non-null pointer fields, in field order. *)
@@ -121,5 +119,3 @@ val mark : t -> unit
 val unmark : t -> unit
 
 val is_marked : t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -78,7 +78,6 @@ let shard_of_bunch t bunch = bunch mod Array.length t.shards
 let shard_owner t k = t.shards.(k).owner
 let shard_up t k = t.shards.(k).up
 let shard_bytes t k = t.shards.(k).bytes
-let shard_region t k = t.shards.(k).region
 let set_shard_owner t k node = t.shards.(k).owner <- node
 let crash_shard t k = t.shards.(k).up <- false
 let revive_shard t k = t.shards.(k).up <- true

@@ -87,7 +87,6 @@ val shard_up : t -> int -> bool
 val shard_bytes : t -> int -> int
 (** O(1) maintained gauge: bytes carved from this shard. *)
 
-val shard_region : t -> int -> Bmx_util.Addr.Range.t
 val shard_entries : t -> int -> entry list
 (** Entries carved from this shard, ascending by [range.lo]. *)
 

@@ -39,12 +39,6 @@ let seal t = t.alloc_ptr <- t.range.Addr.Range.hi
 let contains t a = Addr.Range.contains t.range a
 let set_role t role = t.role <- role
 
-let role_to_string = function
-  | Active -> "active"
-  | From_space -> "from"
-  | To_space -> "to"
-  | Free -> "free"
-
 let note_pointer t a ~is_pointer =
   if is_pointer then Bitmap.set t.ref_map a else Bitmap.clear t.ref_map a
 
@@ -60,8 +54,3 @@ let reset t =
   t.alloc_ptr <- t.range.Addr.Range.lo;
   Bitmap.clear_all t.object_map;
   Bitmap.clear_all t.ref_map
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>seg %a %a %s objs=%d@]" Ids.Bunch.pp t.bunch
-    Addr.Range.pp t.range (role_to_string t.role)
-    (Bitmap.cardinal t.object_map)

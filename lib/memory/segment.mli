@@ -41,7 +41,6 @@ val seal : t -> unit
 
 val contains : t -> Bmx_util.Addr.t -> bool
 val set_role : t -> role -> unit
-val role_to_string : role -> string
 
 val note_pointer : t -> Bmx_util.Addr.t -> is_pointer:bool -> unit
 (** Maintain the reference-map bit for the word at the given address. *)
@@ -55,5 +54,3 @@ val objects : t -> Bmx_util.Addr.t list
 val reset : t -> unit
 (** Return the segment to [Free] with empty maps and a rewound bump
     pointer: the from-space reuse of §4.5. *)
-
-val pp : Format.formatter -> t -> unit

@@ -92,8 +92,6 @@ let unindex_cell t a =
       rc_decr t obj
   | Some (Forwarder _) | None -> ()
 
-let node t = t.node
-let registry t = t.registry
 
 let add_segment t seg =
   let lo = seg.Segment.range.Addr.Range.lo in
@@ -357,7 +355,7 @@ let address_history t uid =
 let iter t f =
   Hashtbl.iter
     (fun a c ->
-      Perfcount.(counters.store_cells_touched <- counters.store_cells_touched + 1);
+      Perfcount.(counters.s_store_cells_touched <- counters.s_store_cells_touched + 1);
       f a c)
     t.cells
 
@@ -369,7 +367,3 @@ let iter_objects_of_bunch t bunch f =
 let object_count t = t.objects
 let objects_bytes t = t.objects_bytes
 let segment_count t = Hashtbl.length t.segments
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>store %a: %d objects, %d cells@]" Ids.Node.pp t.node
-    (object_count t) (Hashtbl.length t.cells)

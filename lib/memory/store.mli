@@ -16,8 +16,6 @@ type cell =
 type t
 
 val create : registry:Registry.t -> node:Bmx_util.Ids.Node.t -> t
-val node : t -> Bmx_util.Ids.Node.t
-val registry : t -> Registry.t
 
 val arena : t -> Flatheap.t
 (** The flat arena backing this store's own allocations.  Objects shipped
@@ -40,12 +38,6 @@ val alloc :
     0) seeds the object's write counter — GC copies pass the source's
     so the copy is not mistaken for a write. *)
 
-val alloc_into :
-  ?version:int ->
-  t -> seg:Segment.t -> uid:Bmx_util.Ids.Uid.t -> fields:Value.t array
-  -> Bmx_util.Addr.t option
-(** Allocate directly into a specific segment (BGC copying into to-space). *)
-
 val alloc_clone :
   t -> seg:Segment.t -> of_:Heap_obj.t -> Bmx_util.Addr.t option
 (** Copy an existing object (same uid, bunch taken from the source, fields
@@ -59,11 +51,6 @@ val find_segment : t -> Bmx_util.Addr.t -> Segment.t
 
 val segment_at : t -> Bmx_util.Addr.t -> Segment.t option
 (** {!find_segment} as an option. *)
-
-val ensure_segment :
-  t -> range:Bmx_util.Addr.Range.t -> bunch:Bmx_util.Ids.Bunch.t -> Segment.t
-(** Local view of a (possibly remotely allocated) range; created on first
-    use — mapping a segment of a replicated bunch. *)
 
 val fresh_segment :
   t -> bunch:Bmx_util.Ids.Bunch.t -> ?bytes:int -> unit -> Segment.t
@@ -152,7 +139,7 @@ val address_history : t -> Bmx_util.Ids.Uid.t -> Bmx_util.Addr.t list
     the second entry is where its peers may still believe it lives. *)
 
 val iter : t -> (Bmx_util.Addr.t -> cell -> unit) -> unit
-(** Whole-table iteration.  Bumps [Perfcount.store_cells_touched] per
+(** Whole-table iteration.  Bumps [Perfcount.s_store_cells_touched] per
     cell, so the complexity tests catch any hot path that full-scans. *)
 
 val iter_objects_of_bunch :
@@ -166,10 +153,6 @@ val mut_version : t -> int
     collection whose inputs show the same composite version as its
     previous run. *)
 
-val touch : t -> unit
-(** Advance {!mut_version} (for callers that mutate object fields
-    directly rather than through the store). *)
-
 val bunch_object_count : t -> Bmx_util.Ids.Bunch.t -> int
 (** O(1): live object cells of the bunch (the [objects_of_bunch] list
     length without building the list). *)
@@ -182,5 +165,3 @@ val objects_bytes : t -> int
 
 val segment_count : t -> int
 (** Locally mapped segments — O(1). *)
-
-val pp : Format.formatter -> t -> unit

@@ -31,7 +31,6 @@ type t = {
   mutable dumps_rev : dump list;
   mutable n_dumps : int;
   mutable last_ts : int;
-  mutable on_dump : (dump -> unit) option;
 }
 
 let create ?(per_node = 256) ?(max_dumps = 4) ?metrics () =
@@ -44,10 +43,8 @@ let create ?(per_node = 256) ?(max_dumps = 4) ?metrics () =
     dumps_rev = [];
     n_dumps = 0;
     last_ts = 0;
-    on_dump = None;
   }
 
-let set_on_dump t f = t.on_dump <- Some f
 let dumps t = List.rev t.dumps_rev
 
 let ring_of t node =
@@ -101,8 +98,7 @@ let trip t ?at reason =
       (slice t);
     let d = { reason; at; text = Buffer.contents buf } in
     t.dumps_rev <- d :: t.dumps_rev;
-    t.n_dumps <- t.n_dumps + 1;
-    match t.on_dump with None -> () | Some f -> f d
+    t.n_dumps <- t.n_dumps + 1
   end
 
 (* ---------------------------------------------------------- recording *)

@@ -41,7 +41,3 @@ val trip : t -> ?at:int -> string -> unit
 
 val dumps : t -> dump list
 (** Oldest first. *)
-
-val set_on_dump : t -> (dump -> unit) -> unit
-(** Called on every dump as it is produced (e.g. to write it to disk —
-    the library itself never touches the filesystem). *)

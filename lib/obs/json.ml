@@ -62,8 +62,6 @@ let to_string v =
   emit buf v;
   Buffer.contents buf
 
-let pp ppf v = Format.pp_print_string ppf (to_string v)
-
 let member k = function
   | Obj kvs -> List.assoc_opt k kvs
   | Null | Bool _ | Int _ | Float _ | String _ | List _ -> None

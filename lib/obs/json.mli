@@ -26,5 +26,3 @@ val parse : string -> (t, string) result
 
 val member : string -> t -> t option
 (** [member k (Obj _)] — first binding of [k], [None] otherwise. *)
-
-val pp : Format.formatter -> t -> unit

@@ -7,11 +7,9 @@
     thread-scoped instant events ([ph = "i"]).  Load the output at
     ui.perfetto.dev or chrome://tracing. *)
 
-val to_json : ?extra:Json.t list -> Span.t list -> Json.t
+val to_string : ?extra:Json.t list -> Span.t list -> string
 (** [{"traceEvents": [...], "displayTimeUnit": "ms"}].  [extra] events
     (e.g. {!Timeseries.perfetto_counters} counter tracks) append to the
     span events verbatim. *)
-
-val to_string : ?extra:Json.t list -> Span.t list -> string
 
 val write_file : ?extra:Json.t list -> string -> Span.t list -> unit

@@ -77,9 +77,6 @@ val step : 'a pairing -> int -> Trace_event.t -> 'a step
     any other event nothing, and no step builds a string: the live
     series runs it per event. *)
 
-val iter_open : 'a pairing -> ('a -> unit) -> unit
-(** The intervals still open. *)
-
 (** {1 Spans} *)
 
 type t = {

@@ -8,7 +8,7 @@
    - counters and gauges come from the shared Metrics registry, read at
      each window close through cached cell references (never through
      Metrics.snapshot — the sampling path must stay allocation-bounded
-     and heap-size-independent, see Perfcount.obs_sample_work);
+     and heap-size-independent, see Perfcount.s_obs_sample_work);
    - latency.* histograms are derived live from the typed Trace_event
      stream by Span's pairing (the one begin/end matcher, which also
      feeds Report), one histogram per Span.family, into per-window
@@ -203,8 +203,8 @@ let close_current t =
     else s.nvals.(i) <- v
   done;
   Perfcount.(
-    counters.obs_sample_work <-
-      counters.obs_sample_work + n + Array.length t.hcols);
+    counters.s_obs_sample_work <-
+      counters.s_obs_sample_work + n + Array.length t.hcols);
   s.used <- true;
   t.closed <- t.closed + 1;
   match t.on_window with None -> () | Some f -> f t

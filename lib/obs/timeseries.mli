@@ -10,7 +10,7 @@
     {!Span.family} — the same intervals {!Report} folds over the whole
     run.  The sampling path reads cached cell
     references — no snapshot lists — and charges
-    [Perfcount.obs_sample_work] per column per close, keeping the
+    [Perfcount.s_obs_sample_work] per column per close, keeping the
     observer effect allocation-bounded and heap-size-independent.
 
     Deterministic: reservoir evictions draw from a per-series
@@ -97,4 +97,4 @@ val to_jsonl : t -> string
 
 val perfetto_counters : t -> Json.t list
 (** Perfetto counter-track ("C") events, one per numeric column per
-    window.  Merge into a trace via {!Perfetto.to_json}'s [?extra]. *)
+    window.  Merge into a trace via {!Perfetto.to_string}'s [?extra]. *)

@@ -63,8 +63,6 @@ val create : copy:('v -> 'v) -> unit -> 'v t
 val begin_tx : 'v t -> unit
 (** Raises [Failure] if a transaction is already open. *)
 
-val in_tx : 'v t -> bool
-
 val set : 'v t -> Bmx_util.Addr.t -> 'v -> unit
 (** Buffer a write.  Raises [Failure] outside a transaction. *)
 

@@ -89,16 +89,6 @@ let alloc t ~bunch fields =
   Ids.Uid_tbl.replace t.write_set uid a;
   a
 
-let current t addr =
-  let uid = uid_of t addr in
-  match Ids.Uid_tbl.find_opt t.write_set uid with
-  | Some a -> a
-  | None -> (
-      match Ids.Uid_tbl.find_opt t.read_set uid with
-      | Some a -> a
-      | None ->
-          Store.current_addr (Protocol.store (proto t) t.node) addr)
-
 let release_all t =
   let release _uid a = Protocol.release (proto t) ~node:t.node a in
   Ids.Uid_tbl.iter release t.read_set;

@@ -51,10 +51,6 @@ val alloc :
 (** Allocate inside the transaction.  If the transaction aborts the
     object is left unreferenced and the next collection reclaims it. *)
 
-val current : t -> Bmx_util.Addr.t -> Bmx_util.Addr.t
-(** The address under which the transaction currently knows the object
-    (tokens may have moved it here; use this for handles across GCs). *)
-
 val commit :
   ?durable:(Bmx_util.Addr.t * Bmx_memory.Heap_obj.image) Bmx_rvm.Rvm.t -> t -> unit
 (** Make the transaction's effects visible: release every token.  With

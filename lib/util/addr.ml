@@ -14,7 +14,6 @@ let add a n =
 let diff hi lo = hi - lo
 let compare = Int.compare
 let equal = Int.equal
-let hash = Hashtbl.hash
 let pp ppf a = Format.fprintf ppf "0x%x" a
 let to_string a = Printf.sprintf "0x%x" a
 
@@ -30,5 +29,4 @@ module Range = struct
   let size { lo; hi } = hi - lo
   let contains { lo; hi } a = a >= lo && a < hi
   let overlaps r1 r2 = r1.lo < r2.hi && r2.lo < r1.hi
-  let pp ppf { lo; hi } = Format.fprintf ppf "[%a, %a)" pp lo pp hi
 end

@@ -34,7 +34,6 @@ val diff : t -> t -> int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
@@ -49,5 +48,4 @@ module Range : sig
   val size : t -> int
   val contains : t -> addr -> bool
   val overlaps : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end

@@ -10,8 +10,6 @@ let create ~range =
   let nbits = Addr.Range.size range / Addr.word in
   { rg = range; bits = Bytes.make ((nbits + 7) / 8) '\000' }
 
-let range t = t.rg
-
 let set t a =
   let i = bit_index t.rg a in
   let b = Char.code (Bytes.get t.bits (i lsr 3)) in
@@ -62,6 +60,3 @@ let next_set t a =
   go start
 
 let copy t = { rg = t.rg; bits = Bytes.copy t.bits }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>bitmap %a: %d set@]" Addr.Range.pp t.rg (cardinal t)

@@ -10,8 +10,6 @@ type t
 val create : range:Addr.Range.t -> t
 (** A bitmap covering [range], all bits clear.  One bit per 4-byte word. *)
 
-val range : t -> Addr.Range.t
-
 val set : t -> Addr.t -> unit
 (** Raises [Invalid_argument] if the address is outside the range or
     unaligned. *)
@@ -31,4 +29,3 @@ val next_set : t -> Addr.t -> Addr.t option
 (** [next_set t a] is the smallest set address [>= a], if any. *)
 
 val copy : t -> t
-val pp : Format.formatter -> t -> unit

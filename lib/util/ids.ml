@@ -3,7 +3,6 @@ module type ID = sig
 
   val compare : t -> t -> int
   val equal : t -> t -> bool
-  val hash : t -> int
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end
@@ -16,7 +15,6 @@ struct
 
   let compare = Int.compare
   let equal = Int.equal
-  let hash = Hashtbl.hash
   let pp ppf t = Format.fprintf ppf "%s%d" P.prefix t
   let to_string t = P.prefix ^ string_of_int t
 end

@@ -13,7 +13,6 @@ module type ID = sig
 
   val compare : t -> t -> int
   val equal : t -> t -> bool
-  val hash : t -> int
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end

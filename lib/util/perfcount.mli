@@ -10,57 +10,46 @@
 
     See HACKING.md "Performance" for the profiling recipe. *)
 
-type t = {
-  mutable memo_invalidations : int;
-  mutable memo_resyncs : int;
-  mutable reach_nodes_touched : int;
-  mutable gc_objects_touched : int;
-  mutable gc_table_entries : int;
-  mutable store_cells_touched : int;
-  mutable flat_words_copied : int;
-  mutable obs_sample_work : int;
-  mutable gc_ns_trace : int;
-  mutable gc_ns_flip : int;
-  mutable gc_ns_copy : int;
-  mutable gc_ns_scan : int;
-  mutable gc_ns_reconcile : int;
-      (** [gc_ns_*]: wall-clock nanoseconds spent in each collector phase
-          (trace / flip / copy / scan / cleaner-reconcile) — the
-          metrics-backed replacement for the old BMX_GC_PHASE_TIMING
-          stderr hack.  [gc_ns_reconcile] holds collection-time table
-          emission (self hand-offs included) plus delivery-time cleaner
-          receives, so the five phase counters never overlap. *)
-  mutable gc_ns_recv_delta : int;
-  mutable gc_ns_recv_full : int;
-  mutable gc_ns_recv_self : int;
-      (** [gc_ns_recv_*]: scion-cleaner receive time split by path —
+type snapshot = {
+  mutable s_memo_invalidations : int;
+      (** driver legality memo: removal epochs (root drops, edge
+          overwrites) *)
+  mutable s_memo_resyncs : int;  (** full mirror re-extractions *)
+  mutable s_reach_nodes_touched : int;
+      (** graph nodes visited by queries and rebuilds *)
+  mutable s_gc_objects_touched : int;
+      (** objects marked, copied or field-scanned by a collection *)
+  mutable s_gc_table_entries : int;  (** stub/scion/exiting entries visited *)
+  mutable s_store_cells_touched : int;
+      (** cells visited by whole-table store iteration *)
+  mutable s_flat_words_copied : int;  (** raw words blitted by GC copies *)
+  mutable s_obs_sample_work : int;
+      (** cells/segments visited while sampling gauges *)
+  mutable s_gc_ns_trace : int;
+  mutable s_gc_ns_flip : int;
+  mutable s_gc_ns_copy : int;
+  mutable s_gc_ns_scan : int;
+  mutable s_gc_ns_reconcile : int;
+      (** [s_gc_ns_*]: wall-clock nanoseconds spent in each collector
+          phase (trace / flip / copy / scan / cleaner-reconcile), each
+          timed by two [Sys.time] reads around the phase body.
+          [s_gc_ns_reconcile] holds collection-time table emission (self
+          hand-offs included) plus delivery-time cleaner receives, so the
+          five phase counters never overlap. *)
+  mutable s_gc_ns_recv_delta : int;
+  mutable s_gc_ns_recv_full : int;
+  mutable s_gc_ns_recv_self : int;
+      (** [s_gc_ns_recv_*]: scion-cleaner receive time split by path —
           deltas (empty ones included), full tables and resyncs, and a
           node's hand-off of its own tables.  A breakdown of time already
-          inside [gc_ns_reconcile], not extra phases. *)
+          inside [s_gc_ns_reconcile], not extra phases. *)
 }
 
-val counters : t
+val counters : snapshot
 (** The global instance.  Bump fields directly:
-    [Perfcount.(counters.reach_nodes_touched <- counters.reach_nodes_touched + 1)]. *)
-
-type snapshot = {
-  s_memo_invalidations : int;
-  s_memo_resyncs : int;
-  s_reach_nodes_touched : int;
-  s_gc_objects_touched : int;
-  s_gc_table_entries : int;
-  s_store_cells_touched : int;
-  s_flat_words_copied : int;
-  s_obs_sample_work : int;
-  s_gc_ns_trace : int;
-  s_gc_ns_flip : int;
-  s_gc_ns_copy : int;
-  s_gc_ns_scan : int;
-  s_gc_ns_reconcile : int;
-  s_gc_ns_recv_delta : int;
-  s_gc_ns_recv_full : int;
-  s_gc_ns_recv_self : int;
-}
+    [Perfcount.(counters.s_reach_nodes_touched <- counters.s_reach_nodes_touched + 1)]. *)
 
 val snapshot : unit -> snapshot
+(** A copy of {!counters}. *)
+
 val diff : before:snapshot -> after:snapshot -> snapshot

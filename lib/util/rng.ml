@@ -10,7 +10,6 @@ let next t =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t = next t
 let split t = { state = next t }
 
 let int t bound =
@@ -20,12 +19,6 @@ let int t bound =
 let float t bound =
   let x = Int64.to_float (Int64.shift_right_logical (next t) 11) in
   x /. 9007199254740992.0 *. bound
-
-let bool t = Int64.logand (next t) 1L = 1L
-
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choose: empty array";
-  arr.(int t (Array.length arr))
 
 let shuffle t arr =
   for i = Array.length arr - 1 downto 1 do

@@ -78,7 +78,6 @@ module Summary = struct
   let stddev t = if t.n < 2 then 0. else sqrt (t.m2 /. float_of_int (t.n - 1))
   let min t = if t.n = 0 then 0. else t.min
   let max t = if t.n = 0 then 0. else t.max
-  let total t = t.mean *. float_of_int t.n
 
   let nearest_rank arr p =
     let len = Array.length arr in

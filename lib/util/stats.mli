@@ -51,7 +51,6 @@ module Summary : sig
   val stddev : t -> float
   val min : t -> float
   val max : t -> float
-  val total : t -> float
   val percentile : t -> float -> float
   (** [percentile t p] for [p] in [0,100]; exact up to
       {!reservoir_capacity} samples, reservoir-estimated beyond. *)

@@ -444,5 +444,3 @@ let of_line line =
             Ok (decode f)
           with Parse m -> Error m)
       | _ -> Error (Printf.sprintf "unknown or malformed event %S" w))
-
-let pp ppf e = Format.pp_print_string ppf (to_line e)

@@ -96,4 +96,3 @@ val nodes : t -> Ids.Node.t list
 
 val to_line : t -> string
 val of_line : string -> (t, string) result
-val pp : Format.formatter -> t -> unit

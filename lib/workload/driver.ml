@@ -58,8 +58,6 @@ type t = {
 }
 
 let cluster t = t.cluster
-let objects t = t.objects
-let config t = t.cfg
 
 let handle t ~node i =
   match Ids.Node_tbl.find_opt t.handles node with
@@ -122,8 +120,8 @@ let legal t i addr =
    same stale-replica fallback), roots from every node's root set.
    O(population) — run once per batch, amortized over the batch's ops. *)
 let resync t =
-  Perfcount.counters.Perfcount.memo_resyncs <-
-    Perfcount.counters.Perfcount.memo_resyncs + 1;
+  Perfcount.counters.Perfcount.s_memo_resyncs <-
+    Perfcount.counters.Perfcount.s_memo_resyncs + 1;
   Reach.reset t.reach;
   let proto = Cluster.proto t.cluster in
   let module Store = Bmx_memory.Store in

@@ -44,8 +44,6 @@ val setup : config -> t
     on every node; drain; seed the legality mirror from cluster truth. *)
 
 val cluster : t -> Bmx.Cluster.t
-val objects : t -> Bmx_util.Addr.t array
-val config : t -> config
 
 val run_ops : t -> ?resync_first:bool -> ?ops:int -> unit -> unit
 (** Execute mutator operations (default: [config.ops]).  [resync_first]
@@ -54,10 +52,6 @@ val run_ops : t -> ?resync_first:bool -> ?ops:int -> unit -> unit
     directly since the last one.  Pass [false] only when nothing but
     driver ops touched the cluster, e.g. to measure steady-state per-op
     cost. *)
-
-val handle : t -> node:Bmx_util.Ids.Node.t -> int -> Bmx_util.Addr.t
-(** The address under which the node's mutator currently knows object
-    [i] — its local handle, updated on every acquire. *)
 
 val live_roots : t -> int
 (** Roots currently held across all nodes. *)

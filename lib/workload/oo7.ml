@@ -31,8 +31,6 @@ type t = {
   rng : Rng.t;
 }
 
-let cluster t = t.cluster
-let root t = t.root_addr
 let config t = t.cfg
 let size t = t.objects
 

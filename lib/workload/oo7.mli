@@ -32,8 +32,6 @@ type t
 val build : Bmx.Cluster.t -> node:Bmx_util.Ids.Node.t -> config -> t
 (** Build the module at [node] and root it there. *)
 
-val cluster : t -> Bmx.Cluster.t
-val root : t -> Bmx_util.Addr.t
 val config : t -> config
 val size : t -> int
 (** Objects the module comprises (assemblies + composites + atomics). *)

@@ -68,18 +68,10 @@ let reset t =
   Bytes.fill t.reach 0 (Bytes.length t.reach) '\000'
 
 let reachable t i = bit_get t.reach i
-let root_count t i = t.roots.(i)
-
-let reachable_count t =
-  let c = ref 0 in
-  for i = 0 to t.n - 1 do
-    if bit_get t.reach i then incr c
-  done;
-  !c
 
 let touched k =
-  Perfcount.counters.Perfcount.reach_nodes_touched <-
-    Perfcount.counters.Perfcount.reach_nodes_touched + k
+  Perfcount.counters.Perfcount.s_reach_nodes_touched <-
+    Perfcount.counters.Perfcount.s_reach_nodes_touched + k
 
 (* Mark [start] and everything newly reachable through it. *)
 let mark_forward t start =
@@ -192,8 +184,8 @@ let set_edge t ~src ~slot target =
       if bit_get t.reach src then mark_forward t target
     end;
     if old >= 0 then begin
-      Perfcount.counters.Perfcount.memo_invalidations <-
-        Perfcount.counters.Perfcount.memo_invalidations + 1;
+      Perfcount.counters.Perfcount.s_memo_invalidations <-
+        Perfcount.counters.Perfcount.s_memo_invalidations + 1;
       on_support_lost t old
     end
   end
@@ -208,7 +200,7 @@ let drop_root t i =
   if t.roots.(i) <= 0 then invalid_arg "Reach.drop_root: no root held";
   t.roots.(i) <- t.roots.(i) - 1;
   if t.roots.(i) = 0 then begin
-    Perfcount.counters.Perfcount.memo_invalidations <-
-      Perfcount.counters.Perfcount.memo_invalidations + 1;
+    Perfcount.counters.Perfcount.s_memo_invalidations <-
+      Perfcount.counters.Perfcount.s_memo_invalidations + 1;
     on_support_lost t i
   end

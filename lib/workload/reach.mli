@@ -57,7 +57,3 @@ val drop_root : t -> int -> unit
 
 val reachable : t -> int -> bool
 (** O(1): is the object reachable right now? *)
-
-val root_count : t -> int -> int
-val reachable_count : t -> int
-(** O(n) — diagnostic, not a hot path. *)

@@ -52,7 +52,6 @@ let test_stale_table_ignored () =
   let x_uid = Cluster.uid_at c ~node:1 x in
   (* Deliver a fabricated EMPTY table with a stale sequence number: the
      cleaner must ignore it and keep the scion. *)
-  Gc_state.record_table_seq gc ~node:1 ~sender:0 ~bunch:2 ~seq:0;
   ignore x_uid;
   let b1 = 0 in
   let empty =
@@ -818,6 +817,39 @@ let test_ledger_splits_wire () =
   check_int "tables.delta_bytes is the sum" (full + delta + resync)
     (get "tables.delta_bytes")
 
+(* Scion tables keep no journal: only stub tables read one.  Adding and
+   removing [n] fresh inter-bunch scions at a node must leave nothing
+   behind, so a second cycle does not grow the GC state.  A scion table
+   that journalled its key flips would keep every key it ever held,
+   about [n] more bindings per cycle, until its node crashed. *)
+let test_scion_tables_keep_no_journal () =
+  let c = Cluster.create ~nodes:2 () in
+  let gc = Cluster.gc c in
+  let sb = Cluster.new_bunch c ~home:1 in
+  let tb = Cluster.new_bunch c ~home:0 in
+  let n = 500 in
+  let cycle k =
+    for i = (k * n) to ((k + 1) * n) - 1 do
+      Gc_state.add_inter_scion gc ~node:0
+        {
+          Ssp.xs_src_bunch = sb;
+          xs_src_uid = 1 + i;
+          xs_src_node = 1;
+          xs_target_uid = 100_001 + i;
+          xs_target_bunch = tb;
+        }
+    done;
+    check_int "every scion removed" n
+      (Gc_state.remove_inter_scions_from gc ~node:0 ~src:1 (fun _ -> true));
+    check_int "view empty" 0 (List.length (Gc_state.inter_scions gc ~node:0 ~bunch:tb));
+    Obj.reachable_words (Obj.repr gc)
+  in
+  let first = cycle 0 in
+  let growth = cycle 1 - first in
+  check_bool
+    (Printf.sprintf "second cycle grew the GC state by %d words" growth)
+    true (growth <= 64)
+
 let () =
   Alcotest.run "scion_cleaner"
     [
@@ -830,6 +862,8 @@ let () =
           Alcotest.test_case "entering ownerPtr reconciliation" `Quick
             test_entering_reconciliation;
           Alcotest.test_case "destinations" `Quick test_destinations;
+          Alcotest.test_case "scion tables keep no journal" `Quick
+            test_scion_tables_keep_no_journal;
         ] );
       ( "robustness (§6.1)",
         [

@@ -7,12 +7,18 @@
    retain followed by adds, the sequence BGCs and the write barrier
    produce, so the model's view order follows from those two rules.
    Random op sequences — adds, replaces, broadcast rounds (some with
-   every table message dropped), and crash/restart of either side —
-   drive the real implementation, and after every op the indexed
-   accessors must agree with the model exactly.  After every cleanly
-   delivered round the receiver's mirror (rebuilt from fulls and
-   one-round deltas, healed by pull-resyncs after losses and restarts)
-   must cover precisely the stubs the model holds.
+   every table message dropped, some left in flight for a later round's
+   drain), and crash/restart of either side — drive the real
+   implementation, and after every op the indexed accessors must agree
+   with the model exactly.  After every drain that delivered the last
+   round, the receiver's mirror (rebuilt from fulls and one-round
+   deltas, healed by pull-resyncs after losses and restarts) must cover
+   precisely the stubs the model holds.  So must it after a drain that
+   resynced the mirror even if the last round was dropped: the pull
+   observes the current tables, and its basis is the sender's latest
+   send, so any older delta still in flight resyncs again.  Taking the
+   triggering message's own seq as the basis instead applies the next
+   in-flight delta on top of the pulled tables, and fails this test.
 
    The exiting pool names two owners, the receiver and a third node, and
    only an entry's owner may be sent it: after every delivered table
@@ -55,11 +61,15 @@ type op =
       (* presence masks over the pools: retain the masked entries, then
          add the masked ones the table lacks *)
   | Replace2 of bool array
-  | Round of bool array * bool
-      (* exiting mask (receiver's half, then the third node's), drop all
-         table messages? *)
+  | Round of bool array * fate
+      (* exiting mask (receiver's half, then the third node's) *)
   | Crash_receiver
   | Crash_sender
+
+(* What happens to a round's table messages: delivered by a drain right
+   after the round, dropped (the drain then delivers only earlier rounds
+   still in flight), or held in flight until a later round's drain. *)
+and fate = Deliver | Drop | Hold
 
 let pp_mask m =
   String.concat "" (List.map (fun b -> if b then "1" else "0") (Array.to_list m))
@@ -70,8 +80,9 @@ let pp_op = function
   | Add_inter2 i -> Printf.sprintf "Add_inter2 %d" i
   | Replace (a, b) -> Printf.sprintf "Replace (%s, %s)" (pp_mask a) (pp_mask b)
   | Replace2 a -> Printf.sprintf "Replace2 %s" (pp_mask a)
-  | Round (m, drop) ->
-      Printf.sprintf "Round (%s, drop=%b)" (pp_mask m) drop
+  | Round (m, fate) ->
+      Printf.sprintf "Round (%s, %s)" (pp_mask m)
+        (match fate with Deliver -> "deliver" | Drop -> "drop" | Hold -> "hold")
   | Crash_receiver -> "Crash_receiver"
   | Crash_sender -> "Crash_sender"
 
@@ -90,7 +101,7 @@ let gen_op =
           map2
             (fun m d -> Round (m, d))
             (array_size (return (2 * pool_size)) bool)
-            (frequency [ (4, return false); (1, return true) ]) );
+            (frequency [ (3, return Deliver); (1, return Drop); (2, return Hold) ]) );
         (1, return Crash_receiver);
         (1, return Crash_sender);
       ])
@@ -168,11 +179,21 @@ let prop_indexed_tables_match_lists =
              (fun (uid, owner) -> if owner = at then Some uid else None)
              !m_exiting)
       in
+      (* The nodes whose mirror of [b] resynced during the current drain:
+         the tap names the stream a delivery is about, the counter tells
+         whether processing it pulled a resync. *)
+      let resynced = Hashtbl.create 2 and tapped = ref None in
+      let resyncs () = Stats.get (Cluster.stats c) "gc.cleaner.resyncs" in
+      Scion_cleaner.set_delivery_tap
+        (Some (fun ~at msg -> tapped := Some (at, msg.Scion_cleaner.tm_bunch)));
       (* Every table message, once processed, may have left only uids its
          destination owns in the destination's mirrors. *)
       Net.set_handler (Cluster.net c) (fun env ->
+          let before = resyncs () in
           env.Net.payload env.Net.seq;
           let at = env.Net.dst in
+          if resyncs () > before && !tapped = Some (at, b) then
+            Hashtbl.replace resynced at ();
           if env.Net.kind = Net.Stub_table && env.Net.src = sender then begin
             List.iter
               (fun uid ->
@@ -249,12 +270,16 @@ let prop_indexed_tables_match_lists =
               (pp_op op) target indexed !scanned
         done
       in
-      let check_mirror op =
-        (* Only meaningful if this round actually addressed the receiver
-           (after a sender crash the destination set can be empty until
-           tables repopulate). *)
-        if List.mem receiver (Gc_state.last_broadcast_dests g ~node:sender ~bunch:b)
-        then begin
+      (* After a drain, [at]'s mirror must hold the sender's current tables
+         if the drain delivered the last round or resynced the mirror —
+         and only if some round addressed [at] (after a sender crash the
+         destination set can be empty until tables repopulate). *)
+      let current ~delivered at =
+        (delivered || Hashtbl.mem resynced at)
+        && List.mem at (Gc_state.broadcast_state g ~node:sender ~bunch:b).bs_dests
+      in
+      let check_mirror op ~delivered =
+        if current ~delivered receiver then begin
           Array.iteri
             (fun i stub ->
               let scion =
@@ -303,8 +328,7 @@ let prop_indexed_tables_match_lists =
         (* Each owner addressed this round mirrors exactly its share. *)
         List.iter
           (fun at ->
-            if List.mem at (Gc_state.last_broadcast_dests g ~node:sender ~bunch:b)
-            then begin
+            if current ~delivered at then begin
               let got = mirrored_exiting ~at b in
               if got <> owned_by at then
                 fail "after %s: N%d's mirror exiting has %d entries, model %d"
@@ -337,9 +361,13 @@ let prop_indexed_tables_match_lists =
               let inter = masked inter_pool2 mask in
               replace ~bunch:b2 ~inter ~intra:[];
               model_replace m_inter2 inter
-          | Round (mask, drop) ->
+          | Round (mask, fate) ->
               let exiting = masked exiting_pool mask in
-              if drop then
+              (* A round of its own on the wire: a table sent at the
+                 instant a queued one was would ride in it and share its
+                 fate. *)
+              ignore (Cluster.tick c);
+              if fate = Drop then
                 Net.set_fault (Cluster.net c) ~kind:Net.Stub_table ~drop:1.0
                   ~dup:0.0 ~rng:fault_rng;
               (* The Collect call convention: tables already retained,
@@ -351,9 +379,12 @@ let prop_indexed_tables_match_lists =
               ignore
                 (Scion_cleaner.broadcast g ~node:sender ~bunch:b2
                    ~old_inter:!m_inter2 ~old_intra:[] ~exiting:[]);
-              ignore (Cluster.drain c);
-              if drop then Net.clear_faults (Cluster.net c)
-              else check_mirror op
+              Net.clear_faults (Cluster.net c);
+              if fate <> Hold then begin
+                Hashtbl.reset resynced;
+                ignore (Cluster.drain c);
+                check_mirror op ~delivered:(fate = Deliver)
+              end
           | Crash_receiver ->
               Cluster.crash_node c ~node:receiver;
               Cluster.restart_node c ~node:receiver
@@ -378,8 +409,9 @@ let prop_indexed_tables_match_lists =
         (Scion_cleaner.broadcast g ~node:sender ~bunch:b2 ~old_inter:!m_inter2
            ~old_intra:[] ~exiting:[]);
       ignore (Cluster.drain c);
-      let final = Round (Array.make pool_size false, false) in
-      check_mirror final;
+      Scion_cleaner.set_delivery_tap None;
+      let final = Round (Array.make pool_size false, Deliver) in
+      check_mirror final ~delivered:true;
       check_claims final;
       let stat name = Stats.get (Cluster.stats c) name in
       total_deltas := !total_deltas + stat "gc.cleaner.delta_sent";

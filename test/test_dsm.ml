@@ -76,6 +76,31 @@ let test_write_invalidates_readers () =
   check_bool "invalidation messages counted" true
     (Stats.get (Cluster.stats c) "dsm.app.invalidations" > before)
 
+(* A copyset cycle: the owner's copyset names a reader and the reader's
+   names the owner.  The partition pre-flight of a write acquire at the
+   owner walks copysets; round the cycle without a visited set it
+   overflows the stack, which is bounded here (1M words) so the failure
+   comes at once rather than after the 1 GiB default. *)
+let test_copyset_cycle_write_acquire () =
+  let gc = Gc.get () in
+  Gc.set { gc with Gc.stack_limit = 1 lsl 20 };
+  Fun.protect ~finally:(fun () -> Gc.set gc) @@ fun () ->
+  let c, b = two_nodes () in
+  let proto = Cluster.proto c in
+  let a = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 1 |] in
+  let a1 = Cluster.acquire_read c ~node:1 a in
+  Cluster.release c ~node:1 a1;
+  let record n =
+    Option.get
+      (Directory.find (Protocol.directory proto n) (Cluster.uid_at c ~node:0 a))
+  in
+  Protocol.set_copyset proto (record 0) (Ids.Node_set.singleton 1);
+  Protocol.set_copyset proto (record 1) (Ids.Node_set.singleton 0);
+  let a0 = Cluster.acquire_write c ~node:0 a in
+  check_bool "owner writes" true (state c 0 a0 = Some Directory.Write);
+  check_bool "reader invalidated" true (state c 1 a1 = Some Directory.Invalid);
+  Cluster.release c ~node:0 a0
+
 let test_local_reacquire_free () =
   let c, b = two_nodes () in
   let a = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 1 |] in
@@ -503,6 +528,8 @@ let () =
           Alcotest.test_case "write invalidates readers" `Quick
             test_write_invalidates_readers;
           Alcotest.test_case "local reacquire is free" `Quick test_local_reacquire_free;
+          Alcotest.test_case "write acquire across a copyset cycle" `Quick
+            test_copyset_cycle_write_acquire;
           Alcotest.test_case "held tokens conflict" `Quick test_held_token_conflicts;
           Alcotest.test_case "read grant from reader (distributed)" `Quick
             test_read_token_from_reader_distributed;

@@ -236,7 +236,7 @@ let test_bgc_trace_counters_charged_once () =
   check_bool "B has no copy at N1" false
     (Cluster.cached_at c ~node:1 ~uid:(Cluster.uid_at c ~node:0 bo));
   let remote () = Stats.get (Cluster.stats c) "gc.trace.remote_intra_refs" in
-  let touched () = Perfcount.counters.Perfcount.gc_objects_touched in
+  let touched () = Perfcount.counters.Perfcount.s_gc_objects_touched in
   let remote0 = remote () and touched0 = touched () in
   let r = Cluster.bgc c ~node:1 ~bunch:b in
   check_int "A alone is live at N1" 1 r.Collect.r_live;

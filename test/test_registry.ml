@@ -5,7 +5,7 @@
 
    The satellite-1 gauge contract is also pinned here: sampling registry
    occupancy must do O(1) work no matter how many ranges were carved
-   (Perfcount.obs_sample_work stays flat). *)
+   (Perfcount.s_obs_sample_work stays flat). *)
 
 open Bmx_util
 module Registry = Bmx_memory.Registry
@@ -354,7 +354,7 @@ let qcheck_model =
 (* --------------------------------------- gauge sampling is heap-independent *)
 
 let sample_work_of c =
-  let before = Perfcount.counters.Perfcount.obs_sample_work in
+  let before = Perfcount.counters.Perfcount.s_obs_sample_work in
   List.iter
     (fun ((name, _), src) ->
       if name = "registry.bytes" then
@@ -362,7 +362,7 @@ let sample_work_of c =
         | Bmx_obs.Metrics.S_gauge_fn f -> ignore (!f ())
         | _ -> Alcotest.fail "registry.bytes should be a callback gauge")
     (Bmx_obs.Metrics.sources (Cluster.metrics c));
-  Perfcount.counters.Perfcount.obs_sample_work - before
+  Perfcount.counters.Perfcount.s_obs_sample_work - before
 
 let test_gauge_sampling_flat () =
   (* Sampling the registry gauge must cost the same whether 4 or 400
