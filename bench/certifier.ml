@@ -1,15 +1,16 @@
 (* E23: happens-before certifier cost vs trace length.
 
-   The certifier (Bmx_check.Races.certify) replays the typed event log
-   three times — once with full vector clocks, twice more for the GC
-   erasure diff — so its cost must stay near-linear in the trace length
-   or it cannot gate CI soaks.  This experiment generates workload
-   traces of increasing length (same shape as the e20 smoke
-   configuration), times the linter replay and the certifier on the very
-   same event list, and reports both plus their ratio.  The certifier
-   carries the heavier analysis, but on the e20-smoke-sized trace it must
-   stay within 2x of the linter's wall-clock — that bound, and
-   near-linearity of ns/event across sizes, are the acceptance gates.
+   The certifier (Bmx_check.Races.check_log) reads the typed event log
+   twice — once for the clock width, then once driving the full and the
+   GC-erased vector-clock engines in lockstep — so its cost must stay
+   near-linear in the trace length or it cannot gate CI soaks.  This
+   experiment generates workload traces of increasing length (same shape
+   as the e20 smoke configuration), times the linter (Lint.check_log)
+   and the certifier on the very same recorded log, and reports both
+   plus their ratio.  The certifier carries the heavier analysis, but on
+   the e20-smoke-sized trace it must stay within 2x of the linter's
+   wall-clock — that bound, and near-linearity of ns/event across sizes,
+   are the acceptance gates.
 
    Output: a table plus one machine-readable "BENCH {...}" line. *)
 
@@ -52,7 +53,7 @@ let trace_of ~nodes ~objects_per_bunch ~ops =
   Driver.run_ops d ~ops ();
   ignore (Cluster.collect_until_quiescent c ());
   ignore (Cluster.drain c);
-  Trace_event.events (Cluster.evlog c)
+  Cluster.evlog c
 
 type row = {
   c_ops : int;
@@ -63,14 +64,14 @@ type row = {
 }
 
 let run_size ~nodes ~objects_per_bunch ~ops =
-  let events = trace_of ~nodes ~objects_per_bunch ~ops in
-  let n = List.length events in
-  let lint_ms = time (fun () -> Lint.run events) in
-  let cert = Races.certify events in
+  let log = trace_of ~nodes ~objects_per_bunch ~ops in
+  let n = Trace_event.length log in
+  let lint_ms = time (fun () -> Lint.check_log log) in
+  let cert = Races.check_log log in
   if not (Races.ok cert) then
     failwith
       (Printf.sprintf "e23: workload trace (%d ops) failed to certify" ops);
-  let certify_ms = time (fun () -> Races.certify events) in
+  let certify_ms = time (fun () -> Races.check_log log) in
   {
     c_ops = ops;
     c_events = n;
@@ -97,8 +98,8 @@ let e23 () =
     Table.create
       ~title:
         "E23: happens-before certifier cost vs trace length — wall-clock of \
-         Races.certify against Lint.run on the same trace (near-linear \
-         ns/event is the scaling gate)"
+         Races.check_log against Lint.check_log on the same log \
+         (near-linear ns/event is the scaling gate)"
       ~columns:
         [
           "nodes"; "ops"; "events"; "lint ms"; "certify ms"; "x lint";

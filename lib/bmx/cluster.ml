@@ -23,19 +23,17 @@ type t = {
   mutable flight : Bmx_obs.Flight.t option;
 }
 
-(* The kinds carried reliably by default: the two that mutate remote
-   protocol state through one-way background messages.  Stub tables stay
-   unreliable on purpose — §6.1's whole point is that rebroadcast plus
-   the cleaner's seq-freshness check tolerate their loss.  RPC-shaped
-   exchanges (token, fetch, reclaim) execute synchronously in the
-   simulator and need no retransmission. *)
-let default_reliable = [ Net.Scion_message; Net.Addr_update ]
-
 let create ?(nodes = 3) ?(shards = 1) ?mode ?update_policy ?seed:_
-    ?(trace_events = false) ?(reliable = default_reliable) () =
+    ?(trace_events = false) () =
   let stats = Stats.create_registry () in
   let net = Net.create ~stats () in
-  Net.set_reliable net reliable;
+  (* Reliable: the two kinds that mutate remote protocol state through
+     one-way background messages.  Stub tables stay unreliable on
+     purpose — §6.1's whole point is that rebroadcast plus the cleaner's
+     seq-freshness check tolerate their loss.  RPC-shaped exchanges
+     (token, fetch, reclaim) execute synchronously in the simulator and
+     need no retransmission. *)
+  Net.set_reliable net [ Net.Scion_message; Net.Addr_update ];
   let registry = Registry.create ~shards () in
   let proto = Protocol.create ~net ~registry ?mode ?update_policy () in
   Net.set_evlog net (Protocol.evlog proto);
@@ -106,13 +104,11 @@ let create ?(nodes = 3) ?(shards = 1) ?mode ?update_policy ?seed:_
       record_ev (Trace_event.Shard_alloc { shard; node }));
   t
 
-let enable_timeseries ?window ?slots ?reservoir t =
+let enable_timeseries ?reservoir t =
   match t.timeseries with
   | Some ts -> ts
   | None ->
-      let ts =
-        Bmx_obs.Timeseries.create ?window ?slots ?reservoir ~metrics:t.obs ()
-      in
+      let ts = Bmx_obs.Timeseries.create ?reservoir ~metrics:t.obs () in
       Bmx_obs.Timeseries.attach ts (Protocol.evlog t.proto);
       (* The event tap only sees recorded events; the tick hook keeps
          windows closing on virtual time even through quiet stretches
@@ -124,11 +120,11 @@ let enable_timeseries ?window ?slots ?reservoir t =
 
 let timeseries t = t.timeseries
 
-let enable_flight ?per_node ?max_dumps t =
+let enable_flight t =
   match t.flight with
   | Some f -> f
   | None ->
-      let f = Bmx_obs.Flight.create ?per_node ?max_dumps ~metrics:t.obs () in
+      let f = Bmx_obs.Flight.create ~metrics:t.obs () in
       Bmx_obs.Flight.attach f (Protocol.evlog t.proto);
       t.flight <- Some f;
       f
@@ -140,7 +136,6 @@ let stats t = t.stats
 let metrics t = t.obs
 let evlog t = Protocol.evlog t.proto
 let set_event_trace t b = Trace_event.set_enabled (Protocol.evlog t.proto) b
-let events t = Trace_event.events (Protocol.evlog t.proto)
 let nodes t = Protocol.nodes t.proto
 
 let add_node t =

@@ -17,7 +17,6 @@ val create :
   ?update_policy:Bmx_dsm.Protocol.update_policy ->
   ?seed:int ->
   ?trace_events:bool ->
-  ?reliable:Bmx_netsim.Net.kind list ->
   unit ->
   t
 (** A cluster of [nodes] (default 3) with ids [0 .. nodes-1].  [shards]
@@ -29,13 +28,11 @@ val create :
     numbers.
     [trace_events] (default [false]) turns on the typed event log from
     the first operation so the whole run can be replayed through the
-    trace linter.  [reliable] selects the message kinds carried with
-    acknowledgement + retransmission semantics.  The default,
-    [[Scion_message; Addr_update]], is the background messages that
-    mutate remote protocol state; stub tables are deliberately left out,
+    trace linter.  Scion messages and address updates, the background
+    messages that mutate remote protocol state, travel with
+    acknowledgement + retransmission; stub tables deliberately do not,
     since §6.1's rebroadcast plus the cleaner's per-(sender, bunch)
-    freshness check tolerate their loss.  Pass [[]] for the bare §6.1
-    transport. *)
+    freshness check tolerate their loss. *)
 
 val proto : t -> Bmx_dsm.Protocol.t
 val gc : t -> Bmx_gc.Gc_state.t
@@ -48,8 +45,7 @@ val metrics : t -> Bmx_obs.Metrics.t
     copyset/grant histograms ({!Bmx_dsm.Protocol.set_metrics}) and
     per-node GC occupancy gauges ({!Bmx_gc.Gc_state.set_metrics}). *)
 
-val enable_timeseries :
-  ?window:int -> ?slots:int -> ?reservoir:int -> t -> Bmx_obs.Timeseries.t
+val enable_timeseries : ?reservoir:int -> t -> Bmx_obs.Timeseries.t
 (** Start continuous sampling: a {!Bmx_obs.Timeseries} attached to the
     cluster metrics registry and event log, with window closes driven by
     the network's virtual clock ({!Bmx_netsim.Net.set_tick_hook}).
@@ -57,8 +53,7 @@ val enable_timeseries :
 
 val timeseries : t -> Bmx_obs.Timeseries.t option
 
-val enable_flight :
-  ?per_node:int -> ?max_dumps:int -> t -> Bmx_obs.Flight.t
+val enable_flight : t -> Bmx_obs.Flight.t
 (** Attach a {!Bmx_obs.Flight} recorder to the event log (with the
     cluster metrics registry for dump snapshots).  Idempotent. *)
 
@@ -68,9 +63,6 @@ val evlog : t -> Bmx_util.Trace_event.log
 
 val set_event_trace : t -> bool -> unit
 (** Enable/disable recording into {!evlog}. *)
-
-val events : t -> Bmx_util.Trace_event.t list
-(** Recorded typed events, oldest first. *)
 
 val nodes : t -> Bmx_util.Ids.Node.t list
 

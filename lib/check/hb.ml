@@ -3,13 +3,6 @@ module E = Trace_event
 
 type clock = int array
 
-type info = {
-  idx : int;
-  ev : E.t;
-  actor : E.actor;
-  clock : clock;
-}
-
 let leq a b =
   let n = Stdlib.max (Array.length a) (Array.length b) in
   let get c i = if i < Array.length c then c.(i) else 0 in
@@ -20,13 +13,13 @@ let leq a b =
   !ok
 
 let join ~into src =
-  Array.iteri (fun i v -> if v > into.(i) then into.(i) <- v) src
+  for i = 0 to Array.length src - 1 do
+    if src.(i) > into.(i) then into.(i) <- src.(i)
+  done
 
-let node_span events =
+let node_span iter =
   let m = ref 0 in
-  Array.iter
-    (fun e -> List.iter (fun n -> m := Int.max !m n) (E.nodes e))
-    events;
+  iter (fun e -> List.iter (fun n -> m := Int.max !m n) (E.nodes e));
   !m + 1
 
 let gc_kind = function
@@ -35,208 +28,190 @@ let gc_kind = function
       true
   | _ -> false
 
-(* Engine core.  [copy = true] hands [emit] a private snapshot of each
-   timestamp (callers may retain it); [copy = false] hands it the live
-   clock array — valid only during the callback — and pays no per-event
-   allocation beyond what the edges themselves store. *)
-let exec ~copy ?nodes ?indices events emit =
-  let nodes =
-    match nodes with
-    | Some n -> Stdlib.max n 1
-    | None -> node_span events
-  in
+type t = {
+  nodes : int;
   (* Application clocks: only App-classified events increment these. *)
-  let c = Array.init nodes (fun _ -> Array.make nodes 0) in
+  c : clock array;
   (* GC-side clocks: what each node's collector has observed.  These
      absorb application clocks and GC message edges but never flow back
      into [c] — that asymmetry IS the non-interference statement. *)
-  let g = Array.init nodes (fun _ -> Array.make nodes 0) in
-  (* Message-edge snapshots.  Sequence numbers are per-(src, dst) stream
-     and strictly increasing across kinds (the FIFO lint enforces this),
-     so (src, dst, seq) identifies the send.  The snapshot is dropped at
-     first delivery: clocks only grow, so a duplicate delivery joining
-     nothing is a no-op — the edge is already absorbed. *)
-  let snap : (int * int * int, clock) Hashtbl.t = Hashtbl.create 1024 in
+  g : clock array;
+  (* Message-edge snapshots, keyed by send.  Sequence numbers are
+     per-(src, dst) stream and strictly increasing across kinds (the
+     FIFO lint enforces this), so (src, dst, seq) identifies the send.
+     The snapshot is dropped at first delivery: clocks only grow, so a
+     duplicate delivery joining nothing is a no-op — the edge is already
+     absorbed. *)
+  snap : (int, clock) Hashtbl.t;
   (* Grant-edge snapshots, keyed (requester, uid). *)
-  let grant : (int * int, clock) Hashtbl.t = Hashtbl.create 64 in
+  grant : (int, clock) Hashtbl.t;
   (* Invalidation accumulator per uid: clocks of every reader
      invalidated since the last write grant. *)
-  let acc : (int, clock) Hashtbl.t = Hashtbl.create 64 in
+  acc : (int, clock) Hashtbl.t;
   (* Actor of the in-flight acquire per uid (acquires are synchronous),
-     and tokens currently held by the GC. *)
-  let pending : (int, E.actor) Hashtbl.t = Hashtbl.create 16 in
-  let held_by_gc : (int * int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let pending_actor uid =
-    match Hashtbl.find_opt pending uid with Some a -> a | None -> E.App
-  in
-  let view a = if copy then Array.copy a else a in
-  (* Stored snapshots must survive later clock growth: fresh in copy
-     mode (the emitted timestamp is already private), copied in view
-     mode. *)
-  let retain a = if copy then a else Array.copy a in
-  (* App event at [n]: bump program order, timestamp = C(n). *)
-  let step n =
-    c.(n).(n) <- c.(n).(n) + 1;
-    view c.(n)
-  in
-  (* Gc event at [n]: reads C(n) into G(n), timestamp = G(n). *)
-  let gstep n =
-    join ~into:g.(n) c.(n);
-    view g.(n)
-  in
-  Array.mapi
-    (fun pos ev ->
-      let idx = match indices with Some ix -> ix.(pos) | None -> pos in
-      let actor, clock =
-        match ev with
-        | E.Acquire_start { actor; node; uid; _ } ->
-            Hashtbl.replace pending uid actor;
-            (actor, (match actor with E.App -> step node | E.Gc -> gstep node))
-        | E.Acquire_done { actor; node; uid; tok; _ } ->
-            Hashtbl.remove pending uid;
-            (match actor with
-            | E.App ->
-                (match Hashtbl.find_opt grant (node, uid) with
-                | Some s ->
-                    join ~into:c.(node) s;
-                    Hashtbl.remove grant (node, uid)
-                | None -> ());
-                if tok = E.Write then (
-                  (match Hashtbl.find_opt acc uid with
-                  | Some s -> join ~into:c.(node) s
-                  | None -> ());
-                  Hashtbl.remove acc uid);
-                (actor, step node)
-            | E.Gc ->
-                Hashtbl.replace held_by_gc (node, uid) ();
-                (match Hashtbl.find_opt grant (node, uid) with
-                | Some s ->
-                    join ~into:g.(node) s;
-                    Hashtbl.remove grant (node, uid)
-                | None -> ());
-                (actor, gstep node))
-        | E.Release { node; uid } ->
-            if Hashtbl.mem held_by_gc (node, uid) then begin
-              Hashtbl.remove held_by_gc (node, uid);
-              (E.Gc, gstep node)
-            end
-            else (E.App, step node)
-        | E.Grant_sent { granter; requester; uid; _ } -> (
-            match pending_actor uid with
-            | E.App ->
-                let ts = step granter in
-                Hashtbl.replace grant (requester, uid) (retain ts);
-                (E.App, ts)
-            | E.Gc ->
-                let ts = gstep granter in
-                Hashtbl.replace grant (requester, uid) (retain ts);
-                (E.Gc, ts))
-        | E.Hook_ssp { granter; uid; _ } -> (
-            match pending_actor uid with
-            | E.App -> (E.App, step granter)
-            | E.Gc -> (E.Gc, gstep granter))
-        | E.Invalidate { src; dst; uid } -> (
-            match pending_actor uid with
-            | E.App ->
-                (* Synchronous exchange: src and dst merge, and the
-                   invalidated reader's clock feeds the accumulator the
-                   next write grant will join. *)
-                let ts = step src in
-                join ~into:c.(dst) ts;
-                join ~into:c.(src) c.(dst);
-                let a =
-                  match Hashtbl.find_opt acc uid with
-                  | Some a -> a
-                  | None ->
-                      let a = Array.make nodes 0 in
-                      Hashtbl.add acc uid a;
-                      a
-                in
-                join ~into:a c.(dst);
-                (E.App, view c.(src))
-            | E.Gc ->
-                let ts = gstep src in
-                join ~into:g.(dst) ts;
-                (E.Gc, ts))
-        | E.Msg_sent { src; dst; kind; seq; _ } ->
-            if gc_kind kind then begin
-              let ts = gstep src in
-              Hashtbl.replace snap (src, dst, seq) (retain ts);
-              (E.Gc, ts)
-            end
-            else begin
-              let ts = step src in
-              Hashtbl.replace snap (src, dst, seq) (retain ts);
-              (E.App, ts)
-            end
-        | E.Msg_delivered { src; dst; kind; seq; _ } ->
-            if gc_kind kind then begin
-              (match Hashtbl.find_opt snap (src, dst, seq) with
-              | Some s ->
-                  join ~into:g.(dst) s;
-                  Hashtbl.remove snap (src, dst, seq)
-              | None -> ());
-              (E.Gc, gstep dst)
-            end
-            else begin
-              (match Hashtbl.find_opt snap (src, dst, seq) with
-              | Some s ->
-                  join ~into:c.(dst) s;
-                  Hashtbl.remove snap (src, dst, seq)
-              | None -> ());
-              (E.App, step dst)
-            end
-        | E.Rpc { src; dst; kind; _ } ->
-            if gc_kind kind then begin
-              let ts = gstep src in
-              join ~into:g.(dst) ts;
-              join ~into:g.(dst) c.(dst);
-              join ~into:g.(src) g.(dst);
-              (E.Gc, view g.(src))
-            end
-            else begin
-              ignore (step src);
-              join ~into:c.(dst) c.(src);
-              join ~into:c.(src) c.(dst);
-              (E.App, view c.(src))
-            end
-        | E.Msg_retransmit { src; dst = _; kind; _ } ->
-            (* The original send's snapshot already carries the edge. *)
-            if gc_kind kind then (E.Gc, gstep src) else (E.App, step src)
-        | E.Msg_suppressed { dst; kind; _ } | E.Msg_buffered { dst; kind; _ }
-          ->
-            if gc_kind kind then (E.Gc, gstep dst) else (E.App, step dst)
-        | E.Gc_begin { node; _ } | E.Gc_end { node; _ } | E.Gc_phase { node; _ }
-          ->
-            (E.Gc, gstep node)
-        | E.Tables_processed { at; _ } -> (E.Gc, gstep at)
-        | E.Read_obs { actor; node; _ } | E.Write_obs { actor; node; _ } -> (
-            match actor with
-            | E.App -> (E.App, step node)
-            | E.Gc -> (E.Gc, gstep node))
-        | E.Updates_applied { node; _ } | E.Forward_due { node; _ } ->
-            (E.App, step node)
-        | E.Copyset_forward { src; _ } -> (E.App, step src)
-        | E.Crash { node } | E.Restart { node } -> (E.App, step node)
-        | E.Owner_adopted { node; _ } -> (E.App, step node)
-        | E.Disk_fault { node; _ }
-        | E.Rvm_recover { node; _ }
-        | E.Bunch_verified { node; _ }
-        | E.Shard_alloc { node; _ }
-        | E.Shard_adopted { node; _ } ->
-            (E.App, step node)
-        | E.Link_cut { src; _ } | E.Link_heal { src; _ } | E.Suspect { src; _ }
-          ->
-            (E.App, step src)
-      in
-      emit idx ev actor clock)
-    events
+     and tokens currently held by the GC, keyed (node, uid). *)
+  pending : (int, E.actor) Hashtbl.t;
+  held_by_gc : (int, unit) Hashtbl.t;
+  (* Timestamp of the last stepped event: a row of [c] or [g]. *)
+  mutable ts : clock;
+}
 
-let run ?nodes ?indices events =
-  exec ~copy:true ?nodes ?indices events (fun idx ev actor clock ->
-      { idx; ev; actor; clock })
+let create ~nodes =
+  let nodes = Int.max nodes 1 in
+  let clocks () = Array.init nodes (fun _ -> Array.make nodes 0) in
+  {
+    nodes;
+    c = clocks ();
+    g = clocks ();
+    snap = Hashtbl.create 1024;
+    grant = Hashtbl.create 64;
+    acc = Hashtbl.create 64;
+    pending = Hashtbl.create 16;
+    held_by_gc = Hashtbl.create 16;
+    ts = [||];
+  }
 
-let scan ?nodes ?indices events f =
-  ignore
-    (exec ~copy:false ?nodes ?indices events (fun idx _ actor clock ->
-         f idx actor clock))
+let timestamp t = t.ts
+
+(* One int key for a node id (below [t.nodes]) and any int, so keyed
+   lookups build no tuple. *)
+let key t node x = (x * t.nodes) + node
+
+(* App event at [n]: bump program order; the timestamp is C(n). *)
+let app t n =
+  let cn = t.c.(n) in
+  cn.(n) <- cn.(n) + 1;
+  t.ts <- cn;
+  E.App
+
+(* Gc event at [n]: C(n) flows into G(n), which is the timestamp. *)
+let gc t n =
+  join ~into:t.g.(n) t.c.(n);
+  t.ts <- t.g.(n);
+  E.Gc
+
+let by actor t n = match actor with E.App -> app t n | E.Gc -> gc t n
+let by_kind kind t n = if gc_kind kind then gc t n else app t n
+
+let pending_actor t uid =
+  match Hashtbl.find t.pending uid with
+  | a -> a
+  | exception Not_found -> E.App
+
+(* Joins the snapshot stored under [k], if any, into [into] and drops
+   it. *)
+let absorb tbl k ~into =
+  match Hashtbl.find tbl k with
+  | s ->
+      join ~into s;
+      Hashtbl.remove tbl k
+  | exception Not_found -> ()
+
+(* Stores a private copy of the timestamp just taken: later steps grow
+   the row it views. *)
+let snapshot t tbl k = Hashtbl.replace tbl k (Array.copy t.ts)
+
+let accumulator t uid =
+  match Hashtbl.find t.acc uid with
+  | a -> a
+  | exception Not_found ->
+      let a = Array.make t.nodes 0 in
+      Hashtbl.add t.acc uid a;
+      a
+
+let step t ev =
+  match ev with
+  | E.Acquire_start { actor; node; uid; _ } ->
+      Hashtbl.replace t.pending uid actor;
+      by actor t node
+  | E.Acquire_done { actor = E.App; node; uid; tok; _ } ->
+      Hashtbl.remove t.pending uid;
+      absorb t.grant (key t node uid) ~into:t.c.(node);
+      if tok = E.Write then absorb t.acc uid ~into:t.c.(node);
+      app t node
+  | E.Acquire_done { actor = E.Gc; node; uid; _ } ->
+      Hashtbl.remove t.pending uid;
+      Hashtbl.replace t.held_by_gc (key t node uid) ();
+      absorb t.grant (key t node uid) ~into:t.g.(node);
+      gc t node
+  | E.Release { node; uid } ->
+      let k = key t node uid in
+      if Hashtbl.mem t.held_by_gc k then begin
+        Hashtbl.remove t.held_by_gc k;
+        gc t node
+      end
+      else app t node
+  | E.Grant_sent { granter; requester; uid; _ } ->
+      let actor = by (pending_actor t uid) t granter in
+      snapshot t t.grant (key t requester uid);
+      actor
+  | E.Hook_ssp { granter; uid; _ } -> by (pending_actor t uid) t granter
+  | E.Invalidate { src; dst; uid } -> (
+      match pending_actor t uid with
+      | E.App ->
+          (* Synchronous exchange: src and dst merge, and the
+             invalidated reader's clock feeds the accumulator the next
+             write grant will join. *)
+          ignore (app t src);
+          join ~into:t.c.(dst) t.c.(src);
+          join ~into:t.c.(src) t.c.(dst);
+          join ~into:(accumulator t uid) t.c.(dst);
+          E.App
+      | E.Gc ->
+          ignore (gc t src);
+          join ~into:t.g.(dst) t.g.(src);
+          E.Gc)
+  | E.Msg_sent { src; dst; kind; seq; _ } ->
+      let actor = by_kind kind t src in
+      snapshot t t.snap (key t dst (key t src seq));
+      actor
+  | E.Msg_delivered { src; dst; kind; seq; _ } ->
+      let k = key t dst (key t src seq) in
+      if gc_kind kind then begin
+        absorb t.snap k ~into:t.g.(dst);
+        gc t dst
+      end
+      else begin
+        absorb t.snap k ~into:t.c.(dst);
+        app t dst
+      end
+  | E.Rpc { src; dst; kind; _ } ->
+      if gc_kind kind then begin
+        ignore (gc t src);
+        join ~into:t.g.(dst) t.g.(src);
+        join ~into:t.g.(dst) t.c.(dst);
+        join ~into:t.g.(src) t.g.(dst);
+        E.Gc
+      end
+      else begin
+        ignore (app t src);
+        join ~into:t.c.(dst) t.c.(src);
+        join ~into:t.c.(src) t.c.(dst);
+        E.App
+      end
+  | E.Msg_retransmit { src; kind; _ } ->
+      (* The original send's snapshot already carries the edge. *)
+      by_kind kind t src
+  | E.Msg_suppressed { dst; kind; _ } | E.Msg_buffered { dst; kind; _ } ->
+      by_kind kind t dst
+  | E.Gc_begin { node; _ } | E.Gc_end { node; _ } | E.Gc_phase { node; _ } ->
+      gc t node
+  | E.Tables_processed { at; _ } -> gc t at
+  | E.Read_obs { actor; node; _ } | E.Write_obs { actor; node; _ } ->
+      by actor t node
+  | E.Updates_applied { node; _ }
+  | E.Forward_due { node; _ }
+  | E.Crash { node }
+  | E.Restart { node }
+  | E.Owner_adopted { node; _ }
+  | E.Disk_fault { node; _ }
+  | E.Rvm_recover { node; _ }
+  | E.Bunch_verified { node; _ }
+  | E.Shard_alloc { node; _ }
+  | E.Shard_adopted { node; _ } ->
+      app t node
+  | E.Copyset_forward { src; _ }
+  | E.Link_cut { src; _ }
+  | E.Link_heal { src; _ }
+  | E.Suspect { src; _ } ->
+      app t src

@@ -67,35 +67,28 @@
 type clock = int array
 (** One component per node; missing nodes read 0. *)
 
-type info = {
-  idx : int;  (** caller-supplied index of the event (trace position) *)
-  ev : Bmx_util.Trace_event.t;
-  actor : Bmx_util.Trace_event.actor;  (** classification, see above *)
-  clock : clock;  (** the event's vector timestamp *)
-}
-
 val leq : clock -> clock -> bool
 (** Pointwise [<=] — happens-before-or-equal for event timestamps. *)
 
-val node_span : Bmx_util.Trace_event.t array -> int
-(** [1 + ] the largest node id mentioned anywhere in the trace (at least
-    1), i.e. the clock width needed to replay it. *)
+val node_span : ((Bmx_util.Trace_event.t -> unit) -> unit) -> int
+(** [node_span iter]: [1 +] the largest node id mentioned by any event
+    [iter] yields (at least 1), i.e. the clock width needed to replay
+    them. *)
 
-val run :
-  ?nodes:int -> ?indices:int array -> Bmx_util.Trace_event.t array ->
-  info array
-(** Replay the engine over a trace.  [indices] supplies each event's
-    trace position (default: its array index) and is preserved in the
-    output, so a filtered trace keeps its original positions — that is
-    what the erasure check diffs on.  [nodes] defaults to {!node_span}
-    of the events.  Single pass, O(events × nodes). *)
+type t
+(** An engine part-way through a trace: every node's two clocks and the
+    edge snapshots not yet absorbed. *)
 
-val scan :
-  ?nodes:int -> ?indices:int array -> Bmx_util.Trace_event.t array ->
-  (int -> Bmx_util.Trace_event.actor -> clock -> unit) -> unit
-(** Streaming {!run}: calls the callback with each event's index,
-    classification and timestamp instead of materialising an array.
-    The clock argument is a {e live view} of the engine's state — read
-    or compare it during the callback, never retain it.  Used by the
-    erasure check, which only compares timestamps and so skips {!run}'s
-    per-event snapshot allocation. *)
+val create : nodes:int -> t
+(** A fresh engine whose clocks are [nodes] wide (at least 1; see
+    {!node_span}). *)
+
+val step : t -> Bmx_util.Trace_event.t -> Bmx_util.Trace_event.actor
+(** Replay the next event of the trace and return its classification.
+    O(nodes); allocates only the table entries it stores (edge
+    snapshots, in-flight acquires). *)
+
+val timestamp : t -> clock
+(** The vector timestamp of the event last {!step}ped.  A {e live view}
+    of the engine's state, valid until the next {!step}: compare it,
+    copy it to keep it. *)

@@ -87,15 +87,10 @@ let replay iter =
   let partitioned a b =
     Hashtbl.mem cut (a, b) || Hashtbl.mem cut (b, a)
   in
-  (* Ownership as witnessed by the trace: write grants transfer it,
-     adoption re-seats it.  Partial — allocation is not traced — so the
-     split-brain rule only fires when the trace itself recorded who owned
-     the object last. *)
-  let owner_seen : (int, int) Hashtbl.t = Hashtbl.create 32 in
   (* Registry-shard ownership as witnessed by the trace: adoptions
-     re-seat it, allocations must come from it.  Partial knowledge, same
-     idiom as [owner_seen] — shard ownership is durable (journalled), so
-     a crash does not erase what the trace recorded. *)
+     re-seat it, allocations must come from it.  Partial knowledge —
+     shard ownership is durable (journalled), so a crash does not erase
+     what the trace recorded. *)
   let shard_owner_seen : (int, int) Hashtbl.t = Hashtbl.create 8 in
   (* Storage faults injected and not yet acknowledged by a recovery. *)
   let faults : (int, (int * string) list ref) Hashtbl.t = Hashtbl.create 4 in
@@ -130,7 +125,6 @@ let replay iter =
               "event %d: %s token of o%d granted N%d -> N%d across a cut \
                link"
               i (tok_str tok) uid granter requester;
-          if tok = E.Write then Hashtbl.replace owner_seen uid requester;
           Hashtbl.replace grants (requester, uid) (updates, ref false);
           if tok = E.Write then
             if Hashtbl.mem hooks (granter, requester, uid) then
@@ -222,15 +216,7 @@ let replay iter =
              exempt from the background channel's FIFO; recovery-time
              accounting (ownership adoption) also records these. *)
           ()
-      | E.Crash { node } ->
-          Hashtbl.replace down node ();
-          (* Ownership is volatile state and dies with the node: a later
-             adoption elsewhere is legitimate even if this node restarts
-             in between (its recovery re-establishes ownership — and
-             re-records it here — only via Owner_adopted/Grant_sent). *)
-          Hashtbl.iter
-            (fun uid owner -> if owner = node then Hashtbl.remove owner_seen uid)
-            (Hashtbl.copy owner_seen)
+      | E.Crash { node } -> Hashtbl.replace down node ()
       | E.Restart { node } -> Hashtbl.remove down node
       | E.Link_cut { src; dst } -> Hashtbl.replace cut (src, dst) ()
       | E.Link_heal { src; dst } -> Hashtbl.remove cut (src, dst)
@@ -239,20 +225,21 @@ let replay iter =
              crashed sender's suspect pairs, so a Suspect-off can
              legitimately trail a Crash event — no dead-node check. *)
           ()
-      | E.Owner_adopted { node; uid } ->
+      | E.Owner_adopted { node; uid; prev } ->
           dead i node "ownership adoption of o%d" uid;
-          (match Hashtbl.find_opt owner_seen uid with
-          | Some prev
-            when prev <> node
-                 && (not (Hashtbl.mem down prev))
-                 && partitioned prev node ->
-              add ~at:i ~vnode:node Split_brain_ownership
-                "event %d: N%d adopted ownership of o%d while its last \
-                 recorded owner N%d is alive across a cut link — two owners \
-                 after heal"
-                i node uid prev
-          | Some _ | None -> ());
-          Hashtbl.replace owner_seen uid node
+          (* [prev] is the owner the protocol recorded at adoption
+             ([Node.invalid] when none survived): it must be down, not
+             merely cut off. *)
+          if
+            prev <> node
+            && (not (Hashtbl.mem down prev))
+            && partitioned prev node
+          then
+            add ~at:i ~vnode:node Split_brain_ownership
+              "event %d: N%d adopted ownership of o%d while its last \
+               recorded owner N%d is alive across a cut link — two owners \
+               after heal"
+              i node uid prev
       | E.Tables_processed { at; sender; bunch; seq = _ } ->
           dead i at "reachability tables processed";
           if Hashtbl.mem down sender then

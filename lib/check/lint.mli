@@ -34,9 +34,10 @@
     - {b Completeness}: an overflowed (truncated) log cannot be
       certified.
     - {b Split-brain ownership} (partitions): no token is granted across
-      a cut link, and no node adopts ownership of an object whose last
-      trace-recorded owner is alive on the far side of a cut — healing
-      must never reveal two owners.
+      a cut link, and no node adopts ownership of an object whose owner,
+      as the protocol recorded it at adoption ([Owner_adopted]'s
+      [prev]), is alive on the far side of a cut — healing must never
+      reveal two owners.
     - {b Partition quarantine} (partitions): no message is delivered
       over a cut link, and the scion cleaner never processes
       reachability tables from a sender that is crashed or unreachable
@@ -49,9 +50,9 @@
       carved by the owning node of its registry shard — a [Shard_alloc]
       applied by any other node is a registry mutation from a non-owning
       replica — and no node adopts a shard whose last trace-recorded
-      owner is alive on the far side of a cut link.  Partial knowledge,
-      like split-brain ownership: the rule only fires when the trace
-      recorded who owned the shard. *)
+      owner is alive on the far side of a cut link.  Partial knowledge:
+      the rule only fires when the trace recorded who owned the
+      shard. *)
 
 type rule =
   | Gc_acquired_token

@@ -59,7 +59,7 @@ let compare_finding a b =
 let normalize fs = List.sort_uniq compare_finding fs
 
 (* ------------------------------------------------------------------ *)
-(* Read mapping and race detection over annotated events.              *)
+(* Read mapping and race detection over stamped events.                *)
 
 type obj_state = {
   (* Timestamp, version and node of the happens-before-maximal covered
@@ -73,53 +73,61 @@ type obj_state = {
   fronts : (int, Hb.clock) Hashtbl.t;
 }
 
-type access_stats = {
-  mutable a_reads : int;
-  mutable a_writes : int;
-  mutable a_weak : int;
-}
-
 type map_state = {
-  m_objs : (int, obj_state) Hashtbl.t;
-  mutable m_out : finding list;
-  m_stats : access_stats option;
+  objs : (int, obj_state) Hashtbl.t;
+  (* Findings anchored at App events, and at GC events (a GC access):
+     only the former must survive erasure. *)
+  mutable app_found : finding list;
+  mutable gc_found : finding list;
+  mutable reads : int;
+  mutable writes : int;
+  mutable weak : int;
 }
 
-let map_create ?stats () =
-  { m_objs = Hashtbl.create 64; m_out = []; m_stats = stats }
+let map_create () =
+  {
+    objs = Hashtbl.create 64;
+    app_found = [];
+    gc_found = [];
+    reads = 0;
+    writes = 0;
+    weak = 0;
+  }
 
-(* Replays one access-level event into the read-mapping state.  [clock]
-   may be a live engine view; [retain] must make it safe to store
-   ([Fun.id] when the caller already owns a private copy).  Processes
-   every access, GC-actor ones included: in the full replay a GC write
-   legitimately shifts the version basis, so that erasing it makes the
+let add st ~actor kind ~at ~node ~uid fmt =
+  Printf.ksprintf
+    (fun detail ->
+      let f = { kind; at; node; uid; detail } in
+      match actor with
+      | E.App -> st.app_found <- f :: st.app_found
+      | E.Gc -> st.gc_found <- f :: st.gc_found)
+    fmt
+
+let obj st uid =
+  match Hashtbl.find_opt st.objs uid with
+  | Some o -> o
+  | None ->
+      let o =
+        { last_write = None; expected = None; fronts = Hashtbl.create 4 }
+      in
+      Hashtbl.add st.objs uid o;
+      o
+
+(* Replays one event, classified [actor] and stamped [clock] (a live
+   engine view), into the read-mapping state.  Processes every access,
+   GC-actor ones included: in the full replay a GC write legitimately
+   shifts the version basis, so that erasing it makes the
    application-anchored findings diverge — which is exactly what the
    erasure check trips on. *)
-let map_step st ~retain ~at ev (clock : Hb.clock) =
-  let add kind ~node ~uid fmt =
-    Printf.ksprintf
-      (fun detail -> st.m_out <- { kind; at; node; uid; detail } :: st.m_out)
-      fmt
-  in
-  let obj uid =
-    match Hashtbl.find_opt st.m_objs uid with
-    | Some o -> o
-    | None ->
-        let o =
-          { last_write = None; expected = None; fronts = Hashtbl.create 4 }
-        in
-        Hashtbl.add st.m_objs uid o;
-        o
-  in
-  let tally f = match st.m_stats with Some s -> f s | None -> () in
+let map_step st ~actor ~at ev (clock : Hb.clock) =
   match ev with
   | E.Write_obs { node; uid; version; covered; _ } ->
-      tally (fun s -> s.a_writes <- s.a_writes + 1);
-      let o = obj uid in
+      st.writes <- st.writes + 1;
+      let o = obj st uid in
       if covered then begin
         (match o.last_write with
         | Some (wvc, wver, wnode) when not (Hb.leq wvc clock) ->
-            add Race ~node ~uid
+            add st ~actor Race ~at ~node ~uid
               "event %d: write of o%d (v%d) at N%d unordered with the \
                write of v%d at N%d — write-write race"
               at uid version node wver wnode
@@ -127,7 +135,7 @@ let map_step st ~retain ~at ev (clock : Hb.clock) =
         Hashtbl.iter
           (fun rnode front ->
             if not (Hb.leq front clock) then
-              add Race ~node ~uid
+              add st ~actor Race ~at ~node ~uid
                 "event %d: write of o%d (v%d) at N%d unordered with a \
                  covered read at N%d — read-write race"
                 at uid version node rnode)
@@ -136,30 +144,29 @@ let map_step st ~retain ~at ev (clock : Hb.clock) =
       (* Covered or not, the write moves the version basis: an
          uncovered (token-less) write is reported as interference by
          the caller, and erasing it must perturb the mapping. *)
-      o.last_write <- Some (retain clock, version, node);
+      o.last_write <- Some (Array.copy clock, version, node);
       o.expected <- Some version;
       Hashtbl.reset o.fronts
   | E.Read_obs { node; uid; version; covered; _ } ->
-      tally (fun s -> s.a_reads <- s.a_reads + 1);
-      if not covered then
-        tally (fun s -> s.a_weak <- s.a_weak + 1)
+      st.reads <- st.reads + 1;
+      if not covered then st.weak <- st.weak + 1
       else begin
-        let o = obj uid in
+        let o = obj st uid in
         (match o.last_write with
         | Some (wvc, wver, wnode) when not (Hb.leq wvc clock) ->
-            add Race ~node ~uid
+            add st ~actor Race ~at ~node ~uid
               "event %d: covered read of o%d (v%d) at N%d unordered with \
                the write of v%d at N%d — read-write race"
               at uid version node wver wnode
         | _ -> ());
         (match o.expected with
         | Some ver when version < ver ->
-            add Stale_read ~node ~uid
+            add st ~actor Stale_read ~at ~node ~uid
               "event %d: covered read of o%d at N%d observed v%d but the \
                happens-before-maximal write is v%d — stale read"
               at uid node version ver
         | Some ver when version > ver ->
-            add Phantom_version ~node ~uid
+            add st ~actor Phantom_version ~at ~node ~uid
               "event %d: covered read of o%d at N%d observed v%d, newer \
                than any recorded write (v%d) — phantom version"
               at uid node version ver
@@ -177,226 +184,140 @@ let map_step st ~retain ~at ev (clock : Hb.clock) =
   | E.Crash { node } ->
       (* The node's tokens died with it: later writes legally skip
          invalidating it, so its fronts must not accuse them. *)
-      Hashtbl.iter (fun _ o -> Hashtbl.remove o.fronts node) st.m_objs
-  | E.Owner_adopted { node = _; uid } ->
+      Hashtbl.iter (fun _ o -> Hashtbl.remove o.fronts node) st.objs
+  | E.Owner_adopted { uid; _ } ->
       (* Recovery reseated ownership from a persistent image; the
          version chain restarts at the next write.  (Honest
          RVM-truncation staleness is checked by the recovery fsck,
          not here.) *)
-      let o = obj uid in
+      let o = obj st uid in
       o.last_write <- None;
       o.expected <- None;
       Hashtbl.reset o.fronts
   | _ -> ()
 
-let read_map ?stats infos =
-  let st = map_create ?stats () in
-  Array.iter
-    (fun (i : Hb.info) -> map_step st ~retain:Fun.id ~at:i.idx i.ev i.clock)
-    infos;
-  (Hashtbl.length st.m_objs, st.m_out)
-
 (* ------------------------------------------------------------------ *)
 (* Certification.                                                      *)
 
-let erased_key (f : finding) = (f.kind, f.at, f.node, f.uid, f.detail)
+let found at node uid detail =
+  Some { kind = Gc_interference; at; node; uid; detail }
 
-let certify ?(overflowed = false) events =
-  let evs = Array.of_list events in
-  let nodes = Hb.node_span evs in
-  let n = Array.length evs in
-  let stats = { a_reads = 0; a_writes = 0; a_weak = 0 } in
-  (* One streaming pass collects everything the erasure check and the
-     summary need: the read-mapping / race findings, direct interference
-     findings (the collector acquiring tokens, holding one at a read, or
-     writing a shared object), the app-event clock table, the erased
-     replay input positions, the App/Gc tallies, and whether any
-     GC-actor access exists at all.  Clocks are live engine views; the
-     only retained copies are the write timestamps the read mapping
-     stores and the flat app-clock matrix below. *)
-  let st = map_create ~stats () in
-  let interference = ref [] in
-  (* Clock of the app event at trace position i (row i of a flat
-     [n * nodes] matrix), valid iff [is_app.(i)] — the full replay's
-     indices are the positions 0..n-1. *)
-  let app_flat = Array.make (n * nodes) 0 in
-  let is_app = Array.make n false in
-  let app_pos = Array.make n 0 in
-  let app_events = ref 0 and gc_events = ref 0 in
-  let gc_access = ref false in
-  Hb.scan ~nodes evs (fun idx actor clock ->
-      let ev = evs.(idx) in
-      (match actor with
-      | E.App ->
-          Array.blit clock 0 app_flat (idx * nodes) nodes;
-          is_app.(idx) <- true;
-          app_pos.(!app_events) <- idx;
-          incr app_events
-      | E.Gc -> incr gc_events);
-      (match ev with
-      | E.Acquire_start { actor = E.Gc; node; uid; tok } ->
-          interference :=
-            {
-              kind = Gc_interference;
-              at = idx;
-              node;
-              uid;
-              detail =
-                Printf.sprintf
-                  "event %d: the collector acquired a %s token for o%d at N%d"
-                  idx
-                  (match tok with E.Read -> "read" | E.Write -> "write")
-                  uid node;
-            }
-            :: !interference
-      | E.Write_obs { actor = E.Gc; node; uid; version; _ } ->
-          gc_access := true;
-          interference :=
-            {
-              kind = Gc_interference;
-              at = idx;
-              node;
-              uid;
-              detail =
-                Printf.sprintf
-                  "event %d: the collector wrote o%d (v%d) at N%d — GC must \
-                   never mutate application-visible state"
-                  idx uid version node;
-            }
-            :: !interference
-      | E.Read_obs { actor = E.Gc; node; uid; covered; _ } ->
-          gc_access := true;
-          if covered then
-            interference :=
-              {
-                kind = Gc_interference;
-                at = idx;
-                node;
-                uid;
-                detail =
-                  Printf.sprintf
-                    "event %d: the collector read o%d at N%d under a held \
-                     token — GC reads must be token-free"
-                    idx uid node;
-              }
-              :: !interference
-      | _ -> ());
-      map_step st ~retain:Array.copy ~at:idx ev clock);
-  let objects = Hashtbl.length st.m_objs in
-  let full_findings = st.m_out in
-  let interference = List.rev !interference in
-  let clock_matches idx (clock : Hb.clock) =
-    is_app.(idx)
-    &&
-    let base = idx * nodes in
-    let same = ref true in
-    for k = 0 to nodes - 1 do
-      if app_flat.(base + k) <> clock.(k) then same := false
-    done;
-    !same
+(* The collector acquiring a token, writing a shared object, or reading
+   one under a held token. *)
+let interference at ev =
+  match ev with
+  | E.Acquire_start { actor = E.Gc; node; uid; tok } ->
+      found at node uid
+        (Printf.sprintf
+           "event %d: the collector acquired a %s token for o%d at N%d" at
+           (match tok with E.Read -> "read" | E.Write -> "write")
+           uid node)
+  | E.Write_obs { actor = E.Gc; node; uid; version; _ } ->
+      found at node uid
+        (Printf.sprintf
+           "event %d: the collector wrote o%d (v%d) at N%d — GC must never \
+            mutate application-visible state"
+           at uid version node)
+  | E.Read_obs { actor = E.Gc; node; uid; covered = true; _ } ->
+      found at node uid
+        (Printf.sprintf
+           "event %d: the collector read o%d at N%d under a held token — GC \
+            reads must be token-free"
+           at uid node)
+  | _ -> None
+
+let no_anchor kind detail = { kind; at = -1; node = -1; uid = -1; detail }
+
+(* [replay ~overflowed iter] certifies the events [iter] yields with
+   their trace positions, oldest first.  One pass drives two engines in
+   lockstep: the full one steps every event, the erased one only the
+   events the full one classified App — the trace with every GC event
+   deleted.  Each App event's two timestamps are compared as soon as
+   both exist; the first mismatch (or reclassification) is the erasure
+   finding, and the erased engine stops there.  Otherwise the erased
+   read mapping must end with the full one's application-anchored
+   findings. *)
+let replay ~overflowed iter =
+  let nodes = Hb.node_span (fun f -> iter (fun _ e -> f e)) in
+  let full = Hb.create ~nodes and erased = Hb.create ~nodes in
+  let full_map = map_create () and erased_map = map_create () in
+  let interfered = ref [] and broken = ref None in
+  let events = ref 0 and app_events = ref 0 in
+  iter (fun at ev ->
+      incr events;
+      let actor = Hb.step full ev in
+      let clock = Hb.timestamp full in
+      (match interference at ev with
+      | Some f -> interfered := f :: !interfered
+      | None -> ());
+      map_step full_map ~actor ~at ev clock;
+      if actor = E.App then begin
+        incr app_events;
+        if !broken = None then
+          match Hb.step erased ev with
+          | E.Gc ->
+              broken :=
+                Some
+                  (Printf.sprintf
+                     "application event %d was reclassified by the erasure \
+                      replay"
+                     at)
+          | E.App when Hb.timestamp erased <> clock ->
+              broken :=
+                Some
+                  (Printf.sprintf
+                     "erasing GC events changed the vector clock of \
+                      application event %d"
+                     at)
+          | E.App -> map_step erased_map ~actor ~at ev (Hb.timestamp erased)
+      end);
+  let broken =
+    match !broken with
+    | Some _ as b -> b
+    | None when normalize full_map.app_found = normalize erased_map.app_found
+      ->
+        None
+    | None ->
+        Some
+          "erasing GC events changed the application read mapping (races / \
+           stale reads differ between the two replays)"
   in
-  (* Erasure theorem: replay with every GC-classified event deleted and
-     diff the application clocks and application-anchored findings. *)
-  let indices = Array.sub app_pos 0 !app_events in
-  let erased_evs = Array.map (fun p -> evs.(p)) indices in
-  let reclassified idx =
-    Printf.sprintf "application event %d was reclassified by the erasure replay"
-      idx
-  in
-  let moved idx =
-    Printf.sprintf
-      "erasing GC events changed the vector clock of application event %d" idx
-  in
-  let clock_diff, map_diff =
-    if not !gc_access then begin
-      (* No GC-actor access events: once the clocks check out, the
-         erased replay would feed [read_map] exactly the same
-         access/crash/adoption sequence with identical timestamps, so
-         its findings are identical by construction — a streaming
-         (allocation-free) clock comparison is the whole theorem. *)
-      let diff = ref None in
-      (try
-         Hb.scan ~nodes ~indices erased_evs (fun idx actor clock ->
-             if actor <> E.App then begin
-               diff := Some (reclassified idx);
-               raise Exit
-             end;
-             if not (clock_matches idx clock) then begin
-               diff := Some (moved idx);
-               raise Exit
-             end)
-       with Exit -> ());
-      (!diff, None)
-    end
-    else begin
-      let erased = Hb.run ~nodes ~indices erased_evs in
-      let diff = ref None in
-      (try
-         Array.iter
-           (fun (i : Hb.info) ->
-             if i.actor <> E.App then begin
-               diff := Some (reclassified i.idx);
-               raise Exit
-             end;
-             if not (clock_matches i.idx i.clock) then begin
-               diff := Some (moved i.idx);
-               raise Exit
-             end)
-           erased
-       with Exit -> ());
-      let map_diff =
-        if !diff <> None then None
-        else begin
-          let _, erased_findings = read_map erased in
-          let app_anchored fs =
-            List.filter (fun f -> f.at >= 0 && f.at < n && is_app.(f.at)) fs
-            |> List.map erased_key
-            |> List.sort_uniq Stdlib.compare
-          in
-          if app_anchored full_findings = app_anchored erased_findings then
-            None
-          else
-            Some
-              "erasing GC events changed the application read mapping (races \
-               / stale reads differ between the two replays)"
-        end
-      in
-      (!diff, map_diff)
-    end
-  in
-  let erasure_findings =
-    match (clock_diff, map_diff) with
-    | Some d, _ | None, Some d ->
-        [ { kind = Erasure_broken; at = -1; node = -1; uid = -1; detail = d } ]
-    | None, None -> []
-  in
+  let erasure = Option.to_list (Option.map (no_anchor Erasure_broken) broken) in
   let incomplete =
     if overflowed then
       [
-        {
-          kind = Incomplete_trace;
-          at = -1;
-          node = -1;
-          uid = -1;
-          detail =
-            "the event log overflowed (or had unparseable lines); the trace \
-             cannot be certified";
-        };
+        no_anchor Incomplete_trace
+          "the event log overflowed (or had unparseable lines); the trace \
+           cannot be certified";
       ]
     else []
   in
   {
-    events = n;
+    events = !events;
     app_events = !app_events;
-    gc_events = !gc_events;
-    reads = stats.a_reads;
-    writes = stats.a_writes;
-    weak_reads = stats.a_weak;
-    objects;
-    erasure_ok = erasure_findings = [];
+    gc_events = !events - !app_events;
+    reads = full_map.reads;
+    writes = full_map.writes;
+    weak_reads = full_map.weak;
+    objects = Hashtbl.length full_map.objs;
+    erasure_ok = erasure = [];
     findings =
-      normalize (incomplete @ erasure_findings @ interference @ full_findings);
+      normalize
+        (incomplete @ erasure @ !interfered @ full_map.app_found
+       @ full_map.gc_found);
   }
+
+let certify ?(overflowed = false) events =
+  replay ~overflowed (fun f -> List.iteri f events)
+
+let check_log log =
+  replay ~overflowed:(E.overflowed log) (fun f ->
+      ignore
+        (E.fold log
+           (fun i _ e ->
+             f i e;
+             i + 1)
+           0))
 
 let ok t = t.findings = []
 

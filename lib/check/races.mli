@@ -25,7 +25,11 @@
     findings bit-for-bit unchanged.  The engine's clock model makes
     this hold by construction for a passive collector, so any diff is a
     detected interference — a GC token acquire reclassifies grant
-    events, a GC write shifts the version mapping.
+    events, a GC write shifts the version mapping.  The check is one
+    pass with two {!Hb} engines in lockstep: the full engine steps
+    every event, the erased engine only those the full one classified
+    App, and each application event's two timestamps are compared as
+    soon as both exist.
 
     All findings are deterministically ordered (trace position, then
     kind, then node, then text) and deduplicated. *)
@@ -63,9 +67,14 @@ type t = {
 }
 
 val certify : ?overflowed:bool -> Bmx_util.Trace_event.t list -> t
-(** Replay the {!Hb} engine (twice — full and GC-erased) and check
-    everything above.  [overflowed] adds an {!Incomplete_trace} finding:
-    a truncated trace certifies nothing.  O(events × nodes). *)
+(** Check everything above in one pass over the trace (plus a pass that
+    only computes the clock width).  [overflowed] adds an
+    {!Incomplete_trace} finding: a truncated trace certifies nothing.
+    O(events × nodes). *)
+
+val check_log : Bmx_util.Trace_event.log -> t
+(** {!certify} decoding the log one event at a time (no event list is
+    built), with [overflowed] taken from the log. *)
 
 val ok : t -> bool
 (** No findings. *)

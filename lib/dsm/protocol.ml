@@ -978,7 +978,8 @@ let adopt_ownership t ~node ~uid =
            Ids.Node_set.add n acc
          end)
        Ids.Node_set.empty (replica_nodes t uid));
-  ev t (Trace_event.Owner_adopted { node; uid })
+  let prev = Option.value old_owner ~default:Ids.Node.invalid in
+  ev t (Trace_event.Owner_adopted { node; uid; prev })
 
 let exiting_ownerptrs t ~node ~bunch =
   let s = store t node in

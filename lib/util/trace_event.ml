@@ -33,7 +33,7 @@ let schema =
     ("link_cut", [ Node; Node ]);
     ("link_heal", [ Node; Node ]);
     ("suspect", [ Node; Node; Bool ]);
-    ("owner_adopted", [ Node; Int ]);
+    ("owner_adopted", [ Node; Int; Int ]);
     ("tables_processed", [ Node; Node; Int; Int ]);
     ("disk_fault", [ Node; Str ]);
     ("rvm_recover", [ Node; Int; Int ]);
@@ -116,7 +116,7 @@ let encode f = function
   | Link_cut { src; dst } -> set f 19 0 src dst "" 0 0 []
   | Link_heal { src; dst } -> set f 20 0 src dst "" 0 0 []
   | Suspect { src; dst; on } -> set f 21 (bit on) src dst "" 0 0 []
-  | Owner_adopted { node; uid } -> set f 22 0 node 0 "" uid 0 []
+  | Owner_adopted { node; uid; prev } -> set f 22 0 node 0 "" uid prev []
   | Tables_processed { at; sender; bunch; seq } ->
       set f 23 0 at sender "" bunch seq []
   | Disk_fault { node; fault } -> set f 24 0 node 0 fault 0 0 []
@@ -166,7 +166,7 @@ let decode f =
   | 19 -> Link_cut { src = n0; dst = n1 }
   | 20 -> Link_heal { src = n0; dst = n1 }
   | 21 -> Suspect { src = n0; dst = n1; on = flag f 0 }
-  | 22 -> Owner_adopted { node = n0; uid = i0 }
+  | 22 -> Owner_adopted { node = n0; uid = i0; prev = i1 }
   | 23 -> Tables_processed { at = n0; sender = n1; bunch = i0; seq = i1 }
   | 24 -> Disk_fault { node = n0; fault = str }
   | 25 -> Rvm_recover { node = n0; dropped = i0; lost = i1 }

@@ -105,10 +105,17 @@ type t =
           dst as seen from src: [on = true] enters the suspect state
           (retransmissions collapse to a single slow probe), [on = false]
           clears it (an ack got through) *)
-  | Owner_adopted of { node : Ids.Node.t; uid : Ids.Uid.t }
-      (** recovery re-seated ownership of [uid] at [node] (only legal
-          when the recorded owner is genuinely gone, not merely
-          unreachable — the split-brain lint checks this) *)
+  | Owner_adopted of {
+      node : Ids.Node.t;
+      uid : Ids.Uid.t;
+      prev : Ids.Node.t;
+    }
+      (** recovery re-seated ownership of [uid] at [node].  [prev] is the
+          owner the protocol still recorded then ([Node.invalid] if
+          none); adoption is only legal when [prev] is genuinely gone,
+          not merely unreachable — the split-brain lint checks this.
+          [prev] is stored as an int field, not a node slot, so the
+          event still belongs to [node] alone. *)
   | Tables_processed of {
       at : Ids.Node.t;
       sender : Ids.Node.t;

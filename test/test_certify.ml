@@ -25,7 +25,7 @@ let fail_with_findings name (cert : Races.t) =
 
 (* ------------------------------------------------- honest runs certify *)
 
-let certify_driver_workload ?(partition = false) ?(crash = false) ~seed () =
+let driver_workload_log ?(partition = false) ?(crash = false) ~seed () =
   let cfg =
     { Driver.default with nodes = 4; bunches = 4; objects_per_bunch = 32;
       ops = 300; seed }
@@ -49,7 +49,10 @@ let certify_driver_workload ?(partition = false) ?(crash = false) ~seed () =
   Driver.run_ops d ();
   ignore (Cluster.collect_until_quiescent c ());
   ignore (Cluster.drain c);
-  Races.certify (Cluster.events c)
+  Cluster.evlog c
+
+let certify_driver_workload ?partition ?crash ~seed () =
+  Races.check_log (driver_workload_log ?partition ?crash ~seed ())
 
 let test_clean_workload_certifies () =
   let cert = certify_driver_workload ~seed:31 () in
@@ -145,6 +148,36 @@ let test_gc_write_breaks_erasure () =
   check_bool "erasure broken" false cert.Races.erasure_ok;
   check_bool "erasure finding emitted" true (has Races.Erasure_broken cert)
 
+(* A GC acquire turns N0's grant into a GC event, yet the application
+   acquire at N1 still joins the grant's snapshot: the full replay's
+   clock for event 4 carries N0's write, the erased replay's does not.
+   The only test that reaches the erasure's clock branch. *)
+let test_gc_grant_moves_app_clock () =
+  let trace =
+    List.map
+      (fun l -> match E.of_line l with Ok e -> e | Error m -> failwith m)
+      [
+        "write_obs app 0 5 1 1";
+        "acquire_start gc 1 7 r";
+        "grant_sent 0 1 7 r 0";
+        "acquire_start app 1 7 r";
+        "acquire_done app 1 7 r 1";
+        "read_obs app 1 7 0 1";
+      ]
+  in
+  let cert = Races.certify trace in
+  Alcotest.(check (list (pair string int)))
+    "exactly the interference and the erasure finding"
+    [
+      ("[erasure-broken] erasing GC events changed the vector clock of \
+        application event 4", -1);
+      ("[gc-interference] event 1: the collector acquired a read token for \
+        o7 at N1", 1);
+    ]
+    (List.map
+       (fun (f : Races.finding) -> (Races.finding_to_string f, f.Races.at))
+       cert.Races.findings)
+
 (* An overflowed log is never certifiable. *)
 let test_overflow_uncertifiable () =
   let cert = Races.certify ~overflowed:true [ w 0 1 1 ] in
@@ -160,6 +193,27 @@ let test_findings_deterministic () =
     = List.map Races.finding_to_string b.Races.findings);
   let ats = List.map (fun (f : Races.finding) -> f.Races.at) a.Races.findings in
   check_bool "sorted by position" true (List.sort compare ats = ats)
+
+(* The log entry point and the list entry point certify alike: on the
+   honest workload traces, and on a log that overflowed part-way. *)
+let test_log_matches_list () =
+  let same name log =
+    Alcotest.(check string)
+      name
+      (Bmx_obs.Json.to_string
+         (Races.to_json
+            (Races.certify ~overflowed:(E.overflowed log) (E.events log))))
+      (Bmx_obs.Json.to_string (Races.to_json (Races.check_log log)))
+  in
+  let clean = driver_workload_log ~seed:31 () in
+  same "clean" clean;
+  same "partitioned" (driver_workload_log ~partition:true ~seed:32 ());
+  same "crash" (driver_workload_log ~crash:true ~seed:33 ());
+  let small = E.create_log ~capacity:(E.length clean / 2) () in
+  E.set_enabled small true;
+  E.iter clean (fun _ e -> E.record small e);
+  check_bool "small log overflowed" true (E.overflowed small);
+  same "overflowed" small
 
 (* ------------------------------------------------------ trace surgery *)
 
@@ -185,7 +239,7 @@ let copyset_scenario () =
   Cluster.release c ~node:1 a;
   read_at 2;
   ignore (Cluster.drain c);
-  (Cluster.events c, uid)
+  (E.events (Cluster.evlog c), uid)
 
 let test_copyset_scenario_baseline_clean () =
   let events, _ = copyset_scenario () in
@@ -280,6 +334,8 @@ let () =
             test_crash_workload_certifies;
           Alcotest.test_case "copy-set scenario baseline clean" `Quick
             test_copyset_scenario_baseline_clean;
+          Alcotest.test_case "log and list entry points agree" `Quick
+            test_log_matches_list;
         ] );
       ( "forged traces",
         [
@@ -295,6 +351,8 @@ let () =
             test_gc_acquire_is_interference;
           Alcotest.test_case "gc write breaks erasure" `Quick
             test_gc_write_breaks_erasure;
+          Alcotest.test_case "gc grant moves an app clock" `Quick
+            test_gc_grant_moves_app_clock;
           Alcotest.test_case "overflowed log uncertifiable" `Quick
             test_overflow_uncertifiable;
           Alcotest.test_case "findings deterministic and sorted" `Quick

@@ -161,6 +161,28 @@ let test_overflow_refused () =
   check_bool "truncated log cannot be certified" true
     (has Lint.Incomplete_trace (Lint.check_log log))
 
+(* Split-brain adoption is judged by the owner the protocol recorded
+   when it adopted ([prev]): flagged only while that node is up and cut
+   off from the adopter. *)
+let adoption prev = E.Owner_adopted { node = 2; uid = 5; prev }
+let cut = [ E.Link_cut { src = 1; dst = 2 } ]
+
+let test_adoption_across_cut_flagged () =
+  check_bool "live owner across a cut flagged" true
+    (has Lint.Split_brain_ownership (Lint.run (cut @ [ adoption 1 ])));
+  check_bool "crashed owner across a cut is clean" false
+    (has Lint.Split_brain_ownership
+       (Lint.run ((E.Crash { node = 1 } :: cut) @ [ adoption 1 ])))
+
+let test_adoption_without_owner_clean () =
+  check_bool "no recorded owner is clean" false
+    (has Lint.Split_brain_ownership
+       (Lint.run (cut @ [ adoption Ids.Node.invalid ])))
+
+let test_adoption_from_reachable_owner_clean () =
+  check_bool "reachable owner is clean" false
+    (has Lint.Split_brain_ownership (Lint.run [ adoption 1 ]))
+
 (* ------------------------------------------------------ serialization *)
 
 let test_event_roundtrip () =
@@ -319,6 +341,12 @@ let () =
           Alcotest.test_case "forwarder cycles refused at the store" `Quick
             test_forwarder_cycle_flagged;
           Alcotest.test_case "overflowed log refused" `Quick test_overflow_refused;
+          Alcotest.test_case "adoption from an owner across a cut flagged"
+            `Quick test_adoption_across_cut_flagged;
+          Alcotest.test_case "adoption with no recorded owner clean" `Quick
+            test_adoption_without_owner_clean;
+          Alcotest.test_case "adoption from a reachable owner clean" `Quick
+            test_adoption_from_reachable_owner_clean;
         ] );
       ( "event serialization",
         [ Alcotest.test_case "to_line/of_line round-trip" `Quick test_event_roundtrip ] );

@@ -284,7 +284,7 @@ let test_trace_records_protocol_events () =
   let x1' = Cluster.acquire_write c ~node:1 x1 in
   Cluster.release c ~node:1 x1';
   ignore (Cluster.bgc c ~node:1 ~bunch:b);
-  let events = Cluster.events c in
+  let events = Trace_event.events (Cluster.evlog c) in
   let grants tok =
     List.exists
       (function

@@ -211,7 +211,7 @@ let last_grant c ~requester ~uid =
         when r = requester && u = uid ->
           Some (granter, updates)
       | _ -> acc)
-    None (Cluster.events c)
+    None (Trace_event.events (Cluster.evlog c))
 
 (* N2's stale ownerPtr names N1, which holds a read token; the owner is
    N0.  Returns the granter of N2's read and the hops it took. *)
@@ -448,7 +448,7 @@ let test_demand_fetch_piggyback_counted () =
           match e with
           | Trace_event.Updates_applied { node = 1; uids } -> acc + List.length uids
           | _ -> acc)
-        0 (Cluster.events c))
+        0 (Trace_event.events (Cluster.evlog c)))
 
 let test_demand_fetch_idempotent () =
   let c, b = two_nodes () in

@@ -33,12 +33,7 @@ let check_bool = Alcotest.check Alcotest.bool
 let certify_soaks = Sys.getenv_opt "BMX_CERTIFY" <> None
 
 let certify_trace ~seed c =
-  let log = Cluster.evlog c in
-  let cert =
-    Races.certify
-      ~overflowed:(Trace_event.overflowed log)
-      (Trace_event.events log)
-  in
+  let cert = Races.check_log (Cluster.evlog c) in
   if not (Races.ok cert) then
     Alcotest.failf "seed %d: certifier: %s" seed
       (String.concat "; "
@@ -474,7 +469,7 @@ let debug_dump s =
   if Sys.getenv_opt "BMX_SOAK_DEBUG" <> None then begin
     List.iter
       (fun e -> Printf.eprintf "EV %s\n" (Trace_event.to_line e))
-      (Cluster.events s.c);
+      (Trace_event.events (Cluster.evlog s.c));
     let proto = Cluster.proto s.c in
     List.iter
       (fun node ->

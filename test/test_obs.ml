@@ -158,7 +158,10 @@ let generated_events () =
       List.map (fun dst -> T.Link_cut { src = 1; dst }) nodes;
       List.map (fun dst -> T.Link_heal { src = 1; dst }) nodes;
       cart (fun src on -> T.Suspect { src; dst = 2; on }) nodes bools;
-      cart (fun node uid -> T.Owner_adopted { node; uid }) nodes uids;
+      cart
+        (fun node (uid, prev) -> T.Owner_adopted { node; uid; prev })
+        nodes
+        (cart (fun u p -> (u, p)) uids [ -1; 7 ]);
       cart
         (fun sender seq ->
           T.Tables_processed { at = 0; sender; bunch = 3; seq })

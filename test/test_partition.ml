@@ -31,12 +31,7 @@ module Races = Bmx_check.Races
 let certify_soaks = Sys.getenv_opt "BMX_CERTIFY" <> None
 
 let certify_trace ?(ctx = "") c =
-  let log = Cluster.evlog c in
-  let cert =
-    Races.certify
-      ~overflowed:(Trace_event.overflowed log)
-      (Trace_event.events log)
-  in
+  let cert = Races.check_log (Cluster.evlog c) in
   if not (Races.ok cert) then
     Alcotest.failf "%scertifier: %s" ctx
       (String.concat "; "
@@ -167,6 +162,43 @@ let test_adoption_deferred_until_heal () =
     (Cluster.owner_of c ~uid);
   ignore (Cluster.settle c);
   assert_clean c
+
+(* The long fault soak's seed 428, reduced: N1 takes o's write token,
+   N2 checkpoints a replica, and o is then reclaimed everywhere.  N2
+   crashes and recovers the stale image while cut off from N1.  No owner
+   survived to split from, so the adoption is legal and the linter must
+   stay quiet, although the last write grant went to N1. *)
+let test_adoption_after_reclamation_clean () =
+  let c = Cluster.create ~nodes:3 ~trace_events:true () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let a = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 1 |] in
+  Cluster.add_root c ~node:0 a;
+  let uid = Cluster.uid_at c ~node:0 a in
+  let a1 = Cluster.acquire_write c ~node:1 a in
+  Cluster.write c ~node:1 a1 0 (Value.Data 2);
+  Cluster.release c ~node:1 a1;
+  let a2 = Cluster.acquire_read c ~node:2 a in
+  ignore (Cluster.read c ~node:2 a2 0);
+  Cluster.release c ~node:2 a2;
+  Cluster.add_root c ~node:2 a2;
+  let disk = Persist.create_disk () in
+  ignore (Persist.checkpoint c ~node:2 ~bunch:b disk);
+  Cluster.remove_root c ~node:0 a;
+  Cluster.remove_root c ~node:2 a2;
+  ignore (Cluster.collect_until_quiescent c ());
+  check (Alcotest.option Alcotest.int) "no owner left" None
+    (Cluster.owner_of c ~uid);
+  check_bool "no copy left" false
+    (List.exists (fun node -> Cluster.cached_at c ~node ~uid) [ 0; 1; 2 ]);
+  Cluster.crash_node c ~node:2;
+  Cluster.partition c ~groups:[ [ 0; 1 ]; [ 2 ] ];
+  Cluster.restart_node c ~node:2;
+  ignore (Persist.recover_node c ~node:2 [ disk ]);
+  check (Alcotest.option Alcotest.int) "adopted by the recovering node"
+    (Some 2) (Cluster.owner_of c ~uid);
+  match Lint.check_log (Cluster.evlog c) with
+  | [] -> ()
+  | v :: _ -> Alcotest.failf "linter: %s" (Lint.violation_to_string v)
 
 (* ------------------------------------------- GC degradation under cut *)
 
@@ -458,6 +490,8 @@ let () =
             test_asymmetric_cut_refuses_rpcs;
           Alcotest.test_case "adoption deferred until heal" `Quick
             test_adoption_deferred_until_heal;
+          Alcotest.test_case "adoption after reclamation clean" `Quick
+            test_adoption_after_reclamation_clean;
         ] );
       ( "gc-degradation",
         [
