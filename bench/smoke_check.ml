@@ -48,50 +48,57 @@ let ops_per_sec_floor = 1550.0
    that the figure is a heap-size-independent constant (the complexity
    tests compare it across heap sizes); the budget here catches a
    reintroduced per-op traversal, not ordinary message allocation.
-   The smoke configuration measures 467 words/op (533 while the event
-   log consed a boxed event per record); the budget, set when it
-   measured 588, absorbs compiler and runtime drift while still
-   catching any O(population) cost that sneaks back onto the per-op or
-   per-sample path.  (An allocating registry lookup under the DSM's
-   write path adds only 4% here, 611; the wave budget below catches
-   it.) *)
+   The smoke configuration measures 421 words/op (463 while every
+   economical collection that found garbage evacuated, so grants
+   carried more location updates; 533 while the event log consed a
+   boxed event per record); the budget, set when it measured 588,
+   absorbs compiler and runtime drift while still catching any
+   O(population) cost that sneaks back onto the per-op or per-sample
+   path.  (A registry lookup that boxes one option per call adds only
+   2 words here, 423; the wave budget below watches the collector.) *)
 let minor_words_per_op_budget = 630.0
 
 (* Minor words the collector waves between the mutator batches allocate,
-   per mutator op: 464 in the smoke configuration (479 with the boxed
-   event log; it moves by a few words with the timings the phase
-   histograms record).  The budget sits ~7% above the 500 measured
-   before the packed log, where each of these collector regressions
-   failed it: a second trace per collection (579), stub tables rebuilt
-   wholesale instead of retained in place (558), an allocating registry
-   lookup (641).  It holds total wave allocation only, so CPU-bound
-   regressions on the smoke's small tables — a claim scan over every
-   mirror, a full self hand-off on every BGC — still pass it. *)
-let wave_minor_words_per_op_budget = 535.0
+   per mutator op: 384 in the smoke configuration, where an economical
+   collection evacuates only when its bunch's own allocation segments
+   are under 3/4 live (443 when every collection that found garbage
+   evacuated; it moves by a few words with the timings the phase
+   histograms record).  The budget sits ~7% above 384.  A second trace
+   per collection (448) fails it; a registry lookup that boxes one
+   option per call (398) does not, though the heavier allocating lookup
+   and the wholesale stub-table rebuild it was set against (641 and 558
+   at 500 words/op, before the packed log) would.  It holds total wave
+   allocation only, so CPU-bound regressions on the smoke's small
+   tables — a claim scan over every mirror, a full self hand-off on
+   every BGC — still pass it. *)
+let wave_minor_words_per_op_budget = 410.0
 
 (* Deterministic wire budgets: for a fixed seed the smoke configuration
    sends exactly the same messages and stub-table bytes on every machine,
    so these sit just above the measured values and any change to what
    the protocol or the cleaner puts on the wire must move them on
    purpose.  Stub-table bytes ([tables.delta_bytes]: fulls, deltas and
-   resync pulls) are 10 368 with every stub entry shipped as a 16-byte
+   resync pulls) are 10 176 with every stub entry shipped as a 16-byte
    edge (the message header names the sender and bunch once) and
    exiting entries sent only to their owner, as bare uids.  Shipping
-   whole 24-byte match keys gives 12 832, shipping every destination
-   the whole exiting list with owners 20 992, and sending each its own
-   entries with the owner kept (16 bytes each) 15 552.  Messages are
-   871 wire messages: a stub table sent while the pair's previous table
-   is still queued rides in it; sending each payload as a message of
-   its own gives 1 003.  Total wire bytes are 71 692 with every
-   piggybacked location update counted once, as piggyback; 24-byte
-   match keys give 74 284, and counting each grant's updates a second
-   time in the grant itself a further 10 584. *)
+   whole 24-byte match keys gives 12 640, and sending each destination
+   its own entries with the owner kept (16 bytes each) 12 896; shipping
+   every destination the whole exiting list with owners gave 20 992
+   against 10 368 when every economical collection that found garbage
+   evacuated.  Messages are 867 wire messages: a stub table sent while
+   the pair's previous table is still queued rides in it; sending each
+   payload as a message of its own gives 991.  Total wire bytes are
+   63 364 with every piggybacked location update counted once, as
+   piggyback (71 692 when every economical collection that found
+   garbage evacuated, and grants carried the moves); 24-byte match keys
+   give 65 956, and counting each grant's updates a second time in the
+   grant itself 65 908. *)
 let table_bytes_budget = 10_800
 let messages_budget = 900
-let bytes_budget = 72_500
+let bytes_budget = 64_000
 
 (* Deterministic event-log density: words the typed event log stores per
-   recorded event.  The packed log measures 3.36 (14 411 words for 4 286
+   recorded event.  The packed log measures 3.29 (13 327 words for 4 047
    events); a cons list of boxed (timestamp, event) pairs holds about 11. *)
 let event_log_words_per_event_budget = 4.0
 

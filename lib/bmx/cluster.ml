@@ -353,7 +353,9 @@ let gc_round t =
         (fun node ->
           (* Economical: clean pairs are skipped and garbage-free traces
              do not evacuate — what makes the confirming empty rounds of
-             [collect_until_quiescent] O(1) instead of O(heap). *)
+             [collect_until_quiescent] O(1) instead of O(heap) — and a
+             trace that finds garbage sweeps in place unless the bunch's
+             own allocation segments are under 3/4 live. *)
           let r = Bgc.run ~economical:true t.gc ~node ~bunch in
           reclaimed := !reclaimed + r.Bmx_gc.Collect.r_reclaimed)
         nodes)

@@ -203,10 +203,14 @@ val roots : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Addr.t list
 val bgc :
   ?economical:bool -> t -> node:Bmx_util.Ids.Node.t
   -> bunch:Bmx_util.Ids.Bunch.t -> Bmx_gc.Collect.report
-(** One local collection.  [?economical] (default false) enables the
-    skip-if-clean / no-evacuation-without-garbage fast path described at
-    {!Bmx_gc.Bgc.run}; [gc_round] and {!collect_until_quiescent} always
-    collect economically. *)
+(** One local collection.  Without [?economical] (default false) every
+    owned live object of the bunch is evacuated.  [~economical:true]
+    skips a pair that is clean since its last collection and evacuates
+    only when the trace found garbage and the node's own allocation
+    segments of the bunch are under 3/4 live; otherwise it sweeps the
+    dead cells in place, keeping the footprint within 4/3 of the live
+    bytes plus one segment (see {!Bmx_gc.Bgc.run}).  [gc_round] and
+    {!collect_until_quiescent} always collect economically. *)
 
 val ggc : t -> node:Bmx_util.Ids.Node.t -> Bmx_gc.Collect.report
 

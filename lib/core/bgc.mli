@@ -13,12 +13,17 @@ val run :
     tables go out as background messages (deliver them with
     {!Bmx_netsim.Net.drain}).
 
-    With [~economical:true] (default false), two provably-redundant
-    costs are elided: a pair whose {!Gc_state.dirty_epoch} is unchanged
-    since its previous collection is skipped outright (counted under
-    [gc.bgc.skipped_clean], an all-zero report), and a collection whose
-    trace finds nothing dead does not evacuate — relocating survivors
-    with no from-space to reclaim only manufactures forwarder and
-    location-update churn.  Liveness is unaffected: any mutation,
-    received deletion or crash bumps the epoch and the next collection
-    runs in full. *)
+    With [~economical:true] (default false), two costs are elided.  A
+    pair whose {!Gc_state.dirty_epoch} is unchanged since its previous
+    collection is skipped outright (counted under [gc.bgc.skipped_clean],
+    an all-zero report).  And a collection evacuates only when it pays:
+    when its trace found local garbage and the live bytes in the node's
+    own allocation segments of the bunch are under 3/4 of the bytes
+    allocated in them.  Otherwise the dead cells are swept in place,
+    with no flip, forwarder or location update (counted under
+    [gc.bgc.swept_in_place] when something was swept).  Holes from
+    earlier sweeps stay allocated until an evacuation, so the pair's
+    footprint stays within 4/3 of its live bytes plus one segment once
+    {!Reclaim.run} has returned the from-space.  Liveness is
+    unaffected: any mutation, received deletion or crash bumps the
+    epoch and the next collection runs in full. *)

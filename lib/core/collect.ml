@@ -60,9 +60,19 @@ type trace = {
   mutable phase1 : int;
   edges : Ids.Uid.t list Ids.Uid_tbl.t; (* cross-bunch targets by source *)
   mutable roots : int;
+  mutable own_live_bytes : int;
+      (* aligned bytes of the marked objects that lie in [own] *)
 }
 
-let trace t ~node ~bunches ~in_set ~group_mode ~capacity ~exiting_for =
+(* Aligned size of [obj] if its address [a] lies in one of the segments
+   of [own], else 0.  [own] holds a bunch's few allocation segments, so
+   a linear scan suffices, and it allocates nothing. *)
+let rec own_bytes own a obj i =
+  if i = Array.length own then 0
+  else if Segment.contains own.(i) a then Addr.align_up (Heap_obj.size_bytes obj)
+  else own_bytes own a obj (i + 1)
+
+let trace t ~node ~bunches ~in_set ~group_mode ~capacity ~own ~exiting_for =
   let proto = Gc_state.proto t in
   let store = Protocol.store proto node in
   let registry = Protocol.registry proto in
@@ -77,6 +87,7 @@ let trace t ~node ~bunches ~in_set ~group_mode ~capacity ~exiting_for =
       phase1 = 0;
       edges = Ids.Uid_tbl.create 64;
       roots = 0;
+      own_live_bytes = 0;
     }
   in
   let stale = ref 0 and remote_intra = ref 0 and in_phase1 = ref true in
@@ -161,8 +172,10 @@ let trace t ~node ~bunches ~in_set ~group_mode ~capacity ~exiting_for =
   in
   let rec drain head =
     if head < tr.marked then begin
-      let obj = Store.object_at store tr.order.(head) in
+      let a = tr.order.(head) in
+      let obj = Store.object_at store a in
       Perfcount.(counters.s_gc_objects_touched <- counters.s_gc_objects_touched + 1);
+      tr.own_live_bytes <- tr.own_live_bytes + own_bytes own a obj 0;
       for i = 0 to Heap_obj.num_fields obj - 1 do
         let r = Heap_obj.get_raw obj i in
         if Value.raw_is_pointer r then scan_ref obj (Value.raw_addr r)
@@ -278,24 +291,57 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
   let local_cells =
     List.fold_left (fun acc b -> acc + Store.bunch_object_count store b) 0 bunches
   in
+  (* An economical collection weighs the node's own allocation segments
+     of the collected bunches: the ranges the registry handed to this
+     node, in the roles allocation fills (not views of other nodes'
+     ranges, not from-space). *)
+  let own_segment seg =
+    match seg.Segment.role with
+    | Segment.Active | Segment.To_space -> (
+        match Registry.entry_at registry seg.Segment.range.Addr.Range.lo with
+        | e -> Ids.Node.equal e.Registry.origin node
+        | exception Not_found -> false)
+    | Segment.From_space | Segment.Free -> false
+  in
+  let own =
+    if economical && copy then
+      Array.of_list
+        (List.concat_map
+           (fun b -> List.filter own_segment (Store.segments_of_bunch store b))
+           bunches)
+    else [||]
+  in
 
   (* Roots and the trace. *)
   let tr =
-    trace t ~node ~bunches ~in_set ~group_mode ~capacity:local_cells ~exiting_for
+    trace t ~node ~bunches ~in_set ~group_mode ~capacity:local_cells ~own
+      ~exiting_for
   in
   let live = tr.live in
   pt P_trace;
 
-  (* Economical mode: evacuation exists to reclaim the from-space, so
-     when the trace proves there is nothing to reclaim — every local
-     cell of the collected bunches is live — relocating the survivors
-     would only manufacture forwarders and location-update traffic that
-     keeps the whole cluster's dirtiness epochs churning.  Skip the flip
-     and leave the spaces alone; the moment garbage appears the next
-     collection evacuates as usual. *)
-  let do_copy =
-    copy && ((not economical) || local_cells > Ids.Uid_tbl.length live)
+  (* Economical mode evacuates only when it pays (HACKING.md
+     "Economical collections").  Evacuation exists to reclaim address
+     space, so a trace that finds nothing dead does not move anything:
+     that would only manufacture forwarders and location-update traffic
+     that keeps the whole cluster's dirtiness epochs churning.  A trace
+     that finds garbage evacuates only when the live bytes in the node's
+     own allocation segments are under 3/4 of the bytes allocated in
+     them; otherwise the dead cells are swept in place.  Holes from
+     earlier sweeps stay allocated until an evacuation, so the
+     footprint stays within 4/3 of the live bytes plus one segment. *)
+  let garbage = local_cells > Ids.Uid_tbl.length live in
+  let allocated =
+    Array.fold_left
+      (fun acc seg ->
+        acc + Addr.diff seg.Segment.alloc_ptr seg.Segment.range.Addr.Range.lo)
+      0 own
   in
+  let do_copy =
+    copy
+    && ((not economical) || (garbage && 4 * tr.own_live_bytes < 3 * allocated))
+  in
+  if economical && garbage && not do_copy then bump t "gc.bgc.swept_in_place";
 
   (* Flip: allocation spaces of the collected bunches become from-space.
      The to-space segments are created lazily at the first copy; their
@@ -315,7 +361,9 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
   pt P_flip;
 
   (* Copy phase: evacuate locally-owned live objects; merely note the
-     others.  The iteration order is by uid for determinism. *)
+     others.  The iteration order is by uid for determinism; without an
+     evacuation nothing moves, so the order does not matter and every
+     live object is scanned in place. *)
   let to_spaces : Segment.t Ids.Bunch_tbl.t = Ids.Bunch_tbl.create 4 in
   let to_space bunch =
     match Ids.Bunch_tbl.find_opt to_spaces bunch with
@@ -327,49 +375,55 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
         seg
   in
   let copied = ref 0 and scanned_in_place = ref 0 and foreign = ref 0 in
-  let uids = Array.make (Ids.Uid_tbl.length live) 0 in
-  let n_uids = ref 0 in
-  Ids.Uid_tbl.iter
-    (fun uid _ ->
-      uids.(!n_uids) <- uid;
-      incr n_uids)
-    live;
-  Array.sort Ids.Uid.compare uids;
-  Array.iter
-    (fun uid ->
-      let addr = Ids.Uid_tbl.find live uid in
-      let obj = Store.object_at store (Store.endpoint store addr) in
-      let owned = owned uid in
-      let in_from_space =
-        match Store.find_segment store addr with
-        | seg -> seg.Segment.role = Segment.From_space
-        | exception Not_found -> false
-      in
-      if do_copy && owned && in_from_space then begin
-        let bunch = obj.Heap_obj.bunch in
-        let seg = to_space bunch in
-        let new_addr =
-          match Store.alloc_clone store ~seg ~of_:obj with
-          | Some a -> a
-          | None ->
-              (* To-space overflow: grow the bunch with another segment. *)
-              let seg' = Store.fresh_segment store ~bunch () in
-              Segment.set_role seg' Segment.To_space;
-              Ids.Bunch_tbl.replace to_spaces bunch seg';
-              (match Store.alloc_clone store ~seg:seg' ~of_:obj with
-              | Some a -> a
-              | None -> failwith "Collect: object larger than a segment")
+  if not do_copy then begin
+    scanned_in_place := Ids.Uid_tbl.length live;
+    Ids.Uid_tbl.iter (fun uid _ -> if not (owned uid) then incr foreign) live
+  end
+  else begin
+    let uids = Array.make (Ids.Uid_tbl.length live) 0 in
+    let n_uids = ref 0 in
+    Ids.Uid_tbl.iter
+      (fun uid _ ->
+        uids.(!n_uids) <- uid;
+        incr n_uids)
+      live;
+    Array.sort Ids.Uid.compare uids;
+    Array.iter
+      (fun uid ->
+        let addr = Ids.Uid_tbl.find live uid in
+        let obj = Store.object_at store (Store.endpoint store addr) in
+        let owned = owned uid in
+        let in_from_space =
+          match Store.find_segment store addr with
+          | seg -> seg.Segment.role = Segment.From_space
+          | exception Not_found -> false
         in
-        Store.set_forwarder store ~at:addr ~target:new_addr;
-        Protocol.register_copy_location proto ~uid ~addr:new_addr;
-        Ids.Uid_tbl.replace live uid new_addr;
-        incr copied
-      end
-      else begin
-        incr scanned_in_place;
-        if not owned then incr foreign
-      end)
-    uids;
+        if owned && in_from_space then begin
+          let bunch = obj.Heap_obj.bunch in
+          let seg = to_space bunch in
+          let new_addr =
+            match Store.alloc_clone store ~seg ~of_:obj with
+            | Some a -> a
+            | None ->
+                (* To-space overflow: grow the bunch with another segment. *)
+                let seg' = Store.fresh_segment store ~bunch () in
+                Segment.set_role seg' Segment.To_space;
+                Ids.Bunch_tbl.replace to_spaces bunch seg';
+                (match Store.alloc_clone store ~seg:seg' ~of_:obj with
+                | Some a -> a
+                | None -> failwith "Collect: object larger than a segment")
+          in
+          Store.set_forwarder store ~at:addr ~target:new_addr;
+          Protocol.register_copy_location proto ~uid ~addr:new_addr;
+          Ids.Uid_tbl.replace live uid new_addr;
+          incr copied
+        end
+        else begin
+          incr scanned_in_place;
+          if not owned then incr foreign
+        end)
+      uids
+  end;
   bump_count t "gc.objects_copied" !copied;
   bump_count t "gc.objects_scanned_in_place" !foreign;
   pt P_copy;

@@ -33,7 +33,9 @@ type report = {
           several scions counts once per scion) *)
   r_live : int;
   r_copied : int;  (** locally-owned objects evacuated *)
-  r_scanned_in_place : int;  (** non-owned live objects merely scanned *)
+  r_scanned_in_place : int;
+      (** live objects left where they are: the non-owned ones, and every
+          live object of a collection that does not evacuate *)
   r_reclaimed : int;  (** dead local replicas removed *)
   r_ref_updates : int;  (** pointer fields rewritten through forwarders *)
   r_new_inter_stubs : int;
@@ -55,6 +57,10 @@ val run :
   report
 (** Collect the local replicas of [bunches] at [node].  Never calls
     {!Bmx_dsm.Protocol.acquire} — the property experiments E5/E8 verify.
+
+    [economical] (default [false]) evacuates only when it pays, as
+    described at {!Bgc.run}; otherwise the collection sweeps its dead
+    cells in place.
 
     [copy] (default [true]) selects the paper's copying collection; with
     [copy:false] live objects stay put (mark-and-sweep-style, the §9

@@ -569,15 +569,25 @@ let soak_one seed =
     s.shard_disks;
   check_int (name "wire empty") 0 (Net.pending (Cluster.net s.c));
   check_int (name "no unacked reliable messages") 0
-    (Net.unacked_count (Cluster.net s.c))
+    (Net.unacked_count (Cluster.net s.c));
+  Stats.get (Cluster.stats s.c) "gc.objects_copied"
 
+(* The soak collects only economically ([gc_round] and
+   [collect_until_quiescent]), and an economical BGC evacuates only
+   where its bunch has gone sparse.  The seeds must still evacuate
+   something between them, or faults would no longer meet evacuation
+   (forwarders, location updates, from-space) anywhere in the soak. *)
 let test_soak () =
   match only_seed with
-  | Some seed -> soak_one seed
+  | Some seed -> ignore (soak_one seed)
   | None ->
+      let copied = ref 0 in
       for seed = 1 to soak_seeds do
-        soak_one seed
-      done
+        copied := !copied + soak_one seed
+      done;
+      if !copied = 0 then
+        Alcotest.failf "%d soak seeds evacuated no object (gc.objects_copied)"
+          soak_seeds
 
 (* --------------------------------------- the linter catches bad traces *)
 

@@ -244,6 +244,125 @@ let test_bgc_trace_counters_charged_once () =
   check_int "objects touched = 2 x live" (2 * r.Collect.r_live)
     (touched () - touched0)
 
+(* ----------------------------------------------- economical evacuation *)
+
+(* [n] fresh two-field objects (16 bytes each) in [bunch] at node 0. *)
+let alloc_many c ~bunch n =
+  List.init n (fun i ->
+      Cluster.alloc c ~node:0 ~bunch [| Value.Data i; Value.nil |])
+
+let forwarders s =
+  let n = ref 0 in
+  Store.iter s (fun _ cell ->
+      match cell with Store.Forwarder _ -> incr n | Store.Object _ -> ());
+  !n
+
+let test_econ_sweeps_dense_bunch_in_place () =
+  (* Twenty live cells and one dead one: far above 3/4 live, so the
+     dead cell is swept where it lies and nothing moves. *)
+  let c = Cluster.create ~nodes:2 () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let live = alloc_many c ~bunch:b 20 in
+  List.iter (Cluster.add_root c ~node:0) live;
+  let _dead = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 0 |] in
+  let r = Cluster.bgc ~economical:true c ~node:0 ~bunch:b in
+  check_int "dead cell reclaimed" 1 r.Collect.r_reclaimed;
+  check_int "nothing copied" 0 r.Collect.r_copied;
+  check_int "every live object stays in place" 20 r.Collect.r_scanned_in_place;
+  check_int "counted as swept in place" 1
+    (Stats.get (Cluster.stats c) "gc.bgc.swept_in_place");
+  check_int "no forwarder in the store" 0
+    (forwarders (Protocol.store (Cluster.proto c) 0));
+  let x1 = Cluster.acquire_read c ~node:1 (List.hd live) in
+  Cluster.release c ~node:1 x1;
+  check_int "the grant piggybacks no location update" 0
+    (Stats.get (Cluster.stats c) "net.piggyback.token_grant");
+  check_bool "safety" true (Result.is_ok (Bmx.Audit.check_safety c))
+
+let test_econ_garbage_free_copies_nothing () =
+  (* A mark-and-sweep pass leaves the bunch half live, with no garbage
+     left: the next economical trace finds nothing dead, so it must not
+     evacuate, however sparse the segment. *)
+  let c = Cluster.create ~nodes:1 () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let live = alloc_many c ~bunch:b 20 in
+  List.iter (Cluster.add_root c ~node:0) live;
+  ignore (alloc_many c ~bunch:b 20);
+  let swept =
+    Collect.run (Cluster.gc c) ~node:0 ~bunches:[ b ] ~group_mode:false
+      ~copy:false ()
+  in
+  check_int "the holes are swept" 20 swept.Collect.r_reclaimed;
+  let r = Cluster.bgc ~economical:true c ~node:0 ~bunch:b in
+  check_int "garbage-free trace" 0 r.Collect.r_reclaimed;
+  check_int "nothing copied" 0 r.Collect.r_copied;
+  check_int "no sweep counted" 0
+    (Stats.get (Cluster.stats c) "gc.bgc.swept_in_place")
+
+let test_econ_cumulative_holes () =
+  (* Root 8 192 objects (two segments) and replace 5% of them per cycle.
+     No single trace finds much garbage, but the holes add up: the
+     footprint must stay within 4/3 of the live bytes plus one segment,
+     and the evacuations that bound it must copy under 1/4 of what
+     evacuating every cycle would. *)
+  let n = 8192 and cycles = 20 in
+  let churn = n * 5 / 100 in
+  let c = Cluster.create ~nodes:1 () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let s = Protocol.store (Cluster.proto c) 0 in
+  let uids =
+    Array.of_list
+      (List.map
+         (fun a ->
+           Cluster.add_root c ~node:0 a;
+           Cluster.uid_at c ~node:0 a)
+         (alloc_many c ~bunch:b n))
+  in
+  let footprint () =
+    List.fold_left
+      (fun acc seg ->
+        if seg.Segment.role = Segment.Free then acc
+        else acc + Addr.Range.size seg.Segment.range)
+      0 (Store.segments_of_bunch s b)
+  in
+  let copied = ref 0 and max_footprint = ref (footprint ()) in
+  for cycle = 0 to cycles - 1 do
+    for i = 0 to churn - 1 do
+      let j = ((cycle * churn) + i) mod n in
+      Cluster.remove_root c ~node:0 (Store.uid_addr s uids.(j));
+      let a = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data j; Value.nil |] in
+      Cluster.add_root c ~node:0 a;
+      uids.(j) <- Cluster.uid_at c ~node:0 a
+    done;
+    let r = Cluster.bgc ~economical:true c ~node:0 ~bunch:b in
+    check_int "the replaced objects are reclaimed" churn r.Collect.r_reclaimed;
+    copied := !copied + r.Collect.r_copied;
+    ignore (Cluster.reclaim_from_space c ~node:0 ~bunch:b);
+    ignore (Cluster.drain c);
+    max_footprint := max !max_footprint (footprint ())
+  done;
+  let live_bytes = n * 16 in
+  let bound = ((4 * live_bytes) + 2) / 3 + Segment.default_bytes in
+  check_bool
+    (Printf.sprintf "max footprint %d <= %d" !max_footprint bound)
+    true (!max_footprint <= bound);
+  check_bool
+    (Printf.sprintf "%d copies < 1/4 of evacuating every cycle" !copied)
+    true
+    (4 * !copied < cycles * n);
+  check_bool "safety" true (Result.is_ok (Bmx.Audit.check_safety c))
+
+let test_full_bgc_copies_everything () =
+  (* Without [~economical], one dead cell is enough to evacuate every
+     owned live object, however dense the bunch. *)
+  let c = Cluster.create ~nodes:1 () in
+  let b = Cluster.new_bunch c ~home:0 in
+  List.iter (Cluster.add_root c ~node:0) (alloc_many c ~bunch:b 20);
+  let _dead = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 0 |] in
+  let r = Cluster.bgc c ~node:0 ~bunch:b in
+  check_int "dead cell reclaimed" 1 r.Collect.r_reclaimed;
+  check_int "every owned live object copied" 20 r.Collect.r_copied
+
 let () =
   Alcotest.run "gc"
     [
@@ -276,5 +395,16 @@ let () =
           Alcotest.test_case "multi-segment heap" `Quick test_bgc_large_heap_multi_segment;
           Alcotest.test_case "trace counters charged once" `Quick
             test_bgc_trace_counters_charged_once;
+        ] );
+      ( "economical",
+        [
+          Alcotest.test_case "one dead cell in a dense bunch swept in place"
+            `Quick test_econ_sweeps_dense_bunch_in_place;
+          Alcotest.test_case "garbage-free collection copies nothing" `Quick
+            test_econ_garbage_free_copies_nothing;
+          Alcotest.test_case "cumulative holes bound the footprint" `Quick
+            test_econ_cumulative_holes;
+          Alcotest.test_case "non-economical collection copies everything"
+            `Quick test_full_bgc_copies_everything;
         ] );
     ]

@@ -200,6 +200,42 @@ let test_adoption_after_reclamation_clean () =
   | [] -> ()
   | v :: _ -> Alcotest.failf "linter: %s" (Lint.violation_to_string v)
 
+(* The split-brain guard itself: the recorded owner is up, merely cut
+   off, so adoption must refuse before it touches any state.  Recovery
+   never gets here ([Persist.restore] adopts only when no owner is
+   recorded or the recorded one is down), so the call is direct. *)
+let test_adoption_refused_while_owner_cut_off () =
+  let c = Cluster.create ~nodes:2 ~trace_events:true () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let a = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 1 |] in
+  Cluster.add_root c ~node:0 a;
+  let uid = Cluster.uid_at c ~node:0 a in
+  let a1 = Cluster.acquire_read c ~node:1 a in
+  Cluster.release c ~node:1 a1;
+  Cluster.add_root c ~node:1 a1;
+  ignore (Cluster.drain c);
+  let proto = Cluster.proto c in
+  let record node =
+    let r = Bmx_dsm.Directory.record (Protocol.directory proto node) uid in
+    ( r.Bmx_dsm.Directory.is_owner,
+      r.Bmx_dsm.Directory.prob_owner,
+      r.Bmx_dsm.Directory.state,
+      Ids.Node_set.elements r.Bmx_dsm.Directory.copyset )
+  in
+  let before = (record 0, record 1) in
+  Cluster.partition c ~groups:[ [ 0 ]; [ 1 ] ];
+  Alcotest.check_raises "the recorded-owner guard refuses"
+    (Failure "Protocol.adopt_ownership: recorded owner unreachable (partition?)")
+    (fun () -> Protocol.adopt_ownership proto ~node:1 ~uid);
+  check (Alcotest.option Alcotest.int) "owner unchanged" (Some 0)
+    (Cluster.owner_of c ~uid);
+  check_bool "both directory records unchanged" true
+    ((record 0, record 1) = before);
+  let adopted = ref 0 in
+  Trace_event.iter (Cluster.evlog c) (fun _ ev ->
+      match ev with Trace_event.Owner_adopted _ -> incr adopted | _ -> ());
+  check_int "no Owner_adopted logged" 0 !adopted
+
 (* ------------------------------------------- GC degradation under cut *)
 
 let test_gc_continues_on_both_sides () =
@@ -492,6 +528,8 @@ let () =
             test_adoption_deferred_until_heal;
           Alcotest.test_case "adoption after reclamation clean" `Quick
             test_adoption_after_reclamation_clean;
+          Alcotest.test_case "adoption refused while owner cut off" `Quick
+            test_adoption_refused_while_owner_cut_off;
         ] );
       ( "gc-degradation",
         [
