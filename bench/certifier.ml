@@ -6,11 +6,12 @@
    near-linear in the trace length or it cannot gate CI soaks.  This
    experiment generates workload traces of increasing length (same shape
    as the e20 smoke configuration), times the linter (Lint.check_log)
-   and the certifier on the very same recorded log, and reports both
-   plus their ratio.  The certifier carries the heavier analysis, but on
-   the e20-smoke-sized trace it must stay within 2x of the linter's
-   wall-clock — that bound, and near-linearity of ns/event across sizes,
-   are the acceptance gates.
+   and the certifier on the very same recorded log, and counts the
+   minor words one call of each allocates per event, which repeats
+   exactly.  The certifier carries the heavier analysis, but on the
+   e20-smoke-sized trace its words per event must stay within 2x of the
+   linter's — that bound, and near-linear ns/event (a host timing), are
+   the acceptance gates.
 
    Output: a table plus one machine-readable "BENCH {...}" line. *)
 
@@ -35,6 +36,12 @@ let time ?(reps = 3) f =
     if ms < !best then best := ms
   done;
   !best
+
+(* Minor words allocated by one call of [f]. *)
+let words f =
+  let w0 = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. w0
 
 let trace_of ~nodes ~objects_per_bunch ~ops =
   let cfg =
@@ -61,6 +68,8 @@ type row = {
   c_lint_ms : float;
   c_certify_ms : float;
   c_ns_per_event : float;
+  c_lint_wpe : float; (* minor words per event *)
+  c_certify_wpe : float;
 }
 
 let run_size ~nodes ~objects_per_bunch ~ops =
@@ -72,12 +81,15 @@ let run_size ~nodes ~objects_per_bunch ~ops =
     failwith
       (Printf.sprintf "e23: workload trace (%d ops) failed to certify" ops);
   let certify_ms = time (fun () -> Races.check_log log) in
+  let per_event x = if n = 0 then 0.0 else x /. float_of_int n in
   {
     c_ops = ops;
     c_events = n;
     c_lint_ms = lint_ms;
     c_certify_ms = certify_ms;
-    c_ns_per_event = (if n = 0 then 0.0 else certify_ms *. 1e6 /. float_of_int n);
+    c_ns_per_event = per_event (certify_ms *. 1e6);
+    c_lint_wpe = per_event (words (fun () -> Lint.check_log log));
+    c_certify_wpe = per_event (words (fun () -> Races.check_log log));
   }
 
 let row_json r =
@@ -91,19 +103,22 @@ let row_json r =
         Json.Float
           (if r.c_lint_ms <= 0.0 then 0.0 else r.c_certify_ms /. r.c_lint_ms) );
       ("certify_ns_per_event", Json.Float r.c_ns_per_event);
+      ("lint_words_per_event", Json.Float r.c_lint_wpe);
+      ("certify_words_per_event", Json.Float r.c_certify_wpe);
     ]
 
 let e23 () =
   let t =
     Table.create
       ~title:
-        "E23: happens-before certifier cost vs trace length — wall-clock of \
-         Races.check_log against Lint.check_log on the same log \
-         (near-linear ns/event is the scaling gate)"
+        "E23: happens-before certifier cost vs trace length — \
+         Races.check_log against Lint.check_log on the same log: minor \
+         words per event (the 2x gate) and wall-clock (near-linear ns/event \
+         is the scaling gate)"
       ~columns:
         [
-          "nodes"; "ops"; "events"; "lint ms"; "certify ms"; "x lint";
-          "ns/event";
+          "nodes"; "ops"; "events"; "lint w/ev"; "certify w/ev"; "x lint";
+          "lint ms"; "certify ms"; "ns/event";
         ]
   in
   let rows =
@@ -115,10 +130,12 @@ let e23 () =
             string_of_int nodes;
             string_of_int r.c_ops;
             string_of_int r.c_events;
+            Printf.sprintf "%.2f" r.c_lint_wpe;
+            Printf.sprintf "%.2f" r.c_certify_wpe;
+            (if r.c_lint_wpe <= 0.0 then "-"
+             else Printf.sprintf "%.2f" (r.c_certify_wpe /. r.c_lint_wpe));
             Printf.sprintf "%.2f" r.c_lint_ms;
             Printf.sprintf "%.2f" r.c_certify_ms;
-            (if r.c_lint_ms <= 0.0 then "-"
-             else Printf.sprintf "%.2f" (r.c_certify_ms /. r.c_lint_ms));
             Printf.sprintf "%.0f" r.c_ns_per_event;
           ];
         r)

@@ -215,31 +215,13 @@ let e4 () =
    are pushed to every replica holder immediately, as dedicated
    messages. *)
 let push_updates_explicitly c ~node ~bunch =
-  let proto = Cluster.proto c in
-  let store = Protocol.store proto node in
-  let updates =
-    List.concat_map
-      (fun seg ->
-        if seg.Bmx_memory.Segment.role = Bmx_memory.Segment.From_space then
-          List.filter_map
-            (fun (addr, cell) ->
-              match cell with
-              | Store.Forwarder _ -> (
-                  let cur = Store.current_addr store addr in
-                  match Protocol.uid_of_addr proto cur with
-                  | Some uid when cur <> addr ->
-                      Some { Protocol.lu_uid = uid; old_addr = addr; new_addr = cur }
-                  | Some _ | None -> None)
-              | Store.Object _ -> None)
-            (Store.cells_in_range store seg.Bmx_memory.Segment.range)
-        else [])
-      (Store.segments_of_bunch store bunch)
-  in
+  let updates = Bmx_gc.Reclaim.address_changes (Cluster.gc c) ~node ~bunch in
   if updates <> [] then
     List.iter
       (fun dst ->
-        if dst <> node then Protocol.send_location_updates proto ~src:node ~dst updates)
-      (Protocol.bunch_replica_nodes proto bunch)
+        if dst <> node then
+          Protocol.send_location_updates (Cluster.proto c) ~src:node ~dst updates)
+      (Protocol.bunch_replica_nodes (Cluster.proto c) bunch)
 
 let run_with_collector collector =
   let d = Driver.setup { Driver.default with ops = 1200; seed = 11 } in
@@ -768,11 +750,10 @@ let e18 () =
         ])
     [ 2; 4; 8 ];
   (* Economical collections under steady churn: 20 000 rooted 16-byte
-     objects, [pct]% of them replaced per cycle, then an economical BGC,
-     reclaim_from_space and a drain.  The youngest objects are the ones
-     replaced, so each root removal finds its root at the head of the
-     list; the evacuation rule reads only byte totals, so which objects
-     die does not change the figures. *)
+     objects, [pct]% of them (the youngest) replaced per cycle, then an
+     economical BGC, reclaim_from_space and a drain.  The evacuation rule
+     reads only byte totals, so which objects die does not change the
+     figures. *)
   let econ =
     Table.create
       ~title:

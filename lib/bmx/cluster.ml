@@ -286,21 +286,15 @@ let remove_root_checked t ~node addr =
      collection (§4.4), so the caller's remembered address may be an
      older name for the same object: match by identity, exact address
      first. *)
-  let roots = Gc_state.roots t.gc ~node in
-  if List.exists (Addr.equal addr) roots then begin
-    Gc_state.remove_root t.gc ~node addr;
-    true
-  end
-  else
-    match Protocol.uid_of_addr t.proto addr with
-    | None -> false
-    | Some uid -> (
-        let same_object r = Protocol.uid_of_addr t.proto r = Some uid in
-        match List.find_opt same_object roots with
-        | Some r ->
-            Gc_state.remove_root t.gc ~node r;
-            true
-        | None -> false)
+  Gc_state.remove_root t.gc ~node addr
+  ||
+  match Protocol.uid_of_addr t.proto addr with
+  | None -> false
+  | Some uid -> (
+      let same_object r = Protocol.uid_of_addr t.proto r = Some uid in
+      match List.find_opt same_object (Gc_state.roots t.gc ~node) with
+      | Some r -> Gc_state.remove_root t.gc ~node r
+      | None -> false)
 
 let remove_root t ~node addr = ignore (remove_root_checked t ~node addr)
 let roots t ~node = Gc_state.roots t.gc ~node

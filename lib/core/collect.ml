@@ -430,9 +430,7 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
 
   (* Reference updating (§4.4): rewrite pointer fields of every live local
      copy through the local forwarder chains — strictly local, no token. *)
-  let roots = Gc_state.roots t ~node in
-  if List.exists (fun a -> not (Addr.equal (Store.current_addr store a) a)) roots
-  then Gc_state.set_roots t ~node (List.map (Store.current_addr store) roots);
+  Gc_state.forward_roots t ~node;
   let ref_updates = ref 0 in
   Ids.Uid_tbl.iter
     (fun _uid addr ->
@@ -441,19 +439,7 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
       | exception Not_found -> ()
       | obj ->
           Perfcount.(counters.s_gc_objects_touched <- counters.s_gc_objects_touched + 1);
-          for i = 0 to Heap_obj.num_fields obj - 1 do
-            let r = Heap_obj.get_raw obj i in
-            if Value.raw_is_pointer r then begin
-              let p = Value.raw_addr r in
-              let p' = Store.current_addr store p in
-              if not (Addr.equal p p') then begin
-                let v = Value.Ref p' in
-                Heap_obj.fixup obj i v;
-                Store.note_field_write store ~obj_addr:a ~index:i v;
-                incr ref_updates
-              end
-            end
-          done)
+          ref_updates := !ref_updates + Store.forward_fields store ~obj_addr:a obj)
     live;
   bump_count t "gc.ref_updates" !ref_updates;
   pt P_scan;

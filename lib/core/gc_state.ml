@@ -245,6 +245,11 @@ type node_state = {
          bookkeeping a collection writes about itself *)
   last_bgc : int Ids.Bunch_tbl.t; (* composite epoch after last BGC *)
   mutable roots : Addr.t list;
+      (* newest first; may still hold the occurrences in [roots_dropped] *)
+  roots_live : (Addr.t, int) Hashtbl.t; (* occurrences per address *)
+  roots_dropped : (Addr.t, int) Hashtbl.t;
+      (* per address, the occurrences removed since [roots] was last
+         read: the newest ones of that address in [roots] *)
   inter_stubs : (Ssp.inter_stub, Ssp.inter_edge) table Ids.Bunch_tbl.t;
       (* by source bunch; holds only stubs created at this node *)
   intra_stubs : (Ssp.intra_stub, Ssp.intra_edge) table Ids.Bunch_tbl.t;
@@ -300,6 +305,8 @@ let node_state t node =
           gc_version = 0;
           last_bgc = Ids.Bunch_tbl.create 8;
           roots = [];
+          roots_live = Hashtbl.create 16;
+          roots_dropped = Hashtbl.create 16;
           inter_stubs = Ids.Bunch_tbl.create 8;
           intra_stubs = Ids.Bunch_tbl.create 8;
           inter_scions = Ids.Bunch_tbl.create 8;
@@ -320,41 +327,64 @@ let crash_node t ~node =
      claim counts alike.  The entry regenerates lazily, empty. *)
   Ids.Node_tbl.remove t.per_node node
 
+(* Mutator roots: a multiset kept newest first, where a removal drops
+   the newest occurrence.  Removal is O(1): it moves one occurrence
+   from [roots_live] to [roots_dropped], and the list sheds the dropped
+   occurrences once, at the next read — the [t_view] pattern. *)
+let count h a = match Hashtbl.find h a with n -> n | exception Not_found -> 0
+
+let count_add h a d =
+  match count h a + d with 0 -> Hashtbl.remove h a | n -> Hashtbl.replace h a n
+
+let live_roots ns =
+  if Hashtbl.length ns.roots_dropped > 0 then
+    ns.roots <-
+      List.filter
+        (fun a ->
+          count ns.roots_dropped a = 0
+          || (count_add ns.roots_dropped a (-1);
+              false))
+        ns.roots;
+  ns.roots
+
 let add_root t ~node a =
   let ns = node_state t node in
   ns.gc_version <- ns.gc_version + 1;
-  ns.roots <- a :: ns.roots
+  (* A removal of [a] still pending must drop an older occurrence, not
+     this one. *)
+  if count ns.roots_dropped a > 0 then ignore (live_roots ns);
+  ns.roots <- a :: ns.roots;
+  count_add ns.roots_live a 1
 
 let remove_root t ~node a =
   let ns = node_state t node in
-  let found = ref false in
-  let rec drop_one = function
-    | [] -> []
-    | x :: rest ->
-        if Addr.equal x a then begin
-          found := true;
-          rest
-        end
-        else x :: drop_one rest
-  in
-  let roots' = drop_one ns.roots in
-  if !found then begin
-    ns.gc_version <- ns.gc_version + 1;
-    ns.roots <- roots'
-  end
+  count ns.roots_live a > 0
+  && begin
+       count_add ns.roots_live a (-1);
+       count_add ns.roots_dropped a 1;
+       ns.gc_version <- ns.gc_version + 1;
+       true
+     end
 
-let roots t ~node = (node_state t node).roots
+let roots t ~node = live_roots (node_state t node)
 
+(* Counts up before down, so a root that stays costs no table entry. *)
 let set_roots t ~node roots =
   let ns = node_state t node in
-  if
-    not
-      (List.length roots = List.length ns.roots
-      && List.for_all2 Addr.equal roots ns.roots)
-  then begin
+  let cur = live_roots ns in
+  if not (List.equal Addr.equal roots cur) then begin
     ns.gc_version <- ns.gc_version + 1;
+    List.iter (fun a -> count_add ns.roots_live a 1) roots;
+    List.iter (fun a -> count_add ns.roots_live a (-1)) cur;
     ns.roots <- roots
   end
+
+let forward_roots t ~node =
+  let store = Bmx_dsm.Protocol.store t.proto node in
+  let cur a = Bmx_memory.Store.current_addr store a in
+  let roots = roots t ~node in
+  if List.exists (fun a -> not (Addr.equal (cur a) a)) roots then
+    set_roots t ~node (List.map cur roots)
 
 let find_table make tbl bunch =
   match Ids.Bunch_tbl.find_opt tbl bunch with

@@ -52,11 +52,20 @@ val crash_node : t -> node:Bmx_util.Ids.Node.t -> unit
     The local root includes the mutator stacks (Figure 1). *)
 
 val add_root : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Addr.t -> unit
-val remove_root : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Addr.t -> unit
-(** Removes one occurrence. *)
+
+val remove_root : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Addr.t -> bool
+(** Removes the newest occurrence of the address, and says whether
+    there was one.  O(1): the list sheds it at the next {!roots}. *)
 
 val roots : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Addr.t list
+(** The roots, a multiset, newest first. *)
+
 val set_roots : t -> node:Bmx_util.Ids.Node.t -> Bmx_util.Addr.t list -> unit
+
+val forward_roots : t -> node:Bmx_util.Ids.Node.t -> unit
+(** Rewrite each root to the {!Bmx_memory.Store.current_addr} of its
+    target at the node (§4.4, no token): the collector's reference
+    update and from-space reuse both run it. *)
 
 (** {1 Stub tables}
 

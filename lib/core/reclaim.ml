@@ -4,7 +4,6 @@ module Protocol = Bmx_dsm.Protocol
 module Store = Bmx_memory.Store
 module Segment = Bmx_memory.Segment
 module Heap_obj = Bmx_memory.Heap_obj
-module Value = Bmx_memory.Value
 
 type report = {
   q_segments_freed : int;
@@ -16,66 +15,80 @@ type report = {
 
 let bump t name = Stats.incr (Gc_state.stats t) name
 
-(* Allocate a fresh copy of [fields] for [uid] at [node], guaranteed to
-   land outside [range] — the whole point of the protocol is to empty that
-   range, so an evacuation must never target it. *)
-let alloc_outside t ~node ~bunch ~uid ~version ~fields ~range =
-  let proto = Gc_state.proto t in
-  let store = Protocol.store proto node in
-  let candidate = Store.alloc ~version store ~bunch ~uid ~fields in
-  if not (Addr.Range.contains range candidate) then candidate
-  else begin
-    (* The node's active segment is the very range being reclaimed: retire
-       the doomed copy and retarget allocation at a fresh segment. *)
-    Store.remove store candidate;
-    let seg = Store.fresh_segment store ~bunch () in
-    Store.set_active_segment store ~bunch seg;
-    Store.alloc ~version store ~bunch ~uid ~fields
-  end
+(* Index in [fs] of the segment holding [a], or -1.  [fs] holds a
+   bunch's few from-space segments, so a linear scan suffices, and it
+   allocates nothing. *)
+let rec seg_index fs a i =
+  if i = Array.length fs then -1
+  else if Segment.contains fs.(i) a then i
+  else seg_index fs a (i + 1)
 
-(* The owner evacuates its local copy out of the address range the
-   requester wants to reuse, and reports where the object now lives. *)
-let owner_evacuate t ~owner ~uid ~range =
-  let proto = Gc_state.proto t in
-  let store = Protocol.store proto owner in
-  match Store.addr_of_uid store uid with
-  | None -> None
-  | Some a ->
-      if not (Addr.Range.contains range a) then
-        Some { Protocol.lu_uid = uid; old_addr = a; new_addr = a }
-      else (
-        match Store.resolve store a with
-        | None -> None
-        | Some (_, obj) ->
-            let bunch = obj.Heap_obj.bunch in
-            let new_addr =
-              alloc_outside t ~node:owner ~bunch ~uid
-                ~version:(Heap_obj.version obj)
-                ~fields:(Heap_obj.fields_copy obj) ~range
-            in
-            Store.set_forwarder store ~at:a ~target:new_addr;
-            Protocol.register_copy_location proto ~uid ~addr:new_addr;
-            bump t "gc.reclaim.owner_copies";
-            Some { Protocol.lu_uid = uid; old_addr = a; new_addr })
+let from_spaces store bunch =
+  Array.of_list
+    (List.filter
+       (fun seg -> seg.Segment.role = Segment.From_space)
+       (Store.segments_of_bunch store bunch))
 
-(* Rewrite every locally held pointer (mutator roots and object fields)
-   through the local forwarder chains, so the forwarders in the doomed
-   segment are no longer needed on this node. *)
-let fix_local_pointers t ~node =
-  let proto = Gc_state.proto t in
-  let store = Protocol.store proto node in
-  Gc_state.set_roots t ~node
-    (List.map (Store.current_addr store) (Gc_state.roots t ~node));
-  Store.iter store (fun obj_addr cell ->
+(* One walk over the store (none without from-space): the cells inside
+   the segments [fs], segment by segment in [fs] order, by address
+   within each. *)
+let from_space_cells store fs =
+  let per_seg = Array.make (Array.length fs) [] in
+  if Array.length fs > 0 then
+    Store.iter store (fun a cell ->
+        let i = seg_index fs a 0 in
+        if i >= 0 then per_seg.(i) <- (a, cell) :: per_seg.(i));
+  List.concat_map
+    (List.sort (fun (a, _) (b, _) -> Addr.compare a b))
+    (Array.to_list per_seg)
+
+(* The address changes the forwarders among [cells] record. *)
+let updates_of proto store cells =
+  List.filter_map
+    (fun (addr, cell) ->
       match cell with
-      | Store.Forwarder _ -> ()
-      | Store.Object obj ->
-          Heap_obj.iteri_pointers obj (fun i p ->
-              let p' = Store.current_addr store p in
-              if not (Addr.equal p p') then begin
-                Heap_obj.fixup obj i (Value.Ref p');
-                Store.note_field_write store ~obj_addr ~index:i (Value.Ref p')
-              end))
+      | Store.Forwarder _ -> (
+          let cur = Store.current_addr store addr in
+          match Protocol.uid_of_addr proto cur with
+          | Some uid when not (Addr.equal cur addr) ->
+              Some { Protocol.lu_uid = uid; old_addr = addr; new_addr = cur }
+          | Some _ | None -> None)
+      | Store.Object _ -> None)
+    cells
+
+let address_changes t ~node ~bunch =
+  let proto = Gc_state.proto t in
+  let store = Protocol.store proto node in
+  updates_of proto store (from_space_cells store (from_spaces store bunch))
+
+(* Move [node]'s copy [obj] from [addr] into the bunch's allocation
+   segment, or into a fresh one when that is full or is one of the
+   from-space segments [fs] being emptied (a collection that copied
+   nothing leaves allocation there); forward [addr] to the copy and
+   return its address.  The one evacuation: for this node's own
+   stragglers and adopted orphans, and for an owner's move on a copy
+   request. *)
+let evacuate t ~node ~fs addr (obj : Heap_obj.t) =
+  let proto = Gc_state.proto t in
+  let store = Protocol.store proto node in
+  let bunch = obj.Heap_obj.bunch in
+  let seg = Store.active_segment store ~bunch in
+  let new_addr =
+    match
+      if seg_index fs seg.Segment.range.Addr.Range.lo 0 >= 0 then None
+      else Store.alloc_clone store ~seg ~of_:obj
+    with
+    | Some a -> a
+    | None -> (
+        let seg = Store.fresh_segment store ~bunch () in
+        Store.set_active_segment store ~bunch seg;
+        match Store.alloc_clone store ~seg ~of_:obj with
+        | Some a -> a
+        | None -> failwith "Reclaim: object larger than a segment")
+  in
+  Store.set_forwarder store ~at:addr ~target:new_addr;
+  Protocol.register_copy_location proto ~uid:obj.Heap_obj.uid ~addr:new_addr;
+  new_addr
 
 let run t ~node ~bunch =
   let proto = Gc_state.proto t in
@@ -86,6 +99,16 @@ let run t ~node ~bunch =
       (fun n -> not (Ids.Node.equal n node))
       (Protocol.bunch_replica_nodes proto bunch)
   in
+  let fs = from_spaces store bunch in
+  (* Walk 1: the live copies to move out. *)
+  let objects =
+    List.filter_map
+      (fun (addr, cell) ->
+        match cell with
+        | Store.Object obj -> Some (addr, obj)
+        | Store.Forwarder _ -> None)
+      (from_space_cells store fs)
+  in
   (* §4.5 reuse waits for replies from every replica (and from each
      object's owner).  A peer that is {e down} cannot object — its
      volatile copies and tokens died with it — but a peer that is alive
@@ -94,17 +117,9 @@ let run t ~node ~bunch =
      brain.  Refuse up front, before any evacuation, so the caller can
      simply retry once the partition heals. *)
   let involved_owners =
-    List.concat_map
-      (fun seg ->
-        if seg.Segment.role <> Segment.From_space then []
-        else
-          List.filter_map
-            (fun (_, cell) ->
-              match cell with
-              | Store.Forwarder _ -> None
-              | Store.Object obj -> Protocol.owner_of proto obj.Heap_obj.uid)
-            (Store.cells_in_range store seg.Segment.range))
-      (Store.segments_of_bunch store bunch)
+    List.filter_map
+      (fun (_, obj) -> Protocol.owner_of proto obj.Heap_obj.uid)
+      objects
   in
   let cut_off n =
     (not (Ids.Node.equal n node))
@@ -120,132 +135,114 @@ let run t ~node ~bunch =
             deferred"
            Ids.Node.pp peer)
   | None -> ());
-  let segments_freed = ref 0
-  and bytes_freed = ref 0
-  and forwarders_dropped = ref 0
-  and copy_requests = ref 0
-  and updates_broadcast = ref 0 in
+  (* Ask owners to pull their live objects out of the from-space; apply
+     the replies locally so our own copies leave it too.  A live copy
+     whose recorded owner can no longer help (the owner's own replica
+     died first) must not go down with the segment: this node adopts
+     ownership and evacuates it itself. *)
+  let adopt addr obj =
+    bump t "gc.reclaim.ownership_adopted";
+    Protocol.adopt_ownership proto ~node ~uid:obj.Heap_obj.uid;
+    ignore (evacuate t ~node ~fs addr obj)
+  in
+  let copy_requests = ref 0 in
   List.iter
-    (fun seg ->
-      if seg.Segment.role = Segment.From_space then begin
-        let range = seg.Segment.range in
-        let cells = Store.cells_in_range store range in
-        (* A live copy whose recorded owner can no longer help (the
-           owner's own replica died first) must not go down with the
-           segment: this node adopts ownership and evacuates it itself. *)
-        let evacuate_locally uid (obj : Heap_obj.t) addr =
-          let new_addr =
-            alloc_outside t ~node ~bunch ~uid
-              ~version:(Heap_obj.version obj)
-              ~fields:(Heap_obj.fields_copy obj) ~range
+    (fun (addr, (obj : Heap_obj.t)) ->
+      let uid = obj.Heap_obj.uid in
+      match Protocol.owner_of proto uid with
+      | Some owner when Ids.Node.equal owner node ->
+          (* Locally owned stragglers (allocated since the last BGC). *)
+          ignore (evacuate t ~node ~fs addr obj)
+      | Some owner -> (
+          Net.record_rpc net ~src:node ~dst:owner ~kind:Net.Reclaim_request ();
+          incr copy_requests;
+          (* The owner moves its copy out of the from-space and reports
+             where the object now lives. *)
+          let owner_store = Protocol.store proto owner in
+          let moved =
+            match Store.addr_of_uid owner_store uid with
+            | None -> None
+            | Some a when seg_index fs a 0 < 0 -> Some (a, a)
+            | Some a ->
+                Option.map
+                  (fun (_, owner_obj) ->
+                    bump t "gc.reclaim.owner_copies";
+                    (a, evacuate t ~node:owner ~fs a owner_obj))
+                  (Store.resolve owner_store a)
           in
-          Store.set_forwarder store ~at:addr ~target:new_addr;
-          Protocol.register_copy_location proto ~uid ~addr:new_addr
-        in
-        (* Ask owners to pull their live objects out of the segment; apply
-           the replies locally so our own copies leave the range too. *)
-        List.iter
-          (fun (addr, cell) ->
-            match cell with
-            | Store.Forwarder _ -> ()
-            | Store.Object obj -> (
-                let uid = obj.Heap_obj.uid in
-                match Protocol.owner_of proto uid with
-                | Some owner when Ids.Node.equal owner node ->
-                    (* Locally owned stragglers (allocated since the last
-                       BGC): evacuate directly. *)
-                    evacuate_locally uid obj addr
-                | Some owner -> (
-                    Net.record_rpc (Protocol.net proto) ~src:node ~dst:owner
-                      ~kind:Net.Reclaim_request ();
-                    incr copy_requests;
-                    match owner_evacuate t ~owner ~uid ~range with
-                    | Some update ->
-                        Net.record_rpc (Protocol.net proto) ~src:owner ~dst:node
-                          ~kind:Net.Reclaim_reply ~bytes:24 ();
-                        (* Relocate the local replica to the owner's
-                           current address — also when the owner did not
-                           need to move (its copy was already outside the
-                           range, but ours is inside and about to go). *)
-                        (match Store.cell store addr with
-                        | Some (Store.Object local)
-                          when not (Addr.equal addr update.Protocol.new_addr) ->
-                            Store.install store update.Protocol.new_addr local;
-                            Store.set_forwarder store ~at:addr
-                              ~target:update.Protocol.new_addr
-                        | Some _ | None -> ());
-                        Protocol.apply_location_updates proto ~node [ update ]
-                    | None ->
-                        Net.record_rpc (Protocol.net proto) ~src:owner ~dst:node
-                          ~kind:Net.Reclaim_reply ();
-                        bump t "gc.reclaim.ownership_adopted";
-                        Protocol.adopt_ownership proto ~node ~uid;
-                        evacuate_locally uid obj addr)
-                | None ->
-                    bump t "gc.reclaim.ownership_adopted";
-                    Protocol.adopt_ownership proto ~node ~uid;
-                    evacuate_locally uid obj addr))
-          cells;
-        (* Collect the address changes the segment's forwarders record. *)
-        let updates =
-          List.filter_map
-            (fun (addr, cell) ->
-              match cell with
-              | Store.Forwarder _ ->
-                  let cur = Store.current_addr store addr in
-                  (match Protocol.uid_of_addr proto cur with
-                  | Some uid when not (Addr.equal cur addr) ->
-                      Some { Protocol.lu_uid = uid; old_addr = addr; new_addr = cur }
-                  | Some _ | None -> None)
-              | Store.Object _ -> None)
-            (Store.cells_in_range store range)
-        in
-        (* §4.5 is explicit that reuse waits for acknowledgements: "Once
-           the local node receives the replies to the above messages, the
-           from-space segment can be fully reused or freed."  So this is
-           a request/reply exchange, not fire-and-forget — otherwise a
-           token grant racing with the reuse could hand out an address
-           whose forwarder no longer exists anywhere. *)
-        if updates <> [] then
-          List.iter
-            (fun dst ->
-              Net.record_rpc (Protocol.net proto) ~src:node ~dst
-                ~kind:Net.Addr_update
-                ~bytes:(24 * List.length updates)
-                ();
-              Protocol.apply_location_updates proto ~node:dst updates;
-              Net.record_rpc (Protocol.net proto) ~src:dst ~dst:node
-                ~kind:Net.Reclaim_reply ();
-              incr updates_broadcast)
-            replicas;
-        (* Everything left in the range is a forwarder or dead: fix local
-           pointers, then drop the segment wholesale. *)
-        fix_local_pointers t ~node;
-        List.iter
-          (fun (addr, cell) ->
-            (match cell with
-            | Store.Forwarder _ -> incr forwarders_dropped
-            | Store.Object _ -> ());
-            Store.remove store addr)
-          (Store.cells_in_range store range);
-        Segment.reset seg;
-        (* The range is retired, never reallocated: numeric address
-           recycling would let addresses still present in in-flight
-           metadata alias fresh objects.  The 63-bit space is
-           inexhaustible in simulation; what §4.5 reclaims — the
-           segment's memory — is returned (the maps and cells are gone),
-           and accounting (E18) measures live footprint as non-Free
-           segment bytes. *)
-        Segment.seal seg;
-        incr segments_freed;
-        bytes_freed := !bytes_freed + Addr.Range.size range;
-        bump t "gc.reclaim.segments_freed"
-      end)
-    (Store.segments_of_bunch store bunch);
+          match moved with
+          | Some (old_addr, new_addr) ->
+              Net.record_rpc net ~src:owner ~dst:node ~kind:Net.Reclaim_reply
+                ~bytes:24 ();
+              (* Relocate the local replica to the owner's current
+                 address — also when the owner did not need to move (its
+                 copy was already outside the from-space, but ours is
+                 inside and about to go). *)
+              (match Store.cell store addr with
+              | Some (Store.Object local) when not (Addr.equal addr new_addr) ->
+                  Store.install store new_addr local;
+                  Store.set_forwarder store ~at:addr ~target:new_addr
+              | Some _ | None -> ());
+              Protocol.apply_location_updates proto ~node
+                [ { Protocol.lu_uid = uid; old_addr; new_addr } ]
+          | None ->
+              Net.record_rpc net ~src:owner ~dst:node ~kind:Net.Reclaim_reply ();
+              adopt addr obj)
+      | None -> adopt addr obj)
+    objects;
+  (* Walk 2, after the owner exchange (applying a reply can install a
+     forwarder in the from-space): the address changes the forwarders
+     record, and the cells to drop. *)
+  let cells = from_space_cells store fs in
+  let updates = updates_of proto store cells in
+  (* §4.5 is explicit that reuse waits for acknowledgements: "Once the
+     local node receives the replies to the above messages, the
+     from-space segment can be fully reused or freed."  So this is a
+     request/reply exchange, one per replica, not fire-and-forget —
+     otherwise a token grant racing with the reuse could hand out an
+     address whose forwarder no longer exists anywhere. *)
+  if updates <> [] then
+    List.iter
+      (fun dst ->
+        Net.record_rpc net ~src:node ~dst ~kind:Net.Addr_update
+          ~bytes:(24 * List.length updates)
+          ();
+        Protocol.apply_location_updates proto ~node:dst updates;
+        Net.record_rpc net ~src:dst ~dst:node ~kind:Net.Reclaim_reply ())
+      replicas;
+  (* Walk 3: rewrite every locally held pointer (mutator roots and
+     object fields) through the local forwarder chains, so the
+     forwarders in the from-space are no longer needed on this node;
+     then drop its cells wholesale. *)
+  if Array.length fs > 0 then begin
+    Gc_state.forward_roots t ~node;
+    Store.iter store (fun obj_addr cell ->
+        match cell with
+        | Store.Object obj -> ignore (Store.forward_fields store ~obj_addr obj)
+        | Store.Forwarder _ -> ())
+  end;
+  List.iter (fun (addr, _) -> Store.remove store addr) cells;
+  (* The ranges are retired, never reallocated: numeric address recycling
+     would let addresses still present in in-flight metadata alias fresh
+     objects.  The 63-bit space is inexhaustible in simulation; what §4.5
+     reclaims — the segment's memory — is returned (the maps and cells
+     are gone), and accounting (E18) measures live footprint as non-Free
+     segment bytes. *)
+  Array.iter
+    (fun seg ->
+      Segment.reset seg;
+      Segment.seal seg;
+      bump t "gc.reclaim.segments_freed")
+    fs;
   {
-    q_segments_freed = !segments_freed;
-    q_bytes_freed = !bytes_freed;
-    q_forwarders_dropped = !forwarders_dropped;
+    q_segments_freed = Array.length fs;
+    q_bytes_freed =
+      Array.fold_left (fun n seg -> n + Addr.Range.size seg.Segment.range) 0 fs;
+    q_forwarders_dropped =
+      List.length
+        (List.filter
+           (function _, Store.Forwarder _ -> true | _, Store.Object _ -> false)
+           cells);
     q_copy_requests = !copy_requests;
-    q_updates_broadcast = !updates_broadcast;
+    q_updates_broadcast = (if updates = [] then 0 else List.length replicas);
   }

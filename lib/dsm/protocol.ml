@@ -376,16 +376,10 @@ let compute_updates t ~granter:g ~requested addr gobj =
 
 (* Rewrite the pointer fields of a local object copy through the local
    forwarder chains (Figure 3 case (d): references to from-space forwarding
-   pointers are retargeted to to-space directly). *)
-let fix_fields_through_forwarders t node obj_addr (obj : Heap_obj.t) =
-  let s = store t node in
-  Heap_obj.iteri_pointers obj (fun i a ->
-      let a' = Store.current_addr s a in
-      if not (Addr.equal a a') then begin
-        Heap_obj.fixup obj i (Value.Ref a');
-        Store.note_field_write s ~obj_addr ~index:i (Value.Ref a');
-        bump t "dsm.ref_fixes"
-      end)
+   pointers are retargeted to to-space directly), counting the fixes. *)
+let fix_fields t s obj_addr obj =
+  let n = Store.forward_fields s ~obj_addr obj in
+  if n > 0 then Stats.incr ~by:n (stats t) "dsm.ref_fixes"
 
 let rec apply_location_updates t ~node updates =
   let s = store t node in
@@ -436,7 +430,7 @@ let rec apply_location_updates t ~node updates =
          rather than at the next BGC. *)
       Store.iter s (fun a c ->
           match c with
-          | Store.Object obj -> fix_fields_through_forwarders t node a obj
+          | Store.Object obj -> fix_fields t s a obj
           | Store.Forwarder _ -> ())
   | Lazy -> ());
   (* Invariant 2 (§5): forward fresh information to every node in the
@@ -542,13 +536,12 @@ let install_granted t ~node ~gaddr gobj =
   let prev = Store.addr_of_uid s gobj.Heap_obj.uid in
   (* Always install a fresh clone: [Store.install] maintains the object
      and reference maps, which a field-level overwrite would not. *)
-  Store.install s gaddr (Heap_obj.clone gobj);
+  let obj = Heap_obj.clone gobj in
+  Store.install s gaddr obj;
   (match prev with
   | Some p when not (Addr.equal p gaddr) -> Store.set_forwarder s ~at:p ~target:gaddr
   | Some _ | None -> ());
-  match Store.cell s gaddr with
-  | Some (Store.Object obj) -> fix_fields_through_forwarders t node gaddr obj
-  | Some (Store.Forwarder _) | None -> assert false
+  fix_fields t s gaddr obj
 
 (* Ship [src]'s copy of [uid] to [dst]: resolve it, compute the location
    updates it carries, account the reply (32 bytes plus the object) and

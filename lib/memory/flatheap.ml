@@ -21,18 +21,12 @@ open Bmx_util
    Freed slots go on per-arity free lists and are recycled by the next
    same-arity allocation, so arena growth tracks the peak live heap, not
    the total allocation volume (the copying collector re-allocates every
-   live object each collection).
-
-   The mark bitmap is one bit per arena word, addressed by slot base:
-   collections use it for O(1) liveness membership during a trace.  The
-   discipline is mark-then-unmark — every trace clears exactly the bits
-   it set — so the bitmap needs no epoch machinery and no full clears. *)
+   live object each collection). *)
 
 type t = {
   id : int;  (* distinguishes arenas in cross-arena slot keys *)
   mutable data : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
   mutable bump : int;  (* first never-allocated word *)
-  mutable marks : Bytes.t;  (* 1 bit per word of [data] *)
   free_lists : (int, int list ref) Hashtbl.t;  (* nfields -> slot bases *)
   mutable live : int;
   mutable next_gen : int;
@@ -47,7 +41,6 @@ let create ?(initial_words = 1024) () =
     id = !next_id;
     data = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 16 initial_words);
     bump = 0;
-    marks = Bytes.make ((max 16 initial_words + 7) / 8) '\000';
     free_lists = Hashtbl.create 8;
     live = 0;
     next_gen = 1;
@@ -64,10 +57,7 @@ let grow t needed =
   done;
   let data' = Bigarray.Array1.create Bigarray.int Bigarray.c_layout !cap in
   Bigarray.Array1.blit t.data (Bigarray.Array1.sub data' 0 (capacity t));
-  t.data <- data';
-  let marks' = Bytes.make ((!cap + 7) / 8) '\000' in
-  Bytes.blit t.marks 0 marks' 0 (Bytes.length t.marks);
-  t.marks <- marks'
+  t.data <- data'
 
 let stale base gen =
   invalid_arg
@@ -105,13 +95,9 @@ let free t ~base ~gen =
   let nfields = t.data.{base + 2} in
   t.data.{base} <- -gen; (* poison: any later gen check fails *)
   t.live <- t.live - 1;
-  (match Hashtbl.find_opt t.free_lists nfields with
+  match Hashtbl.find_opt t.free_lists nfields with
   | Some l -> l := base :: !l
-  | None -> Hashtbl.add t.free_lists nfields (ref [ base ]));
-  (* A freed slot must not linger in anyone's mark set. *)
-  let i = base lsr 3 and b = base land 7 in
-  Bytes.unsafe_set t.marks i
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.marks i) land lnot (1 lsl b)))
+  | None -> Hashtbl.add t.free_lists nfields (ref [ base ])
 
 let nfields t ~base ~gen =
   check t ~base ~gen;
@@ -175,22 +161,6 @@ let blit_fields ~src ~src_base ~src_gen ~dst ~dst_base ~dst_gen =
   done;
   dst.data.{dst_base + 1} <- src.data.{src_base + 1};
   Perfcount.(counters.s_flat_words_copied <- counters.s_flat_words_copied + n)
-
-(* ------------------------------------------------------------------ *)
-(* Mark bitmap (one bit per word, addressed by slot base).              *)
-
-let mark t ~base =
-  let i = base lsr 3 and b = base land 7 in
-  Bytes.unsafe_set t.marks i
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.marks i) lor (1 lsl b)))
-
-let unmark t ~base =
-  let i = base lsr 3 and b = base land 7 in
-  Bytes.unsafe_set t.marks i
-    (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.marks i) land lnot (1 lsl b)))
-
-let is_marked t ~base =
-  Char.code (Bytes.unsafe_get t.marks (base lsr 3)) land (1 lsl (base land 7)) <> 0
 
 (* The arena objects created by bare [Heap_obj.make] calls (tests,
    baseline collectors) land here. *)

@@ -6,11 +6,7 @@
     generation stamped at {!alloc}; {!free} poisons it, so any access
     through a stale handle raises [Invalid_argument] instead of reading
     whatever object recycled the slot.  Freed slots are recycled by
-    per-arity free lists, so arena growth tracks the peak live heap.
-
-    One bit of mark bitmap per arena word supports O(1) trace-membership;
-    the discipline is mark-then-unmark (each trace clears exactly what it
-    set), never a full clear. *)
+    per-arity free lists, so arena growth tracks the peak live heap. *)
 
 type t
 
@@ -48,7 +44,3 @@ val blit_fields :
   src:t -> src_base:int -> src_gen:int ->
   dst:t -> dst_base:int -> dst_gen:int -> unit
 (** Copy fields + version between same-arity live slots. *)
-
-val mark : t -> base:int -> unit
-val unmark : t -> base:int -> unit
-val is_marked : t -> base:int -> bool

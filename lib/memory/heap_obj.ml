@@ -102,7 +102,3 @@ let image_pointers im =
       | Value.Ref a when not (Addr.is_null a) -> a :: acc
       | _ -> acc)
     im.im_fields []
-
-let mark t = Flatheap.mark t.heap ~base:t.base
-let unmark t = Flatheap.unmark t.heap ~base:t.base
-let is_marked t = Flatheap.is_marked t.heap ~base:t.base

@@ -110,12 +110,3 @@ val of_image : ?heap:Flatheap.t -> image -> t
 
 val image_copy : image -> image
 val image_pointers : image -> Bmx_util.Addr.t list
-
-val mark : t -> unit
-(** Set this object's bit in the arena mark bitmap.  Traces that mark
-    must {!unmark} everything they marked (the bitmap is shared and never
-    bulk-cleared). *)
-
-val unmark : t -> unit
-
-val is_marked : t -> bool

@@ -131,12 +131,6 @@ let segments_of_bunch t bunch =
 
 let set_active_segment t ~bunch seg = Ids.Bunch_tbl.replace t.active bunch seg
 
-let cells_in_range t range =
-  Hashtbl.fold
-    (fun a c acc -> if Addr.Range.contains range a then (a, c) :: acc else acc)
-    t.cells []
-  |> List.sort (fun (a, _) (b, _) -> Addr.compare a b)
-
 let mapped_bunches t =
   Ids.Bunch_tbl.fold (fun b _ acc -> b :: acc) t.seg_order []
   |> List.sort_uniq Ids.Bunch.compare
@@ -278,6 +272,23 @@ let note_field_write t ~obj_addr ~index v =
       if Segment.contains seg field_addr then
         Segment.note_pointer seg field_addr ~is_pointer:(Value.is_pointer v)
 
+let forward_fields t ~obj_addr obj =
+  let changed = ref 0 in
+  for i = 0 to Heap_obj.num_fields obj - 1 do
+    let r = Heap_obj.get_raw obj i in
+    if Value.raw_is_pointer r then begin
+      let p = Value.raw_addr r in
+      let p' = current_addr t p in
+      if not (Addr.equal p p') then begin
+        let v = Value.Ref p' in
+        Heap_obj.fixup obj i v;
+        note_field_write t ~obj_addr ~index:i v;
+        incr changed
+      end
+    end
+  done;
+  !changed
+
 let alloc_into ?version t ~seg ~uid ~fields =
   let size = Heap_obj.header_bytes + (Array.length fields * Addr.word) in
   match Segment.alloc seg ~size with
@@ -298,24 +309,24 @@ let alloc_clone t ~seg ~of_ =
       install t a (Heap_obj.clone ~heap:t.arena of_);
       Some a
 
+let active_segment t ~bunch =
+  match Ids.Bunch_tbl.find_opt t.active bunch with
+  | Some seg -> seg
+  | None ->
+      let seg =
+        match
+          List.find_opt
+            (fun s -> s.Segment.role = Segment.Active)
+            (segments_of_bunch t bunch)
+        with
+        | Some s -> s
+        | None -> fresh_segment t ~bunch ()
+      in
+      Ids.Bunch_tbl.replace t.active bunch seg;
+      seg
+
 let alloc ?version t ~bunch ~uid ~fields =
-  let seg =
-    match Ids.Bunch_tbl.find_opt t.active bunch with
-    | Some seg -> seg
-    | None ->
-        let seg =
-          match
-            List.find_opt
-              (fun s -> s.Segment.role = Segment.Active)
-              (segments_of_bunch t bunch)
-          with
-          | Some s -> s
-          | None -> fresh_segment t ~bunch ()
-        in
-        Ids.Bunch_tbl.replace t.active bunch seg;
-        seg
-  in
-  match alloc_into ?version t ~seg ~uid ~fields with
+  match alloc_into ?version t ~seg:(active_segment t ~bunch) ~uid ~fields with
   | Some a -> a
   | None ->
       (* Segment overflow: grow the bunch (§2.1). *)

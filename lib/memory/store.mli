@@ -59,12 +59,13 @@ val fresh_segment :
 val segments_of_bunch : t -> Bmx_util.Ids.Bunch.t -> Segment.t list
 (** Locally mapped segments of the bunch, oldest first. *)
 
+val active_segment : t -> bunch:Bmx_util.Ids.Bunch.t -> Segment.t
+(** The segment {!alloc} tries first: possibly full, and a from-space
+    after a collection that copied nothing. *)
+
 val set_active_segment : t -> bunch:Bmx_util.Ids.Bunch.t -> Segment.t -> unit
 (** Make [seg] the bunch's current allocation target (a BGC retargets
     allocation at the to-space after a flip). *)
-
-val cells_in_range : t -> Bmx_util.Addr.Range.t -> (Bmx_util.Addr.t * cell) list
-(** All cells whose address falls in the range, by address. *)
 
 val mapped_bunches : t -> Bmx_util.Ids.Bunch.t list
 
@@ -112,6 +113,12 @@ val current_addr : t -> Bmx_util.Addr.t -> Bmx_util.Addr.t
 val note_field_write : t -> obj_addr:Bmx_util.Addr.t -> index:int -> Value.t -> unit
 (** Maintain the reference-map bit for field [index] of the object at
     [obj_addr] after a write. *)
+
+val forward_fields : t -> obj_addr:Bmx_util.Addr.t -> Heap_obj.t -> int
+(** Rewrite the pointer fields of [obj], the copy at [obj_addr], to
+    their {!current_addr} (§4.4's local reference update, no token) and
+    return how many changed.  Version untouched; allocates only the
+    [Value.Ref] of a changed field. *)
 
 val objects_of_bunch : t -> Bmx_util.Ids.Bunch.t -> (Bmx_util.Addr.t * Heap_obj.t) list
 (** All local object copies (not forwarders) of the bunch, by address.

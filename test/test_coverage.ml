@@ -102,17 +102,6 @@ let test_segment_seal_blocks_allocation () =
     (Segment.alloc seg ~size:16);
   check_int "no free bytes" 0 (Segment.bytes_free seg)
 
-let test_store_cells_in_range () =
-  let reg = Registry.create () in
-  let s = Store.create ~registry:reg ~node:0 in
-  let a1 = Store.alloc s ~bunch:0 ~uid:1 ~fields:[| Value.Data 1 |] in
-  let a2 = Store.alloc s ~bunch:0 ~uid:2 ~fields:[| Value.Data 2 |] in
-  let seg = List.hd (Store.segments_of_bunch s 0) in
-  let cells = Store.cells_in_range s seg.Segment.range in
-  check_int "both cells found" 2 (List.length cells);
-  check (Alcotest.list Alcotest.int) "sorted by address" [ a1; a2 ]
-    (List.map fst cells)
-
 let test_registry_find_miss () =
   let reg = Registry.create () in
   let r = Registry.alloc_range reg ~bunch:3 ~origin:0 () in
@@ -224,6 +213,46 @@ let test_gc_state_root_multiset () =
   let r2 = Cluster.bgc c ~node:0 ~bunch:b in
   check_int "now collectable" 1 r2.Bmx_gc.Collect.r_reclaimed
 
+let test_gc_state_roots_match_list_model () =
+  (* The root multiset against a plain newest-first list: random adds,
+     removals (the newest occurrence goes), replacements and reads over
+     six addresses, so removals meet duplicates and a pending removal
+     meets a re-add of its address. *)
+  let c = Cluster.create ~nodes:1 () in
+  let gc = Cluster.gc c in
+  let rng = Random.State.make [| 24 |] in
+  let addr () = 8 * (1 + Random.State.int rng 6) in
+  let rec drop_newest a = function
+    | [] -> []
+    | x :: rest -> if x = a then rest else x :: drop_newest a rest
+  in
+  let model = ref [] in
+  let agree step =
+    let got = Gc_state.roots gc ~node:0 in
+    if got <> !model then
+      Alcotest.failf "step %d: roots [%s], model [%s]" step
+        (String.concat ";" (List.map string_of_int got))
+        (String.concat ";" (List.map string_of_int !model))
+  in
+  for step = 1 to 20_000 do
+    match Random.State.int rng 10 with
+    | 0 | 1 | 2 | 3 ->
+        let a = addr () in
+        Gc_state.add_root gc ~node:0 a;
+        model := a :: !model
+    | 4 | 5 | 6 ->
+        let a = addr () in
+        if Gc_state.remove_root gc ~node:0 a <> List.mem a !model then
+          Alcotest.failf "step %d: remove_root %d disagrees" step a;
+        model := drop_newest a !model
+    | 7 ->
+        let l = List.init (Random.State.int rng 8) (fun _ -> addr ()) in
+        Gc_state.set_roots gc ~node:0 l;
+        model := l
+    | _ -> agree step
+  done;
+  agree 20_001
+
 (* ------------------------------------------------------------- cluster *)
 
 let test_add_node_dynamic () =
@@ -318,7 +347,6 @@ let () =
         [
           Alcotest.test_case "sealed segments refuse allocation" `Quick
             test_segment_seal_blocks_allocation;
-          Alcotest.test_case "cells_in_range" `Quick test_store_cells_in_range;
           Alcotest.test_case "registry misses" `Quick test_registry_find_miss;
         ] );
       ( "gc edges",
@@ -334,6 +362,8 @@ let () =
           Alcotest.test_case "GGC subgroup respects external cycles" `Quick
             test_ggc_explicit_subgroup;
           Alcotest.test_case "roots are a multiset" `Quick test_gc_state_root_multiset;
+          Alcotest.test_case "roots agree with a list model" `Quick
+            test_gc_state_roots_match_list_model;
         ] );
       ( "cluster",
         [

@@ -108,21 +108,6 @@ let test_zero_filled_alloc_reads_nil () =
       (Value.equal Value.nil (Value.of_raw (Flatheap.get_raw h ~base ~gen i)))
   done
 
-let test_mark_bitmap () =
-  let h = Flatheap.create () in
-  let o =
-    Heap_obj.make ~heap:h ~uid:9 ~bunch:2 ~fields:[| Value.Data 1 |] ()
-  in
-  let o2 =
-    Heap_obj.make ~heap:h ~uid:10 ~bunch:2 ~fields:[| Value.Data 2 |] ()
-  in
-  check_bool "fresh unmarked" false (Heap_obj.is_marked o);
-  Heap_obj.mark o;
-  check_bool "marked" true (Heap_obj.is_marked o);
-  check_bool "neighbour untouched" false (Heap_obj.is_marked o2);
-  Heap_obj.unmark o;
-  check_bool "unmarked" false (Heap_obj.is_marked o)
-
 let test_alloc_copy_cross_arena () =
   let a = Flatheap.create () and b = Flatheap.create () in
   let o =
@@ -267,7 +252,6 @@ let () =
             test_free_list_reuse_bounds_growth;
           Alcotest.test_case "fresh slots read as nil" `Quick
             test_zero_filled_alloc_reads_nil;
-          Alcotest.test_case "mark bitmap" `Quick test_mark_bitmap;
           Alcotest.test_case "cross-arena copy" `Quick
             test_alloc_copy_cross_arena;
         ] );

@@ -131,6 +131,39 @@ let test_quiescent_rounds_are_constant_work () =
   check_int "post-quiescence round reconciles no table entries" 0
     delta.P.s_gc_table_entries
 
+let test_reclaim_walks_fixed () =
+  (* §4.5 work gate: one reclaim_from_space over 8 from-space segments
+     (900 rooted objects copied by 8 BGCs leave 7 200 forwarders; with
+     700 objects of another bunch the store holds 8 800 cells) walks the
+     store three times, however many segments it frees.
+     Mutation checks: walking once per segment (the pointer pass inside
+     the per-segment loop, or one walk per segment to find its cells)
+     charges over 3 walks' worth. *)
+  let c = Cluster.create ~nodes:1 () in
+  let b = Cluster.new_bunch c ~home:0 and other = Cluster.new_bunch c ~home:0 in
+  for i = 1 to 900 do
+    Cluster.add_root c ~node:0
+      (Cluster.alloc c ~node:0 ~bunch:b [| Bmx_memory.Value.Data i |])
+  done;
+  for i = 1 to 700 do
+    ignore (Cluster.alloc c ~node:0 ~bunch:other [| Bmx_memory.Value.Data i |])
+  done;
+  for _ = 1 to 8 do
+    ignore (Cluster.bgc c ~node:0 ~bunch:b)
+  done;
+  let cells = ref 0 in
+  Bmx_memory.Store.iter (Bmx_dsm.Protocol.store (Cluster.proto c) 0) (fun _ _ ->
+      incr cells);
+  check_int "cells at entry" 8800 !cells;
+  let before = P.snapshot () in
+  let r = Cluster.reclaim_from_space c ~node:0 ~bunch:b in
+  let touched = (P.diff ~before ~after:(P.snapshot ())).P.s_store_cells_touched in
+  check_int "segments freed" 8 r.Bmx_gc.Reclaim.q_segments_freed;
+  check_int "forwarders dropped" 7200 r.Bmx_gc.Reclaim.q_forwarders_dropped;
+  if touched > 3 * !cells then
+    Alcotest.failf "reclaim touched %d store cells, over 3 walks of %d" touched
+      !cells
+
 let test_memo_exact_after_measurement () =
   (* The speed must not come from drift: after a steady-state run the
      mirror still equals the from-scratch oracle. *)
@@ -154,5 +187,7 @@ let () =
             `Quick test_quiescent_rounds_are_constant_work;
           Alcotest.test_case "memo stays exact after measurement" `Quick
             test_memo_exact_after_measurement;
+          Alcotest.test_case "from-space reuse walks the store 3 times" `Quick
+            test_reclaim_walks_fixed;
         ] );
     ]

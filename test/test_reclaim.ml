@@ -102,6 +102,103 @@ let test_reclaim_noop_without_from_space () =
   let r = Cluster.reclaim_from_space c ~node:0 ~bunch:b in
   check_int "nothing to free" 0 r.Reclaim.q_segments_freed
 
+(* Every cell of the store at [node] inside [range], by address, as
+   (address, uid of an object or -1 for a forwarder). *)
+let cells_in c node range =
+  let acc = ref [] in
+  Store.iter (Protocol.store (Cluster.proto c) node) (fun a cell ->
+      if Addr.Range.contains range a then
+        acc :=
+          ( a,
+            match cell with
+            | Store.Object obj -> obj.Bmx_memory.Heap_obj.uid
+            | Store.Forwarder _ -> -1 )
+          :: !acc);
+  List.sort compare !acc
+
+let test_reclaim_deferred_across_partition () =
+  (* N0 owns x and N1 roots a replica, so N1 must hear of x's move before
+     N0 reuses the from-space holding its forwarder.  With N1 alive
+     behind a cut, the reclaim refuses before touching anything. *)
+  let c = Cluster.create ~nodes:2 () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let x = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 5 |] in
+  Cluster.add_root c ~node:0 x;
+  let x1 = Cluster.acquire_read c ~node:1 x in
+  Cluster.release c ~node:1 x1;
+  Cluster.add_root c ~node:1 x1;
+  ignore (Cluster.bgc c ~node:0 ~bunch:b);
+  ignore (Cluster.drain c);
+  Cluster.partition c ~groups:[ [ 0 ]; [ 1 ] ];
+  let seg =
+    match from_space_segments c 0 b with
+    | [ seg ] -> seg
+    | l -> Alcotest.failf "%d from-space segments, expected 1" (List.length l)
+  in
+  let range = seg.Segment.range in
+  let before = cells_in c 0 range in
+  check_bool "the from-space holds cells" true (before <> []);
+  let deferred () = Stats.get (Cluster.stats c) "gc.reclaim.deferred_partition" in
+  let d0 = deferred () in
+  (match Cluster.reclaim_from_space c ~node:0 ~bunch:b with
+  | _ -> Alcotest.fail "reclaim ran with a replica holder cut off"
+  | exception Failure _ -> ());
+  check_int "refusal counted" (d0 + 1) (deferred ());
+  check_bool "still from-space" true (seg.Segment.role = Segment.From_space);
+  check_bool "cells untouched" true (cells_in c 0 range = before);
+  Cluster.heal_all_links c;
+  ignore (Cluster.settle c);
+  let r = Cluster.reclaim_from_space c ~node:0 ~bunch:b in
+  check_int "freed after the heal" 1 r.Reclaim.q_segments_freed;
+  check_int "its cells dropped" 0 (List.length (cells_in c 0 range));
+  check_bool "safety" true (Result.is_ok (Bmx.Audit.check_safety c))
+
+let test_reclaim_replicas_in_several_from_spaces () =
+  (* N0 owns 40 objects of 2 008 bytes, 32 to a segment, so they span
+     two of N0's segments; N1 roots a replica of each.  N1's BGC copies
+     none of them (it owns none) and turns both segment views into
+     from-space.  N0's allocation segment is the second of them, so the
+     owner's copies must land outside both. *)
+  let c = Cluster.create ~nodes:2 () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let xs =
+    List.init 40 (fun i ->
+        let x = Cluster.alloc c ~node:0 ~bunch:b (Array.make 500 (Value.Data i)) in
+        Cluster.add_root c ~node:0 x;
+        let x1 = Cluster.acquire_read c ~node:1 x in
+        Cluster.release c ~node:1 x1;
+        Cluster.add_root c ~node:1 x1;
+        Cluster.uid_at c ~node:0 x)
+  in
+  ignore (Cluster.bgc c ~node:1 ~bunch:b);
+  let ranges = List.map (fun s -> s.Segment.range) (from_space_segments c 1 b) in
+  check_int "two from-space segments at N1" 2 (List.length ranges);
+  List.iter
+    (fun range ->
+      check_bool "each holds replicas" true
+        (List.exists (fun (_, uid) -> uid >= 0) (cells_in c 1 range)))
+    ranges;
+  let r = Cluster.reclaim_from_space c ~node:1 ~bunch:b in
+  check_int "both freed" 2 r.Reclaim.q_segments_freed;
+  ignore (Cluster.drain c);
+  List.iter
+    (fun range ->
+      check_int "no cell left at N1" 0 (List.length (cells_in c 1 range));
+      (* The owner keeps forwarders at its old addresses until its own
+         from-space reuse; no copy stays behind anywhere. *)
+      List.iter
+        (fun node ->
+          check_bool "no copy left in a freed range" false
+            (List.exists (fun (_, uid) -> uid >= 0) (cells_in c node range)))
+        [ 0; 1 ])
+    ranges;
+  List.iter
+    (fun uid ->
+      check_bool "owner copy" true (Cluster.cached_at c ~node:0 ~uid);
+      check_bool "replica" true (Cluster.cached_at c ~node:1 ~uid))
+    xs;
+  check_bool "safety" true (Result.is_ok (Bmx.Audit.check_safety c))
+
 let () =
   Alcotest.run "reclaim"
     [
@@ -116,5 +213,9 @@ let () =
           Alcotest.test_case "accounts freed bytes" `Quick test_reclaim_reuses_bytes;
           Alcotest.test_case "no-op without from-space" `Quick
             test_reclaim_noop_without_from_space;
+          Alcotest.test_case "deferred while a replica holder is cut off"
+            `Quick test_reclaim_deferred_across_partition;
+          Alcotest.test_case "replicas in several from-space segments" `Quick
+            test_reclaim_replicas_in_several_from_spaces;
         ] );
     ]
