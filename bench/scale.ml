@@ -47,6 +47,7 @@ type run_result = {
   r_wave_minor_words_per_op : float;
   r_events : int;
   r_event_log_words : int;
+  r_edges_inserted : int;
   r_components : (Net.Component.t * int) list;
 }
 
@@ -84,6 +85,7 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
       seed = 20;
     }
   in
+  let perf0 = Perfcount.snapshot () in
   let d = Driver.setup cfg in
   let c = Driver.cluster d in
   Cluster.set_event_trace c true;
@@ -172,6 +174,9 @@ let run_config ~nodes ~objects_per_bunch ~ops ~waves =
     r_wave_minor_words_per_op = per_op !wave_words;
     r_events = Trace_event.length (Cluster.evlog c);
     r_event_log_words = Trace_event.words (Cluster.evlog c);
+    r_edges_inserted =
+      (Perfcount.diff ~before:perf0 ~after:(Perfcount.snapshot ()))
+        .Perfcount.s_gc_edges_inserted;
     r_components =
       List.map
         (fun comp -> (comp, Net.component_bytes net comp))
@@ -255,6 +260,7 @@ let result_json r =
       ("wave_minor_words_per_op", Json.Float r.r_wave_minor_words_per_op);
       ("events", Json.Int r.r_events);
       ("event_log_words", Json.Int r.r_event_log_words);
+      ("edges_inserted", Json.Int r.r_edges_inserted);
       ( "components",
         Json.Obj
           (List.map
@@ -353,6 +359,7 @@ let run_sweep ?(extra_configs = []) ~configs ~json_path () =
           "gc tokens";
           "alloc w/op";
           "wave w/op";
+          "edges ins";
         ]
   in
   let results =
@@ -376,6 +383,7 @@ let run_sweep ?(extra_configs = []) ~configs ~json_path () =
             string_of_int r.r_gc_token_acquires;
             Printf.sprintf "%.0f" r.r_minor_words_per_op;
             Printf.sprintf "%.0f" r.r_wave_minor_words_per_op;
+            string_of_int r.r_edges_inserted;
           ];
         r)
       configs
@@ -479,6 +487,19 @@ let e20_diag_at ~nodes ~objects_per_bunch =
   phase "gc_round (all nodes)" (fun () -> ignore (Cluster.gc_round c));
   phase "gc_round again" (fun () -> ignore (Cluster.gc_round c));
   phase "quiescence" (fun () -> ignore (Cluster.collect_until_quiescent c ()));
+  (* Where the memory sits once the collector is quiescent: the GC
+     state by kind, shared structure counted once per row, beside the
+     whole cluster and the live heap (the last forces a major
+     collection). *)
+  let kib words = words * (Sys.word_size / 8) / 1024 in
+  List.iter
+    (fun (kind, words) ->
+      Printf.printf "memory: %-18s %10d words %8d KiB\n" kind words (kib words))
+    (Bmx_gc.Gc_state.words_held (Cluster.gc c)
+    @ [
+        ("cluster", Obj.reachable_words (Obj.repr c));
+        ("live heap", (Gc.stat ()).Gc.live_words);
+      ]);
   let net = Cluster.net c in
   Printf.printf "net: %d msgs, %d bytes, %d events
 %!"

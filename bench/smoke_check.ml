@@ -16,8 +16,8 @@
    bitmaps; only Rng.float boxing and a few option cells remain), an
    allocation budget for the collector waves per mutator op, and
    deterministic budgets for the stub-table bytes, total wire bytes and
-   messages the run sends and for the event log's words per recorded
-   event. *)
+   messages the run sends, for the edges the cleaner builds into its
+   edge sets and for the event log's words per recorded event. *)
 
 module Json = Bmx_obs.Json
 
@@ -59,19 +59,24 @@ let ops_per_sec_floor = 1550.0
 let minor_words_per_op_budget = 630.0
 
 (* Minor words the collector waves between the mutator batches allocate,
-   per mutator op: 384 in the smoke configuration, where an economical
+   per mutator op: 378 in the smoke configuration, where every receiver
+   of a round's fulls stores the edge sets the sender built once (385
+   while each receiver copied the edges into hash tables of its own and
+   kept per-target claim counts beside them), and an economical
    collection evacuates only when its bunch's own allocation segments
    are under 3/4 live (443 when every collection that found garbage
    evacuated; it moves by a few words with the timings the phase
-   histograms record).  The budget sits ~7% above 384.  A second trace
-   per collection (448) fails it; a registry lookup that boxes one
-   option per call (398) does not, though the heavier allocating lookup
-   and the wholesale stub-table rebuild it was set against (641 and 558
-   at 500 words/op, before the packed log) would.  It holds total wave
-   allocation only, so CPU-bound regressions on the smoke's small
-   tables — a claim scan over every mirror, a full self hand-off on
-   every BGC — still pass it. *)
-let wave_minor_words_per_op_budget = 410.0
+   histograms record).  The budget sits ~7% above 378.  A second trace
+   per collection fails it (448 when the base was 384); a registry
+   lookup that boxes one option per call does not (398 then), though
+   the heavier allocating lookup and the wholesale stub-table rebuild
+   it was set against (641 and 558 at 500 words/op, before the packed
+   log) would.
+   It holds total wave allocation only, so CPU-bound regressions on the
+   smoke's small tables — a claim scan over every mirror, a full self
+   hand-off on every BGC, edge sets rebuilt for every destination of a
+   round (391) — still pass it. *)
+let wave_minor_words_per_op_budget = 405.0
 
 (* Deterministic wire budgets: for a fixed seed the smoke configuration
    sends exactly the same messages and stub-table bytes on every machine,
@@ -96,6 +101,17 @@ let wave_minor_words_per_op_budget = 410.0
 let table_bytes_budget = 10_800
 let messages_budget = 900
 let bytes_budget = 64_000
+
+(* Deterministic edge-set work: the edges the cleaner inserts into new
+   edge sets, counted by [Perfcount.s_gc_edges_inserted] — every edge of
+   the sets a sender builds for a round's fulls or for a resync pull,
+   and every edge a receiver's delta adds to its own mirror.  The smoke
+   configuration inserts 194: each round's sets are built once and
+   every full of the round shares them.  Building them again for every
+   destination inserts 432; its wave allocation (391 words/op) passes
+   the wave budget above, so only this gate catches it at three nodes.
+   The budget sits ~10% above 194. *)
+let edges_inserted_budget = 215
 
 (* Deterministic event-log density: words the typed event log stores per
    recorded event.  The packed log measures 3.29 (13 327 words for 4 047
@@ -194,6 +210,13 @@ let () =
            byte counted twice, e.g. piggybacked updates inside the grant \
            too?)"
           nodes bytes bytes_budget;
+      let edges = int_member "edges_inserted" cfg in
+      if edges > edges_inserted_budget then
+        die
+          "bench-smoke: %d-node run inserted %d edges into cleaner edge sets \
+           (budget %d — a round's edge sets built more than once, or \
+           copied at each receiver?)"
+          nodes edges edges_inserted_budget;
       let events = int_member "events" cfg in
       let log_words = int_member "event_log_words" cfg in
       let words_per_event =
@@ -216,13 +239,14 @@ let () =
         "bench-smoke: %d nodes ok — gc tokens 0, %.0f ops/sec (floor %.0f), \
          %.0f alloc words/op (budget %.0f), %.0f wave words/op (budget %.0f), \
          %d table bytes (budget %d), %d messages (budget %d), \
-         %d wire bytes (budget %d), \
+         %d wire bytes (budget %d), %d edges inserted (budget %d), \
          %.2f event-log words/event (budget %.1f), \
          steady delta %dB <= full %dB (%.1f%%)\n"
         nodes ops_per_sec ops_per_sec_floor words_per_op
         minor_words_per_op_budget wave_words_per_op
         wave_minor_words_per_op_budget table_bytes table_bytes_budget
-        messages messages_budget bytes bytes_budget words_per_event
+        messages messages_budget bytes bytes_budget edges
+        edges_inserted_budget words_per_event
         event_log_words_per_event_budget delta full
         (if full = 0 then 0.0 else 100.0 *. float_of_int delta /. float_of_int full)
       end)

@@ -196,19 +196,35 @@ let t_by_uid tb uid =
    fulls and diffs, and the sender's exiting entries addressed to the
    node (only an object's owner reads an exiting entry, so the sender
    ships each destination its own and the owner goes without saying).
-   Coverage queries — the cleaner's §6.1 deletion test — are O(1) edge
-   lookups; the (sender, bunch) the mirror is filed under supplies the
-   rest of each match key.  [mi_seq] is the transport seq of the last
-   message processed on the stream, the cleaner's freshness clock.
-   [mi_basis] is the seq of the send the mirror's contents reflect (and
-   every delta the sender emits builds on); a delta with a different
-   basis is unusable and triggers a resync. *)
+   The edge sets are immutable and shared: every receiver of a round's
+   fulls stores the sets the sender built, and a delta makes new ones
+   for its own mirror.  Coverage queries — the cleaner's §6.1 deletion
+   test — are ordered lookups; the (sender, bunch) the mirror is filed
+   under supplies the rest of each match key.  [mi_seq] is the
+   transport seq of the last message processed on the stream, the
+   cleaner's freshness clock.  [mi_basis] is the seq of the send the
+   mirror's contents reflect (and every delta the sender emits builds
+   on); a delta with a different basis is unusable and triggers a
+   resync. *)
+
+(* Target-major: a mirror's edges into one uid are adjacent. *)
+module Inter_edges = Set.Make (struct
+  type t = Ssp.inter_edge
+  let compare (s1, t1) (s2, t2) =
+    match Int.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+end)
+
+module Intra_edges = Set.Make (struct
+  type t = Ssp.intra_edge
+  let compare (u1, n1) (u2, n2) =
+    match Int.compare u1 u2 with 0 -> Int.compare n1 n2 | c -> c
+end)
 
 type mirror = {
   mutable mi_seq : int;
   mutable mi_basis : int;
-  mi_inter : (Ssp.inter_edge, unit) Hashtbl.t;
-  mi_intra : (Ssp.intra_edge, unit) Hashtbl.t;
+  mutable mi_inter : Inter_edges.t;
+  mutable mi_intra : Intra_edges.t;
   mi_exiting : unit Ids.Uid_tbl.t;
 }
 
@@ -228,13 +244,6 @@ type broadcast_state = {
   bs_sent : (int * int) Ids.Node_tbl.t;
   bs_exiting : exiting_slot Ids.Node_tbl.t;
 }
-
-(* Per sender, how many mirrored inter-bunch edges (over all of the
-   sender's bunches) target each uid — the index behind
-   [mirror_claims_target].  Maintained by [mirror_reset] and
-   [mirror_apply] at every edge whose mirror presence flips; a zero count
-   is removed, so membership means "claimed". *)
-type claims = int Ids.Uid_tbl.t Ids.Node_tbl.t
 
 (* ------------------------------------------------------------------ *)
 
@@ -257,9 +266,8 @@ type node_state = {
       (* by target bunch *)
   intra_scions : (Ssp.intra_scion, unit) table Ids.Bunch_tbl.t;
   broadcasts : broadcast_state Ids.Bunch_tbl.t; (* sender side, by bunch *)
-  mirrors : (Ids.Node.t * Ids.Bunch.t, mirror) Hashtbl.t;
-      (* receiver side, by (sender, bunch) *)
-  claims : claims;
+  mirrors : mirror Ids.Bunch_tbl.t Ids.Node_tbl.t;
+      (* receiver side, by sender, then bunch *)
 }
 
 type t = {
@@ -312,8 +320,7 @@ let node_state t node =
           inter_scions = Ids.Bunch_tbl.create 8;
           intra_scions = Ids.Bunch_tbl.create 8;
           broadcasts = Ids.Bunch_tbl.create 8;
-          mirrors = Hashtbl.create 16;
-          claims = Ids.Node_tbl.create 8;
+          mirrors = Ids.Node_tbl.create 8;
         }
       in
       Ids.Node_tbl.add t.per_node node ns;
@@ -322,9 +329,9 @@ let node_state t node =
 let crash_node t ~node =
   (* GC tables are volatile per-node state (they are reconstructed by
      every local collection, §4.3): a crash loses roots, stub and scion
-     tables, both sides of every cleaner stream (the broadcast records
-     with their journals, the mirrors with their freshness seqs) and the
-     claim counts alike.  The entry regenerates lazily, empty. *)
+     tables and both sides of every cleaner stream alike (the broadcast
+     records with their journals, the mirrors with their freshness
+     seqs).  The entry regenerates lazily, empty. *)
   Ids.Node_tbl.remove t.per_node node
 
 (* Mutator roots: a multiset kept newest first, where a removal drops
@@ -400,20 +407,29 @@ let tbl_view tbl bunch =
 let inter_stubs t ~node ~bunch = tbl_view (node_state t node).inter_stubs bunch
 let intra_stubs t ~node ~bunch = tbl_view (node_state t node).intra_stubs bunch
 
-(* Key views: [key_count] holds each edge once, so a table's distinct
+let edges_inserted n =
+  Perfcount.(counters.s_gc_edges_inserted <- counters.s_gc_edges_inserted + n)
+
+(* Edge sets: [key_count] holds each edge once, so a table's distinct
    edges are one fold over it and their number is its length. *)
-let tbl_keys tbl bunch =
+let tbl_edges of_list tbl bunch =
   match Ids.Bunch_tbl.find_opt tbl bunch with
-  | Some tb -> Hashtbl.fold (fun k _ acc -> k :: acc) tb.key_count []
-  | None -> []
+  | Some tb ->
+      edges_inserted (Hashtbl.length tb.key_count);
+      of_list (Hashtbl.fold (fun k _ acc -> k :: acc) tb.key_count [])
+  | None -> of_list []
 
 let tbl_count size tbl bunch =
   match Ids.Bunch_tbl.find_opt tbl bunch with Some tb -> size tb | None -> 0
 
 let records tb = Hashtbl.length tb.members
 let keys tb = Hashtbl.length tb.key_count
-let inter_stub_keys t ~node ~bunch = tbl_keys (node_state t node).inter_stubs bunch
-let intra_stub_keys t ~node ~bunch = tbl_keys (node_state t node).intra_stubs bunch
+
+let inter_stub_keys t ~node ~bunch =
+  tbl_edges Inter_edges.of_list (node_state t node).inter_stubs bunch
+
+let intra_stub_keys t ~node ~bunch =
+  tbl_edges Intra_edges.of_list (node_state t node).intra_stubs bunch
 
 let inter_stub_count t ~node ~bunch =
   tbl_count records (node_state t node).inter_stubs bunch
@@ -674,82 +690,42 @@ let rebase_stub_journal t ~node ~bunch =
 (* ------------------------------------------------------------------ *)
 (* Delta-table mirrors (receiver side).                                *)
 
-let claim_incr ns sender (_, target) =
-  let tbl =
-    match Ids.Node_tbl.find ns.claims sender with
-    | tbl -> tbl
-    | exception Not_found ->
-        let tbl = Ids.Uid_tbl.create 64 in
-        Ids.Node_tbl.add ns.claims sender tbl;
-        tbl
-  in
-  match Ids.Uid_tbl.find tbl target with
-  | c -> Ids.Uid_tbl.replace tbl target (c + 1)
-  | exception Not_found -> Ids.Uid_tbl.add tbl target 1
-
-let claim_decr ns sender (_, target) =
-  match Ids.Node_tbl.find ns.claims sender with
-  | exception Not_found -> ()
-  | tbl -> (
-      match Ids.Uid_tbl.find tbl target with
-      | 1 -> Ids.Uid_tbl.remove tbl target
-      | c -> Ids.Uid_tbl.replace tbl target (c - 1)
-      | exception Not_found -> ())
-
 let mirror_reset t ~node ~sender ~bunch ~seq ~basis ~inter ~intra ~exiting =
-  let ns = node_state t node in
-  let m =
-    {
-      mi_seq = seq;
-      mi_basis = basis;
-      mi_inter = Hashtbl.create (max 16 (2 * List.length inter));
-      mi_intra = Hashtbl.create (max 16 (2 * List.length intra));
-      mi_exiting = Ids.Uid_tbl.create (max 16 (2 * List.length exiting));
-    }
+  let mirrors = (node_state t node).mirrors in
+  let by_bunch =
+    match Ids.Node_tbl.find_opt mirrors sender with
+    | Some by_bunch -> by_bunch
+    | None ->
+        let by_bunch = Ids.Bunch_tbl.create 8 in
+        Ids.Node_tbl.add mirrors sender by_bunch;
+        by_bunch
   in
-  List.iter (fun k -> Hashtbl.replace m.mi_inter k ()) inter;
-  List.iter (fun k -> Hashtbl.replace m.mi_intra k ()) intra;
-  List.iter (fun uid -> Ids.Uid_tbl.replace m.mi_exiting uid ()) exiting;
-  (* Claims move only for the edges whose presence the install flips. *)
-  (match Hashtbl.find_opt ns.mirrors (sender, bunch) with
-  | Some old ->
-      Hashtbl.iter
-        (fun k () -> if not (Hashtbl.mem m.mi_inter k) then claim_decr ns sender k)
-        old.mi_inter;
-      Hashtbl.iter
-        (fun k () -> if not (Hashtbl.mem old.mi_inter k) then claim_incr ns sender k)
-        m.mi_inter
-  | None -> Hashtbl.iter (fun k () -> claim_incr ns sender k) m.mi_inter);
-  Hashtbl.replace ns.mirrors (sender, bunch) m
+  let mi_exiting = Ids.Uid_tbl.create (max 16 (2 * List.length exiting)) in
+  List.iter (fun uid -> Ids.Uid_tbl.replace mi_exiting uid ()) exiting;
+  Ids.Bunch_tbl.replace by_bunch bunch
+    { mi_seq = seq; mi_basis = basis; mi_inter = inter; mi_intra = intra; mi_exiting }
 
 let mirror t ~node ~sender ~bunch =
-  Hashtbl.find_opt (node_state t node).mirrors (sender, bunch)
+  match Ids.Node_tbl.find_opt (node_state t node).mirrors sender with
+  | Some by_bunch -> Ids.Bunch_tbl.find_opt by_bunch bunch
+  | None -> None
 
 let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
     ~add_intra ~del_intra ~add_exiting ~del_exiting =
-  let ns = node_state t node in
-  match Hashtbl.find_opt ns.mirrors (sender, bunch) with
+  match mirror t ~node ~sender ~bunch with
   | Some m when m.mi_basis = basis ->
       (* The delta covers every edge touched since its basis, so
          deletions are applied before additions: an edge removed and
          later re-added appears only on the add side and must end up
          present. *)
-      List.iter
-        (fun k ->
-          if Hashtbl.mem m.mi_inter k then begin
-            Hashtbl.remove m.mi_inter k;
-            claim_decr ns sender k
-          end)
-        del_inter;
-      List.iter
-        (fun k ->
-          if not (Hashtbl.mem m.mi_inter k) then begin
-            Hashtbl.add m.mi_inter k ();
-            claim_incr ns sender k
-          end)
-        add_inter;
-      List.iter (Hashtbl.remove m.mi_intra) del_intra;
-      List.iter (fun k -> Hashtbl.replace m.mi_intra k ()) add_intra;
+      let fold f set edges = List.fold_left (Fun.flip f) set edges in
+      m.mi_inter <-
+        fold Inter_edges.add (fold Inter_edges.remove m.mi_inter del_inter)
+          add_inter;
+      m.mi_intra <-
+        fold Intra_edges.add (fold Intra_edges.remove m.mi_intra del_intra)
+          add_intra;
+      edges_inserted (List.length add_inter + List.length add_intra);
       List.iter (Ids.Uid_tbl.remove m.mi_exiting) del_exiting;
       List.iter (fun uid -> Ids.Uid_tbl.replace m.mi_exiting uid ()) add_exiting;
       (* Basis chaining: this message's transport seq is what the
@@ -760,17 +736,32 @@ let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
   | Some _ | None -> false
 
 let mirror_seq m = m.mi_seq
-let mirror_has_inter m edge = Hashtbl.mem m.mi_inter edge
-let mirror_has_intra m edge = Hashtbl.mem m.mi_intra edge
+let mirror_has_inter m edge = Inter_edges.mem edge m.mi_inter
+let mirror_has_intra m edge = Intra_edges.mem edge m.mi_intra
 let mirror_has_exiting m uid = Ids.Uid_tbl.mem m.mi_exiting uid
-let mirror_iter_inter m f = Hashtbl.iter (fun k () -> f k) m.mi_inter
-let mirror_iter_intra m f = Hashtbl.iter (fun k () -> f k) m.mi_intra
+let mirror_iter_inter m f = Inter_edges.iter f m.mi_inter
+let mirror_iter_intra m f = Intra_edges.iter f m.mi_intra
 let mirror_iter_exiting m f = Ids.Uid_tbl.iter (fun uid () -> f uid) m.mi_exiting
 
+(* One ordered lookup per mirror from [sender], each charged as a table
+   entry visited: in target-major order, the least edge whose target is
+   at least [uid] targets [uid] if any edge of the mirror does. *)
 let mirror_claims_target t ~node ~sender uid =
-  match Ids.Node_tbl.find (node_state t node).claims sender with
-  | tbl -> Ids.Uid_tbl.mem tbl uid
-  | exception Not_found -> false
+  match Ids.Node_tbl.find_opt (node_state t node).mirrors sender with
+  | None -> false
+  | Some by_bunch ->
+      let from_uid ((_, target) : Ssp.inter_edge) = target >= uid in
+      Ids.Bunch_tbl.fold
+        (fun _ m claimed ->
+          claimed
+          || begin
+               Perfcount.(
+                 counters.s_gc_table_entries <- counters.s_gc_table_entries + 1);
+               match Inter_edges.find_first_opt from_uid m.mi_inter with
+               | Some (_, target) -> target = uid
+               | None -> false
+             end)
+        by_bunch false
 
 (* ------------------------------------------------------------------ *)
 
@@ -814,3 +805,21 @@ let sample_node_gauges t ~node =
       set "gc.heap.bytes" (Store.objects_bytes store);
       set "gc.heap.segments" (Store.segment_count store);
       sample_ssp_gauges t ~node
+
+(* One [Obj.reachable_words] walk per row, over a list of every node's
+   structures, so what nodes share counts once. *)
+let words_held t =
+  let words f =
+    Obj.reachable_words
+      (Obj.repr (Ids.Node_tbl.fold (fun _ ns acc -> f ns :: acc) t.per_node []))
+  in
+  let kinds =
+    [
+      ("mirrors", fun ns -> Obj.repr ns.mirrors);
+      ("stub tables", fun ns -> Obj.repr (ns.inter_stubs, ns.intra_stubs));
+      ("scion tables", fun ns -> Obj.repr (ns.inter_scions, ns.intra_scions));
+      ("broadcast records", fun ns -> Obj.repr ns.broadcasts);
+    ]
+  in
+  List.map (fun (kind, f) -> (kind, words f)) kinds
+  @ [ ("all four", words (fun ns -> List.map (fun (_, f) -> f ns) kinds)) ]

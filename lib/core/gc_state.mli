@@ -45,7 +45,8 @@ val note_bgc_epoch :
 val crash_node : t -> node:Bmx_util.Ids.Node.t -> unit
 (** Drop the node's whole GC state (roots, SSP tables, both sides of
     every cleaner stream) — it died with the node's volatile memory.
-    The state regenerates lazily, empty. *)
+    The state regenerates lazily, empty; other nodes' mirrors keep the
+    edge sets they shared with it. *)
 
 (** {1 Mutator roots}
 
@@ -84,14 +85,19 @@ val inter_stubs :
 val intra_stubs :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.intra_stub list
 
+module Inter_edges : Set.S with type elt = Ssp.inter_edge
+(** Ordered by target uid, then source uid. *)
+
+module Intra_edges : Set.S with type elt = Ssp.intra_edge
+
 val inter_stub_keys :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.inter_edge list
-(** The table's distinct edges ({!Ssp.inter_stub_edge}), each once
-    however many stubs share it, in no particular order — what a full
-    reachability table ships.  One fold over the key counts. *)
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Inter_edges.t
+(** The table's distinct edges ({!Ssp.inter_stub_edge}) as a new set —
+    what a full reachability table ships.  One fold over the key counts
+    and one sort, charged to [Perfcount.s_gc_edges_inserted]. *)
 
 val intra_stub_keys :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.intra_edge list
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Intra_edges.t
 
 val inter_stub_count :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
@@ -102,7 +108,7 @@ val intra_stub_count :
 
 val inter_key_count :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
-(** Distinct edges in the table (the length of {!inter_stub_keys}),
+(** Distinct edges in the table (the size of {!inter_stub_keys}),
     O(1). *)
 
 val intra_key_count :
@@ -318,15 +324,15 @@ val mirror_reset :
   bunch:Bmx_util.Ids.Bunch.t ->
   seq:int ->
   basis:int ->
-  inter:Ssp.inter_edge list ->
-  intra:Ssp.intra_edge list ->
+  inter:Inter_edges.t ->
+  intra:Intra_edges.t ->
   exiting:Bmx_util.Ids.Uid.t list ->
   unit
 (** Install the sender's tables, as message [seq] delivered them, as the
     new mirror with the sender's exiting entries addressed to [node]: a
     full table ([basis] = [seq]) or a resync pull ([basis] by the resync
-    basis rule above).  The shipped edges go in as they are, so every
-    mirror of one broadcast shares the sender's edge pairs. *)
+    basis rule above).  It stores the shipped sets and copies no edge,
+    so every receiver of one round's fulls shares the sender's sets. *)
 
 val mirror_apply :
   t ->
@@ -345,12 +351,14 @@ val mirror_apply :
 (** Apply a delta and advance the mirror's seq and basis to [seq] (the
     transport seq that delivered it — the basis the sender's next delta
     names); [false] (and no change) if there is no mirror or its basis
-    differs from [basis] — the caller must resync. *)
+    differs from [basis] — the caller must resync.  The new sets are
+    this mirror's alone; each addition is charged to
+    [Perfcount.s_gc_edges_inserted]. *)
 
 val mirror_has_inter : mirror -> Ssp.inter_edge -> bool
 (** Does the mirrored table hold a stub with this edge (the cleaner's
     §6.1 deletion test for an inter-bunch scion of the mirror's stream,
-    O(1))? *)
+    one ordered lookup)? *)
 
 val mirror_has_intra : mirror -> Ssp.intra_edge -> bool
 
@@ -371,6 +379,12 @@ val mirror_claims_target :
     reconciliation uses this as a keep-alive: after the scion side of an
     SSP dies with a crash, the recovered owner's only protection is a
     checkpoint-restored entering entry, and that entry must not be
-    retired while the claimant's stub survives.  One lookup in a
-    per-(sender, target) count of mirrored edges that {!mirror_reset}
-    and {!mirror_apply} maintain; a crash wipes it with the mirrors. *)
+    retired while the claimant's stub survives.  One ordered lookup in
+    each of [sender]'s mirrors at [node] ({!Inter_edges} is
+    target-major), each charged to [Perfcount.s_gc_table_entries]. *)
+
+val words_held : t -> (string * int) list
+(** Words reachable from every node's mirrors, stub tables, scion
+    tables and broadcast records, one row per kind and a last row for
+    all four: what nodes or kinds share counts once within a row.  Walks
+    all of it; for diagnostics. *)

@@ -7,8 +7,8 @@ module Directory = Bmx_dsm.Directory
 
 type table_body =
   | Full of {
-      fb_inter : Ssp.inter_edge list;
-      fb_intra : Ssp.intra_edge list;
+      fb_inter : Gc_state.Inter_edges.t;
+      fb_intra : Gc_state.Intra_edges.t;
       fb_exiting : Ids.Uid.t list;
     }
   | Delta of {
@@ -42,7 +42,9 @@ let msg_bytes m =
   match m.tm_body with
   | Full { fb_inter; fb_intra; fb_exiting } ->
       wire_bytes ~header:full_header
-        ~keys:(List.length fb_inter + List.length fb_intra)
+        ~keys:
+          (Gc_state.Inter_edges.cardinal fb_inter
+          + Gc_state.Intra_edges.cardinal fb_intra)
         ~exiting:(List.length fb_exiting)
   | Delta
       {
@@ -424,7 +426,8 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
   let deferred = List.length dests - List.length live_dests in
   if deferred > 0 then bump t ~by:deferred "gc.cleaner.deferred_unreachable";
   Gc_state.note_exiting bs exiting;
-  (* Keys are built only on a round where some stream takes a full. *)
+  (* The round's edge sets, built only on a round where some stream takes
+     a full, and once: every full of the round carries the same two. *)
   let full_keys =
     lazy
       ( Gc_state.inter_stub_keys t ~node ~bunch,
@@ -463,7 +466,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
   in
   let round = bs.Gc_state.bs_round in
   let full_round = (round + 1) mod full_period = 0 || 2 * churn >= weight in
-  (* A destination's body: the shared keys plus the exiting uids it
+  (* A destination's body: the shared edges plus the exiting uids it
      owns.  No node exits toward itself, so the self hand-off carries
      none. *)
   let body_for ~dst basis =

@@ -38,9 +38,10 @@
 
 type table_body =
   | Full of {
-      fb_inter : Ssp.inter_edge list;
-          (** the sender's distinct inter-bunch stub edges *)
-      fb_intra : Ssp.intra_edge list;
+      fb_inter : Gc_state.Inter_edges.t;
+          (** the sender's distinct inter-bunch stub edges; every full
+              of a round carries the same two sets *)
+      fb_intra : Gc_state.Intra_edges.t;
       fb_exiting : Bmx_util.Ids.Uid.t list;
           (** the objects of the sender's exiting ownerPtrs whose owner,
               the sender believes, is the destination *)

@@ -19,6 +19,7 @@ type snapshot = {
   mutable s_reach_nodes_touched : int;
   mutable s_gc_objects_touched : int;
   mutable s_gc_table_entries : int;
+  mutable s_gc_edges_inserted : int;
   mutable s_store_cells_touched : int;
   mutable s_flat_words_copied : int;
   mutable s_obs_sample_work : int;
@@ -38,6 +39,7 @@ let counters = {
   s_reach_nodes_touched = 0;
   s_gc_objects_touched = 0;
   s_gc_table_entries = 0;
+  s_gc_edges_inserted = 0;
   s_store_cells_touched = 0;
   s_flat_words_copied = 0;
   s_obs_sample_work = 0;
@@ -60,6 +62,7 @@ let diff ~before ~after = {
   s_reach_nodes_touched = after.s_reach_nodes_touched - before.s_reach_nodes_touched;
   s_gc_objects_touched = after.s_gc_objects_touched - before.s_gc_objects_touched;
   s_gc_table_entries = after.s_gc_table_entries - before.s_gc_table_entries;
+  s_gc_edges_inserted = after.s_gc_edges_inserted - before.s_gc_edges_inserted;
   s_store_cells_touched = after.s_store_cells_touched - before.s_store_cells_touched;
   s_flat_words_copied = after.s_flat_words_copied - before.s_flat_words_copied;
   s_obs_sample_work = after.s_obs_sample_work - before.s_obs_sample_work;

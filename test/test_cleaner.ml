@@ -59,7 +59,12 @@ let test_stale_table_ignored () =
       Scion_cleaner.tm_sender = 0;
       tm_bunch = b1;
       tm_body =
-        Scion_cleaner.Full { fb_inter = []; fb_intra = []; fb_exiting = [] };
+        Scion_cleaner.Full
+          {
+            fb_inter = Gc_state.Inter_edges.empty;
+            fb_intra = Gc_state.Intra_edges.empty;
+            fb_exiting = [];
+          };
     }
   in
   (* First deliver with a high seq so the stream position advances. *)
@@ -69,7 +74,11 @@ let test_stale_table_ignored () =
       empty with
       Scion_cleaner.tm_body =
         Scion_cleaner.Full
-          { fb_inter = real_stubs; fb_intra = []; fb_exiting = [] };
+          {
+            fb_inter = real_stubs;
+            fb_intra = Gc_state.Intra_edges.empty;
+            fb_exiting = [];
+          };
     }
   in
   Scion_cleaner.receive gc ~at:1 ~seq:10 full;
@@ -298,8 +307,12 @@ let check_key_views c =
             List.sort_uniq compare (List.map Ssp.intra_stub_edge intra)
           in
           let where = Printf.sprintf "N%d bunch %d" node bunch in
-          let inter_edges = Gc_state.inter_stub_keys gc ~node ~bunch in
-          let intra_edges = Gc_state.intra_stub_keys gc ~node ~bunch in
+          let inter_edges =
+            Gc_state.Inter_edges.elements (Gc_state.inter_stub_keys gc ~node ~bunch)
+          in
+          let intra_edges =
+            Gc_state.Intra_edges.elements (Gc_state.intra_stub_keys gc ~node ~bunch)
+          in
           check_bool (where ^ ": inter edges = scan") true
             (List.sort compare inter_edges = scanned_inter);
           check_bool (where ^ ": intra edges = scan") true
@@ -422,12 +435,15 @@ let test_shared_key_ships_once () =
   Gc_state.add_inter_stub gc ~node:0 (stub (Addr.add Addr.null Addr.word));
   check_int "both records kept" 2 (Gc_state.inter_stub_count gc ~node:0 ~bunch:b);
   let keys = Gc_state.inter_stub_keys gc ~node:0 ~bunch:b in
-  check_bool "one edge" true (keys = [ Ssp.inter_stub_edge (stub Addr.null) ]);
+  check_bool "one edge" true
+    (Gc_state.Inter_edges.elements keys = [ Ssp.inter_stub_edge (stub Addr.null) ]);
   let full =
     {
       Scion_cleaner.tm_sender = 0;
       tm_bunch = b;
-      tm_body = Scion_cleaner.Full { fb_inter = keys; fb_intra = []; fb_exiting = [] };
+      tm_body =
+        Scion_cleaner.Full
+          { fb_inter = keys; fb_intra = Gc_state.Intra_edges.empty; fb_exiting = [] };
     }
   in
   check_int "msg_bytes of the full" (16 + 16) (Scion_cleaner.msg_bytes full);
@@ -443,7 +459,8 @@ let test_shared_key_ships_once () =
   Option.iter
     (fun m -> Gc_state.mirror_iter_inter m (fun k -> mirrored := k :: !mirrored))
     (Gc_state.mirror gc ~node:1 ~sender:0 ~bunch:b);
-  check_bool "the receiver mirrors the one edge" true (!mirrored = keys)
+  check_bool "the receiver mirrors the one edge" true
+    (!mirrored = Gc_state.Inter_edges.elements keys)
 
 (* Nothing on the wire names a stub's holder, so a table may hold only
    stubs its node created: filing one anywhere else is refused, and the

@@ -28,18 +28,18 @@
    fails this test.
 
    A second source bunch from the same sender has its own stubs, aimed
-   at the same targets as the first's, so the receiver's per-(sender,
-   target) claim counts must add up across two mirrors.  After every op
-   — fulls, deltas, resyncs, losses and crashes alike —
-   [Gc_state.mirror_claims_target] must agree, for every pool target,
-   with the brute-force fold over the receiver's mirrors that it
-   replaced.  Not decrementing the counts when a full replaces an
-   existing mirror (in [Gc_state.mirror_reset]) fails this test, and so
-   does keeping a presence set instead of counts.  So does an in-place
-   retain ([Gc_state.t_retain]) that skips [t_index_remove] (a dropped
-   stub lingers in the [inter_stubs_with_src] index) or [t_key_decr]
-   (its key is never journalled as deleted, and the mirror keeps
-   covering it). *)
+   at the same targets as the first's, so a target can be claimed
+   through either of two mirrors.  After every op — fulls, deltas,
+   resyncs, losses and crashes alike — [Gc_state.mirror_claims_target]
+   must agree, for every pool target, with the brute-force fold over
+   the receiver's mirrors.  Probing only one of the sender's mirrors
+   (whichever the fold visits last, say) fails this test, and so does
+   ordering the edges source-major (the least edge at or above the
+   target then need not target it; the first bunch's sources run
+   opposite to their targets for this).  So does an in-place retain ([Gc_state.t_retain]) that
+   skips [t_index_remove] (a dropped stub lingers in the
+   [inter_stubs_with_src] index) or [t_key_decr] (its key is never
+   journalled as deleted, and the mirror keeps covering it). *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
@@ -136,12 +136,14 @@ let prop_indexed_tables_match_lists =
       let fault_rng = Rng.make 7 in
       (* Fixed pools of distinct records; every scion side lives at the
          receiver so it stays in the broadcast destination set whenever
-         anything is published. *)
+         anything is published.  The first bunch's sources run opposite
+         to their targets, so a mirror sorted by source is not sorted by
+         target. *)
       let inter_pool =
         Array.init pool_size (fun i ->
             {
               Ssp.is_src_bunch = b;
-              is_src_uid = 100 + i;
+              is_src_uid = 100 + pool_size - 1 - i;
               is_created_at = sender;
               is_target_uid = 200 + i;
               is_target_bunch = tb;
@@ -248,8 +250,8 @@ let prop_indexed_tables_match_lists =
             fail "after %s: intra_stubs_for_uid %d diverges" (pp_op op) uid
         done
       in
-      (* The oracle is the scan the claim counts replaced: every mirror
-         the receiver holds from the sender, every inter key in it. *)
+      (* The oracle is a scan: every mirror the receiver holds from the
+         sender, every inter edge in it. *)
       let check_claims op =
         for i = 0 to pool_size - 1 do
           let target = 200 + i in
@@ -266,7 +268,7 @@ let prop_indexed_tables_match_lists =
             Gc_state.mirror_claims_target g ~node:receiver ~sender target
           in
           if indexed <> !scanned then
-            fail "after %s: claims on target %d = %b, mirror scan %b"
+            fail "after %s: claim query on target %d = %b, mirror scan %b"
               (pp_op op) target indexed !scanned
         done
       in
@@ -280,14 +282,14 @@ let prop_indexed_tables_match_lists =
       in
       let check_mirror op ~delivered =
         if current ~delivered receiver then begin
-          Array.iteri
-            (fun i stub ->
+          Array.iter
+            (fun stub ->
               let scion =
                 {
                   Ssp.xs_src_bunch = b;
-                  xs_src_uid = 100 + i;
+                  xs_src_uid = stub.Ssp.is_src_uid;
                   xs_src_node = sender;
-                  xs_target_uid = 200 + i;
+                  xs_target_uid = stub.Ssp.is_target_uid;
                   xs_target_bunch = tb;
                 }
               in

@@ -19,11 +19,16 @@
      heap;
    - reverting gauge sampling to heap iteration makes
      [obs_sample_work] per collection scale with objects_per_bunch:
-     "gauge sampling is heap-size independent" fails. *)
+     "gauge sampling is heap-size independent" fails;
+   - copying a full's edges into each receiver's own mirror, or
+     rebuilding a mirror's whole set at each delta: "receivers share a
+     full's edge sets" fails (see there). *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
 module Driver = Bmx_workload.Driver
+module Gc_state = Bmx_gc.Gc_state
+module Scion_cleaner = Bmx_gc.Scion_cleaner
 module P = Perfcount
 
 let check = Alcotest.check
@@ -164,6 +169,93 @@ let test_reclaim_walks_fixed () =
     Alcotest.failf "reclaim touched %d store cells, over 3 walks of %d" touched
       !cells
 
+(* Words allocated, counted as test_timeseries does: [Gc.minor_words]
+   alone undercounts on OCaml 5.1. *)
+let allocated_words () =
+  let _, promoted, major = Gc.counters () in
+  Gc.minor_words () +. major -. promoted
+
+(* A receiver only reads a stub table (§6.1), so every receiver of one
+   full stores the edge sets the sender built for it.  The same full is
+   installed at each of five further receivers; its tables hold 10 or
+   1 000 edges of each kind, aimed at uids no receiver knows, so the
+   reconcile that follows allocates nothing per edge either.  Then a
+   delta that deletes one edge of each kind and adds one reaches every
+   receiver: each builds a new set for its own mirror, O(log n) words,
+   not a copy of the table.
+   This costs 453 words per further receiver at either size, and a
+   delta 267 and 387.  Copying the shipped edges into hash tables, as
+   [Gc_state.mirror_reset] did before the sets were shared, costs 757
+   and 18 503; copying the shipped sets ([of_list] over their elements)
+   919 and 84 979; rebuilding the mirror's set at each delta 504 and
+   42 654 per delta. *)
+let receiver_cost ~edges =
+  let receivers = 6 in
+  let c = Cluster.create ~nodes:(receivers + 1) () in
+  let gc = Cluster.gc c in
+  let b = Cluster.new_bunch c ~home:0 in
+  let inter i = (100_000 + i, 200_000 + i) and intra i = (300_000 + i, 1) in
+  let msg body = { Scion_cleaner.tm_sender = 0; tm_bunch = b; tm_body = body } in
+  let full =
+    msg
+      (Scion_cleaner.Full
+         {
+           fb_inter = Gc_state.Inter_edges.of_list (List.init edges inter);
+           fb_intra = Gc_state.Intra_edges.of_list (List.init edges intra);
+           fb_exiting = [];
+         })
+  in
+  let delta =
+    msg
+      (Scion_cleaner.Delta
+         {
+           db_basis = 1;
+           db_add_inter = [ inter edges ];
+           db_del_inter = [ inter (edges / 2) ];
+           db_add_intra = [ intra edges ];
+           db_del_intra = [ intra (edges / 2) ];
+           db_add_exiting = [];
+           db_del_exiting = [];
+         })
+  in
+  (* The first receipt creates the cluster's cleaner counters. *)
+  Scion_cleaner.receive gc ~at:1 ~seq:1 full;
+  let w0 = allocated_words () in
+  for at = 2 to receivers do
+    Scion_cleaner.receive gc ~at ~seq:1 full
+  done;
+  let w1 = allocated_words () in
+  for at = 1 to receivers do
+    Scion_cleaner.receive gc ~at ~seq:2 delta
+  done;
+  let w2 = allocated_words () in
+  List.iter
+    (fun at ->
+      match Gc_state.mirror gc ~node:at ~sender:0 ~bunch:b with
+      | None -> Alcotest.failf "N%d has no mirror" at
+      | Some m ->
+          if
+            Gc_state.mirror_has_inter m (inter (edges / 2))
+            || not (Gc_state.mirror_has_inter m (inter edges))
+          then Alcotest.failf "N%d's mirror missed the delta" at)
+    (List.init receivers (fun i -> i + 1));
+  ( (w1 -. w0) /. float_of_int (receivers - 1),
+    (w2 -. w1) /. float_of_int receivers )
+
+let test_receivers_share_edge_sets () =
+  let full_small, delta_small = receiver_cost ~edges:10 in
+  let full_big, delta_big = receiver_cost ~edges:1000 in
+  if full_big <> full_small then
+    Alcotest.failf
+      "installing a full costs %.0f words per receiver at 1 000 edges, %.0f at \
+       10: the edges are copied"
+      full_big full_small;
+  if delta_big > 2.0 *. delta_small then
+    Alcotest.failf
+      "a delta costs %.0f words per receiver against a 1 000-edge mirror, \
+       %.0f against a 10-edge one: it copies the set"
+      delta_big delta_small
+
 let test_memo_exact_after_measurement () =
   (* The speed must not come from drift: after a steady-state run the
      mirror still equals the from-scratch oracle. *)
@@ -189,5 +281,7 @@ let () =
             test_memo_exact_after_measurement;
           Alcotest.test_case "from-space reuse walks the store 3 times" `Quick
             test_reclaim_walks_fixed;
+          Alcotest.test_case "receivers share a full's edge sets" `Quick
+            test_receivers_share_edge_sets;
         ] );
     ]

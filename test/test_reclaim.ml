@@ -64,6 +64,41 @@ let test_reclaim_asks_owner_to_copy () =
     (Value.equal (Cluster.read c ~node:1 x1' 0) (Value.Data 5));
   Cluster.release c ~node:1 x1'
 
+(* The owner is asked to copy x out of N1's from-space but holds no
+   copy of it any more: its directory still says it owns x, so N1 has no
+   one to ask and adopts x itself before the segment goes.  No sequence
+   of public operations leaves a recorded owner without its copy (every
+   path that drops the copy drops the record too), so the owner's cell
+   is removed directly. *)
+let test_reclaim_adopts_when_owner_copy_gone () =
+  let c = Cluster.create ~nodes:2 () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let x = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 5 |] in
+  Cluster.add_root c ~node:0 x;
+  let uid = Cluster.uid_at c ~node:0 x in
+  let x1 = Cluster.acquire_read c ~node:1 x in
+  Cluster.release c ~node:1 x1;
+  Cluster.add_root c ~node:1 x1;
+  ignore (Cluster.bgc c ~node:1 ~bunch:b);
+  check_int "x in N1's from-space" 1
+    (List.length
+       (List.filter
+          (fun s -> Addr.Range.contains s.Segment.range x1)
+          (from_space_segments c 1 b)));
+  let n0 = Protocol.store (Cluster.proto c) 0 in
+  Store.remove n0 (Option.get (Store.addr_of_uid n0 uid));
+  Cluster.remove_root c ~node:0 x;
+  check_bool "N0 still recorded as owner" true (Cluster.owner_of c ~uid = Some 0);
+  let r = Cluster.reclaim_from_space c ~node:1 ~bunch:b in
+  check_int "segment freed" 1 r.Reclaim.q_segments_freed;
+  check_int "ownership adopted" 1
+    (Stats.get (Cluster.stats c) "gc.reclaim.ownership_adopted");
+  check_bool "N1 owns x" true (Cluster.owner_of c ~uid = Some 1);
+  let x1' = List.hd (Cluster.roots c ~node:1) in
+  check_bool "x reads 5 at N1" true
+    (Value.equal (Cluster.read c ~node:1 x1' 0) (Value.Data 5));
+  check_bool "safety" true (Result.is_ok (Bmx.Audit.check_safety c))
+
 let test_reclaim_broadcasts_updates () =
   let c = Cluster.create ~nodes:2 () in
   let b = Cluster.new_bunch c ~home:0 in
@@ -208,6 +243,8 @@ let () =
             test_reclaim_frees_single_node;
           Alcotest.test_case "asks owners to copy live objects out" `Quick
             test_reclaim_asks_owner_to_copy;
+          Alcotest.test_case "adopts when the owner's copy is gone" `Quick
+            test_reclaim_adopts_when_owner_copy_gone;
           Alcotest.test_case "broadcasts address changes" `Quick
             test_reclaim_broadcasts_updates;
           Alcotest.test_case "accounts freed bytes" `Quick test_reclaim_reuses_bytes;
