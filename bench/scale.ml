@@ -420,17 +420,26 @@ let e20 () =
 let e20_diag_at ~nodes ~objects_per_bunch =
   let module P = Perfcount in
   let stats = ref None in
-  (* Stub-table bytes sent so far, by encoding. *)
-  let table_bytes () =
-    match !stats with
-    | None -> (0, 0, 0)
-    | Some s ->
-        ( Stats.get s "tables.full_wire_bytes",
-          Stats.get s "tables.delta_wire_bytes",
-          Stats.get s "tables.resync_bytes" )
+  (* Stub-table bytes sent so far, by encoding and, the same bytes, by
+     section. *)
+  let by_encoding =
+    [ ("full", "full_wire_bytes"); ("delta", "delta_wire_bytes"); ("resync", "resync_bytes") ]
+  and by_section =
+    [
+      ("header", "bytes.header");
+      ("inter", "bytes.inter");
+      ("intra", "bytes.intra");
+      ("exiting", "bytes.exiting");
+    ]
+  in
+  let read counters =
+    List.map
+      (fun (_, name) ->
+        match !stats with None -> 0 | Some s -> Stats.get s ("tables." ^ name))
+      counters
   in
   let phase name f =
-    let full0, delta0, resync0 = table_bytes () in
+    let encodings0 = read by_encoding and sections0 = read by_section in
     let before = P.snapshot () in
     let w0 = Gc.minor_words () in
     let t0 = now_ns () in
@@ -450,17 +459,24 @@ let e20_diag_at ~nodes ~objects_per_bunch =
     in
     let ms ns = float_of_int ns /. 1e6 in
     if pn > 0 then begin
-      let full1, delta1, resync1 = table_bytes () in
+      let sent counters before =
+        String.concat " "
+          (List.map2
+             (fun (label, _) (now, was) -> Printf.sprintf "%s=%d" label (now - was))
+             counters
+             (List.combine (read counters) before))
+      in
       Printf.printf
         "%-22s %12s gc-phase-ms: trace=%.1f flip=%.1f copy=%.1f scan=%.1f \
          reconcile=%.1f (recv delta=%.1f full=%.1f self=%.1f) table-bytes: \
-         full=%d delta=%d resync=%d\n\
+         %s (%s)\n\
          %!"
         "" "" (ms d.P.s_gc_ns_trace) (ms d.P.s_gc_ns_flip)
         (ms d.P.s_gc_ns_copy) (ms d.P.s_gc_ns_scan) (ms d.P.s_gc_ns_reconcile)
         (ms d.P.s_gc_ns_recv_delta) (ms d.P.s_gc_ns_recv_full)
-        (ms d.P.s_gc_ns_recv_self) (full1 - full0) (delta1 - delta0)
-        (resync1 - resync0)
+        (ms d.P.s_gc_ns_recv_self)
+        (sent by_encoding encodings0)
+        (sent by_section sections0)
     end;
     r
   in

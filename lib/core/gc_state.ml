@@ -19,11 +19,14 @@ open Bmx_util
    A table can also track itself at {e key} granularity, only where a
    query reads it.  [key_count] counts the entries per key: the
    stream-relative edge for stub tables (see {!Ssp.inter_stub_edge}),
-   the global match key for inter-bunch scion tables.  Stub tables also
-   keep [touched], the journal of every key whose presence flipped since
-   the last {!rebase_stub_journal}, and the scion cleaner derives
-   reachability-table deltas from it (added = touched key still present,
-   removed = touched key now absent).  Cumulative since the journal
+   the global match key for inter-bunch scion tables.  [key_bytes] sums
+   [key_size] over the distinct keys: for a stub table, what its edges
+   weigh on the wire ({!Varint} ids), so a full is priced without a
+   walk.  Stub tables also keep [touched], the journal of every key
+   whose presence flipped since the last {!rebase_stub_journal}, and
+   the scion cleaner derives reachability-table deltas from it (added =
+   touched key still present, removed = touched key now absent).
+   Cumulative since the journal
    base, the delta applies correctly to a mirror in any state between
    the base and now.  Working on keys rather than records means a BGC
    that merely relocates targets (new addresses, same edges) journals
@@ -42,10 +45,12 @@ type ('a, 'k) table = {
   by_uid : ('a, unit) Hashtbl.t Ids.Uid_tbl.t;
   by_node : ('a, unit) Hashtbl.t Ids.Node_tbl.t;
   key_count : ('k, int) Hashtbl.t; (* empty unless [keys <> Uncounted] *)
+  key_size : 'k -> int;
+  mutable key_bytes : int; (* [key_size] summed over [key_count]'s keys *)
   touched : ('k, unit) Hashtbl.t; (* empty unless [keys = Journalled] *)
 }
 
-let t_make ?key_uid ?key_node ~key_of keys =
+let t_make ?key_uid ?key_node ?(key_size = fun _ -> 0) ~key_of keys =
   {
     key_uid;
     key_node;
@@ -57,6 +62,8 @@ let t_make ?key_uid ?key_node ~key_of keys =
     by_uid = Ids.Uid_tbl.create 16;
     by_node = Ids.Node_tbl.create 8;
     key_count = Hashtbl.create (if keys = Uncounted then 1 else 16);
+    key_size;
+    key_bytes = 0;
     touched = Hashtbl.create (if keys = Journalled then 16 else 1);
   }
 
@@ -117,7 +124,10 @@ let t_key_incr tb x =
     let k = tb.key_of x in
     let c = match Hashtbl.find_opt tb.key_count k with Some c -> c | None -> 0 in
     Hashtbl.replace tb.key_count k (c + 1);
-    if c = 0 && tb.keys = Journalled then Hashtbl.replace tb.touched k ()
+    if c = 0 then begin
+      tb.key_bytes <- tb.key_bytes + tb.key_size k;
+      if tb.keys = Journalled then Hashtbl.replace tb.touched k ()
+    end
   end
 
 let t_key_decr tb x =
@@ -127,6 +137,7 @@ let t_key_decr tb x =
     | None -> ()
     | Some 1 ->
         Hashtbl.remove tb.key_count k;
+        tb.key_bytes <- tb.key_bytes - tb.key_size k;
         if tb.keys = Journalled then Hashtbl.replace tb.touched k ()
     | Some c -> Hashtbl.replace tb.key_count k (c - 1)
   end
@@ -231,9 +242,11 @@ type mirror = {
 (* One owner's share of a bunch's exiting-ownerPtr journal, the same
    shape as the stub-table journals: the present uids, each with the
    mark [note_exiting] sets while it updates the slot (false between
-   calls), and the uids whose presence flipped since the last rebase. *)
+   calls), their {!Varint} bytes on the wire, and the uids whose
+   presence flipped since the last rebase. *)
 type exiting_slot = {
   ex_cur : bool Ids.Uid_tbl.t;
+  mutable ex_bytes : int;
   ex_touched : unit Ids.Uid_tbl.t;
 }
 
@@ -282,15 +295,17 @@ let stats t = Bmx_dsm.Protocol.stats t.proto
 let set_metrics t m = t.obs <- Some m
 let metrics t = t.obs
 
+let edge_bytes (a, b) = Varint.size a + Varint.size b
+
 let make_inter_stub_table () =
   t_make
     ~key_uid:(fun (s : Ssp.inter_stub) -> s.Ssp.is_src_uid)
-    ~key_of:Ssp.inter_stub_edge Journalled
+    ~key_size:edge_bytes ~key_of:Ssp.inter_stub_edge Journalled
 
 let make_intra_stub_table () =
   t_make
     ~key_uid:(fun (s : Ssp.intra_stub) -> s.Ssp.ns_uid)
-    ~key_of:Ssp.intra_stub_edge Journalled
+    ~key_size:edge_bytes ~key_of:Ssp.intra_stub_edge Journalled
 
 (* [has_inter_scion] reads the key count; no query reads an intra-bunch
    scion table's keys. *)
@@ -424,6 +439,7 @@ let tbl_count size tbl bunch =
 
 let records tb = Hashtbl.length tb.members
 let keys tb = Hashtbl.length tb.key_count
+let key_bytes tb = tb.key_bytes
 
 let inter_stub_keys t ~node ~bunch =
   tbl_edges Inter_edges.of_list (node_state t node).inter_stubs bunch
@@ -442,6 +458,12 @@ let inter_key_count t ~node ~bunch =
 
 let intra_key_count t ~node ~bunch =
   tbl_count keys (node_state t node).intra_stubs bunch
+
+let inter_key_bytes t ~node ~bunch =
+  tbl_count key_bytes (node_state t node).inter_stubs bunch
+
+let intra_key_bytes t ~node ~bunch =
+  tbl_count key_bytes (node_state t node).intra_stubs bunch
 
 (* Nothing on the wire names a stub's holder: receivers rebuild it from
    the stream's sender, so a stub filed at any node but its creator
@@ -592,13 +614,19 @@ let note_exiting bs exiting =
         | Some slot -> slot
         | None ->
             let slot =
-              { ex_cur = Ids.Uid_tbl.create 16; ex_touched = Ids.Uid_tbl.create 16 }
+              {
+                ex_cur = Ids.Uid_tbl.create 16;
+                ex_bytes = 0;
+                ex_touched = Ids.Uid_tbl.create 16;
+              }
             in
             Ids.Node_tbl.add slots owner slot;
             slot
       in
-      if not (Ids.Uid_tbl.mem slot.ex_cur uid) then
+      if not (Ids.Uid_tbl.mem slot.ex_cur uid) then begin
         Ids.Uid_tbl.replace slot.ex_touched uid ();
+        slot.ex_bytes <- slot.ex_bytes + Varint.size uid
+      end;
       Ids.Uid_tbl.replace slot.ex_cur uid true)
     exiting;
   Ids.Node_tbl.iter
@@ -608,6 +636,7 @@ let note_exiting bs exiting =
           if marked then Some false
           else begin
             Ids.Uid_tbl.replace slot.ex_touched uid ();
+            slot.ex_bytes <- slot.ex_bytes - Varint.size uid;
             None
           end)
         slot.ex_cur)
@@ -628,6 +657,11 @@ let exiting_count_to bs ~owner =
   match Ids.Node_tbl.find_opt bs.bs_exiting owner with
   | None -> 0
   | Some slot -> Ids.Uid_tbl.length slot.ex_cur
+
+let exiting_bytes_to bs ~owner =
+  match Ids.Node_tbl.find_opt bs.bs_exiting owner with
+  | None -> 0
+  | Some slot -> slot.ex_bytes
 
 let exiting_delta_to bs ~owner =
   match Ids.Node_tbl.find_opt bs.bs_exiting owner with
@@ -743,24 +777,28 @@ let mirror_iter_inter m f = Inter_edges.iter f m.mi_inter
 let mirror_iter_intra m f = Intra_edges.iter f m.mi_intra
 let mirror_iter_exiting m f = Ids.Uid_tbl.iter (fun uid () -> f uid) m.mi_exiting
 
-(* One ordered lookup per mirror from [sender], each charged as a table
-   entry visited: in target-major order, the least edge whose target is
-   at least [uid] targets [uid] if any edge of the mirror does. *)
-let mirror_claims_target t ~node ~sender uid =
+(* One ordered lookup per mirror from [sender] but [bunch]'s, each
+   charged as a table entry visited: in target-major order, the least
+   edge whose target is at least [uid] targets [uid] if any edge of the
+   mirror does.  [bunch]'s own mirror holds only edges leaving it (the
+   barrier files an inter-bunch stub only across bunches), so it cannot
+   claim a uid of [bunch]. *)
+let mirror_claims_target t ~node ~sender ~bunch uid =
   match Ids.Node_tbl.find_opt (node_state t node).mirrors sender with
   | None -> false
   | Some by_bunch ->
       let from_uid ((_, target) : Ssp.inter_edge) = target >= uid in
       Ids.Bunch_tbl.fold
-        (fun _ m claimed ->
+        (fun b m claimed ->
           claimed
-          || begin
-               Perfcount.(
-                 counters.s_gc_table_entries <- counters.s_gc_table_entries + 1);
-               match Inter_edges.find_first_opt from_uid m.mi_inter with
-               | Some (_, target) -> target = uid
-               | None -> false
-             end)
+          || (not (Ids.Bunch.equal b bunch))
+             && begin
+                  Perfcount.(
+                    counters.s_gc_table_entries <- counters.s_gc_table_entries + 1);
+                  match Inter_edges.find_first from_uid m.mi_inter with
+                  | _, target -> target = uid
+                  | exception Not_found -> false
+                end)
         by_bunch false
 
 (* ------------------------------------------------------------------ *)

@@ -114,6 +114,18 @@ val inter_key_count :
 val intra_key_count :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
 
+val edge_bytes : int * int -> int
+(** What one stub edge, inter- or intra-bunch, weighs on the wire: its
+    two ids as {!Bmx_util.Varint}s. *)
+
+val inter_key_bytes :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
+(** {!edge_bytes} summed over the table's distinct edges.  O(1): kept up
+    to date where an edge's key count flips between 0 and 1. *)
+
+val intra_key_bytes :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
+
 val add_inter_stub : t -> node:Bmx_util.Ids.Node.t -> Ssp.inter_stub -> unit
 (** Idempotent (duplicate stubs are suppressed).  Raises
     [Invalid_argument] unless the stub's [is_created_at] is [node]: no
@@ -274,6 +286,10 @@ val exiting_to : broadcast_state -> owner:Bmx_util.Ids.Node.t -> Bmx_util.Ids.Ui
 val exiting_count_to : broadcast_state -> owner:Bmx_util.Ids.Node.t -> int
 (** The length of {!exiting_to}, O(1). *)
 
+val exiting_bytes_to : broadcast_state -> owner:Bmx_util.Ids.Node.t -> int
+(** The uids of {!exiting_to} as {!Bmx_util.Varint}s, summed; O(1), kept
+    up to date by {!note_exiting}. *)
+
 val exiting_delta_to :
   broadcast_state -> owner:Bmx_util.Ids.Node.t
   -> Bmx_util.Ids.Uid.t list * Bmx_util.Ids.Uid.t list
@@ -373,15 +389,19 @@ val mirror_iter_exiting : mirror -> (Bmx_util.Ids.Uid.t -> unit) -> unit
 
 val mirror_claims_target :
   t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> Bmx_util.Ids.Uid.t -> bool
+  -> bunch:Bmx_util.Ids.Bunch.t -> Bmx_util.Ids.Uid.t -> bool
 (** Does {e any} table mirrored from [sender] (whatever its source
-    bunch) still hold an inter-bunch stub targeting [uid]?  The entering
-    reconciliation uses this as a keep-alive: after the scion side of an
-    SSP dies with a crash, the recovered owner's only protection is a
-    checkpoint-restored entering entry, and that entry must not be
-    retired while the claimant's stub survives.  One ordered lookup in
-    each of [sender]'s mirrors at [node] ({!Inter_edges} is
-    target-major), each charged to [Perfcount.s_gc_table_entries]. *)
+    bunch) still hold an inter-bunch stub targeting [uid], an object of
+    [bunch]?  The entering reconciliation uses this as a keep-alive:
+    after the scion side of an SSP dies with a crash, the recovered
+    owner's only protection is a checkpoint-restored entering entry, and
+    that entry must not be retired while the claimant's stub survives.
+    One ordered lookup in each of [sender]'s mirrors at [node]
+    ({!Inter_edges} is target-major), each charged to
+    [Perfcount.s_gc_table_entries], and none in the mirror of [bunch]
+    itself: an inter-bunch stub is filed only when its target lies in
+    another bunch than its source, so that mirror targets nothing in
+    [bunch]. *)
 
 val words_held : t -> (string * int) list
 (** Words reachable from every node's mirrors, stub tables, scion

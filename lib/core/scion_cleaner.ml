@@ -27,51 +27,145 @@ type table_msg = {
   tm_body : table_body;
 }
 
-(* Both encodings ship stub edges (two 8-byte ids per entry, 16 bytes),
-   never stub records: a receiver only tests coverage, coverage compares
-   match keys, and the header's (sender, bunch) supplies the rest of
-   every key.  Exiting entries travel as bare uids (8 bytes): each
-   destination gets only the entries whose owner it is, so the owner
-   goes without saying.  A delta's header is a little larger than a full
-   table's (basis id plus section lengths). *)
-let full_header = 16
-let delta_header = 24
-let wire_bytes ~header ~keys ~exiting = header + (16 * keys) + (8 * exiting)
+(* The wire layout.  Every integer is an unsigned LEB128 varint
+   ({!Varint}), so a small id costs a byte or two, not eight.  A message
+   opens with its kind and its stream (sender, bunch), and a delta with
+   its basis; then come its sections, each its length and then its ids:
 
-let msg_bytes m =
+     full   0 sender bunch        inter intra exiting
+     delta  1 sender bunch basis  add_inter del_inter add_intra del_intra
+                                  add_exiting del_exiting
+
+   An inter-bunch section lists each edge as (source uid, target uid),
+   an intra-bunch one as (uid, scion holder), an exiting one bare uids.
+   Both encodings ship stub edges, never stub records: a receiver only
+   tests coverage, coverage compares match keys, and the stream supplies
+   the rest of every key.  Each destination gets only the exiting
+   entries whose owner it is, so the owner goes without saying.
+   [fields] walks a message in this order: [encode] writes it,
+   [msg_bytes] sizes it, and [decode] reads it back. *)
+let kind_full = 0
+let kind_delta = 1
+
+let fields m f =
+  let edge (a, b) =
+    f a;
+    f b
+  in
+  let edges l =
+    f (List.length l);
+    List.iter edge l
+  and uids l =
+    f (List.length l);
+    List.iter f l
+  in
   match m.tm_body with
   | Full { fb_inter; fb_intra; fb_exiting } ->
-      wire_bytes ~header:full_header
-        ~keys:
-          (Gc_state.Inter_edges.cardinal fb_inter
-          + Gc_state.Intra_edges.cardinal fb_intra)
-        ~exiting:(List.length fb_exiting)
-  | Delta
-      {
-        db_add_inter;
-        db_del_inter;
-        db_add_intra;
-        db_del_intra;
-        db_add_exiting;
-        db_del_exiting;
-        _;
-      } ->
-      wire_bytes ~header:delta_header
-        ~keys:
-          (List.length db_add_inter + List.length db_del_inter
-         + List.length db_add_intra + List.length db_del_intra)
-        ~exiting:(List.length db_add_exiting + List.length db_del_exiting)
+      f kind_full;
+      f m.tm_sender;
+      f m.tm_bunch;
+      f (Gc_state.Inter_edges.cardinal fb_inter);
+      Gc_state.Inter_edges.iter edge fb_inter;
+      f (Gc_state.Intra_edges.cardinal fb_intra);
+      Gc_state.Intra_edges.iter edge fb_intra;
+      uids fb_exiting
+  | Delta d ->
+      f kind_delta;
+      f m.tm_sender;
+      f m.tm_bunch;
+      f d.db_basis;
+      edges d.db_add_inter;
+      edges d.db_del_inter;
+      edges d.db_add_intra;
+      edges d.db_del_intra;
+      uids d.db_add_exiting;
+      uids d.db_del_exiting
 
-(* What a full of [node]'s current tables for [bunch] costs when it
-   carries [exiting] uids, from the O(1) key counts. *)
-let full_size t ~node ~bunch ~exiting =
-  wire_bytes ~header:full_header
-    ~keys:
-      (Gc_state.inter_key_count t ~node ~bunch
-      + Gc_state.intra_key_count t ~node ~bunch)
-    ~exiting
+let encode m =
+  let buf = Buffer.create 64 in
+  fields m (Varint.write buf);
+  Buffer.to_bytes buf
 
+let msg_bytes m =
+  let n = ref 0 in
+  fields m (fun v -> n := !n + Varint.size v);
+  !n
+
+let decode b =
+  let pos = ref 0 in
+  let int () = Varint.read b pos in
+  let edge () =
+    let a = int () in
+    (a, int ())
+  in
+  let section item =
+    let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (item () :: acc) in
+    go (int ()) []
+  in
+  let kind = int () in
+  let tm_sender = int () in
+  let tm_bunch = int () in
+  let tm_body =
+    if kind = kind_full then
+      let inter = section edge in
+      let intra = section edge in
+      let exiting = section int in
+      Full
+        {
+          fb_inter = Gc_state.Inter_edges.of_list inter;
+          fb_intra = Gc_state.Intra_edges.of_list intra;
+          fb_exiting = exiting;
+        }
+    else if kind = kind_delta then
+      let db_basis = int () in
+      let db_add_inter = section edge in
+      let db_del_inter = section edge in
+      let db_add_intra = section edge in
+      let db_del_intra = section edge in
+      let db_add_exiting = section int in
+      let db_del_exiting = section int in
+      Delta
+        {
+          db_basis;
+          db_add_inter;
+          db_del_inter;
+          db_add_intra;
+          db_del_intra;
+          db_add_exiting;
+          db_del_exiting;
+        }
+    else invalid_arg (Printf.sprintf "Scion_cleaner.decode: kind %d" kind)
+  in
+  if !pos <> Bytes.length b then invalid_arg "Scion_cleaner.decode: trailing bytes";
+  { tm_sender; tm_bunch; tm_body }
+
+(* The send path prices a message without building or walking it, from
+   sums the tables keep, section by section: the header (kind, stream,
+   basis and section lengths), then each kind of id.  The price must be
+   [msg_bytes] of what is sent. *)
+let stream_bytes ~kind ~node ~bunch =
+  Varint.size kind + Varint.size node + Varint.size bunch
+
+let edges_bytes l = List.fold_left (fun n e -> n + Gc_state.edge_bytes e) 0 l
+let uids_bytes l = List.fold_left (fun n uid -> n + Varint.size uid) 0 l
 let bump ?by t name = Stats.incr ?by (Gc_state.stats t) name
+
+(* Account one message put on the wire, by section, under
+   [tables.delta_bytes] (every stub-table byte sent), and return its
+   size. *)
+let charge t ~header ~inter ~intra ~exiting =
+  bump t ~by:header "tables.bytes.header";
+  bump t ~by:inter "tables.bytes.inter";
+  bump t ~by:intra "tables.bytes.intra";
+  bump t ~by:exiting "tables.bytes.exiting";
+  let bytes = header + inter + intra + exiting in
+  bump t ~by:bytes "tables.delta_bytes";
+  bytes
+
+(* A full's header: its stream and its three sections' lengths. *)
+let full_header ~node ~bunch ~inter ~intra ~exiting =
+  stream_bytes ~kind:kind_full ~node ~bunch
+  + Varint.size inter + Varint.size intra + Varint.size exiting
 
 (* Bring the local mirror of (sender, bunch)'s stub tables up to date
    from the message body.  Fulls always install.  A delta only applies if
@@ -153,14 +247,21 @@ let sync_mirror t ~at ~seq msg =
         in
         if remote then begin
           let bytes =
-            full_size t ~node:sender ~bunch ~exiting:(List.length exiting)
+            charge t
+              ~header:
+                (full_header ~node:sender ~bunch
+                   ~inter:(Gc_state.inter_key_count t ~node:sender ~bunch)
+                   ~intra:(Gc_state.intra_key_count t ~node:sender ~bunch)
+                   ~exiting:(Gc_state.exiting_count_to bs ~owner:at))
+              ~inter:(Gc_state.inter_key_bytes t ~node:sender ~bunch)
+              ~intra:(Gc_state.intra_key_bytes t ~node:sender ~bunch)
+              ~exiting:(Gc_state.exiting_bytes_to bs ~owner:at)
           in
           Net.record_rpc (Protocol.net proto) ~src:at ~dst:sender
             ~kind:Net.Stub_table ~bytes
             ~shard:(Registry.shard_of_bunch (Protocol.registry proto) bunch)
             ();
-          bump t ~by:bytes "tables.resync_bytes";
-          bump t ~by:bytes "tables.delta_bytes"
+          bump t ~by:bytes "tables.resync_bytes"
         end;
         let basis =
           match Ids.Node_tbl.find_opt bs.Gc_state.bs_sent at with
@@ -235,7 +336,7 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
       && Ids.Bunch.equal b bunch
       && (not (Gc_state.mirror_has_exiting m uid))
       && Directory.entering_registration_seq dir ~uid ~from:sender < seq
-      && not (Gc_state.mirror_claims_target t ~node:at ~sender uid)
+      && not (Gc_state.mirror_claims_target t ~node:at ~sender ~bunch uid)
     in
     let retire uid =
       Directory.remove_entering dir ~uid ~from:sender;
@@ -434,12 +535,11 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
         Gc_state.intra_stub_keys t ~node ~bunch )
   in
   let delta = Gc_state.stub_delta t ~node ~bunch in
-  let delta_keys =
-    List.length delta.Gc_state.sd_add_inter
-    + List.length delta.Gc_state.sd_del_inter
-    + List.length delta.Gc_state.sd_add_intra
-    + List.length delta.Gc_state.sd_del_intra
-  in
+  let add_inter = List.length delta.Gc_state.sd_add_inter
+  and del_inter = List.length delta.Gc_state.sd_del_inter
+  and add_intra = List.length delta.Gc_state.sd_add_intra
+  and del_intra = List.length delta.Gc_state.sd_del_intra in
+  let delta_keys = add_inter + del_inter + add_intra + del_intra in
   (* The journal rebases after every round, so a delta covers exactly
      one round of churn: a peer gets one only if its mirror sits on last
      round's basis.  Still send fulls periodically (bounding mirror drift
@@ -451,7 +551,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
      24 per intra-bunch one, 16 per exiting entry and 16 more, and the
      churn is the delta with every edge at 24 bytes and every exiting
      flip at 16, whoever it is addressed to — the figures the rule was
-     tuned with, not the 16-byte edges the wire carries.  Pricing either
+     tuned with, not the varint edges the wire carries.  Pricing either
      at what a destination is actually sent moves the full/delta choice,
      and with it the message count; retuning the rule is its own
      measured change. *)
@@ -461,11 +561,28 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
     + (24 * Gc_state.intra_stub_count t ~node ~bunch)
     + (16 * List.length exiting)
   in
-  let churn =
-    delta_header + (24 * delta_keys) + (16 * delta.Gc_state.sd_exiting_flips)
-  in
+  let churn = 24 + (24 * delta_keys) + (16 * delta.Gc_state.sd_exiting_flips) in
   let round = bs.Gc_state.bs_round in
   let full_round = (round + 1) mod full_period = 0 || 2 * churn >= weight in
+  (* What every full of the round shares: its two edge sections and
+     their lengths, from the tables' sums. *)
+  let inter_keys = Gc_state.inter_key_count t ~node ~bunch
+  and intra_keys = Gc_state.intra_key_count t ~node ~bunch
+  and full_inter = Gc_state.inter_key_bytes t ~node ~bunch
+  and full_intra = Gc_state.intra_key_bytes t ~node ~bunch in
+  (* What every delta of the round shares: its kind, its stream, its
+     four stub sections' lengths and their edges, summed once. *)
+  let delta_header =
+    stream_bytes ~kind:kind_delta ~node ~bunch
+    + Varint.size add_inter + Varint.size del_inter + Varint.size add_intra
+    + Varint.size del_intra
+  and delta_inter =
+    edges_bytes delta.Gc_state.sd_add_inter
+    + edges_bytes delta.Gc_state.sd_del_inter
+  and delta_intra =
+    edges_bytes delta.Gc_state.sd_add_intra
+    + edges_bytes delta.Gc_state.sd_del_intra
+  in
   (* A destination's body: the shared edges plus the exiting uids it
      owns.  No node exits toward itself, so the self hand-off carries
      none. *)
@@ -508,28 +625,40 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
             None)
     in
     let msg = { tm_sender = node; tm_bunch = bunch; tm_body = body } in
-    (* Priced from counts, not by walking the body's key lists again. *)
-    let full_sz =
-      full_size t ~node ~bunch
+    (* Priced from the tables' sums and the round's, not by walking the
+       body.  A full's exiting section is the destination's own. *)
+    let exiting_bytes = Gc_state.exiting_bytes_to bs ~owner:dst in
+    let full_header =
+      full_header ~node ~bunch ~inter:inter_keys ~intra:intra_keys
         ~exiting:(Gc_state.exiting_count_to bs ~owner:dst)
     in
     let wire =
       match body with
       | Full _ ->
-          bump t "gc.cleaner.full_sent";
-          bump t ~by:full_sz "tables.full_wire_bytes";
-          full_sz
-      | Delta { db_add_exiting; db_del_exiting; _ } ->
           let sz =
-            wire_bytes ~header:delta_header ~keys:delta_keys
-              ~exiting:(List.length db_add_exiting + List.length db_del_exiting)
+            charge t ~header:full_header ~inter:full_inter ~intra:full_intra
+              ~exiting:exiting_bytes
+          in
+          bump t "gc.cleaner.full_sent";
+          bump t ~by:sz "tables.full_wire_bytes";
+          sz
+      | Delta { db_basis; db_add_exiting; db_del_exiting; _ } ->
+          let sz =
+            charge t
+              ~header:
+                (delta_header + Varint.size db_basis
+                + Varint.size (List.length db_add_exiting)
+                + Varint.size (List.length db_del_exiting))
+              ~inter:delta_inter ~intra:delta_intra
+              ~exiting:(uids_bytes db_add_exiting + uids_bytes db_del_exiting)
           in
           bump t "gc.cleaner.delta_sent";
           bump t ~by:sz "tables.delta_wire_bytes";
           sz
     in
-    bump t ~by:full_sz "tables.full_bytes";
-    bump t ~by:wire "tables.delta_bytes";
+    bump t
+      ~by:(full_header + full_inter + full_intra + exiting_bytes)
+      "tables.full_bytes";
     Net.send net ~src:node ~dst ~kind:Net.Stub_table ~bytes:wire ~shard
       (fun seq -> receive t ~at:dst ~seq msg);
     (* The transport seq just stamped on this pair is the basis the next

@@ -8,9 +8,9 @@
     reconciles the entering ownerPtrs with the sender's exiting list —
     thereby updating the roots of the receiver's next BGC.
 
-    Wire format: a message carries either the {e complete} stub tables
-    ([Full]) or a one-round diff ([Delta]) against a basis identified by
-    the transport sequence number of the previous message on the same
+    A message carries either the {e complete} stub tables ([Full]) or
+    a one-round diff ([Delta]) against a basis identified by the
+    transport sequence number of the previous message on the same
     (sender, bunch, dest) stream — bases chain: each message's own seq
     becomes the next delta's basis.  A lost message (or a receiver
     restart) surfaces as a basis mismatch on the next delta and is
@@ -34,7 +34,20 @@
     reconciliation runs.  The self hand-off carries none (no node exits
     toward itself).  The choice between full and delta does not depend
     on the destination's share: it is made once per broadcast, from the
-    whole table and the whole round's churn. *)
+    whole table and the whole round's churn.
+
+    {b Wire format.}  Every integer a message carries is an unsigned
+    LEB128 varint ({!Bmx_util.Varint}): ids come from small counters, so
+    most cost one to three bytes.  A message is its kind ([0] full, [1]
+    delta), [tm_sender], [tm_bunch] and, for a delta, [db_basis]; then
+    its sections in declaration order ([fb_inter], [fb_intra],
+    [fb_exiting]; or [db_add_inter] through [db_del_exiting]), each its
+    length followed by its ids: two per stub edge (source and target
+    uid, or uid and scion holder), one per exiting uid.  {!encode}
+    writes exactly this, {!decode} reads it back and {!msg_bytes} is its
+    length.  The send path never encodes: receivers get the OCaml value,
+    and {!broadcast} prices each send from sums the tables keep, which
+    must equal {!msg_bytes} of what it sent. *)
 
 type table_body =
   | Full of {
@@ -65,12 +78,19 @@ type table_msg = {
   tm_body : table_body;
 }
 
+val encode : table_msg -> Bytes.t
+(** The message in the wire format above.  Raises [Invalid_argument] if
+    any integer it carries is negative (so [Bmx_util.Ids.Node.invalid]
+    never reaches the wire). *)
+
+val decode : Bytes.t -> table_msg
+(** The inverse of {!encode}: a full's edge sets come back as new sets
+    with the same elements.  Raises [Invalid_argument] on an unknown
+    kind, a truncated message or trailing bytes. *)
+
 val msg_bytes : table_msg -> int
-(** Actual wire size of the message, priced from what the body holds: a
-    header (16 bytes for a full, 24 for a delta, naming the stream) plus
-    16 bytes per stub edge (two 8-byte ids) and 8 per exiting uid, for
-    either encoding.  {!broadcast} prices its sends from table counts
-    instead, without walking the body; the two must agree. *)
+(** [Bytes.length (encode m)], walking the message without building
+    it. *)
 
 val receive : Gc_state.t -> at:Bmx_util.Ids.Node.t -> seq:int -> table_msg -> unit
 (** Process one reachability message at node [at].  Stale or duplicated
@@ -119,4 +139,10 @@ val broadcast :
     [tables.delta_wire_bytes] and [tables.full_bytes] (what a full
     table to that destination would have cost); a resync pull adds its
     RPC under [tables.resync_bytes].  [tables.delta_bytes] is the sum
-    of the three: all stub-table bytes sent. *)
+    of the three: all stub-table bytes sent.  The same bytes are split
+    by section under [tables.bytes.header] (kind, stream, basis and
+    section lengths), [tables.bytes.inter], [tables.bytes.intra] and
+    [tables.bytes.exiting] (the ids), which also add up to
+    [tables.delta_bytes].  Every price is O(1) in the tables: it reads
+    byte sums the stub tables and exiting slots keep, and the round's
+    delta sums. *)

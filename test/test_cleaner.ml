@@ -414,7 +414,9 @@ let test_key_views_match_scan () =
 
 (* Two stub records that differ only in volatile detail (the target's
    address) share one edge: the table keeps both records, but a full
-   ships the edge once, at 16 + 16 bytes. *)
+   ships the edge once.  Every integer is a varint: the header's kind,
+   sender, bunch and three section lengths take a byte each, and the
+   edge (uid 100, uid 200) one byte and two. *)
 let test_shared_key_ships_once () =
   let c = Cluster.create ~nodes:2 () in
   let gc = Cluster.gc c in
@@ -446,7 +448,8 @@ let test_shared_key_ships_once () =
           { fb_inter = keys; fb_intra = Gc_state.Intra_edges.empty; fb_exiting = [] };
     }
   in
-  check_int "msg_bytes of the full" (16 + 16) (Scion_cleaner.msg_bytes full);
+  let bytes = 6 + (1 + 2) in
+  check_int "msg_bytes of the full" bytes (Scion_cleaner.msg_bytes full);
   (* The first broadcast is first contact, so N1 gets a full. *)
   ignore
     (Scion_cleaner.broadcast gc ~node:0 ~bunch:b ~old_inter:[] ~old_intra:[]
@@ -454,7 +457,7 @@ let test_shared_key_ships_once () =
   ignore (Cluster.drain c);
   let stats = Cluster.stats c in
   check_int "one full sent" 1 (Stats.get stats "gc.cleaner.full_sent");
-  check_int "full wire bytes" (16 + 16) (Stats.get stats "tables.full_wire_bytes");
+  check_int "full wire bytes" bytes (Stats.get stats "tables.full_wire_bytes");
   let mirrored = ref [] in
   Option.iter
     (fun m -> Gc_state.mirror_iter_inter m (fun k -> mirrored := k :: !mirrored))
@@ -592,10 +595,12 @@ let test_intra_edge_at_two_holders () =
 
 (* Exiting entries are addressed by owner.  N0 exits four objects,
    three it believes N1 owns and one N2 owns: N1's full carries three
-   bare uids and N2's one, at 8 bytes each, and each receiver enters
-   only its own.  The next round changes only N2's entries; N1 still
-   gets its delta, but the delta is empty for it and takes the no-op
-   path. *)
+   bare uids and N2's one, and each receiver enters only its own.  The
+   next round changes only N2's entries; N1 still gets its delta, but
+   the delta is empty for it and takes the no-op path.  Every integer
+   is a varint: each uid, node, bunch, basis seq and section length
+   here is under 128 and takes one byte, except the stubs' targets
+   (200–209), which take two. *)
 let test_exiting_addressed_by_owner () =
   let c = Cluster.create ~nodes:3 () in
   let gc = Cluster.gc c in
@@ -632,11 +637,12 @@ let test_exiting_addressed_by_owner () =
     Directory.is_entering_from (Protocol.directory (Cluster.proto c) at) ~uid
       ~from:0
   in
-  let keys = 16 * 10 in
+  (* A full's header: kind, sender, bunch and three section lengths. *)
+  let full_header = 6 and keys = 10 * (1 + 2) in
   broadcast [ (10, 1); (11, 1); (12, 1); (20, 2) ];
   check_int "first contact: two fulls" 2 (stat c "gc.cleaner.full_sent");
-  check_int "full wire bytes: key tables plus 8 per addressed uid"
-    ((2 * (16 + keys)) + (8 * 4))
+  check_int "full wire bytes: key tables plus a byte per addressed uid"
+    ((2 * (full_header + keys)) + 4)
     (stat c "tables.full_wire_bytes");
   check_bool "N1 mirrors its three uids" true (mirrored 1 = [ 10; 11; 12 ]);
   check_bool "N2 mirrors its one" true (mirrored 2 = [ 20 ]);
@@ -647,11 +653,14 @@ let test_exiting_addressed_by_owner () =
   let full_bytes = stat c "tables.full_bytes" in
   broadcast [ (10, 1); (11, 1); (12, 1); (21, 2) ];
   check_int "then two deltas" 2 (stat c "gc.cleaner.delta_sent");
+  (* A delta's header: kind, sender, bunch, basis and six section
+     lengths. *)
+  let delta_header = 10 in
   check_int "delta wire bytes: N1's is a bare header, N2's flips two uids"
-    (24 + (24 + (8 * 2)))
+    (delta_header + (delta_header + 2))
     (stat c "tables.delta_wire_bytes");
   check_int "the full counterfactual is per destination"
-    (16 + keys + (8 * 3) + (16 + keys + 8))
+    (full_header + keys + 3 + (full_header + keys + 1))
     (stat c "tables.full_bytes" - full_bytes);
   check_int "N1's delta and the self hand-off are no-ops" (noop + 2)
     (stat c "gc.cleaner.noop_tables");
@@ -742,10 +751,130 @@ let test_exiting_reaches_only_owner () =
   check_bool "mirrors held exiting entries" true (!mirrored > 0);
   check_bool "live owners' entries were checked" true (!checked > 0)
 
-(* Sends are priced from counts (the tables' key counts and the round's
+(* The wire format: every integer a message carries is a varint.  Two
+   messages are the same if their streams and bodies are, a full's edge
+   sets compared by elements. *)
+let same_msg (a : Scion_cleaner.table_msg) (b : Scion_cleaner.table_msg) =
+  a.tm_sender = b.tm_sender && a.tm_bunch = b.tm_bunch
+  &&
+  match (a.tm_body, b.tm_body) with
+  | Full x, Full y ->
+      Gc_state.Inter_edges.elements x.fb_inter
+      = Gc_state.Inter_edges.elements y.fb_inter
+      && Gc_state.Intra_edges.elements x.fb_intra
+         = Gc_state.Intra_edges.elements y.fb_intra
+      && x.fb_exiting = y.fb_exiting
+  | (Delta _ as x), (Delta _ as y) -> x = y
+  | Full _, Delta _ | Delta _, Full _ -> false
+
+(* Ids at each edge of a varint's byte lengths, and the largest. *)
+let boundary_ids = [ 0; 127; 128; 16_383; 16_384; max_int ]
+
+let full_msg ~sender ~bunch ~inter ~intra ~exiting =
+  {
+    Scion_cleaner.tm_sender = sender;
+    tm_bunch = bunch;
+    tm_body =
+      Scion_cleaner.Full
+        {
+          fb_inter = Gc_state.Inter_edges.of_list inter;
+          fb_intra = Gc_state.Intra_edges.of_list intra;
+          fb_exiting = exiting;
+        };
+  }
+
+let delta_msg ~sender ~bunch ~basis ~inter ~intra ~exiting =
+  {
+    Scion_cleaner.tm_sender = sender;
+    tm_bunch = bunch;
+    tm_body =
+      Scion_cleaner.Delta
+        {
+          db_basis = basis;
+          db_add_inter = inter;
+          db_del_inter = List.rev inter;
+          db_add_intra = intra;
+          db_del_intra = [];
+          db_add_exiting = exiting;
+          db_del_exiting = List.rev exiting;
+        };
+  }
+
+(* Fulls and deltas whose every field sits at a boundary decode to
+   themselves, and [msg_bytes] is the encoding's length.  One full is
+   sized by hand: kind, sender and bunch (0 each), the inter section's
+   length, the edge (127, 128), the empty intra section's length, then
+   the exiting section's length and its uids 16 384 and [max_int]. *)
+let test_codec_round_trip () =
+  let pairs =
+    List.concat_map (fun a -> List.map (fun b -> (a, b)) boundary_ids) boundary_ids
+  in
+  let msgs =
+    List.concat_map
+      (fun id ->
+        [
+          full_msg ~sender:id ~bunch:id ~inter:pairs ~intra:pairs
+            ~exiting:boundary_ids;
+          delta_msg ~sender:id ~bunch:id ~basis:id ~inter:pairs ~intra:pairs
+            ~exiting:boundary_ids;
+          full_msg ~sender:id ~bunch:id ~inter:[] ~intra:[] ~exiting:[];
+          delta_msg ~sender:id ~bunch:id ~basis:id ~inter:[] ~intra:[] ~exiting:[];
+        ])
+      boundary_ids
+  in
+  List.iteri
+    (fun i m ->
+      let b = Scion_cleaner.encode m in
+      check_int (Printf.sprintf "message %d: msg_bytes is the length" i)
+        (Bytes.length b) (Scion_cleaner.msg_bytes m);
+      check_bool (Printf.sprintf "message %d decodes to itself" i) true
+        (same_msg m (Scion_cleaner.decode b)))
+    msgs;
+  let by_hand =
+    full_msg ~sender:0 ~bunch:0 ~inter:[ (127, 128) ] ~intra:[]
+      ~exiting:[ 16_384; max_int ]
+  in
+  check_int "a full sized by hand"
+    (3 + 1 + (1 + 2) + 1 + 1 + (3 + 9))
+    (Bytes.length (Scion_cleaner.encode by_hand))
+
+(* The encoding is unsigned: a negative integer anywhere in a message
+   ([Ids.Node.invalid] as a sender, a negative uid) never reaches the
+   wire, and a message that is not one is refused. *)
+let test_codec_refusals () =
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let refused name m =
+    raises (name ^ ": encode") (fun () -> Scion_cleaner.encode m);
+    raises (name ^ ": msg_bytes") (fun () -> Scion_cleaner.msg_bytes m)
+  in
+  refused "invalid sender"
+    (full_msg ~sender:Ids.Node.invalid ~bunch:0 ~inter:[] ~intra:[] ~exiting:[]);
+  refused "negative inter source"
+    (full_msg ~sender:0 ~bunch:0 ~inter:[ (-1, 5) ] ~intra:[] ~exiting:[]);
+  refused "negative exiting uid"
+    (delta_msg ~sender:0 ~bunch:0 ~basis:1 ~inter:[] ~intra:[] ~exiting:[ -7 ]);
+  refused "negative basis"
+    (delta_msg ~sender:0 ~bunch:0 ~basis:(-1) ~inter:[] ~intra:[] ~exiting:[]);
+  let good =
+    Scion_cleaner.encode
+      (full_msg ~sender:1 ~bunch:2 ~inter:[ (3, 4) ] ~intra:[] ~exiting:[])
+  in
+  raises "unknown kind" (fun () ->
+      Scion_cleaner.decode (Bytes.of_string "\x02\x00\x00"));
+  raises "trailing bytes" (fun () ->
+      Scion_cleaner.decode (Bytes.cat good (Bytes.make 1 '\x00')));
+  raises "truncated" (fun () ->
+      Scion_cleaner.decode (Bytes.sub good 0 (Bytes.length good - 1)))
+
+(* Sends are priced from sums (the tables' byte sums and the round's
    delta), and [msg_bytes] prices a message from its body.  On a
-   fault-free workload through quiescence, the bodies of every delivered
-   table message must add up to the bytes the sends accounted.  The
+   fault-free workload through quiescence, every delivered table message
+   must encode to [msg_bytes] bytes and decode back to itself, and the
+   bodies must add up to the bytes the sends accounted.  The
    tables a wave sends one peer ride in one wire message: every table
    sent is delivered, in fewer messages, and no wave sends a pair more
    than one. *)
@@ -780,6 +909,12 @@ let test_one_price () =
         (Some
            (fun ~at:_ msg ->
              incr tapped;
+             let b = Scion_cleaner.encode msg in
+             if Bytes.length b <> Scion_cleaner.msg_bytes msg then
+               Alcotest.failf "a table encodes to %d bytes, msg_bytes says %d"
+                 (Bytes.length b) (Scion_cleaner.msg_bytes msg);
+             if not (same_msg msg (Scion_cleaner.decode b)) then
+               Alcotest.fail "a delivered table does not decode to itself";
              priced := !priced + Scion_cleaner.msg_bytes msg));
       for _ = 1 to 4 do
         Driver.run_ops d ~ops:120 ();
@@ -810,7 +945,10 @@ let test_one_price () =
 (* The ledger splits the cleaner's wire by encoding: fulls, deltas and
    resync pulls.  Fault-free, their sum is what the network carried as
    stub tables, and [tables.delta_bytes] is that sum.  A receiver restart
-   wipes its mirrors, so the sender's next delta to it resyncs. *)
+   wipes its mirrors, so the sender's next delta to it resyncs.  It also
+   splits the same bytes by section: headers, inter-bunch edges,
+   intra-bunch edges and exiting uids, which add up to
+   [tables.delta_bytes] too. *)
 let test_ledger_splits_wire () =
   let d, c = driver_run () in
   for _ = 1 to 4 do
@@ -832,7 +970,18 @@ let test_ledger_splits_wire () =
     (get ("net.bytes." ^ Net.kind_to_string Net.Stub_table))
     (full + delta + resync);
   check_int "tables.delta_bytes is the sum" (full + delta + resync)
+    (get "tables.delta_bytes");
+  let sections =
+    List.map
+      (fun s -> (s, get ("tables.bytes." ^ s)))
+      [ "header"; "inter"; "intra"; "exiting" ]
+  in
+  List.iter
+    (fun (s, bytes) -> check_bool ("some " ^ s ^ " bytes") true (bytes > 0))
+    sections;
+  check_int "header + inter + intra + exiting = tables.delta_bytes"
     (get "tables.delta_bytes")
+    (List.fold_left (fun n (_, bytes) -> n + bytes) 0 sections)
 
 (* Scion tables keep no journal: only stub tables read one.  Adding and
    removing [n] fresh inter-bunch scions at a node must leave nothing
@@ -920,5 +1069,12 @@ let () =
           Alcotest.test_case "one intra edge at two holders" `Quick
             test_intra_edge_at_two_holders;
           Alcotest.test_case "one price on both paths" `Quick test_one_price;
+        ] );
+      ( "wire format",
+        [
+          Alcotest.test_case "boundary ids round-trip" `Quick
+            test_codec_round_trip;
+          Alcotest.test_case "negative ids and malformed bytes refused" `Quick
+            test_codec_refusals;
         ] );
     ]

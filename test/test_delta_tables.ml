@@ -32,14 +32,24 @@
    through either of two mirrors.  After every op — fulls, deltas,
    resyncs, losses and crashes alike — [Gc_state.mirror_claims_target]
    must agree, for every pool target, with the brute-force fold over
-   the receiver's mirrors.  Probing only one of the sender's mirrors
+   the receiver's mirrors; the query names the targets' bunch, as the
+   cleaner's does.  Probing only one of the sender's mirrors
    (whichever the fold visits last, say) fails this test, and so does
+   skipping a mirror other than the query bunch's (the first source
+   bunch's, say), and so does
    ordering the edges source-major (the least edge at or above the
    target then need not target it; the first bunch's sources run
    opposite to their targets for this).  So does an in-place retain ([Gc_state.t_retain]) that
    skips [t_index_remove] (a dropped stub lingers in the
    [inter_stubs_with_src] index) or [t_key_decr] (its key is never
-   journalled as deleted, and the mirror keeps covering it). *)
+   journalled as deleted, and the mirror keeps covering it).
+
+   After every op the wire-byte sums the send path prices from must
+   match a scan: each stub table's [inter_key_bytes]/[intra_key_bytes]
+   against its distinct edges' varint sizes, and each owner's
+   [exiting_bytes_to] against its uids'.  A sum not updated where a key
+   flips (at [t_key_decr], or where [note_exiting] drops a uid) fails
+   this test. *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
@@ -265,12 +275,51 @@ let prop_indexed_tables_match_lists =
                       if t = target then scanned := true))
             [ b; b2 ];
           let indexed =
-            Gc_state.mirror_claims_target g ~node:receiver ~sender target
+            Gc_state.mirror_claims_target g ~node:receiver ~sender ~bunch:tb
+              target
           in
           if indexed <> !scanned then
             fail "after %s: claim query on target %d = %b, mirror scan %b"
               (pp_op op) target indexed !scanned
         done
+      in
+      (* The scans: distinct edges of each table view, the uids of each
+         owner's exiting slot. *)
+      let check_bytes op =
+        let edge_bytes (a, b) = Varint.size a + Varint.size b in
+        let sum size l = List.fold_left (fun n x -> n + size x) 0 l in
+        let distinct key view = List.sort_uniq compare (List.map key view) in
+        List.iter
+          (fun bunch ->
+            let inter =
+              sum edge_bytes
+                (distinct Ssp.inter_stub_edge
+                   (Gc_state.inter_stubs g ~node:sender ~bunch))
+            and intra =
+              sum edge_bytes
+                (distinct Ssp.intra_stub_edge
+                   (Gc_state.intra_stubs g ~node:sender ~bunch))
+            in
+            if Gc_state.inter_key_bytes g ~node:sender ~bunch <> inter then
+              fail "after %s: bunch %d's inter edges weigh %d bytes, summed %d"
+                (pp_op op) bunch inter
+                (Gc_state.inter_key_bytes g ~node:sender ~bunch);
+            if Gc_state.intra_key_bytes g ~node:sender ~bunch <> intra then
+              fail "after %s: bunch %d's intra edges weigh %d bytes, summed %d"
+                (pp_op op) bunch intra
+                (Gc_state.intra_key_bytes g ~node:sender ~bunch))
+          [ b; b2 ];
+        Option.iter
+          (fun bs ->
+            List.iter
+              (fun owner ->
+                let want = sum Varint.size (Gc_state.exiting_to bs ~owner) in
+                let got = Gc_state.exiting_bytes_to bs ~owner in
+                if got <> want then
+                  fail "after %s: N%d's exiting uids weigh %d bytes, summed %d"
+                    (pp_op op) owner want got)
+              [ receiver; third ])
+          (Gc_state.find_broadcast_state g ~node:sender ~bunch:b)
       in
       (* After a drain, [at]'s mirror must hold the sender's current tables
          if the drain delivered the last round or resynced the mirror —
@@ -398,6 +447,7 @@ let prop_indexed_tables_match_lists =
               m_inter2 := [];
               m_exiting := []);
           check_views op;
+          check_bytes op;
           check_claims op)
         ops;
       (* One final clean round: whatever losses or crashes the sequence
@@ -414,6 +464,7 @@ let prop_indexed_tables_match_lists =
       Scion_cleaner.set_delivery_tap None;
       let final = Round (Array.make pool_size false, Deliver) in
       check_mirror final ~delivered:true;
+      check_bytes final;
       check_claims final;
       let stat name = Stats.get (Cluster.stats c) name in
       total_deltas := !total_deltas + stat "gc.cleaner.delta_sent";

@@ -22,7 +22,10 @@
      "gauge sampling is heap-size independent" fails;
    - copying a full's edges into each receiver's own mirror, or
      rebuilding a mirror's whole set at each delta: "receivers share a
-     full's edge sets" fails (see there). *)
+     full's edge sets" fails (see there);
+   - probing the mirror of the queried uid's own bunch in
+     [Gc_state.mirror_claims_target]: "claim probes skip the query's
+     bunch" fails. *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
@@ -33,6 +36,7 @@ module P = Perfcount
 
 let check = Alcotest.check
 let check_int = check Alcotest.int
+let check_bool = check Alcotest.bool
 
 let steady_cfg objects_per_bunch =
   {
@@ -256,6 +260,45 @@ let test_receivers_share_edge_sets () =
        %.0f against a 10-edge one: it copies the set"
       delta_big delta_small
 
+(* The crash keep-alive's claim query probes each mirror the receiver
+   holds from the sender, one ordered lookup charged per mirror, except
+   the mirror of the queried uid's own bunch: an inter-bunch stub is
+   filed only across bunches, so that table targets nothing in it.  N1
+   mirrors one full from N0 for each of [k] bunches; a query for a uid
+   of the first bunch that no edge targets charges [k - 1] table
+   entries ([k] when every mirror is probed), and a uid another
+   bunch's mirror targets is still claimed. *)
+let test_claim_probes_skip_own_bunch () =
+  let k = 5 in
+  let c = Cluster.create ~nodes:2 () in
+  let gc = Cluster.gc c in
+  let bunches = List.init k (fun _ -> Cluster.new_bunch c ~home:0) in
+  List.iteri
+    (fun i bunch ->
+      Scion_cleaner.receive gc ~at:1 ~seq:1
+        {
+          Scion_cleaner.tm_sender = 0;
+          tm_bunch = bunch;
+          tm_body =
+            Scion_cleaner.Full
+              {
+                fb_inter = Gc_state.Inter_edges.singleton (1_000 + i, 2_000 + i);
+                fb_intra = Gc_state.Intra_edges.empty;
+                fb_exiting = [];
+              };
+        })
+    bunches;
+  let own = List.hd bunches in
+  let claims uid =
+    let before = P.snapshot () in
+    let claimed = Gc_state.mirror_claims_target gc ~node:1 ~sender:0 ~bunch:own uid in
+    (claimed, (P.diff ~before ~after:(P.snapshot ())).P.s_gc_table_entries)
+  in
+  let claimed, probes = claims 9_999 in
+  check_bool "an untargeted uid is not claimed" false claimed;
+  check_int "one probe per mirror but the query bunch's" (k - 1) probes;
+  check_bool "another bunch's edge claims its target" true (fst (claims 2_003))
+
 let test_memo_exact_after_measurement () =
   (* The speed must not come from drift: after a steady-state run the
      mirror still equals the from-scratch oracle. *)
@@ -283,5 +326,7 @@ let () =
             test_reclaim_walks_fixed;
           Alcotest.test_case "receivers share a full's edge sets" `Quick
             test_receivers_share_edge_sets;
+          Alcotest.test_case "claim probes skip the query's bunch" `Quick
+            test_claim_probes_skip_own_bunch;
         ] );
     ]

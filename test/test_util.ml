@@ -202,6 +202,42 @@ let test_ids () =
   check Alcotest.string "bunch pp" "B7" (Ids.Bunch.to_string 7);
   check_bool "invalid node is negative" true (Ids.Node.invalid < 0)
 
+(* ---------------------------------------------------------------- Varint *)
+
+(* Seven bits per byte: a value takes one byte more at each power of
+   2^7, and [max_int] (62 bits) nine. *)
+let boundaries =
+  [ (0, 1); (127, 1); (128, 2); (16_383, 2); (16_384, 3); ((1 lsl 56) - 1, 8);
+    (1 lsl 56, 9); (max_int, 9) ]
+
+let test_varint_round_trip () =
+  List.iter
+    (fun (v, size) ->
+      let buf = Buffer.create 16 in
+      Varint.write buf v;
+      Varint.write buf 5;
+      check_int (Printf.sprintf "size %d" v) size (Varint.size v);
+      check_int (Printf.sprintf "written %d" v) (size + 1) (Buffer.length buf);
+      let b = Buffer.to_bytes buf and pos = ref 0 in
+      check_int (Printf.sprintf "read %d" v) v (Varint.read b pos);
+      check_int "cursor past it" size !pos;
+      check_int "next value" 5 (Varint.read b pos))
+    boundaries
+
+let test_varint_refusals () =
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: no Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  raises "size of -1" (fun () -> Varint.size (-1));
+  raises "write min_int" (fun () -> Varint.write (Buffer.create 1) min_int);
+  let read s () = Varint.read (Bytes.of_string s) (ref 0) in
+  raises "truncated" (read "\x80");
+  raises "empty" (read "");
+  raises "bit 62 set" (read "\xff\xff\xff\xff\xff\xff\xff\xff\x40");
+  raises "ten bytes" (read "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00")
+
 let () =
   Alcotest.run "util"
     [
@@ -238,4 +274,10 @@ let () =
           Alcotest.test_case "width mismatch" `Quick test_table_width_mismatch;
         ] );
       ("ids", [ Alcotest.test_case "generators and printing" `Quick test_ids ]);
+      ( "varint",
+        [
+          Alcotest.test_case "sizes and round trip" `Quick test_varint_round_trip;
+          Alcotest.test_case "negative, truncated and wide refused" `Quick
+            test_varint_refusals;
+        ] );
     ]
