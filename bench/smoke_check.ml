@@ -48,35 +48,36 @@ let ops_per_sec_floor = 1550.0
    that the figure is a heap-size-independent constant (the complexity
    tests compare it across heap sizes); the budget here catches a
    reintroduced per-op traversal, not ordinary message allocation.
-   The smoke configuration measures 421 words/op (463 while every
-   economical collection that found garbage evacuated, so grants
+   The smoke configuration measures 382 words/op (415 while a counter
+   bump boxed its optional increment and its lookup's option, and the
+   scion tables kept a list view refiltered after removals; 463 while
+   every economical collection that found garbage evacuated, so grants
    carried more location updates; 533 while the event log consed a
-   boxed event per record); the budget, set when it measured 588,
+   boxed event per record).  The budget sits ~10% above 382, which
    absorbs compiler and runtime drift while still catching any
    O(population) cost that sneaks back onto the per-op or per-sample
-   path.  (A registry lookup that boxes one option per call adds only
-   2 words here, 423; the wave budget below watches the collector.) *)
-let minor_words_per_op_budget = 630.0
+   path. *)
+let minor_words_per_op_budget = 420.0
 
 (* Minor words the collector waves between the mutator batches allocate,
-   per mutator op: 378 in the smoke configuration, where every receiver
-   of a round's fulls stores the edge sets the sender built once (385
-   while each receiver copied the edges into hash tables of its own and
-   kept per-target claim counts beside them), and an economical
-   collection evacuates only when its bunch's own allocation segments
-   are under 3/4 live (443 when every collection that found garbage
-   evacuated; it moves by a few words with the timings the phase
-   histograms record).  The budget sits ~7% above 378.  A second trace
-   per collection fails it (448 when the base was 384); a registry
-   lookup that boxes one option per call does not (398 then), though
-   the heavier allocating lookup and the wholesale stub-table rebuild
-   it was set against (641 and 558 at 500 words/op, before the packed
-   log) would.
+   per mutator op: 361 in the smoke configuration, where an SSP table is
+   its member set and one index (382 while scion tables also kept a list
+   view and counter bumps boxed their arguments), every receiver of a
+   round's fulls stores the edge sets the sender built once (385 while
+   each receiver copied the edges into hash tables of its own and kept
+   per-target claim counts beside them), and an economical collection
+   evacuates only when its bunch's own allocation segments are under
+   3/4 live (443 when every collection that found garbage evacuated; it
+   moves by a few words with the timings the phase histograms record).
+   The budget sits ~10% above 361.  A second trace per collection fails
+   it (448 when the base was 384), and so would the heavier allocating
+   lookup and the wholesale stub-table rebuild it was set against (641
+   and 558 at 500 words/op, before the packed log).
    It holds total wave allocation only, so CPU-bound regressions on the
    smoke's small tables — a claim scan over every mirror, a full self
    hand-off on every BGC, edge sets rebuilt for every destination of a
    round (391) — still pass it. *)
-let wave_minor_words_per_op_budget = 405.0
+let wave_minor_words_per_op_budget = 397.0
 
 (* Deterministic wire budgets: for a fixed seed the smoke configuration
    sends exactly the same messages and stub-table bytes on every machine,

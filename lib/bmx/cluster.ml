@@ -331,9 +331,7 @@ let gc_round t =
             &&
             (Protocol.store t.proto node |> fun s ->
             Bmx_memory.Store.has_objects_of_bunch s bunch
-            || Bmx_gc.Gc_state.inter_scions t.gc ~node ~bunch <> []
-            || Bmx_gc.Gc_state.intra_scions t.gc ~node ~bunch <> []
-            || Bmx_gc.Gc_state.inter_stubs t.gc ~node ~bunch <> []
+            || Bmx_gc.Gc_state.holds_ssps t.gc ~node ~bunch
             (* Peers that once received this node's tables keep getting
                rebroadcasts: that is the §6.1 retransmission that repairs
                losses without acknowledgements. *)

@@ -222,8 +222,7 @@ let recover_node c ~node disks =
     (fun count disk ->
       let rep = Rvm.recover disk in
       if not (Rvm.clean_report rep) then begin
-        Stats.incr (Cluster.stats c) ~by:rep.Rvm.r_dropped
-          "rvm.records_dropped";
+        Stats.add (Cluster.stats c) "rvm.records_dropped" rep.Rvm.r_dropped;
         Bmx_obs.Metrics.incr (Cluster.metrics c) ~node
           ~by:rep.Rvm.r_corrupt "rvm.corrupt_records_dropped"
       end;
@@ -342,7 +341,7 @@ let recover_shard c ~shard ~node (disk : shard_disk) =
   let reg = Protocol.registry (Cluster.proto c) in
   let rep = Rvm.recover disk in
   if not (Rvm.clean_report rep) then begin
-    Stats.incr (Cluster.stats c) ~by:rep.Rvm.r_dropped "rvm.records_dropped";
+    Stats.add (Cluster.stats c) "rvm.records_dropped" rep.Rvm.r_dropped;
     Bmx_obs.Metrics.incr (Cluster.metrics c) ~node ~by:rep.Rvm.r_corrupt
       "rvm.corrupt_records_dropped"
   end;

@@ -22,11 +22,11 @@ type report = {
   r_tables_sent : int;
 }
 
-let bump ?by t name = Stats.incr ?by (Gc_state.stats t) name
+let bump t name = Stats.incr (Gc_state.stats t) name
 
 (* Per-object events are counted in locals and charged once per
    collection; a zero count is not charged, so it creates no counter. *)
-let bump_count t name n = if n > 0 then bump ~by:n t name
+let bump_count t name n = if n > 0 then Stats.add (Gc_state.stats t) name n
 
 (* In group mode, inter-bunch scions whose stub lives inside the group
    at this very node are internal edges, not roots (§7). *)
@@ -194,11 +194,9 @@ let trace t ~node ~bunches ~in_set ~group_mode ~capacity ~own ~exiting_for =
     (Directory.entering_uids dir);
   List.iter
     (fun b ->
-      List.iter
-        (fun s ->
+      Gc_state.iter_inter_scions t ~node ~bunch:b (fun s ->
           if not (internal ~group_mode ~in_set ~node s) then
-            mark_uid s.Ssp.xs_target_uid)
-        (Gc_state.inter_scions t ~node ~bunch:b))
+            mark_uid s.Ssp.xs_target_uid))
     bunches;
   drain 0;
   tr.phase1 <- tr.marked;
@@ -206,9 +204,7 @@ let trace t ~node ~bunches ~in_set ~group_mode ~capacity ~own ~exiting_for =
   (* Phase 2: the intra-bunch scions. *)
   List.iter
     (fun b ->
-      List.iter
-        (fun (s : Ssp.intra_scion) -> mark_uid s.Ssp.xn_uid)
-        (Gc_state.intra_scions t ~node ~bunch:b))
+      Gc_state.iter_intra_scions t ~node ~bunch:b (fun s -> mark_uid s.Ssp.xn_uid))
     bunches;
   drain tr.phase1;
   bump_count t "gc.trace.stale_pointer_recoveries" !stale;
@@ -493,11 +489,9 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
   let phantom_scions = ref 0 and phantom_roots = ref 0 in
   List.iter
     (fun b ->
-      List.iter
-        (fun (s : Ssp.inter_scion) ->
+      Gc_state.iter_inter_scions t ~node ~bunch:b (fun s ->
           if not (internal ~group_mode ~in_set ~node s) then
-            phantom phantom_scions b s.Ssp.xs_target_uid)
-        (Gc_state.inter_scions t ~node ~bunch:b))
+            phantom phantom_scions b s.Ssp.xs_target_uid))
     bunches;
   List.iter
     (fun a ->
@@ -531,8 +525,6 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
   and tables_sent = ref 0 in
   List.iter
     (fun b ->
-      let old_inter = Gc_state.inter_stubs t ~node ~bunch:b in
-      let old_intra = Gc_state.intra_stubs t ~node ~bunch:b in
       (* Exiting ownerPtrs: live non-owned local objects of the bunch —
          except those reachable only via an intra-bunch scion (§6.2),
          i.e. the phase-1 marks, found at their current addresses — plus
@@ -551,10 +543,10 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
         Hashtbl.fold (fun uid owner acc -> (uid, owner) :: acc) exiting_tbl []
         |> List.sort compare
       in
+      (* The tables must reach the holders of the stubs they drop. *)
+      let holders = Gc_state.stub_holders t ~node ~bunch:b in
       Gc_state.retain_stubs t ~node ~bunch:b ~inter:keep_inter ~intra:keep_intra;
-      let sent =
-        Scion_cleaner.broadcast t ~node ~bunch:b ~old_inter ~old_intra ~exiting
-      in
+      let sent = Scion_cleaner.broadcast t ~node ~bunch:b ~holders ~exiting in
       new_inter_total :=
         !new_inter_total + Gc_state.inter_stub_count t ~node ~bunch:b;
       new_intra_total :=

@@ -1,203 +1,121 @@
 open Bmx_util
 
+let edge_bytes (a, b) = Varint.size a + Varint.size b
+
 (* ------------------------------------------------------------------ *)
-(* Indexed SSP tables.
+(* SSP tables.
 
-   The old representation was one association list per (node, bunch),
-   deduplicated with [List.exists] on every insert — O(n) on the write
-   barrier's hottest path.  Each table is now a hash-membership set with
-   the insertion-ordered list kept alongside as the public view (newest
-   first, exactly the order the list tables had), plus at most one
-   secondary index of each kind, kept only where a query reads it:
+   A table is the set of its entries, [members], and one index that
+   files each entry under the int [index_of] reads from it: for a stub
+   table, the uid the §5 invariant-3 hook queries (inter stubs: the
+   source object; intra stubs: the object itself); for a scion table,
+   the stub side's node, which the scion cleaner's per-sender sweeps
+   query.  Readers iterate over the members or count them: a table
+   keeps no order.
 
-   - [by_uid]  — stub tables: the uid the §5 invariant-3 hook queries
-                 (inter stubs: the source object; intra stubs: the
-                 object itself);
-   - [by_node] — scion tables: the stub side's node, which is what the
-                 scion cleaner's per-sender sweeps query.
+   A stub table also tracks its {e edges} ([edge_of], the
+   stream-relative key {!Ssp.inter_stub_edge}/{!Ssp.intra_stub_edge}).
+   [edges] counts the records per edge, [key_bytes] sums what the
+   distinct edges weigh on the wire ({!edge_bytes}), so a full is priced
+   without a walk, and [touched] journals every edge whose presence
+   flipped since the last {!rebase_stub_journal}.  The scion cleaner
+   derives reachability-table deltas from it (added = touched edge
+   still present, removed = touched edge now absent).  Cumulative since
+   the journal base, the delta applies correctly to a mirror in any
+   state between the base and now.  Working on edges rather than
+   records means a BGC that merely relocates targets (new addresses,
+   same edges) journals nothing. *)
 
-   A table can also track itself at {e key} granularity, only where a
-   query reads it.  [key_count] counts the entries per key: the
-   stream-relative edge for stub tables (see {!Ssp.inter_stub_edge}),
-   the global match key for inter-bunch scion tables.  [key_bytes] sums
-   [key_size] over the distinct keys: for a stub table, what its edges
-   weigh on the wire ({!Varint} ids), so a full is priced without a
-   walk.  Stub tables also keep [touched], the journal of every key
-   whose presence flipped since the last {!rebase_stub_journal}, and
-   the scion cleaner derives reachability-table deltas from it (added =
-   touched key still present, removed = touched key now absent).
-   Cumulative since the journal
-   base, the delta applies correctly to a mirror in any state between
-   the base and now.  Working on keys rather than records means a BGC
-   that merely relocates targets (new addresses, same edges) journals
-   nothing. *)
-
-type keys = Uncounted | Counted | Journalled
-
-type ('a, 'k) table = {
-  key_uid : ('a -> Ids.Uid.t) option;
-  key_node : ('a -> Ids.Node.t) option;
-  key_of : 'a -> 'k;
-  keys : keys;
-  mutable view : 'a list; (* newest first; may still hold dropped entries *)
-  mutable stale : bool; (* [view] holds entries no longer in [members] *)
+type 'a table = {
   members : ('a, unit) Hashtbl.t;
-  by_uid : ('a, unit) Hashtbl.t Ids.Uid_tbl.t;
-  by_node : ('a, unit) Hashtbl.t Ids.Node_tbl.t;
-  key_count : ('k, int) Hashtbl.t; (* empty unless [keys <> Uncounted] *)
-  key_size : 'k -> int;
-  mutable key_bytes : int; (* [key_size] summed over [key_count]'s keys *)
-  touched : ('k, unit) Hashtbl.t; (* empty unless [keys = Journalled] *)
+  index_of : 'a -> int;
+  index : ('a, unit) Hashtbl.t Ids.Uid_tbl.t; (* members by [index_of] *)
+  edge_of : ('a -> int * int) option; (* stub tables only *)
+  edges : (int * int, int) Hashtbl.t; (* records per edge *)
+  mutable key_bytes : int; (* [edge_bytes] summed over [edges]' keys *)
+  touched : (int * int, unit) Hashtbl.t;
 }
 
-let t_make ?key_uid ?key_node ?(key_size = fun _ -> 0) ~key_of keys =
+let t_make ?edge_of index_of =
+  let journal = if Option.is_some edge_of then 16 else 1 in
   {
-    key_uid;
-    key_node;
-    key_of;
-    keys;
-    view = [];
-    stale = false;
     members = Hashtbl.create 16;
-    by_uid = Ids.Uid_tbl.create 16;
-    by_node = Ids.Node_tbl.create 8;
-    key_count = Hashtbl.create (if keys = Uncounted then 1 else 16);
-    key_size;
+    index_of;
+    index = Ids.Uid_tbl.create 8;
+    edge_of;
+    edges = Hashtbl.create journal;
     key_bytes = 0;
-    touched = Hashtbl.create (if keys = Journalled then 16 else 1);
+    touched = Hashtbl.create journal;
   }
 
-let bucket_add tbl key item =
-  let b =
-    match Ids.Uid_tbl.find_opt tbl key with
-    | Some b -> b
-    | None ->
-        let b = Hashtbl.create 4 in
-        Ids.Uid_tbl.add tbl key b;
-        b
-  in
-  Hashtbl.replace b item ()
-
-let bucket_remove tbl key item =
-  match Ids.Uid_tbl.find_opt tbl key with
+(* Count one record of [x]'s edge in or out ([d] = 1 or -1); an edge
+   whose count flips between 0 and 1 changes the table's wire weight
+   and is journalled. *)
+let t_edge tb x d =
+  match tb.edge_of with
   | None -> ()
-  | Some b ->
-      Hashtbl.remove b item;
-      if Hashtbl.length b = 0 then Ids.Uid_tbl.remove tbl key
+  | Some edge_of ->
+      let e = edge_of x in
+      let c = match Hashtbl.find tb.edges e with c -> c | exception Not_found -> 0 in
+      if c + d = 0 then Hashtbl.remove tb.edges e
+      else Hashtbl.replace tb.edges e (c + d);
+      if c = 0 || c + d = 0 then begin
+        tb.key_bytes <- tb.key_bytes + (d * edge_bytes e);
+        Hashtbl.replace tb.touched e ()
+      end
 
-let nbucket_add tbl key item =
-  let b =
-    match Ids.Node_tbl.find_opt tbl key with
-    | Some b -> b
-    | None ->
-        let b = Hashtbl.create 4 in
-        Ids.Node_tbl.add tbl key b;
-        b
-  in
-  Hashtbl.replace b item ()
+let t_add tb x =
+  (not (Hashtbl.mem tb.members x))
+  && begin
+       Hashtbl.replace tb.members x ();
+       let k = tb.index_of x in
+       (match Ids.Uid_tbl.find tb.index k with
+       | b -> Hashtbl.replace b x ()
+       | exception Not_found ->
+           let b = Hashtbl.create 4 in
+           Hashtbl.replace b x ();
+           Ids.Uid_tbl.add tb.index k b);
+       t_edge tb x 1;
+       true
+     end
 
-let nbucket_remove tbl key item =
-  match Ids.Node_tbl.find_opt tbl key with
-  | None -> ()
-  | Some b ->
-      Hashtbl.remove b item;
-      if Hashtbl.length b = 0 then Ids.Node_tbl.remove tbl key
-
-let t_index_add tb item =
-  (match tb.key_uid with
-  | Some key -> bucket_add tb.by_uid (key item) item
-  | None -> ());
-  match tb.key_node with
-  | Some key -> nbucket_add tb.by_node (key item) item
-  | None -> ()
-
-let t_index_remove tb item =
-  (match tb.key_uid with
-  | Some key -> bucket_remove tb.by_uid (key item) item
-  | None -> ());
-  match tb.key_node with
-  | Some key -> nbucket_remove tb.by_node (key item) item
-  | None -> ()
-
-let t_key_incr tb x =
-  if tb.keys <> Uncounted then begin
-    let k = tb.key_of x in
-    let c = match Hashtbl.find_opt tb.key_count k with Some c -> c | None -> 0 in
-    Hashtbl.replace tb.key_count k (c + 1);
-    if c = 0 then begin
-      tb.key_bytes <- tb.key_bytes + tb.key_size k;
-      if tb.keys = Journalled then Hashtbl.replace tb.touched k ()
-    end
-  end
-
-let t_key_decr tb x =
-  if tb.keys <> Uncounted then begin
-    let k = tb.key_of x in
-    match Hashtbl.find_opt tb.key_count k with
-    | None -> ()
-    | Some 1 ->
-        Hashtbl.remove tb.key_count k;
-        tb.key_bytes <- tb.key_bytes - tb.key_size k;
-        if tb.keys = Journalled then Hashtbl.replace tb.touched k ()
-    | Some c -> Hashtbl.replace tb.key_count k (c - 1)
-  end
-
-(* The insertion-ordered view, with the entries dropped since it was
-   last read filtered out.  Removals only mark it stale, so a run of
-   removals between two reads (every table message a drain delivers
-   sweeps the sender's scions) costs one refilter, not one each. *)
-let t_view tb =
-  if tb.stale then begin
-    tb.view <- List.filter (fun x -> Hashtbl.mem tb.members x) tb.view;
-    tb.stale <- false
-  end;
-  tb.view
-
-(* Refilter before prepending: an entry dropped and re-added while the
-   view is stale would otherwise appear twice. *)
-let t_add tb item =
-  if Hashtbl.mem tb.members item then false
-  else begin
-    tb.view <- item :: t_view tb;
-    Hashtbl.replace tb.members item ();
-    t_index_add tb item;
-    t_key_incr tb item;
-    true
-  end
-
-(* Drop one member from the set, the index and the key count (which
-   journals the key if this was its last entry and the table keeps a
-   journal), and mark the view stale. *)
 let t_drop tb x =
   Hashtbl.remove tb.members x;
-  t_index_remove tb x;
-  t_key_decr tb x;
-  tb.stale <- true
+  let k = tb.index_of x in
+  (match Ids.Uid_tbl.find tb.index k with
+  | b ->
+      Hashtbl.remove b x;
+      if Hashtbl.length b = 0 then Ids.Uid_tbl.remove tb.index k
+  | exception Not_found -> ());
+  t_edge tb x (-1)
 
-(* Remove the entries whose peer is [node] and that satisfy [pred].  Only
-   that node's index bucket is visited. *)
-let t_remove_from tb node pred =
-  match Ids.Node_tbl.find_opt tb.by_node node with
-  | None -> 0
-  | Some b -> (
-      match Hashtbl.fold (fun x () acc -> if pred x then x :: acc else acc) b [] with
-      | [] -> 0
-      | drop ->
-          List.iter (t_drop tb) drop;
-          List.length drop)
+let t_indexed tb k =
+  match Ids.Uid_tbl.find tb.index k with
+  | b -> Hashtbl.fold (fun x () acc -> x :: acc) b []
+  | exception Not_found -> []
+
+(* Drop the entries of [h] — the members or one index bucket — that
+   satisfy [pred], gathered before any is dropped; returns how many. *)
+let t_drop_where tb h pred =
+  match Hashtbl.fold (fun x () acc -> if pred x then x :: acc else acc) h [] with
+  | [] -> 0
+  | drop ->
+      List.iter (t_drop tb) drop;
+      List.length drop
+
+(* Remove the entries filed under [k] that satisfy [pred].  Only that
+   index bucket is visited. *)
+let t_remove_indexed tb k pred =
+  match Ids.Uid_tbl.find tb.index k with
+  | b -> t_drop_where tb b pred
+  | exception Not_found -> 0
 
 (* Keep only the entries satisfying [keep] (BGC table reconstruction,
    §4.3).  Only the write barrier adds entries, so the table a BGC
    regenerates is always a subset of the current one: dropping the
-   failures in place journals exactly the keys whose last entry goes,
+   failures in place journals exactly the edges whose last entry goes,
    and a collection that keeps every edge allocates nothing per stub. *)
-let t_retain tb keep =
-  List.iter (fun x -> if not (keep x) then t_drop tb x) (t_view tb)
-
-let t_by_uid tb uid =
-  match Ids.Uid_tbl.find_opt tb.by_uid uid with
-  | None -> []
-  | Some b -> Hashtbl.fold (fun x () acc -> x :: acc) b []
+let t_retain tb keep = ignore (t_drop_where tb tb.members (fun x -> not (keep x)))
 
 (* ------------------------------------------------------------------ *)
 (* Reachability-table mirrors (§6.1, delta protocol).
@@ -272,12 +190,11 @@ type node_state = {
   roots_dropped : (Addr.t, int) Hashtbl.t;
       (* per address, the occurrences removed since [roots] was last
          read: the newest ones of that address in [roots] *)
-  inter_stubs : (Ssp.inter_stub, Ssp.inter_edge) table Ids.Bunch_tbl.t;
+  inter_stubs : Ssp.inter_stub table Ids.Bunch_tbl.t;
       (* by source bunch; holds only stubs created at this node *)
-  intra_stubs : (Ssp.intra_stub, Ssp.intra_edge) table Ids.Bunch_tbl.t;
-  inter_scions : (Ssp.inter_scion, Ssp.inter_key) table Ids.Bunch_tbl.t;
-      (* by target bunch *)
-  intra_scions : (Ssp.intra_scion, unit) table Ids.Bunch_tbl.t;
+  intra_stubs : Ssp.intra_stub table Ids.Bunch_tbl.t;
+  inter_scions : Ssp.inter_scion table Ids.Bunch_tbl.t; (* by target bunch *)
+  intra_scions : Ssp.intra_scion table Ids.Bunch_tbl.t;
   broadcasts : broadcast_state Ids.Bunch_tbl.t; (* sender side, by bunch *)
   mirrors : mirror Ids.Bunch_tbl.t Ids.Node_tbl.t;
       (* receiver side, by sender, then bunch *)
@@ -295,34 +212,22 @@ let stats t = Bmx_dsm.Protocol.stats t.proto
 let set_metrics t m = t.obs <- Some m
 let metrics t = t.obs
 
-let edge_bytes (a, b) = Varint.size a + Varint.size b
-
 let make_inter_stub_table () =
-  t_make
-    ~key_uid:(fun (s : Ssp.inter_stub) -> s.Ssp.is_src_uid)
-    ~key_size:edge_bytes ~key_of:Ssp.inter_stub_edge Journalled
+  t_make ~edge_of:Ssp.inter_stub_edge (fun (s : Ssp.inter_stub) ->
+      s.Ssp.is_src_uid)
 
 let make_intra_stub_table () =
-  t_make
-    ~key_uid:(fun (s : Ssp.intra_stub) -> s.Ssp.ns_uid)
-    ~key_size:edge_bytes ~key_of:Ssp.intra_stub_edge Journalled
+  t_make ~edge_of:Ssp.intra_stub_edge (fun (s : Ssp.intra_stub) -> s.Ssp.ns_uid)
 
-(* [has_inter_scion] reads the key count; no query reads an intra-bunch
-   scion table's keys. *)
-let make_inter_scion_table () =
-  t_make
-    ~key_node:(fun (s : Ssp.inter_scion) -> s.Ssp.xs_src_node)
-    ~key_of:Ssp.inter_scion_key Counted
+let make_inter_scion_table () = t_make (fun (s : Ssp.inter_scion) -> s.Ssp.xs_src_node)
 
 let make_intra_scion_table () =
-  t_make
-    ~key_node:(fun (s : Ssp.intra_scion) -> s.Ssp.xn_owner_side)
-    ~key_of:(fun _ -> ()) Uncounted
+  t_make (fun (s : Ssp.intra_scion) -> s.Ssp.xn_owner_side)
 
 let node_state t node =
-  match Ids.Node_tbl.find_opt t.per_node node with
-  | Some ns -> ns
-  | None ->
+  match Ids.Node_tbl.find t.per_node node with
+  | ns -> ns
+  | exception Not_found ->
       let ns =
         {
           gc_version = 0;
@@ -352,7 +257,7 @@ let crash_node t ~node =
 (* Mutator roots: a multiset kept newest first, where a removal drops
    the newest occurrence.  Removal is O(1): it moves one occurrence
    from [roots_live] to [roots_dropped], and the list sheds the dropped
-   occurrences once, at the next read — the [t_view] pattern. *)
+   occurrences once, at the next read. *)
 let count h a = match Hashtbl.find h a with n -> n | exception Not_found -> 0
 
 let count_add h a d =
@@ -409,37 +314,49 @@ let forward_roots t ~node =
     set_roots t ~node (List.map cur roots)
 
 let find_table make tbl bunch =
-  match Ids.Bunch_tbl.find_opt tbl bunch with
-  | Some tb -> tb
-  | None ->
+  match Ids.Bunch_tbl.find tbl bunch with
+  | tb -> tb
+  | exception Not_found ->
       let tb = make () in
       Ids.Bunch_tbl.add tbl bunch tb;
       tb
 
-let tbl_view tbl bunch =
-  match Ids.Bunch_tbl.find_opt tbl bunch with Some tb -> t_view tb | None -> []
+let tbl_fold tbl bunch f acc =
+  match Ids.Bunch_tbl.find tbl bunch with
+  | tb -> Hashtbl.fold (fun x () acc -> f x acc) tb.members acc
+  | exception Not_found -> acc
 
-let inter_stubs t ~node ~bunch = tbl_view (node_state t node).inter_stubs bunch
-let intra_stubs t ~node ~bunch = tbl_view (node_state t node).intra_stubs bunch
+let tbl_list tbl bunch = tbl_fold tbl bunch List.cons []
+
+let tbl_count size tbl bunch =
+  match Ids.Bunch_tbl.find tbl bunch with tb -> size tb | exception Not_found -> 0
+
+let records tb = Hashtbl.length tb.members
+let keys tb = Hashtbl.length tb.edges
+let key_bytes tb = tb.key_bytes
+
+let inter_stubs t ~node ~bunch = tbl_list (node_state t node).inter_stubs bunch
+let intra_stubs t ~node ~bunch = tbl_list (node_state t node).intra_stubs bunch
+
+let stub_holders t ~node ~bunch =
+  let ns = node_state t node in
+  tbl_fold ns.inter_stubs bunch
+    (fun (s : Ssp.inter_stub) acc -> Ids.Node_set.add s.Ssp.is_scion_at acc)
+    (tbl_fold ns.intra_stubs bunch
+       (fun (s : Ssp.intra_stub) acc -> Ids.Node_set.add s.Ssp.ns_holder acc)
+       Ids.Node_set.empty)
 
 let edges_inserted n =
   Perfcount.(counters.s_gc_edges_inserted <- counters.s_gc_edges_inserted + n)
 
-(* Edge sets: [key_count] holds each edge once, so a table's distinct
-   edges are one fold over it and their number is its length. *)
+(* Edge sets: [edges] holds each edge once, so a table's distinct edges
+   are one fold over it and their number is its length. *)
 let tbl_edges of_list tbl bunch =
-  match Ids.Bunch_tbl.find_opt tbl bunch with
-  | Some tb ->
-      edges_inserted (Hashtbl.length tb.key_count);
-      of_list (Hashtbl.fold (fun k _ acc -> k :: acc) tb.key_count [])
-  | None -> of_list []
-
-let tbl_count size tbl bunch =
-  match Ids.Bunch_tbl.find_opt tbl bunch with Some tb -> size tb | None -> 0
-
-let records tb = Hashtbl.length tb.members
-let keys tb = Hashtbl.length tb.key_count
-let key_bytes tb = tb.key_bytes
+  match Ids.Bunch_tbl.find tbl bunch with
+  | tb ->
+      edges_inserted (Hashtbl.length tb.edges);
+      of_list (Hashtbl.fold (fun k _ acc -> k :: acc) tb.edges [])
+  | exception Not_found -> of_list []
 
 let inter_stub_keys t ~node ~bunch =
   tbl_edges Inter_edges.of_list (node_state t node).inter_stubs bunch
@@ -487,8 +404,20 @@ let retain_stubs t ~node ~bunch ~inter ~intra =
   t_retain (find_table make_inter_stub_table ns.inter_stubs bunch) inter;
   t_retain (find_table make_intra_stub_table ns.intra_stubs bunch) intra
 
-let inter_scions t ~node ~bunch = tbl_view (node_state t node).inter_scions bunch
-let intra_scions t ~node ~bunch = tbl_view (node_state t node).intra_scions bunch
+let inter_scions t ~node ~bunch = tbl_list (node_state t node).inter_scions bunch
+let intra_scions t ~node ~bunch = tbl_list (node_state t node).intra_scions bunch
+
+let iter_inter_scions t ~node ~bunch f =
+  tbl_fold (node_state t node).inter_scions bunch (fun s () -> f s) ()
+
+let iter_intra_scions t ~node ~bunch f =
+  tbl_fold (node_state t node).intra_scions bunch (fun s () -> f s) ()
+
+let holds_ssps t ~node ~bunch =
+  let ns = node_state t node in
+  tbl_count records ns.inter_scions bunch > 0
+  || tbl_count records ns.intra_scions bunch > 0
+  || tbl_count records ns.inter_stubs bunch > 0
 
 let add_inter_scion t ~node (s : Ssp.inter_scion) =
   let ns = node_state t node in
@@ -508,17 +437,17 @@ let remove_inter_scions_from t ~node ~src pred =
   let ns = node_state t node in
   Ids.Bunch_tbl.fold
     (fun _ tb total ->
-      let n = t_remove_from tb src pred in
+      let n = t_remove_indexed tb src pred in
       if n > 0 then ns.gc_version <- ns.gc_version + 1;
       total + n)
     ns.inter_scions 0
 
 let remove_intra_scions_from t ~node ~bunch ~src pred =
   let ns = node_state t node in
-  match Ids.Bunch_tbl.find_opt ns.intra_scions bunch with
-  | None -> 0
-  | Some tb ->
-      let n = t_remove_from tb src pred in
+  match Ids.Bunch_tbl.find ns.intra_scions bunch with
+  | exception Not_found -> 0
+  | tb ->
+      let n = t_remove_indexed tb src pred in
       if n > 0 then ns.gc_version <- ns.gc_version + 1;
       n
 
@@ -549,19 +478,20 @@ let note_bgc_epoch t ~node ~bunch =
   let ns = node_state t node in
   Ids.Bunch_tbl.replace ns.last_bgc bunch (dirty_epoch t ~node)
 
+let tbl_indexed tbl bunch k =
+  match Ids.Bunch_tbl.find tbl bunch with
+  | tb -> t_indexed tb k
+  | exception Not_found -> []
+
 let inter_stubs_with_src t ~node ~bunch ~uid =
-  match Ids.Bunch_tbl.find_opt (node_state t node).inter_stubs bunch with
-  | None -> []
-  | Some tb -> t_by_uid tb uid
+  tbl_indexed (node_state t node).inter_stubs bunch uid
 
 let intra_stubs_for_uid t ~node ~bunch ~uid =
-  match Ids.Bunch_tbl.find_opt (node_state t node).intra_stubs bunch with
-  | None -> []
-  | Some tb -> t_by_uid tb uid
+  tbl_indexed (node_state t node).intra_stubs bunch uid
 
-let has_inter_scion t ~node ~bunch key =
-  match Ids.Bunch_tbl.find (node_state t node).inter_scions bunch with
-  | tb -> Hashtbl.mem tb.key_count key
+let has_inter_scion t ~node (s : Ssp.inter_scion) =
+  match Ids.Bunch_tbl.find (node_state t node).inter_scions s.Ssp.xs_target_bunch with
+  | tb -> Hashtbl.mem tb.members s
   | exception Not_found -> false
 
 (* ------------------------------------------------------------------ *)
@@ -578,7 +508,7 @@ type stub_delta = {
 let split_touched tb =
   Hashtbl.fold
     (fun k () (added, removed) ->
-      if Hashtbl.mem tb.key_count k then (k :: added, removed)
+      if Hashtbl.mem tb.edges k then (k :: added, removed)
       else (added, k :: removed))
     tb.touched ([], [])
 
@@ -642,26 +572,20 @@ let note_exiting bs exiting =
         slot.ex_cur)
     slots
 
-let exiting_owners bs =
-  Ids.Node_tbl.fold
-    (fun owner slot acc ->
-      if Ids.Uid_tbl.length slot.ex_cur > 0 then owner :: acc else acc)
-    bs.bs_exiting []
-
 let exiting_to bs ~owner =
   match Ids.Node_tbl.find_opt bs.bs_exiting owner with
   | None -> []
   | Some slot -> Ids.Uid_tbl.fold (fun uid _ acc -> uid :: acc) slot.ex_cur []
 
 let exiting_count_to bs ~owner =
-  match Ids.Node_tbl.find_opt bs.bs_exiting owner with
-  | None -> 0
-  | Some slot -> Ids.Uid_tbl.length slot.ex_cur
+  match Ids.Node_tbl.find bs.bs_exiting owner with
+  | slot -> Ids.Uid_tbl.length slot.ex_cur
+  | exception Not_found -> 0
 
 let exiting_bytes_to bs ~owner =
-  match Ids.Node_tbl.find_opt bs.bs_exiting owner with
-  | None -> 0
-  | Some slot -> slot.ex_bytes
+  match Ids.Node_tbl.find bs.bs_exiting owner with
+  | slot -> slot.ex_bytes
+  | exception Not_found -> 0
 
 let exiting_delta_to bs ~owner =
   match Ids.Node_tbl.find_opt bs.bs_exiting owner with

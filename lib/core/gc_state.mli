@@ -68,7 +68,16 @@ val forward_roots : t -> node:Bmx_util.Ids.Node.t -> unit
     target at the node (§4.4, no token): the collector's reference
     update and from-space reuse both run it. *)
 
-(** {1 Stub tables}
+(** {1 SSP tables}
+
+    Each stub or scion table is the set of its entries and one index:
+    stub tables file their entries by uid (an inter-bunch stub's source
+    object, an intra-bunch stub's object), scion tables by the stub
+    side's node.  Adds are idempotent, and a table keeps no order: the
+    list accessors return the entries in no particular order, and the
+    collector and the cleaner iterate or count instead.
+
+    {2 Stub tables}
 
     A node's stub tables are filed by bunch: inter-bunch stubs under
     their source bunch, intra-bunch stubs under theirs.  Every query
@@ -81,9 +90,18 @@ val forward_roots : t -> node:Bmx_util.Ids.Node.t -> unit
 
 val inter_stubs :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.inter_stub list
+(** The table's stubs, unordered: one fold over the table. *)
 
 val intra_stubs :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.intra_stub list
+
+val stub_holders :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> Bmx_util.Ids.Node_set.t
+(** Where the scions matching the node's stubs of [bunch] live: every
+    inter-bunch stub's [is_scion_at] and every intra-bunch stub's
+    [ns_holder].  A collection reads it before {!retain_stubs}, so its
+    tables reach every holder of a stub it drops. *)
 
 module Inter_edges : Set.S with type elt = Ssp.inter_edge
 (** Ordered by target uid, then source uid. *)
@@ -93,7 +111,7 @@ module Intra_edges : Set.S with type elt = Ssp.intra_edge
 val inter_stub_keys :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Inter_edges.t
 (** The table's distinct edges ({!Ssp.inter_stub_edge}) as a new set —
-    what a full reachability table ships.  One fold over the key counts
+    what a full reachability table ships.  One fold over the edge counts
     and one sort, charged to [Perfcount.s_gc_edges_inserted]. *)
 
 val intra_stub_keys :
@@ -121,7 +139,7 @@ val edge_bytes : int * int -> int
 val inter_key_bytes :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
 (** {!edge_bytes} summed over the table's distinct edges.  O(1): kept up
-    to date where an edge's key count flips between 0 and 1. *)
+    to date where an edge's record count flips between 0 and 1. *)
 
 val intra_key_bytes :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
@@ -142,20 +160,36 @@ val retain_stubs :
   intra:(Ssp.intra_stub -> bool) ->
   unit
 (** Install the tables a BGC reconstructed (§4.3): keep exactly the
-    stubs of [bunch] that satisfy the predicates, in their view order.
-    Only the write barrier adds stubs, so the regenerated table is
-    always a subset of the current one; the failures are dropped in
-    place, and a key is journalled when its last stub goes.  Creates
-    both (possibly empty) tables if absent. *)
+    stubs of [bunch] that satisfy the predicates.  Only the write
+    barrier adds stubs, so the regenerated table is always a subset of
+    the current one; the failures are gathered, then dropped in place,
+    and a key is journalled when its last stub goes.  Creates both
+    (possibly empty) tables if absent. *)
 
-(** {1 Scion tables} *)
+(** {2 Scion tables}
+
+    Filed by target bunch.  Within one table a scion is its match key
+    plus that bunch, so the member set answers every key query. *)
 
 val inter_scions :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.inter_scion list
-(** Scions protecting objects of [bunch] at [node]. *)
+(** Scions protecting objects of [bunch] at [node], unordered. *)
 
 val intra_scions :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Ssp.intra_scion list
+
+val iter_inter_scions :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> (Ssp.inter_scion -> unit) -> unit
+(** {!inter_scions} without the list; [f] must not change the table. *)
+
+val iter_intra_scions :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> (Ssp.intra_scion -> unit) -> unit
+
+val holds_ssps : t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> bool
+(** Does [node] hold a scion of either kind for [bunch], or an
+    inter-bunch stub of it?  Three table lookups; allocates nothing. *)
 
 val add_inter_scion : t -> node:Bmx_util.Ids.Node.t -> Ssp.inter_scion -> unit
 (** Idempotent. *)
@@ -176,11 +210,10 @@ val remove_intra_scions_from :
 (** Same for the intra-bunch scions of [bunch] whose owner side is
     [src]. *)
 
-(** {1 Indexed queries}
+(** {2 Indexed queries}
 
-    O(1)-ish views over the secondary indexes; all return the same
-    records the list accessors above would surface, without walking the
-    full table. *)
+    One index bucket each: the same records the list accessors above
+    would surface, without walking the table. *)
 
 val inter_stubs_with_src :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
@@ -192,11 +225,9 @@ val intra_stubs_for_uid :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
   -> uid:Bmx_util.Ids.Uid.t -> Ssp.intra_stub list
 
-val has_inter_scion :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> Ssp.inter_key -> bool
-(** Does [node] hold a scion for [bunch] with this match key?  One hash
-    lookup; allocates nothing. *)
+val has_inter_scion : t -> node:Bmx_util.Ids.Node.t -> Ssp.inter_scion -> bool
+(** Does [node] hold this scion?  One hash lookup in the table of its
+    [xs_target_bunch]; allocates nothing. *)
 
 (** {1 Cleaner streams (§6.1)}
 
@@ -274,10 +305,6 @@ val note_exiting :
 (** Reflect the exiting-ownerPtr list the BGC just produced in the
     per-owner journal, in place: entries whose presence flips get marked
     touched, exactly like stub-table edges.  Call before {!stub_delta}. *)
-
-val exiting_owners : broadcast_state -> Bmx_util.Ids.Node.t list
-(** The owners the journalled list names, in no particular order.  Read
-    before {!note_exiting}, these are the owners of the previous list. *)
 
 val exiting_to : broadcast_state -> owner:Bmx_util.Ids.Node.t -> Bmx_util.Ids.Uid.t list
 (** The journalled entries addressed to [owner], as bare uids: what a

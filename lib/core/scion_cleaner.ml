@@ -148,18 +148,19 @@ let stream_bytes ~kind ~node ~bunch =
 
 let edges_bytes l = List.fold_left (fun n e -> n + Gc_state.edge_bytes e) 0 l
 let uids_bytes l = List.fold_left (fun n uid -> n + Varint.size uid) 0 l
-let bump ?by t name = Stats.incr ?by (Gc_state.stats t) name
+let bump t name = Stats.incr (Gc_state.stats t) name
+let add t name n = Stats.add (Gc_state.stats t) name n
 
 (* Account one message put on the wire, by section, under
    [tables.delta_bytes] (every stub-table byte sent), and return its
    size. *)
 let charge t ~header ~inter ~intra ~exiting =
-  bump t ~by:header "tables.bytes.header";
-  bump t ~by:inter "tables.bytes.inter";
-  bump t ~by:intra "tables.bytes.intra";
-  bump t ~by:exiting "tables.bytes.exiting";
+  add t "tables.bytes.header" header;
+  add t "tables.bytes.inter" inter;
+  add t "tables.bytes.intra" intra;
+  add t "tables.bytes.exiting" exiting;
   let bytes = header + inter + intra + exiting in
-  bump t ~by:bytes "tables.delta_bytes";
+  add t "tables.delta_bytes" bytes;
   bytes
 
 (* A full's header: its stream and its three sections' lengths. *)
@@ -261,7 +262,7 @@ let sync_mirror t ~at ~seq msg =
             ~kind:Net.Stub_table ~bytes
             ~shard:(Registry.shard_of_bunch (Protocol.registry proto) bunch)
             ();
-          bump t ~by:bytes "tables.resync_bytes"
+          add t "tables.resync_bytes" bytes
         end;
         let basis =
           match Ids.Node_tbl.find_opt bs.Gc_state.bs_sent at with
@@ -308,7 +309,7 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
            Ids.Bunch.equal scion.Ssp.xs_src_bunch bunch
            && not (Gc_state.mirror_has_inter m (Ssp.inter_scion_edge scion)))
      in
-     if removed > 0 then bump t ~by:removed "gc.cleaner.inter_scions_removed");
+     if removed > 0 then add t "gc.cleaner.inter_scions_removed" removed);
   (if sweep_intra then
      let removed =
        Gc_state.remove_intra_scions_from t ~node:at ~bunch ~src:sender
@@ -316,7 +317,7 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
            not
              (Gc_state.mirror_has_intra m (Ssp.intra_scion_edge ~holder:at scion)))
      in
-     if removed > 0 then bump t ~by:removed "gc.cleaner.intra_scions_removed");
+     if removed > 0 then add t "gc.cleaner.intra_scions_removed" removed);
   (* Entering ownerPtrs.  A node keeps none from itself, so its own
      tables have nothing to reconcile here. *)
   if not (Ids.Node.equal sender at) then begin
@@ -353,10 +354,10 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
        entering entry; the reconciliation above retires it once the
        claimant drops the stub.  Doing this for every arriving stub
        makes the repair independent of the order the sender's per-bunch
-       tables land in.  The scion table holds stubs of every stream, so
-       its probe needs the global key, rebuilt from the edge only when
-       the cheaper tests have passed. *)
-    let reassert ((_, target) as edge) =
+       tables land in.  The scion table holds scions of every stream, so
+       its probe needs the whole scion, rebuilt from the edge and the
+       stream only when the cheaper tests have passed. *)
+    let reassert (src, target) =
       visit ();
       match Directory.find dir target with
       | Some r
@@ -364,8 +365,13 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
              && not (Directory.is_entering_from dir ~uid:target ~from:sender)
              && not
                   (Gc_state.has_inter_scion t ~node:at
-                     ~bunch:(Store.bunch_of_uid store target)
-                     (Ssp.inter_key_of_edge ~sender ~bunch edge)) ->
+                     {
+                       Ssp.xs_src_bunch = bunch;
+                       xs_src_uid = src;
+                       xs_src_node = sender;
+                       xs_target_uid = target;
+                       xs_target_bunch = Store.bunch_of_uid store target;
+                     }) ->
           Directory.add_entering dir ~seq ~uid:target ~from:sender;
           bump t "gc.cleaner.entering_reasserted"
       | Some _ | None -> ()
@@ -466,28 +472,15 @@ let receive t ~at ~seq msg =
     if full then counters.s_gc_ns_recv_full <- counters.s_gc_ns_recv_full + ns
     else counters.s_gc_ns_recv_delta <- counters.s_gc_ns_recv_delta + ns)
 
-let destinations t ~node ~bunch ~old_inter ~new_inter ~old_intra ~new_intra
-    ~exiting =
+let destinations t ~node ~bunch ~holders ~exiting =
   let proto = Gc_state.proto t in
   let open Ids in
-  let add_inter acc (s : Ssp.inter_stub) = Node_set.add s.Ssp.is_scion_at acc in
-  let add_intra acc (s : Ssp.intra_stub) = Node_set.add s.Ssp.ns_holder acc in
-  let add_owner acc (_, n) = Node_set.add n acc in
-  (* Called before the new list is journalled, so the journal still
-     names the previous list's owners: those it drops must hear so. *)
-  let dests =
-    Node_set.of_list (Protocol.bunch_replica_nodes proto bunch)
-    |> fun acc ->
-    List.fold_left add_inter acc old_inter |> fun acc ->
-    List.fold_left add_inter acc new_inter |> fun acc ->
-    List.fold_left add_intra acc old_intra |> fun acc ->
-    List.fold_left add_intra acc new_intra |> fun acc ->
-    List.fold_left add_owner acc exiting |> fun acc ->
-    Node_set.union acc
-      (Node_set.of_list
-         (Gc_state.exiting_owners (Gc_state.broadcast_state t ~node ~bunch)))
-  in
-  Node_set.elements (Node_set.remove node dests)
+  List.fold_left
+    (fun acc (_, owner) -> Node_set.add owner acc)
+    (Node_set.union holders
+       (Node_set.of_list (Protocol.bunch_replica_nodes proto bunch)))
+    exiting
+  |> Node_set.remove node |> Node_set.elements
 
 (* A full table goes out at least every [full_period] rounds even on a
    healthy delta stream, bounding how long a silently diverged mirror
@@ -496,21 +489,17 @@ let destinations t ~node ~bunch ~old_inter ~new_inter ~old_intra ~new_intra
    of a quiet stream's bytes are periodic refresh. *)
 let full_period = 64
 
-let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
+let broadcast t ~node ~bunch ~holders ~exiting =
   let proto = Gc_state.proto t in
   let net = Protocol.net proto in
   (* Table exchanges are per-bunch, and a bunch's segments all come from
      one registry shard — route and account them against it. *)
   let shard = Registry.shard_of_bunch (Protocol.registry proto) bunch in
   let bs = Gc_state.broadcast_state t ~node ~bunch in
-  let new_inter = Gc_state.inter_stubs t ~node ~bunch in
-  let new_intra = Gc_state.intra_stubs t ~node ~bunch in
-  let dests =
-    destinations t ~node ~bunch ~old_inter ~new_inter ~old_intra ~new_intra
-      ~exiting
-  in
+  let dests = destinations t ~node ~bunch ~holders ~exiting in
   (* A resend must also reach last round's destinations: after a loss the
-     replaced tables no longer name the peers whose scions must go. *)
+     replaced tables no longer name the peers whose scions must go, and
+     the previous exiting list's owners are among them. *)
   let dests =
     List.sort_uniq Ids.Node.compare (dests @ bs.Gc_state.bs_dests)
     |> List.filter (fun n -> not (Ids.Node.equal n node))
@@ -525,7 +514,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
      Never block on a dead or partitioned peer. *)
   let live_dests = List.filter (fun d -> Net.reachable net node d) dests in
   let deferred = List.length dests - List.length live_dests in
-  if deferred > 0 then bump t ~by:deferred "gc.cleaner.deferred_unreachable";
+  if deferred > 0 then add t "gc.cleaner.deferred_unreachable" deferred;
   Gc_state.note_exiting bs exiting;
   (* The round's edge sets, built only on a round where some stream takes
      a full, and once: every full of the round carries the same two. *)
@@ -640,7 +629,7 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
               ~exiting:exiting_bytes
           in
           bump t "gc.cleaner.full_sent";
-          bump t ~by:sz "tables.full_wire_bytes";
+          add t "tables.full_wire_bytes" sz;
           sz
       | Delta { db_basis; db_add_exiting; db_del_exiting; _ } ->
           let sz =
@@ -653,12 +642,10 @@ let broadcast t ~node ~bunch ~old_inter ~old_intra ~exiting =
               ~exiting:(uids_bytes db_add_exiting + uids_bytes db_del_exiting)
           in
           bump t "gc.cleaner.delta_sent";
-          bump t ~by:sz "tables.delta_wire_bytes";
+          add t "tables.delta_wire_bytes" sz;
           sz
     in
-    bump t
-      ~by:(full_header + full_inter + full_intra + exiting_bytes)
-      "tables.full_bytes";
+    add t "tables.full_bytes" (full_header + full_inter + full_intra + exiting_bytes);
     Net.send net ~src:node ~dst ~kind:Net.Stub_table ~bytes:wire ~shard
       (fun seq -> receive t ~at:dst ~seq msg);
     (* The transport seq just stamped on this pair is the basis the next

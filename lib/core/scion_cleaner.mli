@@ -107,33 +107,32 @@ val destinations :
   Gc_state.t ->
   node:Bmx_util.Ids.Node.t ->
   bunch:Bmx_util.Ids.Bunch.t ->
-  old_inter:Ssp.inter_stub list ->
-  new_inter:Ssp.inter_stub list ->
-  old_intra:Ssp.intra_stub list ->
-  new_intra:Ssp.intra_stub list ->
+  holders:Bmx_util.Ids.Node_set.t ->
   exiting:(Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list ->
   Bmx_util.Ids.Node.t list
-(** The nodes a BGC's reachability information must reach (§4.1): replicas
-    of the bunch, scion holders of old and new stubs, and the owners the
-    new exiting list or the journalled previous one names.  Call before
-    the new list is journalled. *)
+(** The nodes a BGC's reachability information must reach (§4.1), in
+    increasing order and without [node]: replicas of the bunch, the
+    [holders] of the stubs before the collection replaced the tables
+    ({!Gc_state.stub_holders}), and the owners the new exiting list
+    names.  The replaced tables are a subset of the old ones, so their
+    holders are among [holders]. *)
 
 val broadcast :
   Gc_state.t ->
   node:Bmx_util.Ids.Node.t ->
   bunch:Bmx_util.Ids.Bunch.t ->
-  old_inter:Ssp.inter_stub list ->
-  old_intra:Ssp.intra_stub list ->
+  holders:Bmx_util.Ids.Node_set.t ->
   exiting:(Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t) list ->
   int
 (** Send the node's (already replaced) current tables for the bunch to
-    all {!destinations} as background messages; returns the number of
-    tables handed to the network, not wire messages: a table sent while
-    the peer's previous one is still queued rides in that message
-    ({!Bmx_netsim.Net.send}).  Each destination independently gets
-    either a delta (when the sender knows which basis it holds) or a
-    full table (first contact, periodic rebase, or when the accumulated
-    diff outgrew the table).  Re-running after a loss simply resends —
+    all {!destinations} and to every destination of earlier rounds
+    ([bs_dests], which the previous exiting list's owners are among) as
+    background messages; returns the number of tables handed to the
+    network, not wire messages: a table sent while the peer's previous
+    one is still queued rides in that message ({!Bmx_netsim.Net.send}).
+    Each destination independently gets either a delta (when the sender
+    knows which basis it holds) or a full table (first contact, periodic
+    rebase, or when the accumulated diff outgrew the table).  Re-running after a loss simply resends —
     the cumulative encoding keeps that safe.  Accounts, per send, the
     wire bytes under [tables.full_wire_bytes] or
     [tables.delta_wire_bytes] and [tables.full_bytes] (what a full

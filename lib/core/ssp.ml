@@ -39,14 +39,11 @@ type intra_key = Ids.Bunch.t * Ids.Uid.t * Ids.Node.t
 let inter_stub_key s =
   (s.is_src_bunch, s.is_src_uid, s.is_created_at, s.is_target_uid)
 
-let inter_scion_key s =
-  (s.xs_src_bunch, s.xs_src_uid, s.xs_src_node, s.xs_target_uid)
-
 let intra_stub_key s = (s.ns_bunch, s.ns_uid, s.ns_holder)
 
 (* Edge keys: the match key minus what a (node, bunch) stub table's
    stream already names.  Stub tables, table messages and mirrors use
-   these; the inter-bunch scion tables keep the global keys above. *)
+   these. *)
 
 type inter_edge = Ids.Uid.t * Ids.Uid.t
 type intra_edge = Ids.Uid.t * Ids.Node.t

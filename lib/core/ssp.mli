@@ -54,13 +54,11 @@ type intra_scion = {
 (** {1 Match keys}
 
     Exactly the fields {!inter_stub_matches}/{!intra_stub_matches}
-    compare: [inter_stub_matches stub scion] iff
-    [inter_stub_key stub = inter_scion_key scion].  Stub records also
-    carry volatile detail (the target's address changes whenever the
-    target bunch is copied), so the GC tables work on keys: the
-    inter-bunch scion tables on these global ones, the stub tables,
-    table messages and mirrors on the stream-relative
-    {!section-edges} below. *)
+    compare.  Stub records also carry volatile detail (the target's
+    address changes whenever the target bunch is copied), so the stub
+    tables, table messages and mirrors work on the stream-relative
+    {!section-edges} below, and these global keys name a stub across
+    streams. *)
 
 type inter_key =
   Bmx_util.Ids.Bunch.t * Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t * Bmx_util.Ids.Uid.t
@@ -70,7 +68,6 @@ type intra_key = Bmx_util.Ids.Bunch.t * Bmx_util.Ids.Uid.t * Bmx_util.Ids.Node.t
 (** bunch, uid, scion-holder node *)
 
 val inter_stub_key : inter_stub -> inter_key
-val inter_scion_key : inter_scion -> inter_key
 val intra_stub_key : intra_stub -> intra_key
 
 (** {1:edges Edge keys}
@@ -83,8 +80,8 @@ val intra_stub_key : intra_stub -> intra_key
     its source bunch ({!Gc_state.add_inter_stub} checks the node), and an
     intra-bunch stub under its bunch, so within one stream the edge and
     the match key determine each other.  Where stubs of different
-    streams can meet — the inter-bunch scion tables' key counts and the
-    coverage predicates above — the global keys stay. *)
+    streams can meet — the coverage predicates above — the global keys
+    stay. *)
 
 type inter_edge = Bmx_util.Ids.Uid.t * Bmx_util.Ids.Uid.t
 (** source uid, target uid; the stream supplies the source bunch and the

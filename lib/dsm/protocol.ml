@@ -379,7 +379,7 @@ let compute_updates t ~granter:g ~requested addr gobj =
    pointers are retargeted to to-space directly), counting the fixes. *)
 let fix_fields t s obj_addr obj =
   let n = Store.forward_fields s ~obj_addr obj in
-  if n > 0 then Stats.incr ~by:n (stats t) "dsm.ref_fixes"
+  if n > 0 then Stats.add (stats t) "dsm.ref_fixes" n
 
 let rec apply_location_updates t ~node updates =
   let s = store t node in

@@ -446,8 +446,8 @@ let account_msg t ~src ~kind =
       Bmx_obs.Metrics.incr m ~node:src key
 
 let account_bytes t ~src ~kind ~bytes =
-  Stats.incr t.stats ~by:bytes (bytes_key kind);
-  Stats.incr t.stats ~by:bytes "net.bytes.total";
+  Stats.add t.stats (bytes_key kind) bytes;
+  Stats.add t.stats "net.bytes.total" bytes;
   match t.obs with
   | None -> ()
   | Some m ->
@@ -568,7 +568,7 @@ let record_rpc t ~src ~dst ~kind ?(bytes = 64) ?shard () =
 let record_piggyback t ~src ~kind ~bytes ?shard () =
   shard_account t ~kind ~shard ~bytes ~msg:false;
   Stats.incr t.stats (piggyback_key kind);
-  Stats.incr t.stats ~by:bytes "net.bytes.piggyback";
+  Stats.add t.stats "net.bytes.piggyback" bytes;
   account_bytes t ~src ~kind ~bytes
 
 (* Cumulative acknowledgement: everything on the (src, dst) stream up to
@@ -595,7 +595,7 @@ let ack t ~src ~dst ~upto =
               u.u_due <- t.now)
             keep
         end;
-        Stats.incr t.stats ~by:(List.length acked) "net.rel.acked";
+        Stats.add t.stats "net.rel.acked" (List.length acked);
         match t.obs with
         | None -> ()
         | Some m ->
@@ -897,9 +897,8 @@ let set_down t node =
           if Ids.Node.equal w.w_env.src node || Ids.Node.equal w.w_env.dst node
           then begin
             close t w;
-            Stats.incr t.stats
-              ~by:(1 + List.length w.w_riders)
-              "net.crash.purged_in_flight";
+            Stats.add t.stats "net.crash.purged_in_flight"
+              (1 + List.length w.w_riders);
             acc
           end
           else w :: acc)
@@ -912,7 +911,7 @@ let set_down t node =
     Hashtbl.iter
       (fun (src, _) r ->
         if Ids.Node.equal src node && !r <> [] then begin
-          Stats.incr t.stats ~by:(List.length !r) "net.crash.lost_unacked";
+          Stats.add t.stats "net.crash.lost_unacked" (List.length !r);
           r := []
         end)
       t.unacked_tbl;

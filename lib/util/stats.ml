@@ -2,13 +2,15 @@ type registry = (string, int ref) Hashtbl.t
 
 let create_registry () : registry = Hashtbl.create 64
 
-let incr reg ?(by = 1) name =
-  match Hashtbl.find_opt reg name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.add reg name (ref by)
+let add reg name n =
+  match Hashtbl.find reg name with
+  | r -> r := !r + n
+  | exception Not_found -> Hashtbl.add reg name (ref n)
+
+let incr reg name = add reg name 1
 
 let get reg name =
-  match Hashtbl.find_opt reg name with Some r -> !r | None -> 0
+  match Hashtbl.find reg name with r -> !r | exception Not_found -> 0
 
 let reset reg = Hashtbl.iter (fun _ r -> r := 0) reg
 

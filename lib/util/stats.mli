@@ -8,8 +8,13 @@ type registry
 
 val create_registry : unit -> registry
 
-val incr : registry -> ?by:int -> string -> unit
-(** Bump the named counter (created at zero on first use). *)
+val incr : registry -> string -> unit
+(** Bump the named counter by one (created at zero on first use). *)
+
+val add : registry -> string -> int -> unit
+(** [add reg name n] adds [n] to the named counter (created at zero on
+    first use, so [n] = 0 creates it).  Neither allocates once the
+    counter exists. *)
 
 val get : registry -> string -> int
 (** Current value of a counter (0 if never bumped). *)

@@ -255,10 +255,10 @@ let test_phase_timers_not_double_charged () =
 let test_destinations () =
   let c, b1, _b2, _x, _y = cross_node_ssp () in
   let gc = Cluster.gc c in
-  let old_inter = Gc_state.inter_stubs gc ~node:0 ~bunch:b1 in
   let dests =
-    Scion_cleaner.destinations gc ~node:0 ~bunch:b1 ~old_inter ~new_inter:old_inter
-      ~old_intra:[] ~new_intra:[] ~exiting:[]
+    Scion_cleaner.destinations gc ~node:0 ~bunch:b1
+      ~holders:(Gc_state.stub_holders gc ~node:0 ~bunch:b1)
+      ~exiting:[]
   in
   check_bool "scion holder N1 is a destination" true (List.mem 1 dests);
   check_bool "never includes self" false (List.mem 0 dests)
@@ -452,7 +452,8 @@ let test_shared_key_ships_once () =
   check_int "msg_bytes of the full" bytes (Scion_cleaner.msg_bytes full);
   (* The first broadcast is first contact, so N1 gets a full. *)
   ignore
-    (Scion_cleaner.broadcast gc ~node:0 ~bunch:b ~old_inter:[] ~old_intra:[]
+    (Scion_cleaner.broadcast gc ~node:0 ~bunch:b
+       ~holders:(Gc_state.stub_holders gc ~node:0 ~bunch:b)
        ~exiting:[]);
   ignore (Cluster.drain c);
   let stats = Cluster.stats c in
@@ -507,9 +508,8 @@ let edge_at_two_holders ~stubs ~scions =
   let b = Cluster.new_bunch c ~home:0 in
   let b2 = Cluster.new_bunch c ~home:0 in
   let tb = Cluster.new_bunch c ~home:2 in
-  let broadcast ~node ~bunch ~old_inter ~old_intra =
-    ignore
-      (Scion_cleaner.broadcast gc ~node ~bunch ~old_inter ~old_intra ~exiting:[]);
+  let broadcast ~node ~bunch ~holders =
+    ignore (Scion_cleaner.broadcast gc ~node ~bunch ~holders ~exiting:[]);
     ignore (Cluster.drain c)
   in
   List.iter
@@ -521,9 +521,7 @@ let edge_at_two_holders ~stubs ~scions =
   scions gc ~holder:0 ~bunch:b2 ~tb;
   List.iter
     (fun (node, bunch) ->
-      broadcast ~node ~bunch
-        ~old_inter:(Gc_state.inter_stubs gc ~node ~bunch)
-        ~old_intra:(Gc_state.intra_stubs gc ~node ~bunch))
+      broadcast ~node ~bunch ~holders:(Gc_state.stub_holders gc ~node ~bunch))
     [ (0, b); (1, b); (0, b2) ];
   let scions_at_n2 =
     List.fold_left
@@ -534,11 +532,10 @@ let edge_at_two_holders ~stubs ~scions =
       0 [ b; b2; tb ]
   in
   check_int "every scion survives the first tables" 3 scions_at_n2;
-  let old_inter = Gc_state.inter_stubs gc ~node:0 ~bunch:b in
-  let old_intra = Gc_state.intra_stubs gc ~node:0 ~bunch:b in
+  let holders = Gc_state.stub_holders gc ~node:0 ~bunch:b in
   Gc_state.retain_stubs gc ~node:0 ~bunch:b ~inter:(fun _ -> false)
     ~intra:(fun _ -> false);
-  broadcast ~node:0 ~bunch:b ~old_inter ~old_intra;
+  broadcast ~node:0 ~bunch:b ~holders;
   (gc, b, b2, tb)
 
 let test_inter_edge_at_two_holders () =
@@ -622,7 +619,8 @@ let test_exiting_addressed_by_owner () =
   done;
   let broadcast exiting =
     ignore
-      (Scion_cleaner.broadcast gc ~node:0 ~bunch:b ~old_inter:[] ~old_intra:[]
+      (Scion_cleaner.broadcast gc ~node:0 ~bunch:b
+         ~holders:(Gc_state.stub_holders gc ~node:0 ~bunch:b)
          ~exiting);
     ignore (Cluster.drain c)
   in

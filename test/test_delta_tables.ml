@@ -2,23 +2,24 @@
    mirrors with plain list semantics.
 
    A reference model maintains the sender's stub tables as naive lists
-   with the documented semantics: adds prepend-if-absent, and a BGC's
-   table reconstruction filters the list in place.  A replace is a
-   retain followed by adds, the sequence BGCs and the write barrier
-   produce, so the model's view order follows from those two rules.
-   Random op sequences — adds, replaces, broadcast rounds (some with
-   every table message dropped, some left in flight for a later round's
-   drain), and crash/restart of either side — drive the real
-   implementation, and after every op the indexed accessors must agree
-   with the model exactly.  After every drain that delivered the last
-   round, the receiver's mirror (rebuilt from fulls and one-round
-   deltas, healed by pull-resyncs after losses and restarts) must cover
-   precisely the stubs the model holds.  So must it after a drain that
-   resynced the mirror even if the last round was dropped: the pull
-   observes the current tables, and its basis is the sender's latest
-   send, so any older delta still in flight resyncs again.  Taking the
-   triggering message's own seq as the basis instead applies the next
-   in-flight delta on top of the pulled tables, and fails this test.
+   with the documented semantics: adds add-if-absent, and a BGC's table
+   reconstruction filters the list.  A replace is a retain followed by
+   adds, the sequence BGCs and the write barrier produce.  Random op
+   sequences — adds, replaces, broadcast rounds (some with every table
+   message dropped, some left in flight for a later round's drain), and
+   crash/restart of either side — drive the real implementation, and
+   after every op the accessors must agree with the model: a table has
+   no order, so the list accessors are compared as multisets (a stub
+   listed twice fails), the indexed ones exactly.  After every drain
+   that delivered the last round, the receiver's mirror (rebuilt from
+   fulls and one-round deltas, healed by pull-resyncs after losses and
+   restarts) must cover precisely the stubs the model holds.  So must
+   it after a drain that resynced the mirror even if the last round was
+   dropped: the pull observes the current tables, and its basis is the
+   sender's latest send, so any older delta still in flight resyncs
+   again.  Taking the triggering message's own seq as the basis instead
+   applies the next in-flight delta on top of the pulled tables, and
+   fails this test.
 
    The exiting pool names two owners, the receiver and a third node, and
    only an entry's owner may be sent it: after every delivered table
@@ -39,21 +40,31 @@
    bunch's, say), and so does
    ordering the edges source-major (the least edge at or above the
    target then need not target it; the first bunch's sources run
-   opposite to their targets for this).  So does an in-place retain ([Gc_state.t_retain]) that
-   skips [t_index_remove] (a dropped stub lingers in the
-   [inter_stubs_with_src] index) or [t_key_decr] (its key is never
-   journalled as deleted, and the mirror keeps covering it).
+   opposite to their targets for this).  So does a drop
+   ([Gc_state.t_drop]) that skips the index (a dropped stub lingers in
+   the [inter_stubs_with_src] index) or the edge count ([t_edge]: its
+   edge is never journalled as deleted, and the mirror keeps covering
+   it).
 
    After every op the wire-byte sums the send path prices from must
    match a scan: each stub table's [inter_key_bytes]/[intra_key_bytes]
    against its distinct edges' varint sizes, and each owner's
-   [exiting_bytes_to] against its uids'.  A sum not updated where a key
-   flips (at [t_key_decr], or where [note_exiting] drops a uid) fails
-   this test. *)
+   [exiting_bytes_to] against its uids'.  A sum not updated where an
+   edge flips (in [t_edge], or where [note_exiting] drops a uid) fails
+   this test.
+
+   A round's destinations come from the holders of the sender's stubs
+   before the round ([Gc_state.stub_holders]) and its earlier
+   destinations.  After every round each broadcast record's [bs_dests]
+   must equal the formula the cleaner used when it read the stub lists
+   and the journalled exiting owners instead: replicas, holders of the
+   old and new stubs, owners in the new and the previous exiting lists
+   and the previous destinations, minus the sender. *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
 module Net = Bmx_netsim.Net
+module Protocol = Bmx_dsm.Protocol
 module Gc_state = Bmx_gc.Gc_state
 module Scion_cleaner = Bmx_gc.Scion_cleaner
 module Ssp = Bmx_gc.Ssp
@@ -230,13 +241,13 @@ let prop_indexed_tables_match_lists =
       in
       let check_views op =
         let vi = Gc_state.inter_stubs g ~node:sender ~bunch:b in
-        if vi <> !m_inter then
+        if sorted vi <> sorted !m_inter then
           fail "after %s: inter view has %d entries, model %d" (pp_op op)
             (List.length vi) (List.length !m_inter);
-        if Gc_state.inter_stubs g ~node:sender ~bunch:b2 <> !m_inter2 then
-          fail "after %s: second bunch's inter view diverges" (pp_op op);
+        if sorted (Gc_state.inter_stubs g ~node:sender ~bunch:b2) <> sorted !m_inter2
+        then fail "after %s: second bunch's inter view diverges" (pp_op op);
         let vn = Gc_state.intra_stubs g ~node:sender ~bunch:b in
-        if vn <> !m_intra then
+        if sorted vn <> sorted !m_intra then
           fail "after %s: intra view has %d entries, model %d" (pp_op op)
             (List.length vn) (List.length !m_intra);
         for i = 0 to pool_size - 1 do
@@ -387,6 +398,48 @@ let prop_indexed_tables_match_lists =
             end)
           [ receiver; third ]
       in
+      (* The previous formula for a round's destinations, from the
+         model's lists: old and new tables are the model's (the ops
+         retain before a round, as a collection does). *)
+      let dests_of ~bunch ~inter ~intra ~exiting ~prev_exiting =
+        let add f l acc =
+          List.fold_left (fun acc x -> Ids.Node_set.add (f x) acc) acc l
+        in
+        let prev_dests =
+          match Gc_state.find_broadcast_state g ~node:sender ~bunch with
+          | Some bs -> bs.Gc_state.bs_dests
+          | None -> []
+        in
+        Ids.Node_set.of_list (Protocol.bunch_replica_nodes (Cluster.proto c) bunch)
+        |> add (fun (s : Ssp.inter_stub) -> s.Ssp.is_scion_at) inter
+        |> add (fun (s : Ssp.intra_stub) -> s.Ssp.ns_holder) intra
+        |> add snd exiting |> add snd prev_exiting |> add Fun.id prev_dests
+        |> Ids.Node_set.remove sender |> Ids.Node_set.elements
+      in
+      (* The Collect call convention: holders read, tables retained,
+         then broadcast. *)
+      let broadcast_round op exiting =
+        let want_b =
+          dests_of ~bunch:b ~inter:!m_inter ~intra:!m_intra ~exiting
+            ~prev_exiting:!m_exiting
+        and want_b2 =
+          dests_of ~bunch:b2 ~inter:!m_inter2 ~intra:[] ~exiting:[] ~prev_exiting:[]
+        in
+        m_exiting := exiting;
+        List.iter
+          (fun (bunch, exiting, want) ->
+            ignore
+              (Scion_cleaner.broadcast g ~node:sender ~bunch
+                 ~holders:(Gc_state.stub_holders g ~node:sender ~bunch)
+                 ~exiting);
+            let got = (Gc_state.broadcast_state g ~node:sender ~bunch).bs_dests in
+            if got <> want then
+              fail "after %s: bunch %d went to [%s], the formula gives [%s]"
+                (pp_op op) bunch
+                (String.concat " " (List.map string_of_int got))
+                (String.concat " " (List.map string_of_int want)))
+          [ (b, exiting, want_b); (b2, [], want_b2) ]
+      in
       List.iter
         (fun op ->
           (match op with
@@ -421,15 +474,7 @@ let prop_indexed_tables_match_lists =
               if fate = Drop then
                 Net.set_fault (Cluster.net c) ~kind:Net.Stub_table ~drop:1.0
                   ~dup:0.0 ~rng:fault_rng;
-              (* The Collect call convention: tables already retained,
-                 then broadcast. *)
-              m_exiting := exiting;
-              ignore
-                (Scion_cleaner.broadcast g ~node:sender ~bunch:b
-                   ~old_inter:!m_inter ~old_intra:!m_intra ~exiting);
-              ignore
-                (Scion_cleaner.broadcast g ~node:sender ~bunch:b2
-                   ~old_inter:!m_inter2 ~old_intra:[] ~exiting:[]);
+              broadcast_round op exiting;
               Net.clear_faults (Cluster.net c);
               if fate <> Hold then begin
                 Hashtbl.reset resynced;
@@ -453,16 +498,10 @@ let prop_indexed_tables_match_lists =
       (* One final clean round: whatever losses or crashes the sequence
          ended on, a single delivered message must restore the mirror to
          the truth (basis mismatches pull a resync synchronously). *)
-      let exiting = !m_exiting in
-      ignore
-        (Scion_cleaner.broadcast g ~node:sender ~bunch:b ~old_inter:!m_inter
-           ~old_intra:!m_intra ~exiting);
-      ignore
-        (Scion_cleaner.broadcast g ~node:sender ~bunch:b2 ~old_inter:!m_inter2
-           ~old_intra:[] ~exiting:[]);
+      let final = Round (Array.make pool_size false, Deliver) in
+      broadcast_round final !m_exiting;
       ignore (Cluster.drain c);
       Scion_cleaner.set_delivery_tap None;
-      let final = Round (Array.make pool_size false, Deliver) in
       check_mirror final ~delivered:true;
       check_bytes final;
       check_claims final;
@@ -481,13 +520,14 @@ let test_paths_exercised () =
   Alcotest.(check bool)
     "losses triggered mirror resyncs" true (!total_resyncs > 0)
 
-(* Scion views under removal.  A removal only drops members and marks
-   the view stale; the next read refilters it.  Random interleavings of
-   adds, per-sender removals (which re-add later) and reads must keep
-   every view equal to a newest-first list model: adds prepend if
-   absent, removals filter.  Reads are ops of their own, so a removal
-   and a re-add can meet with no read between them: a re-add that
-   prepends to the stale view shows the scion twice. *)
+(* Scion tables under removal.  Random interleavings of adds,
+   per-sender removals (which re-add later) and reads must keep every
+   scion table equal to a set model: adds add if absent, removals
+   filter.  Reads are ops of their own, so a removal and a re-add can
+   meet with no read between them.  After every op the members
+   ([has_inter_scion]) and [holds_ssps] must match the model, after
+   every removal its count, and at every read the list accessors, as
+   multisets: a scion listed twice fails. *)
 
 type sop =
   | S_add_inter of int  (* pool index *)
@@ -523,8 +563,8 @@ let arb_sops =
             (2, return S_read);
           ]))
 
-let prop_scion_views_match_lists =
-  QCheck.Test.make ~name:"scion views under removal = ordered model" ~count:300
+let prop_scion_tables_match_sets =
+  QCheck.Test.make ~name:"scion tables under removal = set model" ~count:300
     arb_sops (fun ops ->
       let c = Cluster.create ~nodes:3 () in
       let g = Cluster.gc c in
@@ -553,7 +593,7 @@ let prop_scion_views_match_lists =
         let rec go i = if pool.(i) = x then i else go (i + 1) in
         go 0
       in
-      (* Newest-first models, one per table. *)
+      (* Set models, one per table. *)
       let m_inter1 = ref [] and m_inter2 = ref [] and m_intra = ref [] in
       let model_of_inter (s : Ssp.inter_scion) =
         if s.Ssp.xs_target_bunch = tb1 then m_inter1 else m_inter2
@@ -568,26 +608,29 @@ let prop_scion_views_match_lists =
         Array.iter
           (fun (s : Ssp.inter_scion) ->
             let want = List.mem s !(model_of_inter s) in
-            let got =
-              Gc_state.has_inter_scion g ~node:scion_holder
-                ~bunch:s.Ssp.xs_target_bunch (Ssp.inter_scion_key s)
-            in
+            let got = Gc_state.has_inter_scion g ~node:scion_holder s in
             if got <> want then
               fail "after %s: scion of uid %d present = %b, model %b" (pp_sop op)
                 s.Ssp.xs_src_uid got want)
-          inter_pool
+          inter_pool;
+        List.iter
+          (fun (bunch, want) ->
+            if Gc_state.holds_ssps g ~node:scion_holder ~bunch <> want then
+              fail "after %s: holds_ssps for bunch %d is %b, model %b" (pp_sop op)
+                bunch (not want) want)
+          [ (tb1, !m_inter1 <> [] || !m_intra <> []); (tb2, !m_inter2 <> []) ]
       in
       let check_views op =
-        let inter bunch = Gc_state.inter_scions g ~node:scion_holder ~bunch in
-        if inter tb1 <> !m_inter1 || inter tb2 <> !m_inter2 then
-          fail "after %s: inter scion views differ from the model (%d+%d vs %d+%d)"
+        let inter bunch = sorted (Gc_state.inter_scions g ~node:scion_holder ~bunch) in
+        if inter tb1 <> sorted !m_inter1 || inter tb2 <> sorted !m_inter2 then
+          fail "after %s: inter scion lists differ from the model (%d+%d vs %d+%d)"
             (pp_sop op)
             (List.length (inter tb1))
             (List.length (inter tb2))
             (List.length !m_inter1) (List.length !m_inter2);
-        let intra = Gc_state.intra_scions g ~node:scion_holder ~bunch:tb1 in
-        if intra <> !m_intra then
-          fail "after %s: intra scion view has %d entries, model %d" (pp_sop op)
+        let intra = sorted (Gc_state.intra_scions g ~node:scion_holder ~bunch:tb1) in
+        if intra <> sorted !m_intra then
+          fail "after %s: intra scion list has %d entries, model %d" (pp_sop op)
             (List.length intra) (List.length !m_intra)
       in
       List.iter
@@ -639,7 +682,7 @@ let () =
       ( "equivalence",
         [
           pinned_to_alcotest prop_indexed_tables_match_lists;
-          pinned_to_alcotest prop_scion_views_match_lists;
+          pinned_to_alcotest prop_scion_tables_match_sets;
           Alcotest.test_case "delta/full/resync paths exercised" `Quick
             test_paths_exercised;
         ] );

@@ -25,13 +25,16 @@
      full's edge sets" fails (see there);
    - probing the mirror of the queried uid's own bunch in
      [Gc_state.mirror_claims_target]: "claim probes skip the query's
-     bunch" fails. *)
+     bunch" fails;
+   - keeping a list view or a per-key count beside a scion table's
+     member set: "an inter scion is held once" fails. *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
 module Driver = Bmx_workload.Driver
 module Gc_state = Bmx_gc.Gc_state
 module Scion_cleaner = Bmx_gc.Scion_cleaner
+module Ssp = Bmx_gc.Ssp
 module P = Perfcount
 
 let check = Alcotest.check
@@ -299,6 +302,39 @@ let test_claim_probes_skip_own_bunch () =
   check_int "one probe per mirror but the query bunch's" (k - 1) probes;
   check_bool "another bunch's edge claims its target" true (fst (claims 2_003))
 
+(* A scion table is its member set and one index, so an inter-bunch
+   scion is held once: its record, its member binding and its binding in
+   its stub node's index bucket.  Adding 1 000 distinct inter scions at
+   a node grows [Gc_state.words_held]'s scion row by 15.0 words each;
+   27.5 while the table also kept a list view and a per-key count of
+   global match keys.  The bound is 20. *)
+let test_inter_scion_held_once () =
+  let c = Cluster.create ~nodes:2 () in
+  let gc = Cluster.gc c in
+  let sb = Cluster.new_bunch c ~home:1 in
+  let tb = Cluster.new_bunch c ~home:0 in
+  let scion_words () = List.assoc "scion tables" (Gc_state.words_held gc) in
+  let add i =
+    Gc_state.add_inter_scion gc ~node:0
+      {
+        Ssp.xs_src_bunch = sb;
+        xs_src_uid = 1 + i;
+        xs_src_node = 1;
+        xs_target_uid = 100_001 + i;
+        xs_target_bunch = tb;
+      }
+  in
+  (* The first scion creates the table and its index bucket. *)
+  add 0;
+  let before = scion_words () in
+  let n = 1_000 in
+  for i = 1 to n do
+    add i
+  done;
+  let per = float_of_int (scion_words () - before) /. float_of_int n in
+  if per > 20.0 then
+    Alcotest.failf "an inter scion takes %.1f words in its table (bound 20)" per
+
 let test_memo_exact_after_measurement () =
   (* The speed must not come from drift: after a steady-state run the
      mirror still equals the from-scratch oracle. *)
@@ -328,5 +364,7 @@ let () =
             test_receivers_share_edge_sets;
           Alcotest.test_case "claim probes skip the query's bunch" `Quick
             test_claim_probes_skip_own_bunch;
+          Alcotest.test_case "an inter scion is held once" `Quick
+            test_inter_scion_held_once;
         ] );
     ]

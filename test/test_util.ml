@@ -114,7 +114,7 @@ let test_rng_shuffle_permutes () =
 let test_stats_counters () =
   let reg = Stats.create_registry () in
   Stats.incr reg "a";
-  Stats.incr reg ~by:5 "a";
+  Stats.add reg "a" 5;
   Stats.incr reg "b";
   check_int "a" 6 (Stats.get reg "a");
   check_int "b" 1 (Stats.get reg "b");
@@ -129,6 +129,26 @@ let test_stats_counters () =
     d;
   Stats.reset reg;
   check_int "reset" 0 (Stats.get reg "a")
+
+(* Counters are bumped on every message and collection, so a bump of an
+   existing counter allocates nothing; adding 0 still creates one, which
+   is how a counter charged nothing yet is listed. *)
+let test_stats_bumps_allocate_nothing () =
+  let reg = Stats.create_registry () in
+  Stats.add reg "z" 0;
+  check_bool "adding 0 creates the counter" true
+    (List.mem_assoc "z" (Stats.counters reg));
+  Stats.incr reg "a";
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1_000 do
+    Stats.incr reg "a";
+    Stats.add reg "z" 2
+  done;
+  let words = Gc.minor_words () -. w0 in
+  check_int "a" 1_001 (Stats.get reg "a");
+  check_int "z" 2_000 (Stats.get reg "z");
+  check_bool (Printf.sprintf "2 000 bumps allocated %.0f words" words) true
+    (words < 100.)
 
 let test_stats_summary () =
   let s = Stats.Summary.create () in
@@ -264,6 +284,8 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "counters" `Quick test_stats_counters;
+          Alcotest.test_case "bumps allocate nothing" `Quick
+            test_stats_bumps_allocate_nothing;
           Alcotest.test_case "summary" `Quick test_stats_summary;
           Alcotest.test_case "summary estimator steps" `Quick
             test_summary_steps;
