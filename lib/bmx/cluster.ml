@@ -337,8 +337,8 @@ let gc_round t =
                losses without acknowledgements. *)
             ||
             match Bmx_gc.Gc_state.find_broadcast_state t.gc ~node ~bunch with
-            | Some bs -> bs.Bmx_gc.Gc_state.bs_dests <> []
-            | None -> false))
+            | bs -> bs.Bmx_gc.Gc_state.bs_dests <> []
+            | exception Not_found -> false))
           (Protocol.nodes t.proto)
       in
       List.iter

@@ -1,6 +1,79 @@
 open Bmx_util
 
-let edge_bytes (a, b) = Varint.size a + Varint.size b
+let wire_size a b = Varint.size a + Varint.size b
+let edge_bytes (a, b) = wire_size a b
+
+let edges_inserted n =
+  Perfcount.(counters.s_gc_edges_inserted <- counters.s_gc_edges_inserted + n)
+
+(* ------------------------------------------------------------------ *)
+(* Edge sets: what a full ships and a mirror holds, in wire order.
+
+   Each set is ordered by a major id, then a minor one: inter edges
+   (source, target) target-major, so a mirror's edges into one uid are
+   adjacent; intra edges (uid, holder) uid-major.  A full walks a set in
+   that order and writes each edge as two unsigned integers relative to
+   the edge before it, the first edge relative to (0, 0): the major
+   id's difference, then the minor id's difference when the major ids
+   are equal and the minor id itself otherwise.  In set order neither
+   is ever negative.  [gap_code] is that rule, the only one: the
+   encoding and the kept sets' byte sums go through it, and
+   [gap_decode] is its inverse. *)
+
+module type EDGES = sig
+  include Set.S with type elt = int * int
+
+  val order : elt -> elt -> int
+  val gap : prev:elt -> elt -> (int -> int -> 'a) -> 'a
+end
+
+let gap_code ~pmajor ~pminor ~major ~minor k =
+  let d = major - pmajor in
+  k d (if d = 0 then minor - pminor else minor)
+
+(* The major and minor ids of the edge after ([pmajor], [pminor]) whose
+   wire integers are [d] and [m], refusing an edge that does not sort
+   strictly after it and a sum past [max_int]. *)
+let gap_decode ~pmajor ~pminor ~first d m k =
+  let sum a b =
+    let s = a + b in
+    if s < a then invalid_arg "Gc_state.of_gap: id past max_int";
+    s
+  in
+  if d = 0 && m = 0 && not first then
+    invalid_arg "Gc_state.of_gap: edge not after its predecessor";
+  let major = sum pmajor d in
+  k major (if d = 0 then sum pminor m else m)
+
+module Inter_edges = struct
+  let order (s1, t1) (s2, t2) =
+    match Int.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
+
+  include Set.Make (struct
+    type t = Ssp.inter_edge
+    let compare = order
+  end)
+
+  let gap ~prev:(ps, pt) (s, t) k = gap_code ~pmajor:pt ~pminor:ps ~major:t ~minor:s k
+
+  let of_gap ~prev:(ps, pt) ~first d m =
+    gap_decode ~pmajor:pt ~pminor:ps ~first d m (fun t s -> (s, t))
+end
+
+module Intra_edges = struct
+  let order (u1, n1) (u2, n2) =
+    match Int.compare u1 u2 with 0 -> Int.compare n1 n2 | c -> c
+
+  include Set.Make (struct
+    type t = Ssp.intra_edge
+    let compare = order
+  end)
+
+  let gap ~prev:(pu, pn) (u, n) k = gap_code ~pmajor:pu ~pminor:pn ~major:u ~minor:n k
+
+  let of_gap ~prev:(pu, pn) ~first d m =
+    gap_decode ~pmajor:pu ~pminor:pn ~first d m (fun u n -> (u, n))
+end
 
 (* ------------------------------------------------------------------ *)
 (* SSP tables.
@@ -13,55 +86,130 @@ let edge_bytes (a, b) = Varint.size a + Varint.size b
    query.  Readers iterate over the members or count them: a table
    keeps no order.
 
-   A stub table also tracks its {e edges} ([edge_of], the
+   A stub table also tracks its {e edges} ([keys]: [edge_of] gives the
    stream-relative key {!Ssp.inter_stub_edge}/{!Ssp.intra_stub_edge}).
-   [edges] counts the records per edge, [key_bytes] sums what the
-   distinct edges weigh on the wire ({!edge_bytes}), so a full is priced
-   without a walk, and [touched] journals every edge whose presence
-   flipped since the last {!rebase_stub_journal}.  The scion cleaner
-   derives reachability-table deltas from it (added = touched edge
-   still present, removed = touched edge now absent).  Cumulative since
-   the journal base, the delta applies correctly to a mirror in any
-   state between the base and now.  Working on edges rather than
-   records means a BGC that merely relocates targets (new addresses,
-   same edges) journals nothing. *)
+   [edges] counts the records per edge, and [touched] journals every
+   edge whose presence flipped since the last {!rebase_stub_journal}.
+   The scion cleaner derives reachability-table deltas from it (added =
+   touched edge still present, removed = touched edge now absent).
+   Cumulative since the journal base, the delta applies correctly to a
+   mirror in any state between the base and now.  Working on edges
+   rather than records means a BGC that merely relocates targets (new
+   addresses, same edges) journals nothing.
 
-type 'a table = {
+   Beside them a stub table keeps its distinct edges as the immutable
+   set a full ships ([kept], in the set's wire order) and that set's
+   gap-coded size ([kept_bytes]), so a full is priced and built
+   without a walk of the table.  A flip touches only the counts and the
+   journal; a read of the set or its sum folds the journal into both
+   first.  Each touched edge the set disagrees with [edges] about goes
+   in or out in O(log n), and the sum moves by what the edge costs
+   between its neighbours; a fold into the empty set sorts the edge
+   counts instead.  A rebase folds before it clears the journal. *)
+
+type ('a, 's) table = {
   members : ('a, unit) Hashtbl.t;
   index_of : 'a -> int;
   index : ('a, unit) Hashtbl.t Ids.Uid_tbl.t; (* members by [index_of] *)
-  edge_of : ('a -> int * int) option; (* stub tables only *)
-  edges : (int * int, int) Hashtbl.t; (* records per edge *)
-  mutable key_bytes : int; (* [edge_bytes] summed over [edges]' keys *)
-  touched : (int * int, unit) Hashtbl.t;
+  keys : ('a, 's) keys option; (* stub tables only *)
 }
 
-let t_make ?edge_of index_of =
-  let journal = if Option.is_some edge_of then 16 else 1 in
+and ('a, 's) keys = {
+  edge_of : 'a -> int * int;
+  set : (module EDGES with type t = 's);
+  edges : (int * int, int) Hashtbl.t; (* records per edge *)
+  touched : (int * int, unit) Hashtbl.t;
+  mutable kept : 's; (* [edges]' keys as of the last fold *)
+  mutable kept_bytes : int; (* [kept] gap-coded *)
+  mutable folded : bool; (* no flip journalled since the last fold *)
+}
+
+let t_make ?keys index_of =
+  { members = Hashtbl.create 16; index_of; index = Ids.Uid_tbl.create 8; keys }
+
+let make_keys (type s) (set : (module EDGES with type t = s)) edge_of =
+  let module S = (val set) in
   {
-    members = Hashtbl.create 16;
-    index_of;
-    index = Ids.Uid_tbl.create 8;
     edge_of;
-    edges = Hashtbl.create journal;
-    key_bytes = 0;
-    touched = Hashtbl.create journal;
+    set;
+    edges = Hashtbl.create 16;
+    touched = Hashtbl.create 16;
+    kept = S.empty;
+    kept_bytes = 0;
+    folded = true;
   }
 
+(* Put [e] into the kept set ([d] = 1) or take it out ([d] = -1), and
+   move the sum by what [e] costs between its neighbours:
+   cost(pred → e) + cost(e → succ) − cost(pred → succ), where the first
+   edge's predecessor is (0, 0). *)
+let keep_flip (type s) (k : (_, s) keys) e d =
+  let module S = (val k.set) in
+  let pred =
+    match S.find_last (fun x -> S.order x e < 0) k.kept with
+    | p -> p
+    | exception Not_found -> (0, 0)
+  in
+  let around =
+    S.gap ~prev:pred e wire_size
+    +
+    match S.find_first (fun x -> S.order x e > 0) k.kept with
+    | succ -> S.gap ~prev:e succ wire_size - S.gap ~prev:pred succ wire_size
+    | exception Not_found -> 0
+  in
+  k.kept_bytes <- k.kept_bytes + (d * around);
+  if d > 0 then begin
+    k.kept <- S.add e k.kept;
+    edges_inserted 1
+  end
+  else k.kept <- S.remove e k.kept
+
+(* [k] with its kept set and sum brought up to [edges].  The journal
+   holds every edge flipped since the last rebase (since the table was
+   made, before the first), and a rebase folds first, so flipping each
+   touched edge the set disagrees about is enough.  An edge it already
+   agrees about is skipped: a journal folded twice flips nothing
+   twice.  Into an empty set — a table's first fold, which meets every
+   edge it holds — one sort of the edge counts and one walk do the same
+   work for far fewer words than an insertion per edge. *)
+let fold_journal (type s) (k : (_, s) keys) =
+  if not k.folded then begin
+    let module S = (val k.set) in
+    if S.is_empty k.kept then begin
+      let set = S.of_list (Hashtbl.fold (fun e _ acc -> e :: acc) k.edges []) in
+      let prev = ref (0, 0) and bytes = ref 0 in
+      S.iter
+        (fun e ->
+          bytes := !bytes + S.gap ~prev:!prev e wire_size;
+          prev := e)
+        set;
+      edges_inserted (Hashtbl.length k.edges);
+      k.kept <- set;
+      k.kept_bytes <- !bytes
+    end
+    else
+      Hashtbl.iter
+        (fun e () ->
+          let present = Hashtbl.mem k.edges e in
+          if present <> S.mem e k.kept then keep_flip k e (if present then 1 else -1))
+        k.touched;
+    k.folded <- true
+  end;
+  k
+
 (* Count one record of [x]'s edge in or out ([d] = 1 or -1); an edge
-   whose count flips between 0 and 1 changes the table's wire weight
-   and is journalled. *)
+   whose count flips between 0 and 1 is journalled. *)
 let t_edge tb x d =
-  match tb.edge_of with
+  match tb.keys with
   | None -> ()
-  | Some edge_of ->
-      let e = edge_of x in
-      let c = match Hashtbl.find tb.edges e with c -> c | exception Not_found -> 0 in
-      if c + d = 0 then Hashtbl.remove tb.edges e
-      else Hashtbl.replace tb.edges e (c + d);
+  | Some k ->
+      let e = k.edge_of x in
+      let c = match Hashtbl.find k.edges e with c -> c | exception Not_found -> 0 in
+      if c + d = 0 then Hashtbl.remove k.edges e
+      else Hashtbl.replace k.edges e (c + d);
       if c = 0 || c + d = 0 then begin
-        tb.key_bytes <- tb.key_bytes + (d * edge_bytes e);
-        Hashtbl.replace tb.touched e ()
+        Hashtbl.replace k.touched e ();
+        k.folded <- false
       end
 
 let t_add tb x =
@@ -136,19 +284,6 @@ let t_retain tb keep = ignore (t_drop_where tb tb.members (fun x -> not (keep x)
    on); a delta with a different basis is unusable and triggers a
    resync. *)
 
-(* Target-major: a mirror's edges into one uid are adjacent. *)
-module Inter_edges = Set.Make (struct
-  type t = Ssp.inter_edge
-  let compare (s1, t1) (s2, t2) =
-    match Int.compare t1 t2 with 0 -> Int.compare s1 s2 | c -> c
-end)
-
-module Intra_edges = Set.Make (struct
-  type t = Ssp.intra_edge
-  let compare (u1, n1) (u2, n2) =
-    match Int.compare u1 u2 with 0 -> Int.compare n1 n2 | c -> c
-end)
-
 type mirror = {
   mutable mi_seq : int;
   mutable mi_basis : int;
@@ -190,11 +325,12 @@ type node_state = {
   roots_dropped : (Addr.t, int) Hashtbl.t;
       (* per address, the occurrences removed since [roots] was last
          read: the newest ones of that address in [roots] *)
-  inter_stubs : Ssp.inter_stub table Ids.Bunch_tbl.t;
+  inter_stubs : (Ssp.inter_stub, Inter_edges.t) table Ids.Bunch_tbl.t;
       (* by source bunch; holds only stubs created at this node *)
-  intra_stubs : Ssp.intra_stub table Ids.Bunch_tbl.t;
-  inter_scions : Ssp.inter_scion table Ids.Bunch_tbl.t; (* by target bunch *)
-  intra_scions : Ssp.intra_scion table Ids.Bunch_tbl.t;
+  intra_stubs : (Ssp.intra_stub, Intra_edges.t) table Ids.Bunch_tbl.t;
+  (* scion tables keep no edges *)
+  inter_scions : (Ssp.inter_scion, unit) table Ids.Bunch_tbl.t; (* by target bunch *)
+  intra_scions : (Ssp.intra_scion, unit) table Ids.Bunch_tbl.t;
   broadcasts : broadcast_state Ids.Bunch_tbl.t; (* sender side, by bunch *)
   mirrors : mirror Ids.Bunch_tbl.t Ids.Node_tbl.t;
       (* receiver side, by sender, then bunch *)
@@ -213,11 +349,14 @@ let set_metrics t m = t.obs <- Some m
 let metrics t = t.obs
 
 let make_inter_stub_table () =
-  t_make ~edge_of:Ssp.inter_stub_edge (fun (s : Ssp.inter_stub) ->
-      s.Ssp.is_src_uid)
+  t_make
+    ~keys:(make_keys (module Inter_edges) Ssp.inter_stub_edge)
+    (fun (s : Ssp.inter_stub) -> s.Ssp.is_src_uid)
 
 let make_intra_stub_table () =
-  t_make ~edge_of:Ssp.intra_stub_edge (fun (s : Ssp.intra_stub) -> s.Ssp.ns_uid)
+  t_make
+    ~keys:(make_keys (module Intra_edges) Ssp.intra_stub_edge)
+    (fun (s : Ssp.intra_stub) -> s.Ssp.ns_uid)
 
 let make_inter_scion_table () = t_make (fun (s : Ssp.inter_scion) -> s.Ssp.xs_src_node)
 
@@ -332,8 +471,10 @@ let tbl_count size tbl bunch =
   match Ids.Bunch_tbl.find tbl bunch with tb -> size tb | exception Not_found -> 0
 
 let records tb = Hashtbl.length tb.members
-let keys tb = Hashtbl.length tb.edges
-let key_bytes tb = tb.key_bytes
+let stub_keys tb = Option.get tb.keys
+let key_count tb = Hashtbl.length (stub_keys tb).edges
+
+let key_bytes tb = (fold_journal (stub_keys tb)).kept_bytes
 
 let inter_stubs t ~node ~bunch = tbl_list (node_state t node).inter_stubs bunch
 let intra_stubs t ~node ~bunch = tbl_list (node_state t node).intra_stubs bunch
@@ -346,23 +487,16 @@ let stub_holders t ~node ~bunch =
        (fun (s : Ssp.intra_stub) acc -> Ids.Node_set.add s.Ssp.ns_holder acc)
        Ids.Node_set.empty)
 
-let edges_inserted n =
-  Perfcount.(counters.s_gc_edges_inserted <- counters.s_gc_edges_inserted + n)
-
-(* Edge sets: [edges] holds each edge once, so a table's distinct edges
-   are one fold over it and their number is its length. *)
-let tbl_edges of_list tbl bunch =
+let tbl_kept empty tbl bunch =
   match Ids.Bunch_tbl.find tbl bunch with
-  | tb ->
-      edges_inserted (Hashtbl.length tb.edges);
-      of_list (Hashtbl.fold (fun k _ acc -> k :: acc) tb.edges [])
-  | exception Not_found -> of_list []
+  | tb -> (fold_journal (stub_keys tb)).kept
+  | exception Not_found -> empty
 
 let inter_stub_keys t ~node ~bunch =
-  tbl_edges Inter_edges.of_list (node_state t node).inter_stubs bunch
+  tbl_kept Inter_edges.empty (node_state t node).inter_stubs bunch
 
 let intra_stub_keys t ~node ~bunch =
-  tbl_edges Intra_edges.of_list (node_state t node).intra_stubs bunch
+  tbl_kept Intra_edges.empty (node_state t node).intra_stubs bunch
 
 let inter_stub_count t ~node ~bunch =
   tbl_count records (node_state t node).inter_stubs bunch
@@ -371,10 +505,10 @@ let intra_stub_count t ~node ~bunch =
   tbl_count records (node_state t node).intra_stubs bunch
 
 let inter_key_count t ~node ~bunch =
-  tbl_count keys (node_state t node).inter_stubs bunch
+  tbl_count key_count (node_state t node).inter_stubs bunch
 
 let intra_key_count t ~node ~bunch =
-  tbl_count keys (node_state t node).intra_stubs bunch
+  tbl_count key_count (node_state t node).intra_stubs bunch
 
 let inter_key_bytes t ~node ~bunch =
   tbl_count key_bytes (node_state t node).inter_stubs bunch
@@ -470,9 +604,9 @@ let dirty_epoch t ~node =
 
 let bgc_clean t ~node ~bunch =
   let ns = node_state t node in
-  match Ids.Bunch_tbl.find_opt ns.last_bgc bunch with
-  | Some e -> e = dirty_epoch t ~node
-  | None -> false
+  match Ids.Bunch_tbl.find ns.last_bgc bunch with
+  | e -> e = dirty_epoch t ~node
+  | exception Not_found -> false
 
 let note_bgc_epoch t ~node ~bunch =
   let ns = node_state t node in
@@ -505,20 +639,24 @@ type stub_delta = {
   sd_exiting_flips : int;
 }
 
-let split_touched tb =
-  Hashtbl.fold
-    (fun k () (added, removed) ->
-      if Hashtbl.mem tb.edges k then (k :: added, removed)
-      else (added, k :: removed))
-    tb.touched ([], [])
+let split_touched tbl bunch =
+  match Ids.Bunch_tbl.find tbl bunch with
+  | tb ->
+      let k = stub_keys tb in
+      Hashtbl.fold
+        (fun e () (added, removed) ->
+          if Hashtbl.mem k.edges e then (e :: added, removed)
+          else (added, e :: removed))
+        k.touched ([], [])
+  | exception Not_found -> ([], [])
 
 let find_broadcast_state t ~node ~bunch =
-  Ids.Bunch_tbl.find_opt (node_state t node).broadcasts bunch
+  Ids.Bunch_tbl.find (node_state t node).broadcasts bunch
 
 let broadcast_state t ~node ~bunch =
   match find_broadcast_state t ~node ~bunch with
-  | Some bs -> bs
-  | None ->
+  | bs -> bs
+  | exception Not_found ->
       let bs =
         {
           bs_round = 0;
@@ -540,9 +678,9 @@ let note_exiting bs exiting =
   List.iter
     (fun (uid, owner) ->
       let slot =
-        match Ids.Node_tbl.find_opt slots owner with
-        | Some slot -> slot
-        | None ->
+        match Ids.Node_tbl.find slots owner with
+        | slot -> slot
+        | exception Not_found ->
             let slot =
               {
                 ex_cur = Ids.Uid_tbl.create 16;
@@ -573,9 +711,9 @@ let note_exiting bs exiting =
     slots
 
 let exiting_to bs ~owner =
-  match Ids.Node_tbl.find_opt bs.bs_exiting owner with
-  | None -> []
-  | Some slot -> Ids.Uid_tbl.fold (fun uid _ acc -> uid :: acc) slot.ex_cur []
+  match Ids.Node_tbl.find bs.bs_exiting owner with
+  | slot -> Ids.Uid_tbl.fold (fun uid _ acc -> uid :: acc) slot.ex_cur []
+  | exception Not_found -> []
 
 let exiting_count_to bs ~owner =
   match Ids.Node_tbl.find bs.bs_exiting owner with
@@ -588,35 +726,27 @@ let exiting_bytes_to bs ~owner =
   | exception Not_found -> 0
 
 let exiting_delta_to bs ~owner =
-  match Ids.Node_tbl.find_opt bs.bs_exiting owner with
-  | None -> ([], [])
-  | Some slot ->
+  match Ids.Node_tbl.find bs.bs_exiting owner with
+  | slot ->
       Ids.Uid_tbl.fold
         (fun uid () (a, d) ->
           if Ids.Uid_tbl.mem slot.ex_cur uid then (uid :: a, d) else (a, uid :: d))
         slot.ex_touched ([], [])
+  | exception Not_found -> ([], [])
 
 let current_exiting t ~node ~bunch =
   match find_broadcast_state t ~node ~bunch with
-  | None -> []
-  | Some bs ->
+  | bs ->
       Ids.Node_tbl.fold
         (fun owner slot acc ->
           Ids.Uid_tbl.fold (fun uid _ acc -> (uid, owner) :: acc) slot.ex_cur acc)
         bs.bs_exiting []
+  | exception Not_found -> []
 
 let stub_delta t ~node ~bunch =
   let ns = node_state t node in
-  let add_inter, del_inter =
-    match Ids.Bunch_tbl.find_opt ns.inter_stubs bunch with
-    | None -> ([], [])
-    | Some tb -> split_touched tb
-  in
-  let add_intra, del_intra =
-    match Ids.Bunch_tbl.find_opt ns.intra_stubs bunch with
-    | None -> ([], [])
-    | Some tb -> split_touched tb
-  in
+  let add_inter, del_inter = split_touched ns.inter_stubs bunch in
+  let add_intra, del_intra = split_touched ns.intra_stubs bunch in
   {
     sd_add_inter = add_inter;
     sd_del_inter = del_inter;
@@ -630,12 +760,13 @@ let stub_delta t ~node ~bunch =
 
 let rebase_stub_journal t ~node ~bunch =
   let ns = node_state t node in
-  (match Ids.Bunch_tbl.find_opt ns.inter_stubs bunch with
-  | Some tb -> Hashtbl.reset tb.touched
-  | None -> ());
-  (match Ids.Bunch_tbl.find_opt ns.intra_stubs bunch with
-  | Some tb -> Hashtbl.reset tb.touched
-  | None -> ());
+  let rebase tbl =
+    match Ids.Bunch_tbl.find tbl bunch with
+    | tb -> Hashtbl.reset (fold_journal (stub_keys tb)).touched
+    | exception Not_found -> ()
+  in
+  rebase ns.inter_stubs;
+  rebase ns.intra_stubs;
   let bs = broadcast_state t ~node ~bunch in
   (* An owner whose last entry went has nothing left to journal. *)
   Ids.Node_tbl.filter_map_inplace
@@ -651,9 +782,9 @@ let rebase_stub_journal t ~node ~bunch =
 let mirror_reset t ~node ~sender ~bunch ~seq ~basis ~inter ~intra ~exiting =
   let mirrors = (node_state t node).mirrors in
   let by_bunch =
-    match Ids.Node_tbl.find_opt mirrors sender with
-    | Some by_bunch -> by_bunch
-    | None ->
+    match Ids.Node_tbl.find mirrors sender with
+    | by_bunch -> by_bunch
+    | exception Not_found ->
         let by_bunch = Ids.Bunch_tbl.create 8 in
         Ids.Node_tbl.add mirrors sender by_bunch;
         by_bunch
@@ -664,14 +795,12 @@ let mirror_reset t ~node ~sender ~bunch ~seq ~basis ~inter ~intra ~exiting =
     { mi_seq = seq; mi_basis = basis; mi_inter = inter; mi_intra = intra; mi_exiting }
 
 let mirror t ~node ~sender ~bunch =
-  match Ids.Node_tbl.find_opt (node_state t node).mirrors sender with
-  | Some by_bunch -> Ids.Bunch_tbl.find_opt by_bunch bunch
-  | None -> None
+  Ids.Bunch_tbl.find (Ids.Node_tbl.find (node_state t node).mirrors sender) bunch
 
 let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
     ~add_intra ~del_intra ~add_exiting ~del_exiting =
   match mirror t ~node ~sender ~bunch with
-  | Some m when m.mi_basis = basis ->
+  | m when m.mi_basis = basis ->
       (* The delta covers every edge touched since its basis, so
          deletions are applied before additions: an edge removed and
          later re-added appears only on the add side and must end up
@@ -691,7 +820,7 @@ let mirror_apply t ~node ~sender ~bunch ~basis ~seq ~add_inter ~del_inter
       m.mi_seq <- seq;
       m.mi_basis <- seq;
       true
-  | Some _ | None -> false
+  | _ | (exception Not_found) -> false
 
 let mirror_seq m = m.mi_seq
 let mirror_has_inter m edge = Inter_edges.mem edge m.mi_inter
@@ -708,9 +837,9 @@ let mirror_iter_exiting m f = Ids.Uid_tbl.iter (fun uid () -> f uid) m.mi_exitin
    barrier files an inter-bunch stub only across bunches), so it cannot
    claim a uid of [bunch]. *)
 let mirror_claims_target t ~node ~sender ~bunch uid =
-  match Ids.Node_tbl.find_opt (node_state t node).mirrors sender with
-  | None -> false
-  | Some by_bunch ->
+  match Ids.Node_tbl.find (node_state t node).mirrors sender with
+  | exception Not_found -> false
+  | by_bunch ->
       let from_uid ((_, target) : Ssp.inter_edge) = target >= uid in
       Ids.Bunch_tbl.fold
         (fun b m claimed ->

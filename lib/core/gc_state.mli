@@ -103,16 +103,56 @@ val stub_holders :
     [ns_holder].  A collection reads it before {!retain_stubs}, so its
     tables reach every holder of a stub it drops. *)
 
-module Inter_edges : Set.S with type elt = Ssp.inter_edge
-(** Ordered by target uid, then source uid. *)
+(** {2 Edge sets}
 
-module Intra_edges : Set.S with type elt = Ssp.intra_edge
+    A full ships, and a mirror holds, a table's distinct edges as an
+    immutable set ordered by a {e major} id, then a {e minor} one: the
+    target, then the source, for an inter-bunch edge (source, target);
+    the uid, then the holder, for an intra-bunch edge (uid, holder).  On
+    the wire a full walks each set in that order and writes every edge
+    as two unsigned integers relative to the edge before it, the first
+    edge relative to (0, 0): the major id's difference, then the minor
+    id's difference when the major ids are equal and the minor id itself
+    otherwise.  In set order neither is negative, so ids up to [max_int]
+    encode. *)
+
+module Inter_edges : sig
+  include Set.S with type elt = Ssp.inter_edge
+  (** Ordered by target uid, then source uid. *)
+
+  val gap : prev:elt -> elt -> (int -> int -> 'a) -> 'a
+  (** [gap ~prev e k] passes [k] the two wire integers of [e], which
+      follows [prev] in its section ((0, 0) for the first edge).  The
+      one statement of the rule: the encoding and every byte sum that
+      prices a full call it. *)
+
+  val of_gap : prev:elt -> first:bool -> int -> int -> elt
+  (** The edge after [prev] whose wire integers are the two given,
+      rebuilt by addition; [first] says it opens its section.  Raises
+      [Invalid_argument] if it would not sort strictly after [prev]
+      (both integers 0, past the first edge) or an id would pass
+      [max_int]. *)
+end
+
+module Intra_edges : sig
+  include Set.S with type elt = Ssp.intra_edge
+  (** Ordered by uid, then holder. *)
+
+  val gap : prev:elt -> elt -> (int -> int -> 'a) -> 'a
+  val of_gap : prev:elt -> first:bool -> int -> int -> elt
+end
 
 val inter_stub_keys :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Inter_edges.t
-(** The table's distinct edges ({!Ssp.inter_stub_edge}) as a new set —
-    what a full reachability table ships.  One fold over the edge counts
-    and one sort, charged to [Perfcount.s_gc_edges_inserted]. *)
+(** The table's distinct edges ({!Ssp.inter_stub_edge}): the set the
+    table keeps, which a full reachability table and a resync pull ship
+    as it is.  An edge whose record count flips between 0 and 1 is only
+    journalled; a read (and {!rebase_stub_journal}) first folds the
+    edges journalled since the last read into the set, O(log n) each.
+    The first fold, into the empty set, sorts the edge counts once
+    instead, and a read with no flip since the last is O(1).  Every
+    edge put into the set is charged to
+    [Perfcount.s_gc_edges_inserted]. *)
 
 val intra_stub_keys :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> Intra_edges.t
@@ -133,13 +173,15 @@ val intra_key_count :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
 
 val edge_bytes : int * int -> int
-(** What one stub edge, inter- or intra-bunch, weighs on the wire: its
+(** What one stub edge, inter- or intra-bunch, weighs in a delta: its
     two ids as {!Bmx_util.Varint}s. *)
 
 val inter_key_bytes :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
-(** {!edge_bytes} summed over the table's distinct edges.  O(1): kept up
-    to date where an edge's record count flips between 0 and 1. *)
+(** The {!Bmx_util.Varint} bytes of {!inter_stub_keys} written in order
+    as {!Inter_edges.gap} integers: a full's inter-bunch edges on the
+    wire.  Kept with the set: each edge the fold puts in or takes out
+    moves it by what the edge costs between its neighbours. *)
 
 val intra_key_bytes :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> int
@@ -286,9 +328,9 @@ val broadcast_state :
 (** Created lazily, empty. *)
 
 val find_broadcast_state :
-  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
-  -> broadcast_state option
-(** {!broadcast_state} without creating one. *)
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> broadcast_state
+(** {!broadcast_state} without creating one: raises [Not_found] if there
+    is none. *)
 
 type stub_delta = {
   sd_add_inter : Ssp.inter_edge list;
@@ -339,9 +381,10 @@ val stub_delta :
 
 val rebase_stub_journal :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t -> unit
-(** Close the current broadcast round: clear the journal and advance
-    [bs_round].  Call after every round's sends — the next round's
-    deltas cover exactly one round of churn. *)
+(** Close the current broadcast round: fold the journal into the kept
+    edge sets ({!inter_stub_keys}), clear it and advance [bs_round].
+    Call after every round's sends — the next round's deltas cover
+    exactly one round of churn. *)
 
 type mirror
 (** The receiver side of one stream: [node]'s reassembly of the
@@ -353,7 +396,8 @@ type mirror
 
 val mirror :
   t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t
-  -> bunch:Bmx_util.Ids.Bunch.t -> mirror option
+  -> bunch:Bmx_util.Ids.Bunch.t -> mirror
+(** Raises [Not_found] if [node] mirrors no such stream. *)
 
 val mirror_seq : mirror -> int
 (** The transport seq of the last message processed on the stream: the

@@ -30,44 +30,53 @@ type table_msg = {
 (* The wire layout.  Every integer is an unsigned LEB128 varint
    ({!Varint}), so a small id costs a byte or two, not eight.  A message
    opens with its kind and its stream (sender, bunch), and a delta with
-   its basis; then come its sections, each its length and then its ids:
+   its basis; then come its sections, each its length and then its
+   entries:
 
      full   0 sender bunch        inter intra exiting
      delta  1 sender bunch basis  add_inter del_inter add_intra del_intra
                                   add_exiting del_exiting
 
-   An inter-bunch section lists each edge as (source uid, target uid),
-   an intra-bunch one as (uid, scion holder), an exiting one bare uids.
-   Both encodings ship stub edges, never stub records: a receiver only
-   tests coverage, coverage compares match keys, and the stream supplies
-   the rest of every key.  Each destination gets only the exiting
-   entries whose owner it is, so the owner goes without saying.
-   [fields] walks a message in this order: [encode] writes it,
-   [msg_bytes] sizes it, and [decode] reads it back. *)
+   A full's two edge sections walk the shipped sets in their order
+   (inter edges target-major, intra edges uid-major) and write each edge
+   as the two integers {!Gc_state.Inter_edges.gap} (or [Intra_edges.gap])
+   gives from the edge before it, the first from (0, 0): the major id's
+   difference, then the minor id's difference when the major ids are
+   equal and the minor id itself otherwise.  A delta's edge sections
+   list each edge as its two ids, (source uid, target uid) or (uid,
+   scion holder), and every exiting section bare uids.  Both encodings
+   ship stub edges, never stub records: a receiver only tests coverage,
+   coverage compares match keys, and the stream supplies the rest of
+   every key.  Each destination gets only the exiting entries whose
+   owner it is, so the owner goes without saying.  [fields] walks a
+   message in this order: [encode] writes it, [msg_bytes] sizes it,
+   and [decode] reads it back. *)
 let kind_full = 0
 let kind_delta = 1
 
 let fields m f =
-  let edge (a, b) =
+  let pair a b =
     f a;
     f b
   in
   let edges l =
     f (List.length l);
-    List.iter edge l
+    List.iter (fun (a, b) -> pair a b) l
   and uids l =
     f (List.length l);
     List.iter f l
   in
   match m.tm_body with
   | Full { fb_inter; fb_intra; fb_exiting } ->
+      let module Inter = Gc_state.Inter_edges in
+      let module Intra = Gc_state.Intra_edges in
       f kind_full;
       f m.tm_sender;
       f m.tm_bunch;
-      f (Gc_state.Inter_edges.cardinal fb_inter);
-      Gc_state.Inter_edges.iter edge fb_inter;
-      f (Gc_state.Intra_edges.cardinal fb_intra);
-      Gc_state.Intra_edges.iter edge fb_intra;
+      f (Inter.cardinal fb_inter);
+      ignore (Inter.fold (fun e prev -> Inter.gap ~prev e pair; e) fb_inter (0, 0));
+      f (Intra.cardinal fb_intra);
+      ignore (Intra.fold (fun e prev -> Intra.gap ~prev e pair; e) fb_intra (0, 0));
       uids fb_exiting
   | Delta d ->
       f kind_delta;
@@ -102,13 +111,25 @@ let decode b =
     let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (item () :: acc) in
     go (int ()) []
   in
+  (* A full's edge section, each edge rebuilt from the one before. *)
+  let gapped of_gap =
+    let n = int () in
+    let rec go i prev acc =
+      if i = n then acc
+      else
+        let d = int () in
+        let e = of_gap ~prev ~first:(i = 0) d (int ()) in
+        go (i + 1) e (e :: acc)
+    in
+    go 0 (0, 0) []
+  in
   let kind = int () in
   let tm_sender = int () in
   let tm_bunch = int () in
   let tm_body =
     if kind = kind_full then
-      let inter = section edge in
-      let intra = section edge in
+      let inter = gapped Gc_state.Inter_edges.of_gap in
+      let intra = gapped Gc_state.Intra_edges.of_gap in
       let exiting = section int in
       Full
         {
@@ -265,9 +286,9 @@ let sync_mirror t ~at ~seq msg =
           add t "tables.resync_bytes" bytes
         end;
         let basis =
-          match Ids.Node_tbl.find_opt bs.Gc_state.bs_sent at with
-          | Some (_, s) -> s
-          | None -> seq
+          match Ids.Node_tbl.find bs.Gc_state.bs_sent at with
+          | _, s -> s
+          | exception Not_found -> seq
         in
         Gc_state.mirror_reset t ~node:at ~sender ~bunch ~seq ~basis ~inter
           ~intra ~exiting;
@@ -290,7 +311,7 @@ let visit () =
    it — a bounded conservative delay, never an unsafe deletion. *)
 let reconcile t ~at ~seq ~sender ~bunch candidates =
   let proto = Gc_state.proto t in
-  let m = Option.get (Gc_state.mirror t ~node:at ~sender ~bunch) in
+  let m = Gc_state.mirror t ~node:at ~sender ~bunch in
   (* Scions held here whose stub lived in the sender's copy of the
      bunch: drop those the mirrored table no longer covers.  Only scions
      of this stream are tested — the by-node sweep visits the sender's,
@@ -406,8 +427,8 @@ let process t ~at ~seq msg =
   let is_full = match msg.tm_body with Full _ -> true | Delta _ -> false in
   let fresh =
     match Gc_state.mirror t ~node:at ~sender ~bunch with
-    | Some m -> seq > Gc_state.mirror_seq m
-    | None -> true
+    | m -> seq > Gc_state.mirror_seq m
+    | exception Not_found -> true
   in
   if remote && Net.is_down net sender then begin
     (* Quarantine, don't clean: a table attributed to a crashed node
@@ -516,13 +537,6 @@ let broadcast t ~node ~bunch ~holders ~exiting =
   let deferred = List.length dests - List.length live_dests in
   if deferred > 0 then add t "gc.cleaner.deferred_unreachable" deferred;
   Gc_state.note_exiting bs exiting;
-  (* The round's edge sets, built only on a round where some stream takes
-     a full, and once: every full of the round carries the same two. *)
-  let full_keys =
-    lazy
-      ( Gc_state.inter_stub_keys t ~node ~bunch,
-        Gc_state.intra_stub_keys t ~node ~bunch )
-  in
   let delta = Gc_state.stub_delta t ~node ~bunch in
   let add_inter = List.length delta.Gc_state.sd_add_inter
   and del_inter = List.length delta.Gc_state.sd_del_inter
@@ -553,9 +567,11 @@ let broadcast t ~node ~bunch ~holders ~exiting =
   let churn = 24 + (24 * delta_keys) + (16 * delta.Gc_state.sd_exiting_flips) in
   let round = bs.Gc_state.bs_round in
   let full_round = (round + 1) mod full_period = 0 || 2 * churn >= weight in
-  (* What every full of the round shares: its two edge sections and
-     their lengths, from the tables' sums. *)
-  let inter_keys = Gc_state.inter_key_count t ~node ~bunch
+  (* What every full of the round shares: the two edge sets the tables
+     keep, their lengths and their gap-coded bytes. *)
+  let inter_set = Gc_state.inter_stub_keys t ~node ~bunch
+  and intra_set = Gc_state.intra_stub_keys t ~node ~bunch
+  and inter_keys = Gc_state.inter_key_count t ~node ~bunch
   and intra_keys = Gc_state.intra_key_count t ~node ~bunch
   and full_inter = Gc_state.inter_key_bytes t ~node ~bunch
   and full_intra = Gc_state.intra_key_bytes t ~node ~bunch in
@@ -575,43 +591,43 @@ let broadcast t ~node ~bunch ~holders ~exiting =
   (* A destination's body: the shared edges plus the exiting uids it
      owns.  No node exits toward itself, so the self hand-off carries
      none. *)
+  let full_for ~dst =
+    Full
+      {
+        fb_inter = inter_set;
+        fb_intra = intra_set;
+        fb_exiting =
+          (if Ids.Node.equal dst node then [] else Gc_state.exiting_to bs ~owner:dst);
+      }
+  in
+  (* For a destination whose mirror sits on [basis], last round's. *)
   let body_for ~dst basis =
-    let remote = not (Ids.Node.equal dst node) in
-    match basis with
-    | Some basis when not full_round ->
-        let add_exiting, del_exiting =
-          if remote then Gc_state.exiting_delta_to bs ~owner:dst else ([], [])
-        in
-        Delta
-          {
-            db_basis = basis;
-            db_add_inter = delta.Gc_state.sd_add_inter;
-            db_del_inter = delta.Gc_state.sd_del_inter;
-            db_add_intra = delta.Gc_state.sd_add_intra;
-            db_del_intra = delta.Gc_state.sd_del_intra;
-            db_add_exiting = add_exiting;
-            db_del_exiting = del_exiting;
-          }
-    | Some _ | None ->
-        let inter, intra = Lazy.force full_keys in
-        Full
-          {
-            fb_inter = inter;
-            fb_intra = intra;
-            fb_exiting =
-              (if remote then Gc_state.exiting_to bs ~owner:dst else []);
-          }
+    if full_round then full_for ~dst
+    else
+      let add_exiting, del_exiting =
+        if Ids.Node.equal dst node then ([], [])
+        else Gc_state.exiting_delta_to bs ~owner:dst
+      in
+      Delta
+        {
+          db_basis = basis;
+          db_add_inter = delta.Gc_state.sd_add_inter;
+          db_del_inter = delta.Gc_state.sd_del_inter;
+          db_add_intra = delta.Gc_state.sd_add_intra;
+          db_del_intra = delta.Gc_state.sd_del_intra;
+          db_add_exiting = add_exiting;
+          db_del_exiting = del_exiting;
+        }
   in
   let send_to dst =
     let body =
-      body_for ~dst
-        (match Ids.Node_tbl.find_opt bs.Gc_state.bs_sent dst with
-        | Some (r, basis) when r = round - 1 -> Some basis
-        | Some _ | None ->
-            (* First contact, or the peer missed a round (down, or
-               dropped out of the destination set): the journal no
-               longer covers the gap, so restart the stream. *)
-            None)
+      match Ids.Node_tbl.find bs.Gc_state.bs_sent dst with
+      | r, basis when r = round - 1 -> body_for ~dst basis
+      | _ | (exception Not_found) ->
+          (* First contact, or the peer missed a round (down, or dropped
+             out of the destination set): the journal no longer covers
+             the gap, so restart the stream. *)
+          full_for ~dst
     in
     let msg = { tm_sender = node; tm_bunch = bunch; tm_body = body } in
     (* Priced from the tables' sums and the round's, not by walking the
@@ -664,18 +680,20 @@ let broadcast t ~node ~bunch ~holders ~exiting =
      remote peer on last round's basis would — a full on first contact
      (or after a crash wiped the mirror), on the periodic round, and when
      the delta outgrows the table. *)
-  let last_self =
-    Option.map Gc_state.mirror_seq (Gc_state.mirror t ~node ~sender:node ~bunch)
+  let self_seq, self_body =
+    match Gc_state.mirror t ~node ~sender:node ~bunch with
+    | m ->
+        let last = Gc_state.mirror_seq m in
+        (last + 1, body_for ~dst:node last)
+    | exception Not_found -> (1, full_for ~dst:node)
   in
-  let self_body = body_for ~dst:node last_self in
   bump t
     (match self_body with
     | Full _ -> "gc.cleaner.self_full"
     | Delta _ -> "gc.cleaner.self_delta");
   let t0 = Sys.time () in
   ignore
-    (process t ~at:node
-       ~seq:(match last_self with Some s -> s + 1 | None -> 1)
+    (process t ~at:node ~seq:self_seq
        { tm_sender = node; tm_bunch = bunch; tm_body = self_body });
   Perfcount.(
     counters.s_gc_ns_recv_self <- counters.s_gc_ns_recv_self + elapsed_ns t0);

@@ -42,18 +42,24 @@
     delta), [tm_sender], [tm_bunch] and, for a delta, [db_basis]; then
     its sections in declaration order ([fb_inter], [fb_intra],
     [fb_exiting]; or [db_add_inter] through [db_del_exiting]), each its
-    length followed by its ids: two per stub edge (source and target
-    uid, or uid and scion holder), one per exiting uid.  {!encode}
-    writes exactly this, {!decode} reads it back and {!msg_bytes} is its
-    length.  The send path never encodes: receivers get the OCaml value,
-    and {!broadcast} prices each send from sums the tables keep, which
-    must equal {!msg_bytes} of what it sent. *)
+    length followed by its entries.  A full's edge sections are
+    gap-coded: each walks its set in order (inter edges target-major,
+    intra edges uid-major) and writes every edge as two integers from
+    the edge before it ({!Gc_state.Inter_edges.gap}), the first from
+    (0, 0).  A delta's edge sections carry each edge as its two ids
+    (source and target uid, or uid and scion holder), and every exiting
+    section one uid per entry.  {!encode} writes exactly this,
+    {!decode} reads it back and {!msg_bytes} is its length.  The send
+    path never encodes: receivers get the OCaml value, and {!broadcast}
+    prices each send from sums the tables keep, which must equal
+    {!msg_bytes} of what it sent. *)
 
 type table_body =
   | Full of {
       fb_inter : Gc_state.Inter_edges.t;
-          (** the sender's distinct inter-bunch stub edges; every full
-              of a round carries the same two sets *)
+          (** the sender's distinct inter-bunch stub edges: the set its
+              table keeps ({!Gc_state.inter_stub_keys}), which every full
+              of a round carries *)
       fb_intra : Gc_state.Intra_edges.t;
       fb_exiting : Bmx_util.Ids.Uid.t list;
           (** the objects of the sender's exiting ownerPtrs whose owner,
@@ -86,7 +92,9 @@ val encode : table_msg -> Bytes.t
 val decode : Bytes.t -> table_msg
 (** The inverse of {!encode}: a full's edge sets come back as new sets
     with the same elements.  Raises [Invalid_argument] on an unknown
-    kind, a truncated message or trailing bytes. *)
+    kind, a truncated message, trailing bytes, or a full's edge that
+    does not sort strictly after the one before it or whose ids would
+    pass [max_int] ({!Gc_state.Inter_edges.of_gap}). *)
 
 val msg_bytes : table_msg -> int
 (** [Bytes.length (encode m)], walking the message without building

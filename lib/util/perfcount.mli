@@ -21,9 +21,10 @@ type snapshot = {
       (** objects marked, copied or field-scanned by a collection *)
   mutable s_gc_table_entries : int;  (** stub/scion/exiting entries visited *)
   mutable s_gc_edges_inserted : int;
-      (** edges inserted into a new cleaner edge set: every edge of the
-          sets a sender builds for a round's fulls or a resync pull, and
-          every addition a receiver's delta makes to its own mirror *)
+      (** edges put into a cleaner edge set: every edge a stub table's
+          journal fold adds to its kept set (the first fold builds it),
+          and every addition a receiver's delta makes to its own
+          mirror *)
   mutable s_store_cells_touched : int;
       (** cells visited by whole-table store iteration *)
   mutable s_flat_words_copied : int;  (** raw words blitted by GC copies *)

@@ -358,8 +358,8 @@ let test_key_views_match_scan () =
           List.iter
             (fun bunch ->
               match Gc_state.mirror gc ~node:at ~sender ~bunch with
-              | None -> ()
-              | Some m ->
+              | exception Not_found -> ()
+              | m ->
                   incr mirrors;
                   let keys iter =
                     let l = ref [] in
@@ -460,9 +460,8 @@ let test_shared_key_ships_once () =
   check_int "one full sent" 1 (Stats.get stats "gc.cleaner.full_sent");
   check_int "full wire bytes" bytes (Stats.get stats "tables.full_wire_bytes");
   let mirrored = ref [] in
-  Option.iter
-    (fun m -> Gc_state.mirror_iter_inter m (fun k -> mirrored := k :: !mirrored))
-    (Gc_state.mirror gc ~node:1 ~sender:0 ~bunch:b);
+  Gc_state.mirror_iter_inter (Gc_state.mirror gc ~node:1 ~sender:0 ~bunch:b)
+    (fun k -> mirrored := k :: !mirrored);
   check_bool "the receiver mirrors the one edge" true
     (!mirrored = Gc_state.Inter_edges.elements keys)
 
@@ -597,7 +596,10 @@ let test_intra_edge_at_two_holders () =
    the delta is empty for it and takes the no-op path.  Every integer
    is a varint: each uid, node, bunch, basis seq and section length
    here is under 128 and takes one byte, except the stubs' targets
-   (200–209), which take two. *)
+   (200–209), which take two.  A full writes its edges in target order,
+   each as its target's difference from the edge before and its source:
+   the first edge's target (200) and source (100) take 2 + 1 bytes, and
+   every later one's difference (1) and source a byte each. *)
 let test_exiting_addressed_by_owner () =
   let c = Cluster.create ~nodes:3 () in
   let gc = Cluster.gc c in
@@ -626,9 +628,9 @@ let test_exiting_addressed_by_owner () =
   in
   let mirrored at =
     let l = ref [] in
-    Option.iter
-      (fun m -> Gc_state.mirror_iter_exiting m (fun uid -> l := uid :: !l))
-      (Gc_state.mirror gc ~node:at ~sender:0 ~bunch:b);
+    (match Gc_state.mirror gc ~node:at ~sender:0 ~bunch:b with
+    | m -> Gc_state.mirror_iter_exiting m (fun uid -> l := uid :: !l)
+    | exception Not_found -> ());
     List.sort compare !l
   in
   let entering at uid =
@@ -636,7 +638,7 @@ let test_exiting_addressed_by_owner () =
       ~from:0
   in
   (* A full's header: kind, sender, bunch and three section lengths. *)
-  let full_header = 6 and keys = 10 * (1 + 2) in
+  let full_header = 6 and keys = (2 + 1) + (9 * (1 + 1)) in
   broadcast [ (10, 1); (11, 1); (12, 1); (20, 2) ];
   check_int "first contact: two fulls" 2 (stat c "gc.cleaner.full_sent");
   check_int "full wire bytes: key tables plus a byte per addressed uid"
@@ -701,15 +703,15 @@ let test_exiting_reaches_only_owner () =
         let at = env.Net.dst and sender = env.Net.src in
         List.iter
           (fun bunch ->
-            Option.iter
-              (fun m ->
+            match Gc_state.mirror gc ~node:at ~sender ~bunch with
+            | m ->
                 Gc_state.mirror_iter_exiting m (fun uid ->
                     incr mirrored;
                     if not (Hashtbl.mem journalled (sender, bunch, at, uid)) then
                       Alcotest.failf
                         "N%d's mirror of N%d bunch %d holds u%d, never sent to it"
-                        at sender bunch uid))
-              (Gc_state.mirror gc ~node:at ~sender ~bunch))
+                        at sender bunch uid)
+            | exception Not_found -> ())
           bunches
       end);
   Net.set_fault net ~kind:Net.Stub_table ~drop:0.1 ~dup:0.2 ~rng:(Rng.make 5);
@@ -733,8 +735,8 @@ let test_exiting_reaches_only_owner () =
               if owner <> sender && not (Net.is_down net owner) then begin
                 incr checked;
                 match Gc_state.mirror gc ~node:owner ~sender ~bunch with
-                | Some m when Gc_state.mirror_has_exiting m uid -> ()
-                | Some _ | None ->
+                | m when Gc_state.mirror_has_exiting m uid -> ()
+                | _ | (exception Not_found) ->
                     Alcotest.failf "N%d's mirror of N%d bunch %d misses u%d" owner
                       sender bunch uid
               end)
@@ -749,9 +751,10 @@ let test_exiting_reaches_only_owner () =
   check_bool "mirrors held exiting entries" true (!mirrored > 0);
   check_bool "live owners' entries were checked" true (!checked > 0)
 
-(* The wire format: every integer a message carries is a varint.  Two
-   messages are the same if their streams and bodies are, a full's edge
-   sets compared by elements. *)
+(* The wire format: every integer a message carries is a varint, and a
+   full's edges are gap-coded in set order.  Two messages are the same
+   if their streams and bodies are, a full's edge sets compared by
+   elements. *)
 let same_msg (a : Scion_cleaner.table_msg) (b : Scion_cleaner.table_msg) =
   a.tm_sender = b.tm_sender && a.tm_bunch = b.tm_bunch
   &&
@@ -798,11 +801,25 @@ let delta_msg ~sender ~bunch ~basis ~inter ~intra ~exiting =
         };
   }
 
+let hex b =
+  String.concat " "
+    (List.map (fun c -> Printf.sprintf "%02x" (Char.code c)) (List.of_seq (Bytes.to_seq b)))
+
 (* Fulls and deltas whose every field sits at a boundary decode to
-   themselves, and [msg_bytes] is the encoding's length.  One full is
-   sized by hand: kind, sender and bunch (0 each), the inter section's
-   length, the edge (127, 128), the empty intra section's length, then
-   the exiting section's length and its uids 16 384 and [max_int]. *)
+   themselves, and [msg_bytes] is the encoding's length.  Their edge
+   sections pair every boundary id with every other, so each target
+   (and each intra uid) has six edges, a full's differences run from 0
+   to [max_int], and the intra section's first edge is (0, 0): two zero
+   integers after the section's (0, 0) start.
+
+   One full is written out by hand: its header (kind, sender, bunch: 0
+   each), then four inter edges in target order — (5, 300) as the
+   target 300 (ac 02) and the source 5; (9, 300) as a zero difference
+   and 9 − 5; (2, 301) as the difference 1 and the source 2; (7, 20 000)
+   as 19 699 (f3 99 01) and 7 — then three intra edges in uid order —
+   (0, 0) as 0 and 0, (0, 3) as 0 and 3, (200, 1) as 200 (c8 01) and 1 —
+   and one exiting uid, 16 384 (80 80 01).  Its edges take 18 bytes;
+   each as its two ids they took 20. *)
 let test_codec_round_trip () =
   let pairs =
     List.concat_map (fun a -> List.map (fun b -> (a, b)) boundary_ids) boundary_ids
@@ -829,16 +846,24 @@ let test_codec_round_trip () =
         (same_msg m (Scion_cleaner.decode b)))
     msgs;
   let by_hand =
-    full_msg ~sender:0 ~bunch:0 ~inter:[ (127, 128) ] ~intra:[]
-      ~exiting:[ 16_384; max_int ]
+    full_msg ~sender:0 ~bunch:0
+      ~inter:[ (7, 20_000); (2, 301); (9, 300); (5, 300) ]
+      ~intra:[ (200, 1); (0, 3); (0, 0) ]
+      ~exiting:[ 16_384 ]
   in
-  check_int "a full sized by hand"
-    (3 + 1 + (1 + 2) + 1 + 1 + (3 + 9))
-    (Bytes.length (Scion_cleaner.encode by_hand))
+  let b = Scion_cleaner.encode by_hand in
+  check Alcotest.string "a full written out by hand"
+    "00 00 00 04 ac 02 05 00 04 01 02 f3 99 01 07 03 00 00 00 03 c8 01 01 01 80 80 01"
+    (hex b);
+  check_int "its msg_bytes" (Bytes.length b) (Scion_cleaner.msg_bytes by_hand);
+  check_bool "it decodes to itself" true (same_msg by_hand (Scion_cleaner.decode b))
 
 (* The encoding is unsigned: a negative integer anywhere in a message
    ([Ids.Node.invalid] as a sender, a negative uid) never reaches the
-   wire, and a message that is not one is refused. *)
+   wire, and a message that is not one is refused.  So is a full whose
+   edges do not ascend: after a section's first edge, two zero integers
+   repeat the edge before, and an id rebuilt past [max_int] would wrap
+   below it. *)
 let test_codec_refusals () =
   let raises name f =
     match f () with
@@ -863,6 +888,31 @@ let test_codec_refusals () =
   in
   raises "unknown kind" (fun () ->
       Scion_cleaner.decode (Bytes.of_string "\x02\x00\x00"));
+  (* A full from stream (0, 0) whose inter section is the given edge
+     integers, two an edge, then whose intra section is [intra]'s. *)
+  let full_of ?(intra = []) inter =
+    let buf = Buffer.create 32 in
+    List.iter (Varint.write buf) [ 0; 0; 0; List.length inter / 2 ];
+    List.iter (Varint.write buf) inter;
+    List.iter (Varint.write buf) ((List.length intra / 2) :: intra);
+    Varint.write buf 0;
+    Buffer.to_bytes buf
+  in
+  check_bool "a first edge at (0, 0) is read" true
+    (same_msg
+       (Scion_cleaner.decode (full_of ~intra:[ 0; 0 ] [ 0; 0 ]))
+       (full_msg ~sender:0 ~bunch:0 ~inter:[ (0, 0) ] ~intra:[ (0, 0) ] ~exiting:[]));
+  (* (3, 4), then two zero integers: the same edge again. *)
+  raises "a repeated inter edge" (fun () -> Scion_cleaner.decode (full_of [ 4; 3; 0; 0 ]));
+  raises "a repeated intra edge" (fun () ->
+      Scion_cleaner.decode (full_of ~intra:[ 0; 0; 0; 0 ] []));
+  (* (0, [max_int]), then a target one higher: it would wrap below its
+     predecessor. *)
+  raises "a descending edge" (fun () ->
+      Scion_cleaner.decode (full_of [ max_int; 0; 1; 0 ]));
+  (* (max_int − 5, 1), then a source 10 higher on the same target. *)
+  raises "an overflowing difference" (fun () ->
+      Scion_cleaner.decode (full_of [ 1; max_int - 5; 0; 10 ]));
   raises "trailing bytes" (fun () ->
       Scion_cleaner.decode (Bytes.cat good (Bytes.make 1 '\x00')));
   raises "truncated" (fun () ->

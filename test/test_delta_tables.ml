@@ -46,12 +46,25 @@
    edge is never journalled as deleted, and the mirror keeps covering
    it).
 
-   After every op the wire-byte sums the send path prices from must
-   match a scan: each stub table's [inter_key_bytes]/[intra_key_bytes]
-   against its distinct edges' varint sizes, and each owner's
-   [exiting_bytes_to] against its uids'.  A sum not updated where an
-   edge flips (in [t_edge], or where [note_exiting] drops a uid) fails
-   this test.
+   After every op the sets and wire-byte sums a full is built and priced
+   from must match a scan: each stub table's kept set
+   ([inter_stub_keys]/[intra_stub_keys]) must be the sorted distinct
+   edges of its records, its [inter_key_bytes]/[intra_key_bytes] the
+   gap-coded size of that sorted list (the rule written out here, not
+   [Gc_state]'s), and each owner's [exiting_bytes_to] the varint size of
+   its uids.  A read folds the table's journal into the set, so each
+   check folds the flips of one op (a replace flips several edges at
+   once) into the set the check before it left; a fold into an empty
+   set (at the start, after a sender crash, or once every edge has
+   gone) sorts the table's edges instead.  The pools' ids and their
+   differences sit on both sides of the varint byte lengths, and two
+   pool edges of each kind share a major id.  Pricing an inserted or
+   deleted edge without re-pricing its successor against its new
+   predecessor fails this test, and so does a fold that flips an edge
+   the set already agrees about (a journal folded twice counts its
+   edges twice), a sorted build whose walk prices every edge from
+   (0, 0), or an exiting sum not lowered where [note_exiting] drops a
+   uid.
 
    A round's destinations come from the holders of the sender's stubs
    before the round ([Gc_state.stub_holders]) and its earlier
@@ -146,6 +159,31 @@ let total_deltas = ref 0
 let total_fulls = ref 0
 let total_resyncs = ref 0
 
+(* Pool ids: ids and their differences on both sides of the varint byte
+   lengths (2^7, 2^14), and two edges of each kind sharing a major id
+   (inter edges are target-major, intra edges uid-major). *)
+let inter_sources = [| 16_400; 300; 200; 40; 20; 3 |]
+let inter_targets = [| 130; 200; 200; 260; 16_000; 16_500 |]
+let intra_uids = [| 70; 130; 200; 16_300; 16_300; 40_000 |]
+
+(* The gap rule, written out from its definition: a list of edges sorted
+   by (major, minor), each edge the varints of its major id's difference
+   from the edge before and its minor id's difference if the majors are
+   equal, its minor id otherwise; the first edge after (0, 0). *)
+let gap_coded ~major ~minor edges =
+  let sorted =
+    List.sort_uniq (fun a b -> compare (major a, minor a) (major b, minor b)) edges
+  in
+  let bytes, _ =
+    List.fold_left
+      (fun (n, (pj, pn)) e ->
+        let j = major e and m = minor e in
+        let d = j - pj in
+        (n + Varint.size d + Varint.size (if d = 0 then m - pn else m), (j, m)))
+      (0, (0, 0)) sorted
+  in
+  (sorted, bytes)
+
 let prop_indexed_tables_match_lists =
   QCheck.Test.make ~name:"indexed tables + delta mirrors = list semantics"
     ~count:150 arb_ops (fun ops ->
@@ -164,9 +202,9 @@ let prop_indexed_tables_match_lists =
         Array.init pool_size (fun i ->
             {
               Ssp.is_src_bunch = b;
-              is_src_uid = 100 + pool_size - 1 - i;
+              is_src_uid = inter_sources.(i);
               is_created_at = sender;
-              is_target_uid = 200 + i;
+              is_target_uid = inter_targets.(i);
               is_target_bunch = tb;
               is_target_addr = Addr.null;
               is_scion_at = receiver;
@@ -176,9 +214,15 @@ let prop_indexed_tables_match_lists =
         Array.init pool_size (fun i ->
             { (inter_pool.(i)) with Ssp.is_src_bunch = b2; is_src_uid = 500 + i })
       in
+      (* One intra edge is held at the third node, beside the
+         receiver's edge of the same uid. *)
       let intra_pool =
         Array.init pool_size (fun i ->
-            { Ssp.ns_bunch = b; ns_uid = 300 + i; ns_holder = receiver })
+            {
+              Ssp.ns_bunch = b;
+              ns_uid = intra_uids.(i);
+              ns_holder = (if i = 4 then third else receiver);
+            })
       in
       let exiting_pool =
         Array.init (2 * pool_size) (fun i ->
@@ -191,9 +235,9 @@ let prop_indexed_tables_match_lists =
       let mirror bunch = Gc_state.mirror g ~node:receiver ~sender ~bunch in
       let mirrored_exiting ~at bunch =
         let got = ref [] in
-        Option.iter
-          (fun m -> Gc_state.mirror_iter_exiting m (fun uid -> got := uid :: !got))
-          (Gc_state.mirror g ~node:at ~sender ~bunch);
+        (match Gc_state.mirror g ~node:at ~sender ~bunch with
+        | m -> Gc_state.mirror_iter_exiting m (fun uid -> got := uid :: !got)
+        | exception Not_found -> ());
         sorted !got
       in
       let owned_by at =
@@ -251,7 +295,7 @@ let prop_indexed_tables_match_lists =
           fail "after %s: intra view has %d entries, model %d" (pp_op op)
             (List.length vn) (List.length !m_intra);
         for i = 0 to pool_size - 1 do
-          let uid = 100 + i in
+          let uid = inter_sources.(i) in
           let got =
             sorted (Gc_state.inter_stubs_with_src g ~node:sender ~bunch:b ~uid)
           in
@@ -260,7 +304,7 @@ let prop_indexed_tables_match_lists =
           in
           if got <> want then
             fail "after %s: inter_stubs_with_src %d diverges" (pp_op op) uid;
-          let uid = 300 + i in
+          let uid = intra_uids.(i) in
           let got =
             sorted (Gc_state.intra_stubs_for_uid g ~node:sender ~bunch:b ~uid)
           in
@@ -275,13 +319,13 @@ let prop_indexed_tables_match_lists =
          sender, every inter edge in it. *)
       let check_claims op =
         for i = 0 to pool_size - 1 do
-          let target = 200 + i in
+          let target = inter_targets.(i) in
           let scanned = ref false in
           List.iter
             (fun bunch ->
               match mirror bunch with
-              | None -> ()
-              | Some m ->
+              | exception Not_found -> ()
+              | m ->
                   Gc_state.mirror_iter_inter m (fun (_, t) ->
                       if t = target then scanned := true))
             [ b; b2 ];
@@ -294,34 +338,42 @@ let prop_indexed_tables_match_lists =
               (pp_op op) target indexed !scanned
         done
       in
-      (* The scans: distinct edges of each table view, the uids of each
-         owner's exiting slot. *)
+      (* The scans: the distinct edges of each table's records, the uids
+         of each owner's exiting slot. *)
       let check_bytes op =
-        let edge_bytes (a, b) = Varint.size a + Varint.size b in
         let sum size l = List.fold_left (fun n x -> n + size x) 0 l in
-        let distinct key view = List.sort_uniq compare (List.map key view) in
         List.iter
           (fun bunch ->
-            let inter =
-              sum edge_bytes
-                (distinct Ssp.inter_stub_edge
+            let inter, inter_bytes =
+              gap_coded ~major:snd ~minor:fst
+                (List.map Ssp.inter_stub_edge
                    (Gc_state.inter_stubs g ~node:sender ~bunch))
-            and intra =
-              sum edge_bytes
-                (distinct Ssp.intra_stub_edge
+            and intra, intra_bytes =
+              gap_coded ~major:fst ~minor:snd
+                (List.map Ssp.intra_stub_edge
                    (Gc_state.intra_stubs g ~node:sender ~bunch))
             in
-            if Gc_state.inter_key_bytes g ~node:sender ~bunch <> inter then
+            if
+              Gc_state.Inter_edges.elements
+                (Gc_state.inter_stub_keys g ~node:sender ~bunch)
+              <> inter
+            then fail "after %s: bunch %d's kept inter set diverges" (pp_op op) bunch;
+            if
+              Gc_state.Intra_edges.elements
+                (Gc_state.intra_stub_keys g ~node:sender ~bunch)
+              <> intra
+            then fail "after %s: bunch %d's kept intra set diverges" (pp_op op) bunch;
+            if Gc_state.inter_key_bytes g ~node:sender ~bunch <> inter_bytes then
               fail "after %s: bunch %d's inter edges weigh %d bytes, summed %d"
-                (pp_op op) bunch inter
+                (pp_op op) bunch inter_bytes
                 (Gc_state.inter_key_bytes g ~node:sender ~bunch);
-            if Gc_state.intra_key_bytes g ~node:sender ~bunch <> intra then
+            if Gc_state.intra_key_bytes g ~node:sender ~bunch <> intra_bytes then
               fail "after %s: bunch %d's intra edges weigh %d bytes, summed %d"
-                (pp_op op) bunch intra
+                (pp_op op) bunch intra_bytes
                 (Gc_state.intra_key_bytes g ~node:sender ~bunch))
           [ b; b2 ];
-        Option.iter
-          (fun bs ->
+        match Gc_state.find_broadcast_state g ~node:sender ~bunch:b with
+        | bs ->
             List.iter
               (fun owner ->
                 let want = sum Varint.size (Gc_state.exiting_to bs ~owner) in
@@ -329,8 +381,8 @@ let prop_indexed_tables_match_lists =
                 if got <> want then
                   fail "after %s: N%d's exiting uids weigh %d bytes, summed %d"
                     (pp_op op) owner want got)
-              [ receiver; third ])
-          (Gc_state.find_broadcast_state g ~node:sender ~bunch:b)
+              [ receiver; third ]
+        | exception Not_found -> ()
       in
       (* After a drain, [at]'s mirror must hold the sender's current tables
          if the drain delivered the last round or resynced the mirror —
@@ -355,8 +407,8 @@ let prop_indexed_tables_match_lists =
               in
               let covered =
                 match mirror b with
-                | None -> false
-                | Some m -> Gc_state.mirror_has_inter m (Ssp.inter_scion_edge scion)
+                | exception Not_found -> false
+                | m -> Gc_state.mirror_has_inter m (Ssp.inter_scion_edge scion)
               in
               let want =
                 List.exists (fun s -> Ssp.inter_stub_matches s scion) !m_inter
@@ -365,15 +417,15 @@ let prop_indexed_tables_match_lists =
                 fail "after %s: mirror inter coverage of uid %d = %b, model %b"
                   (pp_op op) stub.Ssp.is_src_uid covered want)
             inter_pool;
-          Array.iteri
-            (fun i _ ->
+          Array.iter
+            (fun (stub : Ssp.intra_stub) ->
               let scion =
-                { Ssp.xn_bunch = b; xn_uid = 300 + i; xn_owner_side = sender }
+                { Ssp.xn_bunch = b; xn_uid = stub.Ssp.ns_uid; xn_owner_side = sender }
               in
               let covered =
                 match mirror b with
-                | None -> false
-                | Some m ->
+                | exception Not_found -> false
+                | m ->
                     Gc_state.mirror_has_intra m
                       (Ssp.intra_scion_edge ~holder:receiver scion)
               in
@@ -384,7 +436,7 @@ let prop_indexed_tables_match_lists =
               in
               if covered <> want then
                 fail "after %s: mirror intra coverage of uid %d = %b, model %b"
-                  (pp_op op) (300 + i) covered want)
+                  (pp_op op) stub.Ssp.ns_uid covered want)
             intra_pool;
         end;
         (* Each owner addressed this round mirrors exactly its share. *)
@@ -407,8 +459,8 @@ let prop_indexed_tables_match_lists =
         in
         let prev_dests =
           match Gc_state.find_broadcast_state g ~node:sender ~bunch with
-          | Some bs -> bs.Gc_state.bs_dests
-          | None -> []
+          | bs -> bs.Gc_state.bs_dests
+          | exception Not_found -> []
         in
         Ids.Node_set.of_list (Protocol.bunch_replica_nodes (Cluster.proto c) bunch)
         |> add (fun (s : Ssp.inter_stub) -> s.Ssp.is_scion_at) inter
@@ -673,6 +725,40 @@ let prop_scion_tables_match_sets =
       check_views S_read;
       true)
 
+(* A rebase clears the journal a read folds into the kept edge set, so
+   it folds first: an edge added to a built set and rebased without a
+   read in between still reaches the set and its sum.  A rebase that
+   only clears the journal fails this test; the cleaner's rounds always
+   read before they rebase, so the property test above does not catch
+   it. *)
+let test_rebase_folds () =
+  let c = Cluster.create ~nodes:2 () in
+  let g = Cluster.gc c in
+  let b = Cluster.new_bunch c ~home:sender and tb = Cluster.new_bunch c ~home:receiver in
+  let add src =
+    Gc_state.add_inter_stub g ~node:sender
+      {
+        Ssp.is_src_bunch = b;
+        is_src_uid = src;
+        is_created_at = sender;
+        is_target_uid = 200 + src;
+        is_target_bunch = tb;
+        is_target_addr = Addr.null;
+        is_scion_at = receiver;
+      }
+  in
+  add 1;
+  ignore (Gc_state.inter_key_bytes g ~node:sender ~bunch:b);
+  add 2;
+  Gc_state.rebase_stub_journal g ~node:sender ~bunch:b;
+  Alcotest.(check (list (pair int int)))
+    "the kept set" [ (1, 201); (2, 202) ]
+    (Gc_state.Inter_edges.elements (Gc_state.inter_stub_keys g ~node:sender ~bunch:b));
+  (* (1, 201) from (0, 0): 201 as two bytes, 1 as one; (2, 202) from
+     it: 1 and 2, one byte each. *)
+  Alcotest.(check int) "its gap-coded bytes" 5
+    (Gc_state.inter_key_bytes g ~node:sender ~bunch:b)
+
 let pinned_to_alcotest t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20260807 |]) t
 
@@ -685,5 +771,7 @@ let () =
           pinned_to_alcotest prop_scion_tables_match_sets;
           Alcotest.test_case "delta/full/resync paths exercised" `Quick
             test_paths_exercised;
+          Alcotest.test_case "a rebase folds the journal first" `Quick
+            test_rebase_folds;
         ] );
     ]

@@ -27,7 +27,14 @@
      [Gc_state.mirror_claims_target]: "claim probes skip the query's
      bunch" fails;
    - keeping a list view or a per-key count beside a scion table's
-     member set: "an inter scion is held once" fails. *)
+     member set: "an inter scion is held once" fails;
+   - shipping a full's edges as their two ids, not gap-coded: "a dense
+     full is priced gap-coded" fails (the [@bench-smoke] tables are too
+     small to catch it);
+   - rebuilding a stub table's kept edge set at each read instead of
+     folding the flips since the last read into it, or building it at
+     the first read by inserting edge by edge: "a kept edge set is
+     sorted once, then flips in O(log n)" fails. *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
@@ -239,8 +246,8 @@ let receiver_cost ~edges =
   List.iter
     (fun at ->
       match Gc_state.mirror gc ~node:at ~sender:0 ~bunch:b with
-      | None -> Alcotest.failf "N%d has no mirror" at
-      | Some m ->
+      | exception Not_found -> Alcotest.failf "N%d has no mirror" at
+      | m ->
           if
             Gc_state.mirror_has_inter m (inter (edges / 2))
             || not (Gc_state.mirror_has_inter m (inter edges))
@@ -335,6 +342,115 @@ let test_inter_scion_held_once () =
   if per > 20.0 then
     Alcotest.failf "an inter scion takes %.1f words in its table (bound 20)" per
 
+(* An inter stub of bunch [b] at N0, its scion at N1. *)
+let inter_stub ~b ~tb ~src ~target =
+  {
+    Ssp.is_src_bunch = b;
+    is_src_uid = src;
+    is_created_at = 0;
+    is_target_uid = target;
+    is_target_bunch = tb;
+    is_target_addr = Addr.null;
+    is_scion_at = 1;
+  }
+
+(* A full ships its edges gap-coded.  N0's table for one bunch holds
+   1 000 inter edges (10 000 + i, 20 000 + i), dense in their targets.
+   In target order the first edge costs its target (3 bytes) and its
+   source (2), and every later one the target difference 1 (1 byte) and
+   its source (2): 5 + 999 × 3 = 3 002 bytes.  As two ids each, the
+   edges weighed 5 000.  The table's sum, the first-contact full's price
+   and the [msg_bytes] of the message delivered must all read the gap
+   size. *)
+let test_dense_full_gap_coded () =
+  let c = Cluster.create ~nodes:2 () in
+  let gc = Cluster.gc c in
+  let b = Cluster.new_bunch c ~home:0 and tb = Cluster.new_bunch c ~home:1 in
+  for i = 0 to 999 do
+    Gc_state.add_inter_stub gc ~node:0
+      (inter_stub ~b ~tb ~src:(10_000 + i) ~target:(20_000 + i))
+  done;
+  let edges = 5 + (999 * 3) in
+  check_int "the table's gap-coded sum" edges
+    (Gc_state.inter_key_bytes gc ~node:0 ~bunch:b);
+  let delivered = ref 0 in
+  Fun.protect
+    ~finally:(fun () -> Scion_cleaner.set_delivery_tap None)
+    (fun () ->
+      Scion_cleaner.set_delivery_tap
+        (Some (fun ~at:_ msg -> delivered := !delivered + Scion_cleaner.msg_bytes msg));
+      ignore
+        (Scion_cleaner.broadcast gc ~node:0 ~bunch:b
+           ~holders:(Gc_state.stub_holders gc ~node:0 ~bunch:b)
+           ~exiting:[]);
+      ignore (Cluster.drain c));
+  (* Kind, sender and bunch, the inter section's length (2 bytes) and
+     the two empty sections' lengths. *)
+  let full = 7 + edges in
+  check_int "the full's price" full
+    (Stats.get (Cluster.stats c) "tables.full_wire_bytes");
+  check_int "msg_bytes of the full delivered" full !delivered
+
+(* A stub table keeps its edge set across rounds, and a read folds the
+   edges flipped since the last one into it.  A table of [n] inter
+   edges is read once, which builds its set, and its journal rebased,
+   as a round does.  Then 200 fresh edges, spread among the old ones,
+   are added one at a time with a read after each, and dropped again
+   together before one more read; the second such cycle is measured.
+   A flip costs 77 words at 100 edges and 108 at 10 000; rebuilding the
+   set at each read costs 3 546 and 262 855.  The bound is 2×.  The
+   first read, a fold into the empty set, sorts the edge counts once:
+   52 words an edge at 10 000 edges, where inserting the edges one by
+   one takes 78.  The bound is 65.  Returns the first read's words per
+   edge and the words per flip. *)
+let kept_set_words ~n =
+  let c = Cluster.create ~nodes:2 () in
+  let gc = Cluster.gc c in
+  let b = Cluster.new_bunch c ~home:0 and tb = Cluster.new_bunch c ~home:1 in
+  for k = 0 to n - 1 do
+    Gc_state.add_inter_stub gc ~node:0
+      (inter_stub ~b ~tb ~src:(10_000 + k) ~target:(50_000 + (7 * k)))
+  done;
+  let read () = ignore (Gc_state.inter_key_bytes gc ~node:0 ~bunch:b) in
+  let w0 = allocated_words () in
+  read ();
+  let build = (allocated_words () -. w0) /. float_of_int n in
+  Gc_state.rebase_stub_journal gc ~node:0 ~bunch:b;
+  let fresh =
+    List.init 200 (fun j ->
+        inter_stub ~b ~tb ~src:(30_000 + j) ~target:(50_000 + (7 * (j * n / 200)) + 3))
+  in
+  let old (s : Ssp.inter_stub) = s.Ssp.is_src_uid < 30_000 in
+  let cycle () =
+    List.iter
+      (fun s ->
+        Gc_state.add_inter_stub gc ~node:0 s;
+        read ())
+      fresh;
+    Gc_state.retain_stubs gc ~node:0 ~bunch:b ~inter:old ~intra:(fun _ -> true);
+    read ()
+  in
+  cycle ();
+  let w0 = allocated_words () in
+  cycle ();
+  let words = allocated_words () -. w0 in
+  check_int "the table is back to its old edges" n
+    (Gc_state.inter_key_count gc ~node:0 ~bunch:b);
+  (build, words /. 400.0)
+
+let test_kept_set_words () =
+  let _, small = kept_set_words ~n:100 and build, big = kept_set_words ~n:10_000 in
+  if big > 2.0 *. small then
+    Alcotest.failf
+      "an edge flip costs %.0f words in a 10 000-edge table, %.0f in a 100-edge \
+       one: the kept set is rebuilt"
+      big small;
+  if build > 65.0 then
+    Alcotest.failf
+      "the first read of a 10 000-edge table takes %.1f words an edge (bound 65): \
+       the set is built edge by edge"
+      build
+
 let test_memo_exact_after_measurement () =
   (* The speed must not come from drift: after a steady-state run the
      mirror still equals the from-scratch oracle. *)
@@ -366,5 +482,9 @@ let () =
             test_claim_probes_skip_own_bunch;
           Alcotest.test_case "an inter scion is held once" `Quick
             test_inter_scion_held_once;
+          Alcotest.test_case "a dense full is priced gap-coded" `Quick
+            test_dense_full_gap_coded;
+          Alcotest.test_case "a kept edge set is sorted once, then flips in O(log n)"
+            `Quick test_kept_set_words;
         ] );
     ]
