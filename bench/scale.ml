@@ -468,13 +468,11 @@ let e20_diag_at ~nodes ~objects_per_bunch =
       in
       Printf.printf
         "%-22s %12s gc-phase-ms: trace=%.1f flip=%.1f copy=%.1f scan=%.1f \
-         reconcile=%.1f (recv delta=%.1f full=%.1f self=%.1f) table-bytes: \
-         %s (%s)\n\
+         reconcile=%.1f (recv delta=%.1f full=%.1f) table-bytes: %s (%s)\n\
          %!"
         "" "" (ms d.P.s_gc_ns_trace) (ms d.P.s_gc_ns_flip)
         (ms d.P.s_gc_ns_copy) (ms d.P.s_gc_ns_scan) (ms d.P.s_gc_ns_reconcile)
         (ms d.P.s_gc_ns_recv_delta) (ms d.P.s_gc_ns_recv_full)
-        (ms d.P.s_gc_ns_recv_self)
         (sent by_encoding encodings0)
         (sent by_section sections0)
     end;

@@ -48,40 +48,44 @@ let ops_per_sec_floor = 1550.0
    that the figure is a heap-size-independent constant (the complexity
    tests compare it across heap sizes); the budget here catches a
    reintroduced per-op traversal, not ordinary message allocation.
-   The smoke configuration measures 381 words/op (382 before a stub
-   table kept the edge set a full ships; 415 while a counter
-   bump boxed its optional increment and its lookup's option, and the
-   scion tables kept a list view refiltered after removals; 463 while
+   The smoke configuration measures 380 words/op (381 while every
+   collection also handed the node its own tables through a mirror of
+   them; 382 before a stub table kept the edge set a full ships; 415
+   while a counter bump boxed its optional increment and its lookup's
+   option, and the scion tables kept a list view refiltered after
+   removals; 463 while
    every economical collection that found garbage evacuated, so grants
    carried more location updates; 533 while the event log consed a
-   boxed event per record).  The budget sits ~10% above 381, which
+   boxed event per record).  The budget sits ~10% above 380, which
    absorbs compiler and runtime drift while still catching any
    O(population) cost that sneaks back onto the per-op or per-sample
    path. *)
 let minor_words_per_op_budget = 420.0
 
 (* Minor words the collector waves between the mutator batches allocate,
-   per mutator op: 356 in the smoke configuration, where a stub table
-   keeps the edge set a full ships and a round's read folds the
-   round's edge flips into it (361 while a round's fulls built theirs
-   from the edge counts), an SSP table is
-   its member set and one index (382 while scion tables also kept a list
-   view and counter bumps boxed their arguments), every receiver of a
+   per mutator op: 343 in the smoke configuration, where a node checks
+   its own scions against the table it just rebuilt (356 while every
+   collection handed the node its own tables, folding each round's
+   delta into a mirror of them), a stub table keeps the edge set a full
+   ships and a round's read folds the round's edge flips into it (361
+   while a round's fulls built theirs from the edge counts), an SSP
+   table is its member set and one index (382 while scion tables also
+   kept a list view and counter bumps boxed their arguments), every
+   receiver of a
    round's fulls stores the edge sets the sender built once (385 while
    each receiver copied the edges into hash tables of its own and kept
    per-target claim counts beside them), and an economical collection
    evacuates only when its bunch's own allocation segments are under
    3/4 live (443 when every collection that found garbage evacuated; it
    moves by a few words with the timings the phase histograms record).
-   The budget was set ~10% above 361.  A second trace per collection fails
+   The budget sits ~10% above 343.  A second trace per collection fails
    it (448 when the base was 384), and so would the heavier allocating
    lookup and the wholesale stub-table rebuild it was set against (641
    and 558 at 500 words/op, before the packed log).
    It holds total wave allocation only, so CPU-bound regressions on the
-   smoke's small tables — a claim scan over every mirror, a full self
-   hand-off on every BGC, a stub table's edge set rebuilt at every read
-   (367) — still pass it. *)
-let wave_minor_words_per_op_budget = 397.0
+   smoke's small tables — a claim scan over every mirror, a stub table's
+   edge set rebuilt at every read (351) — still pass it. *)
+let wave_minor_words_per_op_budget = 378.0
 
 (* Deterministic wire budgets: for a fixed seed the smoke configuration
    sends exactly the same messages and stub-table bytes on every machine,
@@ -122,15 +126,16 @@ let bytes_budget = 59_200
    sets, counted by [Perfcount.s_gc_edges_inserted] — every edge a stub
    table's journal fold adds to its kept set (the first fold sorts them
    all in at once) and every edge a receiver's delta adds to its own
-   mirror.  The smoke configuration inserts 191: a table's set is built
-   once and then only follows the round's net flips, and every full and
-   resync pull ships the set the table keeps (194 while a round's fulls
-   built theirs once a round; 432 while each destination's full built
-   its own).  Rebuilding a table's set at every read inserts 427; its
-   wave allocation (367 words/op) passes the wave budget above, so only
-   this gate catches it at three nodes.  The budget sits ~10% above
-   191. *)
-let edges_inserted_budget = 210
+   mirror.  The smoke configuration inserts 166: a table's set is built
+   once and then only follows the round's net flips, every full and
+   resync pull ships the set the table keeps, and a node keeps no
+   mirror of its own tables (191 while every collection folded the
+   round's delta into one; 194 while a round's fulls built theirs once
+   a round; 432 while each destination's full built its own).
+   Rebuilding a table's set at every read inserts 402; its wave
+   allocation (351 words/op) passes the wave budget above, so only this
+   gate catches it at three nodes.  The budget sits ~10% above 166. *)
+let edges_inserted_budget = 183
 
 (* Deterministic event-log density: words the typed event log stores per
    recorded event.  The packed log measures 3.29 (13 327 words for 4 047

@@ -273,6 +273,8 @@ let t_retain tb keep = ignore (t_drop_where tb tb.members (fun x -> not (keep x)
    fulls and diffs, and the sender's exiting entries addressed to the
    node (only an object's owner reads an exiting entry, so the sender
    ships each destination its own and the owner goes without saying).
+   Every sender is another node: a node checks its own scions against
+   its own stub tables, and keeps no mirror of them.
    The edge sets are immutable and shared: every receiver of a round's
    fulls stores the sets the sender built, and a delta makes new ones
    for its own mirror.  Coverage queries — the cleaner's §6.1 deletion

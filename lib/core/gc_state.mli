@@ -392,7 +392,8 @@ type mirror
     and the uids of the sender's exiting entries addressed to [node] —
     with the stream's freshness clock and delta basis.  An edge with the
     stream's sender and bunch is the global match key
-    ({!Ssp.inter_key_of_edge}, {!Ssp.intra_key_of_edge}). *)
+    ({!Ssp.inter_key_of_edge}, {!Ssp.intra_key_of_edge}).  The sender is
+    always another node: a node reads its own tables directly. *)
 
 val mirror :
   t -> node:Bmx_util.Ids.Node.t -> sender:Bmx_util.Ids.Node.t

@@ -5,21 +5,23 @@ module Store = Bmx_memory.Store
 module Registry = Bmx_memory.Registry
 module Directory = Bmx_dsm.Directory
 
+type delta = {
+  db_basis : int;
+  db_add_inter : Ssp.inter_edge list;
+  db_del_inter : Ssp.inter_edge list;
+  db_add_intra : Ssp.intra_edge list;
+  db_del_intra : Ssp.intra_edge list;
+  db_add_exiting : Ids.Uid.t list;
+  db_del_exiting : Ids.Uid.t list;
+}
+
 type table_body =
   | Full of {
       fb_inter : Gc_state.Inter_edges.t;
       fb_intra : Gc_state.Intra_edges.t;
       fb_exiting : Ids.Uid.t list;
     }
-  | Delta of {
-      db_basis : int;
-      db_add_inter : Ssp.inter_edge list;
-      db_del_inter : Ssp.inter_edge list;
-      db_add_intra : Ssp.intra_edge list;
-      db_del_intra : Ssp.intra_edge list;
-      db_add_exiting : Ids.Uid.t list;
-      db_del_exiting : Ids.Uid.t list;
-    }
+  | Delta of delta
 
 type table_msg = {
   tm_sender : Ids.Node.t;
@@ -198,20 +200,12 @@ let full_header ~node ~bunch ~inter ~intra ~exiting =
 
    The result is what the caller must reconcile: [None] — an empty delta
    applied to a mirror already on its basis, so nothing downstream can
-   differ from last time; [Some (Named _)] — a non-empty delta applied
-   cleanly, so only the keys it names can have changed; [Some
+   differ from last time; [Some (Named d)] — a non-empty delta [d]
+   applied cleanly, so only the keys it names can have changed; [Some
    Everything] — a full install or a resync replaced the mirror
    wholesale, so every local scion and entering entry from the sender
    must be re-checked. *)
-type candidates =
-  | Named of {
-      del_inter : Ssp.inter_edge list;
-      del_intra : Ssp.intra_edge list;
-      del_exiting : Ids.Uid.t list;
-      add_inter : Ssp.inter_edge list;
-      add_exiting : Ids.Uid.t list;
-    }
-  | Everything
+type candidates = Named of delta | Everything
 
 let sync_mirror t ~at ~seq msg =
   let proto = Gc_state.proto t in
@@ -221,37 +215,19 @@ let sync_mirror t ~at ~seq msg =
       Gc_state.mirror_reset t ~node:at ~sender ~bunch ~seq ~basis:seq
         ~inter:fb_inter ~intra:fb_intra ~exiting:fb_exiting;
       Some Everything
-  | Delta
-      {
-        db_basis;
-        db_add_inter;
-        db_del_inter;
-        db_add_intra;
-        db_del_intra;
-        db_add_exiting;
-        db_del_exiting;
-      } ->
+  | Delta d ->
       let applied =
-        Gc_state.mirror_apply t ~node:at ~sender ~bunch ~basis:db_basis ~seq
-          ~add_inter:db_add_inter ~del_inter:db_del_inter
-          ~add_intra:db_add_intra ~del_intra:db_del_intra
-          ~add_exiting:db_add_exiting ~del_exiting:db_del_exiting
+        Gc_state.mirror_apply t ~node:at ~sender ~bunch ~basis:d.db_basis ~seq
+          ~add_inter:d.db_add_inter ~del_inter:d.db_del_inter
+          ~add_intra:d.db_add_intra ~del_intra:d.db_del_intra
+          ~add_exiting:d.db_add_exiting ~del_exiting:d.db_del_exiting
       in
       if applied then
         if
-          db_add_inter = [] && db_del_inter = [] && db_add_intra = []
-          && db_del_intra = [] && db_add_exiting = [] && db_del_exiting = []
+          d.db_add_inter = [] && d.db_del_inter = [] && d.db_add_intra = []
+          && d.db_del_intra = [] && d.db_add_exiting = [] && d.db_del_exiting = []
         then None
-        else
-          Some
-            (Named
-               {
-                 del_inter = db_del_inter;
-                 del_intra = db_del_intra;
-                 del_exiting = db_del_exiting;
-                 add_inter = db_add_inter;
-                 add_exiting = db_add_exiting;
-               })
+        else Some (Named d)
       else begin
         (* Basis mismatch (or no mirror at all): the delta is unusable.
            Pull the sender's current tables.  The new basis is the seq of
@@ -260,31 +236,26 @@ let sync_mirror t ~at ~seq msg =
            broadcasts immediately), so later deltas chain correctly;
            any older in-flight message simply resyncs again.  Like a
            full, the pull carries the exiting entries addressed here. *)
-        let remote = not (Ids.Node.equal sender at) in
         let bs = Gc_state.broadcast_state t ~node:sender ~bunch in
         let inter = Gc_state.inter_stub_keys t ~node:sender ~bunch in
         let intra = Gc_state.intra_stub_keys t ~node:sender ~bunch in
-        let exiting =
-          if remote then Gc_state.exiting_to bs ~owner:at else []
+        let exiting = Gc_state.exiting_to bs ~owner:at in
+        let bytes =
+          charge t
+            ~header:
+              (full_header ~node:sender ~bunch
+                 ~inter:(Gc_state.inter_key_count t ~node:sender ~bunch)
+                 ~intra:(Gc_state.intra_key_count t ~node:sender ~bunch)
+                 ~exiting:(Gc_state.exiting_count_to bs ~owner:at))
+            ~inter:(Gc_state.inter_key_bytes t ~node:sender ~bunch)
+            ~intra:(Gc_state.intra_key_bytes t ~node:sender ~bunch)
+            ~exiting:(Gc_state.exiting_bytes_to bs ~owner:at)
         in
-        if remote then begin
-          let bytes =
-            charge t
-              ~header:
-                (full_header ~node:sender ~bunch
-                   ~inter:(Gc_state.inter_key_count t ~node:sender ~bunch)
-                   ~intra:(Gc_state.intra_key_count t ~node:sender ~bunch)
-                   ~exiting:(Gc_state.exiting_count_to bs ~owner:at))
-              ~inter:(Gc_state.inter_key_bytes t ~node:sender ~bunch)
-              ~intra:(Gc_state.intra_key_bytes t ~node:sender ~bunch)
-              ~exiting:(Gc_state.exiting_bytes_to bs ~owner:at)
-          in
-          Net.record_rpc (Protocol.net proto) ~src:at ~dst:sender
-            ~kind:Net.Stub_table ~bytes
-            ~shard:(Registry.shard_of_bunch (Protocol.registry proto) bunch)
-            ();
-          add t "tables.resync_bytes" bytes
-        end;
+        Net.record_rpc (Protocol.net proto) ~src:at ~dst:sender
+          ~kind:Net.Stub_table ~bytes
+          ~shard:(Registry.shard_of_bunch (Protocol.registry proto) bunch)
+          ();
+        add t "tables.resync_bytes" bytes;
         let basis =
           match Ids.Node_tbl.find bs.Gc_state.bs_sent at with
           | _, s -> s
@@ -298,6 +269,18 @@ let sync_mirror t ~at ~seq msg =
 
 let visit () =
   Perfcount.(counters.s_gc_table_entries <- counters.s_gc_table_entries + 1)
+
+(* Drop [node]'s inter scions whose stub [src] filed under [bunch] when
+   [covered] no longer holds the stub's edge.  The by-node index visits
+   [src]'s scions only and the test keeps to the bunch, so the edge
+   stands for the scion's whole match key. *)
+let sweep_inter t ~node ~src ~bunch covered =
+  let removed =
+    Gc_state.remove_inter_scions_from t ~node ~src (fun scion ->
+        Ids.Bunch.equal scion.Ssp.xs_src_bunch bunch
+        && not (covered (Ssp.inter_scion_edge scion)))
+  in
+  if removed > 0 then add t "gc.cleaner.inter_scions_removed" removed
 
 (* The one reconciliation path (§6.1), driven by the candidate set the
    sync produced: the keys a clean delta names, or every entry from the
@@ -313,25 +296,19 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
   let proto = Gc_state.proto t in
   let m = Gc_state.mirror t ~node:at ~sender ~bunch in
   (* Scions held here whose stub lived in the sender's copy of the
-     bunch: drop those the mirrored table no longer covers.  Only scions
-     of this stream are tested — the by-node sweep visits the sender's,
-     the inter sweep keeps to the bunch, and the intra sweep's table is
-     the bunch's and its holder is this node — so the mirror's edges
-     stand for their full match keys.  Coverage only shrinks through
-     deletions, so a delta sweeps only a section it deleted from. *)
-  let sweep_inter, sweep_intra =
+     bunch: drop those the mirrored table no longer covers.  The intra
+     sweep's table is the bunch's and its holder is this node, so there
+     too the mirror's edges stand for their full match keys.  Coverage
+     only shrinks through deletions, so a delta sweeps only a section it
+     deleted from. *)
+  let inter_shrank, intra_shrank =
     match candidates with
-    | Named d -> (d.del_inter <> [], d.del_intra <> [])
+    | Named d -> (d.db_del_inter <> [], d.db_del_intra <> [])
     | Everything -> (true, true)
   in
-  (if sweep_inter then
-     let removed =
-       Gc_state.remove_inter_scions_from t ~node:at ~src:sender (fun scion ->
-           Ids.Bunch.equal scion.Ssp.xs_src_bunch bunch
-           && not (Gc_state.mirror_has_inter m (Ssp.inter_scion_edge scion)))
-     in
-     if removed > 0 then add t "gc.cleaner.inter_scions_removed" removed);
-  (if sweep_intra then
+  if inter_shrank then
+    sweep_inter t ~node:at ~src:sender ~bunch (Gc_state.mirror_has_inter m);
+  (if intra_shrank then
      let removed =
        Gc_state.remove_intra_scions_from t ~node:at ~bunch ~src:sender
          (fun scion ->
@@ -339,82 +316,77 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
              (Gc_state.mirror_has_intra m (Ssp.intra_scion_edge ~holder:at scion)))
      in
      if removed > 0 then add t "gc.cleaner.intra_scions_removed" removed);
-  (* Entering ownerPtrs.  A node keeps none from itself, so its own
-     tables have nothing to reconcile here. *)
-  if not (Ids.Node.equal sender at) then begin
-    let dir = Protocol.directory proto at in
-    let store = Protocol.store proto at in
-    (* An entry from the sender for an object of this bunch loses its
-       protection once the exiting entries addressed here stop naming
-       it — unless it was
-       registered after the table was sent, or (keep-alive across owner
-       crashes: a checkpoint-restored entry stands in for a scion that
-       died with this node) a mirrored stub of the sender still targets
-       the object. *)
-    let retirable uid =
-      visit ();
-      let b = Store.bunch_of_uid store uid in
-      Directory.is_entering_from dir ~uid ~from:sender
-      && Ids.Bunch.equal b bunch
-      && (not (Gc_state.mirror_has_exiting m uid))
-      && Directory.entering_registration_seq dir ~uid ~from:sender < seq
-      && not (Gc_state.mirror_claims_target t ~node:at ~sender ~bunch uid)
-    in
-    let retire uid =
-      Directory.remove_entering dir ~uid ~from:sender;
-      bump t "gc.cleaner.entering_removed"
-    in
-    let enter uid =
-      visit ();
-      Directory.add_entering dir ~seq ~uid ~from:sender
-    in
-    (* The dual of the §6.1 deletion test, needed only after a crash: a
-       mirrored stub whose matching scion no longer exists here (it was
-       volatile state of a previous incarnation) leaves its target owned
-       here with no root.  Re-assert protection as a conservative
-       entering entry; the reconciliation above retires it once the
-       claimant drops the stub.  Doing this for every arriving stub
-       makes the repair independent of the order the sender's per-bunch
-       tables land in.  The scion table holds scions of every stream, so
-       its probe needs the whole scion, rebuilt from the edge and the
-       stream only when the cheaper tests have passed. *)
-    let reassert (src, target) =
-      visit ();
-      match Directory.find dir target with
-      | Some r
-        when r.Directory.is_owner
-             && not (Directory.is_entering_from dir ~uid:target ~from:sender)
-             && not
-                  (Gc_state.has_inter_scion t ~node:at
-                     {
-                       Ssp.xs_src_bunch = bunch;
-                       xs_src_uid = src;
-                       xs_src_node = sender;
-                       xs_target_uid = target;
-                       xs_target_bunch = Store.bunch_of_uid store target;
-                     }) ->
-          Directory.add_entering dir ~seq ~uid:target ~from:sender;
-          bump t "gc.cleaner.entering_reasserted"
-      | Some _ | None -> ()
-    in
-    match candidates with
-    | Named d ->
-        (* Deleted exiting claims, and the targets of deleted stubs (a
-           stub claim was the keep-alive). *)
-        List.iter (fun uid -> if retirable uid then retire uid) d.del_exiting;
-        List.iter
-          (fun (_, target) -> if retirable target then retire target)
-          d.del_inter;
-        List.iter enter d.add_exiting;
-        List.iter reassert d.add_inter
-    | Everything ->
-        List.iter retire
-          (Directory.fold_entering_from dir ~from:sender
-             (fun uid acc -> if retirable uid then uid :: acc else acc)
-             []);
-        Gc_state.mirror_iter_exiting m enter;
-        Gc_state.mirror_iter_inter m reassert
-  end;
+  let dir = Protocol.directory proto at in
+  let store = Protocol.store proto at in
+  (* An entry from the sender for an object of this bunch loses its
+     protection once the exiting entries addressed here stop naming it —
+     unless it was registered after the table was sent, or (keep-alive
+     across owner crashes: a checkpoint-restored entry stands in for a
+     scion that died with this node) a mirrored stub of the sender still
+     targets the object. *)
+  let retirable uid =
+    visit ();
+    let b = Store.bunch_of_uid store uid in
+    Directory.is_entering_from dir ~uid ~from:sender
+    && Ids.Bunch.equal b bunch
+    && (not (Gc_state.mirror_has_exiting m uid))
+    && Directory.entering_registration_seq dir ~uid ~from:sender < seq
+    && not (Gc_state.mirror_claims_target t ~node:at ~sender ~bunch uid)
+  in
+  let retire uid =
+    Directory.remove_entering dir ~uid ~from:sender;
+    bump t "gc.cleaner.entering_removed"
+  in
+  let enter uid =
+    visit ();
+    Directory.add_entering dir ~seq ~uid ~from:sender
+  in
+  (* The dual of the §6.1 deletion test, needed only after a crash: a
+     mirrored stub whose matching scion no longer exists here (it was
+     volatile state of a previous incarnation) leaves its target owned
+     here with no root.  Re-assert protection as a conservative entering
+     entry; the reconciliation above retires it once the claimant drops
+     the stub.  Doing this for every arriving stub makes the repair
+     independent of the order the sender's per-bunch tables land in.
+     The scion table holds scions of every stream, so its probe needs
+     the whole scion, rebuilt from the edge and the stream only when the
+     cheaper tests have passed. *)
+  let reassert (src, target) =
+    visit ();
+    match Directory.find dir target with
+    | Some r
+      when r.Directory.is_owner
+           && not (Directory.is_entering_from dir ~uid:target ~from:sender)
+           && not
+                (Gc_state.has_inter_scion t ~node:at
+                   {
+                     Ssp.xs_src_bunch = bunch;
+                     xs_src_uid = src;
+                     xs_src_node = sender;
+                     xs_target_uid = target;
+                     xs_target_bunch = Store.bunch_of_uid store target;
+                   }) ->
+        Directory.add_entering dir ~seq ~uid:target ~from:sender;
+        bump t "gc.cleaner.entering_reasserted"
+    | Some _ | None -> ()
+  in
+  (match candidates with
+  | Named d ->
+      (* Deleted exiting claims, and the targets of deleted stubs (a stub
+         claim was the keep-alive). *)
+      List.iter (fun uid -> if retirable uid then retire uid) d.db_del_exiting;
+      List.iter
+        (fun (_, target) -> if retirable target then retire target)
+        d.db_del_inter;
+      List.iter enter d.db_add_exiting;
+      List.iter reassert d.db_add_inter
+  | Everything ->
+      List.iter retire
+        (Directory.fold_entering_from dir ~from:sender
+           (fun uid acc -> if retirable uid then uid :: acc else acc)
+           []);
+      Gc_state.mirror_iter_exiting m enter;
+      Gc_state.mirror_iter_inter m reassert);
   Gc_state.sample_ssp_gauges t ~node:at
 
 (* Process one table message; returns whether it took the full-table
@@ -423,14 +395,13 @@ let reconcile t ~at ~seq ~sender ~bunch candidates =
 let process t ~at ~seq msg =
   let net = Protocol.net (Gc_state.proto t) in
   let sender = msg.tm_sender and bunch = msg.tm_bunch in
-  let remote = not (Ids.Node.equal sender at) in
   let is_full = match msg.tm_body with Full _ -> true | Delta _ -> false in
   let fresh =
     match Gc_state.mirror t ~node:at ~sender ~bunch with
     | m -> seq > Gc_state.mirror_seq m
     | exception Not_found -> true
   in
-  if remote && Net.is_down net sender then begin
+  if Net.is_down net sender then begin
     (* Quarantine, don't clean: a table attributed to a crashed node
        reflects state that died with it.  Acting on it could drop scions
        (and thus objects) that the recovered node still needs; the next
@@ -438,7 +409,7 @@ let process t ~at ~seq msg =
     bump t "gc.cleaner.quarantined_dead_sender";
     is_full
   end
-  else if remote && not (Net.reachable net sender at) then begin
+  else if not (Net.reachable net sender at) then begin
     (* Partition quarantine: the sender is alive but cut off (e.g. an
        asymmetric cut let the table through while the return path is
        dark).  Processing it could require a resynchronising pull RPC we
@@ -479,10 +450,8 @@ let elapsed_ns t0 = int_of_float ((Sys.time () -. t0) *. 1e9)
 let delivery_tap = ref None
 let set_delivery_tap f = delivery_tap := f
 
-(* Delivery-time receives run outside any collection, so they charge the
-   reconcile phase counter themselves; a node's hand-off of its own
-   tables runs inside its collection's cleaner-reconcile phase and is
-   only broken out (see [broadcast]). *)
+(* Receives run at message delivery, outside any collection, so they
+   charge the reconcile phase counter themselves. *)
 let receive t ~at ~seq msg =
   (match !delivery_tap with Some f -> f ~at msg | None -> ());
   let t0 = Sys.time () in
@@ -521,10 +490,7 @@ let broadcast t ~node ~bunch ~holders ~exiting =
   (* A resend must also reach last round's destinations: after a loss the
      replaced tables no longer name the peers whose scions must go, and
      the previous exiting list's owners are among them. *)
-  let dests =
-    List.sort_uniq Ids.Node.compare (dests @ bs.Gc_state.bs_dests)
-    |> List.filter (fun n -> not (Ids.Node.equal n node))
-  in
+  let dests = List.sort_uniq Ids.Node.compare (dests @ bs.Gc_state.bs_dests) in
   bs.Gc_state.bs_dests <- dests;
   (* Peers that are down or cut off right now are deferred, not
      forgotten: they stay in the recorded destination list, so the next
@@ -568,7 +534,8 @@ let broadcast t ~node ~bunch ~holders ~exiting =
   let round = bs.Gc_state.bs_round in
   let full_round = (round + 1) mod full_period = 0 || 2 * churn >= weight in
   (* What every full of the round shares: the two edge sets the tables
-     keep, their lengths and their gap-coded bytes. *)
+     keep, their lengths and their gap-coded bytes.  The inter set is
+     also what the node's own scions are checked against. *)
   let inter_set = Gc_state.inter_stub_keys t ~node ~bunch
   and intra_set = Gc_state.intra_stub_keys t ~node ~bunch
   and inter_keys = Gc_state.inter_key_count t ~node ~bunch
@@ -588,46 +555,34 @@ let broadcast t ~node ~bunch ~holders ~exiting =
     edges_bytes delta.Gc_state.sd_add_intra
     + edges_bytes delta.Gc_state.sd_del_intra
   in
-  (* A destination's body: the shared edges plus the exiting uids it
-     owns.  No node exits toward itself, so the self hand-off carries
-     none. *)
-  let full_for ~dst =
-    Full
-      {
-        fb_inter = inter_set;
-        fb_intra = intra_set;
-        fb_exiting =
-          (if Ids.Node.equal dst node then [] else Gc_state.exiting_to bs ~owner:dst);
-      }
-  in
-  (* For a destination whose mirror sits on [basis], last round's. *)
-  let body_for ~dst basis =
-    if full_round then full_for ~dst
-    else
-      let add_exiting, del_exiting =
-        if Ids.Node.equal dst node then ([], [])
-        else Gc_state.exiting_delta_to bs ~owner:dst
-      in
-      Delta
-        {
-          db_basis = basis;
-          db_add_inter = delta.Gc_state.sd_add_inter;
-          db_del_inter = delta.Gc_state.sd_del_inter;
-          db_add_intra = delta.Gc_state.sd_add_intra;
-          db_del_intra = delta.Gc_state.sd_del_intra;
-          db_add_exiting = add_exiting;
-          db_del_exiting = del_exiting;
-        }
-  in
   let send_to dst =
     let body =
       match Ids.Node_tbl.find bs.Gc_state.bs_sent dst with
-      | r, basis when r = round - 1 -> body_for ~dst basis
+      | r, basis when r = round - 1 && not full_round ->
+          (* The peer's mirror sits on last round's basis. *)
+          let add_exiting, del_exiting = Gc_state.exiting_delta_to bs ~owner:dst in
+          Delta
+            {
+              db_basis = basis;
+              db_add_inter = delta.Gc_state.sd_add_inter;
+              db_del_inter = delta.Gc_state.sd_del_inter;
+              db_add_intra = delta.Gc_state.sd_add_intra;
+              db_del_intra = delta.Gc_state.sd_del_intra;
+              db_add_exiting = add_exiting;
+              db_del_exiting = del_exiting;
+            }
       | _ | (exception Not_found) ->
-          (* First contact, or the peer missed a round (down, or dropped
-             out of the destination set): the journal no longer covers
-             the gap, so restart the stream. *)
-          full_for ~dst
+          (* A full round; or first contact, or the peer missed a round
+             (down, or dropped out of the destination set): the journal
+             no longer covers the gap, so restart the stream.  The edges
+             are the round's shared sets, the exiting uids the peer's
+             own. *)
+          Full
+            {
+              fb_inter = inter_set;
+              fb_intra = intra_set;
+              fb_exiting = Gc_state.exiting_to bs ~owner:dst;
+            }
     in
     let msg = { tm_sender = node; tm_bunch = bunch; tm_body = body } in
     (* Priced from the tables' sums and the round's, not by walking the
@@ -672,29 +627,13 @@ let broadcast t ~node ~bunch ~holders ~exiting =
   in
   List.iter send_to live_dests;
   Gc_state.rebase_stub_journal t ~node ~bunch;
-  (* The scion cleaner is a per-node service operating on all local
-     bunches (§6.1): the node's own scions matching its own regenerated
-     stub tables are processed by direct hand-off, no message needed.
-     The hand-off never misses a round, so its own mirror always sits on
-     the previous hand-off's seq: it gets a delta on exactly the terms a
-     remote peer on last round's basis would — a full on first contact
-     (or after a crash wiped the mirror), on the periodic round, and when
-     the delta outgrows the table. *)
-  let self_seq, self_body =
-    match Gc_state.mirror t ~node ~sender:node ~bunch with
-    | m ->
-        let last = Gc_state.mirror_seq m in
-        (last + 1, body_for ~dst:node last)
-    | exception Not_found -> (1, full_for ~dst:node)
-  in
-  bump t
-    (match self_body with
-    | Full _ -> "gc.cleaner.self_full"
-    | Delta _ -> "gc.cleaner.self_delta");
-  let t0 = Sys.time () in
-  ignore
-    (process t ~at:node ~seq:self_seq
-       { tm_sender = node; tm_bunch = bunch; tm_body = self_body });
-  Perfcount.(
-    counters.s_gc_ns_recv_self <- counters.s_gc_ns_recv_self + elapsed_ns t0);
+  (* The node's own scions: its scion cleaner (§6.1) checks them
+     against the table it just rebuilt, with no message.  Such a scion
+     comes only from the node's own barrier, in the call that made its
+     stub, and only [retain_stubs], just before this broadcast, drops a
+     stub, so a round that deleted no inter-bunch edge leaves every one
+     covered (HACKING, "A node's own scions"). *)
+  if del_inter > 0 then
+    sweep_inter t ~node ~src:node ~bunch (fun e ->
+        Gc_state.Inter_edges.mem e inter_set);
   List.length live_dests

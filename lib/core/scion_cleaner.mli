@@ -31,10 +31,9 @@
     message carries only the entries naming it as owner, as bare uids —
     all of them in a full or a resync pull, its own flips in a delta —
     and the receiver's mirror reassembles that set before the entering
-    reconciliation runs.  The self hand-off carries none (no node exits
-    toward itself).  The choice between full and delta does not depend
-    on the destination's share: it is made once per broadcast, from the
-    whole table and the whole round's churn.
+    reconciliation runs.  The choice between full and delta does not
+    depend on the destination's share: it is made once per broadcast,
+    from the whole table and the whole round's churn.
 
     {b Wire format.}  Every integer a message carries is an unsigned
     LEB128 varint ({!Bmx_util.Varint}): ids come from small counters, so
@@ -54,6 +53,19 @@
     prices each send from sums the tables keep, which must equal
     {!msg_bytes} of what it sent. *)
 
+type delta = {
+  db_basis : int;
+      (** transport seq of the message this diff builds on *)
+  db_add_inter : Ssp.inter_edge list;
+  db_del_inter : Ssp.inter_edge list;
+  db_add_intra : Ssp.intra_edge list;
+  db_del_intra : Ssp.intra_edge list;
+  db_add_exiting : Bmx_util.Ids.Uid.t list;
+      (** the destination's exiting entries that flipped, as in
+          [fb_exiting] *)
+  db_del_exiting : Bmx_util.Ids.Uid.t list;
+}
+
 type table_body =
   | Full of {
       fb_inter : Gc_state.Inter_edges.t;
@@ -65,18 +77,7 @@ type table_body =
           (** the objects of the sender's exiting ownerPtrs whose owner,
               the sender believes, is the destination *)
     }
-  | Delta of {
-      db_basis : int;
-          (** transport seq of the full table this diff builds on *)
-      db_add_inter : Ssp.inter_edge list;
-      db_del_inter : Ssp.inter_edge list;
-      db_add_intra : Ssp.intra_edge list;
-      db_del_intra : Ssp.intra_edge list;
-      db_add_exiting : Bmx_util.Ids.Uid.t list;
-          (** the destination's exiting entries that flipped, as in
-              [fb_exiting] *)
-      db_del_exiting : Bmx_util.Ids.Uid.t list;
-    }
+  | Delta of delta
 
 type table_msg = {
   tm_sender : Bmx_util.Ids.Node.t;
@@ -106,10 +107,11 @@ val receive : Gc_state.t -> at:Bmx_util.Ids.Node.t -> seq:int -> table_msg -> un
     (sender, bunch) stream) are ignored. *)
 
 val set_delivery_tap : (at:Bmx_util.Ids.Node.t -> table_msg -> unit) option -> unit
-(** Observe every table message {!receive} gets, before it is processed
-    (the self hand-off does not go through it).  One tap for the whole
-    process; [None] removes it.  For tests that compare what crossed the
-    wire with what was accounted. *)
+(** Observe every table message {!receive} gets, before it is
+    processed: every table {!broadcast} sent, since a node reads its own
+    tables without a message.  One tap for the whole process; [None]
+    removes it.  For tests that compare what crossed the wire with what
+    was accounted. *)
 
 val destinations :
   Gc_state.t ->
@@ -138,10 +140,17 @@ val broadcast :
     background messages; returns the number of tables handed to the
     network, not wire messages: a table sent while the peer's previous
     one is still queued rides in that message ({!Bmx_netsim.Net.send}).
-    Each destination independently gets either a delta (when the sender
-    knows which basis it holds) or a full table (first contact, periodic
-    rebase, or when the accumulated diff outgrew the table).  Re-running after a loss simply resends —
-    the cumulative encoding keeps that safe.  Accounts, per send, the
+    A destination whose mirror sits on last round's basis gets a delta,
+    unless the round is a full one (the periodic rebase, or the round's
+    diff outgrew the table); every other destination (first contact, a
+    missed round) gets a full table.  Re-running after a loss simply
+    resends — the cumulative encoding keeps that safe.  No table goes to
+    the node itself: after the sends, a round that deleted an
+    inter-bunch edge drops the node's own inter scions whose stub's edge
+    the table no longer holds ([gc.cleaner.inter_scions_removed], as a
+    receiver's sweep counts).  A node holds no intra scion and no
+    entering entry from itself, so there is nothing else of its own to
+    reconcile.  Accounts, per send, the
     wire bytes under [tables.full_wire_bytes] or
     [tables.delta_wire_bytes] and [tables.full_bytes] (what a full
     table to that destination would have cost); a resync pull adds its

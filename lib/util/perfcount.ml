@@ -30,7 +30,6 @@ type snapshot = {
   mutable s_gc_ns_reconcile : int;
   mutable s_gc_ns_recv_delta : int;
   mutable s_gc_ns_recv_full : int;
-  mutable s_gc_ns_recv_self : int;
 }
 
 let counters = {
@@ -50,7 +49,6 @@ let counters = {
   s_gc_ns_reconcile = 0;
   s_gc_ns_recv_delta = 0;
   s_gc_ns_recv_full = 0;
-  s_gc_ns_recv_self = 0;
 }
 
 (* A functional update with one field copies the whole record. *)
@@ -73,5 +71,4 @@ let diff ~before ~after = {
   s_gc_ns_reconcile = after.s_gc_ns_reconcile - before.s_gc_ns_reconcile;
   s_gc_ns_recv_delta = after.s_gc_ns_recv_delta - before.s_gc_ns_recv_delta;
   s_gc_ns_recv_full = after.s_gc_ns_recv_full - before.s_gc_ns_recv_full;
-  s_gc_ns_recv_self = after.s_gc_ns_recv_self - before.s_gc_ns_recv_self;
 }

@@ -38,16 +38,15 @@ type snapshot = {
       (** [s_gc_ns_*]: wall-clock nanoseconds spent in each collector
           phase (trace / flip / copy / scan / cleaner-reconcile), each
           timed by two [Sys.time] reads around the phase body.
-          [s_gc_ns_reconcile] holds collection-time table emission (self
-          hand-offs included) plus delivery-time cleaner receives, so the
-          five phase counters never overlap. *)
+          [s_gc_ns_reconcile] holds collection-time table emission (with
+          the sweep of the node's own scions) plus delivery-time cleaner
+          receives, so the five phase counters never overlap. *)
   mutable s_gc_ns_recv_delta : int;
   mutable s_gc_ns_recv_full : int;
-  mutable s_gc_ns_recv_self : int;
       (** [s_gc_ns_recv_*]: scion-cleaner receive time split by path —
-          deltas (empty ones included), full tables and resyncs, and a
-          node's hand-off of its own tables.  A breakdown of time already
-          inside [s_gc_ns_reconcile], not extra phases. *)
+          deltas (empty ones included), and full tables and resyncs.  A
+          breakdown of the delivery-time part of [s_gc_ns_reconcile],
+          not extra phases. *)
 }
 
 val counters : snapshot

@@ -156,7 +156,7 @@ let test_entering_reconciliation () =
 
 (* One node, [n] objects of B1 each pointing into B2: every edge is a
    local cross-bunch SSP, stub and scion both at N0, so each BGC of B1
-   hands N0's cleaner its own tables. *)
+   checks N0's own scions against the table it rebuilt. *)
 let local_ssps ~n =
   let c = Cluster.create ~nodes:1 () in
   let b1 = Cluster.new_bunch c ~home:0 in
@@ -173,18 +173,20 @@ let local_ssps ~n =
 
 let stat c name = Stats.get (Cluster.stats c) name
 
-let test_self_handoff_unchanged_is_noop () =
-  let c, b1, _b2, _ys = local_ssps ~n:4 in
+let test_own_tables_unchanged () =
+  let c, b1, b2, _ys = local_ssps ~n:4 in
+  let gc = Cluster.gc c in
   ignore (Cluster.bgc c ~node:0 ~bunch:b1);
-  check_int "first contact hands over a full" 1 (stat c "gc.cleaner.self_full");
-  let noop = stat c "gc.cleaner.noop_tables" in
   ignore (Cluster.bgc c ~node:0 ~bunch:b1);
-  check_int "re-collecting hands over a delta" 1 (stat c "gc.cleaner.self_delta");
-  check_int "and no second full" 1 (stat c "gc.cleaner.self_full");
-  check_int "the empty delta is a no-op" (noop + 1)
-    (stat c "gc.cleaner.noop_tables")
+  check_int "re-collecting removes no scion" 4
+    (List.length (Gc_state.inter_scions gc ~node:0 ~bunch:b2));
+  check_int "and counts none removed" 0 (stat c "gc.cleaner.inter_scions_removed");
+  check_bool "no mirror of the node's own tables" true
+    (match Gc_state.mirror gc ~node:0 ~sender:0 ~bunch:b1 with
+    | _ -> false
+    | exception Not_found -> true)
 
-let test_self_delta_retires_local_scion () =
+let test_own_dropped_edge_retires_scion () =
   let c, b1, b2, ys = local_ssps ~n:4 in
   let gc = Cluster.gc c in
   ignore (Cluster.bgc c ~node:0 ~bunch:b1);
@@ -196,13 +198,12 @@ let test_self_delta_retires_local_scion () =
   Cluster.write c ~node:0 y 0 (Value.Data 0);
   Cluster.release c ~node:0 y;
   ignore (Cluster.bgc c ~node:0 ~bunch:b1);
-  check_int "handed over as a delta" 1 (stat c "gc.cleaner.self_delta");
   check_int "its scion is retired" 3
     (List.length (Gc_state.inter_scions gc ~node:0 ~bunch:b2));
   let r = Cluster.bgc c ~node:0 ~bunch:b2 in
   check_int "and its target reclaimed" 1 r.Bmx_gc.Collect.r_reclaimed
 
-let test_self_handoff_full_after_crash () =
+let test_own_tables_after_crash () =
   let c = Cluster.create ~nodes:2 () in
   let b1 = Cluster.new_bunch c ~home:1 in
   let b2 = Cluster.new_bunch c ~home:1 in
@@ -217,23 +218,20 @@ let test_self_handoff_full_after_crash () =
   populate ();
   ignore (Cluster.bgc c ~node:1 ~bunch:b1);
   ignore (Cluster.bgc c ~node:1 ~bunch:b1);
-  check_int "full, then delta" 1 (stat c "gc.cleaner.self_delta");
   Cluster.crash_node c ~node:1;
   Cluster.restart_node c ~node:1;
   populate ();
   let resyncs = stat c "gc.cleaner.resyncs" in
   ignore (Cluster.bgc c ~node:1 ~bunch:b1);
-  check_int "first hand-off after the crash is a full" 2
-    (stat c "gc.cleaner.self_full");
   ignore (Cluster.bgc c ~node:1 ~bunch:b1);
-  check_int "then the delta stream resumes" 2 (stat c "gc.cleaner.self_delta");
-  check_int "without a resync" resyncs (stat c "gc.cleaner.resyncs")
+  check_int "collecting after the crash pulls no resync" resyncs
+    (stat c "gc.cleaner.resyncs")
 
-(* Collect.run's cleaner-reconcile phase already contains the node's
-   hand-off of its own tables; the receive timer must not charge that
-   interval a second time, or the phase counters overstate the
-   collection.  A thousand local SSPs make the hand-off long enough that
-   a double charge exceeds the whole collection's elapsed time. *)
+(* Collect.run times its phases back to back, and only receives at
+   message delivery charge the reconcile counter themselves, so the
+   phase counters of one collection never add up to more than its
+   elapsed time.  A thousand local SSPs make the collection's tables
+   long enough that a double charge of the reconcile phase would show. *)
 let test_phase_timers_not_double_charged () =
   let c, b1, _b2, _ys = local_ssps ~n:1000 in
   let module P = Perfcount in
@@ -249,8 +247,7 @@ let test_phase_timers_not_double_charged () =
   check_bool
     (Printf.sprintf "phase sum %d ns <= elapsed %.0f ns" phases elapsed_ns)
     true
-    (float_of_int phases <= elapsed_ns);
-  check_bool "the self hand-off is broken out" true (d.P.s_gc_ns_recv_self > 0)
+    (float_of_int phases <= elapsed_ns)
 
 let test_destinations () =
   let c, b1, _b2, _x, _y = cross_node_ssp () in
@@ -359,6 +356,8 @@ let test_key_views_match_scan () =
             (fun bunch ->
               match Gc_state.mirror gc ~node:at ~sender ~bunch with
               | exception Not_found -> ()
+              | _ when at = sender ->
+                  Alcotest.failf "N%d mirrors its own tables of bunch %d" at bunch
               | m ->
                   incr mirrors;
                   let keys iter =
@@ -391,14 +390,11 @@ let test_key_views_match_scan () =
                         (List.map Ssp.intra_stub_key
                            (Gc_state.intra_stubs gc ~node:sender ~bunch)));
                   (* Only the owner reads an exiting entry, so a mirror
-                     holds just the sender's entries naming its node, and
-                     a node's own hand-off holds none. *)
+                     holds just the sender's entries naming its node. *)
                   let want_exiting =
-                    if at = sender then []
-                    else
-                      List.filter_map
-                        (fun (uid, owner) -> if owner = at then Some uid else None)
-                        (Gc_state.current_exiting gc ~node:sender ~bunch)
+                    List.filter_map
+                      (fun (uid, owner) -> if owner = at then Some uid else None)
+                      (Gc_state.current_exiting gc ~node:sender ~bunch)
                   in
                   check_bool (where ^ ": exiting addressed here") true
                     (keys Gc_state.mirror_iter_exiting
@@ -662,7 +658,7 @@ let test_exiting_addressed_by_owner () =
   check_int "the full counterfactual is per destination"
     (full_header + keys + 3 + (full_header + keys + 1))
     (stat c "tables.full_bytes" - full_bytes);
-  check_int "N1's delta and the self hand-off are no-ops" (noop + 2)
+  check_int "N1's delta is a no-op" (noop + 1)
     (stat c "gc.cleaner.noop_tables");
   check_bool "N1's mirror is unchanged" true (mirrored 1 = [ 10; 11; 12 ]);
   check_bool "N2's mirror follows its flips" true (mirrored 2 = [ 21 ]);
@@ -1087,14 +1083,14 @@ let () =
             test_loss_tolerance_with_resend;
           Alcotest.test_case "duplication harmless" `Quick test_duplication_tolerance;
         ] );
-      ( "self hand-off",
+      ( "own tables",
         [
-          Alcotest.test_case "unchanged bunch hands over an empty delta" `Quick
-            test_self_handoff_unchanged_is_noop;
-          Alcotest.test_case "dropped local edge retired by delta" `Quick
-            test_self_delta_retires_local_scion;
-          Alcotest.test_case "full after crash, then deltas" `Quick
-            test_self_handoff_full_after_crash;
+          Alcotest.test_case "unchanged bunch removes no scion" `Quick
+            test_own_tables_unchanged;
+          Alcotest.test_case "dropped local edge retires scion" `Quick
+            test_own_dropped_edge_retires_scion;
+          Alcotest.test_case "no resync after a crash" `Quick
+            test_own_tables_after_crash;
           Alcotest.test_case "phase timers not double-charged" `Quick
             test_phase_timers_not_double_charged;
         ] );

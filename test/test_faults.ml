@@ -505,11 +505,59 @@ let debug_dump s =
     flush stderr
   end
 
+(* A node's own scions.  Its barrier creates an inter scion from itself
+   only in the call that makes the stub for the same edge, a stub leaves
+   its table only in a collection whose broadcast then sweeps the node's
+   own scions, and a crash wipes both; so each of them is covered by the
+   node's own kept set for the scion's source bunch.  It never holds an
+   intra scion from itself: a write transfer takes the requester out of
+   the holders.  Two broken sweeps fail this: one that never sweeps the
+   node's own scions at seed 5, op 45 of the default soak and seed 2, op
+   235 of the long one, and one that sweeps them only on first contact
+   and full rounds at the end of seed 25 of the default soak and at
+   seed 9, op 197 of the long one. *)
+let check_own_scions s ~seed ~at =
+  let gc = Cluster.gc s.c in
+  let fail fmt =
+    Printf.ksprintf
+      (fun m ->
+        debug_dump s;
+        Alcotest.failf "seed %d: %s: %s" seed at m)
+      fmt
+  in
+  List.iter
+    (fun node ->
+      List.iter
+        (fun bunch ->
+          Bmx_gc.Gc_state.iter_inter_scions gc ~node ~bunch
+            (fun (sc : Bmx_gc.Ssp.inter_scion) ->
+              let src_bunch = sc.Bmx_gc.Ssp.xs_src_bunch in
+              if
+                sc.Bmx_gc.Ssp.xs_src_node = node
+                && not
+                     (Bmx_gc.Gc_state.Inter_edges.mem
+                        (Bmx_gc.Ssp.inter_scion_edge sc)
+                        (Bmx_gc.Gc_state.inter_stub_keys gc ~node
+                           ~bunch:src_bunch))
+              then
+                fail "N%d holds a scion from itself for u%d -> u%d that its \
+                      b%d table does not cover"
+                  node sc.Bmx_gc.Ssp.xs_src_uid sc.Bmx_gc.Ssp.xs_target_uid
+                  src_bunch);
+          Bmx_gc.Gc_state.iter_intra_scions gc ~node ~bunch
+            (fun (sc : Bmx_gc.Ssp.intra_scion) ->
+              if sc.Bmx_gc.Ssp.xn_owner_side = node then
+                fail "N%d holds an intra scion from itself for u%d" node
+                  sc.Bmx_gc.Ssp.xn_uid))
+        (Protocol.bunches (Cluster.proto s.c)))
+    (live s)
+
 let soak_one seed =
   let s = setup seed in
   for op = 1 to ops_per_seed do
     step op s;
     watch s op;
+    check_own_scions s ~seed ~at:(Printf.sprintf "op %d" op);
     if paranoid then begin
       (* An object whose only copies were at a crashed node is not lost —
          it is on that node's stable store, awaiting recovery — and the
@@ -540,6 +588,7 @@ let soak_one seed =
   ignore (Cluster.settle s.c);
   ignore (Cluster.collect_until_quiescent s.c ());
   ignore (Cluster.settle s.c);
+  check_own_scions s ~seed ~at:"after the settle";
   let name fmt = Printf.sprintf ("seed %d: " ^^ fmt) seed in
   (match Bmx.Audit.check_safety s.c with
   | Ok () -> ()
