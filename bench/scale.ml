@@ -560,6 +560,7 @@ type e22_result = {
   s_payloads : int;
   s_bytes : int;
   s_gc_token_acquires : int;
+  s_dsm : Perfcount.snapshot;  (* the DSM work counters over the run *)
   s_point : Net.scaling_point;
   s_shard_bytes : (int * (Net.Component.t * int) list) list;
   s_shard_msgs : (int * (Net.Component.t * int) list) list;
@@ -583,12 +584,14 @@ let e22_point ~nodes ~shards ~ops_per_node ~waves =
   let c = Driver.cluster d in
   let stats = Cluster.stats c in
   let chunk = max 1 (ops / waves) in
+  let perf0 = Perfcount.snapshot () in
   let t0 = now_ns () in
   for _ = 1 to waves do
     Driver.run_ops d ~resync_first:false ~ops:chunk ();
     gc_wave c
   done;
   let elapsed_ms = Int64.to_float (Int64.sub (now_ns ()) t0) /. 1e6 in
+  let dsm = Perfcount.diff ~before:perf0 ~after:(Perfcount.snapshot ()) in
   let net = Cluster.net c in
   {
     s_nodes = nodes;
@@ -604,6 +607,7 @@ let e22_point ~nodes ~shards ~ops_per_node ~waves =
     s_gc_token_acquires =
       Stats.get stats "dsm.gc.acquire_read"
       + Stats.get stats "dsm.gc.acquire_write";
+    s_dsm = dsm;
     s_point = Net.scaling_point net ~nodes;
     s_shard_bytes = Net.shard_components net;
     s_shard_msgs = Net.shard_component_msgs net;
@@ -691,10 +695,14 @@ let run_e22 ~sweep ~shards ~ops_per_node ~json_path ~extra_json =
           "payloads";
           "B/node";
           "gc tokens";
+          "updates/op";
+          "fwd fields/op";
+          "copyset visits/op";
         ]
   in
   List.iter
     (fun r ->
+      let per_op n = Printf.sprintf "%.3f" (float_of_int n /. float_of_int r.s_ops) in
       Table.add_row summary
         [
           string_of_int r.s_nodes;
@@ -706,6 +714,9 @@ let run_e22 ~sweep ~shards ~ops_per_node ~json_path ~extra_json =
           string_of_int r.s_payloads;
           Printf.sprintf "%.0f" (float_of_int r.s_bytes /. float_of_int r.s_nodes);
           string_of_int r.s_gc_token_acquires;
+          per_op r.s_dsm.Perfcount.s_dsm_updates;
+          per_op r.s_dsm.Perfcount.s_dsm_fields_forwarded;
+          per_op r.s_dsm.Perfcount.s_dsm_copyset_visits;
         ])
     results;
   let growth =

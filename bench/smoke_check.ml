@@ -48,7 +48,11 @@ let ops_per_sec_floor = 1550.0
    that the figure is a heap-size-independent constant (the complexity
    tests compare it across heap sizes); the budget here catches a
    reintroduced per-op traversal, not ordinary message allocation.
-   The smoke configuration measures 380 words/op (381 while every
+   The smoke configuration measures 183 words/op, a token grant
+   allocating only what it ships (380 while lookups on the acquire path
+   boxed options and tuples, a grant coalesced its updates through a
+   hash table and cloned over the requester's stale copy, and every
+   message hashed four metric keys; 381 while every
    collection also handed the node its own tables through a mirror of
    them; 382 before a stub table kept the edge set a full ships; 415
    while a counter bump boxed its optional increment and its lookup's
@@ -56,14 +60,17 @@ let ops_per_sec_floor = 1550.0
    removals; 463 while
    every economical collection that found garbage evacuated, so grants
    carried more location updates; 533 while the event log consed a
-   boxed event per record).  The budget sits ~10% above 380, which
+   boxed event per record).  The budget sits ~10% above 183, which
    absorbs compiler and runtime drift while still catching any
    O(population) cost that sneaks back onto the per-op or per-sample
    path. *)
-let minor_words_per_op_budget = 420.0
+let minor_words_per_op_budget = 201.0
 
 (* Minor words the collector waves between the mutator batches allocate,
-   per mutator op: 343 in the smoke configuration, where a node checks
+   per mutator op: 321 in the smoke configuration, where the store's
+   lookups and the arena's slot allocation box nothing (343 while they
+   returned options and zeroed a slot through a [Bigarray.sub] proxy),
+   a node checks
    its own scions against the table it just rebuilt (356 while every
    collection handed the node its own tables, folding each round's
    delta into a mirror of them), a stub table keeps the edge set a full
@@ -78,14 +85,14 @@ let minor_words_per_op_budget = 420.0
    evacuates only when its bunch's own allocation segments are under
    3/4 live (443 when every collection that found garbage evacuated; it
    moves by a few words with the timings the phase histograms record).
-   The budget sits ~10% above 343.  A second trace per collection fails
+   The budget sits ~10% above 321.  A second trace per collection fails
    it (448 when the base was 384), and so would the heavier allocating
    lookup and the wholesale stub-table rebuild it was set against (641
    and 558 at 500 words/op, before the packed log).
    It holds total wave allocation only, so CPU-bound regressions on the
    smoke's small tables — a claim scan over every mirror, a stub table's
    edge set rebuilt at every read (351) — still pass it. *)
-let wave_minor_words_per_op_budget = 378.0
+let wave_minor_words_per_op_budget = 353.0
 
 (* Deterministic wire budgets: for a fixed seed the smoke configuration
    sends exactly the same messages and stub-table bytes on every machine,

@@ -625,6 +625,19 @@ let inter_stubs_with_src t ~node ~bunch ~uid =
 let intra_stubs_for_uid t ~node ~bunch ~uid =
   tbl_indexed (node_state t node).intra_stubs bunch uid
 
+(* An index bucket is dropped with its last entry, so membership of the
+   key is the emptiness test. *)
+let tbl_holds tbl bunch k =
+  match Ids.Bunch_tbl.find tbl bunch with
+  | tb -> Ids.Uid_tbl.mem tb.index k
+  | exception Not_found -> false
+
+let holds_inter_stub_with_src t ~node ~bunch ~uid =
+  tbl_holds (node_state t node).inter_stubs bunch uid
+
+let holds_intra_stub_for_uid t ~node ~bunch ~uid =
+  tbl_holds (node_state t node).intra_stubs bunch uid
+
 let has_inter_scion t ~node (s : Ssp.inter_scion) =
   match Ids.Bunch_tbl.find (node_state t node).inter_scions s.Ssp.xs_target_bunch with
   | tb -> Hashtbl.mem tb.members s

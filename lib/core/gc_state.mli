@@ -267,6 +267,18 @@ val intra_stubs_for_uid :
   t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
   -> uid:Bmx_util.Ids.Uid.t -> Ssp.intra_stub list
 
+val holds_inter_stub_with_src :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> uid:Bmx_util.Ids.Uid.t -> bool
+(** Whether {!inter_stubs_with_src} is non-empty: one index probe, no
+    allocation. *)
+
+val holds_intra_stub_for_uid :
+  t -> node:Bmx_util.Ids.Node.t -> bunch:Bmx_util.Ids.Bunch.t
+  -> uid:Bmx_util.Ids.Uid.t -> bool
+(** Whether {!intra_stubs_for_uid} is non-empty: one index probe, no
+    allocation. *)
+
 val has_inter_scion : t -> node:Bmx_util.Ids.Node.t -> Ssp.inter_scion -> bool
 (** Does [node] hold this scion?  One hash lookup in the table of its
     [xs_target_bunch]; allocates nothing. *)

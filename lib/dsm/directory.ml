@@ -58,9 +58,9 @@ let record t uid = Ids.Uid_tbl.find t.records uid
 let find t uid = Ids.Uid_tbl.find_opt t.records uid
 
 let ensure t ~uid ~prob_owner =
-  match find t uid with
-  | Some r -> r
-  | None ->
+  match record t uid with
+  | r -> r
+  | exception Not_found ->
       let r =
         {
           uid;
@@ -109,20 +109,20 @@ let forget t uid =
 let add_entering t ~seq ~uid ~from =
   if not (Ids.Node.equal from t.node) then begin
     let tbl =
-      match Ids.Uid_tbl.find_opt t.entering uid with
-      | Some tbl -> tbl
-      | None ->
+      match Ids.Uid_tbl.find t.entering uid with
+      | tbl -> tbl
+      | exception Not_found ->
           let tbl = Hashtbl.create 4 in
           Ids.Uid_tbl.add t.entering uid tbl;
           t.entering_uids_cache <- None;
           tbl
     in
-    let prev = Option.value ~default:(-1) (Hashtbl.find_opt tbl from) in
+    let prev = match Hashtbl.find tbl from with s -> s | exception Not_found -> -1 in
     if seq > prev then Hashtbl.replace tbl from seq;
     let uids =
-      match Hashtbl.find_opt t.entering_by_origin from with
-      | Some uids -> uids
-      | None ->
+      match Hashtbl.find t.entering_by_origin from with
+      | uids -> uids
+      | exception Not_found ->
           let uids = Ids.Uid_tbl.create 16 in
           Hashtbl.add t.entering_by_origin from uids;
           uids

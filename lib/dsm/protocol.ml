@@ -130,14 +130,16 @@ let nodes t =
   |> List.sort Ids.Node.compare
 
 let store t node =
-  match Ids.Node_tbl.find_opt t.stores node with
-  | Some s -> s
-  | None -> invalid_arg (Printf.sprintf "Protocol.store: unknown node N%d" node)
+  match Ids.Node_tbl.find t.stores node with
+  | s -> s
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Protocol.store: unknown node N%d" node)
 
 let directory t node =
-  match Ids.Node_tbl.find_opt t.dirs node with
-  | Some d -> d
-  | None -> invalid_arg (Printf.sprintf "Protocol.directory: unknown node N%d" node)
+  match Ids.Node_tbl.find t.dirs node with
+  | d -> d
+  | exception Not_found ->
+      invalid_arg (Printf.sprintf "Protocol.directory: unknown node N%d" node)
 
 let declare_bunch t ~bunch ~home =
   ignore (store t home);
@@ -214,24 +216,31 @@ let owner_scan t uid =
     t.dirs None
 
 let owner_confirmed t uid node =
-  match Ids.Node_tbl.find_opt t.dirs node with
-  | None -> false
-  | Some d -> (
-      match Directory.find d uid with
-      | Some r -> r.Directory.is_owner
-      | None -> false)
+  match Directory.record (Ids.Node_tbl.find t.dirs node) uid with
+  | r -> r.Directory.is_owner
+  | exception Not_found -> false
 
-let owner_of t uid =
-  match Ids.Uid_tbl.find_opt t.owners uid with
-  | Some n when owner_confirmed t uid n -> Some n
-  | Some _ | None -> (
-      match owner_scan t uid with
-      | Some n ->
-          Ids.Uid_tbl.replace t.owners uid n;
-          Some n
-      | None ->
-          Ids.Uid_tbl.remove t.owners uid;
-          None)
+let owner_rescan t uid =
+  match owner_scan t uid with
+  | Some n ->
+      Ids.Uid_tbl.replace t.owners uid n;
+      n
+  | None ->
+      Ids.Uid_tbl.remove t.owners uid;
+      raise Not_found
+
+(* The owner of [uid]: the cached hint when the directory confirms it,
+   else a scan.  Allocates nothing on a confirmed hit.
+   @raise Not_found if no node owns the object. *)
+let owner t uid =
+  match Ids.Uid_tbl.find t.owners uid with
+  | n -> if owner_confirmed t uid n then n else owner_rescan t uid
+  | exception Not_found -> owner_rescan t uid
+
+let owner_of t uid = match owner t uid with n -> Some n | exception Not_found -> None
+
+let has_copy s uid =
+  match Store.uid_addr s uid with _ -> true | exception Not_found -> false
 
 let replica_nodes t uid =
   Ids.Node_tbl.fold
@@ -250,34 +259,33 @@ let replica_nodes t uid =
    the pre-sharding single authority.  Either way the answer itself
    comes from the address oracle, which stands in for both levels'
    BMX-server state (§8). *)
+let consult_location t n addr =
+  match shard_of t addr with
+  | Some shard
+    when Registry.shard_up t.registry shard
+         && not (Net.is_down t.net (Registry.shard_owner t.registry shard))
+         && Net.reachable t.net n (Registry.shard_owner t.registry shard) ->
+      let home = Registry.shard_owner t.registry shard in
+      if not (Ids.Node.equal home n) then
+        Net.record_rpc t.net ~src:n ~dst:home ~kind:Net.Object_fetch ~shard ()
+  | Some _ | None -> (
+      match Registry.bunch_of_addr t.registry addr with
+      | Some bunch when Ids.Bunch_tbl.mem t.homes bunch ->
+          let home = bunch_home t bunch in
+          if not (Ids.Node.equal home n) then
+            Net.record_rpc t.net ~src:n ~dst:home ~kind:Net.Object_fetch ()
+      | Some _ | None -> ())
+
 let locate t n addr =
-  match Store.resolve (store t n) addr with
-  | Some (_, obj) -> obj.Heap_obj.uid
-  | None -> (
-      match Hashtbl.find_opt t.addr_oracle addr with
-      | Some uid ->
-          let consult_bunch_home () =
-            match Registry.bunch_of_addr t.registry addr with
-            | Some bunch when Ids.Bunch_tbl.mem t.homes bunch ->
-                let home = bunch_home t bunch in
-                if not (Ids.Node.equal home n) then
-                  Net.record_rpc t.net ~src:n ~dst:home ~kind:Net.Object_fetch
-                    ()
-            | Some _ | None -> ()
-          in
-          (match shard_of t addr with
-          | Some shard
-            when Registry.shard_up t.registry shard
-                 && not (Net.is_down t.net (Registry.shard_owner t.registry shard))
-                 && Net.reachable t.net n (Registry.shard_owner t.registry shard)
-            ->
-              let home = Registry.shard_owner t.registry shard in
-              if not (Ids.Node.equal home n) then
-                Net.record_rpc t.net ~src:n ~dst:home ~kind:Net.Object_fetch
-                  ~shard ()
-          | Some _ | None -> consult_bunch_home ());
+  let s = store t n in
+  match Store.object_at s (Store.endpoint s addr) with
+  | obj -> obj.Heap_obj.uid
+  | exception Not_found -> (
+      match uid_at t addr with
+      | uid ->
+          consult_location t n addr;
           uid
-      | None ->
+      | exception Not_found ->
           failwith
             (Printf.sprintf "Protocol.locate: dangling address %s at N%d"
                (Addr.to_string addr) n))
@@ -297,26 +305,28 @@ let hop t ~actor ~src ~dst =
 let rec chase_from t ~actor ~stop ~start uid node visited fuel =
   if fuel = 0 then failwith "Protocol.chase: ownerPtr cycle"
   else
-    match Directory.find (directory t node) uid with
-    | Some r
-      when r.Directory.is_owner
-           || stop
-              && (not (Ids.Node.equal node start))
-              && r.Directory.state <> Directory.Invalid ->
-        (node, List.rev visited)
-    | Some r ->
-        let next = r.Directory.prob_owner in
-        hop t ~actor ~src:node ~dst:next;
-        chase_from t ~actor ~stop ~start uid next (node :: visited) (fuel - 1)
-    | None -> (
+    match Directory.record (directory t node) uid with
+    | r ->
+        if
+          r.Directory.is_owner
+          || stop
+             && (not (Ids.Node.equal node start))
+             && r.Directory.state <> Directory.Invalid
+        then (node, List.rev visited)
+        else begin
+          let next = r.Directory.prob_owner in
+          hop t ~actor ~src:node ~dst:next;
+          chase_from t ~actor ~stop ~start uid next (node :: visited) (fuel - 1)
+        end
+    | exception Not_found -> (
         (* This node never heard of the object; the owner oracle stands in
            for the BMX-server's directory. *)
-        match owner_of t uid with
-        | Some owner ->
+        match owner t uid with
+        | owner ->
             if not (Ids.Node.equal owner node) then
               hop t ~actor ~src:node ~dst:owner;
             (owner, List.rev visited)
-        | None ->
+        | exception Not_found ->
             failwith
               (Printf.sprintf "Protocol.chase: no owner for %s"
                  (Ids.Uid.to_string uid)))
@@ -329,98 +339,112 @@ let chase t ~actor ~stop ~start uid =
 
 let update_bytes = 24
 
-(* New-location information node [g] can piggyback about the object [uid]
-   it is granting, plus everything the granted copy references directly:
-   for each, the two newest addresses [g] itself has seen.  Composed purely
-   from [g]'s local knowledge. *)
+let rec has_update uid = function
+  | [] -> false
+  | up :: rest -> Ids.Uid.equal up.lu_uid uid || has_update uid rest
+
+let rec update_of uid = function
+  | [] -> raise Not_found
+  | up :: rest -> if Ids.Uid.equal up.lu_uid uid then up else update_of uid rest
+
+let rec without_update uid = function
+  | [] -> []
+  | up :: rest ->
+      if Ids.Uid.equal up.lu_uid uid then rest else up :: without_update uid rest
+
+(* Prepend to [later] the update node [g] ships for one occurrence of
+   [uid]: seen at [old_addr], now at [new_addr].  The update carries the
+   two newest addresses [g] has seen for the object, or else the move
+   from [old_addr] to [new_addr], if any.  [later] holds the updates of
+   the occurrences after this one, coalesced; when one of them names
+   [uid] it wins (last write) but moves up to this occurrence's place
+   (first position), so several fields naming one object cost one
+   entry. *)
+let note_update gstore uid ~old_addr ~new_addr later =
+  match Store.address_history gstore uid with
+  | newest :: prev :: _ ->
+      if has_update uid later then update_of uid later :: without_update uid later
+      else { lu_uid = uid; old_addr = prev; new_addr = newest } :: later
+  | [ _ ] | [] ->
+      if Addr.equal old_addr new_addr then later
+      else if has_update uid later then
+        update_of uid later :: without_update uid later
+      else { lu_uid = uid; old_addr; new_addr } :: later
+
+(* New-location information node [g] can piggyback about the object it
+   is granting (first), then everything the granted copy references
+   directly, in field order.  Composed purely from [g]'s local
+   knowledge.  Built back to front, one entry per object at most, so a
+   grant allocates only the updates it ships. *)
 let compute_updates t ~granter:g ~requested addr gobj =
   let gstore = store t g in
-  let for_uid uid =
-    match Store.address_history gstore uid with
-    | newest :: prev :: _ -> Some { lu_uid = uid; old_addr = prev; new_addr = newest }
-    | [ _ ] | [] -> None
-  in
-  let acquired =
-    let u = gobj.Heap_obj.uid in
-    match for_uid u with
-    | Some up -> [ up ]
-    | None ->
-        if Addr.equal requested addr then []
-        else [ { lu_uid = u; old_addr = requested; new_addr = addr } ]
-  in
-  let referents =
-    List.filter_map
-      (fun a ->
-        let cur = Store.current_addr gstore a in
-        match Hashtbl.find_opt t.addr_oracle cur with
-        | None -> None
-        | Some u -> (
-            match for_uid u with
-            | Some up -> Some up
-            | None ->
-                if Addr.equal cur a then None
-                else Some { lu_uid = u; old_addr = a; new_addr = cur }))
-      (Heap_obj.pointers gobj)
-  in
-  (* Coalesce per destination: several fields naming the same object must
-     not cost several piggybacked entries.  Last write wins, first
-     occurrence keeps its position. *)
-  let newest : (Ids.Uid.t, location_update) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun up ->
-      if not (Hashtbl.mem newest up.lu_uid) then order := up.lu_uid :: !order;
-      Hashtbl.replace newest up.lu_uid up)
-    (acquired @ referents);
-  List.rev_map (Hashtbl.find newest) !order
+  let acc = ref [] in
+  for i = Heap_obj.num_fields gobj - 1 downto 0 do
+    let r = Heap_obj.get_raw gobj i in
+    if Value.raw_is_pointer r then begin
+      let a = Value.raw_addr r in
+      let cur = Store.current_addr gstore a in
+      match uid_at t cur with
+      | u -> acc := note_update gstore u ~old_addr:a ~new_addr:cur !acc
+      | exception Not_found -> ()
+    end
+  done;
+  note_update gstore gobj.Heap_obj.uid ~old_addr:requested ~new_addr:addr !acc
 
 (* Rewrite the pointer fields of a local object copy through the local
    forwarder chains (Figure 3 case (d): references to from-space forwarding
-   pointers are retargeted to to-space directly), counting the fixes. *)
+   pointers are retargeted to to-space directly), counting the fixes;
+   returns how many fields changed. *)
 let fix_fields t s obj_addr obj =
   let n = Store.forward_fields s ~obj_addr obj in
-  if n > 0 then Stats.add (stats t) "dsm.ref_fixes" n
+  if n > 0 then Stats.add (stats t) "dsm.ref_fixes" n;
+  n
+
+(* Apply one update at [s]; false when [s] already knew it. *)
+let apply_update s { lu_uid; old_addr; new_addr } =
+  (not (Addr.equal old_addr new_addr))
+  && (not
+        (Addr.equal (Store.current_addr s old_addr) new_addr
+        &&
+        match Store.uid_addr s lu_uid with
+        | a -> not (Addr.equal a old_addr)
+        | exception Not_found -> true))
+  && begin
+       (* Move the local copy, if any, to the new address; leave a
+          forwarding header behind (§4.4: "o2 is copied to the indicated
+          address, and all the local references are updated accordingly
+          without requiring any token"). *)
+       (match Store.uid_addr s lu_uid with
+       | cur -> (
+           if not (Addr.equal cur new_addr) then
+             match Store.object_at s cur with
+             | obj ->
+                 Store.install s new_addr obj;
+                 Store.set_forwarder s ~at:cur ~target:new_addr
+             | exception Not_found -> ())
+       | exception Not_found -> ());
+       (* Always install the forwarder at the old published address so
+          stale pointers held locally keep resolving. *)
+       (match Store.cell s old_addr with
+       | Some (Store.Object obj) when Heap_obj.(obj.uid) = lu_uid ->
+           Store.install s new_addr obj;
+           Store.set_forwarder s ~at:old_addr ~target:new_addr
+       | Some (Store.Object _) | Some (Store.Forwarder _) -> ()
+       | None -> Store.set_forwarder s ~at:old_addr ~target:new_addr);
+       true
+     end
+
+(* The updates [s] did not already know, applied in order. *)
+let rec apply_updates s = function
+  | [] -> []
+  | up :: rest ->
+      if apply_update s up then up :: apply_updates s rest
+      else apply_updates s rest
 
 let rec apply_location_updates t ~node updates =
   let s = store t node in
-  let d = directory t node in
-  let changed =
-    List.filter
-      (fun { lu_uid; old_addr; new_addr } ->
-        if Addr.equal old_addr new_addr then false
-        else begin
-          let already =
-            Store.current_addr s old_addr = new_addr
-            && Store.addr_of_uid s lu_uid <> Some old_addr
-          in
-          if already then false
-          else begin
-            (* Move the local copy, if any, to the new address; leave a
-               forwarding header behind (§4.4: "o2 is copied to the
-               indicated address, and all the local references are updated
-               accordingly without requiring any token"). *)
-            (match Store.addr_of_uid s lu_uid with
-            | Some cur when not (Addr.equal cur new_addr) -> (
-                match Store.cell s cur with
-                | Some (Store.Object obj) ->
-                    Store.install s new_addr obj;
-                    Store.set_forwarder s ~at:cur ~target:new_addr
-                | Some (Store.Forwarder _) | None -> ())
-            | Some _ | None -> ());
-            (* Always install the forwarder at the old published address so
-               stale pointers held locally keep resolving. *)
-            (match Store.cell s old_addr with
-            | Some (Store.Object obj) when Heap_obj.(obj.uid) = lu_uid ->
-                Store.install s new_addr obj;
-                Store.set_forwarder s ~at:old_addr ~target:new_addr
-            | Some (Store.Object _) | Some (Store.Forwarder _) -> ()
-            | None -> Store.set_forwarder s ~at:old_addr ~target:new_addr);
-            true
-          end
-        end)
-      updates
-  in
-  if updates <> [] then
+  let changed = apply_updates s updates in
+  if updates <> [] && Trace_event.enabled t.evlog then
     ev t
       (Trace_event.Updates_applied
          { node; uids = List.map (fun u -> u.lu_uid) updates });
@@ -430,34 +454,39 @@ let rec apply_location_updates t ~node updates =
          rather than at the next BGC. *)
       Store.iter s (fun a c ->
           match c with
-          | Store.Object obj -> fix_fields t s a obj
+          | Store.Object obj -> ignore (fix_fields t s a obj)
           | Store.Forwarder _ -> ())
   | Lazy -> ());
-  (* Invariant 2 (§5): forward fresh information to every node in the
-     local copy-set for the object, the way read-copy invalidations
-     propagate.  Background messages; receivers recurse. *)
-  List.iter
-    (fun ({ lu_uid; _ } as up) ->
-      match Directory.find d lu_uid with
-      | None -> ()
-      | Some r ->
+  forward_updates t ~node (directory t node) changed
+
+(* Invariant 2 (§5): forward fresh information to every node in the
+   local copy-set for the object, the way read-copy invalidations
+   propagate.  Background messages; receivers recurse. *)
+and forward_updates t ~node d = function
+  | [] -> ()
+  | up :: rest ->
+      (match Directory.record d up.lu_uid with
+      | r ->
           if not (Ids.Node_set.is_empty r.Directory.copyset) then
             ev t
               (Trace_event.Forward_due
                  {
                    node;
-                   uid = lu_uid;
+                   uid = up.lu_uid;
                    peers = Ids.Node_set.elements r.Directory.copyset;
                  });
           Ids.Node_set.iter
             (fun peer ->
-              ev t (Trace_event.Copyset_forward { src = node; dst = peer; uid = lu_uid });
+              ev t
+                (Trace_event.Copyset_forward
+                   { src = node; dst = peer; uid = up.lu_uid });
               Net.send t.net ~src:node ~dst:peer ~kind:Net.Addr_update
                 ~bytes:update_bytes
                 ?shard:(shard_of t up.new_addr)
                 (fun _seq -> apply_location_updates t ~node:peer [ up ]))
-            r.Directory.copyset)
-    changed
+            r.Directory.copyset
+      | exception Not_found -> ());
+      forward_updates t ~node d rest
 
 let send_location_updates t ~src ~dst updates =
   (* A batch is routed as one message; label it with the shard of the
@@ -482,12 +511,16 @@ let send_location_updates t ~src ~dst updates =
    runs before any mutation so a refusal leaves no partial state.
    Copysets can form a cycle, so the walk checks every link but carries
    the nodes whose copysets it has [seen] and walks each one once. *)
+let visit_copyset_member () =
+  Perfcount.(counters.s_dsm_copyset_visits <- counters.s_dsm_copyset_visits + 1)
+
 let rec invalidation_walk t ~seen node uid =
-  match Directory.find (directory t node) uid with
-  | None -> true
-  | Some r ->
+  match Directory.record (directory t node) uid with
+  | exception Not_found -> true
+  | r ->
       Ids.Node_set.for_all
         (fun peer ->
+          visit_copyset_member ();
           Ids.Node.equal peer node
           || Net.is_down t.net peer
           || Net.reachable t.net node peer
@@ -503,13 +536,14 @@ let invalidation_reachable t node uid =
 
 let rec invalidate_subtree t ~actor ~skip node uid =
   let d = directory t node in
-  match Directory.find d uid with
-  | None -> ()
-  | Some r ->
+  match Directory.record d uid with
+  | exception Not_found -> ()
+  | r ->
       let grantees = r.Directory.copyset in
       set_copyset t r Ids.Node_set.empty;
       Ids.Node_set.iter
         (fun peer ->
+          visit_copyset_member ();
           if not (Ids.Node.equal peer node) then begin
             (* A dead peer's token died with its volatile directory: no
                invalidation to send.  (Its possibly-cut link must not
@@ -531,17 +565,30 @@ let rec invalidate_subtree t ~actor ~skip node uid =
 (* ------------------------------------------------------------------ *)
 (* Token acquisition.                                                  *)
 
+(* Install [gobj], the granter's copy, at [gaddr] in [node]'s store, then
+   rewrite its fields through the node's forwarders.  A stale copy
+   already at [gaddr] is overwritten in place; otherwise a clone goes
+   in, and the node's copy elsewhere, if any, forwards to it. *)
 let install_granted t ~node ~gaddr gobj =
   let s = store t node in
-  let prev = Store.addr_of_uid s gobj.Heap_obj.uid in
-  (* Always install a fresh clone: [Store.install] maintains the object
-     and reference maps, which a field-level overwrite would not. *)
-  let obj = Heap_obj.clone gobj in
-  Store.install s gaddr obj;
-  (match prev with
-  | Some p when not (Addr.equal p gaddr) -> Store.set_forwarder s ~at:p ~target:gaddr
-  | Some _ | None -> ());
-  fix_fields t s gaddr obj
+  let obj =
+    match Store.overwrite s gaddr ~from:gobj with
+    | obj -> obj
+    | exception Not_found ->
+        let prev =
+          match Store.uid_addr s gobj.Heap_obj.uid with
+          | p -> p
+          | exception Not_found -> gaddr
+        in
+        let obj = Heap_obj.clone gobj in
+        Store.install s gaddr obj;
+        if not (Addr.equal prev gaddr) then
+          Store.set_forwarder s ~at:prev ~target:gaddr;
+        obj
+  in
+  let n = fix_fields t s gaddr obj in
+  Perfcount.(
+    counters.s_dsm_fields_forwarded <- counters.s_dsm_fields_forwarded + n)
 
 (* Ship [src]'s copy of [uid] to [dst]: resolve it, compute the location
    updates it carries, account the reply (32 bytes plus the object) and
@@ -552,16 +599,19 @@ let install_granted t ~node ~gaddr gobj =
    before the acquire returns. *)
 let ship_copy t ~src ~dst ~uid ~requested ~tok =
   let s = store t src in
-  let gaddr, gobj =
-    match Store.addr_of_uid s uid with
-    | Some a -> (
-        match Store.resolve s a with
-        | Some found -> found
-        | None -> failwith "Protocol.ship_copy: source copy vanished")
-    | None -> failwith "Protocol.ship_copy: source has no copy"
+  let gaddr =
+    match Store.uid_addr s uid with
+    | a -> Store.endpoint s a
+    | exception Not_found -> failwith "Protocol.ship_copy: source has no copy"
+  in
+  let gobj =
+    match Store.object_at s gaddr with
+    | o -> o
+    | exception Not_found -> failwith "Protocol.ship_copy: source copy vanished"
   in
   let updates = compute_updates t ~granter:src ~requested gaddr gobj in
   let k = List.length updates in
+  Perfcount.(counters.s_dsm_updates <- counters.s_dsm_updates + k);
   let shard = shard_of t gaddr in
   (match tok with
   | None -> Net.record_rpc t.net ~src:dst ~dst:src ~kind:Net.Object_fetch ?shard ()
@@ -582,6 +632,47 @@ let ship_copy t ~src ~dst ~uid ~requested ~tok =
   install_granted t ~node:dst ~gaddr gobj;
   updates
 
+(* [Acquire_done]: the acquire of [uid] by [node] returns. *)
+let ev_done t ~actor ~node ~uid kind =
+  if Trace_event.enabled t.evlog then
+    Trace_event.record t.evlog
+      (Trace_event.Acquire_done
+         {
+           actor = ev_actor actor;
+           node;
+           uid;
+           tok = ev_tok kind;
+           addr_valid = has_copy (store t node) uid;
+         })
+
+(* Where an acquire returns: the requester's copy, which the grant (or
+   the local token) guarantees. *)
+let acquired_addr s uid =
+  match Store.uid_addr s uid with
+  | a -> a
+  | exception Not_found -> failwith "Protocol.acquire: no local copy"
+
+(* Path compression after a write grant to [n]: nodes along the chase
+   now point at the new owner, and their replicas become entering
+   ownerPtrs at [n]. *)
+let rec compress_chase t ~uid ~owner:n d_n = function
+  | [] -> ()
+  | v :: rest ->
+      if not (Ids.Node.equal v n) then begin
+        (match Directory.record (directory t v) uid with
+        | rv ->
+            if not rv.Directory.is_owner then begin
+              rv.Directory.prob_owner <- n;
+              Directory.touch (directory t v)
+            end
+        | exception Not_found -> ());
+        if has_copy (store t v) uid then
+          Directory.add_entering d_n
+            ~seq:(Net.current_seq t.net ~src:v ~dst:n)
+            ~uid ~from:v
+      end;
+      compress_chase t ~uid ~owner:n d_n rest
+
 let acquire t ?(actor = App) ~node:n addr kind =
   let uid = locate t n addr in
   let s_n = store t n in
@@ -590,50 +681,39 @@ let acquire t ?(actor = App) ~node:n addr kind =
   ev t
     (Trace_event.Acquire_start
        { actor = ev_actor actor; node = n; uid; tok = ev_tok kind });
-  let ev_done () =
-    ev t
-      (Trace_event.Acquire_done
-         {
-           actor = ev_actor actor;
-           node = n;
-           uid;
-           tok = ev_tok kind;
-           addr_valid = Store.addr_of_uid s_n uid <> None;
-         })
-  in
   let local_ok =
-    match Directory.find d_n uid with
-    | Some r -> (
+    match Directory.record d_n uid with
+    | r -> (
         match kind with
         | `Read ->
             (r.Directory.state = Directory.Read
             || r.Directory.state = Directory.Write)
-            && Store.addr_of_uid s_n uid <> None
+            && has_copy s_n uid
         | `Write ->
             r.Directory.is_owner
             && r.Directory.state = Directory.Write
-            && Store.addr_of_uid s_n uid <> None)
-    | None -> false
+            && has_copy s_n uid)
+    | exception Not_found -> false
   in
   if local_ok then begin
     bump t (acquire_local_key actor);
-    let r = Option.get (Directory.find d_n uid) in
-    r.Directory.held <- true;
-    ev_done ();
-    Option.get (Store.addr_of_uid s_n uid)
+    (Directory.record d_n uid).Directory.held <- true;
+    ev_done t ~actor ~node:n ~uid kind;
+    acquired_addr s_n uid
   end
   else begin
     match kind with
     | `Read ->
         (* Conflict check: a held write token anywhere blocks readers. *)
-        (match owner_of t uid with
-        | Some o when not (Ids.Node.equal o n) -> (
-            match Directory.find (directory t o) uid with
-            | Some ro
-              when ro.Directory.held && ro.Directory.state = Directory.Write ->
-                failwith "Protocol.acquire: write token held elsewhere"
-            | Some _ | None -> ())
-        | Some _ | None -> ());
+        (match owner t uid with
+        | o -> (
+            if not (Ids.Node.equal o n) then
+              match Directory.record (directory t o) uid with
+              | ro ->
+                  if ro.Directory.held && ro.Directory.state = Directory.Write
+                  then failwith "Protocol.acquire: write token held elsewhere"
+              | exception Not_found -> ())
+        | exception Not_found -> ());
         let granter, _visited =
           chase t ~actor ~stop:(t.mode = Distributed) ~start:n uid
         in
@@ -646,9 +726,10 @@ let acquire t ?(actor = App) ~node:n addr kind =
         then failwith "Protocol.acquire: granter unreachable (partition)";
         let g_dir = directory t granter in
         let g_rec =
-          match Directory.find g_dir uid with
-          | Some r -> r
-          | None -> failwith "Protocol.acquire: granter lost the record"
+          match Directory.record g_dir uid with
+          | r -> r
+          | exception Not_found ->
+              failwith "Protocol.acquire: granter lost the record"
         in
         (* An owner holding the write token downgrades to read: several
            read tokens or one write token, never both (§2.2). *)
@@ -678,8 +759,8 @@ let acquire t ?(actor = App) ~node:n addr kind =
         end;
         (* Invariant 1 completes before the acquire returns. *)
         apply_location_updates t ~node:n updates;
-        ev_done ();
-        Option.get (Store.addr_of_uid s_n uid)
+        ev_done t ~actor ~node:n ~uid kind;
+        acquired_addr s_n uid
     | `Write ->
         let owner, visited = chase t ~actor ~stop:false ~start:n uid in
         if Ids.Node.equal owner n then begin
@@ -694,17 +775,19 @@ let acquire t ?(actor = App) ~node:n addr kind =
           invalidate_subtree t ~actor ~skip:n owner uid;
           r.Directory.state <- Directory.Write;
           r.Directory.held <- true;
-          ev_done ();
-          match Store.addr_of_uid s_n uid with
-          | Some a -> a
-          | None -> failwith "Protocol.acquire: owner without a copy"
+          ev_done t ~actor ~node:n ~uid kind;
+          match Store.uid_addr s_n uid with
+          | a -> a
+          | exception Not_found ->
+              failwith "Protocol.acquire: owner without a copy"
         end
         else begin
           let o_dir = directory t owner in
           let o_rec =
-            match Directory.find o_dir uid with
-            | Some r -> r
-            | None -> failwith "Protocol.acquire: owner lost the record"
+            match Directory.record o_dir uid with
+            | r -> r
+            | exception Not_found ->
+                failwith "Protocol.acquire: owner lost the record"
           in
           if o_rec.Directory.held then
             failwith "Protocol.acquire: write token held elsewhere";
@@ -748,41 +831,26 @@ let acquire t ?(actor = App) ~node:n addr kind =
           Directory.add_entering d_n
             ~seq:(Net.current_seq t.net ~src:owner ~dst:n)
             ~uid ~from:owner;
-          (* Path compression: nodes along the chase now point at the new
-             owner, and their replicas become entering ownerPtrs here. *)
-          List.iter
-            (fun v ->
-              if not (Ids.Node.equal v n) then begin
-                (match Directory.find (directory t v) uid with
-                | Some rv when not rv.Directory.is_owner ->
-                    rv.Directory.prob_owner <- n;
-                    Directory.touch (directory t v)
-                | Some _ | None -> ());
-                if Store.addr_of_uid (store t v) uid <> None then
-                  Directory.add_entering d_n
-                    ~seq:(Net.current_seq t.net ~src:v ~dst:n)
-                    ~uid ~from:v
-              end)
-            visited;
+          compress_chase t ~uid ~owner:n d_n visited;
           apply_location_updates t ~node:n updates;
-          ev_done ();
-          Option.get (Store.addr_of_uid s_n uid)
+          ev_done t ~actor ~node:n ~uid kind;
+          acquired_addr s_n uid
         end
   end
 
 let release t ~node addr =
   let uid = locate t node addr in
   ev t (Trace_event.Release { node; uid });
-  match Directory.find (directory t node) uid with
-  | Some r -> r.Directory.held <- false
-  | None -> ()
+  match Directory.record (directory t node) uid with
+  | r -> r.Directory.held <- false
+  | exception Not_found -> ()
 
 let demand_fetch t ?(actor = App) ~node:n addr =
   let uid = locate t n addr in
   let s_n = store t n in
-  match Store.addr_of_uid s_n uid with
-  | Some a -> a
-  | None ->
+  match Store.uid_addr s_n uid with
+  | a -> a
+  | exception Not_found ->
       bump t (faults_key actor);
       let supplier, _ = chase t ~actor ~stop:false ~start:n uid in
       let updates =
@@ -797,39 +865,43 @@ let demand_fetch t ?(actor = App) ~node:n addr =
         ~seq:(Net.current_seq t.net ~src:n ~dst:supplier)
         ~uid ~from:n;
       apply_location_updates t ~node:n updates;
-      Option.get (Store.addr_of_uid s_n uid)
+      acquired_addr s_n uid
 
 (* ------------------------------------------------------------------ *)
 (* Data access.                                                        *)
 
+(* The local address of the copy [addr] names at [node]: the end of the
+   local forwarder chain, or, when the address is stale beyond it, the
+   copy the stable identity recovers. *)
 let resolve_local t node addr =
   let s = store t node in
-  match Store.resolve s addr with
-  | Some (a, obj) -> (a, obj)
-  | None -> (
-      (* The address may be stale beyond the local forwarder chain; the
-         stable identity recovers the local copy if one exists. *)
-      match uid_of_addr t addr with
-      | Some uid -> (
-          match Store.addr_of_uid s uid with
-          | Some a -> (
-              match Store.resolve s a with
-              | Some (a', obj) -> (a', obj)
-              | None -> failwith "Protocol: local index out of date")
-          | None ->
+  let e = Store.endpoint s addr in
+  match Store.object_at s e with
+  | _ -> e
+  | exception Not_found -> (
+      match uid_at t addr with
+      | uid -> (
+          match Store.uid_addr s uid with
+          | a -> (
+              let e = Store.endpoint s a in
+              match Store.object_at s e with
+              | _ -> e
+              | exception Not_found ->
+                  failwith "Protocol: local index out of date")
+          | exception Not_found ->
               failwith
                 (Printf.sprintf "Protocol: no local copy of %s at N%d"
                    (Ids.Uid.to_string uid) node))
-      | None ->
+      | exception Not_found ->
           failwith
             (Printf.sprintf "Protocol: dangling address %s" (Addr.to_string addr)))
 
 let read_field t ?(weak = false) ~node addr index =
-  let _, obj = resolve_local t node addr in
+  let obj = Store.object_at (store t node) (resolve_local t node addr) in
   let covered =
-    match Directory.find (directory t node) obj.Heap_obj.uid with
-    | Some r -> r.Directory.state <> Directory.Invalid
-    | None -> false
+    match Directory.record (directory t node) obj.Heap_obj.uid with
+    | r -> r.Directory.state <> Directory.Invalid
+    | exception Not_found -> false
   in
   if (not weak) && not covered then
     failwith "Protocol.read_field: no read token (use ~weak for stale reads)";
@@ -846,10 +918,14 @@ let read_field t ?(weak = false) ~node addr index =
   v
 
 let write_field_raw t ~node addr index v =
-  let a, obj = resolve_local t node addr in
-  (match Directory.find (directory t node) obj.Heap_obj.uid with
-  | Some r when r.Directory.state = Directory.Write && r.Directory.is_owner -> ()
-  | Some _ | None -> failwith "Protocol.write_field_raw: no write token");
+  let s = store t node in
+  let a = resolve_local t node addr in
+  let obj = Store.object_at s a in
+  (match Directory.record (directory t node) obj.Heap_obj.uid with
+  | r ->
+      if not (r.Directory.state = Directory.Write && r.Directory.is_owner) then
+        failwith "Protocol.write_field_raw: no write token"
+  | exception Not_found -> failwith "Protocol.write_field_raw: no write token");
   Heap_obj.set obj index v;
   ev t
     (Trace_event.Write_obs
@@ -860,7 +936,7 @@ let write_field_raw t ~node addr index v =
          version = Heap_obj.version obj;
          covered = true;
        });
-  Store.note_field_write (store t node) ~obj_addr:a ~index v
+  Store.note_field_write s ~obj_addr:a ~index v
 
 let ptr_eq t ~node a b =
   if Addr.is_null a || Addr.is_null b then Addr.equal a b

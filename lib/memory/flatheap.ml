@@ -73,11 +73,11 @@ let alloc t ~nfields =
   t.next_gen <- gen + 1;
   t.live <- t.live + 1;
   let base =
-    match Hashtbl.find_opt t.free_lists nfields with
-    | Some ({ contents = base :: rest } as l) ->
+    match Hashtbl.find t.free_lists nfields with
+    | { contents = base :: rest } as l ->
         l := rest;
         base
-    | Some { contents = [] } | None ->
+    | { contents = [] } | (exception Not_found) ->
         let base = t.bump in
         let words = header_words + nfields in
         if base + words > capacity t then grow t (base + words);
@@ -87,7 +87,9 @@ let alloc t ~nfields =
   t.data.{base} <- gen;
   t.data.{base + 1} <- 0;
   t.data.{base + 2} <- nfields;
-  Bigarray.Array1.(fill (sub t.data (base + header_words) nfields)) 0;
+  for i = base + header_words to base + header_words + nfields - 1 do
+    Bigarray.Array1.unsafe_set t.data i 0
+  done;
   (base, gen)
 
 let free t ~base ~gen =
@@ -95,9 +97,9 @@ let free t ~base ~gen =
   let nfields = t.data.{base + 2} in
   t.data.{base} <- -gen; (* poison: any later gen check fails *)
   t.live <- t.live - 1;
-  match Hashtbl.find_opt t.free_lists nfields with
-  | Some l -> l := base :: !l
-  | None -> Hashtbl.add t.free_lists nfields (ref [ base ])
+  match Hashtbl.find t.free_lists nfields with
+  | l -> l := base :: !l
+  | exception Not_found -> Hashtbl.add t.free_lists nfields (ref [ base ])
 
 let nfields t ~base ~gen =
   check t ~base ~gen;

@@ -70,9 +70,9 @@ val clone : ?heap:Flatheap.t -> t -> t
 
 val overwrite : t -> from:t -> unit
 (** Replace [t]'s contents (fields and version) with [from]'s in place.
-    The two must have the same uid and arity.  (The DSM installs grants
-    as fresh clones so the segment maps stay accurate; this is for
-    callers managing their own copies.) *)
+    The two must have the same uid and arity.  Leaves any map over the
+    slot's fields stale: a copy held by a store is overwritten through
+    {!Store.overwrite}, which re-notes them. *)
 
 val free : t -> unit
 (** Release the arena slot.  Any later access through this (or any other)

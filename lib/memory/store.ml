@@ -58,23 +58,26 @@ let slot_key (o : Heap_obj.t) = (Flatheap.id o.Heap_obj.heap lsl 44) lor o.Heap_
 
 let rc_incr t o =
   let k = slot_key o in
-  match Hashtbl.find_opt t.slot_rc k with
-  | Some n -> Hashtbl.replace t.slot_rc k (n + 1)
-  | None -> Hashtbl.add t.slot_rc k 1
+  match Hashtbl.find t.slot_rc k with
+  | n -> Hashtbl.replace t.slot_rc k (n + 1)
+  | exception Not_found -> Hashtbl.add t.slot_rc k 1
 
 let rc_decr t o =
   let k = slot_key o in
-  match Hashtbl.find_opt t.slot_rc k with
-  | Some n when n > 1 -> Hashtbl.replace t.slot_rc k (n - 1)
-  | Some _ ->
-      Hashtbl.remove t.slot_rc k;
-      Heap_obj.free o
-  | None -> () (* installed before this store tracked slots; leak, don't raise *)
+  match Hashtbl.find t.slot_rc k with
+  | n ->
+      if n > 1 then Hashtbl.replace t.slot_rc k (n - 1)
+      else begin
+        Hashtbl.remove t.slot_rc k;
+        Heap_obj.free o
+      end
+  | exception Not_found ->
+      () (* installed before this store tracked slots; leak, don't raise *)
 
 let bunch_cells t bunch =
-  match Ids.Bunch_tbl.find_opt t.by_bunch bunch with
-  | Some h -> h
-  | None ->
+  match Ids.Bunch_tbl.find t.by_bunch bunch with
+  | h -> h
+  | exception Not_found ->
       let h = Hashtbl.create 64 in
       Ids.Bunch_tbl.add t.by_bunch bunch h;
       h
@@ -84,13 +87,13 @@ let bunch_cells t bunch =
    O(1) object/byte counters honest, and release the arena slot if this
    was its last cell. *)
 let unindex_cell t a =
-  match Hashtbl.find_opt t.cells a with
-  | Some (Object obj) ->
+  match Hashtbl.find t.cells a with
+  | Object obj ->
       Hashtbl.remove (bunch_cells t obj.Heap_obj.bunch) a;
       t.objects <- t.objects - 1;
       t.objects_bytes <- t.objects_bytes - Heap_obj.size_bytes obj;
       rc_decr t obj
-  | Some (Forwarder _) | None -> ()
+  | Forwarder _ | (exception Not_found) -> ()
 
 
 let add_segment t seg =
@@ -147,6 +150,14 @@ let note_maps seg a (obj : Heap_obj.t) =
         ~is_pointer:(Value.raw_is_pointer (Heap_obj.get_raw obj i))
   done
 
+(* Note [obj] in the maps of the segment holding [a], mapping the
+   segment locally if need be, so the object-map stays accurate even for
+   remotely allocated ranges. *)
+let map_object t a obj =
+  match Registry.entry_at t.registry a with
+  | e -> note_maps (ensure_segment t ~range:e.Registry.range ~bunch:e.Registry.bunch) a obj
+  | exception Not_found -> ()
+
 let install t a obj =
   (* Claim the new slot before letting go of the old cell: when [a] is
      re-installed with the handle it already holds, decr-then-incr would
@@ -159,14 +170,31 @@ let install t a obj =
   Hashtbl.replace t.cells a (Object obj);
   Hashtbl.replace (bunch_cells t obj.Heap_obj.bunch) a obj;
   Ids.Uid_tbl.replace t.uid_index obj.Heap_obj.uid a;
-  (match Ids.Uid_tbl.find_opt t.known_addrs obj.Heap_obj.uid with
-  | Some r -> if (match !r with a' :: _ -> not (Addr.equal a a') | [] -> true) then r := a :: !r
-  | None -> Ids.Uid_tbl.add t.known_addrs obj.Heap_obj.uid (ref [ a ]));
-  (* Make sure the containing segment is mapped locally so the object-map
-     stays accurate even for remotely allocated ranges. *)
-  match Registry.entry_at t.registry a with
-  | e -> note_maps (ensure_segment t ~range:e.Registry.range ~bunch:e.Registry.bunch) a obj
-  | exception Not_found -> ()
+  (match Ids.Uid_tbl.find t.known_addrs obj.Heap_obj.uid with
+  | r -> if (match !r with a' :: _ -> not (Addr.equal a a') | [] -> true) then r := a :: !r
+  | exception Not_found -> Ids.Uid_tbl.add t.known_addrs obj.Heap_obj.uid (ref [ a ]));
+  map_object t a obj
+
+(* [install t a (Heap_obj.clone from)] without the new slot, for the
+   case where it would only replace the copy of the same object that
+   already sits at [a]: same uid and arity, named by the uid index, its
+   slot held by no other cell.  Every map then ends as the install
+   leaves it (HACKING, "In-place installs"). *)
+let overwrite t a ~from =
+  match Hashtbl.find t.cells a with
+  | Forwarder _ -> raise_notrace Not_found
+  | Object obj ->
+      let uid = from.Heap_obj.uid in
+      if
+        (not (Ids.Uid.equal obj.Heap_obj.uid uid))
+        || (not (Addr.equal (Ids.Uid_tbl.find t.uid_index uid) a))
+        || Heap_obj.num_fields obj <> Heap_obj.num_fields from
+        || Hashtbl.find t.slot_rc (slot_key obj) <> 1
+      then raise_notrace Not_found;
+      touch t;
+      Heap_obj.overwrite obj ~from;
+      map_object t a obj;
+      obj
 
 let set_forwarder t ~at ~target =
   (* The forwarder graph must stay acyclic or [resolve] dies.  A cycle
@@ -362,7 +390,7 @@ let bunch_of_uid t uid =
   | exception Not_found -> -1
 
 let address_history t uid =
-  match Ids.Uid_tbl.find_opt t.known_addrs uid with Some r -> !r | None -> []
+  match Ids.Uid_tbl.find t.known_addrs uid with r -> !r | exception Not_found -> []
 let iter t f =
   Hashtbl.iter
     (fun a c ->

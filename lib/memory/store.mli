@@ -75,6 +75,16 @@ val install : t -> Bmx_util.Addr.t -> Heap_obj.t -> unit
 (** Bind the address to a local object copy (token grant, GC copy, or
     address-update installation).  Maintains the segment maps. *)
 
+val overwrite : t -> Bmx_util.Addr.t -> from:Heap_obj.t -> Heap_obj.t
+(** Write [from]'s fields and version into the copy of the same object
+    at exactly this address, and return that copy: the state
+    [install t a (Heap_obj.clone from)] would leave, without claiming a
+    new arena slot (a token grant to a node whose stale copy sits at the
+    granted address).  Touches {!mut_version} once and re-notes the
+    segment maps.  @raise Not_found, changing nothing, unless the cell
+    holds a copy of [from]'s uid with its arity, the uid index names
+    this address, and no other cell holds the copy's slot. *)
+
 val set_forwarder : t -> at:Bmx_util.Addr.t -> target:Bmx_util.Addr.t -> unit
 (** Replace the cell at [at] with a forwarding header to [target].
     Keeps the forwarder graph acyclic: a self-link is ignored, and if

@@ -124,6 +124,26 @@ let down_dropped_key = per_kind "net.down_dropped."
 let cut_dropped_key = per_kind "net.cut_dropped."
 let coalesced_key = per_kind "net.coalesced."
 
+(* The per-pair stream tables are keyed by one int per directed pair:
+   node ids are small and non-negative, and a tuple key would cost an
+   allocation on every message. *)
+module Pair_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Hashtbl.hash
+end)
+
+let pair_bits = 30
+
+let pair src dst =
+  if src < 0 || dst < 0 || dst lsr pair_bits <> 0 then
+    invalid_arg "Net: node id out of range";
+  (src lsl pair_bits) lor dst
+
+let pair_src k = k lsr pair_bits
+let pair_dst k = k land ((1 lsl pair_bits) - 1)
+
 type 'p envelope = {
   src : Ids.Node.t;
   dst : Ids.Node.t;
@@ -165,19 +185,22 @@ type 'p t = {
   queue : 'p wire Queue.t;
   (* Per pair, the queued unreliable message a send may still ride:
      unduplicated, and removed when it leaves the queue. *)
-  tails : (Ids.Node.t * Ids.Node.t, 'p wire) Hashtbl.t;
-  seqs : (Ids.Node.t * Ids.Node.t, int ref) Hashtbl.t;
+  tails : 'p wire Pair_tbl.t;
+  seqs : int ref Pair_tbl.t;
   faults : (kind, fault) Hashtbl.t;
   mutable handler : ('p envelope -> unit) option;
   mutable evlog : Trace_event.log option;
   mutable obs : Bmx_obs.Metrics.t option;
+  (* The [obs] counter cells the per-message accounting bumps, fetched
+     on first use (see [cell]). *)
+  mutable cells : int ref array;
   (* Reliable-delivery layer (opt-in per kind). *)
   reliable : (kind, unit) Hashtbl.t;
   mutable rto : int;
   mutable rto_max : int;
   mutable max_attempts : int;
   mutable now : int;  (* virtual clock driving retransmission timers *)
-  rseqs : (Ids.Node.t * Ids.Node.t, int ref) Hashtbl.t;
+  rseqs : int ref Pair_tbl.t;
   unacked_tbl : (Ids.Node.t * Ids.Node.t, 'p unacked list ref) Hashtbl.t;
   rstates : (Ids.Node.t * Ids.Node.t, 'p rstate) Hashtbl.t;
   down : (Ids.Node.t, unit) Hashtbl.t;
@@ -202,18 +225,19 @@ let create ~stats () =
   {
     stats;
     queue = Queue.create ();
-    tails = Hashtbl.create 16;
-    seqs = Hashtbl.create 16;
+    tails = Pair_tbl.create 16;
+    seqs = Pair_tbl.create 16;
     faults = Hashtbl.create 4;
     handler = None;
     evlog = None;
     obs = None;
+    cells = [||];
     reliable = Hashtbl.create 4;
     rto = 4;
     rto_max = 64;
     max_attempts = 20;
     now = 0;
-    rseqs = Hashtbl.create 16;
+    rseqs = Pair_tbl.create 16;
     unacked_tbl = Hashtbl.create 16;
     rstates = Hashtbl.create 16;
     down = Hashtbl.create 4;
@@ -276,20 +300,22 @@ let ev_delivered t ~src ~dst ~kind ~seq ~rel =
    Cut links drop messages; they never forget them: reliable messages
    stay in the sender's retransmission buffer and land after heal. *)
 
-let is_cut t ~src ~dst = Hashtbl.mem t.cut (src, dst)
+(* Most runs cut no link: the guard spares them the tuple key a lookup
+   would allocate. *)
+let is_cut t ~src ~dst = Hashtbl.length t.cut > 0 && Hashtbl.mem t.cut (src, dst)
 
 let reachable t a b =
   (not (Hashtbl.mem t.down a))
   && (not (Hashtbl.mem t.down b))
-  && (not (Hashtbl.mem t.cut (a, b)))
-  && not (Hashtbl.mem t.cut (b, a))
+  && (not (is_cut t ~src:a ~dst:b))
+  && not (is_cut t ~src:b ~dst:a)
 
 (* The (src, dst) path is severed for reliable delivery: no ack can
    complete the round trip, whatever the sender does. *)
 let severed t (src, dst) =
   Hashtbl.mem t.down dst || Hashtbl.mem t.down src
-  || Hashtbl.mem t.cut (src, dst)
-  || Hashtbl.mem t.cut (dst, src)
+  || is_cut t ~src ~dst
+  || is_cut t ~src:dst ~dst:src
 
 let cut_link t ~src ~dst =
   if not (Hashtbl.mem t.cut (src, dst)) then begin
@@ -350,12 +376,12 @@ let clear_suspect t (src, dst) =
 (* Advance a per-(src, dst) stream counter: the sequence numbers of
    every send, or the reliable-stream indices. *)
 let next_in tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some r ->
+  match Pair_tbl.find tbl key with
+  | r ->
       incr r;
       !r
-  | None ->
-      Hashtbl.add tbl key (ref 1);
+  | exception Not_found ->
+      Pair_tbl.add tbl key (ref 1);
       1
 
 let rstate t key =
@@ -432,28 +458,60 @@ let shard_account t ~kind ~shard ~bytes ~msg =
         mrow.(ci) <- mrow.(ci) + 1
       end
 
+(* A slot no registry cell ever occupies. *)
+let no_cell = ref 0
+
+(* The counter cell of [family] (0 messages, 1 bytes) for component
+   index [ci], cluster-wide ([row] 0) or labelled with node [row - 1].
+   It is fetched from the registry the first time it is bumped — when
+   [Metrics.incr] would have registered it, so the sampler sees the
+   same columns in the same order — and kept in [t.cells]. *)
+let cell t m ~family ~row ci =
+  let i = (((2 * row) + family) * Component.count) + ci in
+  if i >= Array.length t.cells then begin
+    let grown = Array.make (max (i + 1) (2 * Array.length t.cells)) no_cell in
+    Array.blit t.cells 0 grown 0 (Array.length t.cells);
+    t.cells <- grown
+  end;
+  let r = t.cells.(i) in
+  if r != no_cell then r
+  else begin
+    let key =
+      (if family = 0 then comp_msgs_key else comp_bytes_key)
+        (Component.of_index ci)
+    in
+    let r =
+      if row = 0 then Bmx_obs.Metrics.counter_cell m key
+      else Bmx_obs.Metrics.counter_cell m ~node:(row - 1) key
+    in
+    t.cells.(i) <- r;
+    r
+  end
+
+(* Bump the cluster-wide and the [src]-labelled counter of [family] for
+   [kind]'s component. *)
+let account_obs t ~src ~kind ~family by =
+  match t.obs with
+  | None -> ()
+  | Some m ->
+      let ci = Component.index (Component.of_kind kind) in
+      let total = cell t m ~family ~row:0 ci in
+      total := !total + by;
+      let mine = cell t m ~family ~row:(src + 1) ci in
+      mine := !mine + by
+
 (* One message, and the bytes of one copy on the wire.  The
    per-(component, node) series feed the continuous sampler;
    cluster-wide totals ride along unlabelled. *)
 let account_msg t ~src ~kind =
   Stats.incr t.stats (sent_key kind);
   Stats.incr t.stats "net.sent.total";
-  match t.obs with
-  | None -> ()
-  | Some m ->
-      let key = comp_msgs_key (Component.of_kind kind) in
-      Bmx_obs.Metrics.incr m key;
-      Bmx_obs.Metrics.incr m ~node:src key
+  account_obs t ~src ~kind ~family:0 1
 
 let account_bytes t ~src ~kind ~bytes =
   Stats.add t.stats (bytes_key kind) bytes;
   Stats.add t.stats "net.bytes.total" bytes;
-  match t.obs with
-  | None -> ()
-  | Some m ->
-      let key = comp_bytes_key (Component.of_kind kind) in
-      Bmx_obs.Metrics.incr m ~by:bytes key;
-      Bmx_obs.Metrics.incr m ~node:src ~by:bytes key
+  account_obs t ~src ~kind ~family:1 bytes
 
 (* Enqueue one copy of [w].  An unreliable copy counts as a message; a
    reliable one counts only its bytes (its logical send is counted once,
@@ -495,21 +553,23 @@ let transmit t env ~bytes =
    rides: the pair's tail, when it has the same kind, was sent at this
    virtual instant, and is still the last thing stamped on the pair. *)
 let carrier t key kind =
-  match (Hashtbl.find_opt t.tails key, Hashtbl.find_opt t.seqs key) with
-  | Some w, Some stamped when w.w_env.kind = kind && w.w_at = t.now ->
+  match Pair_tbl.find t.tails key with
+  | w when w.w_env.kind = kind && w.w_at = t.now -> (
       let last = match w.w_riders with r :: _ -> r | [] -> w.w_env in
-      if last.seq = !stamped then Some w else None
-  | _ -> None
+      match Pair_tbl.find t.seqs key with
+      | stamped when last.seq = !stamped -> Some w
+      | _ | (exception Not_found) -> None)
+  | _ | (exception Not_found) -> None
 
 (* [w] leaves the queue (delivered or purged): nothing may join it. *)
 let close t w =
-  let key = (w.w_env.src, w.w_env.dst) in
-  match Hashtbl.find_opt t.tails key with
-  | Some tail when tail == w -> Hashtbl.remove t.tails key
-  | Some _ | None -> ()
+  let key = pair w.w_env.src w.w_env.dst in
+  match Pair_tbl.find t.tails key with
+  | tail -> if tail == w then Pair_tbl.remove t.tails key
+  | exception Not_found -> ()
 
 let send t ~src ~dst ~kind ?(bytes = 64) ?shard payload =
-  let key = (src, dst) in
+  let key = pair src dst in
   let reliable = Hashtbl.mem t.reliable kind in
   let ride = if reliable then None else carrier t key kind in
   shard_account t ~kind ~shard ~bytes ~msg:(Option.is_none ride);
@@ -539,12 +599,12 @@ let send t ~src ~dst ~kind ?(bytes = 64) ?shard payload =
             u_attempts = 1;
           }
         in
-        match Hashtbl.find_opt t.unacked_tbl key with
+        match Hashtbl.find_opt t.unacked_tbl (src, dst) with
         | Some r -> r := !r @ [ u ]
-        | None -> Hashtbl.add t.unacked_tbl key (ref [ u ])
+        | None -> Hashtbl.add t.unacked_tbl (src, dst) (ref [ u ])
       end;
       match transmit t env ~bytes with
-      | Some w when not reliable -> Hashtbl.replace t.tails key w
+      | Some w when not reliable -> Pair_tbl.replace t.tails key w
       | Some _ | None -> ())
 
 let record_rpc t ~src ~dst ~kind ?(bytes = 64) ?shard () =
@@ -553,14 +613,14 @@ let record_rpc t ~src ~dst ~kind ?(bytes = 64) ?shard () =
      its own event kind rather than a sent/delivered pair.  An RPC is a
      round trip, so a cut in either direction makes it time out — the
      caller sees the failure immediately instead of a silent half-run. *)
-  if Hashtbl.mem t.cut (src, dst) || Hashtbl.mem t.cut (dst, src) then begin
+  if is_cut t ~src ~dst || is_cut t ~src:dst ~dst:src then begin
     Stats.incr t.stats "net.rpc_unreachable";
     failwith
       (Printf.sprintf "Net.record_rpc: link %d-%d cut (%s)" src dst
          (kind_to_string kind))
   end;
   shard_account t ~kind ~shard ~bytes ~msg:true;
-  let seq = next_in t.seqs (src, dst) in
+  let seq = next_in t.seqs (pair src dst) in
   ev t (Trace_event.Rpc { src; dst; kind = kind_to_string kind; seq });
   account_msg t ~src ~kind;
   account_bytes t ~src ~kind ~bytes
@@ -627,7 +687,7 @@ let deliver t env =
     Stats.incr t.stats (down_dropped_key env.kind);
     Stats.incr t.stats "net.down_dropped.total"
   end
-  else if Hashtbl.mem t.cut (env.src, env.dst) then begin
+  else if is_cut t ~src:env.src ~dst:env.dst then begin
     (* The directed link is cut: the transmission blackholes.  As with a
        dead destination, reliable messages survive in the sender's
        retransmission buffer and land after heal. *)
@@ -683,7 +743,7 @@ let deliver t env =
        payload was handed off but the ack blackholes: the sender keeps
        retransmitting, the receiver suppresses the duplicates, and the
        ack finally lands on the first post-heal copy. *)
-    if Hashtbl.mem t.cut (env.dst, env.src) then
+    if is_cut t ~src:env.dst ~dst:env.src then
       Stats.incr t.stats "net.rel.ack_blackholed"
     else ack t ~src:env.src ~dst:env.dst ~upto:(rs.r_next - 1)
   end
@@ -756,6 +816,7 @@ let unacked_count t =
 
 let set_metrics t m =
   t.obs <- Some m;
+  t.cells <- [||];
   (* Shards labelled before the registry was attached registered no
      gauges; catch them up now. *)
   for shard = 0 to Array.length t.shard_b - 1 do
@@ -927,8 +988,9 @@ let set_down t node =
         if Ids.Node.equal src node || Ids.Node.equal dst node then
           Hashtbl.reset rs.r_buf)
       t.rstates;
-    Hashtbl.iter
-      (fun (src, dst) r ->
+    Pair_tbl.iter
+      (fun k r ->
+        let src = pair_src k and dst = pair_dst k in
         if Ids.Node.equal src node then
           let delivered =
             match Hashtbl.find_opt t.rstates (src, dst) with
@@ -945,7 +1007,9 @@ let down_nodes t =
   Hashtbl.fold (fun n () acc -> n :: acc) t.down [] |> List.sort Ids.Node.compare
 
 let current_seq t ~src ~dst =
-  match Hashtbl.find_opt t.seqs (src, dst) with Some r -> !r | None -> 0
+  match Pair_tbl.find t.seqs (pair src dst) with
+  | r -> !r
+  | exception Not_found -> 0
 let set_fault t ~kind ~drop ~dup ~rng = Hashtbl.replace t.faults kind { drop; dup; rng }
 let clear_faults t = Hashtbl.reset t.faults
 let sent t kind = Stats.get t.stats (sent_key kind)

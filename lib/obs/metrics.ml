@@ -31,12 +31,19 @@ let add_cell t key cell =
 let wrong_kind name what =
   invalid_arg (Printf.sprintf "Metrics: %S already registered as a %s" name what)
 
-let incr t ?node ?(by = 1) name =
+let counter_cell t ?node name =
   let key = (name, node) in
   match Hashtbl.find_opt t.cells key with
-  | Some (C_counter r) -> r := !r + by
+  | Some (C_counter r) -> r
   | Some _ -> wrong_kind name "non-counter"
-  | None -> add_cell t key (C_counter (ref by))
+  | None ->
+      let r = ref 0 in
+      add_cell t key (C_counter r);
+      r
+
+let incr t ?node ?(by = 1) name =
+  let r = counter_cell t ?node name in
+  r := !r + by
 
 let set_gauge t ?node name v =
   let key = (name, node) in

@@ -24,6 +24,15 @@ val create : unit -> t
 val incr : t -> ?node:Ids.Node.t -> ?by:int -> string -> unit
 (** Bump a counter (created at zero on first use). *)
 
+val counter_cell : t -> ?node:Ids.Node.t -> string -> int ref
+(** The counter's cell, registered at zero if absent, exactly as
+    {!incr} registers it.  Adding to the returned ref is {!incr} without
+    the lookup: a hot path fetches the cell the first time it would
+    have called {!incr} — so registration order, and with it the
+    sampler's columns, stay the same — and bumps the cached ref after
+    that.  The cell lives as long as the registry.
+    @raise Invalid_argument if the name is registered as another kind. *)
+
 val set_gauge : t -> ?node:Ids.Node.t -> string -> int -> unit
 
 val gauge_fn : t -> ?node:Ids.Node.t -> string -> (unit -> int) -> unit

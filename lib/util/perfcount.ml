@@ -30,6 +30,9 @@ type snapshot = {
   mutable s_gc_ns_reconcile : int;
   mutable s_gc_ns_recv_delta : int;
   mutable s_gc_ns_recv_full : int;
+  mutable s_dsm_updates : int;
+  mutable s_dsm_fields_forwarded : int;
+  mutable s_dsm_copyset_visits : int;
 }
 
 let counters = {
@@ -49,6 +52,9 @@ let counters = {
   s_gc_ns_reconcile = 0;
   s_gc_ns_recv_delta = 0;
   s_gc_ns_recv_full = 0;
+  s_dsm_updates = 0;
+  s_dsm_fields_forwarded = 0;
+  s_dsm_copyset_visits = 0;
 }
 
 (* A functional update with one field copies the whole record. *)
@@ -71,4 +77,7 @@ let diff ~before ~after = {
   s_gc_ns_reconcile = after.s_gc_ns_reconcile - before.s_gc_ns_reconcile;
   s_gc_ns_recv_delta = after.s_gc_ns_recv_delta - before.s_gc_ns_recv_delta;
   s_gc_ns_recv_full = after.s_gc_ns_recv_full - before.s_gc_ns_recv_full;
+  s_dsm_updates = after.s_dsm_updates - before.s_dsm_updates;
+  s_dsm_fields_forwarded = after.s_dsm_fields_forwarded - before.s_dsm_fields_forwarded;
+  s_dsm_copyset_visits = after.s_dsm_copyset_visits - before.s_dsm_copyset_visits;
 }

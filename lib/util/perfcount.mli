@@ -47,6 +47,14 @@ type snapshot = {
           deltas (empty ones included), and full tables and resyncs.  A
           breakdown of the delivery-time part of [s_gc_ns_reconcile],
           not extra phases. *)
+  mutable s_dsm_updates : int;
+      (** location updates a token grant or demand fetch ships (§4.4),
+          counted after coalescing *)
+  mutable s_dsm_fields_forwarded : int;
+      (** fields a grant install rewrites through local forwarders *)
+  mutable s_dsm_copyset_visits : int;
+      (** copyset members a write acquire's partition pre-flight and
+          invalidation walk visit *)
 }
 
 val counters : snapshot

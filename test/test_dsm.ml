@@ -515,6 +515,132 @@ let test_copyset_max_gauge () =
   ignore (Cluster.drain c);
   agree "after drain"
 
+(* ---------------------------------------------- in-place grant install *)
+
+(* A second store holding [node]'s cells: a clone of every object at its
+   address, then every forwarder. *)
+let replay_store proto ~node =
+  let s = Protocol.store proto node in
+  let r = Store.create ~registry:(Protocol.registry proto) ~node in
+  Store.iter s (fun a c ->
+      match c with
+      | Store.Object o -> Store.install r a (Heap_obj.clone o)
+      | Store.Forwarder _ -> ());
+  Store.iter s (fun a c ->
+      match c with
+      | Store.Forwarder target -> Store.set_forwarder r ~at:a ~target
+      | Store.Object _ -> ());
+  r
+
+(* The general grant install: a clone at [gaddr], the copy elsewhere
+   forwarded to it, its fields rewritten through the forwarders. *)
+let reference_install r ~gaddr gobj =
+  let prev =
+    match Store.uid_addr r gobj.Heap_obj.uid with
+    | p -> p
+    | exception Not_found -> gaddr
+  in
+  let obj = Heap_obj.clone gobj in
+  Store.install r gaddr obj;
+  if prev <> gaddr then Store.set_forwarder r ~at:prev ~target:gaddr;
+  ignore (Store.forward_fields r ~obj_addr:gaddr obj)
+
+let cell_addrs st =
+  let l = ref [] in
+  Store.iter st (fun a _ -> l := a :: !l);
+  List.sort compare !l
+
+(* Fields, version and the reference-map bit of every field of every
+   object, forwarders, object count and bytes, the uid index and the
+   address history of [uids]. *)
+let check_same_store ~uids s r =
+  check_int "objects" (Store.object_count r) (Store.object_count s);
+  check_int "bytes" (Store.objects_bytes r) (Store.objects_bytes s);
+  check (Alcotest.list Alcotest.int) "cells" (cell_addrs r) (cell_addrs s);
+  List.iter
+    (fun a ->
+      match (Store.cell s a, Store.cell r a) with
+      | Some (Store.Object o), Some (Store.Object p) ->
+          check_int "uid" p.Heap_obj.uid o.Heap_obj.uid;
+          check_int "version" (Heap_obj.version p) (Heap_obj.version o);
+          check_bool "fields" true
+            (Heap_obj.fields_copy o = Heap_obj.fields_copy p);
+          check_bool "object-map bit" true
+            ((Store.find_segment s a).Bmx_memory.Segment.object_map |> fun m ->
+             Bitmap.get m a);
+          for i = 0 to Heap_obj.num_fields o - 1 do
+            let f = Addr.add a (Heap_obj.header_bytes + (i * Addr.word)) in
+            let bit st = Bitmap.get (Store.find_segment st a).Bmx_memory.Segment.ref_map f in
+            check_bool "reference-map bit" (bit r) (bit s)
+          done
+      | Some (Store.Forwarder x), Some (Store.Forwarder y) -> check_int "forwarder" y x
+      | _ -> Alcotest.failf "cell %d differs" a)
+    (cell_addrs s);
+  List.iter
+    (fun u ->
+      check_opt_int "uid index" (Store.addr_of_uid r u) (Store.addr_of_uid s u);
+      check (Alcotest.list Alcotest.int) "address history"
+        (Store.address_history r u) (Store.address_history s u))
+    uids
+
+(* N1 reads x, N0 takes the write token and rewrites every field (a
+   pointer becomes data, data a pointer), so N1's copy is stale at the
+   address N0 grants.  [stale] may then rearrange N1's store.  N1 reads
+   x again; the reference replays N1's store as it was before that grant
+   and installs a clone of N0's copy the general way.  Returns whether
+   the grant kept N1's handle (installed in place). *)
+let grant_against_reference ~stale =
+  let c, b = two_nodes () in
+  let proto = Cluster.proto c in
+  let leaf = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 0 |] in
+  let x = Cluster.alloc c ~node:0 ~bunch:b [| Value.Ref leaf; Value.Data 1; Value.nil |] in
+  Cluster.release c ~node:1 (Cluster.acquire_read c ~node:1 x);
+  let a0 = Cluster.acquire_write c ~node:0 x in
+  Cluster.write c ~node:0 a0 0 (Value.Data 5);
+  Cluster.write c ~node:0 a0 1 (Value.Ref leaf);
+  Cluster.write c ~node:0 a0 2 (Value.Ref x);
+  Cluster.release c ~node:0 a0;
+  let s1 = Protocol.store proto 1 in
+  stale s1 x;
+  let r = replay_store proto ~node:1 in
+  let before = Store.cell s1 x in
+  let v_s = Store.mut_version s1 and v_r = Store.mut_version r in
+  let a1 = Cluster.acquire_read c ~node:1 x in
+  Cluster.release c ~node:1 a1;
+  check_int "granted at the same address" x a1;
+  reference_install r ~gaddr:x (Store.object_at (Protocol.store proto 0) x);
+  let uids = [ Cluster.uid_at c ~node:0 x; Cluster.uid_at c ~node:0 leaf ] in
+  check_same_store ~uids s1 r;
+  check_int "store version moves as the install's"
+    (Store.mut_version r - v_r) (Store.mut_version s1 - v_s);
+  match (before, Store.cell s1 x) with
+  | Some (Store.Object o), Some (Store.Object o') -> o == o'
+  | _ -> false
+
+let test_in_place_install_equals_fresh () =
+  check_bool "stale copy overwritten in place" true
+    (grant_against_reference ~stale:(fun _ _ -> ()));
+  (* Fallback: a forwarder at the granted address (to a cell N1 does not
+     hold), and no copy of x anywhere at N1. *)
+  check_bool "forwarder at the address: a clone goes in" false
+    (grant_against_reference ~stale:(fun s1 x ->
+         Store.remove s1 x;
+         Store.set_forwarder s1 ~at:x ~target:(x + 4096)));
+  (* Fallback: a copy of another object at the address.  [overwrite]
+     refuses it and changes nothing, so the grant installs a clone. *)
+  let c, b = two_nodes () in
+  let proto = Cluster.proto c in
+  let y = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 2 |] in
+  let x = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 3 |] in
+  let s0 = Protocol.store proto 0 in
+  let v = Store.mut_version s0 in
+  (match Store.overwrite s0 x ~from:(Store.object_at s0 y) with
+  | _ -> Alcotest.fail "overwrote a copy of another object"
+  | exception Not_found -> ());
+  check_int "nothing changed" v (Store.mut_version s0);
+  check_bool "x untouched" true
+    (Heap_obj.fields_copy (Store.object_at s0 x) = [| Value.Data 3 |])
+
 let () =
   Alcotest.run "dsm"
     [
@@ -568,6 +694,8 @@ let () =
           Alcotest.test_case "fetch replies count their piggyback" `Quick
             test_demand_fetch_piggyback_counted;
           Alcotest.test_case "fetch is idempotent" `Quick test_demand_fetch_idempotent;
+          Alcotest.test_case "an in-place install equals a fresh one" `Quick
+            test_in_place_install_equals_fresh;
         ] );
       ( "metrics",
         [

@@ -34,7 +34,13 @@
    - rebuilding a stub table's kept edge set at each read instead of
      folding the flips since the last read into it, or building it at
      the first read by inserting edge by edge: "a kept edge set is
-     sorted once, then flips in O(log n)" fails. *)
+     sorted once, then flips in O(log n)" fails;
+   - an option-returning lookup, a per-grant hash table or closure, or a
+     clone over the requester's own stale copy back on the acquire path:
+     "a grant allocates what it ships" fails (the parent of that change
+     measured 375 and 559 words a grant);
+   - a tuple key or a [Metrics.incr] per message back in Net's
+     accounting: "message accounting allocates nothing" fails. *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
@@ -42,6 +48,9 @@ module Driver = Bmx_workload.Driver
 module Gc_state = Bmx_gc.Gc_state
 module Scion_cleaner = Bmx_gc.Scion_cleaner
 module Ssp = Bmx_gc.Ssp
+module Net = Bmx_netsim.Net
+module Protocol = Bmx_dsm.Protocol
+module Value = Bmx_memory.Value
 module P = Perfcount
 
 let check = Alcotest.check
@@ -451,6 +460,145 @@ let test_kept_set_words () =
        the set is built edge by edge"
       build
 
+(* Words one remote grant allocates: a 4-node centralized cluster with
+   the event log on, warmed by one round, then [rounds] rounds over four
+   objects of three fields.  In a round each of N1-N3 takes a read grant
+   from the owner N0 and releases it, N1 takes the write grant, writes a
+   field and releases, and N0 takes the object back (the write-back,
+   also a write grant).  Each acquire is measured alone, less what an
+   empty measurement costs.  Words are counted with [allocated_words],
+   except that the event log's chunks count as the words the acquire's
+   events fill in them: the log grows by chunks of up to 64 Ki words,
+   allocated straight on the major heap once per thousands of events,
+   and charging a whole chunk to the acquire that happens to open one
+   would make the figure depend on where chunks fall.  Every measured
+   grant finds the requester's stale copy at the granted address and
+   ships no location update; what it allocates besides its events is
+   the copyset set a read grant grows, the write grant's invalidation
+   walk and the two histogram observations a grant makes.  Returns the
+   mean words per read grant and per write grant. *)
+let grant_words ~rounds =
+  let c = Cluster.create ~nodes:4 ~mode:Protocol.Centralized ~trace_events:true () in
+  let proto = Cluster.proto c in
+  let log = Cluster.evlog c in
+  let b = Cluster.new_bunch c ~home:0 in
+  let leaf = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 0 |] in
+  let objs =
+    Array.init 4 (fun i ->
+        Cluster.alloc c ~node:0 ~bunch:b [| Value.Ref leaf; Value.Data i; Value.nil |])
+  in
+  let words () =
+    let _, promoted, major = Gc.counters () in
+    allocated_words () -. (major -. promoted) +. float_of_int (Trace_event.words log)
+  in
+  let empty =
+    let w0 = words () in
+    words () -. w0
+  in
+  let reads = ref 0.0 and writes = ref 0.0 in
+  let timed acc ~node x kind =
+    let w0 = words () in
+    let a = Protocol.acquire proto ~node x kind in
+    acc := !acc +. (words () -. w0 -. empty);
+    a
+  in
+  let round acc_read acc_write =
+    Array.iter
+      (fun x ->
+        for node = 1 to 3 do
+          let a = timed acc_read ~node x `Read in
+          Protocol.release proto ~node a
+        done;
+        let a = timed acc_write ~node:1 x `Write in
+        Protocol.write_field_raw proto ~node:1 a 1 (Value.Data 7);
+        Protocol.release proto ~node:1 a;
+        let a = timed acc_write ~node:0 x `Write in
+        Protocol.release proto ~node:0 a)
+      objs
+  in
+  round (ref 0.0) (ref 0.0);
+  for _ = 1 to rounds do
+    round reads writes
+  done;
+  let grants per = float_of_int (rounds * Array.length objs * per) in
+  (!reads /. grants 3, !writes /. grants 2)
+
+(* A remote read grant takes 94 words and a write grant 160 (N1's grant,
+   with its invalidations and the §5 hook, and the write-back averaged).
+   While every lookup on the acquire path boxed an option or a tuple, a
+   grant coalesced its updates through a hash table and cloned over the
+   requester's own stale copy, an acquire built a completion closure and
+   each message hashed four metric keys, they took 375 and 559.  The
+   budgets sit about 10% above. *)
+let test_grant_words () =
+  let read, write = grant_words ~rounds:40 in
+  if read > 104.0 then
+    Alcotest.failf "a remote read grant allocates %.1f words (budget 104)" read;
+  if write > 176.0 then
+    Alcotest.failf "a remote write grant allocates %.1f words (budget 176)" write
+
+(* The per-message accounting allocates nothing: with a metrics registry
+   attached, [k] [Net.record_rpc] calls allocate no more each than the
+   event record the call builds, 5 words.  (A tuple key per stream
+   lookup and cut check, and a hashed [Metrics.incr] per counter, cost
+   44 words a call.) *)
+let test_rpc_accounting_words () =
+  let net = Net.create ~stats:(Stats.create_registry ()) () in
+  Net.set_metrics net (Bmx_obs.Metrics.create ());
+  let rpc () = Net.record_rpc net ~src:1 ~dst:2 ~kind:Net.Token_request () in
+  (* The first call registers the counters and the stream. *)
+  rpc ();
+  let k = 1000 in
+  let empty =
+    let w0 = allocated_words () in
+    allocated_words () -. w0
+  in
+  let w0 = allocated_words () in
+  for _ = 1 to k do
+    rpc ()
+  done;
+  let per = (allocated_words () -. w0 -. empty) /. float_of_int k in
+  let event =
+    1 + Obj.size (Obj.repr (Trace_event.Rpc { src = 1; dst = 2; kind = ""; seq = 2 }))
+  in
+  if per > float_of_int event then
+    Alcotest.failf "a record_rpc allocates %.1f words (its event record: %d)" per
+      event
+
+(* The grant's work counters on a small write grant with [k] readers.
+   N0 owns x = [w; w; y] and w; y belongs to N_(k+1).  N1..Nk read x,
+   then collections at N0 and N_(k+1) move x and w (N0's copy of x now
+   names w's new address) and y.  The writer N_(k+2) first reads y, so
+   it holds a forwarder from y's old address, then takes the write
+   grant for x through x's old address.  The grant ships two updates —
+   x's own move and w's, named by two fields but coalesced to one — and
+   its install rewrites the one field naming y.  Its partition
+   pre-flight and its invalidation each visit N0's copyset, the k
+   readers, once. *)
+let test_grant_counters () =
+  let k = 3 in
+  let c = Cluster.create ~nodes:(k + 3) ~mode:Protocol.Centralized () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let yb = Cluster.new_bunch c ~home:(k + 1) in
+  let y = Cluster.alloc c ~node:(k + 1) ~bunch:yb [| Value.Data 1 |] in
+  let w = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 2 |] in
+  let x = Cluster.alloc c ~node:0 ~bunch:b [| Value.Ref w; Value.Ref w; Value.Ref y |] in
+  for node = 1 to k do
+    Cluster.release c ~node (Cluster.acquire_read c ~node x)
+  done;
+  Cluster.add_root c ~node:0 x;
+  ignore (Cluster.bgc c ~node:0 ~bunch:b);
+  Cluster.add_root c ~node:(k + 1) y;
+  ignore (Cluster.bgc c ~node:(k + 1) ~bunch:yb);
+  let writer = k + 2 in
+  Cluster.release c ~node:writer (Cluster.acquire_read c ~node:writer y);
+  let before = P.snapshot () in
+  Cluster.release c ~node:writer (Cluster.acquire_write c ~node:writer x);
+  let d = P.diff ~before ~after:(P.snapshot ()) in
+  check_int "updates shipped" 2 d.P.s_dsm_updates;
+  check_int "fields forwarded" 1 d.P.s_dsm_fields_forwarded;
+  check_int "copyset members visited" (2 * k) d.P.s_dsm_copyset_visits
+
 let test_memo_exact_after_measurement () =
   (* The speed must not come from drift: after a steady-state run the
      mirror still equals the from-scratch oracle. *)
@@ -486,5 +634,11 @@ let () =
             test_dense_full_gap_coded;
           Alcotest.test_case "a kept edge set is sorted once, then flips in O(log n)"
             `Quick test_kept_set_words;
+          Alcotest.test_case "a grant allocates what it ships" `Quick
+            test_grant_words;
+          Alcotest.test_case "message accounting allocates nothing" `Quick
+            test_rpc_accounting_words;
+          Alcotest.test_case "a write grant's work counters" `Quick
+            test_grant_counters;
         ] );
     ]
