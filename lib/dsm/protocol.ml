@@ -360,15 +360,16 @@ let rec without_update uid = function
    [uid] it wins (last write) but moves up to this occurrence's place
    (first position), so several fields naming one object cost one
    entry. *)
+let to_front uid later = update_of uid later :: without_update uid later
+
 let note_update gstore uid ~old_addr ~new_addr later =
   match Store.address_history gstore uid with
   | newest :: prev :: _ ->
-      if has_update uid later then update_of uid later :: without_update uid later
+      if has_update uid later then to_front uid later
       else { lu_uid = uid; old_addr = prev; new_addr = newest } :: later
   | [ _ ] | [] ->
       if Addr.equal old_addr new_addr then later
-      else if has_update uid later then
-        update_of uid later :: without_update uid later
+      else if has_update uid later then to_front uid later
       else { lu_uid = uid; old_addr; new_addr } :: later
 
 (* New-location information node [g] can piggyback about the object it
