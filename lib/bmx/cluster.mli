@@ -42,7 +42,7 @@ val stats : t -> Bmx_util.Stats.registry
 val metrics : t -> Bmx_obs.Metrics.t
 (** The typed metrics registry every subsystem is wired to at creation:
     network occupancy gauges ({!Bmx_netsim.Net.set_metrics}), DSM
-    copyset/grant histograms ({!Bmx_dsm.Protocol.set_metrics}) and
+    copyset gauges and histogram ({!Bmx_dsm.Protocol.set_metrics}) and
     per-node GC occupancy gauges ({!Bmx_gc.Gc_state.set_metrics}). *)
 
 val enable_timeseries : ?reservoir:int -> t -> Bmx_obs.Timeseries.t

@@ -194,8 +194,7 @@ let step t ev =
       by_kind kind t src
   | E.Msg_suppressed { dst; kind; _ } | E.Msg_buffered { dst; kind; _ } ->
       by_kind kind t dst
-  | E.Gc_begin { node; _ } | E.Gc_end { node; _ } | E.Gc_phase { node; _ } ->
-      gc t node
+  | E.Gc_begin { node; _ } | E.Gc_end { node; _ } -> gc t node
   | E.Tables_processed { at; _ } -> gc t at
   | E.Read_obs { actor; node; _ } | E.Write_obs { actor; node; _ } ->
       by actor t node

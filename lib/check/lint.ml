@@ -295,8 +295,6 @@ let replay iter =
           | None -> Hashtbl.replace shard_owner_seen shard node)
       | E.Gc_begin { node; _ } -> dead i node "collection started"
       | E.Gc_end { node; _ } -> dead i node "collection finished"
-      | E.Gc_phase { node; phase; _ } ->
-          dead i node "collector %s phase timed" phase
       | E.Release { node; uid } -> dead i node "token release for o%d" uid
       | E.Read_obs { node; uid; _ } -> dead i node "field read of o%d" uid
       | E.Write_obs { node; uid; _ } -> dead i node "field write of o%d" uid

@@ -214,21 +214,13 @@ let trace t ~node ~bunches ~in_set ~group_mode ~capacity ~own ~exiting_for =
 (* ------------------------------------------------------------------ *)
 (* The collection itself.                                              *)
 
-(* Per-phase wall-clock accounting (trace / flip / copy / scan /
-   cleaner-reconcile): every boundary adds to the matching
-   Perfcount.gc_ns_* counter; run emits the totals as per-node
-   gc.phase.<name> histograms (µs) and, when the event log is on, as
-   Gc_phase trace events (Perfetto slices).  This replaces the old
-   BMX_GC_PHASE_TIMING stderr hack — see HACKING.md "GC phase
-   profiling" for the e20-diag recipe. *)
+(* Per-phase processor time (trace / flip / copy / scan /
+   cleaner-reconcile): every boundary charges the [Sys.time] elapsed
+   since the previous one to the matching Perfcount.s_gc_ns_* counter.
+   Those counters are the only record of phase time; the event log
+   holds none, so it depends on the seed alone.  See HACKING.md "GC
+   phase profiling" for the e20-diag recipe. *)
 type phase = P_trace | P_flip | P_copy | P_scan | P_reconcile
-
-let phase_name = function
-  | P_trace -> "trace"
-  | P_flip -> "flip"
-  | P_copy -> "copy"
-  | P_scan -> "scan"
-  | P_reconcile -> "cleaner-reconcile"
 
 let charge_phase_ns phase ns =
   Perfcount.(
@@ -239,22 +231,11 @@ let charge_phase_ns phase ns =
     | P_scan -> counters.s_gc_ns_scan <- counters.s_gc_ns_scan + ns
     | P_reconcile -> counters.s_gc_ns_reconcile <- counters.s_gc_ns_reconcile + ns)
 
-let all_phases = [ P_trace; P_flip; P_copy; P_scan; P_reconcile ]
-
 let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
   let pt_last = ref (Sys.time ()) in
-  let phase_s = [| 0.; 0.; 0.; 0.; 0. |] in
-  let phase_idx = function
-    | P_trace -> 0
-    | P_flip -> 1
-    | P_copy -> 2
-    | P_scan -> 3
-    | P_reconcile -> 4
-  in
   let pt phase =
     let now = Sys.time () in
-    let i = phase_idx phase in
-    phase_s.(i) <- phase_s.(i) +. (now -. !pt_last);
+    charge_phase_ns phase (int_of_float ((now -. !pt_last) *. 1e9));
     pt_last := now
   in
   let proto = Gc_state.proto t in
@@ -563,22 +544,6 @@ let run ?(economical = false) t ~node ~bunches ~group_mode ?(copy = true) () =
       Store.set_active_segment store ~bunch seg)
     to_spaces;
 
-  (* Surface the per-phase wall-clock totals of this collection. *)
-  List.iter
-    (fun phase ->
-      let s = phase_s.(phase_idx phase) in
-      charge_phase_ns phase (int_of_float (s *. 1e9));
-      let us = int_of_float (s *. 1e6) in
-      (match Gc_state.metrics t with
-      | Some m ->
-          Bmx_obs.Metrics.observe m ~node
-            ("gc.phase." ^ phase_name phase)
-            (float_of_int us)
-      | None -> ());
-      if Trace_event.enabled evlog then
-        Trace_event.record evlog
-          (Trace_event.Gc_phase { node; phase = phase_name phase; us }))
-    all_phases;
   if Trace_event.enabled evlog then
     Trace_event.record evlog
       (Trace_event.Gc_end

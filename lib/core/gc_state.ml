@@ -348,7 +348,6 @@ let create ~proto = { proto; per_node = Ids.Node_tbl.create 8; obs = None }
 let proto t = t.proto
 let stats t = Bmx_dsm.Protocol.stats t.proto
 let set_metrics t m = t.obs <- Some m
-let metrics t = t.obs
 
 let make_inter_stub_table () =
   t_make

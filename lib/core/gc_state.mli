@@ -14,8 +14,6 @@ val stats : t -> Bmx_util.Stats.registry
 val set_metrics : t -> Bmx_obs.Metrics.t -> unit
 (** Attach a metrics registry for the occupancy gauges below. *)
 
-val metrics : t -> Bmx_obs.Metrics.t option
-
 val sample_node_gauges : t -> node:Bmx_util.Ids.Node.t -> unit
 (** Refresh the per-node occupancy gauges after a collection:
     [gc.heap.objects], [gc.heap.segments], [gc.stubs.inter/intra] and

@@ -104,12 +104,10 @@ let set_metrics t m =
      leg and dominated the measured loop's allocation. *)
   Bmx_obs.Metrics.gauge_fn m "dsm.copyset.max" (fun () -> t.copyset_max)
 
-let obs_observe t ?node name v =
-  match t.obs with
-  | None -> ()
-  | Some m -> Bmx_obs.Metrics.observe m ?node name (float_of_int v)
-
-let ev t e = if Trace_event.enabled t.evlog then Trace_event.record t.evlog e
+(* Every event is built under [if logging t], so a run with the log off
+   allocates none. *)
+let logging t = Trace_event.enabled t.evlog
+let ev t e = Trace_event.record t.evlog e
 
 let ev_actor = function App -> Trace_event.App | Gc -> Trace_event.Gc
 let ev_tok = function `Read -> Trace_event.Read | `Write -> Trace_event.Write
@@ -445,7 +443,7 @@ let rec apply_updates s = function
 let rec apply_location_updates t ~node updates =
   let s = store t node in
   let changed = apply_updates s updates in
-  if updates <> [] && Trace_event.enabled t.evlog then
+  if updates <> [] && logging t then
     ev t
       (Trace_event.Updates_applied
          { node; uids = List.map (fun u -> u.lu_uid) updates });
@@ -468,7 +466,7 @@ and forward_updates t ~node d = function
   | up :: rest ->
       (match Directory.record d up.lu_uid with
       | r ->
-          if not (Ids.Node_set.is_empty r.Directory.copyset) then
+          if logging t && not (Ids.Node_set.is_empty r.Directory.copyset) then
             ev t
               (Trace_event.Forward_due
                  {
@@ -478,9 +476,10 @@ and forward_updates t ~node d = function
                  });
           Ids.Node_set.iter
             (fun peer ->
-              ev t
-                (Trace_event.Copyset_forward
-                   { src = node; dst = peer; uid = up.lu_uid });
+              if logging t then
+                ev t
+                  (Trace_event.Copyset_forward
+                     { src = node; dst = peer; uid = up.lu_uid });
               Net.send t.net ~src:node ~dst:peer ~kind:Net.Addr_update
                 ~bytes:update_bytes
                 ?shard:(shard_of t up.new_addr)
@@ -551,7 +550,8 @@ let rec invalidate_subtree t ~actor ~skip node uid =
                make the walk raise mid-mutation either.) *)
             if not (Net.is_down t.net peer) then begin
               Net.record_rpc t.net ~src:node ~dst:peer ~kind:Net.Invalidate ();
-              ev t (Trace_event.Invalidate { src = node; dst = peer; uid });
+              if logging t then
+                ev t (Trace_event.Invalidate { src = node; dst = peer; uid });
               bump t (invalidations_key actor)
             end;
             invalidate_subtree t ~actor ~skip peer uid
@@ -621,12 +621,11 @@ let ship_copy t ~src ~dst ~uid ~requested ~tok =
     ~bytes:(32 + Heap_obj.size_bytes gobj)
     ?shard ();
   (match tok with
-  | Some tok ->
+  | Some tok when logging t ->
       ev t
         (Trace_event.Grant_sent
-           { granter = src; requester = dst; uid; tok; updates = k });
-      obs_observe t ~node:src "dsm.grant.updates" k
-  | None -> ());
+           { granter = src; requester = dst; uid; tok; updates = k })
+  | Some _ | None -> ());
   if k > 0 then
     Net.record_piggyback t.net ~src ~kind:Net.Token_grant
       ~bytes:(k * update_bytes) ?shard ();
@@ -635,8 +634,8 @@ let ship_copy t ~src ~dst ~uid ~requested ~tok =
 
 (* [Acquire_done]: the acquire of [uid] by [node] returns. *)
 let ev_done t ~actor ~node ~uid kind =
-  if Trace_event.enabled t.evlog then
-    Trace_event.record t.evlog
+  if logging t then
+    ev t
       (Trace_event.Acquire_done
          {
            actor = ev_actor actor;
@@ -679,9 +678,10 @@ let acquire t ?(actor = App) ~node:n addr kind =
   let s_n = store t n in
   let d_n = directory t n in
   bump t (acquire_key actor kind);
-  ev t
-    (Trace_event.Acquire_start
-       { actor = ev_actor actor; node = n; uid; tok = ev_tok kind });
+  if logging t then
+    ev t
+      (Trace_event.Acquire_start
+         { actor = ev_actor actor; node = n; uid; tok = ev_tok kind });
   let local_ok =
     match Directory.record d_n uid with
     | r -> (
@@ -739,8 +739,11 @@ let acquire t ?(actor = App) ~node:n addr kind =
         if g_rec.Directory.state <> Directory.Read then
           failwith "Protocol.acquire: granter has no valid copy";
         set_copyset t g_rec (Ids.Node_set.add n g_rec.Directory.copyset);
-        obs_observe t ~node:granter "dsm.copyset.size"
-          (Ids.Node_set.cardinal g_rec.Directory.copyset);
+        (match t.obs with
+        | Some m ->
+            Bmx_obs.Metrics.observe m ~node:granter "dsm.copyset.size"
+              (float_of_int (Ids.Node_set.cardinal g_rec.Directory.copyset))
+        | None -> ());
         Directory.add_entering g_dir
           ~seq:(Net.current_seq t.net ~src:n ~dst:granter)
           ~uid ~from:n;
@@ -807,7 +810,8 @@ let acquire t ?(actor = App) ~node:n addr kind =
           invalidate_subtree t ~actor ~skip:n owner uid;
           (* Invariant 3 (§5): intra-bunch SSPs are created before the
              grant message is sent. *)
-          ev t (Trace_event.Hook_ssp { granter = owner; requester = n; uid });
+          if logging t then
+            ev t (Trace_event.Hook_ssp { granter = owner; requester = n; uid });
           t.hooks.before_write_grant ~granter:owner ~requester:n ~uid;
           let updates =
             ship_copy t ~src:owner ~dst:n ~uid ~requested:addr
@@ -841,7 +845,7 @@ let acquire t ?(actor = App) ~node:n addr kind =
 
 let release t ~node addr =
   let uid = locate t node addr in
-  ev t (Trace_event.Release { node; uid });
+  if logging t then ev t (Trace_event.Release { node; uid });
   match Directory.record (directory t node) uid with
   | r -> r.Directory.held <- false
   | exception Not_found -> ()
@@ -907,15 +911,16 @@ let read_field t ?(weak = false) ~node addr index =
   if (not weak) && not covered then
     failwith "Protocol.read_field: no read token (use ~weak for stale reads)";
   let v = Heap_obj.get obj index in
-  ev t
-    (Trace_event.Read_obs
-       {
-         actor = Trace_event.App;
-         node;
-         uid = obj.Heap_obj.uid;
-         version = Heap_obj.version obj;
-         covered;
-       });
+  if logging t then
+    ev t
+      (Trace_event.Read_obs
+         {
+           actor = Trace_event.App;
+           node;
+           uid = obj.Heap_obj.uid;
+           version = Heap_obj.version obj;
+           covered;
+         });
   v
 
 let write_field_raw t ~node addr index v =
@@ -928,15 +933,16 @@ let write_field_raw t ~node addr index v =
         failwith "Protocol.write_field_raw: no write token"
   | exception Not_found -> failwith "Protocol.write_field_raw: no write token");
   Heap_obj.set obj index v;
-  ev t
-    (Trace_event.Write_obs
-       {
-         actor = Trace_event.App;
-         node;
-         uid = obj.Heap_obj.uid;
-         version = Heap_obj.version obj;
-         covered = true;
-       });
+  if logging t then
+    ev t
+      (Trace_event.Write_obs
+         {
+           actor = Trace_event.App;
+           node;
+           uid = obj.Heap_obj.uid;
+           version = Heap_obj.version obj;
+           covered = true;
+         });
   Store.note_field_write s ~obj_addr:a ~index v
 
 let ptr_eq t ~node a b =
@@ -1049,7 +1055,7 @@ let adopt_ownership t ~node ~uid =
          end)
        Ids.Node_set.empty (replica_nodes t uid));
   let prev = Option.value old_owner ~default:Ids.Node.invalid in
-  ev t (Trace_event.Owner_adopted { node; uid; prev })
+  if logging t then ev t (Trace_event.Owner_adopted { node; uid; prev })
 
 let exiting_ownerptrs t ~node ~bunch =
   let s = store t node in

@@ -69,9 +69,10 @@ val set_metrics : t -> Bmx_obs.Metrics.t -> unit
 (** Attach a metrics registry.  Registers callback gauges
     [dsm.oracle.entries] (address-oracle size) and [dsm.copyset.max]
     (widest copyset across all directories), and feeds the per-granter
-    histograms [dsm.copyset.size] (copyset cardinality after each read
-    grant) and [dsm.grant.updates] (piggybacked location updates per
-    grant, §4.4). *)
+    histogram [dsm.copyset.size] (copyset cardinality after each read
+    grant).  A grant's piggybacked location updates (§4.4) are counted
+    by [Grant_sent.updates] in the event log and by
+    [Perfcount.s_dsm_updates], not here. *)
 
 val evlog : t -> Bmx_util.Trace_event.log
 (** The typed event log consumed by the trace linter

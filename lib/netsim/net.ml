@@ -278,18 +278,23 @@ let suspect_after t = t.suspect_after
 let now t = t.now
 let is_down t node = Hashtbl.mem t.down node
 
-let ev t e =
-  match t.evlog with
-  | Some l when Trace_event.enabled l -> Trace_event.record l e
-  | Some _ | None -> ()
+(* Every event is built under [if logging t], so a run with the log off
+   allocates none. *)
+let logging t =
+  match t.evlog with Some l -> Trace_event.enabled l | None -> false
+
+let ev t e = match t.evlog with Some l -> Trace_event.record l e | None -> ()
 
 let ev_sent t ~src ~dst ~kind ~seq ~rel =
-  ev t (Trace_event.Msg_sent { src; dst; kind = kind_to_string kind; seq; rel })
+  if logging t then
+    ev t
+      (Trace_event.Msg_sent { src; dst; kind = kind_to_string kind; seq; rel })
 
 let ev_delivered t ~src ~dst ~kind ~seq ~rel =
-  ev t
-    (Trace_event.Msg_delivered
-       { src; dst; kind = kind_to_string kind; seq; rel })
+  if logging t then
+    ev t
+      (Trace_event.Msg_delivered
+         { src; dst; kind = kind_to_string kind; seq; rel })
 
 (* ------------------------------------------------------------------ *)
 (* Network partitions.  A cut is a {e directed} link property: while
@@ -321,14 +326,14 @@ let cut_link t ~src ~dst =
   if not (Hashtbl.mem t.cut (src, dst)) then begin
     Hashtbl.replace t.cut (src, dst) ();
     Stats.incr t.stats "net.cut.count";
-    ev t (Trace_event.Link_cut { src; dst })
+    if logging t then ev t (Trace_event.Link_cut { src; dst })
   end
 
 let heal_link t ~src ~dst =
   if Hashtbl.mem t.cut (src, dst) then begin
     Hashtbl.remove t.cut (src, dst);
     Stats.incr t.stats "net.heal.count";
-    ev t (Trace_event.Link_heal { src; dst })
+    if logging t then ev t (Trace_event.Link_heal { src; dst })
   end
 
 let cut_pairs t =
@@ -359,7 +364,7 @@ let suspect_transition t ~src ~dst ~on =
   (match t.obs with
   | Some m -> Bmx_obs.Metrics.incr m ~node:src "net.suspect_transitions"
   | None -> ());
-  ev t (Trace_event.Suspect { src; dst; on })
+  if logging t then ev t (Trace_event.Suspect { src; dst; on })
 
 let mark_suspect t (src, dst) =
   if not (Hashtbl.mem t.suspect (src, dst)) then begin
@@ -621,7 +626,8 @@ let record_rpc t ~src ~dst ~kind ?(bytes = 64) ?shard () =
   end;
   shard_account t ~kind ~shard ~bytes ~msg:true;
   let seq = next_in t.seqs (pair src dst) in
-  ev t (Trace_event.Rpc { src; dst; kind = kind_to_string kind; seq });
+  if logging t then
+    ev t (Trace_event.Rpc { src; dst; kind = kind_to_string kind; seq });
   account_msg t ~src ~kind;
   account_bytes t ~src ~kind ~bytes
 
@@ -700,28 +706,30 @@ let deliver t env =
     if env.rel < rs.r_next || Hashtbl.mem rs.r_buf env.rel then begin
       (* Duplicate (fault-injected copy or spurious retransmission). *)
       Stats.incr t.stats "net.rel.suppressed";
-      ev t
-        (Trace_event.Msg_suppressed
-           {
-             src = env.src;
-             dst = env.dst;
-             kind = kind_to_string env.kind;
-             seq = env.seq;
-           })
+      if logging t then
+        ev t
+          (Trace_event.Msg_suppressed
+             {
+               src = env.src;
+               dst = env.dst;
+               kind = kind_to_string env.kind;
+               seq = env.seq;
+             })
     end
     else if env.rel > rs.r_next then begin
       (* Ahead of a gap (an earlier copy was dropped): hold it so the
          handler observes per-pair FIFO in send order. *)
       Hashtbl.add rs.r_buf env.rel env;
       Stats.incr t.stats "net.rel.buffered";
-      ev t
-        (Trace_event.Msg_buffered
-           {
-             src = env.src;
-             dst = env.dst;
-             kind = kind_to_string env.kind;
-             seq = env.seq;
-           })
+      if logging t then
+        ev t
+          (Trace_event.Msg_buffered
+             {
+               src = env.src;
+               dst = env.dst;
+               kind = kind_to_string env.kind;
+               seq = env.seq;
+             })
     end
     else begin
       handoff t env;
@@ -841,15 +849,16 @@ let tick ?(dt = 1) t =
     incr retransmitted;
     Stats.incr t.stats (retransmit_key u.u_env.kind);
     Stats.incr t.stats "net.retransmit.total";
-    ev t
-      (Trace_event.Msg_retransmit
-         {
-           src = u.u_env.src;
-           dst = u.u_env.dst;
-           kind = kind_to_string u.u_env.kind;
-           seq = u.u_env.seq;
-           attempt = u.u_attempts;
-         });
+    if logging t then
+      ev t
+        (Trace_event.Msg_retransmit
+           {
+             src = u.u_env.src;
+             dst = u.u_env.dst;
+             kind = kind_to_string u.u_env.kind;
+             seq = u.u_env.seq;
+             attempt = u.u_attempts;
+           });
     (* Retransmissions carry the original sequence number: the
        receivers' logical clocks compare against send time, and
        the reorder buffer restores handler-visible FIFO. *)

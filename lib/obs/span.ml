@@ -237,12 +237,6 @@ let lone ts ev =
            [ ("dropped", Json.Int dropped); ("lost", Json.Int lost) ])
   | T.Disk_fault { node; fault } ->
       Some (instant "disk.fault" node Net ts [ ("fault", Json.String fault) ])
-  | T.Gc_phase { node; phase; us } ->
-      (* Wall-clock phase cost pinned at its virtual-time completion
-         point; the duration is real microseconds, not µsteps, so it
-         rides along as an arg on an instant slice. *)
-      Some
-        (instant ("gc.phase." ^ phase) node Gc ts [ ("wall_us", Json.Int us) ])
   | _ -> None
 
 let of_iter iter =

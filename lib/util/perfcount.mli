@@ -35,16 +35,20 @@ type snapshot = {
   mutable s_gc_ns_copy : int;
   mutable s_gc_ns_scan : int;
   mutable s_gc_ns_reconcile : int;
-      (** [s_gc_ns_*]: wall-clock nanoseconds spent in each collector
-          phase (trace / flip / copy / scan / cleaner-reconcile), each
-          timed by two [Sys.time] reads around the phase body.
+      (** [s_gc_ns_*]: processor-time nanoseconds spent in each
+          collector phase (trace / flip / copy / scan /
+          cleaner-reconcile), each the difference of two [Sys.time]
+          reads (the process's CPU time, not wall clock) around the phase
+          body.  These counters are the only record of phase time: no
+          event or metrics histogram repeats them.
           [s_gc_ns_reconcile] holds collection-time table emission (with
           the sweep of the node's own scions) plus delivery-time cleaner
           receives, so the five phase counters never overlap. *)
   mutable s_gc_ns_recv_delta : int;
   mutable s_gc_ns_recv_full : int;
-      (** [s_gc_ns_recv_*]: scion-cleaner receive time split by path —
-          deltas (empty ones included), and full tables and resyncs.  A
+      (** [s_gc_ns_recv_*]: scion-cleaner receive processor time, read
+          by [Sys.time] like the phase counters, split by path — deltas
+          (empty ones included), and full tables and resyncs.  A
           breakdown of the delivery-time part of [s_gc_ns_reconcile],
           not extra phases. *)
   mutable s_dsm_updates : int;

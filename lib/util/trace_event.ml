@@ -42,7 +42,6 @@ let schema =
     ("shard_adopted", [ Int; Node ]);
     ("read_obs", [ Actor; Node; Int; Int; Bool ]);
     ("write_obs", [ Actor; Node; Int; Int; Bool ]);
-    ("gc_phase", [ Node; Str; Int ]);
   |]
 
 let count k =
@@ -129,7 +128,6 @@ let encode f = function
       set f 29 (act actor lor (bit covered lsl 1)) node 0 "" uid version []
   | Write_obs { actor; node; uid; version; covered } ->
       set f 30 (act actor lor (bit covered lsl 1)) node 0 "" uid version []
-  | Gc_phase { node; phase; us } -> set f 31 0 node 0 phase us 0 []
 
 let flag f k = (f.flags lsr k) land 1 = 1
 let actor f = if flag f 0 then Gc else App
@@ -179,7 +177,6 @@ let decode f =
   | 30 ->
       let actor = actor f and covered = flag f 1 in
       Write_obs { actor; node = n0; uid = i0; version = i1; covered }
-  | 31 -> Gc_phase { node = n0; phase = str; us = i0 }
   | tag -> invalid_arg (Printf.sprintf "Trace_event.decode: tag %d" tag)
 
 let nodes e =
@@ -254,7 +251,7 @@ let rec push_list l = function
       push l x;
       push_list l rest
 
-(* A scan, not a hashtable: a log holds a few dozen kind and phase
+(* A scan, not a hashtable: a log holds a few dozen kind and fault
    names, producers pass the same literal each time, and the lookup must
    not allocate. *)
 let rec intern l s i =

@@ -6,7 +6,7 @@
     and [bmxctl workload --trace] prints them.  They cover token
     acquisitions with their acting subsystem, grant messages with their
     piggybacked location-update counts, the §5 invariant hook firings,
-    copy-set forwards, GC phase boundaries, and every network message
+    copy-set forwards, collection boundaries, and every network message
     with its per-pair sequence number.
 
     The log is owned by the protocol instance and shared with the
@@ -19,7 +19,7 @@
     filled chunk is never copied) and decoded when read.  An event is a
     timestamp word, then a header word: the constructor tag (6 bits), a
     wide flag, up to 4 flag bits (actor, tok, bools), the 8-bit interned
-    id of its kind, phase or fault string (255: the id follows as a
+    id of its kind or fault string (255: the id follows as a
     word) and two 20-bit node fields biased by one so [Node.invalid]
     fits.  A node that does not fit sets the wide flag and both nodes
     follow as words.  Then come the int fields in text order and any

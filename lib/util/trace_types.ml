@@ -163,9 +163,3 @@ type t =
       covered : bool;
     }  (** a field write at access level; semantic writes only — GC and
            protocol pointer fixups ([Heap_obj.fixup]) are not recorded *)
-  | Gc_phase of { node : Ids.Node.t; phase : string; us : int }
-      (** a collector phase (trace / flip / copy / scan /
-          cleaner-reconcile) completed at [node], having consumed [us]
-          wall-clock microseconds — the first-class replacement for the
-          BMX_GC_PHASE_TIMING stderr hack.  GC-side for the
-          happens-before certifier: erasure deletes it. *)

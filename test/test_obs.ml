@@ -184,9 +184,6 @@ let generated_events () =
         (fun actor covered ->
           T.Write_obs { actor; node = 2; uid = 6; version = 8; covered })
         acts bools;
-      cart
-        (fun node us -> T.Gc_phase { node; phase = "trace"; us })
-        nodes [ 0; 1234 ];
     ]
 
 let test_trace_roundtrip_all_constructors () =
@@ -209,7 +206,7 @@ let test_trace_roundtrip_all_constructors () =
          (fun e -> List.hd (String.split_on_char ' ' (T.to_line e)))
          events)
   in
-  check_int "all 32 constructors serialized" 32 (List.length heads)
+  check_int "all 31 constructors serialized" 31 (List.length heads)
 
 (* ----------------------------------------------------- virtual timestamps *)
 
@@ -254,8 +251,8 @@ let edge_events () =
           { actor = T.Gc; node; uid = 1; version = min_int; covered = true };
         T.Write_obs
           { actor = T.App; node; uid = max_int; version = max_int; covered = false };
-        T.Gc_phase { node; phase = "copy"; us = max_int };
-        T.Gc_phase { node; phase = "scan"; us = min_int };
+        T.Disk_fault { node; fault = "copy" };
+        T.Rvm_recover { node; dropped = max_int; lost = min_int };
         T.Forward_due { node; uid = 2; peers = [ node; -1; 1 lsl 20 ] };
         T.Gc_begin { node; group = true; bunches = [] };
         T.Tables_processed
@@ -306,7 +303,7 @@ let test_packed_log_matches_boxed () =
     [
       T.Msg_sent
         { src = 2; dst = -1; kind = "fresh_kind"; seq = 1; rel = true };
-      T.Gc_phase { node = 1 lsl 20; phase = "trace"; us = 5 };
+      T.Disk_fault { node = 1 lsl 20; fault = "trace" };
       T.Updates_applied { node = 0; uids = [] };
     ]
   in
@@ -324,7 +321,6 @@ let hand_nodes = function
   | T.Forward_due { node; _ }
   | T.Gc_begin { node; _ }
   | T.Gc_end { node; _ }
-  | T.Gc_phase { node; _ }
   | T.Crash { node }
   | T.Restart { node }
   | T.Owner_adopted { node; _ }
@@ -647,6 +643,38 @@ let test_cluster_wiring () =
   | Some s -> check_bool "acquire latency measured" true (s.Metrics.s_count >= 1)
   | None -> Alcotest.fail "no acquire latency"
 
+(* A collection's pause is the µsteps from its [Gc_begin] to its
+   [Gc_end], and every recorded event advances the clock by at least
+   one, so the log between them must hold only what the collection did.
+   Evacuating one live object of a bunch carves one to-space range from
+   the registry shard. *)
+let test_gc_pause_counts_work () =
+  let module Cluster = Bmx.Cluster in
+  let c = Cluster.create ~nodes:1 ~trace_events:true () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let live = Cluster.alloc c ~node:0 ~bunch:b [| Bmx_memory.Value.Data 1 |] in
+  ignore (Cluster.alloc c ~node:0 ~bunch:b [| Bmx_memory.Value.Data 2 |]);
+  Cluster.add_root c ~node:0 live;
+  ignore (Cluster.bgc c ~node:0 ~bunch:b);
+  let rec from_begin = function
+    | (_, T.Gc_begin _) :: _ as l -> l
+    | _ :: rest -> from_begin rest
+    | [] -> []
+  in
+  let rec to_end = function
+    | ((_, T.Gc_end _) as e) :: _ -> [ e ]
+    | e :: rest -> e :: to_end rest
+    | [] -> []
+  in
+  let pause = to_end (from_begin (T.timed_events (Cluster.evlog c))) in
+  let name (_, e) = List.hd (String.split_on_char ' ' (T.to_line e)) in
+  check
+    Alcotest.(list string)
+    "events of the pause"
+    [ "gc_begin"; "shard_alloc"; "gc_end" ]
+    (List.map name pause);
+  check_int "its µsteps" 2 (fst (List.nth pause 2) - fst (List.hd pause))
+
 let () =
   Alcotest.run "obs"
     [
@@ -686,5 +714,9 @@ let () =
       ( "summary",
         [ Alcotest.test_case "reservoir" `Quick test_reservoir_summary ] );
       ( "wiring",
-        [ Alcotest.test_case "cluster end-to-end" `Quick test_cluster_wiring ] );
+        [
+          Alcotest.test_case "cluster end-to-end" `Quick test_cluster_wiring;
+          Alcotest.test_case "a collection's pause counts only what it did"
+            `Quick test_gc_pause_counts_work;
+        ] );
     ]

@@ -40,7 +40,10 @@
      "a grant allocates what it ships" fails (the parent of that change
      measured 375 and 559 words a grant);
    - a tuple key or a [Metrics.incr] per message back in Net's
-     accounting: "message accounting allocates nothing" fails. *)
+     accounting: "message accounting allocates nothing" fails;
+   - an event record built before asking whether the log is on, in Net
+     or on the acquire path: "message accounting allocates nothing" or
+     "a local acquire allocates nothing with the log off" fails. *)
 
 open Bmx_util
 module Cluster = Bmx.Cluster
@@ -537,17 +540,10 @@ let test_grant_words () =
   if write > 176.0 then
     Alcotest.failf "a remote write grant allocates %.1f words (budget 176)" write
 
-(* The per-message accounting allocates nothing: with a metrics registry
-   attached, [k] [Net.record_rpc] calls allocate no more each than the
-   event record the call builds, 5 words.  (A tuple key per stream
-   lookup and cut check, and a hashed [Metrics.incr] per counter, cost
-   44 words a call.) *)
-let test_rpc_accounting_words () =
-  let net = Net.create ~stats:(Stats.create_registry ()) () in
-  Net.set_metrics net (Bmx_obs.Metrics.create ());
-  let rpc () = Net.record_rpc net ~src:1 ~dst:2 ~kind:Net.Token_request () in
-  (* The first call registers the counters and the stream. *)
-  rpc ();
+(* Words [f ()] allocates per call, over [k] calls after a first one
+   that registers counters and streams. *)
+let words_per_call f =
+  f ();
   let k = 1000 in
   let empty =
     let w0 = allocated_words () in
@@ -555,15 +551,42 @@ let test_rpc_accounting_words () =
   in
   let w0 = allocated_words () in
   for _ = 1 to k do
-    rpc ()
+    f ()
   done;
-  let per = (allocated_words () -. w0 -. empty) /. float_of_int k in
-  let event =
-    1 + Obj.size (Obj.repr (Trace_event.Rpc { src = 1; dst = 2; kind = ""; seq = 2 }))
+  (allocated_words () -. w0 -. empty) /. float_of_int k
+
+(* The per-message accounting allocates nothing: with a metrics registry
+   attached and no event log, a [Net.record_rpc] allocates no word.  (A
+   tuple key per stream lookup and cut check, and a hashed
+   [Metrics.incr] per counter, cost 44 words a call; building the
+   event record before asking whether a log records it cost 5.) *)
+let test_rpc_accounting_words () =
+  let net = Net.create ~stats:(Stats.create_registry ()) () in
+  Net.set_metrics net (Bmx_obs.Metrics.create ());
+  let per =
+    words_per_call (fun () ->
+        Net.record_rpc net ~src:1 ~dst:2 ~kind:Net.Token_request ())
   in
-  if per > float_of_int event then
-    Alcotest.failf "a record_rpc allocates %.1f words (its event record: %d)" per
-      event
+  if per > 0.0 then Alcotest.failf "a record_rpc allocates %.1f words" per
+
+(* With the event log off, as [Cluster.create] leaves it, a local read or
+   write acquire and its release allocate nothing: no event is built.
+   Building the acquire-start and release records anyway cost 8
+   words. *)
+let test_local_acquire_words () =
+  let c = Cluster.create ~nodes:1 () in
+  let b = Cluster.new_bunch c ~home:0 in
+  let x = Cluster.alloc c ~node:0 ~bunch:b [| Value.Data 1 |] in
+  List.iter
+    (fun (name, acquire) ->
+      let per =
+        words_per_call (fun () ->
+            Cluster.release c ~node:0 (acquire c ~node:0 x))
+      in
+      if per > 0.0 then
+        Alcotest.failf "a local %s acquire and release allocate %.1f words" name
+          per)
+    [ ("read", Cluster.acquire_read); ("write", Cluster.acquire_write) ]
 
 (* The grant's work counters on a small write grant with [k] readers.
    N0 owns x = [w; w; y] and w; y belongs to N_(k+1).  N1..Nk read x,
@@ -638,6 +661,8 @@ let () =
             test_grant_words;
           Alcotest.test_case "message accounting allocates nothing" `Quick
             test_rpc_accounting_words;
+          Alcotest.test_case "a local acquire allocates nothing with the log off"
+            `Quick test_local_acquire_words;
           Alcotest.test_case "a write grant's work counters" `Quick
             test_grant_counters;
         ] );
